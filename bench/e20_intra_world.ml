@@ -92,14 +92,16 @@ let measure ?(batching = false) ?(pooling = false) ~shards ~hosts_per_region
       if G.kind g node = G.Router then
         ignore
           (Sirpent.Router.create (S.world cluster (S.region_of cluster node)) ~node ()));
-  let received = ref 0 in
+  (* receive callbacks run on whichever domain owns the region *)
+  let received = Atomic.make 0 in
   let endpoints = Hashtbl.create 64 in
   Array.iteri
     (fun r hs ->
       Array.iter
         (fun h ->
           let ht = Sirpent.Host.create (S.world cluster r) ~node:h in
-          Sirpent.Host.set_receive ht (fun _ ~packet:_ ~in_port:_ -> incr received);
+          Sirpent.Host.set_receive ht (fun _ ~packet:_ ~in_port:_ ->
+              Atomic.incr received);
           Hashtbl.replace endpoints h ht)
         hs)
     hosts;
@@ -136,7 +138,7 @@ let measure ?(batching = false) ?(pooling = false) ~shards ~hosts_per_region
     c_rows = S.merged_rows cluster;
     c_events = S.merged_events cluster;
     c_flights = S.merged_flights cluster;
-    c_delivered = !received;
+    c_delivered = Atomic.get received;
   }
 
 let dropped_total rows =

@@ -177,11 +177,12 @@ let drive ?scalar_lookahead ?epoch ?(faults = false) ?refine_loads ~shards
       if G.kind g node = G.Router then
         ignore
           (Sirpent.Router.create (S.world cluster (S.region_of cluster node)) ~node ()));
-  let received = ref 0 in
+  (* receive callbacks run on whichever domain owns the region *)
+  let received = Atomic.make 0 in
   let endpoints = Hashtbl.create 64 in
   let host node =
     let ht = Sirpent.Host.create (S.world cluster (S.region_of cluster node)) ~node in
-    Sirpent.Host.set_receive ht (fun _ ~packet:_ ~in_port:_ -> incr received);
+    Sirpent.Host.set_receive ht (fun _ ~packet:_ ~in_port:_ -> Atomic.incr received);
     Hashtbl.replace endpoints node ht
   in
   Array.iter (fun (_, hs) -> Array.iter host hs) t.cells;
@@ -300,7 +301,7 @@ let drive ?scalar_lookahead ?epoch ?(faults = false) ?refine_loads ~shards
           Telemetry.Registry.snapshot (W.metrics (S.world cluster r)));
     r_events = S.merged_events cluster;
     r_flights = S.merged_flights cluster;
-    r_delivered = !received;
+    r_delivered = Atomic.get received;
     r_coarse_regions = coarse.P.regions;
     r_outcome = outcome;
     r_dirs =

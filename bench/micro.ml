@@ -93,7 +93,7 @@ let warm_cache =
 let event_heap =
   (* steady-state churn on a heap holding 256 live events, the working
      set of a busy shard engine *)
-  let h = Sim.Heap.create () in
+  let h = Sim.Heap.create ~dummy:() in
   let t = ref 0 in
   for _ = 1 to 256 do
     incr t;
@@ -109,7 +109,7 @@ let tests =
         let h, t = event_heap in
         incr t;
         Sim.Heap.push h ~time:!t ~seq:0 ();
-        ignore (Sim.Heap.pop h)));
+        Sim.Heap.pop_value h));
     Test.make ~name:"viper segment decode" (Staged.stage (fun () ->
         ignore (Seg.decode sample_segment_bytes)));
     Test.make ~name:"sirpent per-hop forward (strip+trailer)" (Staged.stage (fun () ->

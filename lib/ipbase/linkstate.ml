@@ -108,7 +108,7 @@ and run_spf t =
   (* Dijkstra over the LSDB. Edges are taken as advertised. *)
   let dist : (G.node_id, float) Hashtbl.t = Hashtbl.create 64 in
   let first_hop : (G.node_id, G.node_id) Hashtbl.t = Hashtbl.create 64 in
-  let heap = Sim.Heap.create () in
+  let heap = Sim.Heap.create ~dummy:(infinity, -1, -1) in
   let seq = ref 0 in
   let push cost v hop =
     Sim.Heap.push heap ~time:(int_of_float (cost *. 1e6)) ~seq:!seq (cost, v, hop);
@@ -121,9 +121,9 @@ and run_spf t =
   Hashtbl.replace visited t.node ();
   let continue = ref true in
   while !continue do
-    match Sim.Heap.pop heap with
-    | None -> continue := false
-    | Some (_, _, (cost, v, hop)) ->
+    if Sim.Heap.is_empty heap then continue := false
+    else
+      let cost, v, hop = Sim.Heap.pop_value heap in
       if not (Hashtbl.mem visited v) then begin
         Hashtbl.replace visited v ();
         Hashtbl.replace dist v cost;

@@ -28,20 +28,21 @@ module Ibq = struct
       len = 0;
     }
 
-  let peek_key q =
-    if q.len = 0 then None else Some (q.times.(q.head), q.seqs.(q.head))
+  let is_empty q = q.len = 0
 
-  let pop q =
-    if q.len = 0 then None
-    else begin
-      let i = q.head in
-      let r = (q.times.(i), q.seqs.(i), q.vals.(i)) in
-      q.vals.(i) <- q.dummy;
-      q.head <- i + 1;
-      q.len <- q.len - 1;
-      if q.len = 0 then q.head <- 0;
-      Some r
-    end
+  (* the front's key and value, read without allocating; the queue must
+     be non-empty *)
+  let min_time q = q.times.(q.head)
+  let min_seq q = q.seqs.(q.head)
+
+  let pop_value q =
+    let i = q.head in
+    let v = q.vals.(i) in
+    q.vals.(i) <- q.dummy;
+    q.head <- i + 1;
+    q.len <- q.len - 1;
+    if q.len = 0 then q.head <- 0;
+    v
 
   (* the tail hit the end of the arrays: slide the live span back to the
      front, or double if it is genuinely full *)
@@ -139,11 +140,12 @@ and transmission = {
 
 (* Per receiving node: all in-flight deliveries headed its way, keyed by
    their reserved engine keys, plus the key of the cursor event (if any)
-   currently parked in the engine heap to drain them. *)
+   currently parked in the engine heap to drain them — [(max_int,
+   max_int)], which sorts after every real key, when none is. *)
 and inbox = {
-  ib_node : G.node_id;
   ib_queue : pending Ibq.t;  (* keyed (head time, reserved seq) *)
-  mutable ib_armed : (Sim.Time.t * int) option;
+  mutable ib_armed_time : Sim.Time.t;
+  mutable ib_armed_seq : int;
   mutable ib_draining : bool;
       (* while the cursor drains this inbox, new pushes must not arm
          fresh cursors (they would fire stale): the drain re-arms once,
@@ -191,8 +193,15 @@ and t = {
   engine : Sim.Engine.t;
   graph : G.t;
   default_buffer_bytes : int;
-  handlers : (G.node_id, handler) Hashtbl.t;
-  outports : (G.node_id * G.port, outport) Hashtbl.t;
+  (* Per-frame lookups go through node-indexed arrays (outports: a
+     port-indexed row per node), grown on demand, so a send or a delivery
+     finds its port, inbox or handler without allocating. *)
+  mutable handlers : handler option array;
+  mutable outports : outport option array array;
+  outport_order : (G.node_id * G.port, outport) Hashtbl.t;
+      (** every outport again, keyed by (node, port): only {!purge_node}
+          reads it, and its iteration order is the order purged frames'
+          flights are committed in *)
   ber : (int, float) Hashtbl.t;  (** link_id -> bit error rate *)
   sf_links : (int, unit) Hashtbl.t;
       (** link_ids operated store-and-forward: the head of a frame leaves
@@ -205,11 +214,11 @@ and t = {
       (** externally injected damage model (see [Faults]); takes precedence
           over the flat per-link BER table *)
   handler_errors : (G.node_id, int) Hashtbl.t;
-  taps : (G.node_id, head:Sim.Time.t -> unit) Hashtbl.t;
+  mutable taps : (head:Sim.Time.t -> unit) option array;
       (** departure taps: notified when a transmission whose delivery
           will arrive at the tapped node is scheduled (shard lookahead) *)
   batching : bool;
-  inboxes : (G.node_id, inbox) Hashtbl.t;
+  mutable inboxes : inbox option array;
   pool : Wire.Pool.t option;
       (** buffer arena for the forwarding fast path; [None] keeps plain
           allocation (the same-simulation control) *)
@@ -235,16 +244,17 @@ let create ?(default_buffer_bytes = 256 * 1024) ?(batching = false)
     engine;
     graph;
     default_buffer_bytes;
-    handlers = Hashtbl.create 64;
-    outports = Hashtbl.create 256;
+    handlers = [||];
+    outports = [||];
+    outport_order = Hashtbl.create 256;
     ber = Hashtbl.create 8;
     sf_links = Hashtbl.create 4;
     rng = Sim.Rng.create 0xC0FFEEL;
     corruptor = None;
     handler_errors = Hashtbl.create 8;
-    taps = Hashtbl.create 4;
+    taps = [||];
     batching;
-    inboxes = Hashtbl.create 64;
+    inboxes = [||];
     pool = (if pooling then Some (Wire.Pool.create ()) else None);
     flush_hooks = [];
     next_frame_id = 0;
@@ -288,8 +298,39 @@ let trace t fmt =
   | Some tr -> Sim.Trace.recordf tr ~time:(now t) fmt
   | None -> Printf.ikfprintf ignore () fmt
 
+(* [tbl] with room for index [i] (a fresh, larger copy when it is too
+   short); new slots hold [empty] *)
+let room ~empty tbl i =
+  if i < 0 then invalid_arg "World: negative node or port";
+  let n = Array.length tbl in
+  if i < n then tbl
+  else begin
+    let fresh = Array.make (max (i + 1) (2 * n)) empty in
+    Array.blit tbl 0 fresh 0 n;
+    fresh
+  end
+
+let find tbl i = if i >= 0 && i < Array.length tbl then tbl.(i) else None
+
+(* fills the outport queues' vacated slots; never handed out *)
+let idle_frame =
+  {
+    Frame.id = -1;
+    payload = Bytes.empty;
+    priority = Token.Priority.normal;
+    drop_if_blocked = false;
+    born = 0;
+    meta = None;
+    flight = None;
+    aborted = false;
+  }
+
 let outport t node port =
-  match Hashtbl.find_opt t.outports (node, port) with
+  let row =
+    if node >= 0 && node < Array.length t.outports then t.outports.(node)
+    else [||]
+  in
+  match find row port with
   | Some op -> op
   | None ->
     let op =
@@ -297,7 +338,7 @@ let outport t node port =
         op_node = node;
         op_port = port;
         current = None;
-        queue = Sim.Heap.create ();
+        queue = Sim.Heap.create ~dummy:idle_frame;
         qseq = 0;
         queued_bytes = 0;
         buffer_bytes = t.default_buffer_bytes;
@@ -313,11 +354,20 @@ let outport t node port =
         qtrack = Sim.Stats.Timeweighted.create ~start:(now t) ~initial:0.0;
       }
     in
-    Hashtbl.replace t.outports (node, port) op;
+    let row = room ~empty:None row port in
+    row.(port) <- Some op;
+    t.outports <- room ~empty:[||] t.outports node;
+    t.outports.(node) <- row;
+    Hashtbl.replace t.outport_order (node, port) op;
     op
 
-let set_handler t node h = Hashtbl.replace t.handlers node h
-let set_departure_tap t ~node f = Hashtbl.replace t.taps node f
+let set_handler t node h =
+  t.handlers <- room ~empty:None t.handlers node;
+  t.handlers.(node) <- Some h
+
+let set_departure_tap t ~node f =
+  t.taps <- room ~empty:None t.taps node;
+  t.taps.(node) <- Some f
 
 let fresh_frame t ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
     ?meta ?flight payload =
@@ -377,7 +427,7 @@ let maybe_corrupt t op link frame =
 (* A raising node handler must not take the whole simulation down: the
    event loop survives, the fault is charged to the receiving node. *)
 let deliver_direct t ~node ~in_port ~frame ~head ~tail =
-  match Hashtbl.find_opt t.handlers node with
+  match find t.handlers node with
   | Some h -> (
     try h t ~in_port ~frame ~head ~tail
     with exn ->
@@ -388,22 +438,30 @@ let deliver_direct t ~node ~in_port ~frame ~head ~tail =
         (Printexc.to_string exn) frame.Frame.id)
   | None -> C.incr t.agg.agg_undelivered
 
+(* The far end of [link] from [node], read off the link's fields ([G.peer]
+   would box a pair). *)
+let peer_node link node = if node = link.G.a then link.G.b else link.G.a
+
 let deliver t ~link ~from_node ~frame ~head ~tail =
-  let peer_node, peer_port = G.peer link from_node in
-  deliver_direct t ~node:peer_node ~in_port:peer_port ~frame ~head ~tail
+  if from_node = link.G.a then
+    deliver_direct t ~node:link.G.b ~in_port:link.G.b_port ~frame ~head ~tail
+  else if from_node = link.G.b then
+    deliver_direct t ~node:link.G.a ~in_port:link.G.a_port ~frame ~head ~tail
+  else invalid_arg "World.deliver: node is not on the link"
 
 let inbox t node =
-  match Hashtbl.find_opt t.inboxes node with
+  match find t.inboxes node with
   | Some ib -> ib
   | None ->
     let ib =
       let dummy =
         { p_work = P_thunk ignore; p_seq = -1; p_cancelled = true }
       in
-      { ib_node = node; ib_queue = Ibq.create ~dummy; ib_armed = None;
-        ib_draining = false }
+      { ib_queue = Ibq.create ~dummy; ib_armed_time = max_int;
+        ib_armed_seq = max_int; ib_draining = false }
     in
-    Hashtbl.replace t.inboxes node ib;
+    t.inboxes <- room ~empty:None t.inboxes node;
+    t.inboxes.(node) <- Some ib;
     ib
 
 (* Batched delivery. Every pending entry reserved a real engine sequence
@@ -417,64 +475,51 @@ let inbox t node =
    popped consecutively. The total execution order is therefore
    identical; only the per-delivery heap traffic and closures are
    amortized away. *)
-let rec drain t ib ~key:(my_t, my_s) =
-  (match ib.ib_armed with
-  | Some (at, as_) when at = my_t && as_ = my_s ->
-    ib.ib_armed <- None;
+let rec drain t ib ~time:my_t ~seq:my_s =
+  if ib.ib_armed_time = my_t && ib.ib_armed_seq = my_s then begin
+    ib.ib_armed_time <- max_int;
+    ib.ib_armed_seq <- max_int;
     ib.ib_draining <- true;
+    let q = ib.ib_queue in
     let delivered = ref false in
-    let rec loop () =
-      match Ibq.peek_key ib.ib_queue with
-      | None -> ()
-      | Some (pt, ps) ->
-        let is_self = pt = my_t && ps = my_s in
-        let still_next =
-          pt = now t
-          &&
-          match Sim.Engine.peek_next_key t.engine with
-          | None -> true
-          | Some (ht, hs) -> pt < ht || (pt = ht && ps < hs)
-        in
-        if is_self || still_next then begin
-          (match Ibq.pop ib.ib_queue with
-          | Some (_, _, p) ->
-            if not p.p_cancelled then begin
-              match p.p_work with
-              | P_deliver d ->
-                delivered := true;
-                deliver t ~link:d.pl_link ~from_node:d.pl_from
-                  ~frame:d.pl_frame ~head:d.pl_head ~tail:d.pl_tail
-              | P_thunk f -> f ()
-            end
-          | None -> ());
-          loop ()
-        end
-    in
-    loop ();
+    let continue = ref true in
+    while !continue && not (Ibq.is_empty q) do
+      let pt = Ibq.min_time q and ps = Ibq.min_seq q in
+      let is_self = pt = my_t && ps = my_s in
+      let still_next =
+        pt = now t && Sim.Engine.precedes_next t.engine ~time:pt ~seq:ps
+      in
+      if is_self || still_next then begin
+        let p = Ibq.pop_value q in
+        if not p.p_cancelled then
+          match p.p_work with
+          | P_deliver d ->
+            delivered := true;
+            deliver t ~link:d.pl_link ~from_node:d.pl_from ~frame:d.pl_frame
+              ~head:d.pl_head ~tail:d.pl_tail
+          | P_thunk f -> f ()
+      end
+      else continue := false
+    done;
     ib.ib_draining <- false;
     if !delivered then flush t
-  | Some _ | None -> ());
+  end;
   (* stale cursors (superseded by an earlier-keyed one) fall through to
      here and simply re-arm whatever is still pending *)
   arm t ib
 
 and arm t ib =
-  if ib.ib_draining then ()
-  else
-  match Ibq.peek_key ib.ib_queue with
-  | None -> ()
-  | Some (time, seq) ->
-    let need =
-      match ib.ib_armed with
-      | None -> true
-      | Some (at, as_) -> time < at || (time = at && seq < as_)
-    in
-    if need then begin
-      ib.ib_armed <- Some (time, seq);
+  if not (ib.ib_draining || Ibq.is_empty ib.ib_queue) then begin
+    let time = Ibq.min_time ib.ib_queue and seq = Ibq.min_seq ib.ib_queue in
+    let at = ib.ib_armed_time in
+    if time < at || (time = at && seq < ib.ib_armed_seq) then begin
+      ib.ib_armed_time <- time;
+      ib.ib_armed_seq <- seq;
       ignore
         (Sim.Engine.schedule_keyed t.engine ~time ~seq (fun () ->
-             drain t ib ~key:(time, seq)))
+             drain t ib ~time ~seq))
     end
+  end
 
 let cancel_delivery t = function
   | D_event h -> Sim.Engine.cancel t.engine h
@@ -514,18 +559,13 @@ let rec start_transmission t op link frame =
     else start + link.G.props.G.propagation
   in
   let delivered = maybe_corrupt t op link frame in
-  (if Hashtbl.length t.taps > 0 then begin
-     let peer_node, _ = G.peer link op.op_node in
-     match Hashtbl.find_opt t.taps peer_node with
-     | Some f -> f ~head
-     | None -> ()
-   end);
+  let peer = peer_node link op.op_node in
+  (match find t.taps peer with Some f -> f ~head | None -> ());
   let delivery, completion =
     if t.batching then begin
-      let peer_node, _ = G.peer link op.op_node in
       let d =
         D_batch
-          (push_pending t ~node:peer_node ~time:head
+          (push_pending t ~node:peer ~time:head
              (P_deliver
                 {
                   pl_link = link;
@@ -543,7 +583,7 @@ let rec start_transmission t op link frame =
          bookkeeping under the same cursor as its deliveries. *)
       let c =
         D_batch
-          (push_pending t ~node:peer_node ~time:finish
+          (push_pending t ~node:peer ~time:finish
              (P_thunk (fun () -> complete t op)))
       in
       (d, c)
@@ -566,9 +606,8 @@ let rec start_transmission t op link frame =
 
 and complete t op =
   op.current <- None;
-  match Sim.Heap.pop op.queue with
-  | None -> ()
-  | Some (_, _, frame) ->
+  if not (Sim.Heap.is_empty op.queue) then begin
+    let frame = Sim.Heap.pop_value op.queue in
     op.queued_bytes <- op.queued_bytes - Bytes.length frame.Frame.payload;
     Sim.Stats.Timeweighted.set op.qtrack ~now:(now t)
       (float_of_int (Sim.Heap.size op.queue));
@@ -578,6 +617,7 @@ and complete t op =
       op.dropped_no_link <- op.dropped_no_link + 1;
       C.incr t.agg.agg_dropped_no_link;
       complete t op)
+  end
 
 let enqueue t op frame =
   if op.queued_bytes + Bytes.length frame.Frame.payload > op.buffer_bytes then begin
@@ -712,22 +752,18 @@ let purge_node t ~node =
           op.current <- None;
           incr dropped
         | None -> ());
-        let rec drain () =
-          match Sim.Heap.pop op.queue with
-          | None -> ()
-          | Some (_, _, frame) ->
-            op.queued_bytes <- op.queued_bytes - Bytes.length frame.Frame.payload;
-            mark_purged frame;
-            incr dropped;
-            drain ()
-        in
-        drain ();
+        while not (Sim.Heap.is_empty op.queue) do
+          let frame = Sim.Heap.pop_value op.queue in
+          op.queued_bytes <- op.queued_bytes - Bytes.length frame.Frame.payload;
+          mark_purged frame;
+          incr dropped
+        done;
         Sim.Stats.Timeweighted.set op.qtrack ~now:(now t) 0.0;
         op.purged <- op.purged + !dropped;
         C.add t.agg.agg_purged !dropped;
         total := !total + !dropped
       end)
-    t.outports;
+    t.outport_order;
   if !total > 0 then trace t "node %d: crash purged %d frames" node !total;
   !total
 

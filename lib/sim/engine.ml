@@ -9,7 +9,11 @@ type t = {
   queue : event Heap.t;
 }
 
-let create () = { clock = Time.zero; next_seq = 0; executed = 0; queue = Heap.create () }
+(* fills the heap's vacated slots; never run *)
+let vacant = { action = ignore; cancelled = true }
+
+let create () =
+  { clock = Time.zero; next_seq = 0; executed = 0; queue = Heap.create ~dummy:vacant }
 
 let now t = t.clock
 let executed t = t.executed
@@ -56,31 +60,33 @@ let schedule_foreign t ~time ~seq f =
 
 let cancel _t handle = handle.cancelled <- true
 
+(* The loop allocates nothing per event: the heap hands back keys and
+   values unboxed, and an absent [until] is a horizon no event reaches. *)
 let run ?until ?(max_events = max_int) t =
+  let horizon = match until with Some u -> u | None -> max_int in
+  let q = t.queue in
   let executed = ref 0 in
-  let continue = ref true in
-  while !continue && !executed < max_events do
-    match Heap.peek_time t.queue with
-    | None -> continue := false
-    | Some time ->
-      let stop = match until with Some u -> time > u | None -> false in
-      if stop then continue := false
-      else begin
-        match Heap.pop t.queue with
-        | None -> continue := false
-        | Some (time, _seq, e) ->
-          t.clock <- time;
-          if not e.cancelled then begin
-            e.action ();
-            incr executed;
-            t.executed <- t.executed + 1
-          end
-      end
+  while
+    !executed < max_events && (not (Heap.is_empty q)) && Heap.min_time q <= horizon
+  do
+    t.clock <- Heap.min_time q;
+    let e = Heap.pop_value q in
+    if not e.cancelled then begin
+      e.action ();
+      incr executed;
+      t.executed <- t.executed + 1
+    end
   done;
   match until with
   | Some u when t.clock < u -> t.clock <- u
   | Some _ | None -> ()
 
 let pending t = Heap.size t.queue
-let next_time t = Heap.peek_time t.queue
-let peek_next_key t = Heap.peek_key t.queue
+let next_time t = if Heap.is_empty t.queue then None else Some (Heap.min_time t.queue)
+
+let precedes_next t ~time ~seq =
+  let q = t.queue in
+  Heap.is_empty q
+  ||
+  let ht = Heap.min_time q in
+  time < ht || (time = ht && seq < Heap.min_seq q)

@@ -34,11 +34,12 @@ val schedule_keyed : t -> time:Time.t -> seq:int -> (unit -> unit) -> handle
     the heap at exactly the key of the next queued delivery. The time
     must not be in the past; the seq must be non-negative. *)
 
-val peek_next_key : t -> (Time.t * int) option
-(** [(time, seq)] of the earliest queued event (cancelled ones
-    included), or [None] when the queue is empty. A batching cursor
-    compares this against its own queue's front to decide whether the
-    next delivery is still globally next. *)
+val precedes_next : t -> time:Time.t -> seq:int -> bool
+(** Whether the key [(time, seq)] sorts strictly before the earliest
+    queued event (cancelled ones included); [true] when the queue is
+    empty. A batching cursor asks this of its own queue's front to
+    decide whether the next delivery is still globally next. Allocates
+    nothing. *)
 
 val cancel : t -> handle -> unit
 (** Cancelling an already-run or already-cancelled event is a no-op. *)
@@ -64,7 +65,9 @@ val next_time : t -> Time.t option
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Drain the event queue. [until] stops the clock at that time (events
     scheduled later remain queued); [max_events] guards against runaway
-    simulations. *)
+    simulations. The loop itself allocates nothing per event: the only
+    per-event allocation is what {!schedule} made (the event record and
+    the caller's closure). *)
 
 val pending : t -> int
 (** Events still queued (including cancelled ones not yet skipped). *)

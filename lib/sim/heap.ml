@@ -1,82 +1,105 @@
-(* Slots hold an inline record so vacated positions can be reset to [Nil]:
-   a popped entry must not linger in [store.(len)] (or in the unused tail
-   of a freshly grown array) where it would keep its closure — and any
-   packet bytes the closure captured — live until the slot is overwritten. *)
-type 'a slot = Nil | Entry of { time : int; seq : int; value : 'a }
+(* Structure of arrays: slot [i] is (times.(i), seqs.(i), vals.(i)). Keys
+   live unboxed in two int arrays and are compared inline, so neither a
+   push nor a pop allocates. Vacated value slots (the popped position,
+   and the unused tail of a freshly grown array) hold [dummy]: a popped
+   value must not linger where it would keep its closure — and any packet
+   bytes the closure captured — live until the slot is overwritten. *)
+type 'a t = {
+  dummy : 'a;
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable vals : 'a array;
+  mutable len : int;
+}
 
-type 'a t = { mutable store : 'a slot array; mutable len : int }
-
-let create () = { store = [||]; len = 0 }
+let create ~dummy = { dummy; times = [||]; seqs = [||]; vals = [||]; len = 0 }
 let is_empty h = h.len = 0
 let size h = h.len
 
-let key h i =
-  match h.store.(i) with
-  | Entry e -> (e.time, e.seq)
-  | Nil -> assert false
+let grow h =
+  let cap = max 16 (2 * h.len) in
+  let times = Array.make cap 0 and seqs = Array.make cap 0 in
+  let vals = Array.make cap h.dummy in
+  Array.blit h.times 0 times 0 h.len;
+  Array.blit h.seqs 0 seqs 0 h.len;
+  Array.blit h.vals 0 vals 0 h.len;
+  h.times <- times;
+  h.seqs <- seqs;
+  h.vals <- vals
 
-let less h i j =
-  let ti, si = key h i and tj, sj = key h j in
-  ti < tj || (ti = tj && si < sj)
-
-let swap h i j =
-  let tmp = h.store.(i) in
-  h.store.(i) <- h.store.(j);
-  h.store.(j) <- tmp
-
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less h i parent then begin
-      swap h i parent;
-      sift_up h parent
-    end
-  end
-
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.len && less h l !smallest then smallest := l;
-  if r < h.len && less h r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap h i !smallest;
-    sift_down h !smallest
-  end
-
-let push h ~time ~seq value =
-  if h.len = Array.length h.store then begin
-    let cap = max 16 (2 * h.len) in
-    let fresh = Array.make cap Nil in
-    Array.blit h.store 0 fresh 0 h.len;
-    h.store <- fresh
-  end;
-  h.store.(h.len) <- Entry { time; seq; value };
+(* Both sifts move a hole instead of swapping: the key being placed is
+   compared against the slots it passes, and lands where a swapping sift
+   would have left it. *)
+let push h ~time ~seq v =
+  if h.len = Array.length h.times then grow h;
+  let i = ref h.len in
   h.len <- h.len + 1;
-  sift_up h (h.len - 1)
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pt = h.times.(parent) in
+    if time < pt || (time = pt && seq < h.seqs.(parent)) then begin
+      h.times.(!i) <- pt;
+      h.seqs.(!i) <- h.seqs.(parent);
+      h.vals.(!i) <- h.vals.(parent);
+      i := parent
+    end
+    else continue := false
+  done;
+  h.times.(!i) <- time;
+  h.seqs.(!i) <- seq;
+  h.vals.(!i) <- v
 
-let pop h =
-  if h.len = 0 then None
-  else begin
-    match h.store.(0) with
-    | Nil -> assert false
-    | Entry top ->
-      h.len <- h.len - 1;
-      if h.len > 0 then begin
-        h.store.(0) <- h.store.(h.len);
-        h.store.(h.len) <- Nil;
-        sift_down h 0
+let check_nonempty h name = if h.len = 0 then invalid_arg name
+
+let min_time h =
+  check_nonempty h "Heap.min_time: empty heap";
+  h.times.(0)
+
+let min_seq h =
+  check_nonempty h "Heap.min_seq: empty heap";
+  h.seqs.(0)
+
+(* Re-seat the last slot's entry from the root down. *)
+let pop_value h =
+  check_nonempty h "Heap.pop_value: empty heap";
+  let top = h.vals.(0) in
+  let n = h.len - 1 in
+  h.len <- n;
+  let time = h.times.(n) and seq = h.seqs.(n) and v = h.vals.(n) in
+  h.vals.(n) <- h.dummy;
+  if n > 0 then begin
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        (* the smaller child, ties to the left *)
+        let c =
+          if r < n
+             && (h.times.(r) < h.times.(l)
+                || (h.times.(r) = h.times.(l) && h.seqs.(r) < h.seqs.(l)))
+          then r
+          else l
+        in
+        let ct = h.times.(c) in
+        if ct < time || (ct = time && h.seqs.(c) < seq) then begin
+          h.times.(!i) <- ct;
+          h.seqs.(!i) <- h.seqs.(c);
+          h.vals.(!i) <- h.vals.(c);
+          i := c
+        end
+        else continue := false
       end
-      else h.store.(0) <- Nil;
-      Some (top.time, top.seq, top.value)
-  end
+    done;
+    h.times.(!i) <- time;
+    h.seqs.(!i) <- seq;
+    h.vals.(!i) <- v
+  end;
+  top
 
-let peek_time h =
-  if h.len = 0 then None
-  else match h.store.(0) with Entry e -> Some e.time | Nil -> assert false
-
-let peek_key h =
-  if h.len = 0 then None
-  else
-    match h.store.(0) with
-    | Entry e -> Some (e.time, e.seq)
-    | Nil -> assert false
+let clear h =
+  Array.fill h.vals 0 h.len h.dummy;
+  h.len <- 0

@@ -49,7 +49,7 @@ let make_edge lookahead =
     invalid_arg "Shard_engine: lookahead must be positive";
   {
     lookahead;
-    pending = Heap.create ();
+    pending = Heap.create ~dummy:();
     counts = Hashtbl.create 32;
     pseq = 0;
     promised = 0;
@@ -92,16 +92,17 @@ let outbound_sent t ?(edge = 0) ~head () =
    transmissions cancelled by preemption or a node crash, and must not
    pin the promise in the past. *)
 let rec min_pending t e =
-  match Heap.peek_time e.pending with
-  | None -> max_int
-  | Some head ->
+  if Heap.is_empty e.pending then max_int
+  else begin
+    let head = Heap.min_time e.pending in
     let live = Hashtbl.mem e.counts head in
     if live && head > Engine.now t.engine then head
     else begin
-      ignore (Heap.pop e.pending);
+      Heap.pop_value e.pending;
       if live then Hashtbl.remove e.counts head;
       min_pending t e
     end
+  end
 
 let earliest_cause t ~safe_in =
   let next_local =

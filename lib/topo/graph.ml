@@ -151,14 +151,32 @@ let route_nodes g ~src hops =
   in
   walk src hops
 
-(* Dijkstra with a simple heap keyed on float cost. *)
+(* Dijkstra's frontier: a heap keyed on float cost. Each domain keeps one
+   and every search reuses its arrays, so a search over a large graph
+   leaves no heap arrays behind as garbage; a search that finds it taken
+   (a [metric] that itself searches) runs on a fresh one. *)
+let new_frontier () = Sim.Heap.create ~dummy:(infinity, -1)
+let frontier = Domain.DLS.new_key (fun () -> ref (Some (new_frontier ())))
+
+let with_frontier f =
+  let slot = Domain.DLS.get frontier in
+  match !slot with
+  | None -> f (new_frontier ())
+  | Some heap ->
+    slot := None;
+    Fun.protect
+      ~finally:(fun () ->
+        Sim.Heap.clear heap;
+        slot := Some heap)
+      (fun () -> f heap)
+
 let shortest_path_excluding g ~metric ~src ~dst ~banned_links ~banned_nodes =
+  with_frontier @@ fun heap ->
   let n = g.n in
   let dist = Array.make n infinity in
   let prev = Array.make n None in
   (* prev.(v) = Some (u, port at u) *)
   let visited = Array.make n false in
-  let heap = Sim.Heap.create () in
   let seq = ref 0 in
   let push cost v =
     (* Scale float cost into int key; ns-scale costs fit easily. *)
@@ -169,9 +187,9 @@ let shortest_path_excluding g ~metric ~src ~dst ~banned_links ~banned_nodes =
   push 0.0 src;
   let finished = ref false in
   while not !finished do
-    match Sim.Heap.pop heap with
-    | None -> finished := true
-    | Some (_, _, (cost, u)) ->
+    if Sim.Heap.is_empty heap then finished := true
+    else
+      let cost, u = Sim.Heap.pop_value heap in
       if (not visited.(u)) && cost <= dist.(u) then begin
         visited.(u) <- true;
         if u = dst then finished := true
@@ -221,11 +239,11 @@ type spt = {
 }
 
 let shortest_path_tree g ~metric ~src =
+  with_frontier @@ fun heap ->
   let n = g.n in
   let dist = Array.make n infinity in
   let prev = Array.make n None in
   let visited = Array.make n false in
-  let heap = Sim.Heap.create () in
   let seq = ref 0 in
   let push cost v =
     Sim.Heap.push heap ~time:(int_of_float (cost *. 1e6)) ~seq:!seq (cost, v);
@@ -235,9 +253,9 @@ let shortest_path_tree g ~metric ~src =
   push 0.0 src;
   let finished = ref false in
   while not !finished do
-    match Sim.Heap.pop heap with
-    | None -> finished := true
-    | Some (_, _, (cost, u)) ->
+    if Sim.Heap.is_empty heap then finished := true
+    else
+      let cost, u = Sim.Heap.pop_value heap in
       if (not visited.(u)) && cost <= dist.(u) then begin
         visited.(u) <- true;
         Hashtbl.iter

@@ -345,7 +345,8 @@ let run_cluster ?epoch ?(faults = false) ?(batching = false) ?(pooling = false)
   Array.iteri
     (fun r gw -> ignore (Sirpent.Router.create (S.world cluster r) ~node:gw ()))
     gws;
-  let received = ref 0 in
+  (* receive callbacks run on whichever domain owns the region *)
+  let received = Atomic.make 0 in
   let endpoints = Hashtbl.create 16 in
   Array.iteri
     (fun r hs ->
@@ -353,7 +354,7 @@ let run_cluster ?epoch ?(faults = false) ?(batching = false) ?(pooling = false)
         (fun h ->
           let ht = Sirpent.Host.create (S.world cluster r) ~node:h in
           Sirpent.Host.set_receive ht (fun ht ~packet ~in_port ->
-              incr received;
+              Atomic.incr received;
               (* pings get a pong back along the reconstructed return
                  route; pongs terminate *)
               if Bytes.length packet.Viper.Packet.data > 0
@@ -421,7 +422,7 @@ let run_cluster ?epoch ?(faults = false) ?(batching = false) ?(pooling = false)
           Telemetry.Registry.snapshot (W.metrics (S.world cluster r)));
     events = S.merged_events cluster;
     flights = S.merged_flights cluster;
-    received = !received;
+    received = Atomic.get received;
   }
 
 let until = Sim.Time.ms 80

@@ -195,6 +195,37 @@ let undelivered_counted () =
   Sim.Engine.run engine;
   check_int "undelivered" 1 (W.undelivered world)
 
+(* The world's port, handler and inbox tables are sized on demand: nodes
+   and ports that appear after [W.create] — including a port number far
+   past any link — must work like the ones that were there. *)
+let tables_grow_after_create () =
+  List.iter
+    (fun batching ->
+      let g = G.create () in
+      let hub = G.add_node g G.Router in
+      let engine = Sim.Engine.create () in
+      let world = W.create ~batching engine g in
+      let leaves = Array.init 40 (fun _ -> G.add_node g G.Host) in
+      let ports = Array.map (fun l -> fst (G.connect g hub l props)) leaves in
+      let last = Array.length leaves - 1 in
+      let got = ref [] in
+      W.set_handler world leaves.(last) (fun _ ~in_port ~frame:_ ~head:_ ~tail:_ ->
+          got := in_port :: !got);
+      let frame () = W.fresh_frame world (Bytes.make 10 'x') in
+      ignore (W.send world ~node:hub ~port:ports.(last) (frame ()));
+      (match W.send world ~node:hub ~port:200 (frame ()) with
+      | W.Dropped_no_link -> ()
+      | _ -> Alcotest.fail "port 200 has no link");
+      Sim.Engine.run engine;
+      Alcotest.(check (list int)) "delivered on the leaf's port" [ 1 ] !got;
+      check_int "sent on the last port" 1
+        (W.port_stats world ~node:hub ~port:ports.(last)).W.sent_frames;
+      check_int "no-link drop on port 200" 1
+        (W.port_stats world ~node:hub ~port:200).W.dropped_no_link;
+      check_int "first port untouched" 0
+        (W.port_stats world ~node:hub ~port:ports.(0)).W.sent_frames)
+    [ false; true ]
+
 (* --- batched delivery: execution-order equivalence --- *)
 
 (* A fan-in star: [k] leaves into one hub, synchronized sends, so the
@@ -340,6 +371,10 @@ let () =
           Alcotest.test_case "queued dropped on mid-stream failure" `Quick
             queued_frames_dropped_when_link_dies_midstream;
           Alcotest.test_case "undelivered counted" `Quick undelivered_counted;
+        ] );
+      ( "tables",
+        [
+          Alcotest.test_case "grow after create" `Quick tables_grow_after_create;
         ] );
       ( "corruption",
         [ Alcotest.test_case "ber flips bytes" `Quick corruption_flips_bytes ] );

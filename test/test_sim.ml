@@ -87,44 +87,126 @@ let rng_shuffle_permutes () =
 (* Heap *)
 
 let heap_orders_by_time () =
-  let h = Sim.Heap.create () in
+  let h = Sim.Heap.create ~dummy:"" in
   Sim.Heap.push h ~time:30 ~seq:0 "c";
   Sim.Heap.push h ~time:10 ~seq:1 "a";
   Sim.Heap.push h ~time:20 ~seq:2 "b";
-  let pop () = match Sim.Heap.pop h with Some (_, _, v) -> v | None -> "?" in
+  let pop () = Sim.Heap.pop_value h in
   let first = pop () in
   let second = pop () in
   let third = pop () in
   Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ]
 
 let heap_fifo_within_time () =
-  let h = Sim.Heap.create () in
+  let h = Sim.Heap.create ~dummy:"" in
   Sim.Heap.push h ~time:5 ~seq:0 "first";
   Sim.Heap.push h ~time:5 ~seq:1 "second";
-  let pop () = match Sim.Heap.pop h with Some (_, _, v) -> v | None -> "?" in
+  let pop () = Sim.Heap.pop_value h in
   let first = pop () in
   let second = pop () in
   Alcotest.(check (list string)) "fifo" [ "first"; "second" ] [ first; second ]
 
 let heap_many_random () =
   let rng = Sim.Rng.create 9L in
-  let h = Sim.Heap.create () in
+  let h = Sim.Heap.create ~dummy:(-1) in
   for i = 0 to 999 do
     Sim.Heap.push h ~time:(Sim.Rng.int rng 100) ~seq:i i
   done;
   let last = ref min_int in
   let count = ref 0 in
-  let rec drain () =
-    match Sim.Heap.pop h with
-    | None -> ()
-    | Some (time, _, _) ->
-      check_bool "monotone" true (time >= !last);
-      last := time;
-      incr count;
-      drain ()
-  in
-  drain ();
-  check_int "all popped" 1000 !count
+  while not (Sim.Heap.is_empty h) do
+    let time = Sim.Heap.min_time h in
+    ignore (Sim.Heap.pop_value h);
+    check_bool "monotone" true (time >= !last);
+    last := time;
+    incr count
+  done;
+  check_int "all popped" 1000 !count;
+  Alcotest.check_raises "empty pop rejected"
+    (Invalid_argument "Heap.pop_value: empty heap") (fun () ->
+      ignore (Sim.Heap.pop_value h))
+
+(* Push [n] fresh blocks (enough to grow the arrays), pop [popped] of
+   them, and return weak pointers to every block: the heap is the only
+   thing holding the blocks that remain. *)
+let[@inline never] heap_fill h ~n ~popped =
+  let w = Weak.create n in
+  for i = 0 to n - 1 do
+    let b = Bytes.make 32 'x' in
+    Weak.set w i (Some b);
+    Sim.Heap.push h ~time:i ~seq:i b
+  done;
+  for _ = 1 to popped do
+    ignore (Sys.opaque_identity (Sim.Heap.pop_value h))
+  done;
+  w
+
+let heap_releases_popped () =
+  let h = Sim.Heap.create ~dummy:Bytes.empty in
+  let w = heap_fill h ~n:40 ~popped:25 in
+  Gc.full_major ();
+  for i = 0 to 39 do
+    check_bool
+      (Printf.sprintf "block %d %s" i (if i < 25 then "collected" else "held"))
+      (i >= 25) (Weak.check w i)
+  done;
+  Sim.Heap.clear h;
+  check_bool "cleared" true (Sim.Heap.is_empty h);
+  Gc.full_major ();
+  for i = 25 to 39 do
+    check_bool (Printf.sprintf "block %d collected once cleared" i) false
+      (Weak.check w i)
+  done;
+  ignore (Sys.opaque_identity h)
+
+type heap_op = Push of int | Pop | Clear
+
+(* Model check: any interleaving of pushes (times drawn from a handful of
+   values, so ties are the norm), pops and clears yields exactly the
+   (time, seq) order of a sorted reference list. *)
+let qcheck_heap_model =
+  QCheck.Test.make ~name:"heap pops in (time, seq) order of a sorted model"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops ->
+          String.concat " "
+            (List.map
+               (function Push t -> string_of_int t | Pop -> "pop" | Clear -> "clear")
+               ops))
+        Gen.(
+          list_size (0 -- 200)
+            (frequency
+               [ (30, map (fun t -> Push t) (0 -- 3)); (20, return Pop); (1, return Clear) ])))
+    (fun ops ->
+      let h = Sim.Heap.create ~dummy:(-1, -1) in
+      let model = ref [] and seq = ref 0 in
+      let pop_both () =
+        match List.sort compare !model with
+        | [] -> Sim.Heap.is_empty h
+        | (t, s) :: rest ->
+          model := rest;
+          let ht = Sim.Heap.min_time h and hs = Sim.Heap.min_seq h in
+          let v = Sim.Heap.pop_value h in
+          ht = t && hs = s && v = (t, s) && Sim.Heap.size h = List.length rest
+      in
+      let ok =
+        List.for_all
+          (function
+            | Push t ->
+              Sim.Heap.push h ~time:t ~seq:!seq (t, !seq);
+              model := (t, !seq) :: !model;
+              incr seq;
+              true
+            | Pop -> pop_both ()
+            | Clear ->
+              Sim.Heap.clear h;
+              model := [];
+              Sim.Heap.size h = 0)
+          ops
+      in
+      let rec drain () = Sim.Heap.is_empty h || (pop_both () && drain ()) in
+      ok && drain () && !model = [])
 
 (* Engine *)
 
@@ -182,6 +264,34 @@ let engine_max_events () =
   ignore (Sim.Engine.schedule e ~delay:1 loop);
   Sim.Engine.run ~max_events:100 e;
   check_int "bounded" 100 !count
+
+(* With 96 events standing in the queue (the depth the fan-in workloads
+   run at), a self-rescheduling event whose closure is built once costs
+   the engine one event record per schedule+dispatch — 3 words — and
+   nothing else: no key tuples, no options, no boxed entries. *)
+let engine_run_allocation () =
+  let e = Sim.Engine.create () in
+  for _ = 1 to 96 do
+    ignore (Sim.Engine.schedule_at e ~time:(Sim.Time.s 10) ignore)
+  done;
+  let left = ref 0 in
+  let rec tick () =
+    if !left > 0 then begin
+      decr left;
+      ignore (Sim.Engine.schedule e ~delay:1 tick)
+    end
+  in
+  let events = 50_000 in
+  left := events;
+  ignore (Sim.Engine.schedule e ~delay:1 tick);
+  let w0 = Gc.minor_words () in
+  Sim.Engine.run ~until:(Sim.Time.s 1) e;
+  let words = Gc.minor_words () -. w0 in
+  check_int "every tick ran" 0 !left;
+  let per_event = words /. float_of_int events in
+  if per_event > 3.01 then
+    Alcotest.failf "Engine.run allocated %.2f words per event (the record is 3)"
+      per_event
 
 (* Stats *)
 
@@ -342,6 +452,8 @@ let () =
           Alcotest.test_case "orders by time" `Quick heap_orders_by_time;
           Alcotest.test_case "fifo within a time" `Quick heap_fifo_within_time;
           Alcotest.test_case "many random" `Quick heap_many_random;
+          Alcotest.test_case "popped values are collectable" `Quick
+            heap_releases_popped;
         ] );
       ( "engine",
         [
@@ -351,6 +463,8 @@ let () =
           Alcotest.test_case "until stops clock" `Quick engine_until_stops_clock;
           Alcotest.test_case "rejects the past" `Quick engine_rejects_past;
           Alcotest.test_case "max_events bounds" `Quick engine_max_events;
+          Alcotest.test_case "run allocates only the event record" `Quick
+            engine_run_allocation;
         ] );
       ( "stats",
         [
@@ -372,5 +486,6 @@ let () =
             trace_capacity_zero_skips_formatting;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_engine_order ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_engine_order; qcheck_heap_model ] );
     ]

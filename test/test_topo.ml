@@ -96,6 +96,40 @@ let shortest_path_prefers_cheap () =
     check_int "goes around" 2 (List.length hops);
     Alcotest.(check (list int)) "via b" [ a; b; c ] (G.route_nodes g ~src:a hops)
 
+(* Searches share one frontier per domain: a metric that runs its own
+   search mid-search, or raises out of one, must not disturb the next. *)
+let shortest_path_nested_and_raising () =
+  (* hub -> 3 mids -> one leaf each: while the hub relaxes its links,
+     the mids relaxed before are still queued, and every leaf is only
+     reached through its queued mid *)
+  let g = G.create () in
+  let hub = G.add_node g G.Router in
+  let leaves =
+    List.init 3 (fun _ ->
+        let mid = G.add_node g G.Router and leaf = G.add_node g G.Host in
+        ignore (G.connect g hub mid props);
+        ignore (G.connect g mid leaf props);
+        leaf)
+  in
+  let nested (_ : G.link) =
+    ignore (G.shortest_path g ~metric:hop_metric ~src:(List.hd leaves) ~dst:hub);
+    1.0
+  in
+  let spt = G.shortest_path_tree g ~metric:nested ~src:hub in
+  List.iter
+    (fun leaf ->
+      Alcotest.(check (float 0.0)) "leaf two hops out" 2.0 (G.spt_dist spt ~dst:leaf))
+    leaves;
+  Alcotest.check_raises "non-positive metric"
+    (Invalid_argument "Graph: metric must be positive") (fun () ->
+      ignore (G.shortest_path_tree g ~metric:(fun _ -> 0.0) ~src:hub));
+  let spt = G.shortest_path_tree g ~metric:hop_metric ~src:hub in
+  List.iter
+    (fun leaf ->
+      Alcotest.(check (float 0.0)) "after a raise, same distances" 2.0
+        (G.spt_dist spt ~dst:leaf))
+    leaves
+
 let k_shortest_distinct () =
   let g = G.create () in
   let a = G.add_node g G.Router
@@ -313,6 +347,8 @@ let () =
           Alcotest.test_case "src=dst" `Quick shortest_path_self;
           Alcotest.test_case "unreachable" `Quick shortest_path_unreachable;
           Alcotest.test_case "prefers cheap" `Quick shortest_path_prefers_cheap;
+          Alcotest.test_case "nested and raising searches" `Quick
+            shortest_path_nested_and_raising;
           Alcotest.test_case "k-shortest distinct" `Quick k_shortest_distinct;
           Alcotest.test_case "k-shortest ordered" `Quick k_shortest_ordering;
         ] );
