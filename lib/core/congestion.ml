@@ -164,23 +164,32 @@ let reschedule_drain t lim =
   | None -> ());
   drain t lim
 
+let admit t ~out_port ~next_port ~bytes =
+  Hashtbl.length t.limiters = 0
+  ||
+  match next_port with
+  | None -> true
+  | Some n -> (
+    match Hashtbl.find t.limiters (out_port, n) with
+    | exception Not_found -> true
+    | lim ->
+      refill t lim;
+      let bits = float_of_int (8 * bytes) in
+      if Queue.is_empty lim.pending && lim.bucket_bits >= bits then begin
+        lim.bucket_bits <- lim.bucket_bits -. bits;
+        true
+      end
+      else false)
+
+(* only after [admit] said no, so the limiter is there *)
+let hold t ~out_port ~next_port ~bytes ~send =
+  let lim = Hashtbl.find t.limiters (out_port, Option.get next_port) in
+  Queue.push (bytes, send) lim.pending;
+  drain t lim
+
 let submit t ~out_port ~next_port ~bytes ~send =
-  let key =
-    match next_port with Some n -> Some (out_port, n) | None -> None
-  in
-  match Option.bind key (Hashtbl.find_opt t.limiters) with
-  | None -> send ()
-  | Some lim ->
-    refill t lim;
-    let bits = float_of_int (8 * bytes) in
-    if Queue.is_empty lim.pending && lim.bucket_bits >= bits then begin
-      lim.bucket_bits <- lim.bucket_bits -. bits;
-      send ()
-    end
-    else begin
-      Queue.push (bytes, send) lim.pending;
-      drain t lim
-    end
+  if admit t ~out_port ~next_port ~bytes then send ()
+  else hold t ~out_port ~next_port ~bytes ~send
 
 (* --- the periodic monitor --- *)
 

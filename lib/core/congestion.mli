@@ -85,7 +85,22 @@ val submit :
   send:(unit -> unit) -> unit
 (** Pass a departing packet of [bytes] through the limiter for
     [(out_port, next_port)], if any: [send] runs immediately when
-    unthrottled, or is queued and run when the token bucket permits. *)
+    unthrottled, or is queued and run when the token bucket permits.
+    Exactly [if admit ... then send () else hold ...]. *)
+
+val admit :
+  t -> out_port:Topo.Graph.port -> next_port:int option -> bytes:int -> bool
+(** The first half of {!submit}, for callers that send without building
+    a [send] closure: whether the packet may leave now — no limiter for
+    its queue, or one holding nothing with enough tokens, which are then
+    spent. Allocates nothing when no limiter is installed. *)
+
+val hold :
+  t -> out_port:Topo.Graph.port -> next_port:int option -> bytes:int ->
+  send:(unit -> unit) -> unit
+(** The second half of {!submit}, only after {!admit} said [false] at
+    the same instant: queue [send] behind the limiter and release what
+    the bucket permits — possibly [send] itself, at once. *)
 
 val handle_ctl :
   t -> arrival_port:Topo.Graph.port -> congested_port:int -> rate_bps:float -> unit

@@ -135,6 +135,26 @@ let create ?(congestion = Congestion.default_config) world ~node =
   Congestion.start limiter;
   t
 
+(* Put [payload] on the wire out [port] through the host's limiter. The
+   flight context is allocated where the packet enters the internetwork,
+   before any limiter hold. A packet the limiter admits at once is sent
+   without a closure; a held one is queued in the limiter and reports
+   [Queued], unless the limiter releases it on the spot. *)
+let inject t ~port ~next_port ~priority ~drop_if_blocked payload =
+  let flight = Flight.start (W.flight t.world) ~now:(W.now t.world) in
+  let bytes = Bytes.length payload in
+  if Congestion.admit t.limiter ~out_port:port ~next_port ~bytes then
+    W.send t.world ~node:t.node ~port
+      (W.fresh_frame t.world ~priority ~drop_if_blocked ?flight payload)
+  else begin
+    let result = ref W.Queued in
+    Congestion.hold t.limiter ~out_port:port ~next_port ~bytes ~send:(fun () ->
+        result :=
+          W.send t.world ~node:t.node ~port
+            (W.fresh_frame t.world ~priority ~drop_if_blocked ?flight payload));
+    !result
+  end
+
 let send t ~route ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
     ~data () =
   let segments =
@@ -151,18 +171,8 @@ let send t ~route ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
   let next_port =
     match segments with seg :: _ -> Some seg.Seg.port | [] -> None
   in
-  (* the flight context is allocated where the packet enters the
-     internetwork, before any limiter hold *)
-  let flight = Flight.start (W.flight t.world) ~now:(W.now t.world) in
-  let result = ref None in
-  Congestion.submit t.limiter ~out_port:route.Route.first_port ~next_port
-    ~bytes:(Bytes.length payload) ~send:(fun () ->
-      let frame =
-        W.fresh_frame t.world ~priority ~drop_if_blocked ?flight payload
-      in
-      result := Some (W.send t.world ~node:t.node ~port:route.Route.first_port frame));
-  (* a held packet is queued in the host's own limiter *)
-  match !result with Some r -> r | None -> W.Queued
+  inject t ~port:route.Route.first_port ~next_port ~priority ~drop_if_blocked
+    payload
 
 (* Fold [route] into a constant-size XSR header instead of a VIPER
    segment list: bytes-on-wire stay [Xsr.header_size] + data regardless
@@ -176,15 +186,8 @@ let send_xsr t ~route ?(priority = Token.Priority.normal)
     Viper.Xsr.encode ?pool:(W.pool t.world) ~priority ~ports ~data ()
   in
   let next_port = match ports with p :: _ -> Some p | [] -> None in
-  let flight = Flight.start (W.flight t.world) ~now:(W.now t.world) in
-  let result = ref None in
-  Congestion.submit t.limiter ~out_port:route.Route.first_port ~next_port
-    ~bytes:(Bytes.length payload) ~send:(fun () ->
-      let frame =
-        W.fresh_frame t.world ~priority ~drop_if_blocked ?flight payload
-      in
-      result := Some (W.send t.world ~node:t.node ~port:route.Route.first_port frame));
-  match !result with Some r -> r | None -> W.Queued
+  inject t ~port:route.Route.first_port ~next_port ~priority ~drop_if_blocked
+    payload
 
 let reply t ~to_packet ~in_port ?(priority = Token.Priority.normal) ~data () =
   let back = Pkt.return_route to_packet in

@@ -143,15 +143,12 @@ let schedule t ~time f =
   W.defer t.world ~node:t.node ~time:(max time (now t)) (fun () ->
       if t.up && t.epoch = epoch then f ())
 
-let link_rate t port =
-  match G.link_via (W.graph t.world) t.node port with
-  | Some l -> Some l.G.props.G.bandwidth_bps
-  | None -> None
-
-let link_mtu t port =
-  match G.link_via (W.graph t.world) t.node port with
-  | Some l -> Some l.G.props.G.mtu
-  | None -> None
+(* The MTU of the link on [port]; a port with no link has none to
+   exceed. *)
+let port_mtu t port =
+  match G.link_at (W.graph t.world) t.node port with
+  | l -> l.G.props.G.mtu
+  | exception Not_found -> max_int
 
 (* "It then revises the network-specific portion, if any, so that it
    constitutes a correct return hop through this router": an Ethernet
@@ -186,27 +183,28 @@ let return_segment t ~seg ~in_port ~in_info ~grant =
     ~flags:{ Seg.vnt = false; dib = seg.Seg.flags.Seg.dib; rpf = true }
     ~priority:seg.Seg.priority ~token ~info ~port:in_port ()
 
+(* The input link's rate when a frame from [in_port] may cut through to
+   [out_port] — both links up with equal rates, on a router that does
+   not store and forward — and 0 when it must be stored first. *)
+let cut_through_rate t ~in_port ~out_port =
+  if t.config.store_and_forward then 0
+  else
+    let g = W.graph t.world in
+    match (G.link_at g t.node in_port, G.link_at g t.node out_port) with
+    | i, o ->
+      let rate = i.G.props.G.bandwidth_bps in
+      if rate = o.G.props.G.bandwidth_bps then rate else 0
+    | exception Not_found -> 0
+
 (* The instant forwarding may begin: after the header has been received
-   plus the switching decision for cut-through (input and output rates
-   equal), or after the whole packet plus software processing otherwise. *)
-let act_time t ~in_port ~out_port ~head ~tail ~header_size =
-  let in_rate = link_rate t in_port and out_rate = link_rate t out_port in
-  let can_cut =
-    (not t.config.store_and_forward)
-    &&
-    match in_rate, out_rate with
-    | Some ir, Some orate -> ir = orate
-    | _, _ -> false
-  in
-  if can_cut then begin
-    let header_tx =
-      match in_rate with
-      | Some r -> Sim.Time.transmission ~bits:(8 * header_size) ~rate_bps:r
-      | None -> 0
-    in
-    (`Cut, head + header_tx + t.config.decision_time)
-  end
-  else (`Store, tail + t.config.process_time)
+   plus the switching decision for cut-through, or after the whole
+   packet plus software processing otherwise. *)
+let act_time t ~cut_rate ~head ~tail ~header_size =
+  if cut_rate > 0 then
+    head
+    + Sim.Time.transmission ~bits:(8 * header_size) ~rate_bps:cut_rate
+    + t.config.decision_time
+  else tail + t.config.process_time
 
 let count_send_result t ~frame ~in_port result =
   match result with
@@ -215,56 +213,99 @@ let count_send_result t ~frame ~in_port result =
     C.incr t.send_drops;
     flight_drop t ~frame ~in_port ~reason:"send_drop"
 
-(* Transmit [payload] out [out_port] at [when_], honoring any congestion
-   limiter for its (out_port, next_port) queue. [next_port] is the port
-   the NEXT node will forward on — the leading segment's port (VIPER) or
-   the next XSR lane — exactly the queue a Rate_ctl limiter is keyed by;
-   both source-routed formats expose it without per-flow state. *)
-let dispatch t ~priority ~dib ~next_port ~frame ~in_port ~out_port ~payload ~when_ =
-  let send () =
-    match t.config.blocked with
-    | Buffer ->
+(* Hand [payload] to [out_port] now, as a fresh frame. *)
+let transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload =
+  match t.config.blocked with
+  | Buffer ->
+    let out_frame =
+      W.fresh_frame t.world ~priority ~drop_if_blocked:dib
+        ?flight:frame.Netsim.Frame.flight payload
+    in
+    count_send_result t ~frame ~in_port
+      (W.send t.world ~node:t.node ~port:out_port out_frame)
+  | Delay_line { delay; max_circuits } ->
+    (* Â§2.1: a bufferless (Blazenet-style) switch re-circulates a
+       blocked packet through a delay line instead of queueing it *)
+    let rec attempt circuits =
       let out_frame =
-        W.fresh_frame t.world ~priority ~drop_if_blocked:dib
+        W.fresh_frame t.world ~priority ~drop_if_blocked:true
           ?flight:frame.Netsim.Frame.flight payload
       in
-      count_send_result t ~frame ~in_port
-        (W.send t.world ~node:t.node ~port:out_port out_frame)
-    | Delay_line { delay; max_circuits } ->
-      (* Â§2.1: a bufferless (Blazenet-style) switch re-circulates a
-         blocked packet through a delay line instead of queueing it *)
-      let rec attempt circuits =
-        let out_frame =
-          W.fresh_frame t.world ~priority ~drop_if_blocked:true
-            ?flight:frame.Netsim.Frame.flight payload
-        in
-        match W.send t.world ~node:t.node ~port:out_port out_frame with
-        | W.Started | W.Started_preempting _ | W.Queued -> C.incr t.forwarded
-        | W.Dropped_blocked ->
-          if circuits < max_circuits && not dib then begin
-            C.incr t.delay_line_circuits;
-            schedule t ~time:(now t + delay) (fun () -> attempt (circuits + 1))
-          end
-          else begin
-            C.incr t.send_drops;
-            flight_drop t ~frame ~in_port ~reason:"send_drop"
-          end
-        | W.Dropped_overflow | W.Dropped_no_link ->
+      match W.send t.world ~node:t.node ~port:out_port out_frame with
+      | W.Started | W.Started_preempting _ | W.Queued -> C.incr t.forwarded
+      | W.Dropped_blocked ->
+        if circuits < max_circuits && not dib then begin
+          C.incr t.delay_line_circuits;
+          schedule t ~time:(now t + delay) (fun () -> attempt (circuits + 1))
+        end
+        else begin
           C.incr t.send_drops;
           flight_drop t ~frame ~in_port ~reason:"send_drop"
-      in
-      attempt 0
-  in
-  schedule t ~time:when_ (fun () ->
-      if frame.Netsim.Frame.aborted then begin
+        end
+      | W.Dropped_overflow | W.Dropped_no_link ->
         C.incr t.send_drops;
-        flight_drop t ~frame ~in_port ~reason:"aborted"
-      end
-      else
-        match t.congestion with
-        | None -> send ()
-        | Some c ->
-          Congestion.submit c ~out_port ~next_port ~bytes:(Bytes.length payload) ~send)
+        flight_drop t ~frame ~in_port ~reason:"send_drop"
+    in
+    attempt 0
+
+(* The port the NEXT node will forward on — the leading segment's port
+   (VIPER) or the next XSR lane — exactly the queue a Rate_ctl limiter
+   is keyed by; both source-routed formats expose it without per-flow
+   state. *)
+let next_port ~xsr payload =
+  if xsr then Viper.Xsr.peek_next_port payload
+  else match Pkt.peek_ports payload with first, _ -> Some first | exception _ -> None
+
+(* Transmit [payload] out [out_port] at [when_], honoring any congestion
+   limiter for its (out_port, next_port) queue. The act step is one
+   closure, which also carries the crash-epoch guard of {!schedule}; a
+   [send] closure is built only when a limiter holds the packet. *)
+let dispatch t ~priority ~dib ~xsr ~frame ~in_port ~out_port ~payload ~when_ =
+  let epoch = t.epoch in
+  W.defer t.world ~node:t.node ~time:(max when_ (now t)) (fun () ->
+      if t.up && t.epoch = epoch then
+        if frame.Netsim.Frame.aborted then begin
+          C.incr t.send_drops;
+          flight_drop t ~frame ~in_port ~reason:"aborted"
+        end
+        else
+          let bytes = Bytes.length payload in
+          match t.congestion with
+          | None -> transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload
+          | Some c ->
+            let next_port = next_port ~xsr payload in
+            if Congestion.admit c ~out_port ~next_port ~bytes then
+              transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload
+            else
+              Congestion.hold c ~out_port ~next_port ~bytes ~send:(fun () ->
+                  transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload))
+
+(* Switch [payload] out [out_port]: decide cut-through or
+   store-and-forward, count it, record the hop, tell the congestion
+   monitor, and schedule the act step. *)
+let switch t ~frame ~in_port ~out_port ~head ~tail ~header_size ~priority ~dib
+    ~xsr ~payload =
+  let cut_rate = cut_through_rate t ~in_port ~out_port in
+  let when_ = act_time t ~cut_rate ~head ~tail ~header_size in
+  let handling =
+    if cut_rate > 0 then begin
+      C.incr t.cut_throughs;
+      Flight.Cut_through
+    end
+    else begin
+      C.incr t.stored_forwards;
+      Flight.Store_forward
+    end
+  in
+  (match frame.Netsim.Frame.flight with
+  | Some ctx ->
+    Flight.hop ctx ~node:t.node ~in_port ~out_port ~arrival:head
+      ~departure:when_ ~handling
+  | None -> ());
+  (match t.congestion with
+  | Some c -> Congestion.note_arrival c ~in_port ~out_port
+  | None -> ());
+  dispatch t ~priority ~dib ~xsr ~frame ~in_port ~out_port ~payload ~when_
 
 (* [payload] is the full arriving packet and [pos] the offset where the
    stripped segment ends: the strip + trailer-append pair is fused into
@@ -288,40 +329,19 @@ let forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~t
   | forwarded ->
     if recycle then W.release_payload t.world payload;
     let forwarded =
-      match link_mtu t out_port with
-      | Some mtu when Bytes.length forwarded > mtu ->
+      let mtu = port_mtu t out_port in
+      if Bytes.length forwarded > mtu then begin
         C.incr t.truncated;
         let cut = Pkt.truncate_to forwarded ~max:(mtu - 4) in
         (* truncate_to copies; the pre-truncation hop output is ours *)
         if cut != forwarded then W.release_payload t.world forwarded;
         cut
-      | Some _ | None -> forwarded
+      end
+      else forwarded
     in
-    let mode, when_ = act_time t ~in_port ~out_port ~head ~tail ~header_size in
-    let handling =
-      match mode with
-      | `Cut ->
-        C.incr t.cut_throughs;
-        Flight.Cut_through
-      | `Store ->
-        C.incr t.stored_forwards;
-        Flight.Store_forward
-    in
-    (match frame.Netsim.Frame.flight with
-    | Some ctx ->
-      Flight.hop ctx ~node:t.node ~in_port ~out_port ~arrival:head
-        ~departure:when_ ~handling
-    | None -> ());
-    (match t.congestion with
-    | Some c -> Congestion.note_arrival c ~in_port ~out_port
-    | None -> ());
-    let next_port =
-      match Pkt.peek_ports forwarded with
-      | first, _ -> Some first
-      | exception _ -> None
-    in
-    dispatch t ~priority:seg.Seg.priority ~dib:seg.Seg.flags.Seg.dib ~next_port
-      ~frame ~in_port ~out_port ~payload:forwarded ~when_
+    switch t ~frame ~in_port ~out_port ~head ~tail ~header_size
+      ~priority:seg.Seg.priority ~dib:seg.Seg.flags.Seg.dib ~xsr:false
+      ~payload:forwarded
 
 (* Token checking; calls [proceed ~grant] when the packet may be switched.
    A reverse-path packet (RPF flag) is checked against its arrival port:
@@ -628,38 +648,17 @@ let process_xsr t ~frame ~payload ~in_port ~head ~tail =
       C.incr t.dropped_malformed;
       flight_drop t ~frame ~in_port ~reason:"malformed"
     | Viper.Xsr.Deliver -> deliver_local_xsr t ~frame ~payload ~in_port ~tail
-    | Viper.Xsr.Forward out_port -> (
-      match link_mtu t out_port with
-      | Some mtu when Bytes.length payload > mtu ->
+    | Viper.Xsr.Forward out_port ->
+      if Bytes.length payload > port_mtu t out_port then begin
         (* constant-size headers cannot carry a truncation marker, so an
            over-MTU XSR packet is a counted drop, not a graceful cut *)
         C.incr t.truncated;
         flight_drop t ~frame ~in_port ~reason:"truncated"
-      | Some _ | None ->
-        let mode, when_ =
-          act_time t ~in_port ~out_port ~head ~tail
-            ~header_size:Viper.Xsr.header_size
-        in
-        let handling =
-          match mode with
-          | `Cut ->
-            C.incr t.cut_throughs;
-            Flight.Cut_through
-          | `Store ->
-            C.incr t.stored_forwards;
-            Flight.Store_forward
-        in
-        (match frame.Netsim.Frame.flight with
-        | Some ctx ->
-          Flight.hop ctx ~node:t.node ~in_port ~out_port ~arrival:head
-            ~departure:when_ ~handling
-        | None -> ());
-        (match t.congestion with
-        | Some c -> Congestion.note_arrival c ~in_port ~out_port
-        | None -> ());
-        dispatch t ~priority:(Viper.Xsr.priority payload) ~dib:false
-          ~next_port:(Viper.Xsr.peek_next_port payload) ~frame ~in_port
-          ~out_port ~payload ~when_)
+      end
+      else
+        switch t ~frame ~in_port ~out_port ~head ~tail
+          ~header_size:Viper.Xsr.header_size
+          ~priority:(Viper.Xsr.priority payload) ~dib:false ~xsr:true ~payload
 
 let handle t _world ~in_port ~frame ~head ~tail =
   if not t.up then begin

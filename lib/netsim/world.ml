@@ -3,8 +3,9 @@ module G = Topo.Graph
 (* The inbox queue. Keys (time, reserved engine seq) arrive almost
    sorted: seqs are allocated monotonically, so pushes for one instant
    are already in order, and the only out-of-order push is the
-   occasional short key — e.g. a near-zero-length transmission's
-   completion landing below an earlier-pushed future delivery. A sorted
+   occasional short key — e.g. a delivery over a short link landing
+   below an earlier-pushed one over a long link, or a port completion
+   pushed at the key it reserved when its transmission began. A sorted
    array-deque makes the common push an O(1) append and every peek/pop
    O(1), which is measurably cheaper than a binary heap at the few
    dozen entries a node's inbox holds on the wire-speed path. *)
@@ -106,10 +107,10 @@ type handler =
 (* Work waiting in a node's batch queue: a link delivery, or any other
    per-node event (a router's process step, a port's transmission
    completion) routed through the same coalescing machinery via
-   [defer]. [p_seq] is a real engine sequence number reserved at
-   scheduling time, so replaying pending entries in (time, seq) order
-   reproduces exactly the execution order an individual heap event per
-   entry would have had. *)
+   [defer]. [p_seq] is a real engine sequence number reserved ahead of
+   time, so replaying pending entries in (time, seq) order reproduces
+   exactly the execution order an individual heap event per entry would
+   have had. *)
 and pending = {
   p_work : pending_work;
   p_seq : int;
@@ -119,7 +120,7 @@ and pending = {
 and pending_work =
   | P_deliver of {
       pl_link : G.link;
-      pl_from : G.node_id;
+      pl_op : outport;  (* the sending port *)
       pl_frame : Frame.t;
       pl_head : Sim.Time.t;
       pl_tail : Sim.Time.t;
@@ -127,15 +128,25 @@ and pending_work =
   | P_thunk of (unit -> unit)
 
 and delivery_ref =
+  | D_none  (* a completion whose reserved key was never scheduled *)
   | D_event of Sim.Engine.handle  (* unbatched: one heap event per delivery *)
-  | D_batch of pending  (* batched: an entry in the receiver's inbox *)
+  | D_batch of pending  (* batched: an entry in an inbox *)
 
+(* A transmission's completion is lazy. Its engine key
+   [(finish, done_seq)] is reserved when the transmission starts — the
+   very key an eagerly scheduled completion event would take — but the
+   event is only scheduled once a frame waits behind the port, because
+   with nothing queued all a completion does is free the port. The port
+   is busy for exactly as long as that key has not passed the key now
+   executing ({!busy}), so every reader sees what it would have seen had
+   the completion run. *)
 and transmission = {
   tx_frame : Frame.t;
   delivered_frame : Frame.t;  (* may be a corrupted copy of tx_frame *)
   finish : Sim.Time.t;
+  done_seq : int;
   delivery : delivery_ref;
-  completion : delivery_ref;
+  mutable completion : delivery_ref;  (* [D_none] until a frame queues *)
 }
 
 (* Per receiving node: all in-flight deliveries headed its way, keyed by
@@ -155,7 +166,7 @@ and inbox = {
 and outport = {
   op_node : G.node_id;
   op_port : G.port;
-  mutable current : transmission option;
+  mutable current : transmission;  (** [no_tx] once it is known to be over *)
   queue : Frame.t Sim.Heap.t;  (** keyed by inverted priority rank, FIFO seq *)
   mutable qseq : int;
   mutable queued_bytes : int;
@@ -226,6 +237,10 @@ and t = {
       (** called after every delivery batch (batched mode) or after each
           delivery event (unbatched) — the shard layer drains its egress
           accumulators here so channel pushes amortize with batching *)
+  retiring : outport Sim.Heap.t;
+      (** ports whose live transmission finishes no earlier than its
+          delivery, keyed by its completion key, so {!retire_passed}
+          finds the ones that are over in key order *)
   mutable next_frame_id : int;
   mutable trace : Sim.Trace.t option;
   metrics : Telemetry.Registry.t;
@@ -235,6 +250,55 @@ and t = {
 }
 
 module C = Telemetry.Registry.Counter
+
+(* fills the outport queues' vacated slots; never handed out *)
+let idle_frame =
+  {
+    Frame.id = -1;
+    payload = Bytes.empty;
+    priority = Token.Priority.normal;
+    drop_if_blocked = false;
+    born = 0;
+    meta = None;
+    flight = None;
+    aborted = false;
+  }
+
+(* the [current] of a port that is not transmitting: its key has always
+   passed *)
+let no_tx =
+  {
+    tx_frame = idle_frame;
+    delivered_frame = idle_frame;
+    finish = min_int;
+    done_seq = 0;
+    delivery = D_none;
+    completion = D_none;
+  }
+
+let make_outport ~node ~port ~buffer_bytes ~start =
+  {
+    op_node = node;
+    op_port = port;
+    current = no_tx;
+    queue = Sim.Heap.create ~dummy:idle_frame;
+    qseq = 0;
+    queued_bytes = 0;
+    buffer_bytes;
+    sent_frames = 0;
+    sent_bytes = 0;
+    dropped_blocked = 0;
+    dropped_overflow = 0;
+    dropped_no_link = 0;
+    preempted = 0;
+    corrupted = 0;
+    purged = 0;
+    busy_time = 0;
+    qtrack = Sim.Stats.Timeweighted.create ~start ~initial:0.0;
+  }
+
+(* fills the retire heap's vacated slots; never sends *)
+let vacant_port = make_outport ~node:(-1) ~port:(-1) ~buffer_bytes:0 ~start:0
 
 let create ?(default_buffer_bytes = 256 * 1024) ?(batching = false)
     ?(pooling = false) engine graph =
@@ -257,6 +321,7 @@ let create ?(default_buffer_bytes = 256 * 1024) ?(batching = false)
     inboxes = [||];
     pool = (if pooling then Some (Wire.Pool.create ()) else None);
     flush_hooks = [];
+    retiring = Sim.Heap.create ~dummy:vacant_port;
     next_frame_id = 0;
     trace = None;
     metrics;
@@ -312,18 +377,32 @@ let room ~empty tbl i =
 
 let find tbl i = if i >= 0 && i < Array.length tbl then tbl.(i) else None
 
-(* fills the outport queues' vacated slots; never handed out *)
-let idle_frame =
-  {
-    Frame.id = -1;
-    payload = Bytes.empty;
-    priority = Token.Priority.normal;
-    drop_if_blocked = false;
-    born = 0;
-    meta = None;
-    flight = None;
-    aborted = false;
-  }
+let busy t tx =
+  not (Sim.Engine.passed t.engine ~time:tx.finish ~seq:tx.done_seq)
+
+(* Forget a transmission that is over, so its port no longer keeps its
+   frames alive (and the minor collector does not promote them). Changes
+   nothing observable: a port whose transmission has passed is idle
+   either way. A transmission whose delivery comes after its completion
+   key is retired by the delivery; {!retire_passed} retires the rest. *)
+let retire t op =
+  if op.current != no_tx && not (busy t op.current) then op.current <- no_tx
+
+(* Retire the transmissions in [t.retiring] whose completion keys have
+   passed, skipping ports whose transmission was replaced since (by its
+   completion, a preemption or a purge). *)
+let rec retire_passed t =
+  let h = t.retiring in
+  if
+    (not (Sim.Heap.is_empty h))
+    && Sim.Engine.passed t.engine ~time:(Sim.Heap.min_time h)
+         ~seq:(Sim.Heap.min_seq h)
+  then begin
+    let seq = Sim.Heap.min_seq h in
+    let op = Sim.Heap.pop_value h in
+    if op.current.done_seq = seq then op.current <- no_tx;
+    retire_passed t
+  end
 
 let outport t node port =
   let row =
@@ -334,25 +413,8 @@ let outport t node port =
   | Some op -> op
   | None ->
     let op =
-      {
-        op_node = node;
-        op_port = port;
-        current = None;
-        queue = Sim.Heap.create ~dummy:idle_frame;
-        qseq = 0;
-        queued_bytes = 0;
-        buffer_bytes = t.default_buffer_bytes;
-        sent_frames = 0;
-        sent_bytes = 0;
-        dropped_blocked = 0;
-        dropped_overflow = 0;
-        dropped_no_link = 0;
-        preempted = 0;
-        corrupted = 0;
-        purged = 0;
-        busy_time = 0;
-        qtrack = Sim.Stats.Timeweighted.create ~start:(now t) ~initial:0.0;
-      }
+      make_outport ~node ~port ~buffer_bytes:t.default_buffer_bytes
+        ~start:(now t)
     in
     let row = room ~empty:None row port in
     row.(port) <- Some op;
@@ -491,13 +553,17 @@ let rec drain t ib ~time:my_t ~seq:my_s =
       in
       if is_self || still_next then begin
         let p = Ibq.pop_value q in
-        if not p.p_cancelled then
+        if not p.p_cancelled then begin
+          (* the entry runs at its own key, not the cursor's *)
+          Sim.Engine.set_executing_seq t.engine ps;
           match p.p_work with
           | P_deliver d ->
             delivered := true;
-            deliver t ~link:d.pl_link ~from_node:d.pl_from ~frame:d.pl_frame
-              ~head:d.pl_head ~tail:d.pl_tail
+            retire t d.pl_op;
+            deliver t ~link:d.pl_link ~from_node:d.pl_op.op_node
+              ~frame:d.pl_frame ~head:d.pl_head ~tail:d.pl_tail
           | P_thunk f -> f ()
+        end
       end
       else continue := false
     done;
@@ -522,16 +588,20 @@ and arm t ib =
   end
 
 let cancel_delivery t = function
+  | D_none -> ()
   | D_event h -> Sim.Engine.cancel t.engine h
   | D_batch p -> p.p_cancelled <- true
 
-let push_pending t ~node ~time work =
-  let seq = Sim.Engine.alloc_seq t.engine in
+(* Park [work] in [node]'s inbox at the reserved key [(time, seq)]. *)
+let push_keyed t ~node ~time ~seq work =
   let p = { p_work = work; p_seq = seq; p_cancelled = false } in
   let ib = inbox t node in
   Ibq.push ib.ib_queue ~time ~seq p;
   arm t ib;
   p
+
+let push_pending t ~node ~time work =
+  push_keyed t ~node ~time ~seq:(Sim.Engine.alloc_seq t.engine) work
 
 (* Schedule [f] at [time] as an event belonging to [node]. Unbatched,
    this is an ordinary engine event. Batched, the thunk rides [node]'s
@@ -561,65 +631,74 @@ let rec start_transmission t op link frame =
   let delivered = maybe_corrupt t op link frame in
   let peer = peer_node link op.op_node in
   (match find t.taps peer with Some f -> f ~head | None -> ());
-  let delivery, completion =
-    if t.batching then begin
-      let d =
-        D_batch
-          (push_pending t ~node:peer ~time:head
-             (P_deliver
-                {
-                  pl_link = link;
-                  pl_from = op.op_node;
-                  pl_frame = delivered;
-                  pl_head = head;
-                  pl_tail = tail;
-                }))
-      in
-      (* The completion also parks in the peer's inbox: an inbox is only
-         a holding pen keyed by reserved engine keys, so any fixed choice
-         preserves execution order — and keying by the frame's
-         destination lets a fan-in burst (many ports finishing into one
-         node at the same instant) coalesce its end-of-serialization
-         bookkeeping under the same cursor as its deliveries. *)
-      let c =
-        D_batch
-          (push_pending t ~node:peer ~time:finish
-             (P_thunk (fun () -> complete t op)))
-      in
-      (d, c)
-    end
+  let delivery =
+    if t.batching then
+      D_batch
+        (push_pending t ~node:peer ~time:head
+           (P_deliver
+              {
+                pl_link = link;
+                pl_op = op;
+                pl_frame = delivered;
+                pl_head = head;
+                pl_tail = tail;
+              }))
     else
-      ( D_event
-          (Sim.Engine.schedule_at t.engine ~time:head (fun () ->
-               deliver t ~link ~from_node:op.op_node ~frame:delivered ~head ~tail;
-               flush t)),
-        D_event
-          (Sim.Engine.schedule_at t.engine ~time:finish (fun () -> complete t op))
-      )
+      D_event
+        (Sim.Engine.schedule_at t.engine ~time:head (fun () ->
+             retire t op;
+             deliver t ~link ~from_node:op.op_node ~frame:delivered ~head ~tail;
+             flush t))
   in
-  op.current <- Some { tx_frame = frame; delivered_frame = delivered; finish; delivery; completion };
+  let done_seq = Sim.Engine.alloc_seq t.engine in
+  let tx =
+    { tx_frame = frame; delivered_frame = delivered; finish; done_seq; delivery;
+      completion = D_none }
+  in
+  retire_passed t;
+  op.current <- tx;
+  (* a delivery at or before the completion key cannot retire it *)
+  if finish >= head then Sim.Heap.push t.retiring ~time:finish ~seq:done_seq op;
+  (* frames still queued (behind a preemption, or behind the frame a
+     completion just dequeued) need the completion to start them *)
+  if not (Sim.Heap.is_empty op.queue) then schedule_completion t op tx;
   op.sent_frames <- op.sent_frames + 1;
   op.sent_bytes <- op.sent_bytes + Bytes.length frame.Frame.payload;
   C.incr t.agg.agg_sent_frames;
   C.add t.agg.agg_sent_bytes (Bytes.length frame.Frame.payload);
   op.busy_time <- op.busy_time + tx_time
 
+(* Schedule [tx]'s completion at the key it reserved. Batched, it parks
+   in the sending node's inbox: an inbox is only a holding pen keyed by
+   reserved engine keys, so any fixed choice preserves execution order. *)
+and schedule_completion t op tx =
+  tx.completion <-
+    (if t.batching then
+       D_batch
+         (push_keyed t ~node:op.op_node ~time:tx.finish ~seq:tx.done_seq
+            (P_thunk (fun () -> complete t op)))
+     else
+       D_event
+         (Sim.Engine.schedule_keyed t.engine ~time:tx.finish ~seq:tx.done_seq
+            (fun () -> complete t op)))
+
 and complete t op =
-  op.current <- None;
+  op.current <- no_tx;
   if not (Sim.Heap.is_empty op.queue) then begin
     let frame = Sim.Heap.pop_value op.queue in
     op.queued_bytes <- op.queued_bytes - Bytes.length frame.Frame.payload;
     Sim.Stats.Timeweighted.set op.qtrack ~now:(now t)
       (float_of_int (Sim.Heap.size op.queue));
-    (match G.link_via t.graph op.op_node op.op_port with
-    | Some link -> start_transmission t op link frame
-    | None ->
+    match G.link_at t.graph op.op_node op.op_port with
+    | link -> start_transmission t op link frame
+    | exception Not_found ->
       op.dropped_no_link <- op.dropped_no_link + 1;
       C.incr t.agg.agg_dropped_no_link;
-      complete t op)
+      complete t op
   end
 
-let enqueue t op frame =
+(* Queue [frame] behind [tx], the port's busy transmission. *)
+let enqueue t op tx frame =
   if op.queued_bytes + Bytes.length frame.Frame.payload > op.buffer_bytes then begin
     op.dropped_overflow <- op.dropped_overflow + 1;
     C.incr t.agg.agg_dropped_overflow;
@@ -635,22 +714,24 @@ let enqueue t op frame =
     op.queued_bytes <- op.queued_bytes + Bytes.length frame.Frame.payload;
     Sim.Stats.Timeweighted.set op.qtrack ~now:(now t)
       (float_of_int (Sim.Heap.size op.queue));
+    (match tx.completion with D_none -> schedule_completion t op tx | _ -> ());
     Queued
   end
 
 let send t ~node ~port frame =
   let op = outport t node port in
-  match G.link_via t.graph node port with
-  | None ->
+  match G.link_at t.graph node port with
+  | exception Not_found ->
     op.dropped_no_link <- op.dropped_no_link + 1;
     C.incr t.agg.agg_dropped_no_link;
     Dropped_no_link
-  | Some link -> (
-    match op.current with
-    | None ->
+  | link ->
+    let tx = op.current in
+    if not (busy t tx) then begin
       start_transmission t op link frame;
       Started
-    | Some tx ->
+    end
+    else
       let incoming_preempts =
         Token.Priority.preemptive frame.Frame.priority
         && (not (Token.Priority.preemptive tx.tx_frame.Frame.priority))
@@ -670,7 +751,7 @@ let send t ~node ~port frame =
         C.incr t.agg.agg_preempted;
         trace t "node %d port %d: frame#%d preempted frame#%d" node port
           frame.Frame.id tx.tx_frame.Frame.id;
-        op.current <- None;
+        op.current <- no_tx;
         start_transmission t op link frame;
         Started_preempting tx.tx_frame
       end
@@ -681,21 +762,19 @@ let send t ~node ~port frame =
           frame.Frame.id;
         Dropped_blocked
       end
-      else enqueue t op frame)
+      else enqueue t op tx frame
 
 let queue_length t ~node ~port = Sim.Heap.size (outport t node port).queue
 let queued_bytes t ~node ~port = (outport t node port).queued_bytes
-let port_busy t ~node ~port =
-  match (outport t node port).current with Some _ -> true | None -> false
+let port_busy t ~node ~port = busy t (outport t node port).current
 
 (* Earliest instant a NEW transmission could start on the port. Sound as
    a shard-promise floor only on sealed edges: preemption aborts the
    current transmission early, and a crash purge frees the port early —
    both start a successor before [finish]. *)
 let port_busy_until t ~node ~port =
-  match (outport t node port).current with
-  | Some tx -> tx.finish
-  | None -> now t
+  let tx = (outport t node port).current in
+  if busy t tx then tx.finish else now t
 
 type port_stats = {
   sent_frames : int;
@@ -742,16 +821,18 @@ let purge_node t ~node =
               ~reason:"purged"
           | None -> ()
         in
-        (match op.current with
-        | Some tx ->
+        let tx = op.current in
+        (* a transmission whose completion key has passed is over: its
+           frame is on the wire, not in the port *)
+        if busy t tx then begin
           cancel_delivery t tx.delivery;
           cancel_delivery t tx.completion;
           tx.tx_frame.Frame.aborted <- true;
           tx.delivered_frame.Frame.aborted <- true;
           mark_purged tx.tx_frame;
-          op.current <- None;
           incr dropped
-        | None -> ());
+        end;
+        op.current <- no_tx;
         while not (Sim.Heap.is_empty op.queue) do
           let frame = Sim.Heap.pop_value op.queue in
           op.queued_bytes <- op.queued_bytes - Bytes.length frame.Frame.payload;

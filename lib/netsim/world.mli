@@ -9,7 +9,12 @@
     distinction at the core of §6.1.
 
     Output ports serve a priority queue (VIPER rank order, FIFO within a
-    rank). A preemptive-priority frame (§5: priorities 6-7) aborts a lower
+    rank). A port is busy until its transmission's completion, which
+    takes the engine key [(finish, seq)] reserved when the transmission
+    began: the port is free to exactly the events whose keys sort after
+    that one ({!Sim.Engine.passed}). The completion event itself is
+    scheduled only when a frame waits behind the port; with nothing
+    queued there is nothing for it to do. A preemptive-priority frame (§5: priorities 6-7) aborts a lower
     priority, non-preemptive transmission in progress; the aborted frame is
     lost in flight. Frames flagged drop-if-blocked are discarded rather
     than queued. *)
@@ -154,13 +159,15 @@ val restore_link : t -> Topo.Graph.link -> unit
 val purge_node : t -> node:Topo.Graph.node_id -> int
 (** Crash support: abort the in-flight transmission and drop all queued
     frames on every outport of [node]; returns the number of frames lost
-    (counted in [purged]). *)
+    (counted in [purged]). A transmission whose completion key has
+    passed is no longer in the port and is left alone. *)
 
 (** {1 Introspection for congestion control and experiments} *)
 
 val queue_length : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> int
 val queued_bytes : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> int
 val port_busy : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> bool
+(** Whether the port's transmission has yet to reach its completion key. *)
 
 val port_busy_until : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> Sim.Time.t
 (** Finish time of the transmission in progress, or [now] when idle: the

@@ -5,6 +5,9 @@ type handle = event
 type t = {
   mutable clock : Time.t;
   mutable next_seq : int;
+  mutable executing_seq : int;
+      (* with [clock], the key of the event now running; between runs,
+         [next_seq] as the last run left it *)
   mutable executed : int;
   queue : event Heap.t;
 }
@@ -13,10 +16,21 @@ type t = {
 let vacant = { action = ignore; cancelled = true }
 
 let create () =
-  { clock = Time.zero; next_seq = 0; executed = 0; queue = Heap.create ~dummy:vacant }
+  {
+    clock = Time.zero;
+    next_seq = 0;
+    executing_seq = 0;
+    executed = 0;
+    queue = Heap.create ~dummy:vacant;
+  }
 
 let now t = t.clock
 let executed t = t.executed
+let executing_seq t = t.executing_seq
+let set_executing_seq t seq = t.executing_seq <- seq
+
+let passed t ~time ~seq =
+  time < t.clock || (time = t.clock && seq < t.executing_seq)
 
 let schedule_at t ~time f =
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
@@ -61,7 +75,10 @@ let schedule_foreign t ~time ~seq f =
 let cancel _t handle = handle.cancelled <- true
 
 (* The loop allocates nothing per event: the heap hands back keys and
-   values unboxed, and an absent [until] is a horizon no event reaches. *)
+   values unboxed, and an absent [until] is a horizon no event reaches.
+   A foreign event publishes [next_seq] as its seq: every local key
+   reserved before it sorts before it, and none reserved while it runs
+   does, exactly as if those had been pushed and popped after it. *)
 let run ?until ?(max_events = max_int) t =
   let horizon = match until with Some u -> u | None -> max_int in
   let q = t.queue in
@@ -70,6 +87,8 @@ let run ?until ?(max_events = max_int) t =
     !executed < max_events && (not (Heap.is_empty q)) && Heap.min_time q <= horizon
   do
     t.clock <- Heap.min_time q;
+    let seq = Heap.min_seq q in
+    t.executing_seq <- (if seq >= foreign_seq_base then t.next_seq else seq);
     let e = Heap.pop_value q in
     if not e.cancelled then begin
       e.action ();
@@ -77,6 +96,9 @@ let run ?until ?(max_events = max_int) t =
       t.executed <- t.executed + 1
     end
   done;
+  (* every key reserved so far has run; one stopped by [max_events] keeps
+     the last event's key *)
+  if !executed < max_events then t.executing_seq <- t.next_seq;
   match until with
   | Some u when t.clock < u -> t.clock <- u
   | Some _ | None -> ()

@@ -28,6 +28,30 @@ val alloc_seq : t -> int
     way, so draining the queue in key order is observably identical to
     having scheduled each delivery as its own event. *)
 
+val executing_seq : t -> int
+(** The seq half of the key [(now t, executing_seq t)] of the event now
+    running. Every key that sorts strictly before it has run (or would
+    have, had it been scheduled); none at or after it has. A foreign
+    event (see {!schedule_foreign}) publishes the next seq {!alloc_seq}
+    would hand out, so the local keys reserved before it sort before it
+    and those reserved while it runs sort after. Between {!run} calls it
+    is the next seq as the last run left it: every key reserved until
+    then at or before [now] has passed, and keys reserved since have
+    not. Allocates nothing. *)
+
+val set_executing_seq : t -> int -> unit
+(** Publish the key of an entry a batching cursor drains under its own
+    event: the entry runs at [(now t, seq)], and {!passed} must judge
+    against that key, not the cursor's. *)
+
+val passed : t -> time:Time.t -> seq:int -> bool
+(** Whether the key [(time, seq)] sorts strictly before the executing key
+    — i.e. whether an event reserved at that key would already have run.
+    This is how a lazy event that was reserved with {!alloc_seq} but
+    never scheduled (a port's transmission completion) is known to be
+    over: comparing [time] against [now] alone would reorder same-instant
+    ties. Allocates nothing. *)
+
 val schedule_keyed : t -> time:Time.t -> seq:int -> (unit -> unit) -> handle
 (** Schedule with an explicit (previously reserved) sequence key — the
     re-arming half of {!alloc_seq}: a batching cursor parks itself in
@@ -64,8 +88,11 @@ val next_time : t -> Time.t option
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Drain the event queue. [until] stops the clock at that time (events
-    scheduled later remain queued); [max_events] guards against runaway
-    simulations. The loop itself allocates nothing per event: the only
+    scheduled later remain queued); without it, a drained run leaves the
+    clock at the last event it executed — which is never a reserved key
+    that was left unscheduled (a lazy port completion), so a drained run
+    can end before the last transmission finishes. [max_events] guards
+    against runaway simulations. The loop itself allocates nothing per event: the only
     per-event allocation is what {!schedule} made (the event record and
     the caller's closure). *)
 
@@ -76,4 +103,6 @@ val executed : t -> int
 (** Cumulative count of callbacks actually run (cancelled events are
     skipped, not counted). At a deterministic simulated-time boundary
     this is a pure function of the simulation — the load signal the
-    shard re-balancer packs workers by. *)
+    shard re-balancer packs workers by. Reserved keys that are never
+    scheduled (a port completion with nothing queued behind it) run no
+    callback and are not counted. *)

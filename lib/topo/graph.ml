@@ -117,6 +117,7 @@ let reconnect g link =
   end
 
 let link_via g id p = Hashtbl.find_opt (get g id).ports p
+let link_at g id p = Hashtbl.find (get g id).ports p
 
 let link_alive g link =
   match Hashtbl.find_opt (get g link.a).ports link.a_port with

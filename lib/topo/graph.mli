@@ -59,6 +59,10 @@ val link_alive : t -> link -> bool
 val link_via : t -> node_id -> port -> link option
 (** The link attached to this node's port, if any. *)
 
+val link_at : t -> node_id -> port -> link
+(** {!link_via} for per-frame paths: the same lookup without the option
+    box. Raises [Not_found] when the port has no link. *)
+
 val peer : link -> node_id -> node_id * port
 (** [peer l n] is the other endpoint [(node, its port)]. Raises
     [Invalid_argument] if [n] is on neither side. *)

@@ -329,6 +329,142 @@ let batched_equals_unbatched () =
       (true, true, "batched+pooled");
     ]
 
+(* The idle rule. A transmission's completion is lazy: it reserves the
+   engine key [(finish, seq)] when the transmission starts and is only
+   scheduled when a frame waits behind it. The port must still look busy
+   to exactly the events an eager completion would have run after, so
+   a key at [finish] that sorts before the reserved one sees a busy port
+   and one that sorts after sees it free. Every check runs on both
+   delivery paths; the probes are [defer]red, so on the batched path
+   they drain through an inbox cursor. *)
+
+(* a -> b, 1000 B at 10 Mb/s: the transmission started at 0 finishes at
+   800 us; [propagation] defaults to 5 us *)
+let idle_finish = Sim.Time.us 800
+
+let idle_pair ~batching ?(propagation = Sim.Time.us 5) () =
+  let g = G.create () in
+  let a = G.add_node g G.Host and b = G.add_node g G.Host in
+  ignore (G.connect g a b { props with G.propagation });
+  let engine = Sim.Engine.create () in
+  let world = W.create ~batching engine g in
+  let log = ref [] in
+  W.set_handler world b (fun _ ~in_port:_ ~frame ~head:_ ~tail:_ ->
+      log := frame :: !log);
+  (engine, world, a, log)
+
+(* Start the 1000 B transmission at 0 inside an event, deferring
+   [before] at [at] just before it (keyed below its completion) and
+   [after] just after it (keyed above). *)
+let around_transmission ?flight engine world a ~at ~before ~after =
+  ignore
+    (Sim.Engine.schedule_at engine ~time:0 (fun () ->
+         List.iter (fun f -> W.defer world ~node:a ~time:at f) before;
+         ignore
+           (W.send world ~node:a ~port:1
+              (W.fresh_frame world ?flight (Bytes.make 1000 'x')));
+         List.iter (fun f -> W.defer world ~node:a ~time:at f) after))
+
+let send_result_name = function
+  | W.Started -> "Started"
+  | W.Started_preempting _ -> "Started_preempting"
+  | W.Queued -> "Queued"
+  | W.Dropped_blocked -> "Dropped_blocked"
+  | W.Dropped_overflow -> "Dropped_overflow"
+  | W.Dropped_no_link -> "Dropped_no_link"
+
+let both_paths f () = List.iter (fun batching -> f ~batching) [ false; true ]
+
+let idle_rule_send_at_finish =
+  both_paths (fun ~batching ->
+      let label what = Printf.sprintf "%s (batching=%b)" what batching in
+      let probe world a =
+        let result = ref "not run" in
+        let f () =
+          result :=
+            send_result_name
+              (W.send world ~node:a ~port:1
+                 (W.fresh_frame world (Bytes.make 100 'p')))
+        in
+        (result, f)
+      in
+      (* keyed before the reserved completion key: the port is busy *)
+      let engine, world, a, _ = idle_pair ~batching () in
+      let result, f = probe world a in
+      around_transmission engine world a ~at:idle_finish ~before:[ f ] ~after:[];
+      Sim.Engine.run engine;
+      Alcotest.(check string) (label "before the key") "Queued" !result;
+      (* keyed after it: the port is free *)
+      let engine, world, a, _ = idle_pair ~batching () in
+      let result, f = probe world a in
+      around_transmission engine world a ~at:idle_finish ~before:[] ~after:[ f ];
+      Sim.Engine.run engine;
+      Alcotest.(check string) (label "after the key") "Started" !result;
+      (* after it, drained behind an entry keyed before it: a drained
+         entry runs at its own key, not its cursor's *)
+      let engine, world, a, _ = idle_pair ~batching () in
+      let result, f = probe world a in
+      around_transmission engine world a ~at:idle_finish ~before:[ ignore ]
+        ~after:[ f ];
+      Sim.Engine.run engine;
+      Alcotest.(check string) (label "after the key, drained") "Started" !result)
+
+let idle_rule_port_busy =
+  both_paths (fun ~batching ->
+      let engine, world, a, _ = idle_pair ~batching () in
+      let seen = ref [] in
+      let look what () =
+        seen :=
+          ( what,
+            W.port_busy world ~node:a ~port:1,
+            W.port_busy_until world ~node:a ~port:1 )
+          :: !seen
+      in
+      ignore
+        (Sim.Engine.schedule_at engine ~time:(idle_finish - 1)
+           (look "finish - 1"));
+      around_transmission engine world a ~at:idle_finish
+        ~before:[ look "finish, before the key" ]
+        ~after:[ look "finish, after the key" ];
+      ignore
+        (Sim.Engine.schedule_at engine ~time:(idle_finish + 1)
+           (look "finish + 1"));
+      Sim.Engine.run engine;
+      Alcotest.(check (list (triple string bool int)))
+        (Printf.sprintf "busy, busy_until (batching=%b)" batching)
+        [
+          ("finish - 1", true, idle_finish);
+          ("finish, before the key", true, idle_finish);
+          ("finish, after the key", false, idle_finish);
+          ("finish + 1", false, idle_finish + 1);
+        ]
+        (List.rev !seen))
+
+(* A purge after the completion key has passed finds an idle port: the
+   frame is on the wire, so nothing is purged, aborted or cancelled —
+   here its head is still 1.2 ms from the peer when the node crashes. *)
+let idle_rule_purge_after_finish =
+  both_paths (fun ~batching ->
+      let label what = Printf.sprintf "%s (batching=%b)" what batching in
+      let engine, world, a, log =
+        idle_pair ~batching ~propagation:(Sim.Time.ms 2) ()
+      in
+      let recorder = W.flight world in
+      Telemetry.Flight.set_policy recorder
+        { Telemetry.Flight.sample_every = 1; capture_drops = true; capacity = 16 };
+      let flight = Telemetry.Flight.start recorder ~now:0 in
+      let purged = ref (-1) in
+      around_transmission ?flight engine world a ~at:idle_finish ~before:[]
+        ~after:[ (fun () -> purged := W.purge_node world ~node:a) ];
+      Sim.Engine.run engine;
+      check_int (label "purge_node result") 0 !purged;
+      check_int (label "purged count") 0
+        (W.port_stats world ~node:a ~port:1).W.purged;
+      check_int (label "flight drops") 0 (Telemetry.Flight.dropped recorder);
+      match !log with
+      | [ frame ] -> check_bool (label "delivered whole") false frame.Netsim.Frame.aborted
+      | l -> Alcotest.failf "%s: %d deliveries" (label "delivery") (List.length l))
+
 let trace_captures_drops () =
   let _, engine, world, a, _, _ = pair () in
   let tr = Sim.Trace.create () in
@@ -382,6 +518,14 @@ let () =
         [
           Alcotest.test_case "batched = unbatched (preempt, purge)" `Quick
             batched_equals_unbatched;
+        ] );
+      ( "idle rule",
+        [
+          Alcotest.test_case "send at finish, either side of the key" `Quick
+            idle_rule_send_at_finish;
+          Alcotest.test_case "port_busy around finish" `Quick idle_rule_port_busy;
+          Alcotest.test_case "purge after finish purges nothing" `Quick
+            idle_rule_purge_after_finish;
         ] );
       ( "trace",
         [ Alcotest.test_case "captures drops" `Quick trace_captures_drops ] );

@@ -293,6 +293,41 @@ let engine_run_allocation () =
     Alcotest.failf "Engine.run allocated %.2f words per event (the record is 3)"
       per_event
 
+(* The executing key: an event runs at [(now, executing_seq)]; a key
+   reserved while it runs sorts after it, even inside a foreign event,
+   whose own seq sits above every local one; between runs every key
+   reserved so far has passed and none reserved since has. *)
+let engine_executing_key () =
+  let module E = Sim.Engine in
+  let e = E.create () in
+  let seen = ref [] in
+  let note what () = seen := (what, E.executing_seq e) :: !seen in
+  let reserve_now what =
+    let seq = E.alloc_seq e in
+    check_bool (what ^ ": reserved now, not passed") false
+      (E.passed e ~time:(E.now e) ~seq)
+  in
+  check_int "before the first run" 0 (E.executing_seq e);
+  ignore (E.schedule_at e ~time:5 (note "local"));
+  ignore
+    (E.schedule_at e ~time:5 (fun () ->
+         note "local, reserving" ();
+         check_bool "an earlier key has passed" true (E.passed e ~time:5 ~seq:0);
+         reserve_now "local"));
+  E.schedule_foreign e ~time:5 ~seq:E.foreign_seq_base (fun () ->
+      note "foreign" ();
+      check_bool "a local key reserved before it has passed" true
+        (E.passed e ~time:5 ~seq:2);
+      reserve_now "foreign");
+  E.run e;
+  Alcotest.(check (list (pair string int)))
+    "published seqs"
+    [ ("local", 0); ("local, reserving", 1); ("foreign", 3) ]
+    (List.rev !seen);
+  check_bool "between runs: reserved during the run, passed" true
+    (E.passed e ~time:5 ~seq:3);
+  reserve_now "between runs"
+
 (* Stats *)
 
 let summary_basics () =
@@ -465,6 +500,7 @@ let () =
           Alcotest.test_case "max_events bounds" `Quick engine_max_events;
           Alcotest.test_case "run allocates only the event record" `Quick
             engine_run_allocation;
+          Alcotest.test_case "executing key" `Quick engine_executing_key;
         ] );
       ( "stats",
         [

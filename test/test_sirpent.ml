@@ -680,6 +680,45 @@ let misrouted_packet_counted () =
   check_int "not accepted" 0 (Sirpent.Host.received h2);
   check_int "counted misdelivered" 1 (Sirpent.Host.misdelivered h2)
 
+(* The router's share of one steady-state XSR hop — parse, the switching
+   decision, the act step's scheduling — measured around the frame
+   handler alone, as the ledger's router span does: the XSR step's
+   [Forward] (2 words), the act step's single closure and its event
+   record. No option boxes from link lookups, no decision tuple, no
+   nested closures. *)
+let xsr_hop_allocation () =
+  let g, engine, world, h1, h2, routers = chain 1 in
+  let router = routers.(0) in
+  let route = route_between g ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2) in
+  let received = ref 0 in
+  Sirpent.Host.set_receive h2 (fun _ ~packet:_ ~in_port:_ -> incr received);
+  let handle = Sirpent.Router.handle_frame router in
+  let warmup = 100 and measured = 2_000 in
+  let frames = ref 0 and words = ref 0 in
+  W.set_handler world (Sirpent.Router.node router) (fun w ~in_port ~frame ~head ~tail ->
+      let w0 = int_of_float (Gc.minor_words ()) in
+      handle w ~in_port ~frame ~head ~tail;
+      let w1 = int_of_float (Gc.minor_words ()) in
+      incr frames;
+      if !frames > warmup then words := !words + (w1 - w0));
+  let data = Bytes.make 64 'd' in
+  let left = ref (warmup + measured) in
+  (* one packet per millisecond: every hop finds its ports idle *)
+  let rec tick () =
+    if !left > 0 then begin
+      decr left;
+      ignore (Sirpent.Host.send_xsr h1 ~route ~data ());
+      ignore (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 1) tick)
+    end
+  in
+  tick ();
+  Sim.Engine.run engine;
+  check_int "every packet delivered" (warmup + measured) !received;
+  let per_frame = float_of_int !words /. float_of_int measured in
+  if per_frame > 20.0 then
+    Alcotest.failf "an XSR hop allocated %.1f words in the router (ceiling 20)"
+      per_frame
+
 let () =
   Alcotest.run "sirpent"
     [
@@ -693,6 +732,7 @@ let () =
             store_and_forward_when_rates_differ;
           Alcotest.test_case "mtu truncation detected" `Quick mtu_truncation_detected;
           Alcotest.test_case "misrouted packet counted" `Quick misrouted_packet_counted;
+          Alcotest.test_case "xsr hop allocation" `Quick xsr_hop_allocation;
           Alcotest.test_case "multi-homed host survives" `Quick
             multihomed_host_survives_interface_failure;
         ] );
