@@ -67,8 +67,7 @@ type cell = {
    two of three to a sibling host in its own region, every third to its
    counterpart one region around the ring (two gateway hops away).
    Emission times are staggered per host, never tied to wall clock. *)
-let measure ?(batching = false) ?(pooling = false) ~shards ~hosts_per_region
-    ~packets () =
+let measure ~shards ~hosts_per_region ~packets =
   let g, hosts = build ~hosts_per_region in
   let region =
     match P.by_name g with
@@ -80,7 +79,7 @@ let measure ?(batching = false) ?(pooling = false) ~shards ~hosts_per_region
     | Ok p -> p
     | Error e -> failwith (Format.asprintf "e20: %a" P.pp_error e)
   in
-  let cluster = S.create ~batching ~pooling part in
+  let cluster = S.create part in
   for r = 0 to S.regions cluster - 1 do
     Telemetry.Flight.set_policy
       (W.flight (S.world cluster r))
@@ -173,7 +172,7 @@ let run () =
      same cluster at each --shards width; merged telemetry must match the serial run.\n\n"
     regions hosts_per_region packets;
   let cells =
-    List.map (fun shards -> measure ~shards ~hosts_per_region ~packets ()) widths
+    List.map (fun shards -> measure ~shards ~hosts_per_region ~packets) widths
   in
   let serial = List.hd cells in
   let identical c =

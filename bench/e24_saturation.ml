@@ -1,38 +1,21 @@
-(* E24 — wire-speed packet path: batched link delivery, buffer arenas,
-   and XOR-folded constant-size (XSR) headers.
+(* E24 — wire-speed packet path: VIPER source routes vs XOR-folded
+   constant-size (XSR) headers.
 
    A saturation star — K feeder hosts fanning into one router, one sink
    host behind it, links fast enough (10^15 b/s) that the simulation
    engine itself is the bottleneck — is driven with synchronized ticks:
-   every feeder fires at the same instant, so each tick lands a genuine
-   K-wide delivery batch on the router. Four arms cross two switches:
-
-     {control, batched+pooled} x {VIPER source routes, XSR headers}
-
-   and within each header format the merged telemetry (registry rows,
-   event ring, delivered count, simulated end time) must be
-   bit-identical between the control and the wire-speed arm — the run
-   aborts if it diverges. What may change is wall clock and the
-   allocator: pps and GC words/packet are reported per arm, and the
-   pooled arms also report arena hit rates (steady-state forwarding
-   recycles the wire buffer the sink hands back, so fresh allocations
-   per packet drop toward zero).
+   every feeder fires at the same instant, so each tick lands K
+   same-instant deliveries on the router. One arm per header format
+   reports pps and GC words per delivered packet.
 
    A second section measures bytes-on-wire over a 4-router chain: VIPER
    route segments shrink as the route is consumed but the return-route
    trailer grows faster (+3 B net per hop), while XSR stays at a
    constant 22-byte header — XSR must total fewer bytes on the wire.
 
-   A third section re-runs the E20 region-parallel cluster with
-   batching+pooling on at --shards 1/3/4 and requires the merged
-   telemetry to stay bit-identical to the plain serial run.
-
-   JSON (for CI gates): top-level [arena_misses_per_packet] is the
-   batched+pooled VIPER arm's pool misses per delivered packet, and
-   [gc_words_per_packet_<arm>] is each arm's words allocated per
-   delivered packet (both ceiling-gated: they are deterministic).
-   [batched_uplift] is the batched+pooled VIPER pps over the control's —
-   wall clock, reported but not gated. *)
+   JSON (for CI gates): [gc_words_per_packet_<arm>] is each arm's words
+   allocated per delivered packet (ceiling-gated: it is
+   deterministic). *)
 
 module G = Topo.Graph
 module W = Netsim.World
@@ -49,18 +32,12 @@ let payload_bytes = 64
 
 type arm = {
   a_name : string;
-  a_batching : bool;
-  a_pooling : bool;
   a_xsr : bool;
   a_delivered : int;
-  a_end_time : Sim.Time.t;
-  a_rows : Telemetry.Registry.row list;
-  a_events : (Sim.Time.t * Telemetry.Events.event) list;
   a_wall_s : float;
   a_gc_words : float;
       (** words allocated during the run: minor + major - promoted, since
           a promoted word is counted once in each of the first two *)
-  a_pool : Wire.Pool.stats option;
   a_wire_bytes : int;
 }
 
@@ -73,7 +50,7 @@ let wire_bytes g world =
         (G.ports g node));
   !total
 
-let measure_once ~name ~batching ~pooling ~xsr ~ticks =
+let measure_once ~xsr ~ticks =
   let g = G.create () in
   let router = G.add_node g G.Router in
   let sink = G.add_node g G.Host in
@@ -81,14 +58,13 @@ let measure_once ~name ~batching ~pooling ~xsr ~ticks =
   let feed_ports =
     Array.map (fun f -> fst (G.connect g f router fast_props)) feeds
   in
-  (* K parallel router->sink links: the K forwards of one delivery batch
-     transmit concurrently and land on the sink at the same instant, so
-     the whole second hop batches as well *)
+  (* K parallel router->sink links: the K forwards of one tick transmit
+     concurrently and land on the sink at the same instant *)
   let out_ports =
     Array.init feeders (fun _ -> fst (G.connect g router sink fast_props))
   in
   let engine = Sim.Engine.create () in
-  let world = W.create ~batching ~pooling engine g in
+  let world = W.create engine g in
   ignore (Sirpent.Router.create world ~node:router ());
   let sink_host = Sirpent.Host.create world ~node:sink in
   let delivered = ref 0 in
@@ -115,11 +91,10 @@ let measure_once ~name ~batching ~pooling ~xsr ~ticks =
      standing backlog of [ticks] events, which is the saturation regime
      this bench exists to measure — every per-frame heap operation pays
      the full depth of the backlog. One injection event per tick fires
-     all K feeders at the same instant (a genuine K-wide batch) in both
-     arms, so the harness cost is identical and only the per-frame event
-     traffic differs. The tick spacing is not commensurate with the 1 us
-     propagation, so injection events never share an instant with
-     in-flight deliveries and cut a batch short. *)
+     all K feeders at the same instant in both arms, so the harness cost
+     is identical and only the per-packet work differs. The tick spacing
+     is not commensurate with the 1 us propagation, so injection events
+     never share an instant with in-flight deliveries. *)
   let tick_gap = Sim.Time.ns 1700 in
   for k = 0 to ticks - 1 do
     let time = Sim.Time.ms 1 + (k * tick_gap) in
@@ -138,29 +113,22 @@ let measure_once ~name ~batching ~pooling ~xsr ~ticks =
   let wall = Unix.gettimeofday () -. t0 in
   let w1 = allocated () in
   {
-    a_name = name;
-    a_batching = batching;
-    a_pooling = pooling;
+    a_name = (if xsr then "xsr" else "viper");
     a_xsr = xsr;
     a_delivered = !delivered;
-    a_end_time = Sim.Engine.now engine;
-    a_rows = Telemetry.Registry.snapshot (W.metrics world);
-    a_events = Telemetry.Events.entries (W.events world);
     a_wall_s = wall;
     a_gc_words = w1 -. w0;
-    a_pool = Option.map Wire.Pool.stats (W.pool world);
     a_wire_bytes = wire_bytes g world;
   }
 
 (* One core, shared machine: a single wall-clock sample carries too much
    scheduler noise to read an uplift off. Each arm runs [reps] times
    over freshly built, identical worlds and keeps the fastest sample —
-   every rep's telemetry is checked bit-identical downstream, so only
-   the timing varies. *)
-let measure ~reps ~name ~batching ~pooling ~xsr ~ticks =
-  let best = ref (measure_once ~name ~batching ~pooling ~xsr ~ticks) in
+   the simulation is deterministic, so only the timing varies. *)
+let measure ~reps ~xsr ~ticks =
+  let best = ref (measure_once ~xsr ~ticks) in
   for _ = 2 to reps do
-    let a = measure_once ~name ~batching ~pooling ~xsr ~ticks in
+    let a = measure_once ~xsr ~ticks in
     if a.a_wall_s < !best.a_wall_s then best := a
   done;
   !best
@@ -192,17 +160,8 @@ let chain_bytes ~xsr ~n_routers ~packets =
 let pps a = if a.a_wall_s > 0.0 then float a.a_delivered /. a.a_wall_s else 0.0
 let gc_words_per_packet a = a.a_gc_words /. float (max 1 a.a_delivered)
 
-(* "viper/batched+pooled" -> "viper_batched_pooled": a JSON key suffix *)
-let arm_key name =
-  String.map (fun c -> match c with 'a' .. 'z' | '0' .. '9' -> c | _ -> '_') name
-
-let same_telemetry a b =
-  a.a_rows = b.a_rows && a.a_events = b.a_events
-  && a.a_delivered = b.a_delivered && a.a_end_time = b.a_end_time
-
 let run () =
-  Util.heading
-    "E24  saturation: batched delivery + buffer arena + XSR constant headers";
+  Util.heading "E24  saturation: VIPER source routes vs XSR constant headers";
   (* a pre-scheduled backlog of [ticks] events keeps every per-frame
      heap operation paying real depth, and >1M packets/arm amortize
      warmup noise in the full run. The smoke run keeps the same shape
@@ -212,84 +171,26 @@ let run () =
   let chain_packets = Util.scaled ~full:2_000 ~smoke:200 in
   pf
     "star of %d feeders -> 1 router -> sink over 10^15 b/s links; %d synchronized\n\
-     ticks (%d packets/arm). telemetry must be bit-identical across arms of the\n\
-     same header format; only wall clock and allocator traffic may differ.\n\n"
+     ticks (%d packets/arm).\n\n"
     feeders ticks (feeders * ticks);
-  let want_xsr_only = !Util.xsr and want_pooled_only = !Util.pooling in
-  let arms =
-    [
-      ("viper/control", false, false, false);
-      ("viper/batched+pooled", true, true, false);
-      ("xsr/control", false, false, true);
-      ("xsr/batched+pooled", true, true, true);
-    ]
-    |> List.filter (fun (_, _, pooling, xsr) ->
-           (not want_xsr_only || xsr) && (not want_pooled_only || pooling))
-  in
   let cells =
     List.map
-      (fun (name, batching, pooling, xsr) ->
-        measure ~reps:(Util.scaled ~full:3 ~smoke:1) ~name ~batching ~pooling
-          ~xsr ~ticks)
-      arms
-  in
-  let find name = List.find_opt (fun a -> a.a_name = name) cells in
-  (* hard check: the wire-speed mechanisms are pure optimizations *)
-  List.iter
-    (fun fmt ->
-      match (find (fmt ^ "/control"), find (fmt ^ "/batched+pooled")) with
-      | Some ctl, Some fast when not (same_telemetry ctl fast) ->
-        failwith
-          (Printf.sprintf
-             "e24: %s batched+pooled telemetry diverged from the control" fmt)
-      | _ -> ())
-    [ "viper"; "xsr" ];
-  let rows =
-    List.map
-      (fun a ->
-        let hit_rate =
-          match a.a_pool with
-          | Some s when s.Wire.Pool.hits + s.Wire.Pool.misses > 0 ->
-            Util.pct
-              (float s.Wire.Pool.hits
-              /. float (s.Wire.Pool.hits + s.Wire.Pool.misses))
-          | _ -> "-"
-        in
-        [
-          a.a_name;
-          Util.i a.a_delivered;
-          Printf.sprintf "%.3f" a.a_wall_s;
-          Printf.sprintf "%.0f" (pps a);
-          Util.f1 (gc_words_per_packet a);
-          hit_rate;
-          Util.i a.a_wire_bytes;
-        ])
-      cells
+      (fun xsr -> measure ~reps:(Util.scaled ~full:3 ~smoke:1) ~xsr ~ticks)
+      (if !Util.xsr then [ true ] else [ false; true ])
   in
   Util.table
-    ~header:
-      [ "arm"; "delivered"; "wall s"; "pps/core"; "gc words/pkt"; "pool hit"; "wire bytes" ]
-    rows;
-  let uplift =
-    match (find "viper/control", find "viper/batched+pooled") with
-    | Some ctl, Some fast when pps ctl > 0.0 -> Some (pps fast /. pps ctl)
-    | _ -> None
-  in
-  let arena_misses_per_packet =
-    match find "viper/batched+pooled" with
-    | Some a -> (
-      match a.a_pool with
-      | Some s -> Some (float s.Wire.Pool.misses /. float (max 1 a.a_delivered))
-      | None -> None)
-    | None -> None
-  in
-  (match uplift with
-  | Some u ->
-    pf "\nbatched+pooled VIPER uplift over control: %.2fx pps/core\n" u
-  | None -> ());
-  (match arena_misses_per_packet with
-  | Some m -> pf "arena misses per packet (pooled VIPER steady state): %.4f\n" m
-  | None -> ());
+    ~header:[ "arm"; "delivered"; "wall s"; "pps/core"; "gc words/pkt"; "wire bytes" ]
+    (List.map
+       (fun a ->
+         [
+           a.a_name;
+           Util.i a.a_delivered;
+           Printf.sprintf "%.3f" a.a_wall_s;
+           Printf.sprintf "%.0f" (pps a);
+           Util.f1 (gc_words_per_packet a);
+           Util.i a.a_wire_bytes;
+         ])
+       cells);
 
   Util.subheading "bytes-on-wire: VIPER source route vs XSR constant header";
   let n_routers = 4 in
@@ -305,70 +206,24 @@ let run () =
   if xsr_bytes >= viper_bytes then
     failwith "e24: XSR did not beat VIPER bytes-on-wire at 4 hops";
 
-  Util.subheading
-    "region-parallel cluster: batched+pooled telemetry vs plain serial";
-  let hosts_per_region = Util.scaled ~full:6 ~smoke:3 in
-  let cluster_packets = Util.scaled ~full:120 ~smoke:40 in
-  let serial =
-    E20_intra_world.measure ~shards:1 ~hosts_per_region ~packets:cluster_packets ()
-  in
-  let widths = [ 1; 3; min 4 (max 2 !Util.shards) ] in
-  let cluster_cells =
-    List.map
-      (fun shards ->
-        E20_intra_world.measure ~batching:true ~pooling:true ~shards
-          ~hosts_per_region ~packets:cluster_packets ())
-      widths
-  in
-  let cluster_ok c =
-    c.E20_intra_world.c_rows = serial.E20_intra_world.c_rows
-    && c.E20_intra_world.c_events = serial.E20_intra_world.c_events
-    && c.E20_intra_world.c_flights = serial.E20_intra_world.c_flights
-    && c.E20_intra_world.c_delivered = serial.E20_intra_world.c_delivered
-  in
-  List.iter2
-    (fun shards c ->
-      pf "--shards %d batched+pooled: delivered %d, identical to plain serial: %s\n"
-        shards c.E20_intra_world.c_delivered
-        (if cluster_ok c then "yes" else "NO");
-      if not (cluster_ok c) then
-        failwith
-          (Printf.sprintf
-             "e24: batched+pooled cluster telemetry diverged at --shards %d"
-             shards))
-    widths cluster_cells;
-
   let json_arm a =
     Util.J.Obj
-      ([
-         ("arm", Util.J.String a.a_name);
-         ("batching", Util.J.Bool a.a_batching);
-         ("pooling", Util.J.Bool a.a_pooling);
-         ("xsr", Util.J.Bool a.a_xsr);
-         ("delivered", Util.J.Int a.a_delivered);
-         ("wall_clock_s", Util.J.Float a.a_wall_s);
-         ("pps", Util.J.Float (pps a));
-         ("gc_words_per_packet", Util.J.Float (gc_words_per_packet a));
-         ("wire_bytes", Util.J.Int a.a_wire_bytes);
-       ]
-      @
-      match a.a_pool with
-      | None -> []
-      | Some s ->
-        [
-          ("pool_hits", Util.J.Int s.Wire.Pool.hits);
-          ("pool_misses", Util.J.Int s.Wire.Pool.misses);
-          ("pool_releases", Util.J.Int s.Wire.Pool.releases);
-          ("pool_discarded", Util.J.Int s.Wire.Pool.discarded);
-        ])
+      [
+        ("arm", Util.J.String a.a_name);
+        ("xsr", Util.J.Bool a.a_xsr);
+        ("delivered", Util.J.Int a.a_delivered);
+        ("wall_clock_s", Util.J.Float a.a_wall_s);
+        ("pps", Util.J.Float (pps a));
+        ("gc_words_per_packet", Util.J.Float (gc_words_per_packet a));
+        ("wire_bytes", Util.J.Int a.a_wire_bytes);
+      ]
   in
   Util.write_json ~exp:"e24"
     (Util.J.Obj
        ([
           ("experiment", Util.J.String "e24");
           ( "description",
-            Util.J.String
-              "wire-speed path: batched delivery, buffer arena, XSR headers" );
+            Util.J.String "wire-speed path: VIPER vs XSR constant headers" );
           ("feeders", Util.J.Int feeders);
           ("ticks", Util.J.Int ticks);
           ("arms", Util.J.List (List.map json_arm cells));
@@ -377,17 +232,9 @@ let run () =
           ("xsr_wire_bytes", Util.J.Int xsr_bytes);
           ( "xsr_bytes_below_viper",
             Util.J.Bool (xsr_bytes < viper_bytes) );
-          ( "cluster_identical",
-            Util.J.Bool (List.for_all cluster_ok cluster_cells) );
         ]
-       @ (match uplift with
-         | Some u -> [ ("batched_uplift", Util.J.Float u) ]
-         | None -> [])
-       @ (match arena_misses_per_packet with
-         | Some m -> [ ("arena_misses_per_packet", Util.J.Float m) ]
-         | None -> [])
        @ List.map
            (fun a ->
-             ( "gc_words_per_packet_" ^ arm_key a.a_name,
+             ( "gc_words_per_packet_" ^ a.a_name,
                Util.J.Float (gc_words_per_packet a) ))
            cells))

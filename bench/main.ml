@@ -54,7 +54,7 @@ let experiments =
       "policy compiler: intents -> routes, in-header failover DAG",
       E23_policy.run );
     ( "e24",
-      "wire-speed path: batched delivery, buffer arena, XSR constant headers",
+      "wire-speed path: VIPER source routes vs XSR constant headers",
       E24_saturation.run );
     ( "e25",
       "load-adaptive shard re-balancing + per-edge lookahead",
@@ -71,8 +71,7 @@ let list_experiments () =
   Printf.printf "  %-4s %s\n" "--shards n" "widest width for e20's region-parallel cluster";
   Printf.printf "  %-4s %s\n" "--rebalance"
     "epoch-based load re-balancing in e20 (telemetry unchanged)";
-  Printf.printf "  %-4s %s\n" "--xsr" "e24: only the XSR constant-header arms";
-  Printf.printf "  %-4s %s\n" "--pooling" "e24: only the batched+pooled arms"
+  Printf.printf "  %-4s %s\n" "--xsr" "e24: only the XSR constant-header arm"
 
 let run_one id =
   match List.find_opt (fun (eid, _, _) -> eid = id) experiments with
@@ -111,15 +110,13 @@ let () =
     | a :: rest when String.length a > 9 && String.sub a 0 9 = "--shards=" ->
       Util.shards := width_value ~flag:"--shards" (String.sub a 9 (String.length a - 9));
       parse flags ids rest
-    | (("--smoke" | "--json" | "--list" | "--micro" | "--rebalance" | "--xsr"
-       | "--pooling") as f)
+    | (("--smoke" | "--json" | "--list" | "--micro" | "--rebalance" | "--xsr") as f)
       :: rest ->
       (match f with
       | "--smoke" -> Util.smoke_mode := true
       | "--json" -> Util.json_mode := true
       | "--rebalance" -> Util.rebalance := true
       | "--xsr" -> Util.xsr := true
-      | "--pooling" -> Util.pooling := true
       | _ -> ());
       parse (f :: flags) ids rest
     | f :: _ when String.length f >= 2 && String.sub f 0 2 = "--" ->

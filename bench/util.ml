@@ -30,12 +30,10 @@ let rebalance = ref false
 
 let rebalance_epoch = Sim.Time.ms 5
 
-(* [--xsr] / [--pooling] narrow E24's arm matrix for quick looks:
-   [--xsr] keeps only the constant-header arms, [--pooling] only the
-   batched+pooled arms. CI runs the full matrix (no flags) so the
-   gated JSON keys are always present there. *)
+(* [--xsr] narrows E24 to its constant-header arm for quick looks. CI
+   runs both arms (no flag) so the gated JSON keys are always present
+   there. *)
 let xsr = ref false
-let pooling = ref false
 
 let scaled ~full ~smoke = if !smoke_mode then smoke else full
 

@@ -31,6 +31,26 @@ let flight_drop t ~frame ~in_port ~reason =
   | Some ctx -> Flight.drop ctx ~node:t.node ~in_port ~now:(W.now t.world) ~reason
   | None -> ()
 
+(* A packet that terminated here: count it, close its flight and hand it
+   to [on_receive]. *)
+let accept t ~frame ~in_port packet =
+  C.incr t.received;
+  (match frame.Netsim.Frame.flight with
+  | Some ctx -> Flight.complete ctx ~now:(W.now t.world)
+  | None -> ());
+  match t.on_receive with
+  | Some f -> f t ~packet ~in_port
+  | None -> ()
+
+let misdeliver t ~frame ~in_port =
+  C.incr t.misdelivered;
+  flight_drop t ~frame ~in_port ~reason:"misdelivered"
+
+(* Hosts take delivery of the whole packet before acting. *)
+let at_tail t ~tail f =
+  ignore
+    (Sim.Engine.schedule_at (W.engine t.world) ~time:(max (W.now t.world) tail) f)
+
 let handle t _world ~in_port ~frame ~head:_ ~tail =
   match frame.Netsim.Frame.meta with
   | Some (Congestion.Rate_ctl { congested_port; rate_bps }) ->
@@ -38,80 +58,30 @@ let handle t _world ~in_port ~frame ~head:_ ~tail =
     Congestion.handle_ctl t.limiter ~arrival_port:in_port ~congested_port ~rate_bps
   | Some _ -> ()
   | None when Viper.Xsr.is_xsr frame.Netsim.Frame.payload ->
-    (* XSR arrival: verify and unfold the constant-size header into the
-       [Pkt.t] shape [on_receive] expects — local route, data, and a
-       trailer of return hops from the reverse lanes (oldest first), so
-       [reply] rides the recorded reverse route over VIPER unchanged. *)
-    W.defer t.world ~node:t.node ~time:(max (W.now t.world) tail)
-      (fun () ->
-           let payload = frame.Netsim.Frame.payload in
-           if frame.Netsim.Frame.aborted then
-             flight_drop t ~frame ~in_port ~reason:"aborted"
-           else
-             match Viper.Xsr.step payload ~in_port with
-             | Viper.Xsr.Forward _ | Viper.Xsr.Malformed _ ->
-               (* mid-route or damaged: this host is not the destination *)
-               C.incr t.misdelivered;
-               flight_drop t ~frame ~in_port ~reason:"misdelivered"
-             | Viper.Xsr.Deliver ->
-               let priority = Viper.Xsr.priority payload in
-               let hop_flags = { Seg.vnt = false; dib = false; rpf = true } in
-               let trailer =
-                 List.rev_map
-                   (fun p ->
-                     Viper.Trailer.Hop
-                       (Seg.make ~flags:hop_flags ~priority ~port:p ()))
-                   (Viper.Xsr.reverse_ports payload)
-               in
-               let packet =
-                 {
-                   Pkt.route = [ Seg.make ~priority ~port:Seg.local_port () ];
-                   data = Viper.Xsr.data payload;
-                   trailer;
-                 }
-               in
-               W.release_payload t.world payload;
-               C.incr t.received;
-               (match frame.Netsim.Frame.flight with
-               | Some ctx -> Flight.complete ctx ~now:(W.now t.world)
-               | None -> ());
-               (match t.on_receive with
-               | Some f -> f t ~packet ~in_port
-               | None -> ()))
+    (* XSR arrival: verify, then unfold into the [Pkt.t] [on_receive]
+       expects, so [reply] rides the recorded reverse route over VIPER. *)
+    at_tail t ~tail (fun () ->
+        let payload = frame.Netsim.Frame.payload in
+        if frame.Netsim.Frame.aborted then
+          flight_drop t ~frame ~in_port ~reason:"aborted"
+        else
+          match Viper.Xsr.step payload ~in_port with
+          | Viper.Xsr.Forward _ | Viper.Xsr.Malformed _ ->
+            (* mid-route or damaged: this host is not the destination *)
+            misdeliver t ~frame ~in_port
+          | Viper.Xsr.Deliver -> accept t ~frame ~in_port (Pkt.of_xsr payload))
   | None ->
-    (* Hosts take delivery of the whole packet before acting. *)
-    W.defer t.world ~node:t.node ~time:(max (W.now t.world) tail)
-      (fun () ->
-           if frame.Netsim.Frame.aborted then
-             flight_drop t ~frame ~in_port ~reason:"aborted"
-           else
-           match Pkt.parse frame.Netsim.Frame.payload with
-           | Error _ ->
-             C.incr t.misdelivered;
-             flight_drop t ~frame ~in_port ~reason:"misdelivered";
-             W.release_payload t.world frame.Netsim.Frame.payload
-           | Ok packet ->
-             (* [packet] owns copies; the wire buffer returns to the
-                arena, closing the router's alloc/release loop *)
-             W.release_payload t.world frame.Netsim.Frame.payload;
-             let final_is_local =
-               match packet.Pkt.route with
-               | [ seg ] -> seg.Seg.port = Seg.local_port
-               | _ -> false
-             in
-             if not final_is_local then begin
-               C.incr t.misdelivered;
-               flight_drop t ~frame ~in_port ~reason:"misdelivered"
-             end
-             else begin
-               C.incr t.received;
-               (match frame.Netsim.Frame.flight with
-               | Some ctx -> Flight.complete ctx ~now:(W.now t.world)
-               | None -> ());
-               match t.on_receive with
-               | Some f -> f t ~packet ~in_port
-               | None -> ()
-             end)
+    at_tail t ~tail (fun () ->
+        if frame.Netsim.Frame.aborted then
+          flight_drop t ~frame ~in_port ~reason:"aborted"
+        else
+          match Pkt.parse frame.Netsim.Frame.payload with
+          | Error _ -> misdeliver t ~frame ~in_port
+          | Ok packet -> (
+            match packet.Pkt.route with
+            | [ seg ] when seg.Seg.port = Seg.local_port ->
+              accept t ~frame ~in_port packet
+            | _ -> misdeliver t ~frame ~in_port))
 
 let create ?(congestion = Congestion.default_config) world ~node =
   let limiter = Congestion.create world ~node congestion in
@@ -182,9 +152,7 @@ let send t ~route ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
 let send_xsr t ~route ?(priority = Token.Priority.normal)
     ?(drop_if_blocked = false) ~data () =
   let ports = Route.ports route in
-  let payload =
-    Viper.Xsr.encode ?pool:(W.pool t.world) ~priority ~ports ~data ()
-  in
+  let payload = Viper.Xsr.encode ~priority ~ports ~data () in
   let next_port = match ports with p :: _ -> Some p | [] -> None in
   inject t ~port:route.Route.first_port ~next_port ~priority ~drop_if_blocked
     payload

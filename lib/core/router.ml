@@ -138,10 +138,12 @@ let flight_note t ~frame check =
    cut-through act time in the past. Work deferred before a crash must not
    run after it — the crash wiped the state it would act on — so each
    scheduled action is bound to the router's current epoch. *)
+let at t ~time f =
+  ignore (Sim.Engine.schedule_at (W.engine t.world) ~time:(max time (now t)) f)
+
 let schedule t ~time f =
   let epoch = t.epoch in
-  W.defer t.world ~node:t.node ~time:(max time (now t)) (fun () ->
-      if t.up && t.epoch = epoch then f ())
+  at t ~time (fun () -> if t.up && t.epoch = epoch then f ())
 
 (* The MTU of the link on [port]; a port with no link has none to
    exceed. *)
@@ -262,7 +264,7 @@ let next_port ~xsr payload =
    [send] closure is built only when a limiter holds the packet. *)
 let dispatch t ~priority ~dib ~xsr ~frame ~in_port ~out_port ~payload ~when_ =
   let epoch = t.epoch in
-  W.defer t.world ~node:t.node ~time:(max when_ (now t)) (fun () ->
+  at t ~time:when_ (fun () ->
       if t.up && t.epoch = epoch then
         if frame.Netsim.Frame.aborted then begin
           C.incr t.send_drops;
@@ -310,32 +312,23 @@ let switch t ~frame ~in_port ~out_port ~head ~tail ~header_size ~priority ~dib
 (* [payload] is the full arriving packet and [pos] the offset where the
    stripped segment ends: the strip + trailer-append pair is fused into
    one allocation ({!Viper.Trailer.append_hop_sub}) instead of copying
-   the packet twice per hop. When the world carries a buffer arena the
-   output buffer comes from it, and with [recycle] the input buffer is
-   returned to the arena once its bytes are copied out — [recycle] must
-   be false whenever the caller will reuse [payload] (multicast fans the
-   same buffer out to several ports). *)
-let forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~tail ~header_size ~grant ~recycle =
+   the packet twice per hop. *)
+let forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~tail ~header_size ~grant =
   let return_seg = return_segment t ~seg ~in_port ~in_info ~grant in
-  let pool = W.pool t.world in
   (* The loopback append reads the trailer framing; on a frame whose
      trailer was damaged in flight it fails — a counted drop, not an
      exception out of the frame handler. *)
-  match Viper.Trailer.append_hop_sub ?pool payload ~pos return_seg with
+  match Viper.Trailer.append_hop_sub payload ~pos return_seg with
   | exception (Invalid_argument _ | Failure _ | Wire.Buf.Underflow | Wire.Buf.Overflow)
     ->
     C.incr t.dropped_malformed;
     flight_drop t ~frame ~in_port ~reason:"malformed"
   | forwarded ->
-    if recycle then W.release_payload t.world payload;
     let forwarded =
       let mtu = port_mtu t out_port in
       if Bytes.length forwarded > mtu then begin
         C.incr t.truncated;
-        let cut = Pkt.truncate_to forwarded ~max:(mtu - 4) in
-        (* truncate_to copies; the pre-truncation hop output is ours *)
-        if cut != forwarded then W.release_payload t.world forwarded;
-        cut
+        Pkt.truncate_to forwarded ~max:(mtu - 4)
       end
       else forwarded
     in
@@ -448,7 +441,7 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
          from (payload, pos) without the intermediate copy. *)
       let rest () = Bytes.sub payload pos (Bytes.length payload - pos) in
       if seg.Seg.port = Seg.local_port then
-        deliver_local t ~frame ~payload ~in_port ~tail
+        deliver_local t ~frame ~payload ~in_port ~tail ~unfold:Pkt.parse
       else begin
         match Hashtbl.find_opt t.port_handlers seg.Seg.port with
         | Some f ->
@@ -465,7 +458,7 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
           with_authorization t ~seg ~frame ~in_port ~out_port:seg.Seg.port
             ~packet_bytes:(Bytes.length payload) ~proceed:(fun ~grant ->
               forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info
-                ~out_port:best ~head ~tail ~header_size ~grant ~recycle:true)
+                ~out_port:best ~head ~tail ~header_size ~grant)
         | Some (Logical.Splice expansion) ->
           C.incr t.spliced;
           let vnt_tail = seg.Seg.flags.Seg.vnt in
@@ -499,8 +492,7 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
                trailer so the receiver knows the path actually taken, and
                re-switch locally — no directory round trip. *)
             match
-              Pkt.substitute_route_branch ?pool:(W.pool t.world) payload
-                ~route:seg.Seg.branch
+              Pkt.substitute_route_branch payload ~route:seg.Seg.branch
             with
             | exception
                 ( Invalid_argument _ | Failure _ | Wire.Buf.Underflow
@@ -519,8 +511,7 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
             with_authorization t ~seg ~frame ~in_port ~out_port:seg.Seg.port
               ~packet_bytes:(Bytes.length payload) ~proceed:(fun ~grant ->
                 forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info
-                  ~out_port:seg.Seg.port ~head ~tail ~header_size ~grant
-                  ~recycle:true)
+                  ~out_port:seg.Seg.port ~head ~tail ~header_size ~grant)
       end
 
 and normalize_expansion expansion ~vnt_tail =
@@ -545,12 +536,11 @@ and choose_least_queued t ports =
 
 and multicast t ~seg ~frame ~payload ~pos ~in_port ~in_info ~head ~tail
     ~header_size ~ports =
-  (* the same input buffer fans out to every port: never recycle it *)
   List.iter
     (fun out_port ->
       C.incr t.multicast_copies;
       forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head
-        ~tail ~header_size ~grant:None ~recycle:false)
+        ~tail ~header_size ~grant:None)
     ports
 
 and tree_multicast t ~seg ~frame ~rest ~in_port ~in_info ~head ~tail ~depth =
@@ -567,21 +557,21 @@ and tree_multicast t ~seg ~frame ~rest ~in_port ~in_info ~head ~tail ~depth =
           ~depth:(depth + 1))
       branches
 
-and deliver_local t ~frame ~payload ~in_port ~tail =
+(* [unfold] turns the arrived bytes into the [Pkt.t] [on_local] consumers
+   expect: a VIPER parse, or the XSR unfold ({!Pkt.of_xsr}), whose
+   trailer makes [Pkt.return_route] work unchanged. *)
+and deliver_local t ~frame ~payload ~in_port ~tail ~unfold =
   schedule t
     ~time:(max (now t) tail + t.config.process_time)
     (fun () ->
       if frame.Netsim.Frame.aborted then
         flight_drop t ~frame ~in_port ~reason:"aborted"
       else
-      match Pkt.parse payload with
+      match unfold payload with
       | Error _ ->
         C.incr t.dropped_malformed;
-        flight_drop t ~frame ~in_port ~reason:"malformed";
-        W.release_payload t.world payload
+        flight_drop t ~frame ~in_port ~reason:"malformed"
       | Ok packet -> (
-        (* [packet] owns copies of every field; the wire buffer is done *)
-        W.release_payload t.world payload;
         C.incr t.delivered_local;
         (match frame.Netsim.Frame.flight with
         | Some ctx ->
@@ -593,44 +583,7 @@ and deliver_local t ~frame ~payload ~in_port ~tail =
         | Some f -> f ~packet ~in_port
         | None -> ()))
 
-(* XSR local delivery: unfold the constant-size header back into the
-   [Pkt.t] shape [on_local] consumers expect — a local-port route, the
-   data, and a trailer of return hops built from the reverse lanes
-   (oldest hop first, exactly the order VIPER appends them) — so
-   [Pkt.return_route] and everything above it work unchanged. *)
-let deliver_local_xsr t ~frame ~payload ~in_port ~tail =
-  schedule t
-    ~time:(max (now t) tail + t.config.process_time)
-    (fun () ->
-      if frame.Netsim.Frame.aborted then
-        flight_drop t ~frame ~in_port ~reason:"aborted"
-      else begin
-        let priority = Viper.Xsr.priority payload in
-        let hop_flags = { Seg.vnt = false; dib = false; rpf = true } in
-        let trailer =
-          List.rev_map
-            (fun p -> Viper.Trailer.Hop (Seg.make ~flags:hop_flags ~priority ~port:p ()))
-            (Viper.Xsr.reverse_ports payload)
-        in
-        let packet =
-          {
-            Pkt.route = [ Seg.make ~priority ~port:Seg.local_port () ];
-            data = Viper.Xsr.data payload;
-            trailer;
-          }
-        in
-        W.release_payload t.world payload;
-        C.incr t.delivered_local;
-        (match frame.Netsim.Frame.flight with
-        | Some ctx ->
-          Flight.hop ctx ~node:t.node ~in_port ~out_port:(-1) ~arrival:tail
-            ~departure:(now t) ~handling:Flight.Local_delivery;
-          Flight.complete ctx ~now:(now t)
-        | None -> ());
-        match t.on_local with
-        | Some f -> f ~packet ~in_port
-        | None -> ()
-      end)
+let unfold_xsr payload = Ok (Pkt.of_xsr payload)
 
 (* The XSR fast path: one check-byte verify, one XOR, an in-place header
    mutation — and the very same buffer goes back out (zero copies, zero
@@ -647,7 +600,8 @@ let process_xsr t ~frame ~payload ~in_port ~head ~tail =
     | Viper.Xsr.Malformed _ ->
       C.incr t.dropped_malformed;
       flight_drop t ~frame ~in_port ~reason:"malformed"
-    | Viper.Xsr.Deliver -> deliver_local_xsr t ~frame ~payload ~in_port ~tail
+    | Viper.Xsr.Deliver ->
+      deliver_local t ~frame ~payload ~in_port ~tail ~unfold:unfold_xsr
     | Viper.Xsr.Forward out_port ->
       if Bytes.length payload > port_mtu t out_port then begin
         (* constant-size headers cannot carry a truncation marker, so an

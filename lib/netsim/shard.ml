@@ -70,15 +70,8 @@ type shard = {
 type t = {
   part : Partition.t;
   members : shard array;  (** index = region *)
-  channels : message list Parallel.Spsc.t array;
-      (** index = channel dir; each slot is one delivery batch in
-          simulation order — a singleton per delivery when the worlds run
-          unbatched, a whole same-instant fan-in batch otherwise, so SPSC
-          pushes amortize with world-level batching *)
-  acc : message list array;
-      (** per dir: egress messages accumulated (reversed) during the
-          current delivery batch, drained by the producer world's flush
-          hook *)
+  channels : message Parallel.Spsc.t array;
+      (** index = channel dir; messages in simulation order *)
   m_seq : int array;  (** per dir; producer-owned, read after the run *)
   in_dirs : int list array;  (** per region: dirs delivering into it *)
   out_dirs : int array array;
@@ -138,8 +131,8 @@ let drain_region t r =
       let f = t.deliver.(dir) in
       let rec loop () =
         match Parallel.Spsc.pop ch with
-        | Some batch ->
-          List.iter f batch;
+        | Some msg ->
+          f msg;
           loop ()
         | None -> ()
       in
@@ -158,8 +151,8 @@ let push_spin t r ch msg =
     if !idle < 64 then Domain.cpu_relax () else Unix.sleepf 0.000_05
   done
 
-let create ?(channel_capacity = 4096) ?(scalar_lookahead = false)
-    ?(batching = false) ?(pooling = false) ?profiles (part : Partition.t) =
+let create ?(channel_capacity = 4096) ?(scalar_lookahead = false) ?profiles
+    (part : Partition.t) =
   let regions = part.Partition.regions in
   let ngw = Array.length part.Partition.gateways in
   let profiles =
@@ -212,9 +205,7 @@ let create ?(channel_capacity = 4096) ?(scalar_lookahead = false)
   let members =
     Array.init regions (fun region ->
         let engine = Sim.Engine.create () in
-        let world =
-          World.create ~batching ~pooling engine part.Partition.graphs.(region)
-        in
+        let world = World.create engine part.Partition.graphs.(region) in
         let clock =
           Sim.Shard_engine.create_edges
             ~lookaheads:(Array.map lookahead_of_dir out_dirs.(region))
@@ -244,10 +235,9 @@ let create ?(channel_capacity = 4096) ?(scalar_lookahead = false)
     Array.init (2 * ngw) (fun _ -> Parallel.Spsc.create ~capacity:channel_capacity)
   in
   let m_seq = Array.make (2 * ngw) 0 in
-  let acc = Array.make (2 * ngw) [] in
   let in_dirs = Array.make regions [] in
   let deliver = Array.make (2 * ngw) (fun (_ : message) -> ()) in
-  let t = { part; members; channels; acc; m_seq; in_dirs; out_dirs; deliver } in
+  let t = { part; members; channels; m_seq; in_dirs; out_dirs; deliver } in
   (* Wire both directions of every gateway: the egress proxy in the
      producing region forwards deliveries into the channel; the consumer
      side re-injects them at the real endpoint's original port. *)
@@ -300,9 +290,7 @@ let create ?(channel_capacity = 4096) ?(scalar_lookahead = false)
               in
               t.m_seq.(dir) <- t.m_seq.(dir) + 1;
               Telemetry.Registry.Counter.incr producer.egress;
-              (* accumulate; the producer world's flush hook ships the
-                 whole delivery batch as one channel push *)
-              t.acc.(dir) <- msg :: t.acc.(dir))
+              push_spin t src t.channels.(dir) msg)
       in
       wire ~dir:(2 * i) ~src:gw.Partition.a_region ~src_node:l.G.a
         ~src_port:l.G.a_port ~proxy:gw.Partition.a_proxy
@@ -311,23 +299,6 @@ let create ?(channel_capacity = 4096) ?(scalar_lookahead = false)
         ~src_port:l.G.b_port ~proxy:gw.Partition.b_proxy
         ~dst:gw.Partition.a_region ~node:l.G.a ~in_port:l.G.a_port)
     part.Partition.gateways;
-  (* Each producing world flushes its egress accumulators after every
-     delivery batch (every single delivery when unbatched): one SPSC push
-     per (dir, batch) instead of one per frame, in the same deterministic
-     m_seq order either way. *)
-  Array.iter
-    (fun sh ->
-      let r = sh.region in
-      World.add_flush_hook sh.world (fun () ->
-          Array.iter
-            (fun d ->
-              match t.acc.(d) with
-              | [] -> ()
-              | batch ->
-                t.acc.(d) <- [];
-                push_spin t r t.channels.(d) (List.rev batch))
-            t.out_dirs.(r)))
-    members;
   t
 
 let regions t = Array.length t.members

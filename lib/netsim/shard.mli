@@ -51,19 +51,15 @@ val default_profile : profile
 
 val create :
   ?channel_capacity:int -> ?scalar_lookahead:bool ->
-  ?batching:bool -> ?pooling:bool ->
   ?profiles:profile array -> Partition.t -> t
 (** Builds the per-region engines/worlds and wires the gateway proxies.
     Protocol stacks are installed afterwards by the caller, on each
     region's {!world}, for the nodes that region owns.
     [channel_capacity] bounds each gateway channel (default 4096); a
     full channel back-pressures the producing shard, which keeps
-    draining its own inboxes while it waits. [batching] / [pooling] are
-    passed to every region's {!World.create}: same-instant fan-in
-    deliveries drain as one batch (and gateway crossings produced by one
-    batch travel as one channel push), and forwarding buffers come from
-    a per-world arena — both exactly output-preserving, see
-    {!World.create}. [profiles] (one per
+    draining its own inboxes while it waits. Each gateway crossing is
+    one channel push, made as the egress proxy takes delivery.
+    [profiles] (one per
     gateway, in partition gateway order) sharpens that gateway's two
     edges; default {!default_profile} everywhere. [scalar_lookahead]
     blunts every edge back to its region's scalar bound

@@ -1,98 +1,5 @@
 module G = Topo.Graph
 
-(* The inbox queue. Keys (time, reserved engine seq) arrive almost
-   sorted: seqs are allocated monotonically, so pushes for one instant
-   are already in order, and the only out-of-order push is the
-   occasional short key — e.g. a delivery over a short link landing
-   below an earlier-pushed one over a long link, or a port completion
-   pushed at the key it reserved when its transmission began. A sorted
-   array-deque makes the common push an O(1) append and every peek/pop
-   O(1), which is measurably cheaper than a binary heap at the few
-   dozen entries a node's inbox holds on the wire-speed path. *)
-module Ibq = struct
-  type 'a t = {
-    dummy : 'a;
-    mutable times : int array;
-    mutable seqs : int array;
-    mutable vals : 'a array;
-    mutable head : int;  (* index of the minimum entry *)
-    mutable len : int;
-  }
-
-  let create ~dummy =
-    {
-      dummy;
-      times = Array.make 16 0;
-      seqs = Array.make 16 0;
-      vals = Array.make 16 dummy;
-      head = 0;
-      len = 0;
-    }
-
-  let is_empty q = q.len = 0
-
-  (* the front's key and value, read without allocating; the queue must
-     be non-empty *)
-  let min_time q = q.times.(q.head)
-  let min_seq q = q.seqs.(q.head)
-
-  let pop_value q =
-    let i = q.head in
-    let v = q.vals.(i) in
-    q.vals.(i) <- q.dummy;
-    q.head <- i + 1;
-    q.len <- q.len - 1;
-    if q.len = 0 then q.head <- 0;
-    v
-
-  (* the tail hit the end of the arrays: slide the live span back to the
-     front, or double if it is genuinely full *)
-  let make_room q =
-    let cap = Array.length q.times in
-    if q.len <= cap / 2 then begin
-      Array.blit q.times q.head q.times 0 q.len;
-      Array.blit q.seqs q.head q.seqs 0 q.len;
-      Array.blit q.vals q.head q.vals 0 q.len;
-      Array.fill q.vals q.len (cap - q.len) q.dummy;
-      q.head <- 0
-    end
-    else begin
-      let times = Array.make (cap * 2) 0 in
-      let seqs = Array.make (cap * 2) 0 in
-      let vals = Array.make (cap * 2) q.dummy in
-      Array.blit q.times q.head times 0 q.len;
-      Array.blit q.seqs q.head seqs 0 q.len;
-      Array.blit q.vals q.head vals 0 q.len;
-      q.times <- times;
-      q.seqs <- seqs;
-      q.vals <- vals;
-      q.head <- 0
-    end
-
-  let push q ~time ~seq v =
-    if q.head + q.len = Array.length q.times then make_room q;
-    let tail = q.head + q.len in
-    (* near-sorted input: scan back from the tail for the slot *)
-    let i = ref tail in
-    while
-      !i > q.head
-      && (q.times.(!i - 1) > time
-         || (q.times.(!i - 1) = time && q.seqs.(!i - 1) > seq))
-    do
-      decr i
-    done;
-    let p = !i in
-    if p < tail then begin
-      Array.blit q.times p q.times (p + 1) (tail - p);
-      Array.blit q.seqs p q.seqs (p + 1) (tail - p);
-      Array.blit q.vals p q.vals (p + 1) (tail - p)
-    end;
-    q.times.(p) <- time;
-    q.seqs.(p) <- seq;
-    q.vals.(p) <- v;
-    q.len <- q.len + 1
-end
-
 type send_result =
   | Started
   | Started_preempting of Frame.t
@@ -101,36 +8,12 @@ type send_result =
   | Dropped_overflow
   | Dropped_no_link
 
+type delivery_ref =
+  | D_none  (* a completion whose reserved key was never scheduled *)
+  | D_event of Sim.Engine.handle
+
 type handler =
   t -> in_port:G.port -> frame:Frame.t -> head:Sim.Time.t -> tail:Sim.Time.t -> unit
-
-(* Work waiting in a node's batch queue: a link delivery, or any other
-   per-node event (a router's process step, a port's transmission
-   completion) routed through the same coalescing machinery via
-   [defer]. [p_seq] is a real engine sequence number reserved ahead of
-   time, so replaying pending entries in (time, seq) order reproduces
-   exactly the execution order an individual heap event per entry would
-   have had. *)
-and pending = {
-  p_work : pending_work;
-  p_seq : int;
-  mutable p_cancelled : bool;
-}
-
-and pending_work =
-  | P_deliver of {
-      pl_link : G.link;
-      pl_op : outport;  (* the sending port *)
-      pl_frame : Frame.t;
-      pl_head : Sim.Time.t;
-      pl_tail : Sim.Time.t;
-    }
-  | P_thunk of (unit -> unit)
-
-and delivery_ref =
-  | D_none  (* a completion whose reserved key was never scheduled *)
-  | D_event of Sim.Engine.handle  (* unbatched: one heap event per delivery *)
-  | D_batch of pending  (* batched: an entry in an inbox *)
 
 (* A transmission's completion is lazy. Its engine key
    [(finish, done_seq)] is reserved when the transmission starts — the
@@ -147,20 +30,6 @@ and transmission = {
   done_seq : int;
   delivery : delivery_ref;
   mutable completion : delivery_ref;  (* [D_none] until a frame queues *)
-}
-
-(* Per receiving node: all in-flight deliveries headed its way, keyed by
-   their reserved engine keys, plus the key of the cursor event (if any)
-   currently parked in the engine heap to drain them — [(max_int,
-   max_int)], which sorts after every real key, when none is. *)
-and inbox = {
-  ib_queue : pending Ibq.t;  (* keyed (head time, reserved seq) *)
-  mutable ib_armed_time : Sim.Time.t;
-  mutable ib_armed_seq : int;
-  mutable ib_draining : bool;
-      (* while the cursor drains this inbox, new pushes must not arm
-         fresh cursors (they would fire stale): the drain re-arms once,
-         at the end, for whatever is left *)
 }
 
 and outport = {
@@ -206,7 +75,7 @@ and t = {
   default_buffer_bytes : int;
   (* Per-frame lookups go through node-indexed arrays (outports: a
      port-indexed row per node), grown on demand, so a send or a delivery
-     finds its port, inbox or handler without allocating. *)
+     finds its port or handler without allocating. *)
   mutable handlers : handler option array;
   mutable outports : outport option array array;
   outport_order : (G.node_id * G.port, outport) Hashtbl.t;
@@ -228,15 +97,6 @@ and t = {
   mutable taps : (head:Sim.Time.t -> unit) option array;
       (** departure taps: notified when a transmission whose delivery
           will arrive at the tapped node is scheduled (shard lookahead) *)
-  batching : bool;
-  mutable inboxes : inbox option array;
-  pool : Wire.Pool.t option;
-      (** buffer arena for the forwarding fast path; [None] keeps plain
-          allocation (the same-simulation control) *)
-  mutable flush_hooks : (unit -> unit) list;
-      (** called after every delivery batch (batched mode) or after each
-          delivery event (unbatched) — the shard layer drains its egress
-          accumulators here so channel pushes amortize with batching *)
   retiring : outport Sim.Heap.t;
       (** ports whose live transmission finishes no earlier than its
           delivery, keyed by its completion key, so {!retire_passed}
@@ -300,8 +160,7 @@ let make_outport ~node ~port ~buffer_bytes ~start =
 (* fills the retire heap's vacated slots; never sends *)
 let vacant_port = make_outport ~node:(-1) ~port:(-1) ~buffer_bytes:0 ~start:0
 
-let create ?(default_buffer_bytes = 256 * 1024) ?(batching = false)
-    ?(pooling = false) engine graph =
+let create ?(default_buffer_bytes = 256 * 1024) engine graph =
   let metrics = Telemetry.Registry.create () in
   let cnt ?help name = Telemetry.Registry.counter metrics ?help ("netsim_" ^ name) in
   {
@@ -317,10 +176,6 @@ let create ?(default_buffer_bytes = 256 * 1024) ?(batching = false)
     corruptor = None;
     handler_errors = Hashtbl.create 8;
     taps = [||];
-    batching;
-    inboxes = [||];
-    pool = (if pooling then Some (Wire.Pool.create ()) else None);
-    flush_hooks = [];
     retiring = Sim.Heap.create ~dummy:vacant_port;
     next_frame_id = 0;
     trace = None;
@@ -349,14 +204,6 @@ let set_trace t trace = t.trace <- Some trace
 let metrics t = t.metrics
 let events t = t.events
 let flight t = t.flight
-let batching t = t.batching
-let pool t = t.pool
-
-let release_payload t b =
-  match t.pool with Some p -> Wire.Pool.release p b | None -> ()
-
-let add_flush_hook t f = t.flush_hooks <- t.flush_hooks @ [ f ]
-let flush t = match t.flush_hooks with [] -> () | hooks -> List.iter (fun f -> f ()) hooks
 
 let trace t fmt =
   match t.trace with
@@ -511,108 +358,9 @@ let deliver t ~link ~from_node ~frame ~head ~tail =
     deliver_direct t ~node:link.G.a ~in_port:link.G.a_port ~frame ~head ~tail
   else invalid_arg "World.deliver: node is not on the link"
 
-let inbox t node =
-  match find t.inboxes node with
-  | Some ib -> ib
-  | None ->
-    let ib =
-      let dummy =
-        { p_work = P_thunk ignore; p_seq = -1; p_cancelled = true }
-      in
-      { ib_queue = Ibq.create ~dummy; ib_armed_time = max_int;
-        ib_armed_seq = max_int; ib_draining = false }
-    in
-    t.inboxes <- room ~empty:None t.inboxes node;
-    t.inboxes.(node) <- Some ib;
-    ib
-
-(* Batched delivery. Every pending entry reserved a real engine sequence
-   number at scheduling time, so the set of pending entries plus the
-   engine heap together hold exactly the keys an unbatched run would
-   have in its heap alone. One cursor event per inbox parks in the heap
-   at the front entry's exact key; when it fires, it delivers its own
-   entry and then keeps draining same-instant entries for as long as
-   they sort strictly before the engine's next queued event — which is
-   precisely the set of deliveries the unbatched engine would have
-   popped consecutively. The total execution order is therefore
-   identical; only the per-delivery heap traffic and closures are
-   amortized away. *)
-let rec drain t ib ~time:my_t ~seq:my_s =
-  if ib.ib_armed_time = my_t && ib.ib_armed_seq = my_s then begin
-    ib.ib_armed_time <- max_int;
-    ib.ib_armed_seq <- max_int;
-    ib.ib_draining <- true;
-    let q = ib.ib_queue in
-    let delivered = ref false in
-    let continue = ref true in
-    while !continue && not (Ibq.is_empty q) do
-      let pt = Ibq.min_time q and ps = Ibq.min_seq q in
-      let is_self = pt = my_t && ps = my_s in
-      let still_next =
-        pt = now t && Sim.Engine.precedes_next t.engine ~time:pt ~seq:ps
-      in
-      if is_self || still_next then begin
-        let p = Ibq.pop_value q in
-        if not p.p_cancelled then begin
-          (* the entry runs at its own key, not the cursor's *)
-          Sim.Engine.set_executing_seq t.engine ps;
-          match p.p_work with
-          | P_deliver d ->
-            delivered := true;
-            retire t d.pl_op;
-            deliver t ~link:d.pl_link ~from_node:d.pl_op.op_node
-              ~frame:d.pl_frame ~head:d.pl_head ~tail:d.pl_tail
-          | P_thunk f -> f ()
-        end
-      end
-      else continue := false
-    done;
-    ib.ib_draining <- false;
-    if !delivered then flush t
-  end;
-  (* stale cursors (superseded by an earlier-keyed one) fall through to
-     here and simply re-arm whatever is still pending *)
-  arm t ib
-
-and arm t ib =
-  if not (ib.ib_draining || Ibq.is_empty ib.ib_queue) then begin
-    let time = Ibq.min_time ib.ib_queue and seq = Ibq.min_seq ib.ib_queue in
-    let at = ib.ib_armed_time in
-    if time < at || (time = at && seq < ib.ib_armed_seq) then begin
-      ib.ib_armed_time <- time;
-      ib.ib_armed_seq <- seq;
-      ignore
-        (Sim.Engine.schedule_keyed t.engine ~time ~seq (fun () ->
-             drain t ib ~time ~seq))
-    end
-  end
-
 let cancel_delivery t = function
   | D_none -> ()
   | D_event h -> Sim.Engine.cancel t.engine h
-  | D_batch p -> p.p_cancelled <- true
-
-(* Park [work] in [node]'s inbox at the reserved key [(time, seq)]. *)
-let push_keyed t ~node ~time ~seq work =
-  let p = { p_work = work; p_seq = seq; p_cancelled = false } in
-  let ib = inbox t node in
-  Ibq.push ib.ib_queue ~time ~seq p;
-  arm t ib;
-  p
-
-let push_pending t ~node ~time work =
-  push_keyed t ~node ~time ~seq:(Sim.Engine.alloc_seq t.engine) work
-
-(* Schedule [f] at [time] as an event belonging to [node]. Unbatched,
-   this is an ordinary engine event. Batched, the thunk rides [node]'s
-   inbox with a reserved engine key, so same-instant node events (one
-   process step per frame of a delivery batch, parallel-port completions)
-   drain under one cursor instead of one heap pop each — with execution
-   order provably identical to the unbatched run. *)
-let defer t ~node ~time f =
-  if time < now t then invalid_arg "World.defer: time in the past";
-  if t.batching then ignore (push_pending t ~node ~time (P_thunk f))
-  else ignore (Sim.Engine.schedule_at t.engine ~time f)
 
 (* Begin transmitting [frame] on [op], which must be idle, over [link]. *)
 let rec start_transmission t op link frame =
@@ -632,23 +380,10 @@ let rec start_transmission t op link frame =
   let peer = peer_node link op.op_node in
   (match find t.taps peer with Some f -> f ~head | None -> ());
   let delivery =
-    if t.batching then
-      D_batch
-        (push_pending t ~node:peer ~time:head
-           (P_deliver
-              {
-                pl_link = link;
-                pl_op = op;
-                pl_frame = delivered;
-                pl_head = head;
-                pl_tail = tail;
-              }))
-    else
-      D_event
-        (Sim.Engine.schedule_at t.engine ~time:head (fun () ->
-             retire t op;
-             deliver t ~link ~from_node:op.op_node ~frame:delivered ~head ~tail;
-             flush t))
+    D_event
+      (Sim.Engine.schedule_at t.engine ~time:head (fun () ->
+           retire t op;
+           deliver t ~link ~from_node:op.op_node ~frame:delivered ~head ~tail))
   in
   let done_seq = Sim.Engine.alloc_seq t.engine in
   let tx =
@@ -668,19 +403,12 @@ let rec start_transmission t op link frame =
   C.add t.agg.agg_sent_bytes (Bytes.length frame.Frame.payload);
   op.busy_time <- op.busy_time + tx_time
 
-(* Schedule [tx]'s completion at the key it reserved. Batched, it parks
-   in the sending node's inbox: an inbox is only a holding pen keyed by
-   reserved engine keys, so any fixed choice preserves execution order. *)
+(* Schedule [tx]'s completion at the key it reserved. *)
 and schedule_completion t op tx =
   tx.completion <-
-    (if t.batching then
-       D_batch
-         (push_keyed t ~node:op.op_node ~time:tx.finish ~seq:tx.done_seq
-            (P_thunk (fun () -> complete t op)))
-     else
-       D_event
-         (Sim.Engine.schedule_keyed t.engine ~time:tx.finish ~seq:tx.done_seq
-            (fun () -> complete t op)))
+    D_event
+      (Sim.Engine.schedule_keyed t.engine ~time:tx.finish ~seq:tx.done_seq
+         (fun () -> complete t op))
 
 and complete t op =
   op.current <- no_tx;

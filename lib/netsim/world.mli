@@ -33,50 +33,11 @@ type handler =
   t -> in_port:Topo.Graph.port -> frame:Frame.t -> head:Sim.Time.t ->
   tail:Sim.Time.t -> unit
 
-val create :
-  ?default_buffer_bytes:int -> ?batching:bool -> ?pooling:bool ->
-  Sim.Engine.t -> Topo.Graph.t -> t
+val create : ?default_buffer_bytes:int -> Sim.Engine.t -> Topo.Graph.t -> t
 (** [default_buffer_bytes] bounds each output queue (default 256 KiB).
-
-    [batching] (default false) turns on batched link delivery: frames
-    crossing into the same node at the same simulated instant are
-    handed to it in one engine event. Each queued delivery reserves a
-    real engine sequence key, and the per-node cursor only drains
-    entries that sort strictly before the engine's next queued event,
-    so execution order — and therefore every byte of telemetry — is
-    identical to the unbatched run; only heap traffic, closures, and
-    dispatch overhead are amortized.
-
-    [pooling] (default false) gives the world a buffer arena
-    ({!Wire.Pool}) that the router forwarding path threads through
-    {!Viper.Trailer.append_hop_sub}: steady-state forwarding does zero
-    fresh [Bytes.create] per hop. Pool accounting is kept off the
-    telemetry registry, so pooled and unpooled runs stay
-    bit-identical. *)
-
-val batching : t -> bool
-
-val pool : t -> Wire.Pool.t option
-(** The world's buffer arena when created with [~pooling:true]. *)
-
-val release_payload : t -> bytes -> unit
-(** Return a payload buffer to the arena (no-op without pooling). The
-    caller must own the only live reference — see {!Wire.Pool.release}. *)
-
-val defer : t -> node:Topo.Graph.node_id -> time:Sim.Time.t -> (unit -> unit) -> unit
-(** Schedule [f] at [time] as an event belonging to [node]. Without
-    batching this is exactly {!Sim.Engine.schedule_at}. With batching
-    the thunk reserves a real engine sequence key and rides [node]'s
-    delivery inbox, so same-instant events of one node — the per-frame
-    process steps behind a delivery batch, completions of parallel
-    ports — drain under a single cursor event instead of one heap
-    pop each. Execution order is identical either way. *)
-
-val add_flush_hook : t -> (unit -> unit) -> unit
-(** Register [f] to run after every delivery batch (batched mode) or
-    after each delivery event (unbatched). The shard layer drains its
-    egress accumulators here, so cross-shard channel pushes amortize
-    with the same batch boundaries as local delivery. *)
+    Every link delivery is one engine event at the frame's head arrival,
+    and every node-side delay (a router's act step, a host's reception)
+    is scheduled by its owner directly on {!engine}. *)
 
 val engine : t -> Sim.Engine.t
 val graph : t -> Topo.Graph.t

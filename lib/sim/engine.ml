@@ -27,7 +27,6 @@ let create () =
 let now t = t.clock
 let executed t = t.executed
 let executing_seq t = t.executing_seq
-let set_executing_seq t seq = t.executing_seq <- seq
 
 let passed t ~time ~seq =
   time < t.clock || (time = t.clock && seq < t.executing_seq)
@@ -44,10 +43,9 @@ let schedule t ~delay f =
   schedule_at t ~time:(t.clock + delay) f
 
 (* Reserve the sequence number an event scheduled right now would get,
-   without pushing anything into the heap. Batched delivery queues use
-   this: each queued delivery captures the exact key it would have had
-   as a heap event, so replaying queue entries in key order is
-   indistinguishable from having scheduled them individually. *)
+   without pushing anything into the heap: a lazy event scheduled later
+   at this key with [schedule_keyed] runs exactly where it would have
+   had it been scheduled now. *)
 let alloc_seq t =
   let s = t.next_seq in
   t.next_seq <- t.next_seq + 1;
@@ -105,10 +103,3 @@ let run ?until ?(max_events = max_int) t =
 
 let pending t = Heap.size t.queue
 let next_time t = if Heap.is_empty t.queue then None else Some (Heap.min_time t.queue)
-
-let precedes_next t ~time ~seq =
-  let q = t.queue in
-  Heap.is_empty q
-  ||
-  let ht = Heap.min_time q in
-  time < ht || (time = ht && seq < Heap.min_seq q)

@@ -23,10 +23,10 @@ val schedule_at : t -> time:Time.t -> (unit -> unit) -> handle
 
 val alloc_seq : t -> int
 (** Reserve and return the sequence number an event scheduled right now
-    would receive, advancing the counter without pushing anything.
-    Batched delivery queues capture one key per queued delivery this
-    way, so draining the queue in key order is observably identical to
-    having scheduled each delivery as its own event. *)
+    would receive, advancing the counter without pushing anything. A
+    lazy event (a port's transmission completion) reserves its key this
+    way and is scheduled at it later with {!schedule_keyed}, or never;
+    {!passed} tells whether it would have run. *)
 
 val executing_seq : t -> int
 (** The seq half of the key [(now t, executing_seq t)] of the event now
@@ -39,11 +39,6 @@ val executing_seq : t -> int
     then at or before [now] has passed, and keys reserved since have
     not. Allocates nothing. *)
 
-val set_executing_seq : t -> int -> unit
-(** Publish the key of an entry a batching cursor drains under its own
-    event: the entry runs at [(now t, seq)], and {!passed} must judge
-    against that key, not the cursor's. *)
-
 val passed : t -> time:Time.t -> seq:int -> bool
 (** Whether the key [(time, seq)] sorts strictly before the executing key
     — i.e. whether an event reserved at that key would already have run.
@@ -53,17 +48,10 @@ val passed : t -> time:Time.t -> seq:int -> bool
     ties. Allocates nothing. *)
 
 val schedule_keyed : t -> time:Time.t -> seq:int -> (unit -> unit) -> handle
-(** Schedule with an explicit (previously reserved) sequence key — the
-    re-arming half of {!alloc_seq}: a batching cursor parks itself in
-    the heap at exactly the key of the next queued delivery. The time
-    must not be in the past; the seq must be non-negative. *)
-
-val precedes_next : t -> time:Time.t -> seq:int -> bool
-(** Whether the key [(time, seq)] sorts strictly before the earliest
-    queued event (cancelled ones included); [true] when the queue is
-    empty. A batching cursor asks this of its own queue's front to
-    decide whether the next delivery is still globally next. Allocates
-    nothing. *)
+(** Schedule with an explicit sequence key previously reserved with
+    {!alloc_seq}: the event runs exactly where one scheduled at
+    reservation time would have. The time must not be in the past; the
+    seq must be non-negative. *)
 
 val cancel : t -> handle -> unit
 (** Cancelling an already-run or already-cancelled event is a no-op. *)

@@ -153,9 +153,25 @@ let substitute_route bytes ~route =
 (* The failover fast path fused: byte-identical to
    [Trailer.append_branch_marker (substitute_route bytes ~route)] but
    with one allocation instead of two full copies (PR 7 composed them). *)
-let substitute_route_branch ?pool bytes ~route =
+let substitute_route_branch bytes ~route =
   let pos = skip_route_chain bytes in
-  Trailer.append_branch_marker_sub ?pool bytes ~pos ~route
+  Trailer.append_branch_marker_sub bytes ~pos ~route
+
+(* The return hops come from the reverse lanes, oldest first — the order
+   VIPER appends them — so [return_route] rides the recorded path back. *)
+let of_xsr b =
+  let priority = Xsr.priority b in
+  let flags = { Segment.vnt = false; dib = false; rpf = true } in
+  let trailer =
+    List.rev_map
+      (fun port -> Trailer.Hop (Segment.make ~flags ~priority ~port ()))
+      (Xsr.reverse_ports b)
+  in
+  {
+    route = [ Segment.make ~priority ~port:Segment.local_port () ];
+    data = Xsr.data b;
+    trailer;
+  }
 
 let truncate_to bytes ~max =
   if max < 0 then invalid_arg "Packet.truncate_to";

@@ -91,12 +91,20 @@ val substitute_route : bytes -> route:bytes -> bytes
     failover step when the addressed link is down and the leading segment
     carries a branch. Raises on malformed input. *)
 
-val substitute_route_branch : ?pool:Wire.Pool.t -> bytes -> route:bytes -> bytes
+val substitute_route_branch : bytes -> route:bytes -> bytes
 (** [substitute_route_branch packet ~route] is byte-identical to
     [Trailer.append_branch_marker (substitute_route packet ~route)] in
     one sized allocation — the complete fused failover step: splice the
     branch over the remaining route and record the switch in the
-    trailer. With [?pool] the output buffer comes from the arena. *)
+    trailer. *)
+
+val of_xsr : bytes -> t
+(** An arrived XSR packet unfolded into a VIPER packet: a local-delivery
+    route, the data, and a trailer of RPF-flagged return hops built from
+    the reverse lanes ({!Xsr.reverse_ports}), oldest first. {!return_route}
+    on the result is the recorded path back, so a receiver replies over
+    VIPER without knowing the packet arrived as XSR. The header is not
+    verified: call it on a packet {!Xsr.step} answered [Deliver] for. *)
 
 val truncate_to : bytes -> max:int -> bytes
 (** Model of cut-through truncation at an MTU boundary: keep the first

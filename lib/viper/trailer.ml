@@ -108,13 +108,10 @@ let append_hop packet seg =
    but builds the output in ONE sized allocation with two blits, instead
    of materializing the stripped suffix first (the intermediate copy cost
    every router paid per hop). The segment is serialized straight into
-   the output (no temporary encode), and with [?pool] the output buffer
-   itself comes from an arena — zero fresh allocation per hop in steady
-   state. Error cases and their order mirror the unfused composition
-   (oversized segments raise [Invalid_argument] rather than a writer
-   overflow). Every byte of the output is overwritten, so a dirty pooled
-   buffer is safe. *)
-let append_hop_sub ?pool packet ~pos seg =
+   the output (no temporary encode). Error cases and their order mirror
+   the unfused composition (oversized segments raise [Invalid_argument]
+   rather than a writer overflow). *)
+let append_hop_sub packet ~pos seg =
   let len = Segment.encoded_size seg in
   if len > max_entry then invalid_arg "Trailer.append_hop: segment too large";
   let n = Bytes.length packet in
@@ -130,11 +127,7 @@ let append_hop_sub ?pool packet ~pos seg =
   let added = len + 3 in
   let new_total = old_total + added in
   if new_total > 0xFFFF then invalid_arg "Trailer: overflow";
-  let out =
-    match pool with
-    | Some p -> Wire.Pool.alloc p (sub_len + added)
-    | None -> Bytes.create (sub_len + added)
-  in
+  let out = Bytes.create (sub_len + added) in
   Bytes.blit packet pos out 0 body;
   let w = Wire.Buf.writer_onto out ~off:body ~len in
   Segment.write w seg;
@@ -159,9 +152,8 @@ let append_branch_marker packet =
    but built in one sized allocation with two blits — the route splice
    and the marker append each cost a full copy before. Checks mirror
    [append_branch_marker]'s [total_of] on the spliced result (the total
-   lives in [packet]'s last 3 bytes either way). Every output byte is
-   overwritten, so a dirty pooled buffer is safe. *)
-let append_branch_marker_sub ?pool packet ~pos ~route =
+   lives in [packet]'s last 3 bytes either way). *)
+let append_branch_marker_sub packet ~pos ~route =
   let n = Bytes.length packet in
   if pos < 0 || pos > n then invalid_arg "Trailer: malformed (short)";
   let rest_len = n - pos in
@@ -173,11 +165,7 @@ let append_branch_marker_sub ?pool packet ~pos ~route =
   let new_total = old_total + 2 in
   if new_total > 0xFFFF then invalid_arg "Trailer: overflow";
   let body = rlen + rest_len - 3 in
-  let out =
-    match pool with
-    | Some p -> Wire.Pool.alloc p (body + 5)
-    | None -> Bytes.create (body + 5)
-  in
+  let out = Bytes.create (body + 5) in
   Bytes.blit route 0 out 0 rlen;
   Bytes.blit packet pos out rlen (rest_len - 3);
   Bytes.set_uint16_be out body branch_marker;

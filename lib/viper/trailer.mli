@@ -57,16 +57,13 @@ val append_hop : bytes -> Segment.t -> bytes
 (** [append_hop packet seg] is the packet with [seg] moved onto the end of
     the trailer and the total updated — the per-router loopback operation. *)
 
-val append_hop_sub : ?pool:Wire.Pool.t -> bytes -> pos:int -> Segment.t -> bytes
+val append_hop_sub : bytes -> pos:int -> Segment.t -> bytes
 (** [append_hop_sub packet ~pos seg] is byte-identical to
     [append_hop (Bytes.sub packet pos (Bytes.length packet - pos)) seg],
     but performs the strip-and-append in a single sized allocation with
     two blits, serializing the segment straight into the output — the
     per-hop fast path, which would otherwise copy the packet twice per
-    router. With [?pool] the output buffer comes from the arena instead
-    of [Bytes.create]: zero fresh allocation per hop once the pool is
-    warm. Every output byte is overwritten, so dirty pooled buffers are
-    safe. (Error cases match the unfused composition, except that an
+    router. (Error cases match the unfused composition, except that an
     oversized segment raises [Invalid_argument] before any encoding.) *)
 
 val append_truncation_marker : bytes -> bytes
@@ -76,8 +73,7 @@ val append_branch_marker : bytes -> bytes
     branch route, so the receiver knows the reverse route it rebuilds is
     the path {e actually taken}, not the one originally sold. *)
 
-val append_branch_marker_sub :
-  ?pool:Wire.Pool.t -> bytes -> pos:int -> route:bytes -> bytes
+val append_branch_marker_sub : bytes -> pos:int -> route:bytes -> bytes
 (** [append_branch_marker_sub packet ~pos ~route] is byte-identical to
     [append_branch_marker
        (Bytes.cat route (Bytes.sub packet pos (Bytes.length packet - pos)))]
@@ -85,7 +81,7 @@ val append_branch_marker_sub :
     step: splice the pre-encoded branch [route] in place of the packet
     prefix ending at [pos] and record the switch in the trailer.
     {!Packet.substitute_route_branch} pairs this with the VNT-chain
-    skip. With [?pool] the output comes from the arena. *)
+    skip. *)
 
 val max_entry : int
 (** Largest legal entry segment (0xFFFD bytes); larger raises. 0xFFFF and

@@ -60,7 +60,7 @@ let hop_idx b = Char.code (Bytes.get b 4)
 let data b = Bytes.sub b header_size (Bytes.length b - header_size)
 let data_length b = Bytes.length b - header_size
 
-let encode ?pool ?(rpf = false) ?(priority = Token.Priority.normal) ~ports ~data () =
+let encode ?(rpf = false) ?(priority = Token.Priority.normal) ~ports ~data () =
   let k = List.length ports in
   if k < 1 || k > width then invalid_arg "Xsr.encode: 1..8 ports";
   if not (Token.Priority.valid priority) then invalid_arg "Xsr.encode: priority";
@@ -68,9 +68,7 @@ let encode ?pool ?(rpf = false) ?(priority = Token.Priority.normal) ~ports ~data
     (fun p -> if p < 0 || p > 255 then invalid_arg "Xsr.encode: port")
     ports;
   let n = header_size + Bytes.length data in
-  let b =
-    match pool with Some p -> Wire.Pool.alloc p n | None -> Bytes.create n
-  in
+  let b = Bytes.create n in
   Bytes.set b 0 (Char.chr magic);
   Bytes.set b 1 (Char.chr version_byte);
   Bytes.set b 2 (Char.chr (((if rpf then rpf_bit else 0) lsl 4) lor priority));
@@ -135,7 +133,7 @@ let reverse_ports b =
   in
   go 0 []
 
-let encode_reverse ?pool b ~data =
+let encode_reverse b ~data =
   let ports = reverse_ports b in
   if ports = [] then invalid_arg "Xsr.encode_reverse: no hops recorded";
-  encode ?pool ~rpf:true ~priority:(priority b) ~ports ~data ()
+  encode ~rpf:true ~priority:(priority b) ~ports ~data ()

@@ -34,7 +34,7 @@ val is_xsr : bytes -> bool
     such segments, and dual-stack routers sniff XSR first. *)
 
 val encode :
-  ?pool:Wire.Pool.t -> ?rpf:bool -> ?priority:Token.Priority.t ->
+  ?rpf:bool -> ?priority:Token.Priority.t ->
   ports:int list -> data:bytes -> unit -> bytes
 (** Fold [ports] (the per-router out-ports, 1..{!width} of them, final
     local delivery implicit) and [data] into a fresh XSR packet.
@@ -61,7 +61,7 @@ val reverse_ports : bytes -> int list
     a reply must traverse (the XSR analogue of the VIPER return
     route). *)
 
-val encode_reverse : ?pool:Wire.Pool.t -> bytes -> data:bytes -> bytes
+val encode_reverse : bytes -> data:bytes -> bytes
 (** A fresh XSR packet riding the accumulated reverse route of [b], RPF
     flagged, priority preserved. Raises [Invalid_argument] when no hops
     have been recorded. *)

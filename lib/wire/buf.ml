@@ -16,8 +16,8 @@ let writer_capacity w = Bytes.length w.store
 
 (* A fixed-window writer over an existing buffer: [max_size] equals the
    window, so [ensure] never grows (and never copies) — every [put_*]
-   lands directly in [b] starting at [off]. Arena-backed codecs use this
-   to serialize straight into a pooled buffer. *)
+   lands directly in [b] starting at [off]. Fused codecs use this to
+   serialize straight into a buffer they sized themselves. *)
 let writer_onto b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Buf.writer_onto";

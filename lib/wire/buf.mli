@@ -30,8 +30,8 @@ val writer_onto : bytes -> off:int -> len:int -> writer
 (** [writer_onto b ~off ~len] is a fixed-window writer whose [put_*]
     calls land directly in [b.[off .. off+len)] — no growth, no copy;
     exceeding the window raises {!Overflow}. [writer_length] reports the
-    absolute end position ([off] + bytes written). Arena-backed codecs
-    use this to serialize straight into a pooled buffer. *)
+    absolute end position ([off] + bytes written). Fused codecs use this
+    to serialize straight into a buffer they sized themselves. *)
 
 val put_u8 : writer -> int -> unit
 val put_u16 : writer -> int -> unit

@@ -1,17 +1,15 @@
-(** Exact-size bucketed buffer arena for the forwarding fast path.
+(** Exact-size bucketed buffer arena.
 
-    Per-hop buffer sizes recur packet after packet, so a free list per
-    exact size makes steady-state forwarding allocation-free: [alloc]
-    pops a retained buffer when one of that size exists and falls back
-    to [Bytes.create] otherwise. Buffers come back dirty — callers must
-    overwrite every byte they expose.
+    When buffer sizes recur, a free list per exact size makes
+    steady-state allocation free: [alloc] pops a retained buffer when
+    one of that size exists and falls back to [Bytes.create] otherwise.
+    Buffers come back dirty — callers must overwrite every byte they
+    expose. The simulator's packet path does not use it (it measured as
+    a trade-off, not a win; see DESIGN.md §14).
 
     Ownership is linear: whoever receives a buffer owns it, and must
     [release] it at most once, only when no live reference remains.
-    The pool keeps its own hit/miss counters off the telemetry registry
-    so pooled and unpooled runs of the same simulation stay
-    bit-identical in merged telemetry. Not thread-safe; one pool per
-    world (per domain). *)
+    The pool keeps its own hit/miss counters. Not thread-safe. *)
 
 type t
 

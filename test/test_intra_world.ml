@@ -331,12 +331,11 @@ type cluster_run = {
    crosses the gateways. [faults] adds a shard-resident injector per
    region (seeded per region) flapping each region's h0 access link —
    the E18-style region-parallel damage arm. *)
-let run_cluster ?epoch ?(faults = false) ?(batching = false) ?(pooling = false)
-    ~shards ~until () =
+let run_cluster ?epoch ?(faults = false) ~shards ~until () =
   let regions = 4 and hosts_per_region = 2 in
   let g, gws, hosts = build ~regions ~hosts_per_region in
   let p = split_exn g in
-  let cluster = S.create ~batching ~pooling p in
+  let cluster = S.create p in
   for r = 0 to S.regions cluster - 1 do
     Telemetry.Flight.set_policy
       (W.flight (S.world cluster r))
@@ -414,6 +413,11 @@ let run_cluster ?epoch ?(faults = false) ?(batching = false) ?(pooling = false)
       done)
     hosts;
   let stats = S.run ~shards ?epoch ~until cluster in
+  (* a handler exception is swallowed and counted by the world: every
+     cluster run must end with none *)
+  for r = 0 to S.regions cluster - 1 do
+    check_int "no handler raised" 0 (W.total_handler_errors (S.world cluster r))
+  done;
   {
     stats;
     rows = S.merged_rows cluster;
@@ -461,6 +465,7 @@ let cluster_is_deterministic () =
 let cluster_odd_width_deterministic () =
   let serial = run_cluster ~shards:1 ~until () in
   let odd = run_cluster ~shards:3 ~until () in
+  check_int "same deliveries" serial.received odd.received;
   check_bool "rows bit-identical" true (serial.rows = odd.rows);
   check_bool "events bit-identical" true (serial.events = odd.events);
   check_bool "flights bit-identical" true (serial.flights = odd.flights)
@@ -487,37 +492,6 @@ let cluster_rebalanced_deterministic () =
   check_int "same epochs" a.stats.S.epochs b.stats.S.epochs;
   check_int "same migrations" a.stats.S.migrations b.stats.S.migrations
 
-(* Wire-speed mechanisms are same-simulation controls: batched fan-in
-   drains and arena-backed forwarding must leave the merged telemetry
-   bit-identical to the plain unbatched/unpooled serial reference, at
-   every shard width, and compose with faults and re-balancing. *)
-let cluster_batched_pooled_identical () =
-  let serial = run_cluster ~shards:1 ~until () in
-  List.iter
-    (fun (batching, pooling, shards) ->
-      let r = run_cluster ~batching ~pooling ~shards ~until () in
-      let label = Printf.sprintf "b=%b p=%b w=%d" batching pooling shards in
-      check_int (label ^ " deliveries") serial.received r.received;
-      check_bool (label ^ " rows") true (serial.rows = r.rows);
-      check_bool (label ^ " events") true (serial.events = r.events);
-      check_bool (label ^ " flights") true (serial.flights = r.flights))
-    [
-      (true, false, 1);
-      (false, true, 1);
-      (true, true, 1);
-      (true, true, 3);
-      (true, true, 4);
-    ];
-  (* and under fault injection + re-balancing *)
-  let fser = run_cluster ~faults:true ~shards:1 ~until () in
-  let fbat =
-    run_cluster ~faults:true ~batching:true ~pooling:true
-      ~epoch:(Sim.Time.ms 10) ~shards:4 ~until ()
-  in
-  check_bool "faulted rows identical" true (fser.rows = fbat.rows);
-  check_bool "faulted events identical" true (fser.events = fbat.events);
-  check_bool "faulted flights identical" true (fser.flights = fbat.flights)
-
 (* E18-style fault matrix, region-parallel: shard-resident injectors
    (one per region, region-derived seeds) produce per-region damage
    tables bit-identical to the serial reference. *)
@@ -537,7 +511,8 @@ let cluster_faults_region_parallel () =
   (* and re-balancing composes with faults *)
   let reb = run_cluster ~faults:true ~epoch:(Sim.Time.ms 10) ~shards:4 ~until () in
   check_bool "rebalanced fault rows identical" true (serial.rows = reb.rows);
-  check_bool "rebalanced fault events identical" true (serial.events = reb.events)
+  check_bool "rebalanced fault events identical" true (serial.events = reb.events);
+  check_bool "rebalanced fault flights identical" true (serial.flights = reb.flights)
 
 let () =
   Alcotest.run "intra_world"
@@ -580,7 +555,5 @@ let () =
             cluster_rebalanced_deterministic;
           Alcotest.test_case "region-parallel faults = serial" `Quick
             cluster_faults_region_parallel;
-          Alcotest.test_case "batched+pooled = plain at 1/3/4" `Quick
-            cluster_batched_pooled_identical;
         ] );
     ]

@@ -195,175 +195,68 @@ let undelivered_counted () =
   Sim.Engine.run engine;
   check_int "undelivered" 1 (W.undelivered world)
 
-(* The world's port, handler and inbox tables are sized on demand: nodes
-   and ports that appear after [W.create] — including a port number far
-   past any link — must work like the ones that were there. *)
+(* The world's port and handler tables are sized on demand: nodes and
+   ports that appear after [W.create] — including a port number far past
+   any link — must work like the ones that were there. *)
 let tables_grow_after_create () =
-  List.iter
-    (fun batching ->
-      let g = G.create () in
-      let hub = G.add_node g G.Router in
-      let engine = Sim.Engine.create () in
-      let world = W.create ~batching engine g in
-      let leaves = Array.init 40 (fun _ -> G.add_node g G.Host) in
-      let ports = Array.map (fun l -> fst (G.connect g hub l props)) leaves in
-      let last = Array.length leaves - 1 in
-      let got = ref [] in
-      W.set_handler world leaves.(last) (fun _ ~in_port ~frame:_ ~head:_ ~tail:_ ->
-          got := in_port :: !got);
-      let frame () = W.fresh_frame world (Bytes.make 10 'x') in
-      ignore (W.send world ~node:hub ~port:ports.(last) (frame ()));
-      (match W.send world ~node:hub ~port:200 (frame ()) with
-      | W.Dropped_no_link -> ()
-      | _ -> Alcotest.fail "port 200 has no link");
-      Sim.Engine.run engine;
-      Alcotest.(check (list int)) "delivered on the leaf's port" [ 1 ] !got;
-      check_int "sent on the last port" 1
-        (W.port_stats world ~node:hub ~port:ports.(last)).W.sent_frames;
-      check_int "no-link drop on port 200" 1
-        (W.port_stats world ~node:hub ~port:200).W.dropped_no_link;
-      check_int "first port untouched" 0
-        (W.port_stats world ~node:hub ~port:ports.(0)).W.sent_frames)
-    [ false; true ]
-
-(* --- batched delivery: execution-order equivalence --- *)
-
-(* A fan-in star: [k] leaves into one hub, synchronized sends, so the
-   hub sees same-instant arrival batches. The batched drain must replay
-   the exact unbatched execution — same deliveries, same order, same
-   (head, tail, now) stamps, same port stats — because batching only
-   regroups same-key events, never reorders them. *)
-let star_scenario ~batching ~pooling =
-  let k = 4 in
   let g = G.create () in
-  let hub = G.add_node g G.Host in
-  let leaves = Array.init k (fun _ -> G.add_node g G.Host) in
-  Array.iter (fun l -> ignore (G.connect g l hub props)) leaves;
+  let hub = G.add_node g G.Router in
   let engine = Sim.Engine.create () in
-  let world = W.create ~batching ~pooling engine g in
-  let log = ref [] in
-  W.set_handler world hub (fun _ ~in_port ~frame ~head ~tail ->
-      log :=
-        ( in_port,
-          Bytes.get frame.Netsim.Frame.payload 0,
-          frame.Netsim.Frame.aborted,
-          head,
-          tail,
-          Sim.Engine.now engine )
-        :: !log);
-  (* wave 1: all leaves at t=0, equal sizes -> one 4-wide batch at hub *)
-  Array.iteri
-    (fun i l ->
-      ignore
-        (W.send world ~node:l ~port:1
-           (W.fresh_frame world (Bytes.make 100 (Char.chr (Char.code 'a' + i))))))
-    leaves;
-  (* wave 2: a long victim then a preemptive frame on the same leaf port *)
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 50) (fun () ->
-         ignore
-           (W.send world ~node:leaves.(0) ~port:1
-              (W.fresh_frame world (Bytes.make 1000 'v')))));
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 150) (fun () ->
-         ignore
-           (W.send world ~node:leaves.(0) ~port:1
-              (W.fresh_frame world ~priority:7 (Bytes.make 100 'u')))));
-  (* wave 3: queue two frames on leaf 1 then purge it mid-stream *)
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 60) (fun () ->
-         ignore
-           (W.send world ~node:leaves.(1) ~port:1
-              (W.fresh_frame world (Bytes.make 1000 'p')));
-         ignore
-           (W.send world ~node:leaves.(1) ~port:1
-              (W.fresh_frame world (Bytes.make 100 'q')))));
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 120) (fun () ->
-         ignore (W.purge_node world ~node:leaves.(1))));
-  (* wave 4: another synchronized burst after the dust settles *)
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 2) (fun () ->
-         Array.iteri
-           (fun i l ->
-             ignore
-               (W.send world ~node:l ~port:1
-                  (W.fresh_frame world
-                     (Bytes.make 100 (Char.chr (Char.code 'A' + i))))))
-           leaves));
+  let world = W.create engine g in
+  let leaves = Array.init 40 (fun _ -> G.add_node g G.Host) in
+  let ports = Array.map (fun l -> fst (G.connect g hub l props)) leaves in
+  let last = Array.length leaves - 1 in
+  let got = ref [] in
+  W.set_handler world leaves.(last) (fun _ ~in_port ~frame:_ ~head:_ ~tail:_ ->
+      got := in_port :: !got);
+  let frame () = W.fresh_frame world (Bytes.make 10 'x') in
+  ignore (W.send world ~node:hub ~port:ports.(last) (frame ()));
+  (match W.send world ~node:hub ~port:200 (frame ()) with
+  | W.Dropped_no_link -> ()
+  | _ -> Alcotest.fail "port 200 has no link");
   Sim.Engine.run engine;
-  let stats =
-    Array.to_list
-      (Array.map
-         (fun l ->
-           let s = W.port_stats world ~node:l ~port:1 in
-           (s.W.sent_frames, s.W.preempted, s.W.purged))
-         leaves)
-  in
-  (List.rev !log, stats, Sim.Engine.now engine)
-
-let batched_equals_unbatched () =
-  let reference = star_scenario ~batching:false ~pooling:false in
-  let ref_log, _, _ = reference in
-  check_bool "scenario delivers" true (List.length ref_log >= 8);
-  List.iter
-    (fun (batching, pooling, label) ->
-      let log, stats, end_t = star_scenario ~batching ~pooling in
-      let rlog, rstats, rend = reference in
-      Alcotest.(check int) (label ^ " count") (List.length rlog) (List.length log);
-      List.iteri
-        (fun i ((p, c, ab, h, tl, n), (p', c', ab', h', tl', n')) ->
-          let m = Printf.sprintf "%s delivery %d" label i in
-          check_int (m ^ " port") p p';
-          Alcotest.(check char) (m ^ " byte") c c';
-          check_bool (m ^ " aborted") ab ab';
-          check_int (m ^ " head") h h';
-          check_int (m ^ " tail") tl tl';
-          check_int (m ^ " now") n n')
-        (List.combine rlog log);
-      Alcotest.(check (list (triple int int int))) (label ^ " stats") rstats stats;
-      check_int (label ^ " end time") rend end_t)
-    [
-      (true, false, "batched");
-      (false, true, "pooled");
-      (true, true, "batched+pooled");
-    ]
+  Alcotest.(check (list int)) "delivered on the leaf's port" [ 1 ] !got;
+  check_int "sent on the last port" 1
+    (W.port_stats world ~node:hub ~port:ports.(last)).W.sent_frames;
+  check_int "no-link drop on port 200" 1
+    (W.port_stats world ~node:hub ~port:200).W.dropped_no_link;
+  check_int "first port untouched" 0
+    (W.port_stats world ~node:hub ~port:ports.(0)).W.sent_frames
 
 (* The idle rule. A transmission's completion is lazy: it reserves the
    engine key [(finish, seq)] when the transmission starts and is only
    scheduled when a frame waits behind it. The port must still look busy
    to exactly the events an eager completion would have run after, so
    a key at [finish] that sorts before the reserved one sees a busy port
-   and one that sorts after sees it free. Every check runs on both
-   delivery paths; the probes are [defer]red, so on the batched path
-   they drain through an inbox cursor. *)
+   and one that sorts after sees it free. *)
 
 (* a -> b, 1000 B at 10 Mb/s: the transmission started at 0 finishes at
    800 us; [propagation] defaults to 5 us *)
 let idle_finish = Sim.Time.us 800
 
-let idle_pair ~batching ?(propagation = Sim.Time.us 5) () =
+let idle_pair ?(propagation = Sim.Time.us 5) () =
   let g = G.create () in
   let a = G.add_node g G.Host and b = G.add_node g G.Host in
   ignore (G.connect g a b { props with G.propagation });
   let engine = Sim.Engine.create () in
-  let world = W.create ~batching engine g in
+  let world = W.create engine g in
   let log = ref [] in
   W.set_handler world b (fun _ ~in_port:_ ~frame ~head:_ ~tail:_ ->
       log := frame :: !log);
   (engine, world, a, log)
 
-(* Start the 1000 B transmission at 0 inside an event, deferring
+(* Start the 1000 B transmission at 0 inside an event, scheduling
    [before] at [at] just before it (keyed below its completion) and
    [after] just after it (keyed above). *)
 let around_transmission ?flight engine world a ~at ~before ~after =
+  let at_key f = ignore (Sim.Engine.schedule_at engine ~time:at f) in
   ignore
     (Sim.Engine.schedule_at engine ~time:0 (fun () ->
-         List.iter (fun f -> W.defer world ~node:a ~time:at f) before;
+         List.iter at_key before;
          ignore
            (W.send world ~node:a ~port:1
               (W.fresh_frame world ?flight (Bytes.make 1000 'x')));
-         List.iter (fun f -> W.defer world ~node:a ~time:at f) after))
+         List.iter at_key after))
 
 let send_result_name = function
   | W.Started -> "Started"
@@ -373,97 +266,76 @@ let send_result_name = function
   | W.Dropped_overflow -> "Dropped_overflow"
   | W.Dropped_no_link -> "Dropped_no_link"
 
-let both_paths f () = List.iter (fun batching -> f ~batching) [ false; true ]
+let idle_rule_send_at_finish () =
+  let probe world a =
+    let result = ref "not run" in
+    let f () =
+      result :=
+        send_result_name
+          (W.send world ~node:a ~port:1 (W.fresh_frame world (Bytes.make 100 'p')))
+    in
+    (result, f)
+  in
+  (* keyed before the reserved completion key: the port is busy *)
+  let engine, world, a, _ = idle_pair () in
+  let result, f = probe world a in
+  around_transmission engine world a ~at:idle_finish ~before:[ f ] ~after:[];
+  Sim.Engine.run engine;
+  Alcotest.(check string) "before the key" "Queued" !result;
+  (* keyed after it: the port is free *)
+  let engine, world, a, _ = idle_pair () in
+  let result, f = probe world a in
+  around_transmission engine world a ~at:idle_finish ~before:[] ~after:[ f ];
+  Sim.Engine.run engine;
+  Alcotest.(check string) "after the key" "Started" !result
 
-let idle_rule_send_at_finish =
-  both_paths (fun ~batching ->
-      let label what = Printf.sprintf "%s (batching=%b)" what batching in
-      let probe world a =
-        let result = ref "not run" in
-        let f () =
-          result :=
-            send_result_name
-              (W.send world ~node:a ~port:1
-                 (W.fresh_frame world (Bytes.make 100 'p')))
-        in
-        (result, f)
-      in
-      (* keyed before the reserved completion key: the port is busy *)
-      let engine, world, a, _ = idle_pair ~batching () in
-      let result, f = probe world a in
-      around_transmission engine world a ~at:idle_finish ~before:[ f ] ~after:[];
-      Sim.Engine.run engine;
-      Alcotest.(check string) (label "before the key") "Queued" !result;
-      (* keyed after it: the port is free *)
-      let engine, world, a, _ = idle_pair ~batching () in
-      let result, f = probe world a in
-      around_transmission engine world a ~at:idle_finish ~before:[] ~after:[ f ];
-      Sim.Engine.run engine;
-      Alcotest.(check string) (label "after the key") "Started" !result;
-      (* after it, drained behind an entry keyed before it: a drained
-         entry runs at its own key, not its cursor's *)
-      let engine, world, a, _ = idle_pair ~batching () in
-      let result, f = probe world a in
-      around_transmission engine world a ~at:idle_finish ~before:[ ignore ]
-        ~after:[ f ];
-      Sim.Engine.run engine;
-      Alcotest.(check string) (label "after the key, drained") "Started" !result)
-
-let idle_rule_port_busy =
-  both_paths (fun ~batching ->
-      let engine, world, a, _ = idle_pair ~batching () in
-      let seen = ref [] in
-      let look what () =
-        seen :=
-          ( what,
-            W.port_busy world ~node:a ~port:1,
-            W.port_busy_until world ~node:a ~port:1 )
-          :: !seen
-      in
-      ignore
-        (Sim.Engine.schedule_at engine ~time:(idle_finish - 1)
-           (look "finish - 1"));
-      around_transmission engine world a ~at:idle_finish
-        ~before:[ look "finish, before the key" ]
-        ~after:[ look "finish, after the key" ];
-      ignore
-        (Sim.Engine.schedule_at engine ~time:(idle_finish + 1)
-           (look "finish + 1"));
-      Sim.Engine.run engine;
-      Alcotest.(check (list (triple string bool int)))
-        (Printf.sprintf "busy, busy_until (batching=%b)" batching)
-        [
-          ("finish - 1", true, idle_finish);
-          ("finish, before the key", true, idle_finish);
-          ("finish, after the key", false, idle_finish);
-          ("finish + 1", false, idle_finish + 1);
-        ]
-        (List.rev !seen))
+let idle_rule_port_busy () =
+  let engine, world, a, _ = idle_pair () in
+  let seen = ref [] in
+  let look what () =
+    seen :=
+      ( what,
+        W.port_busy world ~node:a ~port:1,
+        W.port_busy_until world ~node:a ~port:1 )
+      :: !seen
+  in
+  ignore
+    (Sim.Engine.schedule_at engine ~time:(idle_finish - 1) (look "finish - 1"));
+  around_transmission engine world a ~at:idle_finish
+    ~before:[ look "finish, before the key" ]
+    ~after:[ look "finish, after the key" ];
+  ignore
+    (Sim.Engine.schedule_at engine ~time:(idle_finish + 1) (look "finish + 1"));
+  Sim.Engine.run engine;
+  Alcotest.(check (list (triple string bool int)))
+    "busy, busy_until"
+    [
+      ("finish - 1", true, idle_finish);
+      ("finish, before the key", true, idle_finish);
+      ("finish, after the key", false, idle_finish);
+      ("finish + 1", false, idle_finish + 1);
+    ]
+    (List.rev !seen)
 
 (* A purge after the completion key has passed finds an idle port: the
    frame is on the wire, so nothing is purged, aborted or cancelled —
    here its head is still 1.2 ms from the peer when the node crashes. *)
-let idle_rule_purge_after_finish =
-  both_paths (fun ~batching ->
-      let label what = Printf.sprintf "%s (batching=%b)" what batching in
-      let engine, world, a, log =
-        idle_pair ~batching ~propagation:(Sim.Time.ms 2) ()
-      in
-      let recorder = W.flight world in
-      Telemetry.Flight.set_policy recorder
-        { Telemetry.Flight.sample_every = 1; capture_drops = true; capacity = 16 };
-      let flight = Telemetry.Flight.start recorder ~now:0 in
-      let purged = ref (-1) in
-      around_transmission ?flight engine world a ~at:idle_finish ~before:[]
-        ~after:[ (fun () -> purged := W.purge_node world ~node:a) ];
-      Sim.Engine.run engine;
-      check_int (label "purge_node result") 0 !purged;
-      check_int (label "purged count") 0
-        (W.port_stats world ~node:a ~port:1).W.purged;
-      check_int (label "flight drops") 0 (Telemetry.Flight.dropped recorder);
-      match !log with
-      | [ frame ] -> check_bool (label "delivered whole") false frame.Netsim.Frame.aborted
-      | l -> Alcotest.failf "%s: %d deliveries" (label "delivery") (List.length l))
+let idle_rule_purge_after_finish () =
+  let engine, world, a, log = idle_pair ~propagation:(Sim.Time.ms 2) () in
+  let recorder = W.flight world in
+  Telemetry.Flight.set_policy recorder
+    { Telemetry.Flight.sample_every = 1; capture_drops = true; capacity = 16 };
+  let flight = Telemetry.Flight.start recorder ~now:0 in
+  let purged = ref (-1) in
+  around_transmission ?flight engine world a ~at:idle_finish ~before:[]
+    ~after:[ (fun () -> purged := W.purge_node world ~node:a) ];
+  Sim.Engine.run engine;
+  check_int "purge_node result" 0 !purged;
+  check_int "purged count" 0 (W.port_stats world ~node:a ~port:1).W.purged;
+  check_int "flight drops" 0 (Telemetry.Flight.dropped recorder);
+  match !log with
+  | [ frame ] -> check_bool "delivered whole" false frame.Netsim.Frame.aborted
+  | l -> Alcotest.failf "%d deliveries" (List.length l)
 
 let trace_captures_drops () =
   let _, engine, world, a, _, _ = pair () in
@@ -514,11 +386,6 @@ let () =
         ] );
       ( "corruption",
         [ Alcotest.test_case "ber flips bytes" `Quick corruption_flips_bytes ] );
-      ( "batching",
-        [
-          Alcotest.test_case "batched = unbatched (preempt, purge)" `Quick
-            batched_equals_unbatched;
-        ] );
       ( "idle rule",
         [
           Alcotest.test_case "send at finish, either side of the key" `Quick

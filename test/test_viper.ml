@@ -453,7 +453,7 @@ let qcheck_packet_roundtrip =
       Bytes.to_string p.Pkt.data = data && List.length p.Pkt.route = hops)
 
 (* the fused failover (one sized allocation) must emit exactly the bytes
-   of the two-copy composition it replaces — pooled or not *)
+   of the two-copy composition it replaces *)
 let qcheck_fused_branch_identical =
   QCheck.Test.make ~name:"substitute_route_branch = marker . substitute" ~count:200
     QCheck.(
@@ -477,15 +477,12 @@ let qcheck_fused_branch_identical =
       let composed =
         Viper.Trailer.append_branch_marker (Pkt.substitute_route !p ~route:alt)
       in
-      let fused = Pkt.substitute_route_branch !p ~route:alt in
-      let pool = Wire.Pool.create () in
-      let pooled = Pkt.substitute_route_branch ~pool !p ~route:alt in
-      Bytes.equal composed fused && Bytes.equal composed pooled)
+      Bytes.equal composed (Pkt.substitute_route_branch !p ~route:alt))
 
-(* pooled per-hop append: same bytes as the unpooled path, even when the
-   arena hands back a dirty recycled buffer *)
-let qcheck_pooled_hop_identical =
-  QCheck.Test.make ~name:"pooled append_hop_sub byte-identical" ~count:200
+(* the fused per-hop strip + append (one sized allocation) must emit
+   exactly the bytes of the two-copy composition it replaces *)
+let qcheck_fused_hop_identical =
+  QCheck.Test.make ~name:"fused append_hop_sub byte-identical" ~count:200
     QCheck.(pair (int_range 2 8) (string_of_size Gen.(0 -- 256)))
     (fun (hops, data) ->
       let route =
@@ -495,13 +492,10 @@ let qcheck_pooled_hop_identical =
       let p = Pkt.build ~route ~data:(Bytes.of_string data) in
       let return_seg = Seg.make ~token:(Bytes.of_string "tk") ~port:9 () in
       let _, pos = Result.get_ok (Pkt.parse_leading_pos p) in
-      let plain = Viper.Trailer.append_hop_sub p ~pos return_seg in
-      let pool = Wire.Pool.create () in
-      (* dirty the bucket the output will come from *)
-      Wire.Pool.release pool (Bytes.make (Bytes.length plain) '\xFF');
-      let pooled = Viper.Trailer.append_hop_sub ~pool p ~pos return_seg in
-      let s = Wire.Pool.stats pool in
-      Bytes.equal plain pooled && s.Wire.Pool.hits = 1)
+      let stripped = Bytes.sub p pos (Bytes.length p - pos) in
+      Bytes.equal
+        (Viper.Trailer.append_hop stripped return_seg)
+        (Viper.Trailer.append_hop_sub p ~pos return_seg))
 
 let qcheck_reversal_is_reverse =
   QCheck.Test.make ~name:"trailer reversal yields reversed in-ports" ~count:100
@@ -589,7 +583,7 @@ let () =
             qcheck_size_matches;
             qcheck_packet_roundtrip;
             qcheck_fused_branch_identical;
-            qcheck_pooled_hop_identical;
+            qcheck_fused_hop_identical;
             qcheck_reversal_is_reverse;
           ] );
     ]

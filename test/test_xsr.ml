@@ -105,6 +105,15 @@ let reverse_route_rides_back () =
   | Xsr.Deliver -> ()
   | _ -> Alcotest.fail "must deliver");
   Alcotest.(check (list int)) "reverse newest-first" [ 7; 6; 5 ] (Xsr.reverse_ports b);
+  (* unfolded into a VIPER packet, the lanes are a trailer whose return
+     route is the same path back *)
+  let unfolded = Viper.Packet.of_xsr b in
+  let ports segs = List.map (fun s -> s.Seg.port) segs in
+  check_string "unfolded data" "req" (Bytes.to_string unfolded.Viper.Packet.data);
+  Alcotest.(check (list int)) "unfolded route is local" [ Seg.local_port ]
+    (ports unfolded.Viper.Packet.route);
+  Alcotest.(check (list int)) "unfolded return route" [ 7; 6; 5 ]
+    (ports (Viper.Packet.return_route unfolded));
   let back = Xsr.encode_reverse b ~data:(Bytes.of_string "rsp") in
   check_bool "rpf set" true (Xsr.rpf back);
   (* riding the reply: each hop's out-port is the recorded in-port *)
@@ -120,7 +129,7 @@ let reverse_route_rides_back () =
 
 let props = G.default_props
 
-let chain ?(batching = false) ?(pooling = false) n_routers =
+let chain n_routers =
   let g = G.create () in
   let h1 = G.add_node g G.Host in
   let routers = Array.init n_routers (fun _ -> G.add_node g G.Router) in
@@ -131,7 +140,7 @@ let chain ?(batching = false) ?(pooling = false) n_routers =
   done;
   ignore (G.connect g routers.(n_routers - 1) h2 props);
   let engine = Sim.Engine.create () in
-  let world = W.create ~batching ~pooling engine g in
+  let world = W.create engine g in
   let router_objs =
     Array.map (fun r -> Sirpent.Router.create world ~node:r ()) routers
   in
@@ -147,7 +156,7 @@ let route_between g ~src ~dst =
   | None -> Alcotest.fail "no path"
 
 let xsr_end_to_end () =
-  let g, engine, _w, h1, h2, routers = chain 4 in
+  let g, engine, world, h1, h2, routers = chain 4 in
   let route =
     route_between g ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2)
   in
@@ -155,6 +164,7 @@ let xsr_end_to_end () =
   Sirpent.Host.set_receive h2 (fun _ ~packet ~in_port:_ -> got := Some packet);
   ignore (Sirpent.Host.send_xsr h1 ~route ~data:(Bytes.of_string "over xsr") ());
   Sim.Engine.run engine;
+  check_int "no handler raised" 0 (W.total_handler_errors world);
   match !got with
   | None -> Alcotest.fail "not delivered"
   | Some p ->
@@ -168,7 +178,7 @@ let xsr_end_to_end () =
 
 let xsr_reply_over_viper () =
   (* the synthesized trailer is a real VIPER return route: reply works *)
-  let g, engine, _w, h1, h2, _ = chain 3 in
+  let g, engine, world, h1, h2, _ = chain 3 in
   let route =
     route_between g ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2)
   in
@@ -181,6 +191,7 @@ let xsr_reply_over_viper () =
       reply_data := Some (Bytes.to_string packet.Viper.Packet.data));
   ignore (Sirpent.Host.send_xsr h1 ~route ~data:(Bytes.of_string "ping") ());
   Sim.Engine.run engine;
+  check_int "no handler raised" 0 (W.total_handler_errors world);
   Alcotest.(check (option string)) "pong over viper" (Some "pong") !reply_data
 
 let xsr_corruption_counted_never_misrouted () =
@@ -201,7 +212,8 @@ let xsr_corruption_counted_never_misrouted () =
   let s = Sirpent.Router.stats routers.(0) in
   check_int "counted dropped_malformed" 1 s.Sirpent.Router.dropped_malformed;
   check_int "never forwarded" 0 s.Sirpent.Router.forwarded;
-  check_int "not delivered" 0 (Sirpent.Host.received h2)
+  check_int "not delivered" 0 (Sirpent.Host.received h2);
+  check_int "no handler raised" 0 (W.total_handler_errors world)
 
 let xsr_constant_bytes_on_wire () =
   (* VIPER nets +3 bytes per hop (trailer +7, route -4): by 4 router
@@ -230,35 +242,6 @@ let xsr_constant_bytes_on_wire () =
   check_int "constant per crossing" (Xsr.header_size + 32) (Bytes.length xsr);
   check_bool "xsr total below viper at 4 hops" true (xsr_total < viper_total)
 
-let xsr_batched_pooled_same_delivery () =
-  (* the same XSR exchange under batching + pooling delivers identically *)
-  let run ~batching ~pooling =
-    let g, engine, _w, h1, h2, routers = chain ~batching ~pooling 3 in
-    let route =
-      route_between g ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2)
-    in
-    let got = ref [] in
-    Sirpent.Host.set_receive h2 (fun _ ~packet ~in_port:_ ->
-        got := Bytes.to_string packet.Viper.Packet.data :: !got);
-    for i = 0 to 9 do
-      ignore
-        (Sirpent.Host.send_xsr h1 ~route
-           ~data:(Bytes.of_string (Printf.sprintf "m%d" i))
-           ())
-    done;
-    Sim.Engine.run engine;
-    let fwd =
-      Array.fold_left
-        (fun acc r -> acc + (Sirpent.Router.stats r).Sirpent.Router.forwarded)
-        0 routers
-    in
-    (List.rev !got, fwd, Sim.Engine.now engine)
-  in
-  let reference = run ~batching:false ~pooling:false in
-  Alcotest.(check (triple (list string) int int))
-    "batched+pooled identical" reference
-    (run ~batching:true ~pooling:true)
-
 let () =
   Alcotest.run "xsr"
     [
@@ -277,8 +260,6 @@ let () =
           Alcotest.test_case "reply over viper" `Quick xsr_reply_over_viper;
           Alcotest.test_case "corruption counted, never misrouted" `Quick
             xsr_corruption_counted_never_misrouted;
-          Alcotest.test_case "batched+pooled identical" `Quick
-            xsr_batched_pooled_same_delivery;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
