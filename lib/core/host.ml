@@ -127,17 +127,8 @@ let inject t ~port ~next_port ~priority ~drop_if_blocked payload =
 
 let send t ~route ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
     ~data () =
-  let segments =
-    List.map
-      (fun s ->
-        {
-          s with
-          Seg.priority;
-          Seg.flags = { s.Seg.flags with Seg.dib = drop_if_blocked };
-        })
-      route.Route.segments
-  in
-  let payload = Pkt.build ~route:segments ~data in
+  let segments = route.Route.segments in
+  let payload = Pkt.build_stamped ~priority ~dib:drop_if_blocked ~route:segments ~data in
   let next_port =
     match segments with seg :: _ -> Some seg.Seg.port | [] -> None
   in

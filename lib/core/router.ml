@@ -167,23 +167,17 @@ let revise_info info =
     with Wire.Buf.Underflow -> info
   else info
 
-let return_segment t ~seg ~in_port ~in_info ~grant =
-  let reverse_ok =
-    match grant with
-    | Some g -> g.Token.Capability.reverse_ok
-    | None -> true (* unverified (or absent) token: carried back as-is *)
-  in
+(* [reverse_ok] is the verified grant's; an unverified (or absent)
+   token is carried back as-is. *)
+let return_segment ~seg ~in_port ~in_info ~reverse_ok =
   let token = if reverse_ok then seg.Seg.token else Bytes.empty in
-  ignore t;
   (* [in_info]: for out-of-band arrivals (e.g. a tunnel across an IP
      internetwork, Â§2.3) the return hop's network-specific info is
      supplied by the injector, not derived from the stripped segment *)
   let info =
     match in_info with Some b -> b | None -> revise_info seg.Seg.info
   in
-  Seg.make
-    ~flags:{ Seg.vnt = false; dib = seg.Seg.flags.Seg.dib; rpf = true }
-    ~priority:seg.Seg.priority ~token ~info ~port:in_port ()
+  Seg.return_hop seg ~port:in_port ~token ~info
 
 (* The input link's rate when a frame from [in_port] may cut through to
    [out_port] — both links up with equal rates, on a router that does
@@ -255,8 +249,7 @@ let transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload =
    is keyed by; both source-routed formats expose it without per-flow
    state. *)
 let next_port ~xsr payload =
-  if xsr then Viper.Xsr.peek_next_port payload
-  else match Pkt.peek_ports payload with first, _ -> Some first | exception _ -> None
+  if xsr then Viper.Xsr.peek_next_port payload else Pkt.peek_next_port payload
 
 (* Transmit [payload] out [out_port] at [when_], honoring any congestion
    limiter for its (out_port, next_port) queue. The act step is one
@@ -313,8 +306,9 @@ let switch t ~frame ~in_port ~out_port ~head ~tail ~header_size ~priority ~dib
    stripped segment ends: the strip + trailer-append pair is fused into
    one allocation ({!Viper.Trailer.append_hop_sub}) instead of copying
    the packet twice per hop. *)
-let forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~tail ~header_size ~grant =
-  let return_seg = return_segment t ~seg ~in_port ~in_info ~grant in
+let forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~tail
+    ~header_size ~reverse_ok =
+  let return_seg = return_segment ~seg ~in_port ~in_info ~reverse_ok in
   (* The loopback append reads the trailer framing; on a frame whose
      trailer was damaged in flight it fails — a counted drop, not an
      exception out of the frame handler. *)
@@ -336,89 +330,124 @@ let forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~t
       ~priority:seg.Seg.priority ~dib:seg.Seg.flags.Seg.dib ~xsr:false
       ~payload:forwarded
 
-(* Token checking; calls [proceed ~grant] when the packet may be switched.
-   A reverse-path packet (RPF flag) is checked against its arrival port:
-   that is the port its token originally named, and reverse_ok in the grant
-   decides admission (§2.2's reverse-route authorization). *)
-let with_authorization t ~seg ~frame ~in_port ~out_port ~packet_bytes ~proceed =
-  let reverse = seg.Seg.flags.Seg.rpf in
-  let auth_port = if reverse then in_port else out_port in
-  let now_ms = now t / 1_000_000 in
-  let reject () =
-    C.incr t.unauthorized;
-    flight_note t ~frame Flight.Denied;
-    flight_drop t ~frame ~in_port ~reason:"unauthorized"
-  in
+(* The token check's verdicts a frame acts on at once. *)
+type authorization =
+  | Pass  (** no token, or an optimistic miss: switch now, token carried back *)
+  | Granted of Token.Capability.grant  (** cache hit: switch now *)
+  | Refused  (** counted and dropped *)
+  | Held  (** blocking verification: {!verify_then} decides later *)
+
+(* A reverse-path packet (RPF flag) is checked against its arrival port:
+   that is the port its token originally named, and reverse_ok in the
+   grant decides admission (§2.2's reverse-route authorization). *)
+let auth_port ~seg ~in_port ~out_port = if seg.Seg.flags.Seg.rpf then in_port else out_port
+
+let reject t ~frame ~in_port =
+  C.incr t.unauthorized;
+  flight_note t ~frame Flight.Denied;
+  flight_drop t ~frame ~in_port ~reason:"unauthorized"
+
+(* Decrypt [token] in the background so subsequent packets hit the
+   cache. *)
+let verify_in_background t ~token =
+  schedule t
+    ~time:(now t + t.config.verify_time)
+    (fun () ->
+      ignore
+        (Token.Cache.complete_verification t.cache ~token ~now_ms:(now t / 1_000_000)))
+
+(* Token checking, with its side effects (counters, flight notes,
+   background verification) done here; no closure is built unless the
+   verdict is [Held]. *)
+let authorize t ~seg ~frame ~in_port ~out_port ~packet_bytes =
   if Bytes.length seg.Seg.token = 0 then begin
-    if t.config.require_tokens then reject ()
+    if t.config.require_tokens then begin
+      reject t ~frame ~in_port;
+      Refused
+    end
     else begin
       flight_note t ~frame Flight.No_token;
-      proceed ~grant:None
+      Pass
     end
   end
-  else begin
-    let verdict =
-      Token.Cache.check t.cache ~token:seg.Seg.token ~port:auth_port
-        ~priority:seg.Seg.priority ~now_ms ~packet_bytes ~reverse
-    in
-    match verdict with
+  else
+    match
+      Token.Cache.check t.cache ~token:seg.Seg.token
+        ~port:(auth_port ~seg ~in_port ~out_port) ~priority:seg.Seg.priority
+        ~now_ms:(now t / 1_000_000) ~packet_bytes ~reverse:seg.Seg.flags.Seg.rpf
+    with
     | Token.Cache.Admit g ->
       flight_note t ~frame Flight.Cache_hit;
-      proceed ~grant:(Some g)
-    | Token.Cache.Deny -> reject ()
+      Granted g
+    | Token.Cache.Deny ->
+      reject t ~frame ~in_port;
+      Refused
     | Token.Cache.Miss_admit ->
-      (* Optimistic: forward now, decrypt in the background so subsequent
-         packets hit the cache. *)
-      schedule t
-        ~time:(now t + t.config.verify_time)
-        (fun () ->
-          ignore
-            (Token.Cache.complete_verification t.cache ~token:seg.Seg.token
-               ~now_ms:(now t / 1_000_000)));
+      (* Optimistic: forward now, decrypt in the background. *)
+      verify_in_background t ~token:seg.Seg.token;
       flight_note t ~frame Flight.Cache_miss;
-      proceed ~grant:None
+      Pass
     | Token.Cache.Defer ->
-      (* Blocking authentication: hold the packet while the token is
-         decrypted, then re-check. *)
       C.incr t.deferred;
-      schedule t
-        ~time:(now t + t.config.verify_time)
-        (fun () ->
-          let now_ms = now t / 1_000_000 in
-          if Token.Cache.complete_verification t.cache ~token:seg.Seg.token ~now_ms
-          then begin
-            match
-              Token.Cache.check t.cache ~token:seg.Seg.token ~port:auth_port
-                ~priority:seg.Seg.priority ~now_ms ~packet_bytes ~reverse
-            with
-            | Token.Cache.Admit g ->
-              flight_note t ~frame Flight.Cache_miss;
-              proceed ~grant:(Some g)
-            | Token.Cache.Deny | Token.Cache.Defer | Token.Cache.Miss_admit
-            | Token.Cache.Miss_drop ->
-              reject ()
-          end
-          else reject ())
+      Held
     | Token.Cache.Miss_drop ->
       (* dropped, but "in any case, the new token is decrypted, checked and
          cached to prepare for subsequent packets" *)
-      reject ();
-      schedule t
-        ~time:(now t + t.config.verify_time)
-        (fun () ->
-          ignore
-            (Token.Cache.complete_verification t.cache ~token:seg.Seg.token
-               ~now_ms:(now t / 1_000_000)))
-  end
+      reject t ~frame ~in_port;
+      verify_in_background t ~token:seg.Seg.token;
+      Refused
+
+(* Blocking authentication of a [Held] frame: hold the packet while the
+   token is decrypted, then re-check; [proceed ~reverse_ok] switches it. *)
+let verify_then t ~seg ~frame ~in_port ~out_port ~packet_bytes ~proceed =
+  schedule t
+    ~time:(now t + t.config.verify_time)
+    (fun () ->
+      let now_ms = now t / 1_000_000 in
+      if Token.Cache.complete_verification t.cache ~token:seg.Seg.token ~now_ms then begin
+        match
+          Token.Cache.check t.cache ~token:seg.Seg.token
+            ~port:(auth_port ~seg ~in_port ~out_port) ~priority:seg.Seg.priority
+            ~now_ms ~packet_bytes ~reverse:seg.Seg.flags.Seg.rpf
+        with
+        | Token.Cache.Admit g ->
+          flight_note t ~frame Flight.Cache_miss;
+          proceed ~reverse_ok:g.Token.Capability.reverse_ok
+        | Token.Cache.Deny | Token.Cache.Defer | Token.Cache.Miss_admit
+        | Token.Cache.Miss_drop ->
+          reject t ~frame ~in_port
+      end
+      else reject t ~frame ~in_port)
+
+(* Authorize the leading segment for its own port, then forward out
+   [out_port] (a logical group's chosen member, or the same port). *)
+let authorized_forward t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head
+    ~tail ~header_size =
+  let packet_bytes = Bytes.length payload in
+  let auth_out = seg.Seg.port in
+  match authorize t ~seg ~frame ~in_port ~out_port:auth_out ~packet_bytes with
+  | Pass ->
+    forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~tail
+      ~header_size ~reverse_ok:true
+  | Granted g ->
+    forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~tail
+      ~header_size ~reverse_ok:g.Token.Capability.reverse_ok
+  | Refused -> ()
+  | Held ->
+    verify_then t ~seg ~frame ~in_port ~out_port:auth_out ~packet_bytes
+      ~proceed:(fun ~reverse_ok ->
+        forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head
+          ~tail ~header_size ~reverse_ok)
 
 let all_ports_except t ~except =
   List.filter_map
     (fun (p, _) -> if p = except then None else Some p)
     (G.ports (W.graph t.world) t.node)
 
-let prepend_segments segments rest =
+(* [rest] behind the segments [write] puts first. *)
+let prepend rest ~write =
   let w = Wire.Buf.create_writer (Bytes.length rest + 64) in
-  List.iter (Seg.write w) segments;
+  write w;
   Wire.Buf.put_bytes w rest;
   Wire.Buf.contents w
 
@@ -428,13 +457,16 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
     flight_drop t ~frame ~in_port ~reason:"parse_error"
   end
   else
-    match Pkt.parse_leading_pos payload with
-    | Error _ ->
+    let r = Wire.Buf.reader_window payload ~off:0 ~len:(Bytes.length payload) in
+    match Seg.read r with
+    | exception (Wire.Buf.Underflow | Wire.Buf.Overflow | Invalid_argument _ | Failure _)
+      ->
       (* A frame damaged in flight (or truncated by preemption) must become
          a counted drop, never an exception out of the frame handler. *)
       C.incr t.dropped_malformed;
       flight_drop t ~frame ~in_port ~reason:"malformed"
-    | Ok (seg, pos) ->
+    | seg ->
+      let pos = Wire.Buf.position r in
       let header_size = Seg.encoded_size seg in
       (* The stripped remainder, materialized only on the slow paths
          (splice, tree multicast, custom ports); plain forwarding works
@@ -455,15 +487,16 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
         match Logical.lookup t.logical ~port:seg.Seg.port with
         | Some (Logical.Group physical) ->
           let best = choose_least_queued t physical in
-          with_authorization t ~seg ~frame ~in_port ~out_port:seg.Seg.port
-            ~packet_bytes:(Bytes.length payload) ~proceed:(fun ~grant ->
-              forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info
-                ~out_port:best ~head ~tail ~header_size ~grant)
+          authorized_forward t ~seg ~frame ~payload ~pos ~in_port ~in_info
+            ~out_port:best ~head ~tail ~header_size
         | Some (Logical.Splice expansion) ->
           C.incr t.spliced;
-          let vnt_tail = seg.Seg.flags.Seg.vnt in
-          let expansion = normalize_expansion expansion ~vnt_tail in
-          let payload' = prepend_segments expansion (rest ()) in
+          (* the expansion stands in for this segment: VNT on its last
+             segment iff this one had it *)
+          let last_vnt = seg.Seg.flags.Seg.vnt in
+          let payload' =
+            prepend (rest ()) ~write:(fun w -> Seg.write_route w ~last_vnt expansion)
+          in
           process t ~frame ~payload:payload' ~in_port ~in_info ~head ~tail
             ~depth:(depth + 1)
         | None ->
@@ -508,19 +541,9 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
                 ~depth:(depth + 1)
           end
           else
-            with_authorization t ~seg ~frame ~in_port ~out_port:seg.Seg.port
-              ~packet_bytes:(Bytes.length payload) ~proceed:(fun ~grant ->
-                forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info
-                  ~out_port:seg.Seg.port ~head ~tail ~header_size ~grant)
+            authorized_forward t ~seg ~frame ~payload ~pos ~in_port ~in_info
+              ~out_port:seg.Seg.port ~head ~tail ~header_size
       end
-
-and normalize_expansion expansion ~vnt_tail =
-  let n = List.length expansion in
-  List.mapi
-    (fun i s ->
-      let vnt = i < n - 1 || vnt_tail in
-      { s with Seg.flags = { s.Seg.flags with Seg.vnt } })
-    expansion
 
 and choose_least_queued t ports =
   match ports with
@@ -540,7 +563,7 @@ and multicast t ~seg ~frame ~payload ~pos ~in_port ~in_info ~head ~tail
     (fun out_port ->
       C.incr t.multicast_copies;
       forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head
-        ~tail ~header_size ~grant:None)
+        ~tail ~header_size ~reverse_ok:true)
     ports
 
 and tree_multicast t ~seg ~frame ~rest ~in_port ~in_info ~head ~tail ~depth =
@@ -552,7 +575,7 @@ and tree_multicast t ~seg ~frame ~rest ~in_port ~in_info ~head ~tail ~depth =
     List.iter
       (fun branch ->
         C.incr t.multicast_copies;
-        let payload' = prepend_segments branch rest in
+        let payload' = prepend rest ~write:(fun w -> List.iter (Seg.write w) branch) in
         process t ~frame ~payload:payload' ~in_port ~in_info ~head ~tail
           ~depth:(depth + 1))
       branches

@@ -1,13 +1,5 @@
 let tree_port = 254
 
-let normalize_vnt route =
-  let n = List.length route in
-  List.mapi
-    (fun i seg ->
-      let vnt = i < n - 1 in
-      { seg with Segment.flags = { seg.Segment.flags with Segment.vnt } })
-    route
-
 let encode_branches branches =
   let count = List.length branches in
   if count = 0 || count > 255 then invalid_arg "Multicast: branch count";
@@ -17,7 +9,7 @@ let encode_branches branches =
     (fun branch ->
       if branch = [] then invalid_arg "Multicast: empty branch";
       let bw = Wire.Buf.create_writer 32 in
-      List.iter (Segment.write bw) (normalize_vnt branch);
+      Segment.write_route bw ~last_vnt:false branch;
       let bytes = Wire.Buf.contents bw in
       if Bytes.length bytes > 0xFFFF then invalid_arg "Multicast: branch too large";
       Wire.Buf.put_u16 w (Bytes.length bytes);

@@ -17,28 +17,35 @@ let took_branch t =
 let max_transmission_unit = 1500
 let max_route_segments = 48
 
-let normalize_vnt route =
-  let n = List.length route in
-  List.mapi
-    (fun i seg ->
-      let vnt = i < n - 1 in
-      { seg with Segment.flags = { seg.Segment.flags with Segment.vnt } })
-    route
+let check_route ~fn route =
+  match List.length route with
+  | 0 -> invalid_arg (fn ^ ": empty route")
+  | n when n > max_route_segments -> invalid_arg (fn ^ ": route too long")
+  | _ -> ()
 
-let build ~route ~data =
-  if route = [] then invalid_arg "Packet.build: empty route";
-  if List.length route > max_route_segments then
-    invalid_arg "Packet.build: route too long";
-  let route = normalize_vnt route in
-  let size =
-    List.fold_left (fun acc s -> acc + Segment.encoded_size s) 0 route
-    + Bytes.length data + 2
-  in
-  let w = Wire.Buf.create_writer size in
-  List.iter (Segment.write w) route;
-  Wire.Buf.put_bytes w data;
-  Wire.Buf.put_bytes w Trailer.empty;
-  Wire.Buf.contents w
+let total_header_overhead ~route =
+  List.fold_left (fun acc s -> acc + Segment.encoded_size s) 0 route
+
+(* One exact-size allocation: the route is written straight into the
+   packet (VNT from position, {!Segment.write_route}), then the data and
+   the empty trailer. The writer never grows and nothing is copied out. *)
+let build_with ~stamp ~dib ~priority ~route ~data =
+  check_route ~fn:"Packet.build" route;
+  let header = total_header_overhead ~route in
+  let dlen = Bytes.length data in
+  let tlen = Bytes.length Trailer.empty in
+  let out = Bytes.create (header + dlen + tlen) in
+  let w = Wire.Buf.writer_onto out ~off:0 ~len:header in
+  if stamp then Segment.write_route_stamped w ~dib ~priority route
+  else Segment.write_route w ~last_vnt:false route;
+  Bytes.blit data 0 out header dlen;
+  Bytes.blit Trailer.empty 0 out (header + dlen) tlen;
+  out
+
+let build ~route ~data = build_with ~stamp:false ~dib:false ~priority:0 ~route ~data
+
+let build_stamped ~priority ~dib ~route ~data =
+  build_with ~stamp:true ~dib ~priority ~route ~data
 
 let read_route r =
   let rec go n acc =
@@ -94,28 +101,21 @@ let strip_leading bytes =
   let seg = Segment.read r in
   (seg, Wire.Buf.take_rest r)
 
-let parse_leading bytes = wrap strip_leading bytes
-
 let strip_leading_pos bytes =
   let r = Wire.Buf.reader_of_bytes bytes in
   let seg = Segment.read r in
   (seg, Wire.Buf.position r)
-
-let parse_leading_pos bytes = wrap strip_leading_pos bytes
 
 let forward bytes ~return_seg =
   let seg, pos = strip_leading_pos bytes in
   (seg, Trailer.append_hop_sub bytes ~pos return_seg)
 
 let encode_route_segments route =
-  if route = [] then invalid_arg "Packet.encode_route_segments: empty route";
-  if List.length route > max_route_segments then
-    invalid_arg "Packet.encode_route_segments: route too long";
-  let route = normalize_vnt route in
-  let size = List.fold_left (fun acc s -> acc + Segment.encoded_size s) 0 route in
-  let w = Wire.Buf.create_writer size in
-  List.iter (Segment.write w) route;
-  Wire.Buf.contents w
+  check_route ~fn:"Packet.encode_route_segments" route;
+  let size = total_header_overhead ~route in
+  let out = Bytes.create size in
+  Segment.write_route (Wire.Buf.writer_onto out ~off:0 ~len:size) ~last_vnt:false route;
+  out
 
 let parse_route_segments bytes =
   let go () =
@@ -181,6 +181,17 @@ let truncate_to bytes ~max =
     Trailer.append_truncation_marker (Bytes.cat kept Trailer.empty)
   end
 
+(* VNT set on every segment but the last, on the records themselves:
+   the reply route handed to callers. Encoding never needs this — the
+   writer sets VNT from position. *)
+let normalize_vnt route =
+  let n = List.length route in
+  List.mapi
+    (fun i seg ->
+      let vnt = i < n - 1 in
+      { seg with Segment.flags = { seg.Segment.flags with Segment.vnt } })
+    route
+
 let return_route_hops t =
   let hops =
     List.filter_map
@@ -205,19 +216,29 @@ let return_route_r t =
   if truncated t then Error (Segment.Malformed "Packet.return_route: truncated")
   else Ok (return_route_hops t)
 
-let peek_ports bytes =
-  let r = Wire.Buf.reader_of_bytes bytes in
-  let s1 = Segment.read r in
-  if s1.Segment.flags.Segment.vnt then begin
-    let s2 = Segment.read r in
-    (s1.Segment.port, Some s2.Segment.port)
+(* Where the segment after the leading one starts when VNT says one
+   follows, else -1. Found in place with {!Segment.extent}, which raises
+   exactly where a full read of either segment would. *)
+let second_segment bytes =
+  let len1 = Segment.extent bytes ~off:0 in
+  if Segment.peek_vnt bytes ~off:0 then begin
+    ignore (Segment.extent bytes ~off:len1);
+    len1
   end
-  else (s1.Segment.port, None)
+  else -1
+
+let peek_ports bytes =
+  let off2 = second_segment bytes in
+  ( Segment.peek_port bytes ~off:0,
+    if off2 < 0 then None else Some (Segment.peek_port bytes ~off:off2) )
+
+let peek_next_port bytes =
+  match second_segment bytes with
+  | exception (Wire.Buf.Underflow | Failure _) -> None
+  | _ -> Some (Segment.peek_port bytes ~off:0)
 
 let header_bytes bytes =
   let r = Wire.Buf.reader_of_bytes bytes in
   let seg = Segment.read r in
   Segment.encoded_size seg
 
-let total_header_overhead ~route =
-  List.fold_left (fun acc s -> acc + Segment.encoded_size s) 0 route

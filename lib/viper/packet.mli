@@ -30,9 +30,18 @@ val max_route_segments : int
 (** 48 — §2.3's worked scaling example. *)
 
 val build : route:Segment.t list -> data:bytes -> bytes
-(** Encode a fresh packet (empty trailer). VNT flags are normalized: set on
-    every segment except the last. Raises [Invalid_argument] on an empty
-    route or more than {!max_route_segments} segments. *)
+(** Encode a fresh packet (empty trailer). VNT is written from position
+    ({!Segment.write_route}): set on every segment except the last,
+    whatever the records say. The packet is one exact-size allocation,
+    the route written straight into it; no normalized list is built and
+    nothing is copied out. Raises [Invalid_argument] on an empty route or
+    more than {!max_route_segments} segments. *)
+
+val build_stamped :
+  priority:Token.Priority.t -> dib:bool -> route:Segment.t list -> data:bytes -> bytes
+(** [build] with every segment's priority and DIB replaced on the wire by
+    [priority] and [dib] — a host's send options — in the same single
+    allocation, without rebuilding the route. *)
 
 val decode : bytes -> t
 (** Raises [Invalid_argument] / [Wire.Buf.Underflow] on malformed bytes. *)
@@ -48,15 +57,6 @@ type nonrec error = Segment.error = Truncated | Malformed of string
 val parse : bytes -> (t, error) result
 (** Like {!decode}, but never raises. Verifies trailer structure and
     per-entry checksums. *)
-
-val parse_leading : bytes -> (Segment.t * bytes, error) result
-(** Like {!strip_leading}, but never raises. *)
-
-val parse_leading_pos : bytes -> (Segment.t * int, error) result
-(** Like {!parse_leading}, but returns the offset where the remainder
-    starts instead of copying it out — pair with
-    {!Trailer.append_hop_sub} for the zero-intermediate-copy per-hop
-    path. *)
 
 val return_route_r : t -> (Segment.t list, error) result
 (** Like {!return_route}, but never raises: a truncated packet yields
@@ -76,9 +76,10 @@ val forward : bytes -> return_seg:Segment.t -> Segment.t * bytes
     port, swapped network info, RPF set). *)
 
 val encode_route_segments : Segment.t list -> bytes
-(** Encode a segment list alone (no data, no trailer), VNT-normalized —
-    the representation carried in a segment's [branch] field. Raises like
-    {!build} on an empty or over-long route. *)
+(** Encode a segment list alone (no data, no trailer), VNT from position
+    as in {!build} — the representation carried in a segment's [branch]
+    field. One exact-size allocation. Raises like {!build} on an empty or
+    over-long route. *)
 
 val parse_route_segments : bytes -> (Segment.t list, error) result
 (** Inverse of {!encode_route_segments}; requires the buffer to contain
@@ -122,7 +123,15 @@ val peek_ports : bytes -> int * int option
     follows, that segment's port. Upstream routers use this to recognize
     packets "destined for this queue" when applying rate-control feedback
     (§2.2) — the source route makes the next-hop queue visible without
-    any per-flow state. *)
+    any per-flow state. Read in place: no field is copied. Raises where
+    {!Segment.read} of either segment would. *)
+
+val peek_next_port : bytes -> int option
+(** The leading segment's port, read in place with {!Segment.extent}:
+    [Some p] exactly when {!peek_ports} returns [(p, _)], [None] when it
+    raises. Routers key rate-control limiters by it on every act step,
+    so it copies no field, builds no tuple and catches only the codec's
+    exceptions. *)
 
 val header_bytes : bytes -> int
 (** Size of the leading header segment — the bytes a cut-through switch

@@ -9,7 +9,21 @@ type t = {
   branch : bytes;
 }
 
-let no_flags = { vnt = false; dib = false; rpf = false }
+(* Every VNT/DIB/RPF combination, built once and shared: reading or
+   revising a segment picks its flags here instead of allocating a
+   record. Indexed by the wire bits VNT=0x8, DIB=0x4, RPF=0x2, shifted
+   down by one. *)
+let flags_table =
+  Array.init 8 (fun i ->
+      { vnt = i land 0x4 <> 0; dib = i land 0x2 <> 0; rpf = i land 0x1 <> 0 })
+
+let flags_of_bits b = Array.unsafe_get flags_table ((b lsr 1) land 0x7)
+
+let flags ~vnt ~dib ~rpf =
+  Array.unsafe_get flags_table
+    ((if vnt then 0x4 else 0) lor (if dib then 0x2 else 0) lor if rpf then 0x1 else 0)
+
+let no_flags = flags ~vnt:false ~dib:false ~rpf:false
 
 let local_port = 0
 let broadcast_port = 255
@@ -20,14 +34,22 @@ let fixed_size = 4
 let extended = 255
 let max_field = 65535
 
-let make ?(flags = no_flags) ?(priority = Token.Priority.normal) ?(token = Bytes.empty)
-    ?(info = Bytes.empty) ?(branch = Bytes.empty) ~port () =
+let check ~priority ~token ~info ~branch ~port =
   if port < 0 || port > 255 then invalid_arg "Segment.make: port";
   if not (Token.Priority.valid priority) then invalid_arg "Segment.make: priority";
   if Bytes.length token > max_field then invalid_arg "Segment.make: token too long";
   if Bytes.length info > max_field then invalid_arg "Segment.make: info too long";
-  if Bytes.length branch > max_field then invalid_arg "Segment.make: branch too long";
+  if Bytes.length branch > max_field then invalid_arg "Segment.make: branch too long"
+
+let make ?(flags = no_flags) ?(priority = Token.Priority.normal) ?(token = Bytes.empty)
+    ?(info = Bytes.empty) ?(branch = Bytes.empty) ~port () =
+  check ~priority ~token ~info ~branch ~port;
   { port; flags; priority; token; info; branch }
+
+let return_hop seg ~port ~token ~info =
+  let priority = seg.priority and branch = Bytes.empty in
+  check ~priority ~token ~info ~branch ~port;
+  { port; flags = flags ~vnt:false ~dib:seg.flags.dib ~rpf:true; priority; token; info; branch }
 
 let field_wire_size b =
   let n = Bytes.length b in
@@ -43,11 +65,8 @@ let encoded_size t =
    from the branch field, never stored: a segment with no branch encodes
    byte-identically to the pre-DAG wire format, so legacy packets are
    untouched. *)
-let flags_bits f =
-  (if f.vnt then 0x8 else 0) lor (if f.dib then 0x4 else 0) lor (if f.rpf then 0x2 else 0)
-
-let flags_of_bits b =
-  { vnt = b land 0x8 <> 0; dib = b land 0x4 <> 0; rpf = b land 0x2 <> 0 }
+let flags_bits ~vnt ~dib ~rpf =
+  (if vnt then 0x8 else 0) lor (if dib then 0x4 else 0) lor if rpf then 0x2 else 0
 
 let length_byte b =
   let n = Bytes.length b in
@@ -59,19 +78,40 @@ let write_field w b =
 
 let brf_bit = 0x1
 
-let write w t =
+let write_as w ~vnt ~dib ~priority t =
   let has_branch = Bytes.length t.branch > 0 in
-  let bits = flags_bits t.flags lor (if has_branch then brf_bit else 0) in
+  let bits =
+    flags_bits ~vnt ~dib ~rpf:t.flags.rpf lor if has_branch then brf_bit else 0
+  in
   Wire.Buf.put_u8 w (length_byte t.info);
   Wire.Buf.put_u8 w (length_byte t.token);
   Wire.Buf.put_u8 w t.port;
-  Wire.Buf.put_u8 w ((bits lsl 4) lor (t.priority land 0xF));
+  Wire.Buf.put_u8 w ((bits lsl 4) lor (priority land 0xF));
   write_field w t.token;
   write_field w t.info;
   if has_branch then begin
     Wire.Buf.put_u16 w (Bytes.length t.branch);
     Wire.Buf.put_bytes w t.branch
   end
+
+let write w t = write_as w ~vnt:t.flags.vnt ~dib:t.flags.dib ~priority:t.priority t
+
+(* The one place VNT is set from position: on every segment but the
+   last, and on the last iff [last_vnt]. [stamp] replaces every
+   segment's DIB and priority with [dib] and [priority]. *)
+let rec write_chain w ~last_vnt ~stamp ~dib ~priority = function
+  | [] -> ()
+  | t :: rest ->
+    let vnt = match rest with [] -> last_vnt | _ :: _ -> true in
+    if stamp then write_as w ~vnt ~dib ~priority t
+    else write_as w ~vnt ~dib:t.flags.dib ~priority:t.priority t;
+    write_chain w ~last_vnt ~stamp ~dib ~priority rest
+
+let write_route w ~last_vnt route =
+  write_chain w ~last_vnt ~stamp:false ~dib:false ~priority:0 route
+
+let write_route_stamped w ~dib ~priority route =
+  write_chain w ~last_vnt:false ~stamp:true ~dib ~priority route
 
 let read_field r len_byte =
   if len_byte < extended then Wire.Buf.get_bytes r len_byte
@@ -104,11 +144,48 @@ let encode t =
   write w t;
   Wire.Buf.contents w
 
-let decode b =
-  let r = Wire.Buf.reader_of_bytes b in
+let decode_sub b ~off ~len =
+  let r = Wire.Buf.reader_window b ~off ~len in
   let t = read r in
   if Wire.Buf.remaining r <> 0 then invalid_arg "Segment.decode: trailing bytes";
   t
+
+let decode b = decode_sub b ~off:0 ~len:(Bytes.length b)
+
+(* [read]'s walk over the bytes without copying a field out: each step
+   raises where [read] would, in the same order. *)
+let need b pos n = if n > Bytes.length b - pos then raise Wire.Buf.Underflow
+
+let field_end b pos len_byte =
+  if len_byte < extended then begin
+    need b pos len_byte;
+    pos + len_byte
+  end
+  else begin
+    need b pos 4;
+    let n = (Bytes.get_uint16_be b pos lsl 16) lor Bytes.get_uint16_be b (pos + 2) in
+    need b (pos + 4) n;
+    pos + 4 + n
+  end
+
+let extent b ~off =
+  if off < 0 || off > Bytes.length b then invalid_arg "Segment.extent";
+  need b off fixed_size;
+  let info_len = Char.code (Bytes.unsafe_get b off) in
+  let token_len = Char.code (Bytes.unsafe_get b (off + 1)) in
+  let pos = field_end b (off + fixed_size) token_len in
+  let pos = field_end b pos info_len in
+  let pos =
+    if (Char.code (Bytes.unsafe_get b (off + 3)) lsr 4) land brf_bit = 0 then pos
+    else begin
+      need b pos 2;
+      let n = Bytes.get_uint16_be b pos in
+      if n = 0 then failwith "Segment.read: empty branch";
+      need b (pos + 2) n;
+      pos + 2 + n
+    end
+  in
+  pos - off
 
 type error = Truncated | Malformed of string
 
@@ -126,6 +203,7 @@ let parse b =
   | exception Failure m -> Error (Malformed m)
 
 let peek_port b ~off = Char.code (Bytes.get b (off + 2))
+let peek_vnt b ~off = Char.code (Bytes.get b (off + 3)) land 0x80 <> 0
 
 let equal a b =
   a.port = b.port && a.flags = b.flags && a.priority = b.priority

@@ -45,6 +45,12 @@ type t = {
           segment encodes byte-identically to the legacy format. *)
 }
 
+(** Flags are shared immutable values: the eight VNT/DIB/RPF
+    combinations live in one table, built once, and every segment read
+    off the wire, every return hop ({!return_hop}) and {!no_flags} is
+    one of them. Compare flags structurally, as ever; the codec never
+    allocates them. *)
+
 val no_flags : flags
 
 val make :
@@ -52,6 +58,12 @@ val make :
   ?branch:bytes -> port:int -> unit -> t
 (** Raises [Invalid_argument] for a port outside 0-255, an invalid
     priority, or a field longer than {!max_field}. *)
+
+val return_hop : t -> port:int -> token:bytes -> info:bytes -> t
+(** [return_hop seg ~port ~token ~info] is [seg] revised into the return
+    hop a router appends to the trailer: [port] and the given [token]
+    and [info], RPF set, VNT clear, no branch, DIB and priority kept.
+    Validates like {!make}; the flags come from the shared table. *)
 
 val local_port : int
 (** 0 — "reserving 0 as a special port value meaning 'local'" (§5). *)
@@ -76,12 +88,40 @@ val max_field : int
 val encoded_size : t -> int
 
 val write : Wire.Buf.writer -> t -> unit
+(** Writes the segment's own flags, VNT included. *)
+
+val write_route : Wire.Buf.writer -> last_vnt:bool -> t list -> unit
+(** Write a segment list with VNT taken from position, not from the
+    records: set on every segment but the last, and on the last iff
+    [last_vnt] (a splice whose expansion stands in for a VNT segment).
+    This is the only place VNT is set by position; no caller rebuilds a
+    record to set the bit. *)
+
+val write_route_stamped :
+  Wire.Buf.writer -> dib:bool -> priority:Token.Priority.t -> t list -> unit
+(** [write_route ~last_vnt:false] with every segment's DIB and priority
+    replaced by [dib] and [priority] on the wire — a host stamping its
+    send options onto a route it holds. *)
+
 val read : Wire.Buf.reader -> t
 (** Raises [Wire.Buf.Underflow] on truncated input. *)
+
+val extent : bytes -> off:int -> int
+(** [extent b ~off] is the number of bytes {!read} would consume reading
+    the segment at [off] — found from the length fields, no field copied,
+    nothing allocated. It raises wherever {!read} raises
+    ([Wire.Buf.Underflow] on truncation, [Failure] on an empty branch),
+    so a caller can skip or peek past a segment with exactly [read]'s
+    verdict. *)
 
 val encode : t -> bytes
 val decode : bytes -> t
 (** [decode] requires the buffer to contain exactly one segment. *)
+
+val decode_sub : bytes -> off:int -> len:int -> t
+(** [decode_sub b ~off ~len] is [decode (Bytes.sub b off len)] read in
+    place through a reader window: only the fields handed out are
+    copied. *)
 
 (** {1 Non-raising parse}
 
@@ -102,6 +142,10 @@ val peek_port : bytes -> off:int -> int
 (** The port field without a full parse — the field order exists precisely
     so "the router can make the switching decision while the
     typeOfService, portToken and portInfo fields are being received". *)
+
+val peek_vnt : bytes -> off:int -> bool
+(** The VNT flag of the segment at [off], read in place: whether another
+    VIPER segment follows it. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

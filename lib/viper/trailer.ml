@@ -52,7 +52,8 @@ let entries packet =
   let start = stop - total_of packet in
   if start < 0 then invalid_arg "Trailer: total exceeds packet";
   (* Walk backwards through trailing length fields, accumulating in
-     appended order. *)
+     appended order. Each entry is checked and decoded in place: only
+     the segment handed out is allocated. *)
   let rec walk pos acc =
     if pos = start then acc
     else begin
@@ -63,10 +64,10 @@ let entries packet =
         let seg_start = pos - 3 - len in
         if seg_start < start then invalid_arg "Trailer: entry exceeds trailer";
         if len < Segment.fixed_size then invalid_arg "Trailer: entry too small";
-        let seg_bytes = Bytes.sub packet seg_start len in
         let check = Char.code (Bytes.get packet (pos - 3)) in
-        if check <> cksum seg_bytes then invalid_arg "Trailer: entry checksum";
-        let seg = Segment.decode seg_bytes in
+        if check <> cksum_sub packet ~off:seg_start ~len then
+          invalid_arg "Trailer: entry checksum";
+        let seg = Segment.decode_sub packet ~off:seg_start ~len in
         walk seg_start (Hop seg :: acc)
       end
     end

@@ -48,7 +48,9 @@ val size : bytes -> int
 val entries : bytes -> entry list
 (** Entries of the trailer ending [packet], in the order appended
     (first hop first). Raises on structural damage or a checksum
-    mismatch. *)
+    mismatch. Each entry is checked and decoded in place, through a
+    reader window onto [packet]: no entry is copied out first, so the
+    only allocations are the entries returned. *)
 
 val parse_entries : bytes -> (entry list, Segment.error) result
 (** Like {!entries}, but never raises. *)

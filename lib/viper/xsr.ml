@@ -117,7 +117,7 @@ let step b ~in_port =
   end
 
 (* Out-port the NEXT router will extract — the congestion-control queue
-   key, visible without per-flow state exactly as VIPER's peek_ports. *)
+   key, visible without per-flow state exactly as VIPER's peek_next_port. *)
 let peek_next_port b =
   let idx = hop_idx b in
   if idx < hop_count b then Some (Char.code (Bytes.get b (6 + idx)) lxor fmask.(idx))

@@ -54,7 +54,7 @@ val step : bytes -> in_port:int -> step
 val peek_next_port : bytes -> int option
 (** The out-port the next router will extract (lane [hop_idx]), or
     [None] at the destination — the queue key a congestion limiter needs,
-    mirroring {!Packet.peek_ports} on the VIPER path. *)
+    mirroring {!Packet.peek_next_port} on the VIPER path. *)
 
 val reverse_ports : bytes -> int list
 (** In-ports recorded so far, most recent hop first — the port sequence

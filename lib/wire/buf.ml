@@ -93,11 +93,14 @@ type reader = {
   mutable pos : int; (* window-relative *)
 }
 
-let reader_of_bytes ?(off = 0) ?len b =
-  let len = match len with Some l -> l | None -> Bytes.length b - off in
+let reader_window b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Buf.reader_of_bytes";
   { data = b; base = off; window = len; pos = 0 }
+
+let reader_of_bytes ?(off = 0) ?len b =
+  let len = match len with Some l -> l | None -> Bytes.length b - off in
+  reader_window b ~off ~len
 
 let reader_of_string s = reader_of_bytes (Bytes.of_string s)
 let remaining r = r.window - r.pos

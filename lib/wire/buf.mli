@@ -31,7 +31,9 @@ val writer_onto : bytes -> off:int -> len:int -> writer
     calls land directly in [b.[off .. off+len)] — no growth, no copy;
     exceeding the window raises {!Overflow}. [writer_length] reports the
     absolute end position ([off] + bytes written). Fused codecs use this
-    to serialize straight into a buffer they sized themselves. *)
+    to serialize straight into a buffer they sized themselves: a VIPER
+    packet is built this way in one exact-size allocation, with no
+    growth and no {!contents} copy. *)
 
 val put_u8 : writer -> int -> unit
 val put_u16 : writer -> int -> unit
@@ -62,6 +64,12 @@ val reader_of_bytes : ?off:int -> ?len:int -> bytes -> reader
 (** [reader_of_bytes b] reads the window [off, off+len) of [b]
     (default: all of [b]). Raises [Invalid_argument] if the window is out
     of bounds. *)
+
+val reader_window : bytes -> off:int -> len:int -> reader
+(** [reader_window b ~off ~len] is [reader_of_bytes ~off ~len b] with
+    both bounds required: no option is boxed to build the window, so a
+    codec can read a segment in place inside a packet (the trailer walk
+    decodes every entry this way). *)
 
 val reader_of_string : string -> reader
 

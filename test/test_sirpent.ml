@@ -719,6 +719,51 @@ let xsr_hop_allocation () =
     Alcotest.failf "an XSR hop allocated %.1f words in the router (ceiling 20)"
       per_frame
 
+(* The VIPER side of a steady-state hop, measured the same way: the
+   router's words per frame (strip, return hop, one-allocation trailer
+   append, act step) and the host's words per [Host.send] (one exact-size
+   build, frame, send). The segment carries no token, so authorization
+   must allocate nothing. Both ceilings sit ~10 % above the measured
+   54 and 51 words. *)
+let viper_hop_allocation () =
+  let g, engine, world, h1, h2, routers = chain 1 in
+  let router = routers.(0) in
+  let route = route_between g ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2) in
+  let received = ref 0 in
+  Sirpent.Host.set_receive h2 (fun _ ~packet:_ ~in_port:_ -> incr received);
+  let handle = Sirpent.Router.handle_frame router in
+  let warmup = 100 and measured = 2_000 in
+  let frames = ref 0 and words = ref 0 and sends = ref 0 and send_words = ref 0 in
+  W.set_handler world (Sirpent.Router.node router) (fun w ~in_port ~frame ~head ~tail ->
+      let w0 = int_of_float (Gc.minor_words ()) in
+      handle w ~in_port ~frame ~head ~tail;
+      let w1 = int_of_float (Gc.minor_words ()) in
+      incr frames;
+      if !frames > warmup then words := !words + (w1 - w0));
+  let data = Bytes.make 64 'd' in
+  let left = ref (warmup + measured) in
+  let rec tick () =
+    if !left > 0 then begin
+      decr left;
+      let w0 = int_of_float (Gc.minor_words ()) in
+      ignore (Sirpent.Host.send h1 ~route ~data ());
+      let w1 = int_of_float (Gc.minor_words ()) in
+      incr sends;
+      if !sends > warmup then send_words := !send_words + (w1 - w0);
+      ignore (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 1) tick)
+    end
+  in
+  tick ();
+  Sim.Engine.run engine;
+  check_int "every packet delivered" (warmup + measured) !received;
+  let per_frame = float_of_int !words /. float_of_int measured in
+  let per_send = float_of_int !send_words /. float_of_int measured in
+  if per_frame > 60.0 then
+    Alcotest.failf "a VIPER hop allocated %.1f words in the router (ceiling 60.0)"
+      per_frame;
+  if per_send > 56.0 then
+    Alcotest.failf "a VIPER Host.send allocated %.1f words (ceiling 56.0)" per_send
+
 let () =
   Alcotest.run "sirpent"
     [
@@ -733,6 +778,7 @@ let () =
           Alcotest.test_case "mtu truncation detected" `Quick mtu_truncation_detected;
           Alcotest.test_case "misrouted packet counted" `Quick misrouted_packet_counted;
           Alcotest.test_case "xsr hop allocation" `Quick xsr_hop_allocation;
+          Alcotest.test_case "viper hop allocation" `Quick viper_hop_allocation;
           Alcotest.test_case "multi-homed host survives" `Quick
             multihomed_host_survives_interface_failure;
         ] );

@@ -491,7 +491,7 @@ let qcheck_fused_hop_identical =
       in
       let p = Pkt.build ~route ~data:(Bytes.of_string data) in
       let return_seg = Seg.make ~token:(Bytes.of_string "tk") ~port:9 () in
-      let _, pos = Result.get_ok (Pkt.parse_leading_pos p) in
+      let pos = Seg.extent p ~off:0 in
       let stripped = Bytes.sub p pos (Bytes.length p - pos) in
       Bytes.equal
         (Viper.Trailer.append_hop stripped return_seg)
@@ -519,6 +519,258 @@ let qcheck_reversal_is_reverse =
         in_ports;
       let back = Pkt.return_route (Pkt.decode !p) in
       List.map (fun s -> s.Seg.port) back = List.rev in_ports)
+
+(* --- the codec against the compositions it replaced ---
+
+   Reference code only: the record-rebuilding, copying compositions the
+   in-place codec replaced. The library must give the same bytes, the
+   same values and the same errors. *)
+
+module Ref = struct
+  let normalize_vnt ?(last_vnt = false) route =
+    let n = List.length route in
+    List.mapi
+      (fun i s ->
+        { s with Seg.flags = { s.Seg.flags with Seg.vnt = i < n - 1 || last_vnt } })
+      route
+
+  let write_route ?last_vnt route =
+    let w = Wire.Buf.create_writer 64 in
+    List.iter (Seg.write w) (normalize_vnt ?last_vnt route);
+    Wire.Buf.contents w
+
+  (* [Host.send]'s old override: rebuild every record *)
+  let stamp ~priority ~dib route =
+    List.map
+      (fun s -> { s with Seg.priority; Seg.flags = { s.Seg.flags with Seg.dib } })
+      route
+
+  let build ~route ~data =
+    if route = [] then invalid_arg "Packet.build: empty route";
+    if List.length route > Pkt.max_route_segments then
+      invalid_arg "Packet.build: route too long";
+    Bytes.concat Bytes.empty [ write_route route; data; Viper.Trailer.empty ]
+
+  let wrap f x =
+    match f x with
+    | v -> Ok v
+    | exception (Wire.Buf.Underflow | Wire.Buf.Overflow) -> Error Seg.Truncated
+    | exception Invalid_argument m -> Error (Seg.Malformed m)
+    | exception Failure m -> Error (Seg.Malformed m)
+
+  let cksum b = Bytes.fold_left (fun acc c -> acc lxor Char.code c) 0x5A b
+
+  (* the trailer walk with a [Bytes.sub] copy per entry *)
+  let entries packet =
+    let u16 off =
+      if off < 0 || off + 2 > Bytes.length packet then
+        invalid_arg "Trailer: malformed (short)";
+      Bytes.get_uint16_be packet off
+    in
+    let n = Bytes.length packet in
+    let total = u16 (n - 2) in
+    let check_total = 0x5A lxor (total lsr 8) lxor (total land 0xFF) in
+    if n < 3 || Char.code (Bytes.get packet (n - 3)) <> check_total then
+      invalid_arg "Trailer: total checksum";
+    let stop = n - 3 in
+    let start = stop - total in
+    if start < 0 then invalid_arg "Trailer: total exceeds packet";
+    let rec walk pos acc =
+      if pos = start then acc
+      else
+        let len = u16 (pos - 2) in
+        if len = 0xFFFF then walk (pos - 2) (Viper.Trailer.Truncated :: acc)
+        else if len = 0xFFFE then walk (pos - 2) (Viper.Trailer.Branch :: acc)
+        else begin
+          let seg_start = pos - 3 - len in
+          if seg_start < start then invalid_arg "Trailer: entry exceeds trailer";
+          if len < Seg.fixed_size then invalid_arg "Trailer: entry too small";
+          let seg_bytes = Bytes.sub packet seg_start len in
+          if Char.code (Bytes.get packet (pos - 3)) <> cksum seg_bytes then
+            invalid_arg "Trailer: entry checksum";
+          walk seg_start (Viper.Trailer.Hop (Seg.decode seg_bytes) :: acc)
+        end
+    in
+    walk stop []
+
+  let read_route r =
+    let rec go n acc =
+      if n > Pkt.max_route_segments then invalid_arg "Packet: route too long";
+      let seg = Seg.read r in
+      if seg.Seg.flags.Seg.vnt then go (n + 1) (seg :: acc) else List.rev (seg :: acc)
+    in
+    go 1 []
+
+  let decode bytes =
+    let r = Wire.Buf.reader_of_bytes bytes in
+    let route = read_route r in
+    let rest_start = Wire.Buf.position r in
+    let data_len = Bytes.length bytes - rest_start - Viper.Trailer.size bytes in
+    if data_len < 0 then invalid_arg "Packet.decode: overlapping trailer";
+    let data = Wire.Buf.get_bytes r data_len in
+    { Pkt.route; data; trailer = entries bytes }
+
+  (* both leading segments decoded in full, for one port *)
+  let peek_ports bytes =
+    let r = Wire.Buf.reader_of_bytes bytes in
+    let s1 = Seg.read r in
+    if s1.Seg.flags.Seg.vnt then (s1.Seg.port, Some (Seg.read r).Seg.port)
+    else (s1.Seg.port, None)
+
+  (* the router's old [next_port]: anything raised means [None] *)
+  let next_port bytes =
+    match peek_ports bytes with first, _ -> Some first | exception _ -> None
+
+  let consumed b off =
+    let r = Wire.Buf.reader_of_bytes ~off b in
+    ignore (Seg.read r);
+    Wire.Buf.position r
+end
+
+let entry_equal a b =
+  match (a, b) with
+  | Viper.Trailer.Hop x, Viper.Trailer.Hop y -> Seg.equal x y
+  | Viper.Trailer.Truncated, Viper.Trailer.Truncated
+  | Viper.Trailer.Branch, Viper.Trailer.Branch ->
+    true
+  | _ -> false
+
+let result_equal eq a b =
+  match (a, b) with
+  | Ok x, Ok y -> eq x y
+  | Error x, Error y -> x = y
+  | _ -> false
+
+let packet_equal a b =
+  List.equal Seg.equal a.Pkt.route b.Pkt.route
+  && Bytes.equal a.Pkt.data b.Pkt.data
+  && List.equal entry_equal a.Pkt.trailer b.Pkt.trailer
+
+let outcome f x = match f x with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+(* Every in-place read of [b] agrees with its reference: the packet
+   parse, the trailer walk, both port peeks, and the segment extent read
+   from every offset. *)
+let reads_agree b =
+  let extents_agree = ref true in
+  for off = 0 to Bytes.length b do
+    if outcome (fun off -> Seg.extent b ~off) off <> outcome (Ref.consumed b) off then
+      extents_agree := false
+  done;
+  !extents_agree
+  && result_equal packet_equal (Pkt.parse b) (Ref.wrap Ref.decode b)
+  && result_equal (List.equal entry_equal) (Viper.Trailer.parse_entries b)
+       (Ref.wrap Ref.entries b)
+  && outcome Pkt.peek_ports b = outcome Ref.peek_ports b
+  && Pkt.peek_next_port b = Ref.next_port b
+
+(* field sizes on both sides of the 255-byte extended length *)
+let field_gen =
+  QCheck.Gen.(
+    map Bytes.of_string
+      (string_size (oneof [ int_range 0 8; int_range 250 260; int_range 0 300 ])))
+
+let route_segment_gen =
+  QCheck.Gen.(
+    let* port = int_range 0 255 in
+    let* priority = int_range 0 15 in
+    let* vnt = bool and* dib = bool and* rpf = bool in
+    let* token = field_gen and* info = field_gen in
+    let* branch = oneof [ return ""; string_size (int_range 1 40) ] in
+    return
+      (Seg.make ~flags:{ Seg.vnt; dib; rpf } ~priority ~token ~info
+         ~branch:(Bytes.of_string branch) ~port ()))
+
+let build_case_gen =
+  QCheck.Gen.(
+    let* route = list_size (int_range 1 Pkt.max_route_segments) route_segment_gen in
+    let* data = string_size (int_range 0 200) in
+    let* priority = int_range 0 15 and* dib = bool and* last_vnt = bool in
+    return (route, Bytes.of_string data, priority, dib, last_vnt))
+
+let qcheck_build_byte_identical =
+  QCheck.Test.make ~name:"exact build = normalize . write . empty trailer" ~count:150
+    (QCheck.make build_case_gen) (fun (route, data, priority, dib, last_vnt) ->
+      Bytes.equal (Pkt.build ~route ~data) (Ref.build ~route ~data)
+      && Bytes.equal
+           (Pkt.build_stamped ~priority ~dib ~route ~data)
+           (Ref.build ~route:(Ref.stamp ~priority ~dib route) ~data)
+      && Bytes.equal (Pkt.encode_route_segments route) (Ref.write_route route)
+      && (let w = Wire.Buf.create_writer 64 in
+          Seg.write_route w ~last_vnt route;
+          Bytes.equal (Wire.Buf.contents w) (Ref.write_route ~last_vnt route))
+      && Bytes.equal
+           (Viper.Multicast.encode_branches [ route; [ Seg.make ~port:0 () ] ])
+           (let w = Wire.Buf.create_writer 64 in
+            Wire.Buf.put_u8 w 2;
+            List.iter
+              (fun b ->
+                Wire.Buf.put_u16 w (Bytes.length b);
+                Wire.Buf.put_bytes w b)
+              [ Ref.write_route route; Ref.write_route [ Seg.make ~port:0 () ] ];
+            Wire.Buf.contents w))
+
+(* A packet that crossed [List.length returns] routers, each appending
+   its return hop. *)
+let travelled ~route ~data ~returns =
+  List.fold_left (fun p r -> snd (Pkt.forward p ~return_seg:r)) (Pkt.build ~route ~data)
+    returns
+
+let qcheck_reads_in_place =
+  QCheck.Test.make ~name:"in-place parse/entries/peeks = copying reference" ~count:150
+    QCheck.(
+      make
+        Gen.(
+          let* route = list_size (int_range 1 6) route_segment_gen in
+          let* hops = int_range 0 (List.length route - 1) in
+          let* returns = list_repeat hops route_segment_gen in
+          let* data = string_size (int_range 0 64) in
+          let* mark = int_range 0 2 in
+          return (route, returns, Bytes.of_string data, mark)))
+    (fun (route, returns, data, mark) ->
+      let p = travelled ~route ~data ~returns in
+      let p =
+        match mark with
+        | 1 -> Viper.Trailer.append_branch_marker p
+        | 2 -> Viper.Trailer.append_truncation_marker p
+        | _ -> p
+      in
+      reads_agree p)
+
+(* Damage: every single-bit flip, and every cut, of a packet three
+   routers have appended to. Each read must give the reference's value
+   or the reference's error. *)
+let damaged_reads_agree () =
+  let route =
+    [
+      Seg.make ~port:3 ~token:(Bytes.make 6 't') ();
+      Seg.make ~port:4 ~info:(Bytes.make 14 'e') ();
+      Seg.make ~port:5 ~branch:(Bytes.make 4 'b') ();
+      Seg.make ~port:0 ();
+    ]
+  in
+  let returns =
+    [
+      Seg.make ~flags:{ Seg.no_flags with Seg.rpf = true } ~token:(Bytes.make 6 't')
+        ~port:11 ();
+      Seg.make ~flags:{ Seg.no_flags with Seg.rpf = true; dib = true }
+        ~info:(Bytes.make 14 'e') ~port:12 ();
+      Seg.make ~flags:{ Seg.no_flags with Seg.rpf = true } ~priority:9 ~port:13 ();
+    ]
+  in
+  let p = travelled ~route ~data:(Bytes.of_string "payload") ~returns in
+  check_bool "intact" true (reads_agree p);
+  check_bool "intact parses" true (Result.is_ok (Pkt.parse p));
+  for bit = 0 to (8 * Bytes.length p) - 1 do
+    let q = Bytes.copy p in
+    let i = bit / 8 in
+    Bytes.set q i (Char.chr (Char.code (Bytes.get q i) lxor (1 lsl (bit mod 8))));
+    if not (reads_agree q) then Alcotest.failf "bit %d: in-place read differs" bit
+  done;
+  for n = 0 to Bytes.length p - 1 do
+    if not (reads_agree (Bytes.sub p 0 n)) then
+      Alcotest.failf "cut at %d: in-place read differs" n
+  done
 
 let () =
   Alcotest.run "viper"
@@ -557,6 +809,7 @@ let () =
           Alcotest.test_case "truncate noop when fits" `Quick truncate_noop_when_fits;
           Alcotest.test_case "encode/decode identity" `Quick encode_decode_identity;
           Alcotest.test_case "peek ports" `Quick peek_ports_pair;
+          Alcotest.test_case "damaged reads = reference" `Quick damaged_reads_agree;
           Alcotest.test_case "header bytes" `Quick header_bytes_measures_first;
           Alcotest.test_case "overhead sums" `Quick overhead_sums;
         ] );
@@ -585,5 +838,7 @@ let () =
             qcheck_fused_branch_identical;
             qcheck_fused_hop_identical;
             qcheck_reversal_is_reverse;
+            qcheck_build_byte_identical;
+            qcheck_reads_in_place;
           ] );
     ]
