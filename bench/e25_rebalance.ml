@@ -10,14 +10,10 @@
    Arms:
 
      profile      the coarse partition at --shards 1: the serial
-                  reference for telemetry and wall clock, and the
+                  reference for telemetry and wall clock, the
                   per-region executed-event profile the balancer plans
-                  from.
-     scalar       the same construction, same simulation, but promises
-                  blunted to PR 4's one-per-region scalar lookahead:
-                  null_message_ratio = per-edge nulls / scalar nulls,
-                  measured at --shards 1 where the service loop is
-                  deterministic.
+                  from, and the per-edge null-message count (at
+                  --shards 1 the service loop is deterministic).
      static       the coarse partition at 4 shards, fixed ownership:
                   the hot region serializes on one worker.
      rebalanced   the balancer's refined partition (hot region split
@@ -155,7 +151,7 @@ type run = {
    balancer from a previously profiled load vector, install stacks and
    traffic (the workload only names nodes, so it is identical under any
    partition of the same graph), run, and collect everything. *)
-let drive ?scalar_lookahead ?epoch ?(faults = false) ?refine_loads ~shards
+let drive ?epoch ?(faults = false) ?refine_loads ~shards
     ~cells ~hosts_per_cell ~packets ~until () =
   let t = build ~cells ~hosts_per_cell ~light_hosts_per_region:2 in
   let g = t.graph in
@@ -167,7 +163,7 @@ let drive ?scalar_lookahead ?epoch ?(faults = false) ?refine_loads ~shards
       let o = B.plan coarse ~load:(fun r -> loads.(r)) ~target:(2 * 4) in
       (o.B.part, Some o)
   in
-  let cluster = S.create ?scalar_lookahead ~profiles:(profiles_of t part) part in
+  let cluster = S.create ~profiles:(profiles_of t part) part in
   for r = 0 to S.regions cluster - 1 do
     Telemetry.Flight.set_policy
       (W.flight (S.world cluster r))
@@ -337,8 +333,8 @@ let run () =
   let packets = Util.scaled ~full:300 ~smoke:60 in
   let until = Sim.Time.ms 1 + (packets * Sim.Time.us 50) + Sim.Time.ms 30 in
   let epoch = until / 8 in
-  let drive ?scalar_lookahead ?epoch ?faults ?refine_loads ~shards () =
-    drive ?scalar_lookahead ?epoch ?faults ?refine_loads ~shards ~cells
+  let drive ?epoch ?faults ?refine_loads ~shards () =
+    drive ?epoch ?faults ?refine_loads ~shards ~cells
       ~hosts_per_cell ~packets ~until ()
   in
   pf
@@ -363,17 +359,8 @@ let run () =
             ])
           profile.r_stats.S.per_region));
 
-  (* -- scalar arm: what the per-edge promises buy ---------------------- *)
-  let scalar = drive ~scalar_lookahead:true ~shards:1 () in
-  if not (identical profile scalar) then
-    failwith "e25: scalar-lookahead run changed the simulation";
-  let null_ratio =
-    float_of_int profile.r_stats.S.null_messages
-    /. float_of_int (max 1 scalar.r_stats.S.null_messages)
-  in
-  pf
-    "\nnull messages at --shards 1: per-edge %d vs region-scalar %d (ratio %.3f)\n"
-    profile.r_stats.S.null_messages scalar.r_stats.S.null_messages null_ratio;
+  pf "\nnull messages at --shards 1 (per-edge lookahead): %d\n"
+    profile.r_stats.S.null_messages;
 
   (* -- static vs rebalanced at 4 shards -------------------------------- *)
   let static4 = drive ~shards:4 () in
@@ -481,8 +468,6 @@ let run () =
          ("delivered_faulted", Util.J.Int f_serial.r_delivered);
          ("cross_frames", Util.J.Int profile.r_stats.S.cross_frames);
          ("null_messages_per_edge", Util.J.Int profile.r_stats.S.null_messages);
-         ("null_messages_scalar", Util.J.Int scalar.r_stats.S.null_messages);
-         ("null_message_ratio", Util.J.Float null_ratio);
          ("epochs", Util.J.Int rebalanced4.r_stats.S.epochs);
          ("migrations", Util.J.Int rebalanced4.r_stats.S.migrations);
          ("static_wall_s", Util.J.Float static4.r_stats.S.wall_clock_s);

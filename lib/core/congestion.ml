@@ -417,7 +417,6 @@ let backlog t =
   Hashtbl.fold (fun _ lim acc -> acc + Queue.length lim.pending) t.limiters 0
 
 let limiters t = Hashtbl.length t.limiters
-let congested_ports t = Hashtbl.length t.congested
 
 let bucket_level t ~out_port ~next_port =
   match Hashtbl.find_opt t.limiters (out_port, next_port) with
@@ -427,5 +426,4 @@ let bucket_level t ~out_port ~next_port =
     Some (lim.bucket_bits, burst_bits t lim)
 
 let ctl_sent t = C.value t.ctl_sent
-let ctl_received t = C.value t.ctl_received
 let oscillations t = C.value t.osc

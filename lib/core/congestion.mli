@@ -123,17 +123,12 @@ val backlog : t -> int
 (** Packets currently held across all limiters. *)
 
 val limiters : t -> int
-val congested_ports : t -> int
-(** Output ports currently inside the hysteresis band (signalled, not yet
-    drained to [release_threshold]). *)
-
 val bucket_level : t -> out_port:int -> next_port:int -> (float * float) option
 (** [(bucket_bits, burst_cap_bits)] of the limiter for
     [(out_port, next_port)] after refilling it to now; [None] when
     unthrottled. The first component never exceeds the second. *)
 
 val ctl_sent : t -> int
-val ctl_received : t -> int
 
 val oscillations : t -> int
 (** Backpressure oscillations: limiters re-installed within

@@ -51,37 +51,31 @@ let at_tail t ~tail f =
   ignore
     (Sim.Engine.schedule_at (W.engine t.world) ~time:(max (W.now t.world) tail) f)
 
+(* One arrival path for both codecs, after full reception. An XSR
+   header is verified by {!Viper.Xsr.step} before it is unfolded into
+   the [Pkt.t] [on_receive] expects, so [reply] rides the recorded
+   reverse route over VIPER. A VIPER packet must have reached its last,
+   local segment. Anything else is not for this host. *)
+let arrive t ~frame ~in_port =
+  let payload = frame.Netsim.Frame.payload in
+  if frame.Netsim.Frame.aborted then flight_drop t ~frame ~in_port ~reason:"aborted"
+  else if Viper.Xsr.is_xsr payload then
+    match Viper.Xsr.step payload ~in_port with
+    | Viper.Xsr.Deliver -> accept t ~frame ~in_port (Pkt.of_xsr payload)
+    | Viper.Xsr.Forward _ | Viper.Xsr.Malformed _ -> misdeliver t ~frame ~in_port
+  else
+    match Pkt.parse payload with
+    | Ok ({ Pkt.route = [ seg ]; _ } as packet) when seg.Seg.port = Seg.local_port ->
+      accept t ~frame ~in_port packet
+    | Ok _ | Error _ -> misdeliver t ~frame ~in_port
+
 let handle t _world ~in_port ~frame ~head:_ ~tail =
   match frame.Netsim.Frame.meta with
   | Some (Congestion.Rate_ctl { congested_port; rate_bps }) ->
     t.rate_signal <- Some (W.now t.world, rate_bps /. 8.0);
     Congestion.handle_ctl t.limiter ~arrival_port:in_port ~congested_port ~rate_bps
   | Some _ -> ()
-  | None when Viper.Xsr.is_xsr frame.Netsim.Frame.payload ->
-    (* XSR arrival: verify, then unfold into the [Pkt.t] [on_receive]
-       expects, so [reply] rides the recorded reverse route over VIPER. *)
-    at_tail t ~tail (fun () ->
-        let payload = frame.Netsim.Frame.payload in
-        if frame.Netsim.Frame.aborted then
-          flight_drop t ~frame ~in_port ~reason:"aborted"
-        else
-          match Viper.Xsr.step payload ~in_port with
-          | Viper.Xsr.Forward _ | Viper.Xsr.Malformed _ ->
-            (* mid-route or damaged: this host is not the destination *)
-            misdeliver t ~frame ~in_port
-          | Viper.Xsr.Deliver -> accept t ~frame ~in_port (Pkt.of_xsr payload))
-  | None ->
-    at_tail t ~tail (fun () ->
-        if frame.Netsim.Frame.aborted then
-          flight_drop t ~frame ~in_port ~reason:"aborted"
-        else
-          match Pkt.parse frame.Netsim.Frame.payload with
-          | Error _ -> misdeliver t ~frame ~in_port
-          | Ok packet -> (
-            match packet.Pkt.route with
-            | [ seg ] when seg.Seg.port = Seg.local_port ->
-              accept t ~frame ~in_port packet
-            | _ -> misdeliver t ~frame ~in_port))
+  | None -> at_tail t ~tail (fun () -> arrive t ~frame ~in_port)
 
 let create ?(congestion = Congestion.default_config) world ~node =
   let limiter = Congestion.create world ~node congestion in

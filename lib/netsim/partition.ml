@@ -30,7 +30,6 @@ type t = {
   graphs : G.t array;
   region_of : int array;
   gateways : gateway array;
-  lookahead : Sim.Time.t array;
 }
 
 type error =
@@ -78,7 +77,6 @@ let split full ~region =
             done;
             g)
       in
-      let lookahead = Array.make regions max_int in
       let gateways = ref [] in
       List.iter
         (fun (l : G.link) ->
@@ -98,8 +96,6 @@ let split full ~region =
             let b_proxy = proxy graphs.(rb) "a" in
             let pb, _ = G.connect graphs.(rb) l.G.b b_proxy l.G.props in
             assert (pb = l.G.b_port);
-            lookahead.(ra) <- min lookahead.(ra) l.G.props.G.propagation;
-            lookahead.(rb) <- min lookahead.(rb) l.G.props.G.propagation;
             gateways := { gw_link = l; a_region = ra; b_region = rb; a_proxy; b_proxy } :: !gateways
           end)
         (G.links full);
@@ -110,7 +106,6 @@ let split full ~region =
           graphs;
           region_of;
           gateways = Array.of_list (List.rev !gateways);
-          lookahead;
         })
 
 (* Over-decomposition: split one region of an existing partition into

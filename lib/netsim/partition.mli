@@ -29,9 +29,6 @@ type t = {
   graphs : G.t array;  (** one subgraph per region, shared node ids *)
   region_of : int array;  (** node id -> region *)
   gateways : gateway array;  (** in original link order *)
-  lookahead : Sim.Time.t array;
-      (** per region: min propagation over incident gateway links;
-          [max_int] for a region with no gateway (it never blocks). *)
 }
 
 type error =

@@ -50,8 +50,7 @@ val default_profile : profile
 (** Plain cut-through, no floor: exactly PR 4's behavior. *)
 
 val create :
-  ?channel_capacity:int -> ?scalar_lookahead:bool ->
-  ?profiles:profile array -> Partition.t -> t
+  ?channel_capacity:int -> ?profiles:profile array -> Partition.t -> t
 (** Builds the per-region engines/worlds and wires the gateway proxies.
     Protocol stacks are installed afterwards by the caller, on each
     region's {!world}, for the nodes that region owns.
@@ -61,10 +60,7 @@ val create :
     one channel push, made as the egress proxy takes delivery.
     [profiles] (one per
     gateway, in partition gateway order) sharpens that gateway's two
-    edges; default {!default_profile} everywhere. [scalar_lookahead]
-    blunts every edge back to its region's scalar bound
-    ({!Partition.t.lookahead}) — sound, and useful only to measure what
-    per-edge promises save on an identical simulation. *)
+    edges; default {!default_profile} everywhere. *)
 
 val regions : t -> int
 val world : t -> int -> World.t

@@ -78,10 +78,6 @@ and t = {
      finds its port or handler without allocating. *)
   mutable handlers : handler option array;
   mutable outports : outport option array array;
-  outport_order : (G.node_id * G.port, outport) Hashtbl.t;
-      (** every outport again, keyed by (node, port): only {!purge_node}
-          reads it, and its iteration order is the order purged frames'
-          flights are committed in *)
   ber : (int, float) Hashtbl.t;  (** link_id -> bit error rate *)
   sf_links : (int, unit) Hashtbl.t;
       (** link_ids operated store-and-forward: the head of a frame leaves
@@ -169,7 +165,6 @@ let create ?(default_buffer_bytes = 256 * 1024) engine graph =
     default_buffer_bytes;
     handlers = [||];
     outports = [||];
-    outport_order = Hashtbl.create 256;
     ber = Hashtbl.create 8;
     sf_links = Hashtbl.create 4;
     rng = Sim.Rng.create 0xC0FFEEL;
@@ -267,7 +262,6 @@ let outport t node port =
     row.(port) <- Some op;
     t.outports <- room ~empty:[||] t.outports node;
     t.outports.(node) <- row;
-    Hashtbl.replace t.outport_order (node, port) op;
     op
 
 let set_handler t node h =
@@ -295,7 +289,6 @@ let set_store_and_forward t ~link_id = Hashtbl.replace t.sf_links link_id ()
 let store_and_forward t ~link_id = Hashtbl.mem t.sf_links link_id
 let set_bit_error_rate t ~link_id p = Hashtbl.replace t.ber link_id p
 let set_corruptor t f = t.corruptor <- Some f
-let clear_corruptor t = t.corruptor <- None
 let fail_link t link =
   G.disconnect t.graph link;
   Telemetry.Events.emit t.events ~time:(now t)
@@ -535,12 +528,17 @@ let port_stats t ~node ~port =
   }
 
 (* Crash support: abort the in-flight transmission and drop every queued
-   frame on all of [node]'s outports. Returns the number of frames lost. *)
+   frame on all of [node]'s outports, in port order (the order purged
+   frames' flights are committed in). Returns the number of frames lost. *)
 let purge_node t ~node =
   let total = ref 0 in
-  Hashtbl.iter
-    (fun (n, _) op ->
-      if n = node then begin
+  let row =
+    if node >= 0 && node < Array.length t.outports then t.outports.(node) else [||]
+  in
+  Array.iter
+    (function
+      | None -> ()
+      | Some op ->
         let dropped = ref 0 in
         let mark_purged frame =
           match frame.Frame.flight with
@@ -570,9 +568,8 @@ let purge_node t ~node =
         Sim.Stats.Timeweighted.set op.qtrack ~now:(now t) 0.0;
         op.purged <- op.purged + !dropped;
         C.add t.agg.agg_purged !dropped;
-        total := !total + !dropped
-      end)
-    t.outport_order;
+        total := !total + !dropped)
+    row;
   if !total > 0 then trace t "node %d: crash purged %d frames" node !total;
   !total
 

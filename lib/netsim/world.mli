@@ -108,8 +108,6 @@ val set_corruptor : t -> (link:Topo.Graph.link -> bytes -> bytes option) -> unit
     delivers [b] instead (counted in [corrupted]). Takes precedence over
     the flat {!set_bit_error_rate} table. *)
 
-val clear_corruptor : t -> unit
-
 val fail_link : t -> Topo.Graph.link -> unit
 (** Take a link down: removes it from the topology; frames already in
     flight still arrive; subsequent sends get [Dropped_no_link]. *)

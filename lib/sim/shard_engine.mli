@@ -33,18 +33,13 @@
 
 type t
 
-val create : lookahead:Time.t -> Engine.t -> t
-(** A single-edge clock (the scalar-lookahead mode: one promise bounds
-    every neighbor). Raises [Invalid_argument] if [lookahead <= 0]: a
-    zero-latency gateway link gives a zero lookahead, under which null
-    messages make no progress — the partitioner refuses such topologies
-    instead. *)
-
 val create_edges : lookaheads:Time.t array -> Engine.t -> t
 (** One clock with an edge per directed egress channel, each with its
     own lookahead and pending multiset. An empty array is legal (a sink
-    region promises nothing; {!promise} folds to infinity). Raises
-    [Invalid_argument] on any non-positive lookahead. *)
+    region promises nothing). Raises [Invalid_argument] on any
+    non-positive lookahead: a zero-latency gateway link gives a zero
+    lookahead, under which null messages make no progress — the
+    partitioner refuses such topologies instead. *)
 
 val engine : t -> Engine.t
 
@@ -61,11 +56,11 @@ val set_edge_floor : t -> edge:int -> (unit -> Time.t) -> unit
     priorities are non-preemptive and whose producing port is never
     purged). *)
 
-val note_outbound : t -> ?edge:int -> head:Time.t -> unit -> unit
+val note_outbound : t -> edge:int -> head:Time.t -> unit
 (** A transmission whose delivery arrives at [edge]'s egress proxy at
     [head] was scheduled (wired to the world's departure tap). *)
 
-val outbound_sent : t -> ?edge:int -> head:Time.t -> unit -> unit
+val outbound_sent : t -> edge:int -> head:Time.t -> unit
 (** The delivery at [head] fired and its message was handed to the
     channel. Heads that never fire (transmission aborted by preemption
     or a crash) are discarded lazily once the clock passes them. *)
@@ -73,10 +68,6 @@ val outbound_sent : t -> ?edge:int -> head:Time.t -> unit -> unit
 val promise_edge : t -> edge:int -> safe_in:Time.t -> Time.t
 (** Publishable lower bound on this shard's future sends over [edge];
     monotone per edge. *)
-
-val promise : t -> safe_in:Time.t -> Time.t
-(** Minimum over all edges — the scalar view (and the single-edge
-    clock's promise). *)
 
 val advance : t -> safe_in:Time.t -> cap:Time.t -> bool
 (** Run events with time < [safe_in], inclusive-capped at [cap] (the

@@ -173,6 +173,8 @@ let of_xsr b =
     trailer;
   }
 
+let unfold bytes = if Xsr.is_xsr bytes then Ok (of_xsr bytes) else parse bytes
+
 let truncate_to bytes ~max =
   if max < 0 then invalid_arg "Packet.truncate_to";
   if Bytes.length bytes <= max then bytes
@@ -233,9 +235,11 @@ let peek_ports bytes =
     if off2 < 0 then None else Some (Segment.peek_port bytes ~off:off2) )
 
 let peek_next_port bytes =
-  match second_segment bytes with
-  | exception (Wire.Buf.Underflow | Failure _) -> None
-  | _ -> Some (Segment.peek_port bytes ~off:0)
+  if Xsr.is_xsr bytes then Xsr.peek_next_port bytes
+  else
+    match second_segment bytes with
+    | exception (Wire.Buf.Underflow | Failure _) -> None
+    | _ -> Some (Segment.peek_port bytes ~off:0)
 
 let header_bytes bytes =
   let r = Wire.Buf.reader_of_bytes bytes in

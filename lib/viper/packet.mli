@@ -107,6 +107,12 @@ val of_xsr : bytes -> t
     VIPER without knowing the packet arrived as XSR. The header is not
     verified: call it on a packet {!Xsr.step} answered [Deliver] for. *)
 
+val unfold : bytes -> (t, error) result
+(** An arrived packet in either codec, as a [t]: an XSR packet
+    ({!Xsr.is_xsr}) through {!of_xsr}, which does not verify its header,
+    anything else through {!parse}. The router's local delivery takes
+    both codecs through it. *)
+
 val truncate_to : bytes -> max:int -> bytes
 (** Model of cut-through truncation at an MTU boundary: keep the first
     [max] bytes (discarding any partial trailer) and append a fresh
@@ -127,11 +133,13 @@ val peek_ports : bytes -> int * int option
     {!Segment.read} of either segment would. *)
 
 val peek_next_port : bytes -> int option
-(** The leading segment's port, read in place with {!Segment.extent}:
-    [Some p] exactly when {!peek_ports} returns [(p, _)], [None] when it
-    raises. Routers key rate-control limiters by it on every act step,
-    so it copies no field, builds no tuple and catches only the codec's
-    exceptions. *)
+(** The port the next router will forward on, read in place from either
+    header. For an XSR packet ({!Xsr.is_xsr}) it is
+    {!Xsr.peek_next_port}. Otherwise it is the leading segment's port,
+    read with {!Segment.extent}: [Some p] exactly when {!peek_ports}
+    returns [(p, _)], [None] when it raises. Routers key rate-control
+    limiters by it on every act step, so it copies no field, builds no
+    tuple and catches only the codec's exceptions. *)
 
 val header_bytes : bytes -> int
 (** Size of the leading header segment — the bytes a cut-through switch

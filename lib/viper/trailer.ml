@@ -2,6 +2,8 @@ type entry = Hop of Segment.t | Truncated | Branch
 
 let marker = 0xFFFF
 let branch_marker = 0xFFFE
+(* the largest legal entry segment: the two lengths above it are the
+   markers' *)
 let max_entry = 0xFFFD
 
 (* Integrity bytes: XOR over the protected bytes, seeded so an all-zero

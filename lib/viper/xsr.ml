@@ -58,7 +58,6 @@ let rpf b = (Char.code (Bytes.get b 2) lsr 4) land rpf_bit <> 0
 let hop_count b = Char.code (Bytes.get b 3)
 let hop_idx b = Char.code (Bytes.get b 4)
 let data b = Bytes.sub b header_size (Bytes.length b - header_size)
-let data_length b = Bytes.length b - header_size
 
 let encode ?(rpf = false) ?(priority = Token.Priority.normal) ~ports ~data () =
   let k = List.length ports in

@@ -105,9 +105,7 @@ let partition_gateways_are_only_cross_edges () =
          (G.links g))
   in
   let total = Array.fold_left (fun acc sub -> acc + List.length (G.links sub)) 0 p.P.graphs in
-  check_int "links conserved" (internal + (2 * Array.length p.P.gateways)) total;
-  (* lookahead: min incident gateway propagation, here the ring delay *)
-  Array.iter (fun la -> check_int "lookahead" trunk_props.G.propagation la) p.P.lookahead
+  check_int "links conserved" (internal + (2 * Array.length p.P.gateways)) total
 
 let partition_preserves_ports () =
   let g, _, _ = build ~regions:3 ~hosts_per_region:3 in
@@ -227,20 +225,20 @@ let balancer_splits_where_load_is () =
 
 let shard_engine_promise_shapes () =
   (* idle shard: promise = safe_in + lookahead *)
-  let c = SE.create ~lookahead:100 (Sim.Engine.create ()) in
-  check_int "idle" 600 (SE.promise c ~safe_in:500);
-  check_int "monotone under lower safe_in" 600 (SE.promise c ~safe_in:100);
+  let c = SE.create_edges ~lookaheads:[| 100 |] (Sim.Engine.create ()) in
+  check_int "idle" 600 (SE.promise_edge c ~edge:0 ~safe_in:500);
+  check_int "monotone under lower safe_in" 600 (SE.promise_edge c ~edge:0 ~safe_in:100);
   (* a local event caps the cause *)
   let e = Sim.Engine.create () in
-  let c = SE.create ~lookahead:100 e in
+  let c = SE.create_edges ~lookaheads:[| 100 |] e in
   ignore (Sim.Engine.schedule_at e ~time:50 (fun () -> ()));
-  check_int "next local + lookahead" 150 (SE.promise c ~safe_in:max_int);
+  check_int "next local + lookahead" 150 (SE.promise_edge c ~edge:0 ~safe_in:max_int);
   (* a pending outbound head is promised exactly *)
-  let c = SE.create ~lookahead:1000 (Sim.Engine.create ()) in
-  SE.note_outbound c ~head:300 ();
-  check_int "pending head wins" 300 (SE.promise c ~safe_in:max_int);
-  SE.outbound_sent c ~head:300 ();
-  check_int "released" max_int (SE.promise c ~safe_in:max_int)
+  let c = SE.create_edges ~lookaheads:[| 1000 |] (Sim.Engine.create ()) in
+  SE.note_outbound c ~edge:0 ~head:300;
+  check_int "pending head wins" 300 (SE.promise_edge c ~edge:0 ~safe_in:max_int);
+  SE.outbound_sent c ~edge:0 ~head:300;
+  check_int "released" max_int (SE.promise_edge c ~edge:0 ~safe_in:max_int)
 
 let shard_engine_per_edge_promises () =
   (* each edge promises with its own lookahead *)
@@ -250,15 +248,16 @@ let shard_engine_per_edge_promises () =
   check_int "lookahead 1" 100 (SE.edge_lookahead c ~edge:1);
   check_int "edge 0" 60 (SE.promise_edge c ~edge:0 ~safe_in:50);
   check_int "edge 1" 150 (SE.promise_edge c ~edge:1 ~safe_in:50);
-  check_int "scalar view = min over edges" 60 (SE.promise c ~safe_in:50);
+  check_int "min over edges" 60
+    (min (SE.promise_edge c ~edge:0 ~safe_in:50) (SE.promise_edge c ~edge:1 ~safe_in:50));
   (* a pending head pins only its own edge (fresh clock: promises are
      monotone, so the earlier safe_in:50 reads must not linger) *)
   let c = SE.create_edges ~lookaheads:[| 10; 100 |] (Sim.Engine.create ()) in
-  SE.note_outbound c ~edge:1 ~head:120 ();
+  SE.note_outbound c ~edge:1 ~head:120;
   check_int "edge 1 pinned" 120 (SE.promise_edge c ~edge:1 ~safe_in:max_int);
   check_bool "edge 0 unpinned" true
     (SE.promise_edge c ~edge:0 ~safe_in:200 > 120);
-  SE.outbound_sent c ~edge:1 ~head:120 ();
+  SE.outbound_sent c ~edge:1 ~head:120;
   (* a dynamic floor lifts new-transmission causes, not pending heads *)
   let c = SE.create_edges ~lookaheads:[| 10; 100 |] (Sim.Engine.create ()) in
   SE.set_edge_floor c ~edge:0 (fun () -> 500);
@@ -270,35 +269,35 @@ let shard_engine_per_edge_promises () =
    multiset behavior when several transmissions share a head time. *)
 let shard_engine_prunes_cancelled_heads () =
   let e = Sim.Engine.create () in
-  let c = SE.create ~lookahead:10 e in
+  let c = SE.create_edges ~lookaheads:[| 10 |] e in
   (* a transmission toward the gateway is noted, then cancelled: its
      delivery never fires, so outbound_sent is never called *)
-  SE.note_outbound c ~head:30 ();
+  SE.note_outbound c ~edge:0 ~head:30;
   ignore (Sim.Engine.schedule_at e ~time:60 (fun () -> ()));
-  check_int "still pins while future" 30 (SE.promise c ~safe_in:max_int);
+  check_int "still pins while future" 30 (SE.promise_edge c ~edge:0 ~safe_in:max_int);
   (* once the clock passes the head without it firing, it is dead: the
      promise falls back to min(next local 60, safe 50) + lookahead 10 *)
   check_bool "advances" true (SE.advance c ~safe_in:50 ~cap:100);
-  check_int "pruned" 60 (SE.promise c ~safe_in:50)
+  check_int "pruned" 60 (SE.promise_edge c ~edge:0 ~safe_in:50)
 
 let shard_engine_prunes_multiset_heads () =
   let e = Sim.Engine.create () in
-  let c = SE.create ~lookahead:10 e in
+  let c = SE.create_edges ~lookaheads:[| 10 |] e in
   (* two transmissions share head 30; one delivers, one is cancelled *)
-  SE.note_outbound c ~head:30 ();
-  SE.note_outbound c ~head:30 ();
-  SE.outbound_sent c ~head:30 ();
-  check_int "one of two still pins" 30 (SE.promise c ~safe_in:max_int);
+  SE.note_outbound c ~edge:0 ~head:30;
+  SE.note_outbound c ~edge:0 ~head:30;
+  SE.outbound_sent c ~edge:0 ~head:30;
+  check_int "one of two still pins" 30 (SE.promise_edge c ~edge:0 ~safe_in:max_int);
   ignore (Sim.Engine.schedule_at e ~time:60 (fun () -> ()));
   check_bool "advances" true (SE.advance c ~safe_in:50 ~cap:100);
   (* the cancelled survivor is lazily discarded once the clock passes *)
-  check_int "pruned after pass" 60 (SE.promise c ~safe_in:50);
+  check_int "pruned after pass" 60 (SE.promise_edge c ~edge:0 ~safe_in:50);
   (* and pruning does not resurrect: promises stay monotone *)
-  check_int "monotone" 60 (SE.promise c ~safe_in:40)
+  check_int "monotone" 60 (SE.promise_edge c ~edge:0 ~safe_in:40)
 
 let shard_engine_advance_caps_at_until () =
   let e = Sim.Engine.create () in
-  let c = SE.create ~lookahead:10 e in
+  let c = SE.create_edges ~lookaheads:[| 10 |] e in
   let fired = ref [] in
   List.iter
     (fun tm -> ignore (Sim.Engine.schedule_at e ~time:tm (fun () -> fired := tm :: !fired)))

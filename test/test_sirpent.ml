@@ -764,6 +764,100 @@ let viper_hop_allocation () =
   if per_send > 56.0 then
     Alcotest.failf "a VIPER Host.send allocated %.1f words (ceiling 56.0)" per_send
 
+(* ---- drop reasons ---- *)
+
+(* Every router drop reason, one case each: the router's [router_*]
+   counter moves by one and the dropped packet's flight ends in a drop
+   span at the router carrying the same reason. Hosts a and b feed
+   router r, whose port 3 leads to host c. *)
+let drop_reasons_match_scoreboard () =
+  let module R = Sirpent.Router in
+  let module Flight = Telemetry.Flight in
+  let route ports =
+    {
+      Sirpent.Route.first_port = 1;
+      segments = List.map (fun port -> Seg.make ~port ()) (ports @ [ Seg.local_port ]);
+    }
+  in
+  let to_c = route [ 3 ] in
+  let raw w h payload =
+    let flight = Flight.start (W.flight w) ~now:(W.now w) in
+    ignore (W.send w ~node:(Sirpent.Host.node h) ~port:1 (W.fresh_frame w ?flight payload))
+  in
+  let damaged_xsr () =
+    let b = Viper.Xsr.encode ~ports:[ 3 ] ~data:(Bytes.make 8 'x') () in
+    Bytes.set b 6 (Char.chr (Char.code (Bytes.get b 6) lxor 1));
+    b
+  in
+  let send h ?drop_if_blocked ~route n =
+    ignore (Sirpent.Host.send h ~route ?drop_if_blocked ~data:(Bytes.make n 'd') ())
+  in
+  let send_xsr h n =
+    ignore (Sirpent.Host.send_xsr h ~route:to_c ~data:(Bytes.make n 'x') ())
+  in
+  let require_tokens = { R.default_config with R.require_tokens = true } in
+  let cases =
+    [
+      ( "viper malformed", R.default_config, "malformed",
+        (fun s -> s.R.dropped_malformed),
+        fun w _ _ a _ -> raw w a (Bytes.of_string "\005") );
+      ( "xsr malformed", R.default_config, "malformed",
+        (fun s -> s.R.dropped_malformed),
+        fun w _ _ a _ -> raw w a (damaged_xsr ()) );
+      ( "xsr over mtu", R.default_config, "truncated",
+        (fun s -> s.R.truncated),
+        fun _ _ _ a _ -> send_xsr a 1600 );
+      ( "xsr without token", require_tokens, "unauthorized",
+        (fun s -> s.R.unauthorized),
+        fun _ _ _ a _ -> send_xsr a 64 );
+      ( "router down", R.default_config, "down",
+        (fun s -> s.R.dropped_down),
+        fun _ _ r a _ -> R.crash r; send a ~route:to_c 64 );
+      ( "unknown group", R.default_config, "parse_error",
+        (fun s -> s.R.parse_errors),
+        fun _ _ _ a _ -> send a ~route:(route [ 241 ]) 64 );
+      ( "blocked", R.default_config, "send_drop",
+        (fun s -> s.R.send_drops),
+        fun _ engine _ a b ->
+          send b ~route:to_c 1400;
+          ignore
+            (Sim.Engine.schedule engine ~delay:(Sim.Time.us 300) (fun () ->
+                 send a ~drop_if_blocked:true ~route:to_c 1400)) );
+    ]
+  in
+  List.iter
+    (fun (name, config, reason, counter, act) ->
+      let g = G.create () in
+      let ha = G.add_node g G.Host and hb = G.add_node g G.Host in
+      let r = G.add_node g G.Router in
+      let hc = G.add_node g G.Host in
+      ignore (G.connect g ha r props);
+      ignore (G.connect g hb r props);
+      ignore (G.connect g r hc props);
+      let engine = Sim.Engine.create () in
+      let w = W.create engine g in
+      Flight.set_policy (W.flight w)
+        { Flight.sample_every = 1; capture_drops = true; capacity = 64 };
+      let router = R.create ~config w ~node:r () in
+      let a = Sirpent.Host.create w ~node:ha and b = Sirpent.Host.create w ~node:hb in
+      ignore (Sirpent.Host.create w ~node:hc);
+      let before = counter (R.stats router) in
+      act w engine router a b;
+      Sim.Engine.run engine;
+      check_int (name ^ ": counter +1") (before + 1) (counter (R.stats router));
+      match List.filter (fun f -> f.Flight.dropped <> None) (Flight.flights (W.flight w)) with
+      | [ f ] -> (
+        Alcotest.(check (option string)) (name ^ ": flight reason") (Some reason)
+          f.Flight.dropped;
+        match List.rev f.Flight.spans with
+        | last :: _ ->
+          Alcotest.(check (option string)) (name ^ ": drop span") (Some reason)
+            last.Flight.drop;
+          check_int (name ^ ": dropped at the router") r last.Flight.node
+        | [] -> Alcotest.failf "%s: no spans" name)
+      | fs -> Alcotest.failf "%s: %d dropped flights" name (List.length fs))
+    cases
+
 let () =
   Alcotest.run "sirpent"
     [
@@ -781,6 +875,8 @@ let () =
           Alcotest.test_case "viper hop allocation" `Quick viper_hop_allocation;
           Alcotest.test_case "multi-homed host survives" `Quick
             multihomed_host_survives_interface_failure;
+          Alcotest.test_case "drop reasons match the scoreboard" `Quick
+            drop_reasons_match_scoreboard;
         ] );
       ( "tokens",
         [

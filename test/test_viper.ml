@@ -617,9 +617,11 @@ module Ref = struct
     if s1.Seg.flags.Seg.vnt then (s1.Seg.port, Some (Seg.read r).Seg.port)
     else (s1.Seg.port, None)
 
-  (* the router's old [next_port]: anything raised means [None] *)
+  (* the router's old [next_port]: the next XSR lane, else the leading
+     VIPER port, where anything raised means [None] *)
   let next_port bytes =
-    match peek_ports bytes with first, _ -> Some first | exception _ -> None
+    if Viper.Xsr.is_xsr bytes then Viper.Xsr.peek_next_port bytes
+    else match peek_ports bytes with first, _ -> Some first | exception _ -> None
 
   let consumed b off =
     let r = Wire.Buf.reader_of_bytes ~off b in

@@ -123,7 +123,15 @@ let reverse_route_rides_back () =
   (match Xsr.step back ~in_port:2 with
   | Xsr.Forward 6 -> ()
   | _ -> Alcotest.fail "second reverse hop");
-  check_int "peek = next lane" 5 (Option.get (Xsr.peek_next_port back))
+  check_int "peek = next lane" 5 (Option.get (Xsr.peek_next_port back));
+  (* the router's codec-agnostic reads see the same header *)
+  check_int "packet peek reads the lane" 5
+    (Option.get (Viper.Packet.peek_next_port back));
+  match Viper.Packet.unfold b with
+  | Ok p ->
+    Alcotest.(check (list int)) "unfold = of_xsr" [ 7; 6; 5 ]
+      (ports (Viper.Packet.return_route p))
+  | Error _ -> Alcotest.fail "unfold"
 
 (* --- end-to-end over the simulator --- *)
 
