@@ -51,9 +51,47 @@ type stats = {
   inheader_failovers : int;  (** switches onto an in-header branch route *)
 }
 
-(* The per-router scoreboard lives on the world's telemetry registry
-   (router_* counters labeled by node); [stats] below is a thin snapshot
-   view so existing callers keep working unchanged. *)
+(* The scoreboard: row [i] is a [router_*] counter on the world's metrics
+   registry, labeled by node, [t.counters.(i)] is its cell, and {!stats}
+   reads every row into one record. Rows register in index order, the
+   order snapshots and exports list them in. *)
+let inheader_failovers = 0
+let delay_line_circuits = 1
+let stored_forwards = 2
+let cut_throughs = 3
+let send_drops = 4
+let spliced = 5
+let multicast_copies = 6
+let truncated = 7
+let deferred = 8
+let unauthorized = 9
+let crashes = 10
+let dropped_down = 11
+let dropped_malformed = 12
+let parse_errors = 13
+let delivered_local = 14
+let forwarded = 15
+
+let rows =
+  [|
+    ("inheader_failovers", "packets switched onto an in-header branch route");
+    ("delay_line_circuits", "");
+    ("stored_forwards", "");
+    ("cut_throughs", "");
+    ("send_drops", "drops at the output port after switching");
+    ("spliced", "");
+    ("multicast_copies", "");
+    ("truncated", "");
+    ("deferred", "packets held for blocking token verification");
+    ("unauthorized", "token check rejections");
+    ("crashes", "");
+    ("dropped_down", "frames arriving while crashed");
+    ("dropped_malformed", "");
+    ("parse_errors", "");
+    ("delivered_local", "");
+    ("forwarded", "packets handed to an output port");
+  |]
+
 type t = {
   world : W.t;
   node : G.node_id;
@@ -68,24 +106,10 @@ type t = {
   mutable on_local : (packet:Pkt.t -> in_port:G.port -> unit) option;
   mutable up : bool;
   mutable epoch : int;  (** bumped on crash: pending deferred work dies with it *)
-  forwarded : C.t;
-  delivered_local : C.t;
-  parse_errors : C.t;
-  dropped_malformed : C.t;
-  dropped_down : C.t;
-  crashes : C.t;
-  unauthorized : C.t;
-  deferred : C.t;
-  truncated : C.t;
-  multicast_copies : C.t;
-  spliced : C.t;
-  send_drops : C.t;
-  cut_throughs : C.t;
-  stored_forwards : C.t;
-  delay_line_circuits : C.t;
-  inheader_failovers : C.t;
+  counters : C.t array;  (** one per scoreboard row *)
 }
 
+let bump t row = C.incr t.counters.(row)
 let node t = t.node
 let cache t = t.cache
 let ledger t = t.ledger
@@ -93,23 +117,24 @@ let logical t = t.logical
 let congestion t = t.congestion
 
 let stats t : stats =
+  let v row = C.value t.counters.(row) in
   {
-    forwarded = C.value t.forwarded;
-    delivered_local = C.value t.delivered_local;
-    parse_errors = C.value t.parse_errors;
-    dropped_malformed = C.value t.dropped_malformed;
-    dropped_down = C.value t.dropped_down;
-    crashes = C.value t.crashes;
-    unauthorized = C.value t.unauthorized;
-    deferred = C.value t.deferred;
-    truncated = C.value t.truncated;
-    multicast_copies = C.value t.multicast_copies;
-    spliced = C.value t.spliced;
-    send_drops = C.value t.send_drops;
-    cut_throughs = C.value t.cut_throughs;
-    stored_forwards = C.value t.stored_forwards;
-    delay_line_circuits = C.value t.delay_line_circuits;
-    inheader_failovers = C.value t.inheader_failovers;
+    forwarded = v forwarded;
+    delivered_local = v delivered_local;
+    parse_errors = v parse_errors;
+    dropped_malformed = v dropped_malformed;
+    dropped_down = v dropped_down;
+    crashes = v crashes;
+    unauthorized = v unauthorized;
+    deferred = v deferred;
+    truncated = v truncated;
+    multicast_copies = v multicast_copies;
+    spliced = v spliced;
+    send_drops = v send_drops;
+    cut_throughs = v cut_throughs;
+    stored_forwards = v stored_forwards;
+    delay_line_circuits = v delay_line_circuits;
+    inheader_failovers = v inheader_failovers;
   }
 
 let set_port_group t ~port ~ports =
@@ -137,21 +162,20 @@ type drop =
 let drop t ~frame ~in_port reason =
   let reason =
     match reason with
-    | Malformed -> C.incr t.dropped_malformed; "malformed"
-    | Down -> C.incr t.dropped_down; "down"
-    | Parse_error -> C.incr t.parse_errors; "parse_error"
-    | Unauthorized -> C.incr t.unauthorized; "unauthorized"
-    | Truncated -> C.incr t.truncated; "truncated"
-    | Send_drop -> C.incr t.send_drops; "send_drop"
-    | Aborted -> C.incr t.send_drops; "aborted"
+    | Malformed -> bump t dropped_malformed; "malformed"
+    | Down -> bump t dropped_down; "down"
+    | Parse_error -> bump t parse_errors; "parse_error"
+    | Unauthorized -> bump t unauthorized; "unauthorized"
+    | Truncated -> bump t truncated; "truncated"
+    | Send_drop -> bump t send_drops; "send_drop"
+    | Aborted -> bump t send_drops; "aborted"
     | Aborted_delivery -> "aborted"
   in
   match frame.Netsim.Frame.flight with
   | Some ctx -> Flight.drop ctx ~node:t.node ~in_port ~now:(now t) ~reason
   | None -> ()
 
-let flight_note t ~frame check =
-  ignore t;
+let flight_note ~frame check =
   match frame.Netsim.Frame.flight with
   | Some ctx -> Flight.note_token ctx check
   | None -> ()
@@ -226,7 +250,7 @@ let act_time t ~cut_rate ~head ~tail ~header_size =
 
 let count_send_result t ~frame ~in_port result =
   match result with
-  | W.Started | W.Started_preempting _ | W.Queued -> C.incr t.forwarded
+  | W.Started | W.Started_preempting _ | W.Queued -> bump t forwarded
   | W.Dropped_blocked | W.Dropped_overflow | W.Dropped_no_link ->
     drop t ~frame ~in_port Send_drop
 
@@ -249,10 +273,10 @@ let transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload =
           ?flight:frame.Netsim.Frame.flight payload
       in
       match W.send t.world ~node:t.node ~port:out_port out_frame with
-      | W.Started | W.Started_preempting _ | W.Queued -> C.incr t.forwarded
+      | W.Started | W.Started_preempting _ | W.Queued -> bump t forwarded
       | W.Dropped_blocked ->
         if circuits < max_circuits && not dib then begin
-          C.incr t.delay_line_circuits;
+          bump t delay_line_circuits;
           schedule t ~time:(now t + delay) (fun () -> attempt (circuits + 1))
         end
         else drop t ~frame ~in_port Send_drop
@@ -293,11 +317,11 @@ let switch t ~frame ~in_port ~out_port ~head ~tail ~header_size ~priority ~dib
   let when_ = act_time t ~cut_rate ~head ~tail ~header_size in
   let handling =
     if cut_rate > 0 then begin
-      C.incr t.cut_throughs;
+      bump t cut_throughs;
       Flight.Cut_through
     end
     else begin
-      C.incr t.stored_forwards;
+      bump t stored_forwards;
       Flight.Store_forward
     end
   in
@@ -329,7 +353,7 @@ let forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~t
     let forwarded =
       let mtu = port_mtu t out_port in
       if Bytes.length forwarded > mtu then begin
-        C.incr t.truncated;
+        bump t truncated;
         Pkt.truncate_to forwarded ~max:(mtu - 4)
       end
       else forwarded
@@ -350,7 +374,7 @@ type authorization =
 let auth_port ~seg ~in_port ~out_port = if seg.Seg.flags.Seg.rpf then in_port else out_port
 
 let reject t ~frame ~in_port =
-  flight_note t ~frame Flight.Denied;
+  flight_note ~frame Flight.Denied;
   drop t ~frame ~in_port Unauthorized
 
 (* Decrypt [token] in the background so subsequent packets hit the
@@ -372,7 +396,7 @@ let authorize t ~seg ~frame ~in_port ~out_port ~packet_bytes =
       Refused
     end
     else begin
-      flight_note t ~frame Flight.No_token;
+      flight_note ~frame Flight.No_token;
       Pass
     end
   end
@@ -383,7 +407,7 @@ let authorize t ~seg ~frame ~in_port ~out_port ~packet_bytes =
         ~now_ms:(now t / 1_000_000) ~packet_bytes ~reverse:seg.Seg.flags.Seg.rpf
     with
     | Token.Cache.Admit g ->
-      flight_note t ~frame Flight.Cache_hit;
+      flight_note ~frame Flight.Cache_hit;
       Granted g
     | Token.Cache.Deny ->
       reject t ~frame ~in_port;
@@ -391,10 +415,10 @@ let authorize t ~seg ~frame ~in_port ~out_port ~packet_bytes =
     | Token.Cache.Miss_admit ->
       (* Optimistic: forward now, decrypt in the background. *)
       verify_in_background t ~token:seg.Seg.token;
-      flight_note t ~frame Flight.Cache_miss;
+      flight_note ~frame Flight.Cache_miss;
       Pass
     | Token.Cache.Defer ->
-      C.incr t.deferred;
+      bump t deferred;
       Held
     | Token.Cache.Miss_drop ->
       (* dropped, but "in any case, the new token is decrypted, checked and
@@ -417,7 +441,7 @@ let verify_then t ~seg ~frame ~in_port ~out_port ~packet_bytes ~proceed =
             ~now_ms ~packet_bytes ~reverse:seg.Seg.flags.Seg.rpf
         with
         | Token.Cache.Admit g ->
-          flight_note t ~frame Flight.Cache_miss;
+          flight_note ~frame Flight.Cache_miss;
           proceed ~reverse_ok:g.Token.Capability.reverse_ok
         | Token.Cache.Deny | Token.Cache.Defer | Token.Cache.Miss_admit
         | Token.Cache.Miss_drop ->
@@ -492,7 +516,7 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
           authorized_forward t ~seg ~frame ~payload ~pos ~in_port ~in_info
             ~out_port:best ~head ~tail ~header_size
         | Some (Logical.Splice expansion) ->
-          C.incr t.spliced;
+          bump t spliced;
           (* the expansion stands in for this segment: VNT on its last
              segment iff this one had it *)
           let last_vnt = seg.Seg.flags.Seg.vnt in
@@ -532,7 +556,7 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
                 | Wire.Buf.Overflow ) ->
               drop t ~frame ~in_port Malformed
             | payload' ->
-              C.incr t.inheader_failovers;
+              bump t inheader_failovers;
               Telemetry.Events.emit (W.events t.world) ~time:(now t)
                 (Telemetry.Events.Inheader_failover
                    { node = t.node; port = seg.Seg.port });
@@ -560,7 +584,7 @@ and multicast t ~seg ~frame ~payload ~pos ~in_port ~in_info ~head ~tail
     ~header_size ~ports =
   List.iter
     (fun out_port ->
-      C.incr t.multicast_copies;
+      bump t multicast_copies;
       forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head
         ~tail ~header_size ~reverse_ok:true)
     ports
@@ -571,7 +595,7 @@ and tree_multicast t ~seg ~frame ~rest ~in_port ~in_info ~head ~tail ~depth =
   | branches ->
     List.iter
       (fun branch ->
-        C.incr t.multicast_copies;
+        bump t multicast_copies;
         let payload' = prepend rest ~write:(fun w -> List.iter (Seg.write w) branch) in
         process t ~frame ~payload:payload' ~in_port ~in_info ~head ~tail
           ~depth:(depth + 1))
@@ -589,7 +613,7 @@ and deliver_local t ~frame ~payload ~in_port ~tail =
       match Pkt.unfold payload with
       | Error _ -> drop t ~frame ~in_port Malformed
       | Ok packet -> (
-        C.incr t.delivered_local;
+        bump t delivered_local;
         (match frame.Netsim.Frame.flight with
         | Some ctx ->
           Flight.hop ctx ~node:t.node ~in_port ~out_port:(-1) ~arrival:tail
@@ -645,11 +669,7 @@ let create ?(config = default_config) ?key world ~node () =
   let congestion =
     Option.map (fun c -> Congestion.create world ~node c) config.congestion
   in
-  let cnt ?help name =
-    Telemetry.Registry.counter (W.metrics world) ?help
-      ~labels:[ ("node", string_of_int node) ]
-      ("router_" ^ name)
-  in
+  let labels = [ ("node", string_of_int node) ] in
   let t =
     {
       world;
@@ -665,24 +685,12 @@ let create ?(config = default_config) ?key world ~node () =
       on_local = None;
       up = true;
       epoch = 0;
-      forwarded = cnt "forwarded" ~help:"packets handed to an output port";
-      delivered_local = cnt "delivered_local";
-      parse_errors = cnt "parse_errors";
-      dropped_malformed = cnt "dropped_malformed";
-      dropped_down = cnt "dropped_down" ~help:"frames arriving while crashed";
-      crashes = cnt "crashes";
-      unauthorized = cnt "unauthorized" ~help:"token check rejections";
-      deferred = cnt "deferred" ~help:"packets held for blocking token verification";
-      truncated = cnt "truncated";
-      multicast_copies = cnt "multicast_copies";
-      spliced = cnt "spliced";
-      send_drops = cnt "send_drops" ~help:"drops at the output port after switching";
-      cut_throughs = cnt "cut_throughs";
-      stored_forwards = cnt "stored_forwards";
-      delay_line_circuits = cnt "delay_line_circuits";
-      inheader_failovers =
-        cnt "inheader_failovers"
-          ~help:"packets switched onto an in-header branch route";
+      counters =
+        Array.map
+          (fun (name, help) ->
+            Telemetry.Registry.counter (W.metrics world) ~help ~labels
+              ("router_" ^ name))
+          rows;
     }
   in
   W.set_handler world node (handle t);
@@ -696,7 +704,7 @@ let set_port_handler t ~port f =
 
 let inject t ~payload ~in_port ~return_info =
   (* no frame exists yet, so there is no flight to end *)
-  if not t.up then C.incr t.dropped_down
+  if not t.up then bump t dropped_down
   else begin
     let flight = Flight.start (W.flight t.world) ~now:(now t) in
     (match flight with
@@ -718,7 +726,7 @@ let crash t =
   if t.up then begin
     t.up <- false;
     t.epoch <- t.epoch + 1;
-    C.incr t.crashes;
+    bump t crashes;
     let lost = W.purge_node t.world ~node:t.node in
     (* the congestion controller's limiters, windows and congested-port
        marks are soft state too: they die with the crash, and packets held

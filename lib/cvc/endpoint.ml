@@ -19,7 +19,6 @@ type t = {
   mutable on_receive : (t -> circuit -> bytes -> unit) option;
   mutable vci_counter : int;
   mutable call_counter : int;
-  mutable received_bytes : int;
 }
 
 (* Call ids must be unique world-wide (the callee keys its circuit table
@@ -33,7 +32,6 @@ let fresh_call_id t =
 
 let node t = t.node
 let set_receive t f = t.on_receive <- Some f
-let received_bytes t = t.received_bytes
 
 let open_circuits t =
   List.length (List.filter (fun c -> c.state = Open) t.circuits)
@@ -99,9 +97,8 @@ let handle t _world ~in_port ~frame ~head:_ ~tail:_ =
     | exception Wire.Buf.Underflow -> ()
     | vci, data -> (
       match find_by_vci t vci with
-      | Some c when c.state = Open ->
-        t.received_bytes <- t.received_bytes + Bytes.length data;
-        (match t.on_receive with Some f -> f t c data | None -> ())
+      | Some c when c.state = Open -> (
+        match t.on_receive with Some f -> f t c data | None -> ())
       | Some _ | None -> ()))
 
 let create world ~node =
@@ -114,7 +111,6 @@ let create world ~node =
       on_receive = None;
       vci_counter = 0;
       call_counter = 0;
-      received_bytes = 0;
     }
   in
   W.set_handler world node (handle t);

@@ -28,4 +28,3 @@ val setup_rtt : t -> circuit -> Sim.Time.t option
 (** Time from setup launch to connect confirmation, once open. *)
 
 val open_circuits : t -> int
-val received_bytes : t -> int

@@ -4,7 +4,6 @@ type Netsim.Frame.meta +=
   | Release of { call_id : int; vci : int; reason : string }
 
 let setup_bytes = 40
-let data_header_bytes = 2
 
 let encode_data ~vci data =
   let w = Wire.Buf.create_writer (2 + Bytes.length data) in

@@ -13,9 +13,6 @@ type Netsim.Frame.meta +=
 val setup_bytes : int
 (** Simulated size of a signalling frame (40 B). *)
 
-val data_header_bytes : int
-(** 2: the VCI label on every data packet. *)
-
 val encode_data : vci:int -> bytes -> bytes
 val decode_data : bytes -> int * bytes
 (** Raises [Wire.Buf.Underflow] on a short frame. *)

@@ -31,6 +31,3 @@ val circuit_entries : t -> int
 
 val reserved_bps : t -> port:Topo.Graph.port -> int
 (** Bandwidth currently reserved on a port. *)
-
-val recompute_routes : t -> unit
-(** Refresh the static next-hop table used to route setups. *)

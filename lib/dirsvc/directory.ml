@@ -350,7 +350,6 @@ let query_latency t ~client ~target =
   levels * t.per_level_rtt
 
 let queries_served t = C.value t.queries_served
-let tokens_minted t = C.value t.tokens_minted
 let stale_served t = C.value t.stale_served
 let cache_hits t = C.value t.cache_hits
 let cache_misses t = C.value t.cache_misses

@@ -72,7 +72,6 @@ val create :
 
 val register : t -> name:Name.t -> node:Topo.Graph.node_id -> unit
 val lookup_name : t -> Name.t -> Topo.Graph.node_id option
-val name_of_node : t -> Topo.Graph.node_id -> Name.t option
 
 val intern_name : t -> Name.t -> int
 (** The name's stable interned id (assigned on first sight, registered or
@@ -96,11 +95,6 @@ val report_load : t -> link_id:int -> utilization:float -> unit
     delay-based route selection. A {e changed} report advances the route
     epoch (invalidating memoized SPTs and answers); re-reporting an
     unchanged value keeps caches warm. *)
-
-val invalidate_routes : t -> unit
-(** Manually advance the route epoch, flushing memoized SPTs and answers
-    at the next query. (Topology changes need no call: the graph's
-    {!Topo.Graph.version} is part of the epoch.) *)
 
 val epoch : t -> int
 (** The current route epoch (monotone; load/cost/security dirt plus the
@@ -132,7 +126,6 @@ val query_latency : t -> client:Topo.Graph.node_id -> target:Name.t -> Sim.Time.
     this before using the result; {!Client} automates it). *)
 
 val queries_served : t -> int
-val tokens_minted : t -> int
 
 (** {1 Cache observability}
 

@@ -21,6 +21,3 @@ val start : t -> until:Sim.Time.t -> unit
     finished simulation's event queue drains). *)
 
 val reports_made : t -> int
-
-val sample_once : t -> unit
-(** One immediate sampling pass (for tests and manual advisories). *)

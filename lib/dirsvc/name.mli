@@ -19,9 +19,6 @@ val region : t -> t
 
 val depth : t -> int
 
-val common_prefix : t -> t -> int
-(** Length of the shared leading components. *)
-
 val hierarchy_distance : t -> t -> int
 (** Levels a resolution walks between the two names' regions: up from one
     region to the common ancestor and down to the other. 0 for the same

@@ -31,9 +31,5 @@ val node_of_id : t -> int -> int option
 val find_node : t -> Name.t -> int option
 (** [find] composed with [node_of_id]. *)
 
-val iter_subtree : t -> Name.t -> f:(int -> unit) -> unit
-(** Apply [f] to the id of every interned name equal to or below the
-    prefix (unspecified order). *)
-
 val subtree : t -> Name.t -> int list
 (** Ids of every interned name at or below the prefix, sorted by name. *)

@@ -1,8 +1,6 @@
 type header = { dst : Addr.t; src : Addr.t; ethertype : int }
 
 let header_size = 14
-let min_payload = 46
-let max_payload = 1500
 let ethertype_sirpent = 0x88B5
 let ethertype_ip = 0x0800
 let ethertype_cvc = 0x88B6

@@ -13,12 +13,6 @@ type header = {
 val header_size : int
 (** 14 bytes. *)
 
-val min_payload : int
-(** 46 bytes — classic Ethernet minimum. *)
-
-val max_payload : int
-(** 1500 bytes. *)
-
 val ethertype_sirpent : int
 (** The value "reserved to designate the Sirpent protocol on the Ethernet"
     (§2). Unassigned in real registries; we use 0x88B5 (IEEE local

@@ -5,14 +5,8 @@ type region = Header | Payload | Trailer | Any
 
 type spec = { ber : float; region : region }
 
-let region_name = function
-  | Header -> "header"
-  | Payload -> "payload"
-  | Trailer -> "trailer"
-  | Any -> "any"
-
-let pp_region fmt r = Format.pp_print_string fmt (region_name r)
-
+(* [(offset, length)] of the region within the frame, or [None] when the
+   frame has none *)
 let region_span bytes region =
   let len = Bytes.length bytes in
   match region with

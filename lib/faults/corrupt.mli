@@ -25,13 +25,6 @@ type spec = {
   region : region;
 }
 
-val pp_region : Format.formatter -> region -> unit
-
-val region_span : bytes -> region -> (int * int) option
-(** [(offset, length)] of the region within the frame, or [None] when the
-    frame has no such region (not a parsable VIPER packet, empty payload,
-    zero-length frame). *)
-
 val corrupt : Sim.Rng.t -> spec -> bytes -> (bytes * int) option
 (** [corrupt rng spec frame] is [Some (damaged_copy, bits_flipped)] when at
     least one bit flips, [None] otherwise (zero BER, region absent, or the

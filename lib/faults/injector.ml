@@ -111,8 +111,6 @@ let create ?(seed = 0x51123E17L) world =
 let set_link_corruption t ~link spec =
   Hashtbl.replace t.corruption link.G.link_id spec
 
-let clear_link_corruption t ~link = Hashtbl.remove t.corruption link.G.link_id
-
 let engine t = W.engine t.world
 
 let do_fail t link =
@@ -126,12 +124,6 @@ let do_restore t link =
     W.restore_link t.world link;
     C.incr t.c.c_links_restored
   end
-
-let fail_link_at t ~at link =
-  ignore (Sim.Engine.schedule_at (engine t) ~time:at (fun () -> do_fail t link))
-
-let restore_link_at t ~at link =
-  ignore (Sim.Engine.schedule_at (engine t) ~time:at (fun () -> do_restore t link))
 
 let exp_time t mean =
   max 1 (Sim.Time.of_seconds (Sim.Rng.exponential t.rng ~mean:(Sim.Time.to_seconds mean)))
@@ -172,14 +164,6 @@ let crash_router_at t ~at ?down_for router =
                     Router.restart router;
                     C.incr t.c.c_restarts
                   end))))
-
-let restart_router_at t ~at router =
-  ignore
-    (Sim.Engine.schedule_at (engine t) ~time:at (fun () ->
-         if not (Router.up router) then begin
-           Router.restart router;
-           C.incr t.c.c_restarts
-         end))
 
 let freeze_directory_at t ~at ?thaw_after dir =
   let eng = engine t in

@@ -46,16 +46,11 @@ val set_link_corruption : t -> link:Topo.Graph.link -> Corrupt.spec -> unit
 (** Every frame entering [link] (either direction) is damaged per the spec;
     replaces any previous spec for the link. *)
 
-val clear_link_corruption : t -> link:Topo.Graph.link -> unit
-
 (** {1 Link failure and flapping}
 
     All transitions are edge-checked against the live topology: failing a
     dead link or restoring a live one is a no-op and not counted, so
     scheduled and stochastic faults compose on the same link. *)
-
-val fail_link_at : t -> at:Sim.Time.t -> Topo.Graph.link -> unit
-val restore_link_at : t -> at:Sim.Time.t -> Topo.Graph.link -> unit
 
 val flap_link :
   t -> ?start:Sim.Time.t -> ?until:Sim.Time.t -> mean_up:Sim.Time.t ->
@@ -72,8 +67,6 @@ val crash_router_at :
 (** Crash the router at [at] (see {!Sirpent.Router.crash}: purges its
     outports, flushes the token cache, resets congestion limiters, abandons
     deferred work). With [down_for] it restarts that much later. *)
-
-val restart_router_at : t -> at:Sim.Time.t -> Sirpent.Router.t -> unit
 
 (** {1 Directory staleness} *)
 

@@ -3,8 +3,11 @@ module W = Netsim.World
 module Seg = Viper.Segment
 module C = Telemetry.Registry.Counter
 
+(* the IP protocol value reserved for encapsulated Sirpent *)
 let protocol_number = 94
 
+(* a tunnel segment's portInfo: the remote gateway's IP address,
+   big-endian *)
 let tunnel_info ~remote_addr =
   let w = Wire.Buf.create_writer 4 in
   Wire.Buf.put_u32_int w (remote_addr land 0xFFFFFFFF);

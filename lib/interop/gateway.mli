@@ -13,18 +13,11 @@
     gateway's {e tunnel port} carries the remote gateway's 4-byte IP
     address in its portInfo; the gateway strips it, appends the return
     entry, and encapsulates the remaining VIPER bytes in an IP datagram
-    (protocol {!protocol_number}). The remote gateway reassembles,
+    (IP protocol 94). The remote gateway reassembles,
     decapsulates, and injects the packet into its Sirpent router with a
     return hop of (tunnel port, source gateway's address) — so replies
     re-enter the tunnel with no extra machinery: the trailer reversal of
     §2 just works across the cloud. *)
-
-val protocol_number : int
-(** 94 — the IP protocol value we reserve for encapsulated Sirpent. *)
-
-val tunnel_info : remote_addr:int -> bytes
-(** The portInfo for a tunnel segment: the remote gateway's 32-bit IP
-    address, big-endian. *)
 
 val tunnel_segment :
   ?priority:Token.Priority.t -> tunnel_port:int -> remote_addr:int -> unit ->

@@ -18,7 +18,6 @@ let set_receive t f = t.on_receive <- Some f
 let received t = t.received
 let dropped_checksum t = t.dropped_checksum
 let misdelivered t = t.misdelivered
-let reassembly_expired t = Frag.Reassembly.expired t.reassembly
 
 let accept t packet =
   if not (Header.checksum_ok packet) then

@@ -26,5 +26,3 @@ val received : t -> int
 val dropped_checksum : t -> int
 val misdelivered : t -> int
 (** Datagrams that arrived carrying someone else's destination address. *)
-
-val reassembly_expired : t -> int

@@ -39,9 +39,6 @@ type t = {
   mutable table : (G.node_id, G.port) Hashtbl.t;
   mutable seq : int;
   mutable spf_pending : bool;
-  mutable spf_runs : int;
-  mutable lsas_sent : int;
-  mutable hellos_sent : int;
   mutable started : bool;
 }
 
@@ -55,9 +52,6 @@ let create world ~node config =
     table = Hashtbl.create 32;
     seq = 0;
     spf_pending = false;
-    spf_runs = 0;
-    lsas_sent = 0;
-    hellos_sent = 0;
     started = false;
   }
 
@@ -89,7 +83,6 @@ let flood t ?(except = -1) lsa =
             ~meta:(Lsa_flood lsa)
             (Bytes.create (lsa_bytes t lsa))
         in
-        t.lsas_sent <- t.lsas_sent + 1;
         ignore (W.send t.world ~node:t.node ~port frame)
       end)
     (G.ports (W.graph t.world) t.node)
@@ -104,7 +97,6 @@ let rec schedule_spf t =
   end
 
 and run_spf t =
-  t.spf_runs <- t.spf_runs + 1;
   (* Dijkstra over the LSDB. Edges are taken as advertised. *)
   let dist : (G.node_id, float) Hashtbl.t = Hashtbl.create 64 in
   let first_hop : (G.node_id, G.node_id) Hashtbl.t = Hashtbl.create 64 in
@@ -200,7 +192,6 @@ let send_hellos t =
           ~meta:(Hello t.node)
           (Bytes.create t.config.hello_bytes)
       in
-      t.hellos_sent <- t.hellos_sent + 1;
       ignore (W.send t.world ~node:t.node ~port frame))
     (G.ports (W.graph t.world) t.node)
 
@@ -240,7 +231,3 @@ let lsdb_entries t = Hashtbl.length t.lsdb
 
 let lsdb_bytes t =
   Hashtbl.fold (fun _ lsa acc -> acc + lsa_bytes t lsa) t.lsdb 0
-
-let spf_runs t = t.spf_runs
-let lsas_sent t = t.lsas_sent
-let hellos_sent t = t.hellos_sent

@@ -50,7 +50,3 @@ val reachable : t -> dst:Topo.Graph.node_id -> bool
 val lsdb_entries : t -> int
 val lsdb_bytes : t -> int
 (** Estimated stored topology bytes — the O(topology) router state. *)
-
-val spf_runs : t -> int
-val lsas_sent : t -> int
-val hellos_sent : t -> int

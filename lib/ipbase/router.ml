@@ -46,6 +46,8 @@ let stats t =
 let linkstate t = t.linkstate
 let set_local_delivery t f = t.on_local <- Some f
 
+(* static tables from the current global topology: an oracle
+   reconvergence *)
 let recompute_static t =
   Hashtbl.reset t.static_table;
   let g = W.graph t.world in

@@ -33,10 +33,6 @@ val create : ?config:config -> Netsim.World.t -> node:Topo.Graph.node_id -> unit
 val node : t -> Topo.Graph.node_id
 val stats : t -> stats
 
-val recompute_static : t -> unit
-(** Rebuild static tables from the (current) global topology — models an
-    oracle reconvergence for experiments that isolate data-path costs. *)
-
 val linkstate : t -> Linkstate.t option
 
 val table_size : t -> int

@@ -56,12 +56,8 @@ val refine :
     no-op; a single-atom region is {!Unsplittable} — callers count the
     refusal and keep the coarser partition rather than fail. *)
 
-val region_key : string -> int option
-(** The region field of a node address, by naming convention: the integer
-    following the last ["region"] or ["campus"] marker in the node name
-    (e.g. ["host7.campus2"] -> [Some 2]). *)
-
 val by_name : G.t -> (G.node_id -> int, error) result
-(** A region function read off every node's name via {!region_key};
-    [Bad_region] (with [region = -1]) if any node name lacks a region
-    marker. *)
+(** A region function read off every node's name: the integer following
+    its last ["region"] or ["campus"] marker (["host7.campus2"] is in
+    region 2). [Bad_region] (with [region = -1]) if any node name lacks a
+    region marker. *)

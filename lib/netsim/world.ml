@@ -98,7 +98,6 @@ and t = {
           delivery, keyed by its completion key, so {!retire_passed}
           finds the ones that are over in key order *)
   mutable next_frame_id : int;
-  mutable trace : Sim.Trace.t option;
   metrics : Telemetry.Registry.t;
   events : Telemetry.Events.t;
   flight : Telemetry.Flight.t;
@@ -173,7 +172,6 @@ let create ?(default_buffer_bytes = 256 * 1024) engine graph =
     taps = [||];
     retiring = Sim.Heap.create ~dummy:vacant_port;
     next_frame_id = 0;
-    trace = None;
     metrics;
     events = Telemetry.Events.create ();
     flight = Telemetry.Flight.create ();
@@ -195,15 +193,9 @@ let create ?(default_buffer_bytes = 256 * 1024) engine graph =
 let engine t = t.engine
 let graph t = t.graph
 let now t = Sim.Engine.now t.engine
-let set_trace t trace = t.trace <- Some trace
 let metrics t = t.metrics
 let events t = t.events
 let flight t = t.flight
-
-let trace t fmt =
-  match t.trace with
-  | Some tr -> Sim.Trace.recordf tr ~time:(now t) fmt
-  | None -> Printf.ikfprintf ignore () fmt
 
 (* [tbl] with room for index [i] (a fresh, larger copy when it is too
    short); new slots hold [empty] *)
@@ -332,12 +324,10 @@ let deliver_direct t ~node ~in_port ~frame ~head ~tail =
   match find t.handlers node with
   | Some h -> (
     try h t ~in_port ~frame ~head ~tail
-    with exn ->
+    with _ ->
       C.incr t.agg.agg_handler_errors;
       let n = Option.value ~default:0 (Hashtbl.find_opt t.handler_errors node) in
-      Hashtbl.replace t.handler_errors node (n + 1);
-      trace t "node %d: handler raised %s on frame#%d" node
-        (Printexc.to_string exn) frame.Frame.id)
+      Hashtbl.replace t.handler_errors node (n + 1))
   | None -> C.incr t.agg.agg_undelivered
 
 (* The far end of [link] from [node], read off the link's fields ([G.peer]
@@ -423,8 +413,6 @@ let enqueue t op tx frame =
   if op.queued_bytes + Bytes.length frame.Frame.payload > op.buffer_bytes then begin
     op.dropped_overflow <- op.dropped_overflow + 1;
     C.incr t.agg.agg_dropped_overflow;
-    trace t "node %d port %d: frame#%d dropped (buffer overflow)" op.op_node
-      op.op_port frame.Frame.id;
     Dropped_overflow
   end
   else begin
@@ -470,8 +458,6 @@ let send t ~node ~port frame =
         tx.delivered_frame.Frame.aborted <- true;
         op.preempted <- op.preempted + 1;
         C.incr t.agg.agg_preempted;
-        trace t "node %d port %d: frame#%d preempted frame#%d" node port
-          frame.Frame.id tx.tx_frame.Frame.id;
         op.current <- no_tx;
         start_transmission t op link frame;
         Started_preempting tx.tx_frame
@@ -479,8 +465,6 @@ let send t ~node ~port frame =
       else if frame.Frame.drop_if_blocked then begin
         op.dropped_blocked <- op.dropped_blocked + 1;
         C.incr t.agg.agg_dropped_blocked;
-        trace t "node %d port %d: frame#%d dropped (blocked)" node port
-          frame.Frame.id;
         Dropped_blocked
       end
       else enqueue t op tx frame
@@ -570,7 +554,6 @@ let purge_node t ~node =
         C.add t.agg.agg_purged !dropped;
         total := !total + !dropped)
     row;
-  if !total > 0 then trace t "node %d: crash purged %d frames" node !total;
   !total
 
 let handler_errors t ~node =

@@ -163,10 +163,6 @@ val handler_errors : t -> node:Topo.Graph.node_id -> int
 
 val total_handler_errors : t -> int
 
-val set_trace : t -> Sim.Trace.t -> unit
-(** Attach a debug trace: drops, overflows and preemptions are recorded
-    with their simulation times. *)
-
 (** {1 Telemetry}
 
     Every world owns a metrics registry, a typed event log and a flight

@@ -94,11 +94,3 @@ let normalize t = norm t
 
 let spec_is_plain s =
   s.legs = [] && s.avoid_nodes = [] && s.avoid_regions = [] && s.balance = []
-
-let pp_spec fmt s =
-  let names ns = String.concat "," (List.map Name.to_string ns) in
-  Format.fprintf fmt "@[spec{legs=[%s] avoid_nodes=[%s] avoid_regions=[%s] balance=[%s]%s}@]"
-    (names s.legs) (names s.avoid_nodes) (names s.avoid_regions)
-    (String.concat ","
-       (List.map (fun (n, p) -> Printf.sprintf "%s:%d" (Name.to_string n) p) s.balance))
-    (if s.protected then " protected" else "")

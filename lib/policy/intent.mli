@@ -82,8 +82,6 @@ type spec = {
   protected : bool;
 }
 
-val empty_spec : spec
-
 val max_specs : int
 (** Normalization cap (64): the cross product of deep [seq]/[alt] nests is
     truncated to the first [max_specs] specs in preference order. *)
@@ -94,5 +92,3 @@ val normalize : t -> spec list
 val spec_is_plain : spec -> bool
 (** No waypoints, no avoids, no balance: expressible as a plain directory
     query — the bit-identity class {!Verify} property-checks. *)
-
-val pp_spec : Format.formatter -> spec -> unit

@@ -7,12 +7,6 @@ type outcome =
   | Hops_mismatch
   | Presence_mismatch
 
-let outcome_to_string = function
-  | Equal -> "equal"
-  | Route_mismatch -> "route mismatch"
-  | Hops_mismatch -> "hops mismatch"
-  | Presence_mismatch -> "presence mismatch"
-
 let check d ~client ~target ?(selector = D.Lowest_delay)
     ?(priority = Token.Priority.highest) () =
   let compiled =

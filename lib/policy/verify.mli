@@ -14,8 +14,6 @@ type outcome =
   | Hops_mismatch  (** same segments but a different hop list *)
   | Presence_mismatch  (** exactly one side found a route *)
 
-val outcome_to_string : outcome -> string
-
 val check :
   Dirsvc.Directory.t -> client:Topo.Graph.node_id -> target:Dirsvc.Name.t ->
   ?selector:Dirsvc.Directory.selector -> ?priority:Token.Priority.t ->

@@ -62,7 +62,6 @@ let create_edges ~lookaheads engine =
   { engine; edges = Array.map make_edge lookaheads; ran_until = -1 }
 
 let engine t = t.engine
-let ran_until t = t.ran_until
 let edge_count t = Array.length t.edges
 let edge_lookahead t ~edge = t.edges.(edge).lookahead
 

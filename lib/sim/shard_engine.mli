@@ -43,9 +43,6 @@ val create_edges : lookaheads:Time.t array -> Engine.t -> t
 
 val engine : t -> Engine.t
 
-val ran_until : t -> Time.t
-(** Highest time the engine has been advanced through; -1 initially. *)
-
 val edge_count : t -> int
 val edge_lookahead : t -> edge:int -> Time.t
 

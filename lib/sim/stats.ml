@@ -29,7 +29,6 @@ module Summary = struct
       if v < 0.0 then 0.0 else v
     end
 
-  let stddev t = sqrt (variance t)
   let min t = t.min_v
   let max t = t.max_v
 end

@@ -16,7 +16,6 @@ module Summary : sig
   val variance : t -> float
   (** Population variance; 0 when fewer than 2 samples. *)
 
-  val stddev : t -> float
   val min : t -> float
   (** [infinity] when empty. *)
 

@@ -1,7 +1,7 @@
 (** Typed simulation events: the state transitions that matter to an
     experiment — crashes, restarts, link failures, backpressure engaging
-    and releasing, transport failover — recorded structurally instead of
-    as free-form {!Sim.Trace} strings, in a bounded ring.
+    and releasing, transport failover — recorded structurally, not as
+    free-form strings, in a bounded ring.
 
     Components emit; exporters and assertions consume without parsing. *)
 

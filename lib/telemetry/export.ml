@@ -152,8 +152,6 @@ let flight_json (f : Flight.flight) =
       ("spans", List (List.map span_json f.Flight.spans));
     ]
 
-let rows_json rows = Json.List (List.map row_json rows)
-
 let json_value ?events ?flights registry =
   let metrics = List.map row_json (R.snapshot registry) in
   let base = [ ("metrics", Json.List metrics) ] in

@@ -18,10 +18,6 @@ module Json : sig
   (** Compact rendering with proper string escaping. *)
 end
 
-val rows_json : Registry.row list -> Json.t
-(** Render snapshot rows (e.g. the output of {!Merge.rows}) in the same
-    shape as the ["metrics"] array of {!json_value}. *)
-
 val json_value : ?events:Events.t -> ?flights:Flight.t -> Registry.t -> Json.t
 
 val json : ?events:Events.t -> ?flights:Flight.t -> Registry.t -> string

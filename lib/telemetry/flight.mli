@@ -47,14 +47,14 @@ type policy = {
   capacity : int;  (** completed flights retained (ring) *)
 }
 
-val default_policy : policy
-(** [{ sample_every = 0; capture_drops = true; capacity = 1024 }] —
-    disabled; enable per experiment with {!set_policy}. *)
-
 type t
 type ctx
 
 val create : ?policy:policy -> unit -> t
+(** [policy] defaults to [{ sample_every = 0; capture_drops = true;
+    capacity = 1024 }]: disabled; enable per experiment with
+    {!set_policy}. *)
+
 val policy : t -> policy
 
 val set_policy : t -> policy -> unit

@@ -85,11 +85,6 @@ let complete_verification t ~token ~now_ms =
         Hashtbl.replace t.table k { grant = None; packets = 0; bytes = 0 };
         false))
 
-let lookup_grant t ~token =
-  match Hashtbl.find_opt t.table (key_of token) with
-  | Some { grant; _ } -> grant
-  | None -> None
-
 let entries t = Hashtbl.length t.table
 let hits t = t.hit_count
 let misses t = t.miss_count

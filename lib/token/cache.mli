@@ -44,9 +44,6 @@ val complete_verification : t -> token:bytes -> now_ms:int -> bool
 (** Decrypt and MAC-check [token]; install [Admit]/[Deny] in the cache.
     Returns whether the token verified. Idempotent. *)
 
-val lookup_grant : t -> token:bytes -> Capability.grant option
-(** The cached grant, if the token is cached valid. *)
-
 val entries : t -> int
 val hits : t -> int
 val misses : t -> int

@@ -62,9 +62,3 @@ let release t b =
 
 let stats t =
   { hits = t.hits; misses = t.misses; releases = t.releases; discarded = t.discarded }
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.releases <- 0;
-  t.discarded <- 0

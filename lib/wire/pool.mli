@@ -30,4 +30,3 @@ val release : t -> bytes -> unit
 type stats = { hits : int; misses : int; releases : int; discarded : int }
 
 val stats : t -> stats
-val reset_stats : t -> unit

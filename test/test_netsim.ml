@@ -337,23 +337,6 @@ let idle_rule_purge_after_finish () =
   | [ frame ] -> check_bool "delivered whole" false frame.Netsim.Frame.aborted
   | l -> Alcotest.failf "%d deliveries" (List.length l)
 
-let trace_captures_drops () =
-  let _, engine, world, a, _, _ = pair () in
-  let tr = Sim.Trace.create () in
-  W.set_trace world tr;
-  ignore (W.send world ~node:a ~port:1 (W.fresh_frame world (Bytes.make 1000 'x')));
-  ignore
-    (W.send world ~node:a ~port:1
-       (W.fresh_frame world ~drop_if_blocked:true (Bytes.make 100 'd')));
-  Sim.Engine.run engine;
-  let contains needle haystack =
-    let n = String.length needle and l = String.length haystack in
-    let rec scan i = i + n <= l && (String.sub haystack i n = needle || scan (i + 1)) in
-    scan 0
-  in
-  check_bool "drop traced" true
-    (List.exists (fun (_, m) -> contains "blocked" m) (Sim.Trace.entries tr))
-
 let () =
   Alcotest.run "netsim"
     [
@@ -394,6 +377,4 @@ let () =
           Alcotest.test_case "purge after finish purges nothing" `Quick
             idle_rule_purge_after_finish;
         ] );
-      ( "trace",
-        [ Alcotest.test_case "captures drops" `Quick trace_captures_drops ] );
     ]

@@ -398,54 +398,6 @@ let rate_window () =
   (* far in the future everything expired *)
   check_float "expired" 0.0 (Sim.Stats.Rate.per_second r ~now:(Sim.Time.s 10))
 
-(* Trace *)
-
-let trace_records_and_dumps () =
-  let tr = Sim.Trace.create ~capacity:8 () in
-  Sim.Trace.record tr ~time:(Sim.Time.us 5) "first";
-  Sim.Trace.recordf tr ~time:(Sim.Time.us 7) "port %d" 3;
-  check_int "size" 2 (Sim.Trace.size tr);
-  check_int "total" 2 (Sim.Trace.total tr);
-  (match Sim.Trace.entries tr with
-  | [ (t1, "first"); (t2, "port 3") ] ->
-    check_int "time1" (Sim.Time.us 5) t1;
-    check_int "time2" (Sim.Time.us 7) t2
-  | _ -> Alcotest.fail "entries");
-  check_bool "dump has both lines" true
-    (String.length (Sim.Trace.dump tr) > 10)
-
-let trace_ring_overwrites () =
-  let tr = Sim.Trace.create ~capacity:3 () in
-  for i = 1 to 5 do
-    Sim.Trace.recordf tr ~time:i "e%d" i
-  done;
-  check_int "retains capacity" 3 (Sim.Trace.size tr);
-  check_int "total counts all" 5 (Sim.Trace.total tr);
-  Alcotest.(check (list string)) "oldest dropped" [ "e3"; "e4"; "e5" ]
-    (List.map snd (Sim.Trace.entries tr));
-  Sim.Trace.clear tr;
-  check_int "cleared" 0 (Sim.Trace.size tr)
-
-(* Capacity 0 = disabled: recordf must not even format its arguments. The
-   %t callback would flip the flag if formatting ran. *)
-let trace_capacity_zero_skips_formatting () =
-  let tr = Sim.Trace.create ~capacity:0 () in
-  let formatted = ref false in
-  Sim.Trace.recordf tr ~time:0 "event %t"
-    (fun _ ->
-      formatted := true;
-      "boom");
-  check_bool "formatting skipped" false !formatted;
-  Sim.Trace.record tr ~time:0 "plain";
-  check_int "size stays 0" 0 (Sim.Trace.size tr);
-  check_int "total stays 0" 0 (Sim.Trace.total tr);
-  Alcotest.(check (list string)) "no entries" []
-    (List.map snd (Sim.Trace.entries tr));
-  Alcotest.(check string) "dump empty" "" (Sim.Trace.dump tr);
-  Alcotest.check_raises "negative capacity still rejected"
-    (Invalid_argument "Trace.create") (fun () ->
-      ignore (Sim.Trace.create ~capacity:(-1) ()))
-
 let qcheck_engine_order =
   QCheck.Test.make ~name:"events always run in nondecreasing time order" ~count:50
     QCheck.(list_of_size Gen.(1 -- 100) (int_range 0 1000))
@@ -513,13 +465,6 @@ let () =
           Alcotest.test_case "timeweighted mean" `Quick timeweighted_mean;
           Alcotest.test_case "timeweighted monotone" `Quick timeweighted_rejects_backwards;
           Alcotest.test_case "rate window" `Quick rate_window;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "records and dumps" `Quick trace_records_and_dumps;
-          Alcotest.test_case "ring overwrites" `Quick trace_ring_overwrites;
-          Alcotest.test_case "capacity 0 disables" `Quick
-            trace_capacity_zero_skips_formatting;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -766,10 +766,11 @@ let viper_hop_allocation () =
 
 (* ---- drop reasons ---- *)
 
-(* Every router drop reason, one case each: the router's [router_*]
-   counter moves by one and the dropped packet's flight ends in a drop
-   span at the router carrying the same reason. Hosts a and b feed
-   router r, whose port 3 leads to host c. *)
+(* Every router drop reason, one case each: the router's counter moves by
+   one, both in [stats] and in its [router_*] row of the world's registry,
+   and the dropped packet's flight ends in a drop span at the router
+   carrying the same reason. Hosts a and b feed router r, whose port 3
+   leads to host c. *)
 let drop_reasons_match_scoreboard () =
   let module R = Sirpent.Router in
   let module Flight = Telemetry.Flight in
@@ -799,25 +800,25 @@ let drop_reasons_match_scoreboard () =
   let cases =
     [
       ( "viper malformed", R.default_config, "malformed",
-        (fun s -> s.R.dropped_malformed),
+        "dropped_malformed", (fun s -> s.R.dropped_malformed),
         fun w _ _ a _ -> raw w a (Bytes.of_string "\005") );
       ( "xsr malformed", R.default_config, "malformed",
-        (fun s -> s.R.dropped_malformed),
+        "dropped_malformed", (fun s -> s.R.dropped_malformed),
         fun w _ _ a _ -> raw w a (damaged_xsr ()) );
       ( "xsr over mtu", R.default_config, "truncated",
-        (fun s -> s.R.truncated),
+        "truncated", (fun s -> s.R.truncated),
         fun _ _ _ a _ -> send_xsr a 1600 );
       ( "xsr without token", require_tokens, "unauthorized",
-        (fun s -> s.R.unauthorized),
+        "unauthorized", (fun s -> s.R.unauthorized),
         fun _ _ _ a _ -> send_xsr a 64 );
       ( "router down", R.default_config, "down",
-        (fun s -> s.R.dropped_down),
+        "dropped_down", (fun s -> s.R.dropped_down),
         fun _ _ r a _ -> R.crash r; send a ~route:to_c 64 );
       ( "unknown group", R.default_config, "parse_error",
-        (fun s -> s.R.parse_errors),
+        "parse_errors", (fun s -> s.R.parse_errors),
         fun _ _ _ a _ -> send a ~route:(route [ 241 ]) 64 );
       ( "blocked", R.default_config, "send_drop",
-        (fun s -> s.R.send_drops),
+        "send_drops", (fun s -> s.R.send_drops),
         fun _ engine _ a b ->
           send b ~route:to_c 1400;
           ignore
@@ -826,7 +827,7 @@ let drop_reasons_match_scoreboard () =
     ]
   in
   List.iter
-    (fun (name, config, reason, counter, act) ->
+    (fun (name, config, reason, row, counter, act) ->
       let g = G.create () in
       let ha = G.add_node g G.Host and hb = G.add_node g G.Host in
       let r = G.add_node g G.Router in
@@ -841,10 +842,16 @@ let drop_reasons_match_scoreboard () =
       let router = R.create ~config w ~node:r () in
       let a = Sirpent.Host.create w ~node:ha and b = Sirpent.Host.create w ~node:hb in
       ignore (Sirpent.Host.create w ~node:hc);
-      let before = counter (R.stats router) in
+      let cell () =
+        Telemetry.Merge.counter_value ~labels:[ ("node", string_of_int r) ]
+          (Telemetry.Registry.snapshot (W.metrics w))
+          ("router_" ^ row)
+      in
+      let before = counter (R.stats router) and cell_before = cell () in
       act w engine router a b;
       Sim.Engine.run engine;
       check_int (name ^ ": counter +1") (before + 1) (counter (R.stats router));
+      check_int (name ^ ": registry row +1") (cell_before + 1) (cell ());
       match List.filter (fun f -> f.Flight.dropped <> None) (Flight.flights (W.flight w)) with
       | [ f ] -> (
         Alcotest.(check (option string)) (name ^ ": flight reason") (Some reason)
