@@ -1,5 +1,5 @@
 (* Region-sharded simulation cluster: one engine + world per region of a
-   {!Partition.t}, stitched together over bounded SPSC channels at the
+   {!Partition.t}, stitched together over unbounded SPSC channels at the
    gateway links and driven by {!Parallel.Conservative}.
 
    Determinism by construction: every event in every engine carries a
@@ -126,32 +126,10 @@ let deliverer members ~ngw ~dir ~dst ~node ~in_port =
 
 let drain_region t r =
   List.iter
-    (fun dir ->
-      let ch = t.channels.(dir) in
-      let f = t.deliver.(dir) in
-      let rec loop () =
-        match Parallel.Spsc.pop ch with
-        | Some msg ->
-          f msg;
-          loop ()
-        | None -> ()
-      in
-      loop ())
+    (fun dir -> Parallel.Spsc.drain t.channels.(dir) t.deliver.(dir))
     t.in_dirs.(r)
 
-(* A full channel cannot be waited out passively: the peer may itself be
-   blocked pushing toward us. Keep draining our own inboxes while we
-   spin, so the cycle always makes progress. Past a short spin, sleep —
-   the consumer may share this core. *)
-let push_spin t r ch msg =
-  let idle = ref 0 in
-  while not (Parallel.Spsc.try_push ch msg) do
-    drain_region t r;
-    incr idle;
-    if !idle < 64 then Domain.cpu_relax () else Unix.sleepf 0.000_05
-  done
-
-let create ?(channel_capacity = 4096) ?profiles (part : Partition.t) =
+let create ?profiles (part : Partition.t) =
   let regions = part.Partition.regions in
   let ngw = Array.length part.Partition.gateways in
   let profiles =
@@ -218,9 +196,7 @@ let create ?(channel_capacity = 4096) ?profiles (part : Partition.t) =
               "netsim_shard_meta_dropped";
         })
   in
-  let channels =
-    Array.init (2 * ngw) (fun _ -> Parallel.Spsc.create ~capacity:channel_capacity)
-  in
+  let channels = Array.init (2 * ngw) (fun _ -> Parallel.Spsc.create ()) in
   let m_seq = Array.make (2 * ngw) 0 in
   let in_dirs = Array.make regions [] in
   let deliver = Array.make (2 * ngw) (fun (_ : message) -> ()) in
@@ -277,7 +253,7 @@ let create ?(channel_capacity = 4096) ?profiles (part : Partition.t) =
               in
               t.m_seq.(dir) <- t.m_seq.(dir) + 1;
               Telemetry.Registry.Counter.incr producer.egress;
-              push_spin t src t.channels.(dir) msg)
+              Parallel.Spsc.push t.channels.(dir) msg)
       in
       wire ~dir:(2 * i) ~src:gw.Partition.a_region ~src_node:l.G.a
         ~src_port:l.G.a_port ~proxy:gw.Partition.a_proxy

@@ -1,8 +1,8 @@
 (** A region-sharded simulation cluster.
 
     One {!Sim.Engine} + {!World} per region of a {!Partition.t}, joined
-    only at the gateway links: each direction of each gateway is a
-    bounded SPSC channel carrying timestamped frame crossings plus the
+    only at the gateway links: each direction of each gateway is an
+    unbounded SPSC channel carrying timestamped frame crossings plus the
     packet's flight-recorder context, and the shards advance under the
     conservative protocol of {!Parallel.Conservative}.
 
@@ -49,18 +49,16 @@ type profile = {
 val default_profile : profile
 (** Plain cut-through, no floor: exactly PR 4's behavior. *)
 
-val create :
-  ?channel_capacity:int -> ?profiles:profile array -> Partition.t -> t
+val create : ?profiles:profile array -> Partition.t -> t
 (** Builds the per-region engines/worlds and wires the gateway proxies.
     Protocol stacks are installed afterwards by the caller, on each
-    region's {!world}, for the nodes that region owns.
-    [channel_capacity] bounds each gateway channel (default 4096); a
-    full channel back-pressures the producing shard, which keeps
-    draining its own inboxes while it waits. Each gateway crossing is
-    one channel push, made as the egress proxy takes delivery.
-    [profiles] (one per
-    gateway, in partition gateway order) sharpens that gateway's two
-    edges; default {!default_profile} everywhere. *)
+    region's {!world}, for the nodes that region owns. Each gateway
+    crossing is one push onto that direction's unbounded channel, made
+    as the egress proxy takes delivery; a push never waits, and a
+    channel never holds more than about one lookahead window of
+    frames. [profiles] (one per gateway, in partition gateway order)
+    sharpens that gateway's two edges; default {!default_profile}
+    everywhere. *)
 
 val regions : t -> int
 val world : t -> int -> World.t

@@ -25,6 +25,14 @@
     and simulation results are untouched by construction (only the
     servicing domain changes; engines, worlds and channels stay put).
 
+    A worker whose round made no progress waits on a generation
+    counter that every promise move, retirement, boundary park and
+    barrier release bumps, instead of running idle rounds. When the
+    workers (counting the calling domain) fit in
+    [Domain.recommended_domain_count ()] the wait spins and allocates
+    nothing; when they do not, it spins briefly and then parks on a
+    mutex/condition pair until the next bump.
+
     [shards = 1] never spawns: every endpoint is driven by the calling
     domain, which is the serial reference any other width must
     reproduce bit-for-bit. *)

@@ -1,46 +1,65 @@
-(* Bounded single-producer single-consumer ring.
+(* Unbounded single-producer single-consumer channel: a linked list of
+   fixed-size segments.
 
-   One domain pushes, one domain pops; the indices are OCaml 5 atomics,
-   so the slot write that precedes the producer's index bump
-   happens-before the consumer's read that observes it (publication
-   safety), and symmetrically for the consumer's slot clear. Slots are
-   cleared on pop so the ring never retains a popped message. *)
+   The producer owns the tail segment and its fill index; the consumer
+   owns the head segment, its read index and the popped count. The only
+   shared word is the atomic [pushed] count: the producer writes a slot
+   (and, when it opens a segment, the previous segment's [next] link)
+   before it bumps [pushed], so a consumer that observes the bump also
+   observes the slot and the link (publication safety). A push never
+   waits; a segment the consumer has left is garbage.
 
-type 'a t = {
-  buf : 'a option array;
-  mask : int;
-  head : int Atomic.t;  (* next index to pop; advanced by the consumer *)
-  tail : int Atomic.t;  (* next index to push; advanced by the producer *)
+   Slots hold messages unboxed, so a push allocates only its share of a
+   segment. A segment is created full of its first message, and the
+   consumer overwrites each slot it reads with that same message (slot
+   0, which it never clears): a segment keeps at most its first message
+   reachable after it has been read. The channel starts on an empty
+   segment, so the first push opens a real one. *)
+
+let segment_size = 256
+
+type 'a segment = {
+  slots : 'a array;
+  mutable next : 'a segment option;  (* set by the producer, once *)
 }
 
-let create ~capacity =
-  if capacity < 1 then invalid_arg "Spsc.create: capacity < 1";
-  let cap = ref 1 in
-  while !cap < capacity do
-    cap := !cap * 2
-  done;
-  { buf = Array.make !cap None; mask = !cap - 1; head = Atomic.make 0; tail = Atomic.make 0 }
+type 'a t = {
+  mutable tail : 'a segment;  (* producer: segment being filled *)
+  mutable tail_i : int;  (* producer: next free slot of [tail] *)
+  mutable head : 'a segment;  (* consumer: segment being read *)
+  mutable head_i : int;  (* consumer: next slot to read in [head] *)
+  mutable popped : int;  (* consumer *)
+  pushed : int Atomic.t;
+}
 
-let capacity t = Array.length t.buf
+let create () =
+  let s = { slots = [||]; next = None } in
+  { tail = s; tail_i = 0; head = s; head_i = 0; popped = 0; pushed = Atomic.make 0 }
 
-let try_push t v =
-  let tail = Atomic.get t.tail in
-  if tail - Atomic.get t.head >= Array.length t.buf then false
-  else begin
-    t.buf.(tail land t.mask) <- Some v;
-    Atomic.set t.tail (tail + 1);
-    true
-  end
+let push t v =
+  if t.tail_i = Array.length t.tail.slots then begin
+    let s = { slots = Array.make segment_size v; next = None } in
+    t.tail.next <- Some s;
+    t.tail <- s;
+    t.tail_i <- 0
+  end;
+  t.tail.slots.(t.tail_i) <- v;
+  t.tail_i <- t.tail_i + 1;
+  Atomic.incr t.pushed
 
-let pop t =
-  let head = Atomic.get t.head in
-  if head = Atomic.get t.tail then None
-  else begin
-    let i = head land t.mask in
-    let v = t.buf.(i) in
-    t.buf.(i) <- None;
-    Atomic.set t.head (head + 1);
-    v
-  end
+let drain t f =
+  let pushed = Atomic.get t.pushed in
+  while t.popped < pushed do
+    if t.head_i = Array.length t.head.slots then begin
+      (match t.head.next with Some s -> t.head <- s | None -> assert false);
+      t.head_i <- 0
+    end;
+    let slots = t.head.slots in
+    let v = slots.(t.head_i) in
+    slots.(t.head_i) <- slots.(0);
+    t.head_i <- t.head_i + 1;
+    t.popped <- t.popped + 1;
+    f v
+  done
 
-let is_empty t = Atomic.get t.head = Atomic.get t.tail
+let is_empty t = t.popped = Atomic.get t.pushed

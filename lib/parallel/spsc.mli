@@ -1,24 +1,22 @@
-(** A bounded single-producer single-consumer channel between domains.
+(** An unbounded single-producer single-consumer channel between domains.
 
-    Exactly one domain may push and one may pop (they can be the same
-    domain — the serial shard path uses it that way). Lock-free: the
-    producer and consumer each own one atomic index; a full ring rejects
-    the push rather than blocking, leaving back-off policy to the
-    caller. *)
+    Exactly one domain may push and one may drain (they can be the same
+    domain — the serial shard path uses it that way). Lock-free: a
+    linked list of fixed-size segments, with one atomic count shared
+    between the two sides; a push allocates only its share of a
+    segment. A push never waits, so a producer can never
+    deadlock against a consumer that only it could wake or drain. *)
 
 type 'a t
 
-val create : capacity:int -> 'a t
-(** Capacity is rounded up to a power of two. Raises [Invalid_argument]
-    when below 1. *)
+val create : unit -> 'a t
 
-val capacity : 'a t -> int
+val push : 'a t -> 'a -> unit
+(** Producer side only. *)
 
-val try_push : 'a t -> 'a -> bool
-(** [false] when full. Producer side only. *)
-
-val pop : 'a t -> 'a option
-(** [None] when empty. Consumer side only. *)
+val drain : 'a t -> ('a -> unit) -> unit
+(** Apply the function to every message pushed before the call, in push
+    order. Consumer side only. *)
 
 val is_empty : 'a t -> bool
 (** Consumer-side view; exact once the producers' promises rule out

@@ -70,7 +70,7 @@ type call = {
 
 type held_response = {
   resp_packets : bytes array;
-  via : Viper.Packet.t * Topo.Graph.port;
+  mutable via : Viper.Packet.t * Topo.Graph.port;
   mutable expires : Sim.Time.t;
 }
 
@@ -343,9 +343,14 @@ let handle_request t (p : Wf.t) ~sample =
   let key = (p.Wf.src_entity, p.Wf.transaction) in
   match Hashtbl.find_opt t.held key with
   | Some held ->
-    (* Duplicate of a completed transaction: replay the response. *)
+    (* Duplicate of a completed transaction: replay the response over
+       the duplicate's own return route (paper §4: the way back is the
+       trailer of the packet that arrived). The first request's trailer
+       may carry a damaged token or name a route that has since
+       failed. *)
     C.incr t.duplicate_requests;
     held.expires <- now t + t.config.response_hold;
+    held.via <- sample;
     Array.iter
       (fun packet ->
         C.incr t.packets_sent;

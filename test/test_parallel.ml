@@ -49,6 +49,55 @@ let pool_rejects_bad_jobs () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "jobs=0 should be rejected"
 
+(* ---- Spsc ---- *)
+
+(* Interleaved pushes and drains across many segments come out in push
+   order, and the channel reads empty exactly when drained. *)
+let spsc_fifo_across_segments () =
+  let q = Parallel.Spsc.create () in
+  check_bool "fresh channel empty" true (Parallel.Spsc.is_empty q);
+  let next_in = ref 0 and next_out = ref 0 in
+  let take v =
+    check_int "FIFO order" !next_out v;
+    incr next_out
+  in
+  List.iter
+    (fun pushes ->
+      for _ = 1 to pushes do
+        Parallel.Spsc.push q !next_in;
+        incr next_in
+      done;
+      check_bool "non-empty after a push" (pushes = 0) (Parallel.Spsc.is_empty q);
+      Parallel.Spsc.drain q take;
+      check_int "drained up to the last push" !next_in !next_out;
+      check_bool "empty after a drain" true (Parallel.Spsc.is_empty q))
+    [ 1; 255; 256; 700; 0; 1000; 2049 ];
+  check_int "every message out" 4261 !next_out
+
+(* One producer domain, one consumer domain: a million messages arrive
+   complete and in order while the producer never waits. *)
+let spsc_two_domains_in_order () =
+  let n = 1_000_000 in
+  let q = Parallel.Spsc.create () in
+  let producer =
+    Domain.spawn (fun () ->
+        for i = 0 to n - 1 do
+          Parallel.Spsc.push q i
+        done)
+  in
+  let expected = ref 0 and out_of_order = ref 0 in
+  let take v =
+    if v <> !expected then incr out_of_order;
+    incr expected
+  in
+  while !expected < n do
+    Parallel.Spsc.drain q take;
+    Domain.cpu_relax ()
+  done;
+  Domain.join producer;
+  check_int "in order" 0 !out_of_order;
+  check_bool "nothing left" true (Parallel.Spsc.is_empty q)
+
 (* ---- RNG streams ---- *)
 
 let rng_streams_are_pure () =
@@ -219,5 +268,10 @@ let () =
           Alcotest.test_case "jobs=1 and jobs=4 merge identically" `Quick
             sweep_jobs_equivalence;
           Alcotest.test_case "stats are sane" `Quick sweep_stats_sane;
+        ] );
+      ( "spsc",
+        [
+          Alcotest.test_case "FIFO across segments" `Quick spsc_fifo_across_segments;
+          Alcotest.test_case "two domains, in order" `Quick spsc_two_domains_in_order;
         ] );
     ]

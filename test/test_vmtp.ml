@@ -309,6 +309,57 @@ let failover_to_alternate_route () =
   check_int "route switches counted" 1
     (Vmtp.Entity.stats client).Vmtp.Entity.route_switches
 
+(* The server answers over route 1; right after, the link from route 1's
+   router to the client fails, so the response is lost on its way
+   back. The client
+   retransmits, exhausts route 1 and fails over to route 2. The server
+   holds the response and replays it for the duplicate: it must go back
+   over the duplicate's own trailer (route 2), not the first request's
+   (route 1, now dead). *)
+let replay_follows_duplicate_route () =
+  let g = G.create () in
+  let h1 = G.add_node g G.Host and h2 = G.add_node g G.Host in
+  let ra = G.add_node g G.Router and rb = G.add_node g G.Router in
+  ignore (G.connect g h1 ra props);
+  ignore (G.connect g h1 rb props);
+  ignore (G.connect g ra h2 props);
+  ignore (G.connect g rb h2 props);
+  let engine = Sim.Engine.create () in
+  let world = W.create engine g in
+  ignore (Sirpent.Router.create world ~node:ra ());
+  ignore (Sirpent.Router.create world ~node:rb ());
+  let host1 = Sirpent.Host.create world ~node:h1 in
+  let host2 = Sirpent.Host.create world ~node:h2 in
+  let metric (_ : G.link) = 1.0 in
+  let paths = G.k_shortest_paths g ~metric ~src:h1 ~dst:h2 ~k:2 in
+  check_int "two disjoint paths" 2 (List.length paths);
+  let routes = List.map (fun p -> Sirpent.Route.of_hops g ~src:h1 p) paths in
+  let first_router = List.nth (G.route_nodes g ~src:h1 (List.hd paths)) 1 in
+  let _, return_link =
+    List.find
+      (fun (_, l) -> fst (G.peer l first_router) = h1)
+      (G.ports g first_router)
+  in
+  let client = Vmtp.Entity.create host1 ~id:1L in
+  let server = Vmtp.Entity.create host2 ~id:2L in
+  let handled = ref 0 in
+  Vmtp.Entity.set_request_handler server (fun _ ~data:_ ~reply ->
+      incr handled;
+      reply (Bytes.of_string "ok");
+      W.fail_link world return_link);
+  let ok = ref false in
+  Vmtp.Entity.call client ~server:2L ~routes ~data:(Bytes.of_string "replay")
+    ~on_reply:(fun _ ~rtt:_ -> ok := true)
+    ~on_fail:(fun r -> Alcotest.fail r)
+    ();
+  Sim.Engine.run ~until:(Sim.Time.s 10) engine;
+  check_int "handler ran once" 1 !handled;
+  check_int "failed over once" 1
+    (Vmtp.Entity.stats client).Vmtp.Entity.route_switches;
+  check_bool "duplicate replayed" true
+    ((Vmtp.Entity.stats server).Vmtp.Entity.duplicate_requests > 0);
+  check_bool "completed over route 2" true !ok
+
 let pacing_spreads_packets () =
   (* With pacing at 1 Mb/s, a 4-packet group takes >= 3 * 8ms to emit. *)
   let _, engine, _, host1, host2, route = stack () in
@@ -408,6 +459,8 @@ let () =
           Alcotest.test_case "duplicates handled" `Quick duplicate_request_replays_response;
           Alcotest.test_case "failover to alternate" `Quick failover_to_alternate_route;
           Alcotest.test_case "pacing spreads packets" `Quick pacing_spreads_packets;
+          Alcotest.test_case "replay follows duplicate's route" `Quick
+            replay_follows_duplicate_route;
         ] );
       ( "playout",
         [
