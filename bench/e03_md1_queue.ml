@@ -41,10 +41,9 @@ let measure rho =
   let horizon = Sim.Time.s 30 in
   let rec arrivals t =
     if t < horizon then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             ignore (Sirpent.Host.send h_src ~route ~data:(Bytes.make packet_bytes 'q') ());
-             arrivals (t + Workload.Source.next_gap src_gen)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          ignore (Sirpent.Host.send h_src ~route ~data:(Bytes.make packet_bytes 'q') ());
+          arrivals (t + Workload.Source.next_gap src_gen))
   in
   arrivals (Sim.Time.ms 1);
   Sim.Engine.run ~until:horizon engine;

@@ -36,10 +36,9 @@ let run_once ~horizon ~offered_ratio ~with_control =
       let route = Util.route_of g ~src:s ~dst:sink in
       let rec blast t =
         if t < horizon then
-          ignore
-            (Sim.Engine.schedule_at engine ~time:t (fun () ->
-                 ignore (Sirpent.Host.send h ~route ~data:(Bytes.make packet_bytes 'c') ());
-                 blast (t + gap)))
+          Sim.Engine.schedule_at engine ~time:t (fun () ->
+              ignore (Sirpent.Host.send h ~route ~data:(Bytes.make packet_bytes 'c') ());
+              blast (t + gap))
       in
       blast (Sim.Time.ms 1))
     sources;

@@ -64,19 +64,18 @@ let sirpent_failover () =
   let first_after = ref 0 and delivered = ref 0 in
   let rec caller t =
     if t < horizon then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             Vmtp.Entity.call client ~server:2L ~routes:!sroutes ~data:(Bytes.make 200 'f')
-               ~on_reply:(fun _ ~rtt:_ ->
-                 incr delivered;
-                 let now = Sim.Engine.now engine in
-                 if now > cut_time && !first_after = 0 then first_after := now)
-               ~on_fail:(fun _ -> ())
-               ();
-             caller (t + send_interval)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          Vmtp.Entity.call client ~server:2L ~routes:!sroutes ~data:(Bytes.make 200 'f')
+            ~on_reply:(fun _ ~rtt:_ ->
+              incr delivered;
+              let now = Sim.Engine.now engine in
+              if now > cut_time && !first_after = 0 then first_after := now)
+            ~on_fail:(fun _ -> ())
+            ();
+          caller (t + send_interval))
   in
   caller (Sim.Time.ms 10);
-  ignore (Sim.Engine.schedule_at engine ~time:cut_time (fun () -> W.fail_link world doomed));
+  Sim.Engine.schedule_at engine ~time:cut_time (fun () -> W.fail_link world doomed);
   Sim.Engine.run ~until:horizon engine;
   ((if !first_after = 0 then horizon - cut_time else !first_after - cut_time), !delivered)
 
@@ -99,13 +98,12 @@ let ip_failover ~hello_interval =
       if now > cut_time && !first_after = 0 then first_after := now);
   let rec sender t =
     if t < horizon then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             ignore (Ipbase.Host.send h_src ~dst ~data:(Bytes.make 200 'f') ());
-             sender (t + send_interval)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          ignore (Ipbase.Host.send h_src ~dst ~data:(Bytes.make 200 'f') ());
+          sender (t + send_interval))
   in
   sender (Sim.Time.ms 200);
-  ignore (Sim.Engine.schedule_at engine ~time:cut_time (fun () -> W.fail_link world doomed));
+  Sim.Engine.schedule_at engine ~time:cut_time (fun () -> W.fail_link world doomed);
   Sim.Engine.run ~until:horizon engine;
   ((if !first_after = 0 then horizon - cut_time else !first_after - cut_time), !delivered)
 

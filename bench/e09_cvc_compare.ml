@@ -94,10 +94,9 @@ let bursty_utilization () =
   let horizon = Sim.Time.s 2 in
   let rec streamer t =
     if t < horizon then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             ignore (Sirpent.Host.send h_src ~route ~data:(Bytes.make 1000 'v') ());
-             streamer (t + Sim.Time.ms 1)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          ignore (Sirpent.Host.send h_src ~route ~data:(Bytes.make 1000 'v') ());
+          streamer (t + Sim.Time.ms 1))
   in
   streamer 0;
   Sim.Engine.run ~until:horizon engine;

@@ -44,9 +44,8 @@ let first_packet_experiment policy =
   ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 500 'k') ());
   (* follow-up packets after the cache is warm *)
   for k = 1 to 9 do
-    ignore
-      (Sim.Engine.schedule engine ~delay:(k * Sim.Time.ms 2) (fun () ->
-           ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 500 'k') ())))
+    Sim.Engine.schedule engine ~delay:(k * Sim.Time.ms 2) (fun () ->
+        ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 500 'k') ()))
   done;
   Sim.Engine.run engine;
   let cache = Sirpent.Router.cache routers.(0) in

@@ -49,24 +49,22 @@ let measure ~prio ~bg_ratio =
     let gap = Sim.Time.of_seconds (8.0 *. 1400.0 /. (1e7 *. bg_ratio)) in
     let rec bg t =
       if t < horizon then
-        ignore
-          (Sim.Engine.schedule_at engine ~time:t (fun () ->
-               ignore
-                 (Sirpent.Host.send h_bg ~route:bg_route ~priority:0xF
-                    ~data:(Bytes.make 1400 'b') ());
-               bg (t + gap)))
+        Sim.Engine.schedule_at engine ~time:t (fun () ->
+            ignore
+              (Sirpent.Host.send h_bg ~route:bg_route ~priority:0xF
+                 ~data:(Bytes.make 1400 'b') ());
+            bg (t + gap))
     in
     bg (Sim.Time.us 137)
   end;
   (* probes: small packets every 50 ms *)
   for k = 0 to probe_count - 1 do
     let t = Sim.Time.ms (10 + (k * 50)) in
-    ignore
-      (Sim.Engine.schedule_at engine ~time:t (fun () ->
-           let payload = Bytes.make 200 'P' in
-           Bytes.set_uint16_be payload 2 k;
-           Hashtbl.replace sent_at k (Sim.Engine.now engine);
-           ignore (Sirpent.Host.send h_probe ~route:probe_route ~priority:prio ~data:payload ())))
+    Sim.Engine.schedule_at engine ~time:t (fun () ->
+        let payload = Bytes.make 200 'P' in
+        Bytes.set_uint16_be payload 2 k;
+        Hashtbl.replace sent_at k (Sim.Engine.now engine);
+        ignore (Sirpent.Host.send h_probe ~route:probe_route ~priority:prio ~data:payload ()))
   done;
   Sim.Engine.run ~until:horizon engine;
   (Sim.Stats.Summary.mean delays, Sim.Stats.Summary.max delays, Sim.Stats.Summary.count delays)

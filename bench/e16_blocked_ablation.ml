@@ -37,14 +37,13 @@ let run_case ~blocked ~label ~load =
       let gap = Sim.Time.of_seconds (8.0 *. 1000.0 /. (1e7 *. load /. 2.0)) in
       let rec blast t =
         if t < horizon then
-          ignore
-            (Sim.Engine.schedule_at engine ~time:t (fun () ->
-                 incr n_sent;
-                 let payload = Bytes.make 1000 'b' in
-                 Bytes.set_int32_be payload 0
-                   (Int32.of_int (Sim.Engine.now engine / 1000));
-                 ignore (Sirpent.Host.send h ~route ~data:payload ());
-                 blast (t + gap)))
+          Sim.Engine.schedule_at engine ~time:t (fun () ->
+              incr n_sent;
+              let payload = Bytes.make 1000 'b' in
+              Bytes.set_int32_be payload 0
+                (Int32.of_int (Sim.Engine.now engine / 1000));
+              ignore (Sirpent.Host.send h ~route ~data:payload ());
+              blast (t + gap))
       in
       blast (Sim.Time.us (137 * (1 + Sirpent.Host.node h))))
     shosts;

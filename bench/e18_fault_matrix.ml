@@ -98,21 +98,20 @@ let run_cell ~rng ~ber ~flap =
   let completed = ref 0 and failed = ref 0 and first_after = ref 0 in
   let rec caller t =
     if t < horizon then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             let routes =
-               Dirsvc.Directory.query dir ~client:src ~target:name ~k:2 ()
-             in
-             let sroutes = List.map (fun r -> r.Dirsvc.Directory.route) routes in
-             Vmtp.Entity.call client ~server:2L ~routes:sroutes
-               ~data:(Bytes.make req_bytes 'e')
-               ~on_reply:(fun _ ~rtt:_ ->
-                 incr completed;
-                 let now = Sim.Engine.now engine in
-                 if now > crash_time && !first_after = 0 then first_after := now)
-               ~on_fail:(fun _ -> incr failed)
-               ();
-             caller (t + send_interval)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          let routes =
+            Dirsvc.Directory.query dir ~client:src ~target:name ~k:2 ()
+          in
+          let sroutes = List.map (fun r -> r.Dirsvc.Directory.route) routes in
+          Vmtp.Entity.call client ~server:2L ~routes:sroutes
+            ~data:(Bytes.make req_bytes 'e')
+            ~on_reply:(fun _ ~rtt:_ ->
+              incr completed;
+              let now = Sim.Engine.now engine in
+              if now > crash_time && !first_after = 0 then first_after := now)
+            ~on_fail:(fun _ -> incr failed)
+            ();
+          caller (t + send_interval))
   in
   caller (Sim.Time.ms 10);
   (* drain fully: the callers self-terminate, and the slowest
@@ -166,16 +165,15 @@ let run_region ~rng ~region ~ber =
   let completed = ref 0 and failed = ref 0 in
   let rec caller t =
     if t < horizon then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             let routes = Dirsvc.Directory.query dir ~client:src ~target:name () in
-             let sroutes = List.map (fun r -> r.Dirsvc.Directory.route) routes in
-             Vmtp.Entity.call client ~server:2L ~routes:sroutes
-               ~data:(Bytes.make req_bytes 'e')
-               ~on_reply:(fun _ ~rtt:_ -> incr completed)
-               ~on_fail:(fun _ -> incr failed)
-               ();
-             caller (t + send_interval)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          let routes = Dirsvc.Directory.query dir ~client:src ~target:name () in
+          let sroutes = List.map (fun r -> r.Dirsvc.Directory.route) routes in
+          Vmtp.Entity.call client ~server:2L ~routes:sroutes
+            ~data:(Bytes.make req_bytes 'e')
+            ~on_reply:(fun _ ~rtt:_ -> incr completed)
+            ~on_fail:(fun _ -> incr failed)
+            ();
+          caller (t + send_interval))
   in
   caller (Sim.Time.ms 10);
   (* drain fully: the callers self-terminate, and the slowest

@@ -54,13 +54,12 @@ let run_chain ~n_routers ~packets ~policy ~crash () =
   let rec pump sent t =
     if sent < packets then begin
       let n = min burst (packets - sent) in
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             for _ = 1 to n do
-               ignore
-                 (Sirpent.Host.send host1 ~route
-                    ~data:(Bytes.make packet_bytes 'p') ())
-             done));
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          for _ = 1 to n do
+            ignore
+              (Sirpent.Host.send host1 ~route
+                 ~data:(Bytes.make packet_bytes 'p') ())
+          done);
       pump (sent + n) (t + burst_gap)
     end
   in
@@ -68,13 +67,11 @@ let run_chain ~n_routers ~packets ~policy ~crash () =
   let span = burst_gap * ((packets + burst - 1) / burst) in
   if crash then begin
     let victim = robjs.(n_routers - 1) in
-    ignore
-      (Sim.Engine.schedule_at engine ~time:(span / 2) (fun () ->
-           Sirpent.Router.crash victim));
-    ignore
-      (Sim.Engine.schedule_at engine
-         ~time:((span / 2) + Sim.Time.ms 40)
-         (fun () -> Sirpent.Router.restart victim))
+    Sim.Engine.schedule_at engine ~time:(span / 2) (fun () ->
+        Sirpent.Router.crash victim);
+    Sim.Engine.schedule_at engine
+      ~time:((span / 2) + Sim.Time.ms 40)
+      (fun () -> Sirpent.Router.restart victim)
   end;
   Sim.Engine.run engine;
   (world, !received)

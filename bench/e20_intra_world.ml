@@ -119,12 +119,11 @@ let measure ~shards ~hosts_per_region ~packets =
               + (r * Sim.Time.us 3)
             in
             let route = if k mod 3 = 0 then cross_route else local_route in
-            ignore
-              (Sim.Engine.schedule_at e ~time (fun () ->
-                   ignore
-                     (Sirpent.Host.send
-                        (Hashtbl.find endpoints h)
-                        ~route ~data:(Bytes.make 256 'x') ())))
+            Sim.Engine.schedule_at e ~time (fun () ->
+                ignore
+                  (Sirpent.Host.send
+                     (Hashtbl.find endpoints h)
+                     ~route ~data:(Bytes.make 256 'x') ()))
           done)
         hs)
     hosts;

@@ -124,10 +124,9 @@ let replay env injections =
           r
       in
       let h = Hashtbl.find env.hosts src in
-      ignore
-        (Sim.Engine.schedule_at env.engine ~time:at (fun () ->
-             ignore
-               (Sirpent.Host.send h ~route ~data:(Bytes.make bytes 'a') ()))))
+      Sim.Engine.schedule_at env.engine ~time:at (fun () ->
+          ignore
+            (Sirpent.Host.send h ~route ~data:(Bytes.make bytes 'a') ())))
     injections
 
 (* sample the max queue depth across the watched ports every 1 ms *)
@@ -135,15 +134,14 @@ let depth_sampler env ~horizon =
   let samples = ref [] in
   let rec tick t =
     if t < horizon then
-      ignore
-        (Sim.Engine.schedule_at env.engine ~time:t (fun () ->
-             let d =
-               List.fold_left
-                 (fun acc (n, p) -> max acc (W.queue_length env.world ~node:n ~port:p))
-                 0 env.watch
-             in
-             samples := d :: !samples;
-             tick (t + Sim.Time.ms 1)))
+      Sim.Engine.schedule_at env.engine ~time:t (fun () ->
+          let d =
+            List.fold_left
+              (fun acc (n, p) -> max acc (W.queue_length env.world ~node:n ~port:p))
+              0 env.watch
+          in
+          samples := d :: !samples;
+          tick (t + Sim.Time.ms 1))
   in
   tick Sim.Time.zero;
   samples

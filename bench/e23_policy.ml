@@ -156,21 +156,18 @@ let run_cell ~horizon (fault, mech) =
   in
   let rec caller t =
     if t < horizon then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             do_call ();
-             caller (t + send_interval)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          do_call ();
+          caller (t + send_interval))
   in
   caller (Sim.Time.ms 10);
-  ignore
-    (Sim.Engine.schedule_at engine ~time:cut_time (fun () -> W.fail_link world doomed));
+  Sim.Engine.schedule_at engine ~time:cut_time (fun () -> W.fail_link world doomed);
   (match fault with
   | Cut -> ()
   | Flap ->
-    ignore
-      (Sim.Engine.schedule_at engine
-         ~time:(cut_time + flap_restore)
-         (fun () -> W.restore_link world doomed)));
+    Sim.Engine.schedule_at engine
+      ~time:(cut_time + flap_restore)
+      (fun () -> W.restore_link world doomed));
   Sim.Engine.run ~until:horizon engine;
   let cstats = Vmtp.Entity.stats client in
   let sstats = Vmtp.Entity.stats server in

@@ -98,9 +98,8 @@ let measure_once ~xsr ~ticks =
   let tick_gap = Sim.Time.ns 1700 in
   for k = 0 to ticks - 1 do
     let time = Sim.Time.ms 1 + (k * tick_gap) in
-    ignore
-      (Sim.Engine.schedule_at engine ~time (fun () ->
-           Array.iter (fun send -> send ()) sends))
+    Sim.Engine.schedule_at engine ~time (fun () ->
+        Array.iter (fun send -> send ()) sends)
   done;
   Gc.full_major ();
   let allocated () =
@@ -143,12 +142,11 @@ let chain_bytes ~xsr ~n_routers ~packets =
   let got = ref 0 in
   Sirpent.Host.set_receive h2 (fun _ ~packet:_ ~in_port:_ -> incr got);
   for k = 0 to packets - 1 do
-    ignore
-      (Sim.Engine.schedule_at engine
-         ~time:(Sim.Time.ms 1 + (k * Sim.Time.us 500))
-         (fun () ->
-           if xsr then ignore (Sirpent.Host.send_xsr h1 ~route ~data ())
-           else ignore (Sirpent.Host.send h1 ~route ~data ())))
+    Sim.Engine.schedule_at engine
+      ~time:(Sim.Time.ms 1 + (k * Sim.Time.us 500))
+      (fun () ->
+        if xsr then ignore (Sirpent.Host.send_xsr h1 ~route ~data ())
+        else ignore (Sirpent.Host.send h1 ~route ~data ()))
   done;
   Sim.Engine.run engine;
   if !got <> packets then

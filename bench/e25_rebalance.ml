@@ -28,11 +28,11 @@
 
    Every arm builds its own topology and partition. This is not
    stylistic: link failure physically disconnects a link from the
-   partition's subgraphs (and restoring it re-attaches it at the head of
-   the link list), so a fault run leaves the shared graphs reordered —
-   the next run's injector would then visit links in a different order,
-   draw flap times from its RNG in swapped order, and legitimately
-   simulate a different fault schedule. Fresh graphs per arm keep every
+   partition's subgraphs, and a fault run can end with links still
+   down, so a shared graph would hand the next run a different topology
+   — its injector would then visit different links, draw flap times
+   from its RNG in a different order, and legitimately simulate a
+   different fault schedule. Fresh graphs per arm keep every
    comparison an apples-to-apples replay; the balancer's refinement is
    re-derived per arm from the same load vector, which is deterministic.
 
@@ -231,11 +231,10 @@ let drive ?epoch ?(faults = false) ?refine_loads ~shards
           if S.region_of cluster node = r && G.kind g node = G.Host then begin
             let target = Dirsvc.Name.of_string (G.name g node) in
             for q = 0 to 7 do
-              ignore
-                (Sim.Engine.schedule_at e
-                   ~time:(Sim.Time.ms 2 + (q * Sim.Time.ms 4) + (node * 17))
-                   (fun () ->
-                     ignore (Dirsvc.Directory.query dir ~client ~target ())))
+              Sim.Engine.schedule_at e
+                ~time:(Sim.Time.ms 2 + (q * Sim.Time.ms 4) + (node * 17))
+                (fun () ->
+                  ignore (Dirsvc.Directory.query dir ~client ~target ()))
             done
           end);
       Faults.Injector.freeze_directory_at inj
@@ -265,11 +264,10 @@ let drive ?epoch ?(faults = false) ?refine_loads ~shards
               + (c * Sim.Time.us 3)
             in
             let rt = if k mod 8 = 0 then cross_route else local_route in
-            ignore
-              (Sim.Engine.schedule_at e ~time (fun () ->
-                   ignore
-                     (Sirpent.Host.send (Hashtbl.find endpoints h) ~route:rt
-                        ~data:(Bytes.make 256 'x') ())))
+            Sim.Engine.schedule_at e ~time (fun () ->
+                ignore
+                  (Sirpent.Host.send (Hashtbl.find endpoints h) ~route:rt
+                     ~data:(Bytes.make 256 'x') ()))
           done)
         hs)
     t.cells;
@@ -280,12 +278,11 @@ let drive ?epoch ?(faults = false) ?refine_loads ~shards
       for p = 0 to (packets / 8) - 1 do
         let time = Sim.Time.ms 1 + (p * Sim.Time.us 400) + (k * Sim.Time.us 11) in
         let rt = route hs.(0) hs.(1) in
-        ignore
-          (Sim.Engine.schedule_at e ~time (fun () ->
-               ignore
-                 (Sirpent.Host.send
-                    (Hashtbl.find endpoints hs.(0))
-                    ~route:rt ~data:(Bytes.make 256 'x') ())))
+        Sim.Engine.schedule_at e ~time (fun () ->
+            ignore
+              (Sirpent.Host.send
+                 (Hashtbl.find endpoints hs.(0))
+                 ~route:rt ~data:(Bytes.make 256 'x') ()))
       done)
     t.light_hosts;
   let stats = S.run ~shards ?epoch ~until cluster in

@@ -48,10 +48,9 @@ let phase1 () =
         (* each source offers ~4 Mb/s into a 2 Mb/s trunk *)
         let rec blast n t =
           if n < 1500 then
-            ignore
-              (Sim.Engine.schedule_at engine ~time:t (fun () ->
-                   ignore (Sirpent.Host.send h ~route ~data:(Bytes.make 1000 'd') ());
-                   blast (n + 1) (t + Sim.Time.us 2000)))
+            Sim.Engine.schedule_at engine ~time:t (fun () ->
+                ignore (Sirpent.Host.send h ~route ~data:(Bytes.make 1000 'd') ());
+                blast (n + 1) (t + Sim.Time.us 2000))
         in
         blast 0 (Sim.Time.ms 1))
       shosts;
@@ -111,20 +110,18 @@ let phase2 () =
   let completed = ref 0 and failed = ref 0 in
   let rec caller n t =
     if n < 40 then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             Vmtp.Entity.call client ~server:2L ~routes:!sroutes
-               ~data:(Bytes.make 400 'c')
-               ~on_reply:(fun _ ~rtt:_ -> incr completed)
-               ~on_fail:(fun _ -> incr failed)
-               ();
-             caller (n + 1) (t + Sim.Time.ms 100)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          Vmtp.Entity.call client ~server:2L ~routes:!sroutes
+            ~data:(Bytes.make 400 'c')
+            ~on_reply:(fun _ ~rtt:_ -> incr completed)
+            ~on_fail:(fun _ -> incr failed)
+            ();
+          caller (n + 1) (t + Sim.Time.ms 100))
   in
   caller 0 (Sim.Time.ms 10);
-  ignore
-    (Sim.Engine.schedule_at engine ~time:(Sim.Time.s 1) (fun () ->
-         pf "  t=1.000s   primary trunk CUT\n";
-         W.fail_link world primary_trunk));
+  Sim.Engine.schedule_at engine ~time:(Sim.Time.s 1) (fun () ->
+      pf "  t=1.000s   primary trunk CUT\n";
+      W.fail_link world primary_trunk);
   Sim.Engine.run ~until:(Sim.Time.s 10) engine;
   let st = Vmtp.Entity.stats client in
   pf "  calls: %d completed, %d failed, %d route switches, %d retransmitted packets\n"

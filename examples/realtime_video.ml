@@ -54,25 +54,23 @@ let run ~video_priority ~label =
 
   (* Camera: one frame every 5 ms at the video priority. *)
   for i = 0 to n_frames - 1 do
-    ignore
-      (Sim.Engine.schedule_at engine ~time:((i + 1) * frame_interval) (fun () ->
-           let w = Wire.Buf.create_writer frame_bytes in
-           Wire.Buf.put_u32_int w (Sim.Engine.now engine / 1_000_000);
-           Wire.Buf.put_zeros w (frame_bytes - 4);
-           ignore
-             (Sirpent.Host.send h_cam ~route:video_route ~priority:video_priority
-                ~data:(Wire.Buf.contents w) ())))
+    Sim.Engine.schedule_at engine ~time:((i + 1) * frame_interval) (fun () ->
+        let w = Wire.Buf.create_writer frame_bytes in
+        Wire.Buf.put_u32_int w (Sim.Engine.now engine / 1_000_000);
+        Wire.Buf.put_zeros w (frame_bytes - 4);
+        ignore
+          (Sirpent.Host.send h_cam ~route:video_route ~priority:video_priority
+             ~data:(Wire.Buf.contents w) ()))
   done;
   (* File transfer: back-to-back 1400-byte packets at sub-normal priority
      0xF, saturating the trunk. *)
   let rec ftp_blast i t =
     if i < 1200 then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             ignore
-               (Sirpent.Host.send h_ftp ~route:ftp_route ~priority:0xF
-                  ~data:(Bytes.make 1400 'f') ());
-             ftp_blast (i + 1) (t + Sim.Time.us 1150)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          ignore
+            (Sirpent.Host.send h_ftp ~route:ftp_route ~priority:0xF
+               ~data:(Bytes.make 1400 'f') ());
+          ftp_blast (i + 1) (t + Sim.Time.us 1150))
   in
   ftp_blast 0 (Sim.Time.us 100);
   Sim.Engine.run ~until:(Sim.Time.s 3) engine;
@@ -107,9 +105,8 @@ let run ~video_priority ~label =
   in
   List.iter
     (fun (arrival, stamp_ms) ->
-      ignore
-        (Sim.Engine.schedule_at playout_engine ~time:arrival (fun () ->
-             ignore (Vmtp.Playout.offer playout ~timestamp_ms:stamp_ms ~data:Bytes.empty))))
+      Sim.Engine.schedule_at playout_engine ~time:arrival (fun () ->
+          ignore (Vmtp.Playout.offer playout ~timestamp_ms:stamp_ms ~data:Bytes.empty)))
     (List.rev !arrivals);
   Sim.Engine.run playout_engine;
   pf "%-28s playout: %d on time, %d missed the 10 ms budget\n" label

@@ -62,7 +62,8 @@ type limiter = {
   mutable last_refill : Sim.Time.t;
   mutable last_signal : Sim.Time.t;
   pending : (int * (unit -> unit)) Queue.t;  (* (bytes, send) *)
-  mutable drain_event : Sim.Engine.handle option;
+  mutable drain_at : Sim.Time.t;
+  mutable drain_seq : int;  (* with [drain_at], the pending drain's key; -1 if none *)
 }
 
 type t = {
@@ -142,26 +143,27 @@ let rec drain t lim =
       send ();
       drain t lim
     end
-    else if lim.drain_event = None then begin
+    else if lim.drain_seq < 0 then begin
       let wait_s = (bits -. lim.bucket_bits) /. Float.max 1.0 lim.rate_bps in
-      lim.drain_event <-
-        Some
-          (Sim.Engine.schedule (W.engine t.world)
-             ~delay:(max 1 (Sim.Time.of_seconds wait_s))
-             (fun () ->
-               lim.drain_event <- None;
-               drain t lim))
+      let engine = W.engine t.world in
+      lim.drain_at <- W.now t.world + max 1 (Sim.Time.of_seconds wait_s);
+      lim.drain_seq <- Sim.Engine.alloc_seq engine;
+      Sim.Engine.schedule_keyed engine ~time:lim.drain_at ~seq:lim.drain_seq (fun () ->
+          lim.drain_seq <- -1;
+          drain t lim)
     end
+
+let cancel_drain t lim =
+  if lim.drain_seq >= 0 then begin
+    Sim.Engine.cancel (W.engine t.world) ~time:lim.drain_at ~seq:lim.drain_seq;
+    lim.drain_seq <- -1
+  end
 
 (* The rate may have been raised (ramp or a fresh signal) since a drain was
    scheduled from the old, lower rate: re-evaluate the wait so a held
    packet never over-waits on a stale schedule. *)
 let reschedule_drain t lim =
-  (match lim.drain_event with
-  | Some h ->
-    Sim.Engine.cancel (W.engine t.world) h;
-    lim.drain_event <- None
-  | None -> ());
+  cancel_drain t lim;
   drain t lim
 
 let admit t ~out_port ~next_port ~bytes =
@@ -316,11 +318,9 @@ let monitor t =
 let rec ensure_tick t =
   if t.started && not t.tick_armed then begin
     t.tick_armed <- true;
-    ignore
-      (Sim.Engine.schedule (W.engine t.world) ~delay:t.config.check_interval
-         (fun () ->
-           t.tick_armed <- false;
-           tick t))
+    Sim.Engine.schedule (W.engine t.world) ~delay:t.config.check_interval (fun () ->
+        t.tick_armed <- false;
+        tick t)
   end
 
 and tick t =
@@ -381,7 +381,8 @@ let handle_ctl t ~arrival_port ~congested_port ~rate_bps =
         last_refill = now;
         last_signal = now;
         pending = Queue.create ();
-        drain_event = None;
+        drain_at = 0;
+        drain_seq = -1;
       });
   ensure_tick t
 
@@ -396,11 +397,7 @@ let reset t =
   let dropped =
     Hashtbl.fold
       (fun _ lim acc ->
-        (match lim.drain_event with
-        | Some h ->
-          Sim.Engine.cancel (W.engine t.world) h;
-          lim.drain_event <- None
-        | None -> ());
+        cancel_drain t lim;
         acc + Queue.length lim.pending)
       t.limiters 0
   in

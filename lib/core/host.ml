@@ -48,8 +48,7 @@ let misdeliver t ~frame ~in_port =
 
 (* Hosts take delivery of the whole packet before acting. *)
 let at_tail t ~tail f =
-  ignore
-    (Sim.Engine.schedule_at (W.engine t.world) ~time:(max (W.now t.world) tail) f)
+  Sim.Engine.schedule_at (W.engine t.world) ~time:(max (W.now t.world) tail) f
 
 (* One arrival path for both codecs, after full reception. An XSR
    header is verified by {!Viper.Xsr.step} before it is unfolded into

@@ -1,16 +1,23 @@
 type mapping = Group of Topo.Graph.port list | Splice of Viper.Segment.t list
 
-type t = (int, mapping) Hashtbl.t
+(* Port-indexed, grown on demand: a router consults it for every frame. *)
+type t = { mutable by_port : mapping option array }
 
-let create () : t = Hashtbl.create 8
+let create () = { by_port = [||] }
 
 let set t ~port mapping =
   (match mapping with
   | Group [] -> invalid_arg "Logical.set: empty group"
   | Splice [] -> invalid_arg "Logical.set: empty splice"
   | Group _ | Splice _ -> ());
-  Hashtbl.replace t port mapping
+  if port < 0 then invalid_arg "Logical.set: negative port";
+  let n = Array.length t.by_port in
+  if port >= n then begin
+    let fresh = Array.make (max (port + 1) (2 * n)) None in
+    Array.blit t.by_port 0 fresh 0 n;
+    t.by_port <- fresh
+  end;
+  t.by_port.(port) <- Some mapping
 
-let clear t ~port = Hashtbl.remove t port
-let lookup t ~port = Hashtbl.find_opt t port
-let mappings t = Hashtbl.length t
+let lookup t ~port =
+  if port >= 0 && port < Array.length t.by_port then t.by_port.(port) else None

@@ -17,8 +17,8 @@ type t
 
 val create : unit -> t
 val set : t -> port:int -> mapping -> unit
-(** Raises [Invalid_argument] for an empty group/splice. *)
+(** Raises [Invalid_argument] for an empty group/splice or a negative
+    port. *)
 
-val clear : t -> port:int -> unit
 val lookup : t -> port:int -> mapping option
-val mappings : t -> int
+(** An array read: the router asks for every frame it switches. *)

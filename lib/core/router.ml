@@ -100,9 +100,10 @@ type t = {
   ledger : Token.Account.t;
   logical : Logical.t;
   congestion : Congestion.t option;
-  port_groups : (int, G.port list) Hashtbl.t;
-  port_handlers :
-    (int, seg:Seg.t -> rest:bytes -> in_port:G.port -> unit) Hashtbl.t;
+  (* port-indexed, grown on demand; [None] where the port is plain *)
+  mutable port_groups : G.port list option array;
+  mutable port_handlers :
+    (seg:Seg.t -> rest:bytes -> in_port:G.port -> unit) option array;
   mutable on_local : (packet:Pkt.t -> in_port:G.port -> unit) option;
   mutable up : bool;
   mutable epoch : int;  (** bumped on crash: pending deferred work dies with it *)
@@ -137,10 +138,26 @@ let stats t : stats =
     inheader_failovers = v inheader_failovers;
   }
 
+let at_port tbl port = if port >= 0 && port < Array.length tbl then tbl.(port) else None
+
+(* [tbl] with [Some v] at [port], grown when too short *)
+let with_port tbl port v =
+  let n = Array.length tbl in
+  let tbl =
+    if port < n then tbl
+    else begin
+      let fresh = Array.make (port + 1) None in
+      Array.blit tbl 0 fresh 0 n;
+      fresh
+    end
+  in
+  tbl.(port) <- Some v;
+  tbl
+
 let set_port_group t ~port ~ports =
   if port < Seg.multicast_port_first || port >= Viper.Multicast.tree_port then
     invalid_arg "Router.set_port_group: port must be 240-253";
-  Hashtbl.replace t.port_groups port ports
+  t.port_groups <- with_port t.port_groups port ports
 
 let set_local_delivery t f = t.on_local <- Some f
 
@@ -184,8 +201,7 @@ let flight_note ~frame check =
    cut-through act time in the past. Work deferred before a crash must not
    run after it — the crash wiped the state it would act on — so each
    scheduled action is bound to the router's current epoch. *)
-let at t ~time f =
-  ignore (Sim.Engine.schedule_at (W.engine t.world) ~time:(max time (now t)) f)
+let at t ~time f = Sim.Engine.schedule_at (W.engine t.world) ~time:(max time (now t)) f
 
 let schedule t ~time f =
   let epoch = t.epoch in
@@ -501,7 +517,7 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
       if seg.Seg.port = Seg.local_port then
         deliver_local t ~frame ~payload ~in_port ~tail
       else begin
-        match Hashtbl.find_opt t.port_handlers seg.Seg.port with
+        match at_port t.port_handlers seg.Seg.port with
         | Some f ->
           (* custom port (e.g. an interop tunnel): hand over after full
              reception, like any store-and-forward boundary *)
@@ -533,7 +549,7 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
             tree_multicast t ~seg ~frame ~rest:(rest ()) ~in_port ~in_info ~head
               ~tail ~depth
           else if Seg.is_multicast_port seg.Seg.port then begin
-            match Hashtbl.find_opt t.port_groups seg.Seg.port with
+            match at_port t.port_groups seg.Seg.port with
             | Some ports ->
               multicast t ~seg ~frame ~payload ~pos ~in_port ~in_info ~head ~tail
                 ~header_size ~ports
@@ -680,8 +696,8 @@ let create ?(config = default_config) ?key world ~node () =
       ledger;
       logical = Logical.create ();
       congestion;
-      port_groups = Hashtbl.create 4;
-      port_handlers = Hashtbl.create 4;
+      port_groups = [||];
+      port_handlers = [||];
       on_local = None;
       up = true;
       epoch = 0;
@@ -700,7 +716,7 @@ let create ?(config = default_config) ?key world ~node () =
 let set_port_handler t ~port f =
   if port <= 0 || port >= Seg.multicast_port_first then
     invalid_arg "Router.set_port_handler: port must be 1-239";
-  Hashtbl.replace t.port_handlers port f
+  t.port_handlers <- with_port t.port_handlers port f
 
 let inject t ~payload ~in_port ~return_info =
   (* no frame exists yet, so there is no flight to end *)

@@ -169,7 +169,7 @@ let forward_data t ~in_port ~payload =
 let handle t _world ~in_port ~frame ~head:_ ~tail =
   let engine = W.engine t.world in
   let at delay f =
-    ignore (Sim.Engine.schedule_at engine ~time:(max (W.now t.world) tail + delay) f)
+    Sim.Engine.schedule_at engine ~time:(max (W.now t.world) tail + delay) f
   in
   match frame.Netsim.Frame.meta with
   | Some (Signal.Setup { call_id; dst; reserve_bps; vci }) ->

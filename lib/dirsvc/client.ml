@@ -79,25 +79,23 @@ let routes t ~target ?(selector = Directory.Lowest_delay) ?(k = 2) callback =
   match Hashtbl.find_opt t.cache key with
   | Some entry when entry.expires > now && entry.selector = selector && entry.k = k ->
     C.incr t.hits;
-    ignore
-      (Sim.Engine.schedule t.engine ~delay:cache_hit_delay (fun () ->
-           callback entry.answer))
+    Sim.Engine.schedule t.engine ~delay:cache_hit_delay (fun () ->
+        callback entry.answer)
   | Some _ | None ->
     C.incr t.misses;
     let latency = Directory.query_latency t.directory ~client:t.node ~target in
-    ignore
-      (Sim.Engine.schedule t.engine ~delay:latency (fun () ->
-           let answer =
-             Directory.query t.directory ~client:t.node ~target ~selector ~k ()
-           in
-           insert t key
-             {
-               answer;
-               expires = Sim.Engine.now t.engine + t.cache_ttl;
-               selector;
-               k;
-             };
-           callback answer))
+    Sim.Engine.schedule t.engine ~delay:latency (fun () ->
+        let answer =
+          Directory.query t.directory ~client:t.node ~target ~selector ~k ()
+        in
+        insert t key
+          {
+            answer;
+            expires = Sim.Engine.now t.engine + t.cache_ttl;
+            selector;
+            k;
+          };
+        callback answer)
 
 let invalidate t ~target =
   Hashtbl.remove t.cache (Directory.intern_name t.directory target)

@@ -51,9 +51,9 @@ let start t ~until =
     let rec tick () =
       sample_once t;
       if W.now t.world + t.interval <= until then
-        ignore (Sim.Engine.schedule (W.engine t.world) ~delay:t.interval tick)
+        Sim.Engine.schedule (W.engine t.world) ~delay:t.interval tick
     in
-    ignore (Sim.Engine.schedule (W.engine t.world) ~delay:t.interval tick)
+    Sim.Engine.schedule (W.engine t.world) ~delay:t.interval tick
   end
 
 let reports_made t = t.reports

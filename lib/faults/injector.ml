@@ -133,52 +133,46 @@ let flap_link t ?(start = Sim.Time.zero) ?until ~mean_up ~mean_down link =
   let stopped time = match until with Some u -> time >= u | None -> false in
   let rec fail_at time =
     if not (stopped time) then
-      ignore
-        (Sim.Engine.schedule_at eng ~time (fun () ->
-             do_fail t link;
-             restore_at (time + exp_time t mean_down)))
+      Sim.Engine.schedule_at eng ~time (fun () ->
+          do_fail t link;
+          restore_at (time + exp_time t mean_down))
   and restore_at time =
     (* Restores run even past [until]: a flapping link must not be left
        dead forever just because the experiment window closed. *)
-    ignore
-      (Sim.Engine.schedule_at eng ~time (fun () ->
-           do_restore t link;
-           fail_at (time + exp_time t mean_up)))
+    Sim.Engine.schedule_at eng ~time (fun () ->
+        do_restore t link;
+        fail_at (time + exp_time t mean_up))
   in
   fail_at (start + exp_time t mean_up)
 
 let crash_router_at t ~at ?down_for router =
   let eng = engine t in
-  ignore
-    (Sim.Engine.schedule_at eng ~time:at (fun () ->
-         if Router.up router then begin
-           Router.crash router;
-           C.incr t.c.c_crashes
-         end;
-         match down_for with
-         | None -> ()
-         | Some d ->
-           ignore
-             (Sim.Engine.schedule eng ~delay:d (fun () ->
-                  if not (Router.up router) then begin
-                    Router.restart router;
-                    C.incr t.c.c_restarts
-                  end))))
+  Sim.Engine.schedule_at eng ~time:at (fun () ->
+      if Router.up router then begin
+        Router.crash router;
+        C.incr t.c.c_crashes
+      end;
+      match down_for with
+      | None -> ()
+      | Some d ->
+        Sim.Engine.schedule eng ~delay:d (fun () ->
+            if not (Router.up router) then begin
+              Router.restart router;
+              C.incr t.c.c_restarts
+            end))
 
 let freeze_directory_at t ~at ?thaw_after dir =
   let eng = engine t in
-  ignore
-    (Sim.Engine.schedule_at eng ~time:at (fun () ->
-         Dirsvc.Directory.set_frozen dir true;
-         C.incr t.c.c_directory_freezes;
-         Telemetry.Events.emit (W.events t.world) ~time:(W.now t.world)
-           (Telemetry.Events.Directory_frozen { frozen = true });
-         match thaw_after with
-         | None -> ()
-         | Some d ->
-           ignore
-             (Sim.Engine.schedule eng ~delay:d (fun () ->
-                  Dirsvc.Directory.set_frozen dir false;
-                  Telemetry.Events.emit (W.events t.world)
-                    ~time:(W.now t.world)
-                    (Telemetry.Events.Directory_frozen { frozen = false })))))
+  Sim.Engine.schedule_at eng ~time:at (fun () ->
+      Dirsvc.Directory.set_frozen dir true;
+      C.incr t.c.c_directory_freezes;
+      Telemetry.Events.emit (W.events t.world) ~time:(W.now t.world)
+        (Telemetry.Events.Directory_frozen { frozen = true });
+      match thaw_after with
+      | None -> ()
+      | Some d ->
+        Sim.Engine.schedule eng ~delay:d (fun () ->
+            Dirsvc.Directory.set_frozen dir false;
+            Telemetry.Events.emit (W.events t.world)
+              ~time:(W.now t.world)
+              (Telemetry.Events.Directory_frozen { frozen = false })))

@@ -126,12 +126,11 @@ let accept_ip t packet =
 
 let handle t world ~in_port ~frame ~head ~tail =
   if in_port = t.cloud_port then
-    ignore
-      (Sim.Engine.schedule_at (W.engine t.world)
-         ~time:(max (W.now t.world) tail)
-         (fun () ->
-           if not frame.Netsim.Frame.aborted then
-             accept_ip t frame.Netsim.Frame.payload))
+    Sim.Engine.schedule_at (W.engine t.world)
+      ~time:(max (W.now t.world) tail)
+      (fun () ->
+        if not frame.Netsim.Frame.aborted then
+          accept_ip t frame.Netsim.Frame.payload)
   else Sirpent.Router.handle_frame t.router world ~in_port ~frame ~head ~tail
 
 let create ?router_config ?(ttl = 32) world ~node ~cloud_port ~tunnel_port () =

@@ -48,9 +48,8 @@ let handle t _world ~in_port ~frame ~head:_ ~tail =
   | Some (Linkstate.Lsa_flood _) -> ()
   | Some _ -> ()
   | None ->
-    ignore
-      (Sim.Engine.schedule_at (W.engine t.world) ~time:(max (W.now t.world) tail)
-         (fun () -> accept t frame.Netsim.Frame.payload))
+    Sim.Engine.schedule_at (W.engine t.world) ~time:(max (W.now t.world) tail)
+      (fun () -> accept t frame.Netsim.Frame.payload)
 
 let create ?reassembly_timeout world ~node () =
   let t =

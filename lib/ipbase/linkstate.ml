@@ -90,10 +90,9 @@ let flood t ?(except = -1) lsa =
 let rec schedule_spf t =
   if not t.spf_pending then begin
     t.spf_pending <- true;
-    ignore
-      (Sim.Engine.schedule (W.engine t.world) ~delay:t.config.spf_delay (fun () ->
-           t.spf_pending <- false;
-           run_spf t))
+    Sim.Engine.schedule (W.engine t.world) ~delay:t.config.spf_delay (fun () ->
+        t.spf_pending <- false;
+        run_spf t)
   end
 
 and run_spf t =
@@ -220,7 +219,7 @@ let start t =
     let rec tick () =
       send_hellos t;
       check_liveness t;
-      ignore (Sim.Engine.schedule (W.engine t.world) ~delay:t.config.hello_interval tick)
+      Sim.Engine.schedule (W.engine t.world) ~delay:t.config.hello_interval tick
     in
     tick ()
   end

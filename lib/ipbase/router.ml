@@ -119,10 +119,9 @@ let handle t _world ~in_port ~frame ~head:_ ~tail =
     | _, None -> false
   in
   if not consumed then
-    ignore
-      (Sim.Engine.schedule_at (W.engine t.world)
-         ~time:(max (W.now t.world) tail + t.config.process_time)
-         (fun () -> forward t frame.Netsim.Frame.payload))
+    Sim.Engine.schedule_at (W.engine t.world)
+      ~time:(max (W.now t.world) tail + t.config.process_time)
+      (fun () -> forward t frame.Netsim.Frame.payload)
 
 let create ?(config = default_config) world ~node () =
   let linkstate =

@@ -8,10 +8,6 @@ type send_result =
   | Dropped_overflow
   | Dropped_no_link
 
-type delivery_ref =
-  | D_none  (* a completion whose reserved key was never scheduled *)
-  | D_event of Sim.Engine.handle
-
 type handler =
   t -> in_port:G.port -> frame:Frame.t -> head:Sim.Time.t -> tail:Sim.Time.t -> unit
 
@@ -22,14 +18,16 @@ type handler =
    with nothing queued all a completion does is free the port. The port
    is busy for exactly as long as that key has not passed the key now
    executing ({!busy}), so every reader sees what it would have seen had
-   the completion run. *)
+   the completion run. The delivery is scheduled at once, at the key
+   [(head, delivery_seq)], which a preemption or a purge cancels by. *)
 and transmission = {
   tx_frame : Frame.t;
   delivered_frame : Frame.t;  (* may be a corrupted copy of tx_frame *)
   finish : Sim.Time.t;
   done_seq : int;
-  delivery : delivery_ref;
-  mutable completion : delivery_ref;  (* [D_none] until a frame queues *)
+  head : Sim.Time.t;
+  delivery_seq : int;
+  mutable completion_scheduled : bool;  (* false until a frame queues *)
 }
 
 and outport = {
@@ -78,9 +76,9 @@ and t = {
      finds its port or handler without allocating. *)
   mutable handlers : handler option array;
   mutable outports : outport option array array;
-  ber : (int, float) Hashtbl.t;  (** link_id -> bit error rate *)
-  sf_links : (int, unit) Hashtbl.t;
-      (** link_ids operated store-and-forward: the head of a frame leaves
+  mutable ber : float option array;  (** link_id -> bit error rate *)
+  mutable sf_links : bool array;
+      (** link_id -> operated store-and-forward: the head of a frame leaves
           only after the whole frame is serialized, so head arrival is
           [finish + propagation] rather than [start + propagation] — which
           makes [propagation + min transmission time] a sound cross-link
@@ -127,8 +125,9 @@ let no_tx =
     delivered_frame = idle_frame;
     finish = min_int;
     done_seq = 0;
-    delivery = D_none;
-    completion = D_none;
+    head = min_int;
+    delivery_seq = 0;
+    completion_scheduled = false;
   }
 
 let make_outport ~node ~port ~buffer_bytes ~start =
@@ -164,8 +163,8 @@ let create ?(default_buffer_bytes = 256 * 1024) engine graph =
     default_buffer_bytes;
     handlers = [||];
     outports = [||];
-    ber = Hashtbl.create 8;
-    sf_links = Hashtbl.create 4;
+    ber = [||];
+    sf_links = [||];
     rng = Sim.Rng.create 0xC0FFEEL;
     corruptor = None;
     handler_errors = Hashtbl.create 8;
@@ -200,7 +199,7 @@ let flight t = t.flight
 (* [tbl] with room for index [i] (a fresh, larger copy when it is too
    short); new slots hold [empty] *)
 let room ~empty tbl i =
-  if i < 0 then invalid_arg "World: negative node or port";
+  if i < 0 then invalid_arg "World: negative node, port or link id";
   let n = Array.length tbl in
   if i < n then tbl
   else begin
@@ -277,9 +276,18 @@ let import_frame t ?(priority = Token.Priority.normal) ?(drop_if_blocked = false
   { Frame.id; payload; priority; drop_if_blocked; born; meta = None; flight; aborted }
 
 let set_buffer_bytes t ~node ~port n = (outport t node port).buffer_bytes <- n
-let set_store_and_forward t ~link_id = Hashtbl.replace t.sf_links link_id ()
-let store_and_forward t ~link_id = Hashtbl.mem t.sf_links link_id
-let set_bit_error_rate t ~link_id p = Hashtbl.replace t.ber link_id p
+
+let set_store_and_forward t ~link_id =
+  t.sf_links <- room ~empty:false t.sf_links link_id;
+  t.sf_links.(link_id) <- true
+
+let store_and_forward t ~link_id =
+  link_id >= 0 && link_id < Array.length t.sf_links && t.sf_links.(link_id)
+
+let set_bit_error_rate t ~link_id p =
+  t.ber <- room ~empty:None t.ber link_id;
+  t.ber.(link_id) <- Some p
+
 let set_corruptor t f = t.corruptor <- Some f
 let fail_link t link =
   G.disconnect t.graph link;
@@ -296,7 +304,7 @@ let maybe_corrupt t op link frame =
     match t.corruptor with
     | Some f -> f ~link frame.Frame.payload
     | None -> (
-      match Hashtbl.find_opt t.ber link.G.link_id with
+      match find t.ber link.G.link_id with
       | None -> None
       | Some p ->
         let bits = Frame.bits frame in
@@ -341,9 +349,12 @@ let deliver t ~link ~from_node ~frame ~head ~tail =
     deliver_direct t ~node:link.G.a ~in_port:link.G.a_port ~frame ~head ~tail
   else invalid_arg "World.deliver: node is not on the link"
 
-let cancel_delivery t = function
-  | D_none -> ()
-  | D_event h -> Sim.Engine.cancel t.engine h
+(* Abort [tx]: its delivery never happens, nor its completion if one
+   was scheduled. *)
+let cancel_events t tx =
+  Sim.Engine.cancel t.engine ~time:tx.head ~seq:tx.delivery_seq;
+  if tx.completion_scheduled then
+    Sim.Engine.cancel t.engine ~time:tx.finish ~seq:tx.done_seq
 
 (* Begin transmitting [frame] on [op], which must be idle, over [link]. *)
 let rec start_transmission t op link frame =
@@ -356,22 +367,20 @@ let rec start_transmission t op link frame =
      still serializing. A store-and-forward link holds the frame until
      fully serialized, so head and tail arrive together. *)
   let head =
-    if Hashtbl.mem t.sf_links link.G.link_id then tail
+    if store_and_forward t ~link_id:link.G.link_id then tail
     else start + link.G.props.G.propagation
   in
   let delivered = maybe_corrupt t op link frame in
   let peer = peer_node link op.op_node in
   (match find t.taps peer with Some f -> f ~head | None -> ());
-  let delivery =
-    D_event
-      (Sim.Engine.schedule_at t.engine ~time:head (fun () ->
-           retire t op;
-           deliver t ~link ~from_node:op.op_node ~frame:delivered ~head ~tail))
-  in
+  let delivery_seq = Sim.Engine.alloc_seq t.engine in
+  Sim.Engine.schedule_keyed t.engine ~time:head ~seq:delivery_seq (fun () ->
+      retire t op;
+      deliver t ~link ~from_node:op.op_node ~frame:delivered ~head ~tail);
   let done_seq = Sim.Engine.alloc_seq t.engine in
   let tx =
-    { tx_frame = frame; delivered_frame = delivered; finish; done_seq; delivery;
-      completion = D_none }
+    { tx_frame = frame; delivered_frame = delivered; finish; done_seq; head;
+      delivery_seq; completion_scheduled = false }
   in
   retire_passed t;
   op.current <- tx;
@@ -388,10 +397,9 @@ let rec start_transmission t op link frame =
 
 (* Schedule [tx]'s completion at the key it reserved. *)
 and schedule_completion t op tx =
-  tx.completion <-
-    D_event
-      (Sim.Engine.schedule_keyed t.engine ~time:tx.finish ~seq:tx.done_seq
-         (fun () -> complete t op))
+  tx.completion_scheduled <- true;
+  Sim.Engine.schedule_keyed t.engine ~time:tx.finish ~seq:tx.done_seq (fun () ->
+      complete t op)
 
 and complete t op =
   op.current <- no_tx;
@@ -423,7 +431,7 @@ let enqueue t op tx frame =
     op.queued_bytes <- op.queued_bytes + Bytes.length frame.Frame.payload;
     Sim.Stats.Timeweighted.set op.qtrack ~now:(now t)
       (float_of_int (Sim.Heap.size op.queue));
-    (match tx.completion with D_none -> schedule_completion t op tx | _ -> ());
+    if not tx.completion_scheduled then schedule_completion t op tx;
     Queued
   end
 
@@ -452,8 +460,7 @@ let send t ~node ~port frame =
            acceptable over-count of a partial transmission. *)
         (* The victim's head may already be arriving downstream: mark the
            frame as a runt so receivers that act at tail time discard it. *)
-        cancel_delivery t tx.delivery;
-        cancel_delivery t tx.completion;
+        cancel_events t tx;
         tx.tx_frame.Frame.aborted <- true;
         tx.delivered_frame.Frame.aborted <- true;
         op.preempted <- op.preempted + 1;
@@ -535,8 +542,7 @@ let purge_node t ~node =
         (* a transmission whose completion key has passed is over: its
            frame is on the wire, not in the port *)
         if busy t tx then begin
-          cancel_delivery t tx.delivery;
-          cancel_delivery t tx.completion;
+          cancel_events t tx;
           tx.tx_frame.Frame.aborted <- true;
           tx.delivered_frame.Frame.aborted <- true;
           mark_purged tx.tx_frame;

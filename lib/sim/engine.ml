@@ -1,7 +1,3 @@
-type event = { action : unit -> unit; mutable cancelled : bool }
-
-type handle = event
-
 type t = {
   mutable clock : Time.t;
   mutable next_seq : int;
@@ -9,11 +5,11 @@ type t = {
       (* with [clock], the key of the event now running; between runs,
          [next_seq] as the last run left it *)
   mutable executed : int;
-  queue : event Heap.t;
+  queue : (unit -> unit) Heap.t;
+  cancelled : unit Heap.t;
+      (* keys of queued events that must not run; a key whose event ran
+         or was never scheduled is discarded once a later key pops *)
 }
-
-(* fills the heap's vacated slots; never run *)
-let vacant = { action = ignore; cancelled = true }
 
 let create () =
   {
@@ -21,7 +17,8 @@ let create () =
     next_seq = 0;
     executing_seq = 0;
     executed = 0;
-    queue = Heap.create ~dummy:vacant;
+    queue = Heap.create ~dummy:ignore;
+    cancelled = Heap.create ~dummy:();
   }
 
 let now t = t.clock
@@ -33,10 +30,8 @@ let passed t ~time ~seq =
 
 let schedule_at t ~time f =
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
-  let e = { action = f; cancelled = false } in
-  Heap.push t.queue ~time ~seq:t.next_seq e;
-  t.next_seq <- t.next_seq + 1;
-  e
+  Heap.push t.queue ~time ~seq:t.next_seq f;
+  t.next_seq <- t.next_seq + 1
 
 let schedule t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
@@ -54,9 +49,7 @@ let alloc_seq t =
 let schedule_keyed t ~time ~seq f =
   if time < t.clock then invalid_arg "Engine.schedule_keyed: time in the past";
   if seq < 0 then invalid_arg "Engine.schedule_keyed: negative seq";
-  let e = { action = f; cancelled = false } in
-  Heap.push t.queue ~time ~seq e;
-  e
+  Heap.push t.queue ~time ~seq f
 
 (* Locally scheduled events take sequence numbers 0, 1, 2, ...; events
    merged in from another shard carry keys at or above this base, so at
@@ -68,12 +61,33 @@ let schedule_foreign t ~time ~seq f =
   if time < t.clock then invalid_arg "Engine.schedule_foreign: time in the past";
   if seq < foreign_seq_base then
     invalid_arg "Engine.schedule_foreign: seq below foreign_seq_base";
-  Heap.push t.queue ~time ~seq { action = f; cancelled = false }
+  Heap.push t.queue ~time ~seq f
 
-let cancel _t handle = handle.cancelled <- true
+(* A key that has passed ran already (or was never scheduled): nothing
+   to skip, and recording it would only leave garbage in [cancelled]. *)
+let cancel t ~time ~seq =
+  if not (passed t ~time ~seq) then Heap.push t.cancelled ~time ~seq ()
 
-(* The loop allocates nothing per event: the heap hands back keys and
-   values unboxed, and an absent [until] is a horizon no event reaches.
+(* Whether the popped key [(time, seq)] was cancelled, consuming its
+   mark. Marks below it are stale — their events ran, or were reserved
+   and never scheduled — and are dropped on the way. *)
+let rec is_cancelled c ~time ~seq =
+  (not (Heap.is_empty c))
+  &&
+  let ct = Heap.min_time c and cs = Heap.min_seq c in
+  if ct < time || (ct = time && cs < seq) then begin
+    Heap.pop_value c;
+    is_cancelled c ~time ~seq
+  end
+  else if ct = time && cs = seq then begin
+    Heap.pop_value c;
+    true
+  end
+  else false
+
+(* The loop allocates nothing per event: the heap hands back keys
+   unboxed and the queued closure itself, and an absent [until] is a
+   horizon no event reaches.
    A foreign event publishes [next_seq] as its seq: every local key
    reserved before it sorts before it, and none reserved while it runs
    does, exactly as if those had been pushed and popped after it. *)
@@ -84,12 +98,12 @@ let run ?until ?(max_events = max_int) t =
   while
     !executed < max_events && (not (Heap.is_empty q)) && Heap.min_time q <= horizon
   do
-    t.clock <- Heap.min_time q;
-    let seq = Heap.min_seq q in
+    let time = Heap.min_time q and seq = Heap.min_seq q in
+    t.clock <- time;
     t.executing_seq <- (if seq >= foreign_seq_base then t.next_seq else seq);
-    let e = Heap.pop_value q in
-    if not e.cancelled then begin
-      e.action ();
+    let action = Heap.pop_value q in
+    if not (is_cancelled t.cancelled ~time ~seq) then begin
+      action ();
       incr executed;
       t.executed <- t.executed + 1
     end

@@ -1,24 +1,24 @@
 (** Discrete-event simulation engine.
 
     A single-threaded event loop over a {!Heap}. Callbacks scheduled at the
-    same instant run in the order they were scheduled. Cancellation is by
-    handle; cancelled events are skipped when popped. *)
+    same instant run in the order they were scheduled. The queue holds
+    the callbacks themselves, with no per-event record: scheduling
+    returns nothing, and an event that may need cancelling is scheduled
+    at a key its owner reserved with {!alloc_seq} and cancelled by that
+    key ({!cancel}). *)
 
 type t
-
-type handle
-(** A scheduled event. *)
 
 val create : unit -> t
 
 val now : t -> Time.t
 (** Current simulated time. [Time.zero] before the first event runs. *)
 
-val schedule : t -> delay:Time.t -> (unit -> unit) -> handle
+val schedule : t -> delay:Time.t -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t + delay].
     Raises [Invalid_argument] on a negative delay. *)
 
-val schedule_at : t -> time:Time.t -> (unit -> unit) -> handle
+val schedule_at : t -> time:Time.t -> (unit -> unit) -> unit
 (** Absolute-time variant. The time must not be in the simulated past. *)
 
 val alloc_seq : t -> int
@@ -26,7 +26,9 @@ val alloc_seq : t -> int
     would receive, advancing the counter without pushing anything. A
     lazy event (a port's transmission completion) reserves its key this
     way and is scheduled at it later with {!schedule_keyed}, or never;
-    {!passed} tells whether it would have run. *)
+    {!passed} tells whether it would have run. A cancellable event (a
+    timer, a link delivery) reserves its key this way too, schedules at
+    it at once, and keeps the key to {!cancel} by. *)
 
 val executing_seq : t -> int
 (** The seq half of the key [(now t, executing_seq t)] of the event now
@@ -47,14 +49,18 @@ val passed : t -> time:Time.t -> seq:int -> bool
     over: comparing [time] against [now] alone would reorder same-instant
     ties. Allocates nothing. *)
 
-val schedule_keyed : t -> time:Time.t -> seq:int -> (unit -> unit) -> handle
+val schedule_keyed : t -> time:Time.t -> seq:int -> (unit -> unit) -> unit
 (** Schedule with an explicit sequence key previously reserved with
     {!alloc_seq}: the event runs exactly where one scheduled at
     reservation time would have. The time must not be in the past; the
     seq must be non-negative. *)
 
-val cancel : t -> handle -> unit
-(** Cancelling an already-run or already-cancelled event is a no-op. *)
+val cancel : t -> time:Time.t -> seq:int -> unit
+(** Skip the event queued at key [(time, seq)] when it comes up.
+    Cancelling a key that has {!passed} (its event ran), a key cancelled
+    before, or a key reserved with {!alloc_seq} but never scheduled is a
+    no-op. The mark costs one entry in a second heap until the run loop
+    reaches its key. *)
 
 val foreign_seq_base : int
 (** Local events take sequence numbers counting up from 0; keys at or
@@ -80,9 +86,8 @@ val run : ?until:Time.t -> ?max_events:int -> t -> unit
     clock at the last event it executed — which is never a reserved key
     that was left unscheduled (a lazy port completion), so a drained run
     can end before the last transmission finishes. [max_events] guards
-    against runaway simulations. The loop itself allocates nothing per event: the only
-    per-event allocation is what {!schedule} made (the event record and
-    the caller's closure). *)
+    against runaway simulations. The loop allocates nothing: the only
+    per-event allocation is the caller's closure. *)
 
 val pending : t -> int
 (** Events still queued (including cancelled ones not yet skipped). *)

@@ -1,37 +1,50 @@
-(* Structure of arrays: slot [i] is (times.(i), seqs.(i), vals.(i)). Keys
-   live unboxed in two int arrays and are compared inline, so neither a
-   push nor a pop allocates. Vacated value slots (the popped position,
-   and the unused tail of a freshly grown array) hold [dummy]: a popped
-   value must not linger where it would keep its closure — and any packet
-   bytes the closure captured — live until the slot is overwritten. *)
+(* The order lives in three int arrays: heap position [i] holds the key
+   (times.(i), seqs.(i)) and the value slot slots.(i); the value itself
+   sits out of line in vals.(slots.(i)). Sifts move only ints, so no
+   level stores a pointer through the write barrier: a push stores its
+   value once and a pop clears it once. [slots] is a permutation of
+   0..capacity-1 whose tail past [len] is the stack of free value slots.
+   Vacated value slots hold [dummy]: a popped value must not linger where
+   it would keep its closure — and any packet bytes the closure captured
+   — live until the slot is reused. *)
 type 'a t = {
   dummy : 'a;
   mutable times : int array;
   mutable seqs : int array;
+  mutable slots : int array;
   mutable vals : 'a array;
   mutable len : int;
 }
 
-let create ~dummy = { dummy; times = [||]; seqs = [||]; vals = [||]; len = 0 }
+let create ~dummy =
+  { dummy; times = [||]; seqs = [||]; slots = [||]; vals = [||]; len = 0 }
+
 let is_empty h = h.len = 0
 let size h = h.len
 
+(* Only called full, so every old slot is in use and the new ones are
+   the free tail. *)
 let grow h =
   let cap = max 16 (2 * h.len) in
   let times = Array.make cap 0 and seqs = Array.make cap 0 in
+  let slots = Array.init cap Fun.id in
   let vals = Array.make cap h.dummy in
   Array.blit h.times 0 times 0 h.len;
   Array.blit h.seqs 0 seqs 0 h.len;
+  Array.blit h.slots 0 slots 0 h.len;
   Array.blit h.vals 0 vals 0 h.len;
   h.times <- times;
   h.seqs <- seqs;
+  h.slots <- slots;
   h.vals <- vals
 
 (* Both sifts move a hole instead of swapping: the key being placed is
-   compared against the slots it passes, and lands where a swapping sift
-   would have left it. *)
+   compared against the positions it passes, and lands where a swapping
+   sift would have left it. *)
 let push h ~time ~seq v =
   if h.len = Array.length h.times then grow h;
+  let slot = h.slots.(h.len) in
+  h.vals.(slot) <- v;
   let i = ref h.len in
   h.len <- h.len + 1;
   let continue = ref true in
@@ -41,14 +54,14 @@ let push h ~time ~seq v =
     if time < pt || (time = pt && seq < h.seqs.(parent)) then begin
       h.times.(!i) <- pt;
       h.seqs.(!i) <- h.seqs.(parent);
-      h.vals.(!i) <- h.vals.(parent);
+      h.slots.(!i) <- h.slots.(parent);
       i := parent
     end
     else continue := false
   done;
   h.times.(!i) <- time;
   h.seqs.(!i) <- seq;
-  h.vals.(!i) <- v
+  h.slots.(!i) <- slot
 
 let check_nonempty h name = if h.len = 0 then invalid_arg name
 
@@ -60,14 +73,16 @@ let min_seq h =
   check_nonempty h "Heap.min_seq: empty heap";
   h.seqs.(0)
 
-(* Re-seat the last slot's entry from the root down. *)
+(* Re-seat the last position's entry from the root down; the root's
+   value slot joins the free tail. *)
 let pop_value h =
   check_nonempty h "Heap.pop_value: empty heap";
-  let top = h.vals.(0) in
+  let top = h.slots.(0) in
+  let v = h.vals.(top) in
+  h.vals.(top) <- h.dummy;
   let n = h.len - 1 in
   h.len <- n;
-  let time = h.times.(n) and seq = h.seqs.(n) and v = h.vals.(n) in
-  h.vals.(n) <- h.dummy;
+  let time = h.times.(n) and seq = h.seqs.(n) and slot = h.slots.(n) in
   if n > 0 then begin
     let i = ref 0 in
     let continue = ref true in
@@ -88,7 +103,7 @@ let pop_value h =
         if ct < time || (ct = time && h.seqs.(c) < seq) then begin
           h.times.(!i) <- ct;
           h.seqs.(!i) <- h.seqs.(c);
-          h.vals.(!i) <- h.vals.(c);
+          h.slots.(!i) <- h.slots.(c);
           i := c
         end
         else continue := false
@@ -96,10 +111,13 @@ let pop_value h =
     done;
     h.times.(!i) <- time;
     h.seqs.(!i) <- seq;
-    h.vals.(!i) <- v
+    h.slots.(!i) <- slot
   end;
-  top
+  h.slots.(n) <- top;
+  v
 
 let clear h =
-  Array.fill h.vals 0 h.len h.dummy;
+  for i = 0 to h.len - 1 do
+    h.vals.(h.slots.(i)) <- h.dummy
+  done;
   h.len <- 0

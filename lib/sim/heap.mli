@@ -3,11 +3,14 @@
     The sequence number makes event ordering total and FIFO among
     simultaneous events, which keeps simulations deterministic.
 
-    The heap is a structure of arrays — keys in two [int] arrays, values
-    in a third — so {!push}, {!min_time}, {!min_seq} and {!pop_value}
-    allocate nothing (a push that outgrows the arrays doubles them).
-    Vacated value slots are reset to the [dummy] given at creation, so
-    the heap never retains a reference to a value it no longer holds. *)
+    The order lives in three [int] arrays — time, seq and the value's
+    slot — and the values out of line in a fourth, so a sift moves only
+    unboxed ints and never runs the write barrier: a push stores its
+    value once, a pop clears it once. {!push}, {!min_time}, {!min_seq}
+    and {!pop_value} allocate nothing (a push that outgrows the arrays
+    doubles them). Vacated value slots are reset to the [dummy] given at
+    creation, so the heap never retains a reference to a value it no
+    longer holds. *)
 
 type 'a t
 

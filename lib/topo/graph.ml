@@ -17,12 +17,27 @@ type link = {
   props : link_props;
 }
 
+(* A node's attached links, indexed by port: [no_link] marks a free
+   port. Every lookup reads this array. [order] holds the same links in
+   a hash table whose iteration order is the order Dijkstra relaxes
+   them in — simulated results depend on it — built as the links were
+   attached, in port order. A node with one port has no order to keep:
+   its table is [no_order] until a second port is attached, which saves
+   the table on every one-port host. *)
 type node = {
   kind : node_kind;
   name : string;
-  ports : (port, link) Hashtbl.t;
+  mutable links : link array;
+  mutable order : (port, link) Hashtbl.t;
   mutable next_port : port;
 }
+
+let no_link =
+  let props = { bandwidth_bps = 0; propagation = 0; mtu = 0 } in
+  { link_id = -1; a = -1; a_port = -1; b = -1; b_port = -1; props }
+
+(* shared by every node without a table; never written *)
+let no_order : (port, link) Hashtbl.t = Hashtbl.create 1
 
 type t = {
   mutable nodes : node array;
@@ -56,7 +71,17 @@ let add_node g ?name kind =
     | Some s -> s
     | None -> (match kind with Host -> "h" | Router -> "r") ^ string_of_int id
   in
-  let node = { kind; name; ports = Hashtbl.create 4; next_port = 1 } in
+  let node =
+    {
+      kind;
+      name;
+      (* room for port 1, as a literal: most nodes are one-port hosts,
+         and [Array.make] is a C call a large build pays per node *)
+      links = [| no_link; no_link |];
+      order = no_order;
+      next_port = 1;
+    }
+  in
   if g.n = Array.length g.nodes then begin
     let cap = max 16 (2 * g.n) in
     let fresh = Array.make cap node in
@@ -84,45 +109,82 @@ let alloc_port node =
   node.next_port <- p + 1;
   p
 
+let set_link node p link =
+  let n = Array.length node.links in
+  if p >= n then begin
+    let fresh = Array.make (max (p + 1) (2 * n)) no_link in
+    Array.blit node.links 0 fresh 0 n;
+    node.links <- fresh
+  end;
+  node.links.(p) <- link
+
+(* [node]'s order table rebuilt from its link array in port order, as
+   a fresh table: the table of a node that attached those links one by
+   one (ports are allocated in attach order) and never lost one. *)
+let rebuild_order node =
+  node.order <- Hashtbl.create 4;
+  Array.iteri (fun p l -> if l != no_link then Hashtbl.replace node.order p l) node.links
+
+let attach node p link =
+  set_link node p link;
+  if node.order != no_order then Hashtbl.replace node.order p link
+  else if p > 1 then rebuild_order node
+
 let connect g a b props =
   let na = get g a and nb = get g b in
   let pa = alloc_port na and pb = alloc_port nb in
   let link = { link_id = g.next_link; a; a_port = pa; b; b_port = pb; props } in
   g.next_link <- g.next_link + 1;
-  Hashtbl.replace na.ports pa link;
-  Hashtbl.replace nb.ports pb link;
+  attach na pa link;
+  attach nb pb link;
   g.all_links <- link :: g.all_links;
   g.version <- g.version + 1;
   (pa, pb)
 
+let attached node p =
+  if p >= 0 && p < Array.length node.links then node.links.(p) else no_link
+
+let link_at g id p =
+  let l = attached (get g id) p in
+  if l == no_link then raise Not_found else l
+
+let link_via g id p =
+  let l = attached (get g id) p in
+  if l == no_link then None else Some l
+
+let link_alive g link = (attached (get g link.a) link.a_port).link_id = link.link_id
+
+let detach node p =
+  set_link node p no_link;
+  if node.order != no_order then Hashtbl.remove node.order p
+
 let disconnect g link =
-  Hashtbl.remove (get g link.a).ports link.a_port;
-  Hashtbl.remove (get g link.b).ports link.b_port;
+  detach (get g link.a) link.a_port;
+  detach (get g link.b) link.b_port;
   g.all_links <- List.filter (fun l -> l.link_id <> link.link_id) g.all_links;
   g.version <- g.version + 1
 
-(* Re-attach a previously disconnected link on its original ports. A link
-   that was never disconnected (or whose ports were since reused) is left
-   alone rather than clobbering another link. *)
+(* Re-attach a previously disconnected link on its original ports, and
+   back at its link-id position in [all_links] (newest first), so a
+   repaired graph is indistinguishable from one never cut: both ends'
+   order tables are rebuilt, so Dijkstra's tie order survives the
+   repair. A link that was never disconnected (or whose ports were since
+   reused) is left alone rather than clobbering another link. *)
 let reconnect g link =
   let na = get g link.a and nb = get g link.b in
-  let a_free = not (Hashtbl.mem na.ports link.a_port) in
-  let b_free = not (Hashtbl.mem nb.ports link.b_port) in
-  if a_free && b_free then begin
-    Hashtbl.replace na.ports link.a_port link;
-    Hashtbl.replace nb.ports link.b_port link;
-    if not (List.exists (fun l -> l.link_id = link.link_id) g.all_links) then
-      g.all_links <- link :: g.all_links;
+  if attached na link.a_port == no_link && attached nb link.b_port == no_link then begin
+    set_link na link.a_port link;
+    set_link nb link.b_port link;
+    if na.order != no_order then rebuild_order na;
+    if nb.order != no_order then rebuild_order nb;
+    let rec insert = function
+      | l :: rest when l.link_id > link.link_id -> l :: insert rest
+      | l :: _ as all when l.link_id = link.link_id -> all
+      | all -> link :: all
+    in
+    g.all_links <- insert g.all_links;
     g.version <- g.version + 1
   end
-
-let link_via g id p = Hashtbl.find_opt (get g id).ports p
-let link_at g id p = Hashtbl.find (get g id).ports p
-
-let link_alive g link =
-  match Hashtbl.find_opt (get g link.a).ports link.a_port with
-  | Some l -> l.link_id = link.link_id
-  | None -> false
 
 let peer link n =
   if n = link.a then (link.b, link.b_port)
@@ -130,10 +192,27 @@ let peer link n =
   else invalid_arg "Graph.peer"
 
 let ports g id =
-  Hashtbl.fold (fun p l acc -> (p, l) :: acc) (get g id).ports []
-  |> List.sort (fun (p1, _) (p2, _) -> compare p1 p2)
+  let links = (get g id).links in
+  let acc = ref [] in
+  for p = Array.length links - 1 downto 0 do
+    if links.(p) != no_link then acc := (p, links.(p)) :: !acc
+  done;
+  !acc
 
-let degree g id = Hashtbl.length (get g id).ports
+let degree g id =
+  Array.fold_left (fun n l -> if l == no_link then n else n + 1) 0 (get g id).links
+
+(* Dijkstra's relaxation order over [u]'s links: its order table, or
+   its lone link when it has none *)
+let iter_links g u f =
+  let node = get g u in
+  if node.order != no_order then Hashtbl.iter f node.order
+  else
+    let links = node.links in
+    for p = 0 to Array.length links - 1 do
+      if links.(p) != no_link then f p links.(p)
+    done
+
 let links g = List.rev g.all_links
 let iter_nodes g f = for id = 0 to g.n - 1 do f id done
 
@@ -195,8 +274,7 @@ let shortest_path_excluding g ~metric ~src ~dst ~banned_links ~banned_nodes =
         visited.(u) <- true;
         if u = dst then finished := true
         else
-          Hashtbl.iter
-            (fun p l ->
+          iter_links g u (fun p l ->
               if not (List.mem l.link_id banned_links) then begin
                 let v, _ = peer l u in
                 if (not (List.mem v banned_nodes)) && not visited.(v) then begin
@@ -210,7 +288,6 @@ let shortest_path_excluding g ~metric ~src ~dst ~banned_links ~banned_nodes =
                   end
                 end
               end)
-            (get g u).ports
       end
   done;
   if dist.(dst) = infinity then None
@@ -229,7 +306,7 @@ let shortest_path g ~metric ~src ~dst =
 
 (* Single-source shortest-path tree: the same Dijkstra as
    [shortest_path_excluding] (same heap keys, same relaxation order over the
-   same port tables) run to completion instead of stopping at one
+   same order tables) run to completion instead of stopping at one
    destination, so [spt_path] extracts, for every destination, hop lists
    bit-identical to what a per-destination [shortest_path] would return.
    This is what makes directory SPT memoization answer-preserving. *)
@@ -259,8 +336,7 @@ let shortest_path_tree g ~metric ~src =
       let cost, u = Sim.Heap.pop_value heap in
       if (not visited.(u)) && cost <= dist.(u) then begin
         visited.(u) <- true;
-        Hashtbl.iter
-          (fun p l ->
+        iter_links g u (fun p l ->
             let v, _ = peer l u in
             if not visited.(v) then begin
               let w = metric l in
@@ -272,7 +348,6 @@ let shortest_path_tree g ~metric ~src =
                 push alt v
               end
             end)
-          (get g u).ports
       end
   done;
   { spt_src = src; spt_prev = prev; spt_dist = dist }

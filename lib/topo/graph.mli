@@ -51,17 +51,22 @@ val disconnect : t -> link -> unit
 val reconnect : t -> link -> unit
 (** Re-attach a previously disconnected link on its original ports (models
     link repair, enabling flapping-link fault injection). A no-op if either
-    port is occupied or the link was never disconnected. *)
+    port is occupied or the link was never disconnected. Once every cut
+    link is back, the graph is indistinguishable from one never cut: the
+    link returns to its link-id position in {!links}, and its ends' port
+    tables are rebuilt in port order, so {!ports} and every shortest path
+    (ties included) are those of the untouched graph. *)
 
 val link_alive : t -> link -> bool
-(** Whether this exact link is currently attached. *)
+(** Whether this exact link is currently attached. O(1). *)
 
 val link_via : t -> node_id -> port -> link option
-(** The link attached to this node's port, if any. *)
+(** The link attached to this node's port, if any. O(1): an array read. *)
 
 val link_at : t -> node_id -> port -> link
-(** {!link_via} for per-frame paths: the same lookup without the option
-    box. Raises [Not_found] when the port has no link. *)
+(** {!link_via} for per-frame paths: the same O(1) lookup without the
+    option box; allocates nothing. Raises [Not_found] when the port has
+    no link. *)
 
 val peer : link -> node_id -> node_id * port
 (** [peer l n] is the other endpoint [(node, its port)]. Raises
@@ -95,7 +100,10 @@ val route_nodes : t -> src:node_id -> hop list -> node_id list
 val shortest_path :
   t -> metric:(link -> float) -> src:node_id -> dst:node_id -> hop list option
 (** Dijkstra. [None] if unreachable; [[]] if [src = dst]. The metric must
-    be positive. *)
+    be positive. A node's neighbours are relaxed in the iteration order
+    of a hash table of its links filled in port order, not in port order
+    itself: equal-cost ties — and so the simulated results that depend
+    on them — follow that order. *)
 
 val shortest_path_excluding :
   t -> metric:(link -> float) -> src:node_id -> dst:node_id ->

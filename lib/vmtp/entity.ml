@@ -48,7 +48,8 @@ type partial = {
   mutable group_size : int;
   mutable sample : (Viper.Packet.t * Topo.Graph.port) option;
       (** a received packet + arrival port: source of the return route *)
-  mutable gap_timer : Sim.Engine.handle option;
+  mutable gap_at : Sim.Time.t;
+  mutable gap_seq : int;  (* with [gap_at], the gap timer's key; -1 if none *)
 }
 
 type call = {
@@ -60,7 +61,8 @@ type call = {
   request_packets : bytes array;  (** encoded transport packets, stable *)
   mutable request_acked : int32;
   mutable retries : int;
-  mutable timer : Sim.Engine.handle option;
+  mutable timer_at : Sim.Time.t;
+  mutable timer_seq : int;  (* with [timer_at], the retransmit timer's key; -1 if none *)
   response : partial;
   started : Sim.Time.t;
   on_reply : bytes -> rtt:Sim.Time.t -> unit;
@@ -130,7 +132,15 @@ let now t = W.now (world t)
 let now_ms t = Mpl.wrap ((now t / 1_000_000) + t.config.clock_skew_ms)
 
 let schedule t ~delay f = Sim.Engine.schedule (engine t) ~delay f
-let cancel t h = Sim.Engine.cancel (engine t) h
+
+(* A timer: [f] scheduled at [time] under a freshly reserved seq, which
+   is returned so the timer can be cancelled by its key. *)
+let arm t ~time f =
+  let seq = Sim.Engine.alloc_seq (engine t) in
+  Sim.Engine.schedule_keyed (engine t) ~time ~seq f;
+  seq
+
+let cancel t ~time ~seq = if seq >= 0 then Sim.Engine.cancel (engine t) ~time ~seq
 
 let segment_data t data =
   let seg = t.config.segment_bytes in
@@ -170,11 +180,9 @@ let send_group t ~route ~priority packets ~indices =
     | [] -> ()
     | idx :: rest ->
       let packet = packets.(idx) in
-      ignore
-        (schedule t ~delay (fun () ->
-             C.incr t.packets_sent;
-             ignore
-               (Sirpent.Host.send t.host ~route ~priority ~data:packet ())));
+      schedule t ~delay (fun () ->
+          C.incr t.packets_sent;
+          ignore (Sirpent.Host.send t.host ~route ~priority ~data:packet ()));
       go (delay + gap_for (Bytes.length packet)) rest
   in
   go 0 indices
@@ -197,7 +205,8 @@ let fresh_partial () =
     mask = 0l;
     group_size = 1;
     sample = None;
-    gap_timer = None;
+    gap_at = 0;
+    gap_seq = -1;
   }
 
 let partial_add partial ~index ~group_size ~data ~sample =
@@ -235,8 +244,8 @@ let current_route call = call.routes.(call.route_idx)
 let finish_call t call outcome =
   if not call.finished then begin
     call.finished <- true;
-    Option.iter (cancel t) call.timer;
-    Option.iter (cancel t) call.response.gap_timer;
+    cancel t ~time:call.timer_at ~seq:call.timer_seq;
+    cancel t ~time:call.response.gap_at ~seq:call.response.gap_seq;
     Hashtbl.remove t.calls call.txn;
     match outcome with
     | `Reply data ->
@@ -250,12 +259,12 @@ let finish_call t call outcome =
   end
 
 let rec arm_timer t call =
-  Option.iter (cancel t) call.timer;
-  call.timer <-
-    Some
-      (schedule t ~delay:(rto t) (fun () ->
-           call.timer <- None;
-           if not call.finished then on_timeout t call))
+  cancel t ~time:call.timer_at ~seq:call.timer_seq;
+  call.timer_at <- now t + rto t;
+  call.timer_seq <-
+    arm t ~time:call.timer_at (fun () ->
+        call.timer_seq <- -1;
+        if not call.finished then on_timeout t call)
 
 and on_timeout t call =
   call.retries <- call.retries + 1;
@@ -320,11 +329,10 @@ let respond t ~client ~txn ~via data =
     { resp_packets = packets; via; expires = now t + t.config.response_hold }
   in
   Hashtbl.replace t.held (client, txn) held;
-  ignore
-    (schedule t ~delay:t.config.response_hold (fun () ->
-         match Hashtbl.find_opt t.held (client, txn) with
-         | Some h when h.expires <= now t -> Hashtbl.remove t.held (client, txn)
-         | Some _ | None -> ()));
+  schedule t ~delay:t.config.response_hold (fun () ->
+      match Hashtbl.find_opt t.held (client, txn) with
+      | Some h when h.expires <= now t -> Hashtbl.remove t.held (client, txn)
+      | Some _ | None -> ());
   Array.iter
     (fun packet ->
       C.incr t.packets_sent;
@@ -332,12 +340,12 @@ let respond t ~client ~txn ~via data =
     packets
 
 let arm_gap_timer t partial ~on_gap =
-  Option.iter (cancel t) partial.gap_timer;
-  partial.gap_timer <-
-    Some
-      (schedule t ~delay:t.config.gap_timeout (fun () ->
-           partial.gap_timer <- None;
-           on_gap ()))
+  cancel t ~time:partial.gap_at ~seq:partial.gap_seq;
+  partial.gap_at <- now t + t.config.gap_timeout;
+  partial.gap_seq <-
+    arm t ~time:partial.gap_at (fun () ->
+        partial.gap_seq <- -1;
+        on_gap ())
 
 let handle_request t (p : Wf.t) ~sample =
   let key = (p.Wf.src_entity, p.Wf.transaction) in
@@ -368,7 +376,7 @@ let handle_request t (p : Wf.t) ~sample =
     partial_add partial ~index:p.Wf.index ~group_size:p.Wf.group_size
       ~data:p.Wf.data ~sample;
     if partial_complete partial then begin
-      Option.iter (cancel t) partial.gap_timer;
+      cancel t ~time:partial.gap_at ~seq:partial.gap_seq;
       Hashtbl.remove t.partials key;
       let data = assemble partial in
       let via = Option.get partial.sample in
@@ -551,7 +559,8 @@ let call t ~server ~routes ?(priority = Token.Priority.normal) ~data ~on_reply
         request_packets;
         request_acked = 0l;
         retries = 0;
-        timer = None;
+        timer_at = 0;
+        timer_seq = -1;
         response = fresh_partial ();
         started = now t;
         on_reply;

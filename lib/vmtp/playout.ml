@@ -22,10 +22,9 @@ let offer t ~timestamp_ms ~data =
     `Late
   end
   else begin
-    ignore
-      (Sim.Engine.schedule_at t.engine ~time:at (fun () ->
-           t.delivered <- t.delivered + 1;
-           t.deliver data));
+    Sim.Engine.schedule_at t.engine ~time:at (fun () ->
+        t.delivered <- t.delivered + 1;
+        t.deliver data);
     `Scheduled
   end
 

@@ -210,10 +210,9 @@ let refreshes_hold_the_rate () =
     C.start c;
     let rec refresh t =
       if t < Sim.Time.ms 80 then
-        ignore
-          (Sim.Engine.schedule_at engine ~time:t (fun () ->
-               C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:6e6;
-               refresh (t + Sim.Time.ms 12)))
+        Sim.Engine.schedule_at engine ~time:t (fun () ->
+            C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:6e6;
+            refresh (t + Sim.Time.ms 12))
     in
     refresh 0;
     (* last refresh at 72 ms; observe at 86 ms, 14 ms into the quiet *)
@@ -238,10 +237,9 @@ let flap_counted_across_quiescence () =
   C.start c;
   C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:1e6;
   let reinstall_at = config.C.limiter_expiry + (4 * config.C.check_interval) in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:reinstall_at (fun () ->
-         check_int "expired before reinstall" 0 (C.limiters c);
-         C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:1e6));
+  Sim.Engine.schedule_at engine ~time:reinstall_at (fun () ->
+      check_int "expired before reinstall" 0 (C.limiters c);
+      C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:1e6);
   Sim.Engine.run ~until:(reinstall_at + config.C.check_interval) engine;
   check_int "reinstalled" 1 (C.limiters c);
   check_int "flap counted" 1 (C.oscillations c)
@@ -256,9 +254,8 @@ let refresh_reevaluates_waiting_drain () =
   let sent_at = ref None in
   C.submit c ~out_port:1 ~next_port:(Some 3) ~bytes:1000 ~send:(fun () ->
       sent_at := Some (Sim.Engine.now engine));
-  ignore
-    (Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 1) (fun () ->
-         C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:8e6));
+  Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 1) (fun () ->
+      C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:8e6);
   Sim.Engine.run ~until:(Sim.Time.s 2) engine;
   match !sent_at with
   | None -> Alcotest.fail "held packet never released"

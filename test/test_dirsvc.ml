@@ -218,10 +218,9 @@ let monitor_reports_steer () =
   let route = Sirpent.Route.of_hops g ~src:h1 via_r1 in
   let rec blast t =
     if t < Sim.Time.s 1 then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             ignore (Sirpent.Host.send s1 ~route ~data:(Bytes.make 1200 'x') ());
-             blast (t + Sim.Time.ms 1)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          ignore (Sirpent.Host.send s1 ~route ~data:(Bytes.make 1200 'x') ());
+          blast (t + Sim.Time.ms 1))
   in
   blast (Sim.Time.ms 1);
   Sim.Engine.run ~until:(Sim.Time.s 1) engine;
@@ -419,8 +418,7 @@ let client_sweeps_expired_before_evicting () =
   Sim.Engine.run engine;
   check_int "full" 2 (Dirsvc.Client.cached_entries client);
   (* let both entries expire, then insert: the sweep clears them *)
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.s 1) (fun () -> q 3 (fun _ -> ())));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.s 1) (fun () -> q 3 (fun _ -> ()));
   Sim.Engine.run engine;
   check_bool "expired swept on insert" true (Dirsvc.Client.cached_entries client <= 2)
 

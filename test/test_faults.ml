@@ -51,9 +51,8 @@ let handler_exception_is_counted () =
   ignore (W.send world ~node:a ~port:1 (W.fresh_frame world (Bytes.make 100 'x')));
   ignore (W.send world ~node:a ~port:1 (W.fresh_frame world (Bytes.make 100 'y')));
   let later_event_ran = ref false in
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.s 1) (fun () ->
-         later_event_ran := true));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.s 1) (fun () ->
+      later_event_ran := true);
   Sim.Engine.run engine;
   check_bool "simulation survived the raising handler" true !later_event_ran;
   check_int "errors counted at b" 2 (W.handler_errors world ~node:b);
@@ -158,9 +157,8 @@ let corruption_is_deterministic () =
     Faults.Injector.set_link_corruption inj ~link:(link_between g h1 r)
       { Faults.Corrupt.ber = 2e-4; region = Faults.Corrupt.Any };
     for k = 1 to 40 do
-      ignore
-        (Sim.Engine.schedule engine ~delay:(Sim.Time.ms k) (fun () ->
-             send_one g s1 ~src:h1 ~dst:h2 (Bytes.make 700 'd')))
+      Sim.Engine.schedule engine ~delay:(Sim.Time.ms k) (fun () ->
+          send_one g s1 ~src:h1 ~dst:h2 (Bytes.make 700 'd'))
     done;
     Sim.Engine.run engine;
     let st = Faults.Injector.stats inj in
@@ -192,19 +190,17 @@ let crash_wipes_soft_state_and_recovers () =
   let route = (List.hd routes).Dirsvc.Directory.route in
   let inj = Faults.Injector.create world in
   let send_at t =
-    ignore
-      (Sim.Engine.schedule_at engine ~time:t (fun () ->
-           ignore (Sirpent.Host.send s1 ~route ~data:(Bytes.make 100 'c') ())))
+    Sim.Engine.schedule_at engine ~time:t (fun () ->
+        ignore (Sirpent.Host.send s1 ~route ~data:(Bytes.make 100 'c') ()))
   in
   (* one packet while up (warms the token cache), two while down, one
      after restart *)
   send_at (Sim.Time.ms 1);
   Faults.Injector.crash_router_at inj ~at:(Sim.Time.ms 10)
     ~down_for:(Sim.Time.ms 20) router;
-  ignore
-    (Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 12) (fun () ->
-         check_bool "router is down" false (Router.up router);
-         check_int "token cache wiped" 0 (Token.Cache.entries (Router.cache router))));
+  Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 12) (fun () ->
+      check_bool "router is down" false (Router.up router);
+      check_int "token cache wiped" 0 (Token.Cache.entries (Router.cache router)));
   send_at (Sim.Time.ms 15);
   send_at (Sim.Time.ms 18);
   send_at (Sim.Time.ms 40);
@@ -247,16 +243,14 @@ let crash_wipes_limiter_soft_state () =
   let inj = Faults.Injector.create world in
   Faults.Injector.crash_router_at inj ~at:(Sim.Time.ms 10)
     ~down_for:(Sim.Time.ms 20) router;
-  ignore
-    (Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 12) (fun () ->
-         check_int "limiters wiped" 0 (C.limiters c);
-         check_int "held packets dropped" 0 (C.backlog c)));
+  Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 12) (fun () ->
+      check_int "limiters wiped" 0 (C.limiters c);
+      check_int "held packets dropped" 0 (C.backlog c));
   (* after restart the controller accepts fresh signals: soft state
      rebuilds from traffic instead of resurrecting *)
-  ignore
-    (Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 40) (fun () ->
-         C.handle_ctl c ~arrival_port:1 ~congested_port:1 ~rate_bps:1e6;
-         check_int "fresh limiter installs" 1 (C.limiters c)));
+  Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 40) (fun () ->
+      C.handle_ctl c ~arrival_port:1 ~congested_port:1 ~rate_bps:1e6;
+      check_int "fresh limiter installs" 1 (C.limiters c));
   Sim.Engine.run ~until:(Sim.Time.ms 50) engine;
   check_bool "router back up" true (Router.up router);
   check_int "held packets never leaked out" 0 !leaked
@@ -278,11 +272,10 @@ let flapping_link_recovers () =
   let sent = ref 0 in
   let rec sender t =
     if t < Sim.Time.ms 500 then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             incr sent;
-             ignore (Sirpent.Host.send s1 ~route ~data:(Bytes.make 200 'f') ());
-             sender (t + Sim.Time.ms 2)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          incr sent;
+          ignore (Sirpent.Host.send s1 ~route ~data:(Bytes.make 200 'f') ());
+          sender (t + Sim.Time.ms 2))
   in
   sender (Sim.Time.ms 1);
   Sim.Engine.run engine;
@@ -369,21 +362,20 @@ let fault_matrix () =
   let attempted = ref 0 and completed = ref 0 and failed = ref 0 in
   let rec caller t =
     if t < Sim.Time.s 5 then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             (* re-query each call so the frozen window actually serves
-                stale routes over dead links *)
-             let routes =
-               Dirsvc.Directory.query dir ~client:src ~target:name ~k:2 ()
-             in
-             let sroutes = List.map (fun r -> r.Dirsvc.Directory.route) routes in
-             incr attempted;
-             Vmtp.Entity.call client ~server:2L ~routes:sroutes
-               ~data:(Bytes.make 300 'm')
-               ~on_reply:(fun _ ~rtt:_ -> incr completed)
-               ~on_fail:(fun _ -> incr failed)
-               ();
-             caller (t + Sim.Time.ms 50)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          (* re-query each call so the frozen window actually serves
+             stale routes over dead links *)
+          let routes =
+            Dirsvc.Directory.query dir ~client:src ~target:name ~k:2 ()
+          in
+          let sroutes = List.map (fun r -> r.Dirsvc.Directory.route) routes in
+          incr attempted;
+          Vmtp.Entity.call client ~server:2L ~routes:sroutes
+            ~data:(Bytes.make 300 'm')
+            ~on_reply:(fun _ ~rtt:_ -> incr completed)
+            ~on_fail:(fun _ -> incr failed)
+            ();
+          caller (t + Sim.Time.ms 50))
   in
   caller (Sim.Time.ms 10);
   (* drain fully: the callers self-terminate, and the slowest

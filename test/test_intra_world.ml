@@ -232,7 +232,7 @@ let shard_engine_promise_shapes () =
   (* a local event caps the cause *)
   let e = Sim.Engine.create () in
   let c = SE.create_edges ~lookaheads:[| 100 |] e in
-  ignore (Sim.Engine.schedule_at e ~time:50 (fun () -> ()));
+  Sim.Engine.schedule_at e ~time:50 (fun () -> ());
   check_int "next local + lookahead" 150 (SE.promise_edge c ~edge:0 ~safe_in:max_int);
   (* a pending outbound head is promised exactly *)
   let c = SE.create_edges ~lookaheads:[| 1000 |] (Sim.Engine.create ()) in
@@ -274,7 +274,7 @@ let shard_engine_prunes_cancelled_heads () =
   (* a transmission toward the gateway is noted, then cancelled: its
      delivery never fires, so outbound_sent is never called *)
   SE.note_outbound c ~edge:0 ~head:30;
-  ignore (Sim.Engine.schedule_at e ~time:60 (fun () -> ()));
+  Sim.Engine.schedule_at e ~time:60 (fun () -> ());
   check_int "still pins while future" 30 (SE.promise_edge c ~edge:0 ~safe_in:max_int);
   (* once the clock passes the head without it firing, it is dead: the
      promise falls back to min(next local 60, safe 50) + lookahead 10 *)
@@ -289,7 +289,7 @@ let shard_engine_prunes_multiset_heads () =
   SE.note_outbound c ~edge:0 ~head:30;
   SE.outbound_sent c ~edge:0 ~head:30;
   check_int "one of two still pins" 30 (SE.promise_edge c ~edge:0 ~safe_in:max_int);
-  ignore (Sim.Engine.schedule_at e ~time:60 (fun () -> ()));
+  Sim.Engine.schedule_at e ~time:60 (fun () -> ());
   check_bool "advances" true (SE.advance c ~safe_in:50 ~cap:100);
   (* the cancelled survivor is lazily discarded once the clock passes *)
   check_int "pruned after pass" 60 (SE.promise_edge c ~edge:0 ~safe_in:50);
@@ -301,7 +301,7 @@ let shard_engine_advance_caps_at_until () =
   let c = SE.create_edges ~lookaheads:[| 10 |] e in
   let fired = ref [] in
   List.iter
-    (fun tm -> ignore (Sim.Engine.schedule_at e ~time:tm (fun () -> fired := tm :: !fired)))
+    (fun tm -> Sim.Engine.schedule_at e ~time:tm (fun () -> fired := tm :: !fired))
     [ 10; 20; 90; 150 ];
   ignore (SE.advance c ~safe_in:25 ~cap:100);
   Alcotest.(check (list int)) "below safe only" [ 20; 10 ] !fired;
@@ -397,20 +397,18 @@ let run_cluster ?epoch ?(faults = false) ?(regions = 4) ~shards ~until () =
       let local = route hs.(1) hs.(0) in
       for k = 0 to 9 do
         let time = Sim.Time.ms 1 + (k * Sim.Time.ms 2) + (r * Sim.Time.us 100) in
-        ignore
-          (Sim.Engine.schedule_at e ~time (fun () ->
-               let src = Hashtbl.find endpoints hs.(0) in
-               ignore
-                 (Sirpent.Host.send src ~route:cross
-                    ~data:(Bytes.of_string (Printf.sprintf "ping-%d-%d" r k))
-                    ())));
-        ignore
-          (Sim.Engine.schedule_at e ~time:(time + Sim.Time.us 500) (fun () ->
-               let src = Hashtbl.find endpoints hs.(1) in
-               ignore
-                 (Sirpent.Host.send src ~route:local
-                    ~data:(Bytes.of_string (Printf.sprintf "ping-l-%d-%d" r k))
-                    ())))
+        Sim.Engine.schedule_at e ~time (fun () ->
+            let src = Hashtbl.find endpoints hs.(0) in
+            ignore
+              (Sirpent.Host.send src ~route:cross
+                 ~data:(Bytes.of_string (Printf.sprintf "ping-%d-%d" r k))
+                 ()));
+        Sim.Engine.schedule_at e ~time:(time + Sim.Time.us 500) (fun () ->
+            let src = Hashtbl.find endpoints hs.(1) in
+            ignore
+              (Sirpent.Host.send src ~route:local
+                 ~data:(Bytes.of_string (Printf.sprintf "ping-l-%d-%d" r k))
+                 ()))
       done)
     hosts;
   let stats = S.run ~shards ?epoch ~until cluster in
@@ -556,10 +554,9 @@ let run_burst ~shards =
   let data = Bytes.of_string "burst" in
   let e = S.engine cluster 0 in
   for k = 0 to burst_frames - 1 do
-    ignore
-      (Sim.Engine.schedule_at e
-         ~time:(Sim.Time.ms 1 + (k * Sim.Time.ns 5))
-         (fun () -> ignore (Sirpent.Host.send src ~route ~data ())))
+    Sim.Engine.schedule_at e
+      ~time:(Sim.Time.ms 1 + (k * Sim.Time.ns 5))
+      (fun () -> ignore (Sirpent.Host.send src ~route ~data ()))
   done;
   let stats = S.run ~shards ~until:(Sim.Time.ms 10) cluster in
   (stats, !received, S.merged_rows cluster, S.merged_events cluster)

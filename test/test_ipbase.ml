@@ -262,9 +262,8 @@ let linkstate_converges_and_delivers () =
   in
   Ipbase.Host.set_receive h2 (fun _ ~header:_ ~data:_ -> ());
   (* give the protocol time to flood and compute *)
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 100) (fun () ->
-         ignore (Ipbase.Host.send h1 ~dst:(Ipbase.Host.node h2) ~data:(Bytes.of_string "ls") ())));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.ms 100) (fun () ->
+      ignore (Ipbase.Host.send h1 ~dst:(Ipbase.Host.node h2) ~data:(Bytes.of_string "ls") ()));
   Sim.Engine.run ~until:(Sim.Time.s 2) engine;
   check_int "delivered" 1 (Ipbase.Host.received h2);
   Array.iter
@@ -303,18 +302,16 @@ let linkstate_reconverges_after_failure () =
   (* steady stream *)
   let rec sender t =
     if t < Sim.Time.s 20 then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             ignore (Ipbase.Host.send host1 ~dst:h2 ~data:(Bytes.make 64 's') ());
-             sender (t + Sim.Time.ms 100)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          ignore (Ipbase.Host.send host1 ~dst:h2 ~data:(Bytes.make 64 's') ());
+          sender (t + Sim.Time.ms 100))
   in
   sender (Sim.Time.ms 200);
   (* fail the r0-r1 link at t=5s *)
-  ignore
-    (Sim.Engine.schedule_at engine ~time:(Sim.Time.s 5) (fun () ->
-         match G.link_via g r.(0) (fst l01) with
-         | Some l -> W.fail_link world l
-         | None -> Alcotest.fail "link gone early"));
+  Sim.Engine.schedule_at engine ~time:(Sim.Time.s 5) (fun () ->
+      match G.link_via g r.(0) (fst l01) with
+      | Some l -> W.fail_link world l
+      | None -> Alcotest.fail "link gone early");
   Sim.Engine.run ~until:(Sim.Time.s 21) engine;
   (* sent every 100ms for ~20s = ~198; must have lost only a handful
      during reconvergence (hello dead interval = 3s) *)

@@ -64,13 +64,12 @@ let preemption_kills_victim () =
   let victim = W.fresh_frame world (Bytes.make 1000 'v') in
   ignore (W.send world ~node:a ~port:1 victim);
   (* preempt 100 us into the 800 us transmission *)
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 100) (fun () ->
-         let urgent = W.fresh_frame world ~priority:7 (Bytes.make 100 'u') in
-         match W.send world ~node:a ~port:1 urgent with
-         | W.Started_preempting f ->
-           check_bool "preempted the victim" true (f.Netsim.Frame.id = victim.Netsim.Frame.id)
-         | _ -> Alcotest.fail "expected preemption"));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.us 100) (fun () ->
+      let urgent = W.fresh_frame world ~priority:7 (Bytes.make 100 'u') in
+      match W.send world ~node:a ~port:1 urgent with
+      | W.Started_preempting f ->
+        check_bool "preempted the victim" true (f.Netsim.Frame.id = victim.Netsim.Frame.id)
+      | _ -> Alcotest.fail "expected preemption");
   Sim.Engine.run engine;
   (* the victim's delivery was cancelled OR flagged aborted *)
   let alive =
@@ -85,11 +84,10 @@ let preemption_kills_victim () =
 let preemptive_does_not_preempt_preemptive () =
   let _, engine, world, a, _, log = pair () in
   ignore (W.send world ~node:a ~port:1 (W.fresh_frame world ~priority:6 (Bytes.make 1000 'a')));
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 100) (fun () ->
-         match W.send world ~node:a ~port:1 (W.fresh_frame world ~priority:7 (Bytes.make 100 'b')) with
-         | W.Queued -> ()
-         | _ -> Alcotest.fail "priority 7 must queue behind priority 6"));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.us 100) (fun () ->
+      match W.send world ~node:a ~port:1 (W.fresh_frame world ~priority:7 (Bytes.make 100 'b')) with
+      | W.Queued -> ()
+      | _ -> Alcotest.fail "priority 7 must queue behind priority 6");
   Sim.Engine.run engine;
   check_int "both arrive" 2 (List.length !log)
 
@@ -146,11 +144,10 @@ let queued_frames_dropped_when_link_dies_midstream () =
   ignore (W.send world ~node:a ~port:1 (W.fresh_frame world (Bytes.make 1000 '2')));
   (* kill the link during the first transmission; the queued frame is
      dropped at completion time *)
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 100) (fun () ->
-         match G.link_via g a 1 with
-         | Some l -> W.fail_link world l
-         | None -> ()));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.us 100) (fun () ->
+      match G.link_via g a 1 with
+      | Some l -> W.fail_link world l
+      | None -> ());
   Sim.Engine.run engine;
   check_int "first delivered" 1 (List.length !log);
   check_bool "second dropped no-link" true
@@ -249,14 +246,13 @@ let idle_pair ?(propagation = Sim.Time.us 5) () =
    [before] at [at] just before it (keyed below its completion) and
    [after] just after it (keyed above). *)
 let around_transmission ?flight engine world a ~at ~before ~after =
-  let at_key f = ignore (Sim.Engine.schedule_at engine ~time:at f) in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:0 (fun () ->
-         List.iter at_key before;
-         ignore
-           (W.send world ~node:a ~port:1
-              (W.fresh_frame world ?flight (Bytes.make 1000 'x')));
-         List.iter at_key after))
+  let at_key f = Sim.Engine.schedule_at engine ~time:at f in
+  Sim.Engine.schedule_at engine ~time:0 (fun () ->
+      List.iter at_key before;
+      ignore
+        (W.send world ~node:a ~port:1
+           (W.fresh_frame world ?flight (Bytes.make 1000 'x')));
+      List.iter at_key after)
 
 let send_result_name = function
   | W.Started -> "Started"
@@ -299,13 +295,11 @@ let idle_rule_port_busy () =
         W.port_busy_until world ~node:a ~port:1 )
       :: !seen
   in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:(idle_finish - 1) (look "finish - 1"));
+  Sim.Engine.schedule_at engine ~time:(idle_finish - 1) (look "finish - 1");
   around_transmission engine world a ~at:idle_finish
     ~before:[ look "finish, before the key" ]
     ~after:[ look "finish, after the key" ];
-  ignore
-    (Sim.Engine.schedule_at engine ~time:(idle_finish + 1) (look "finish + 1"));
+  Sim.Engine.schedule_at engine ~time:(idle_finish + 1) (look "finish + 1");
   Sim.Engine.run engine;
   Alcotest.(check (list (triple string bool int)))
     "busy, busy_until"
@@ -337,6 +331,29 @@ let idle_rule_purge_after_finish () =
   | [ frame ] -> check_bool "delivered whole" false frame.Netsim.Frame.aborted
   | l -> Alcotest.failf "%d deliveries" (List.length l)
 
+(* The per-frame lookups a hop makes are array reads: none allocates
+   (once the port's record exists — the first use creates it). *)
+let lookups_allocate_nothing () =
+  let g, _, world, a, _, _ = pair () in
+  W.set_store_and_forward world ~link_id:0;
+  let words f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. w0
+  in
+  (* a few words of slack for the measurement's own boxed floats *)
+  let check name f =
+    let w = words f in
+    if w > 16.0 then Alcotest.failf "%s allocated %.0f words over 10000 calls" name w
+  in
+  check "G.link_at" (fun () -> G.link_at g a 1);
+  check "W.port_busy" (fun () -> W.port_busy world ~node:a ~port:1);
+  check "W.store_and_forward" (fun () -> W.store_and_forward world ~link_id:0);
+  check "W.store_and_forward, unset" (fun () -> W.store_and_forward world ~link_id:5)
+
 let () =
   Alcotest.run "netsim"
     [
@@ -366,6 +383,7 @@ let () =
       ( "tables",
         [
           Alcotest.test_case "grow after create" `Quick tables_grow_after_create;
+          Alcotest.test_case "lookups allocate nothing" `Quick lookups_allocate_nothing;
         ] );
       ( "corruption",
         [ Alcotest.test_case "ber flips bytes" `Quick corruption_flips_bytes ] );

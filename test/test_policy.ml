@@ -300,17 +300,15 @@ let vmtp_counters_tell_mechanisms_apart () =
         (fun (r : D.route_info) -> r.D.route)
         (D.query dir ~client:src ~target:(n "x.dst") ~k:2 ())
     in
-    ignore
-      (Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 1) (fun () ->
-           W.fail_link world doomed));
-    ignore
-      (Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 2) (fun () ->
-           if inheader then
-             Vmtp.Entity.call_compiled client ~server:2L ~compiled:c
-               ~data:(Bytes.of_string "q") ~on_reply ~on_fail ()
-           else
-             Vmtp.Entity.call client ~server:2L ~routes ~data:(Bytes.of_string "q")
-               ~on_reply ~on_fail ()));
+    Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 1) (fun () ->
+        W.fail_link world doomed);
+    Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 2) (fun () ->
+        if inheader then
+          Vmtp.Entity.call_compiled client ~server:2L ~compiled:c
+            ~data:(Bytes.of_string "q") ~on_reply ~on_fail ()
+        else
+          Vmtp.Entity.call client ~server:2L ~routes ~data:(Bytes.of_string "q")
+            ~on_reply ~on_fail ());
     Sim.Engine.run ~until:(Sim.Time.s 5) engine;
     check_int "transaction completed" 1 !ok;
     let s = Vmtp.Entity.stats client in

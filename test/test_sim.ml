@@ -163,7 +163,9 @@ type heap_op = Push of int | Pop | Clear
 
 (* Model check: any interleaving of pushes (times drawn from a handful of
    values, so ties are the norm), pops and clears yields exactly the
-   (time, seq) order of a sorted reference list. *)
+   (time, seq) order of a sorted reference list. Pushes outnumber pops
+   and programs run to 600 steps, so the arrays grow several times
+   (16, 32, 64, 128) with value slots freed and reused in between. *)
 let qcheck_heap_model =
   QCheck.Test.make ~name:"heap pops in (time, seq) order of a sorted model"
     ~count:300
@@ -175,7 +177,7 @@ let qcheck_heap_model =
                (function Push t -> string_of_int t | Pop -> "pop" | Clear -> "clear")
                ops))
         Gen.(
-          list_size (0 -- 200)
+          list_size (0 -- 600)
             (frequency
                [ (30, map (fun t -> Push t) (0 -- 3)); (20, return Pop); (1, return Clear) ])))
     (fun ops ->
@@ -213,9 +215,9 @@ let qcheck_heap_model =
 let engine_runs_in_order () =
   let e = Sim.Engine.create () in
   let log = ref [] in
-  ignore (Sim.Engine.schedule e ~delay:30 (fun () -> log := 3 :: !log));
-  ignore (Sim.Engine.schedule e ~delay:10 (fun () -> log := 1 :: !log));
-  ignore (Sim.Engine.schedule e ~delay:20 (fun () -> log := 2 :: !log));
+  Sim.Engine.schedule e ~delay:30 (fun () -> log := 3 :: !log);
+  Sim.Engine.schedule e ~delay:10 (fun () -> log := 1 :: !log);
+  Sim.Engine.schedule e ~delay:20 (fun () -> log := 2 :: !log);
   Sim.Engine.run e;
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (List.rev !log);
   check_int "clock at last event" 30 (Sim.Engine.now e)
@@ -223,24 +225,25 @@ let engine_runs_in_order () =
 let engine_nested_schedule () =
   let e = Sim.Engine.create () in
   let fired = ref 0 in
-  ignore
-    (Sim.Engine.schedule e ~delay:10 (fun () ->
-         ignore (Sim.Engine.schedule e ~delay:5 (fun () -> fired := Sim.Engine.now e))));
+  Sim.Engine.schedule e ~delay:10 (fun () ->
+      Sim.Engine.schedule e ~delay:5 (fun () -> fired := Sim.Engine.now e));
   Sim.Engine.run e;
   check_int "nested at 15" 15 !fired
 
 let engine_cancel () =
   let e = Sim.Engine.create () in
   let fired = ref false in
-  let h = Sim.Engine.schedule e ~delay:10 (fun () -> fired := true) in
-  Sim.Engine.cancel e h;
+  let seq = Sim.Engine.alloc_seq e in
+  Sim.Engine.schedule_keyed e ~time:10 ~seq (fun () -> fired := true);
+  Sim.Engine.cancel e ~time:10 ~seq;
   Sim.Engine.run e;
-  check_bool "cancelled" false !fired
+  check_bool "cancelled" false !fired;
+  check_int "nothing executed" 0 (Sim.Engine.executed e)
 
 let engine_until_stops_clock () =
   let e = Sim.Engine.create () in
   let fired = ref false in
-  ignore (Sim.Engine.schedule e ~delay:100 (fun () -> fired := true));
+  Sim.Engine.schedule e ~delay:100 (fun () -> fired := true);
   Sim.Engine.run ~until:50 e;
   check_bool "not yet" false !fired;
   check_int "clock advanced to until" 50 (Sim.Engine.now e);
@@ -249,49 +252,48 @@ let engine_until_stops_clock () =
 
 let engine_rejects_past () =
   let e = Sim.Engine.create () in
-  ignore (Sim.Engine.schedule e ~delay:10 (fun () -> ()));
+  Sim.Engine.schedule e ~delay:10 (fun () -> ());
   Sim.Engine.run e;
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time in the past")
-    (fun () -> ignore (Sim.Engine.schedule_at e ~time:5 (fun () -> ())))
+    (fun () -> Sim.Engine.schedule_at e ~time:5 (fun () -> ()))
 
 let engine_max_events () =
   let e = Sim.Engine.create () in
   let count = ref 0 in
   let rec loop () =
     incr count;
-    ignore (Sim.Engine.schedule e ~delay:1 loop)
+    Sim.Engine.schedule e ~delay:1 loop
   in
-  ignore (Sim.Engine.schedule e ~delay:1 loop);
+  Sim.Engine.schedule e ~delay:1 loop;
   Sim.Engine.run ~max_events:100 e;
   check_int "bounded" 100 !count
 
 (* With 96 events standing in the queue (the depth the fan-in workloads
    run at), a self-rescheduling event whose closure is built once costs
-   the engine one event record per schedule+dispatch — 3 words — and
-   nothing else: no key tuples, no options, no boxed entries. *)
+   the engine nothing per schedule+dispatch: no event record, no key
+   tuples, no options, no boxed entries. *)
 let engine_run_allocation () =
   let e = Sim.Engine.create () in
   for _ = 1 to 96 do
-    ignore (Sim.Engine.schedule_at e ~time:(Sim.Time.s 10) ignore)
+    Sim.Engine.schedule_at e ~time:(Sim.Time.s 10) ignore
   done;
   let left = ref 0 in
   let rec tick () =
     if !left > 0 then begin
       decr left;
-      ignore (Sim.Engine.schedule e ~delay:1 tick)
+      Sim.Engine.schedule e ~delay:1 tick
     end
   in
   let events = 50_000 in
   left := events;
-  ignore (Sim.Engine.schedule e ~delay:1 tick);
+  Sim.Engine.schedule e ~delay:1 tick;
   let w0 = Gc.minor_words () in
   Sim.Engine.run ~until:(Sim.Time.s 1) e;
   let words = Gc.minor_words () -. w0 in
   check_int "every tick ran" 0 !left;
-  let per_event = words /. float_of_int events in
-  if per_event > 3.01 then
-    Alcotest.failf "Engine.run allocated %.2f words per event (the record is 3)"
-      per_event
+  (* a few words of slack for the measurement's own boxed floats *)
+  if words > 16.0 then
+    Alcotest.failf "Engine.run allocated %.0f words over %d events" words events
 
 (* The executing key: an event runs at [(now, executing_seq)]; a key
    reserved while it runs sorts after it, even inside a foreign event,
@@ -308,12 +310,11 @@ let engine_executing_key () =
       (E.passed e ~time:(E.now e) ~seq)
   in
   check_int "before the first run" 0 (E.executing_seq e);
-  ignore (E.schedule_at e ~time:5 (note "local"));
-  ignore
-    (E.schedule_at e ~time:5 (fun () ->
-         note "local, reserving" ();
-         check_bool "an earlier key has passed" true (E.passed e ~time:5 ~seq:0);
-         reserve_now "local"));
+  E.schedule_at e ~time:5 (note "local");
+  E.schedule_at e ~time:5 (fun () ->
+      note "local, reserving" ();
+      check_bool "an earlier key has passed" true (E.passed e ~time:5 ~seq:0);
+      reserve_now "local");
   E.schedule_foreign e ~time:5 ~seq:E.foreign_seq_base (fun () ->
       note "foreign" ();
       check_bool "a local key reserved before it has passed" true
@@ -398,6 +399,95 @@ let rate_window () =
   (* far in the future everything expired *)
   check_float "expired" 0.0 (Sim.Stats.Rate.per_second r ~now:(Sim.Time.s 10))
 
+type cancel_op =
+  | Sched of int * int option  (** at time, cancelling key [i] when it runs *)
+  | Reserve  (** a key reserved and never scheduled *)
+  | Cancel of int  (** cancel key [i] before the run *)
+
+(* Keyed cancellation against a model: every key is reserved up front
+   with [alloc_seq]; cancels come before the run and from inside running
+   events, and hit keys that ran already, keys cancelled twice, the
+   running event's own key and keys never scheduled. Exactly the events
+   whose key was not cancelled before it came up run, in key order, and
+   [executed] counts them. *)
+let qcheck_engine_cancel =
+  QCheck.Test.make ~name:"keyed cancellation runs exactly the uncancelled events"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops ->
+          String.concat " "
+            (List.map
+               (function
+                 | Sched (t, None) -> Printf.sprintf "s%d" t
+                 | Sched (t, Some i) -> Printf.sprintf "s%d/c%d" t i
+                 | Reserve -> "r"
+                 | Cancel i -> Printf.sprintf "c%d" i)
+               ops))
+        Gen.(
+          list_size (0 -- 60)
+            (frequency
+               [
+                 (6, map2 (fun t c -> Sched (t, c)) (0 -- 4) (opt (0 -- 63)));
+                 (1, return Reserve);
+                 (2, map (fun i -> Cancel i) (0 -- 63));
+               ])))
+    (fun ops ->
+      let e = Sim.Engine.create () in
+      let keys = Array.of_list (List.map (fun _ -> (0, Sim.Engine.alloc_seq e)) ops) in
+      let n = Array.length keys in
+      let key i = keys.(i mod n) in
+      let ran = ref [] in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Sched (time, target) ->
+            let seq = snd keys.(i) in
+            keys.(i) <- (time, seq);
+            Sim.Engine.schedule_keyed e ~time ~seq (fun () ->
+                ran := (time, seq) :: !ran;
+                Option.iter
+                  (fun j ->
+                    let time, seq = key j in
+                    Sim.Engine.cancel e ~time ~seq)
+                  target)
+          | Reserve | Cancel _ -> ())
+        ops;
+      List.iter
+        (function
+          | Cancel j ->
+            let time, seq = key j in
+            Sim.Engine.cancel e ~time ~seq
+          | Sched _ | Reserve -> ())
+        ops;
+      Sim.Engine.run e;
+      (* the model: walk the scheduled keys in order *)
+      let cancelled = Hashtbl.create 8 in
+      List.iter (function Cancel j -> Hashtbl.replace cancelled (key j) () | _ -> ()) ops;
+      let scheduled =
+        List.concat
+          (List.mapi
+             (fun i op ->
+               match op with Sched (_, c) -> [ (keys.(i), c) ] | Reserve | Cancel _ -> [])
+             ops)
+        |> List.sort compare
+      in
+      let expected =
+        List.filter_map
+          (fun (k, target) ->
+            if Hashtbl.mem cancelled k then None
+            else begin
+              Option.iter
+                (fun j -> if compare (key j) k > 0 then Hashtbl.replace cancelled (key j) ())
+                target;
+              Some k
+            end)
+          scheduled
+      in
+      List.rev !ran = expected
+      && Sim.Engine.executed e = List.length expected
+      && Sim.Engine.pending e = 0)
+
 let qcheck_engine_order =
   QCheck.Test.make ~name:"events always run in nondecreasing time order" ~count:50
     QCheck.(list_of_size Gen.(1 -- 100) (int_range 0 1000))
@@ -407,10 +497,9 @@ let qcheck_engine_order =
       let last = ref 0 in
       List.iter
         (fun d ->
-          ignore
-            (Sim.Engine.schedule e ~delay:d (fun () ->
-                 if Sim.Engine.now e < !last then ok := false;
-                 last := Sim.Engine.now e)))
+          Sim.Engine.schedule e ~delay:d (fun () ->
+              if Sim.Engine.now e < !last then ok := false;
+              last := Sim.Engine.now e))
         delays;
       Sim.Engine.run e;
       !ok)
@@ -450,8 +539,7 @@ let () =
           Alcotest.test_case "until stops clock" `Quick engine_until_stops_clock;
           Alcotest.test_case "rejects the past" `Quick engine_rejects_past;
           Alcotest.test_case "max_events bounds" `Quick engine_max_events;
-          Alcotest.test_case "run allocates only the event record" `Quick
-            engine_run_allocation;
+          Alcotest.test_case "run allocates nothing" `Quick engine_run_allocation;
           Alcotest.test_case "executing key" `Quick engine_executing_key;
         ] );
       ( "stats",
@@ -468,5 +556,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_engine_order; qcheck_heap_model ] );
+          [ qcheck_engine_order; qcheck_heap_model; qcheck_engine_cancel ] );
     ]

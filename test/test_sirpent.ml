@@ -145,9 +145,8 @@ let token_valid_admits_and_accounts () =
   Sirpent.Host.set_receive h2 (fun _ ~packet:_ ~in_port:_ -> ());
   (* two packets: first is an optimistic miss, second hits the cache *)
   ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 100 'a') ());
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 10) (fun () ->
-         ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 100 'b') ())));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.ms 10) (fun () ->
+      ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 100 'b') ()));
   Sim.Engine.run engine;
   check_int "both delivered" 2 (Sirpent.Host.received h2);
   let ledger = Sirpent.Router.ledger routers.(0) in
@@ -166,9 +165,8 @@ let forged_token_blocked_after_verification () =
   (* Optimistic: the first packet slips through, then the cache denies. *)
   ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 10 'x') ());
   for i = 1 to 5 do
-    ignore
-      (Sim.Engine.schedule engine ~delay:(i * Sim.Time.ms 5) (fun () ->
-           ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 10 'x') ())))
+    Sim.Engine.schedule engine ~delay:(i * Sim.Time.ms 5) (fun () ->
+        ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 10 'x') ()))
   done;
   Sim.Engine.run engine;
   check_int "only the optimistic packet leaked" 1 (Sirpent.Host.received h2);
@@ -227,11 +225,10 @@ let dib_dropped_when_blocked () =
   let route_b = route_between g ~src:hb ~dst:hc in
   (* Big packet from A occupies the port; DIB packet from B must drop. *)
   ignore (Sirpent.Host.send host_a ~route:route_a ~data:(Bytes.make 1400 'A') ());
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 300) (fun () ->
-         ignore
-           (Sirpent.Host.send host_b ~route:route_b ~drop_if_blocked:true
-              ~data:(Bytes.make 1400 'B') ())));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.us 300) (fun () ->
+      ignore
+        (Sirpent.Host.send host_b ~route:route_b ~drop_if_blocked:true
+           ~data:(Bytes.make 1400 'B') ()));
   Sim.Engine.run engine;
   check_int "only A delivered" 1 (Sirpent.Host.received host_c)
 
@@ -258,11 +255,10 @@ let preemption_by_priority_7 () =
   (* A's low-priority bulk transfer is in flight; B's priority-7 packet
      preempts it mid-transmission. *)
   ignore (Sirpent.Host.send host_a ~route:route_a ~data:(Bytes.make 1400 'A') ());
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 400) (fun () ->
-         ignore
-           (Sirpent.Host.send host_b ~route:route_b ~priority:7
-              ~data:(Bytes.make 100 'B') ())));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.us 400) (fun () ->
+      ignore
+        (Sirpent.Host.send host_b ~route:route_b ~priority:7
+           ~data:(Bytes.make 100 'B') ()));
   Sim.Engine.run engine;
   Alcotest.(check string) "urgent first" "B" !received_first;
   (* A's packet was killed in flight: only B arrives. *)
@@ -456,10 +452,9 @@ let congestion_backpressure_reduces_loss () =
     (* each host sends 1000-byte packets every 1 ms = 8 Mb/s each *)
     let rec blast host route n t =
       if n > 0 then
-        ignore
-          (Sim.Engine.schedule_at engine ~time:t (fun () ->
-               ignore (Sirpent.Host.send host ~route ~data:(Bytes.make 1000 'c') ());
-               blast host route (n - 1) (t + Sim.Time.ms 1)))
+        Sim.Engine.schedule_at engine ~time:t (fun () ->
+            ignore (Sirpent.Host.send host ~route ~data:(Bytes.make 1000 'c') ());
+            blast host route (n - 1) (t + Sim.Time.ms 1))
     in
     blast sa route_a 200 (Sim.Time.ms 1);
     blast sb route_b 200 (Sim.Time.ms 1);
@@ -497,10 +492,9 @@ let congestion_ctl_messages_flow () =
   let route = route_between g ~src:ha ~dst:hc in
   let rec blast n t =
     if n > 0 then
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () ->
-             ignore (Sirpent.Host.send sa ~route ~data:(Bytes.make 1000 'c') ());
-             blast (n - 1) (t + Sim.Time.us 500)))
+      Sim.Engine.schedule_at engine ~time:t (fun () ->
+          ignore (Sirpent.Host.send sa ~route ~data:(Bytes.make 1000 'c') ());
+          blast (n - 1) (t + Sim.Time.us 500))
   in
   blast 300 (Sim.Time.ms 1);
   Sim.Engine.run ~until:(Sim.Time.s 2) engine;
@@ -539,13 +533,11 @@ let delay_line_recirculates () =
   let route_a = route_between g ~src:ha ~dst:hc in
   let route_b = route_between g ~src:hb ~dst:hc in
   let max_queue = ref 0.0 in
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 500) (fun () ->
-         max_queue := (W.port_stats world ~node:r ~port:out_port).W.max_queue));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.us 500) (fun () ->
+      max_queue := (W.port_stats world ~node:r ~port:out_port).W.max_queue);
   ignore (Sirpent.Host.send host_a ~route:route_a ~data:(Bytes.make 1400 'A') ());
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 300) (fun () ->
-         ignore (Sirpent.Host.send host_b ~route:route_b ~data:(Bytes.make 200 'B') ())));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.us 300) (fun () ->
+      ignore (Sirpent.Host.send host_b ~route:route_b ~data:(Bytes.make 200 'B') ()));
   Sim.Engine.run engine;
   check_int "both delivered" 2 (Sirpent.Host.received host_c);
   check_bool "packet circulated" true
@@ -577,11 +569,10 @@ let delay_line_drops_after_max_circuits () =
   (* A's 1400 B packet occupies the port for 1.12 ms; B's packet can only
      circulate 3 x 50 us and must be dropped *)
   ignore (Sirpent.Host.send host_a ~route:(route_between g ~src:ha ~dst:hc) ~data:(Bytes.make 1400 'A') ());
-  ignore
-    (Sim.Engine.schedule engine ~delay:(Sim.Time.us 100) (fun () ->
-         ignore
-           (Sirpent.Host.send host_b ~route:(route_between g ~src:hb ~dst:hc)
-              ~data:(Bytes.make 200 'B') ())));
+  Sim.Engine.schedule engine ~delay:(Sim.Time.us 100) (fun () ->
+      ignore
+        (Sirpent.Host.send host_b ~route:(route_between g ~src:hb ~dst:hc)
+           ~data:(Bytes.make 200 'B') ()));
   Sim.Engine.run engine;
   check_int "only A delivered" 1 (Sirpent.Host.received host_c);
   check_int "3 circuits" 3 (Sirpent.Router.stats router).Sirpent.Router.delay_line_circuits;
@@ -708,7 +699,7 @@ let xsr_hop_allocation () =
     if !left > 0 then begin
       decr left;
       ignore (Sirpent.Host.send_xsr h1 ~route ~data ());
-      ignore (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 1) tick)
+      Sim.Engine.schedule engine ~delay:(Sim.Time.ms 1) tick
     end
   in
   tick ();
@@ -750,7 +741,7 @@ let viper_hop_allocation () =
       let w1 = int_of_float (Gc.minor_words ()) in
       incr sends;
       if !sends > warmup then send_words := !send_words + (w1 - w0);
-      ignore (Sim.Engine.schedule engine ~delay:(Sim.Time.ms 1) tick)
+      Sim.Engine.schedule engine ~delay:(Sim.Time.ms 1) tick
     end
   in
   tick ();
@@ -821,9 +812,8 @@ let drop_reasons_match_scoreboard () =
         "send_drops", (fun s -> s.R.send_drops),
         fun _ engine _ a b ->
           send b ~route:to_c 1400;
-          ignore
-            (Sim.Engine.schedule engine ~delay:(Sim.Time.us 300) (fun () ->
-                 send a ~drop_if_blocked:true ~route:to_c 1400)) );
+          Sim.Engine.schedule engine ~delay:(Sim.Time.us 300) (fun () ->
+              send a ~drop_if_blocked:true ~route:to_c 1400) );
     ]
   in
   List.iter

@@ -311,6 +311,39 @@ let version_tracks_link_changes () =
   G.reconnect g l (* no-op: already attached *);
   check_int "no-op reconnect does not bump" v3 (G.version g)
 
+(* A repaired graph is indistinguishable from one never cut: after
+   several links go down and come back (in a different order), the link
+   list, every node's port list and every shortest-path tree — whose tie
+   order follows the port tables — equal those of an untouched twin. *)
+let reconnect_restores_order () =
+  let build () =
+    let g, _, _ =
+      G.hierarchical_internet ~rng:(Sim.Rng.create 0x5EEDL) ~branching:3 ~depth:2
+        ~hosts:40 ()
+    in
+    g
+  in
+  let g = build () and twin = build () in
+  let links = Array.of_list (G.links g) in
+  let cut = [ links.(2); links.(7); links.(0); links.(30); links.(12) ] in
+  List.iter (G.disconnect g) cut;
+  List.iter (G.reconnect g) (List.rev cut);
+  let ids l = List.map (fun (l : G.link) -> l.G.link_id) l in
+  Alcotest.(check (list int)) "links" (ids (G.links twin)) (ids (G.links g));
+  let metric (_ : G.link) = 1.0 in
+  for n = 0 to G.node_count g - 1 do
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "ports of %d" n)
+      (List.map (fun (p, l) -> (p, l.G.link_id)) (G.ports twin n))
+      (List.map (fun (p, l) -> (p, l.G.link_id)) (G.ports g n));
+    let spt = G.shortest_path_tree g ~metric ~src:n
+    and spt' = G.shortest_path_tree twin ~metric ~src:n in
+    for dst = 0 to G.node_count g - 1 do
+      if G.spt_path spt ~dst <> G.spt_path spt' ~dst then
+        Alcotest.failf "shortest-path tree from %d differs at %d" n dst
+    done
+  done
+
 let hierarchical_internet_shape () =
   let rng = Sim.Rng.create 0xDEE9L in
   let g, leaves, hosts =
@@ -366,6 +399,7 @@ let () =
             spt_matches_per_query_dijkstra;
           Alcotest.test_case "distances" `Quick spt_distances_consistent;
           Alcotest.test_case "version tracks links" `Quick version_tracks_link_changes;
+          Alcotest.test_case "reconnect restores order" `Quick reconnect_restores_order;
           Alcotest.test_case "hierarchical internet shape" `Quick
             hierarchical_internet_shape;
         ] );

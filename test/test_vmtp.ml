@@ -389,11 +389,10 @@ let playout_restores_spacing () =
   let arrivals = [ (0, 2); (5, 9); (10, 11); (15, 16); (20, 28) ] in
   List.iter
     (fun (created_ms, arrive_ms) ->
-      ignore
-        (Sim.Engine.schedule_at engine ~time:(Sim.Time.ms arrive_ms) (fun () ->
-             ignore
-               (Vmtp.Playout.offer p ~timestamp_ms:created_ms
-                  ~data:(Bytes.make 1 (Char.chr (Char.code '0' + created_ms / 5)))))))
+      Sim.Engine.schedule_at engine ~time:(Sim.Time.ms arrive_ms) (fun () ->
+          ignore
+            (Vmtp.Playout.offer p ~timestamp_ms:created_ms
+               ~data:(Bytes.make 1 (Char.chr (Char.code '0' + created_ms / 5))))))
     arrivals;
   Sim.Engine.run engine;
   let times = List.rev_map fst !deliveries in
@@ -410,11 +409,10 @@ let playout_drops_late () =
       ~deliver:(fun _ -> ())
   in
   (* created at 0, arrives at 25 ms: playout instant (10 ms) already past *)
-  ignore
-    (Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 25) (fun () ->
-         match Vmtp.Playout.offer p ~timestamp_ms:0 ~data:Bytes.empty with
-         | `Late -> ()
-         | `Scheduled -> Alcotest.fail "must be late"));
+  Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 25) (fun () ->
+      match Vmtp.Playout.offer p ~timestamp_ms:0 ~data:Bytes.empty with
+      | `Late -> ()
+      | `Scheduled -> Alcotest.fail "must be late");
   Sim.Engine.run engine;
   check_int "late counted" 1 (Vmtp.Playout.late p);
   check_int "nothing delivered" 0 (Vmtp.Playout.delivered p)
