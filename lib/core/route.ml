@@ -10,17 +10,17 @@ let of_hops ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
   | first :: router_hops ->
     if first.G.at <> src then invalid_arg "Route.of_hops: path does not start at src";
     let flags = { Seg.no_flags with Seg.dib = drop_if_blocked } in
-    let token_at i =
-      match List.nth_opt tokens i with Some tok -> tok | None -> Bytes.empty
-    in
-    let router_segments =
-      List.mapi
-        (fun i hop ->
-          Seg.make ~flags ~priority ~token:(token_at i) ~port:hop.G.out ())
-        router_hops
-    in
     let local = Seg.make ~flags ~priority ~port:Seg.local_port () in
-    { first_port = first.G.out; segments = router_segments @ [ local ] }
+    (* tokens pair with hops in order; hops past the last token get none *)
+    let rec segments hops tokens =
+      match (hops, tokens) with
+      | [], _ -> [ local ]
+      | hop :: hops, token :: tokens ->
+        Seg.make ~flags ~priority ~token ~port:hop.G.out () :: segments hops tokens
+      | hop :: hops, [] ->
+        Seg.make ~flags ~priority ~token:Bytes.empty ~port:hop.G.out () :: segments hops []
+    in
+    { first_port = first.G.out; segments = segments router_hops tokens }
 
 let hop_count t = List.length t.segments - 1
 

@@ -50,6 +50,8 @@ type t = {
           epoch adds the graph's topology version. *)
   mutable frozen : bool;
   mutable nonce : int;
+  mutable keys : Token.Cipher.key array;
+      (** each router's token key, by node id: [no_key] until first minted *)
   queries_served : C.t;
   tokens_minted : C.t;
   stale_served : C.t;
@@ -61,6 +63,9 @@ type t = {
   cache_entries : Gauge.t;
   query_us : H.t;
 }
+
+(* a placeholder compared by address, never minted with *)
+let no_key = Token.Cipher.key_of_int64 0L
 
 let default_answer_cache = 4096
 let default_spt_cache = 64
@@ -95,6 +100,7 @@ let create ?(per_level_rtt = Sim.Time.ms 2) ?(token_expiry_ms = 0) ?telemetry
     dirty = 0;
     frozen = false;
     nonce = 0;
+    keys = [||];
     queries_served = cnt "queries_served";
     tokens_minted = cnt "tokens_minted";
     stale_served = cnt "stale_served" ~help:"answers replayed from cache while frozen";
@@ -223,6 +229,22 @@ let attributes_of_links t selector links =
   in
   { mtu; bandwidth_bps; propagation; hop_count; rtt_estimate; cost }
 
+(* Router [at]'s token key, derived on its first token only. *)
+let router_key t at =
+  let n = Array.length t.keys in
+  if at >= n then begin
+    let keys = Array.make (max (at + 1) (max 64 (2 * n))) no_key in
+    Array.blit t.keys 0 keys 0 n;
+    t.keys <- keys
+  end;
+  let k = t.keys.(at) in
+  if k != no_key then k
+  else begin
+    let k = Token.Cipher.random_looking_key at in
+    t.keys.(at) <- k;
+    k
+  end
+
 let mint_tokens t ~client ~priority hops =
   (* One token per router hop (hops after the client's own first hop). *)
   match hops with
@@ -230,7 +252,6 @@ let mint_tokens t ~client ~priority hops =
   | _ :: router_hops ->
     List.map
       (fun { G.at; out } ->
-        let key = Token.Cipher.random_looking_key at in
         t.nonce <- (t.nonce + 1) land 0xFF;
         C.incr t.tokens_minted;
         let grant =
@@ -244,7 +265,7 @@ let mint_tokens t ~client ~priority hops =
             expiry_ms = t.token_expiry_ms;
           }
         in
-        Token.Capability.to_bytes (Token.Capability.mint key ~nonce:t.nonce grant))
+        (Token.Capability.mint (router_key t at) ~nonce:t.nonce grant :> bytes))
       router_hops
 
 let all_secure t links = List.for_all (fun l -> is_secure t l.G.link_id) links

@@ -17,50 +17,59 @@ let magic = 0x53 (* 'S', sanity check surviving decryption *)
 
 let iv = 0x243F6A8885A308D3L
 
-let encode_grant ~nonce g =
-  let w = Wire.Buf.create_writer payload_size in
-  Wire.Buf.put_u32_int w (g.router_id land 0xffffffff);
-  Wire.Buf.put_u8 w (g.port land 0xff);
-  Wire.Buf.put_u8 w (g.max_priority land 0xf);
-  Wire.Buf.put_u8 w (if g.reverse_ok then 1 else 0);
-  Wire.Buf.put_u8 w (nonce land 0xff);
-  Wire.Buf.put_u32_int w (g.account land 0xffffffff);
-  Wire.Buf.put_u32_int w (g.packet_limit land 0xffffffff);
-  Wire.Buf.put_u32_int w (g.expiry_ms land 0xffffffff);
-  Wire.Buf.put_u8 w magic;
-  Wire.Buf.put_zeros w 3;
-  Wire.Buf.contents w
+(* The grant's 24 plaintext bytes, big-endian: router id (4), port,
+   max priority, reverse flag, nonce, account (4), packet limit (4),
+   expiry (4), [magic], three zero bytes. *)
+let put32 b off v =
+  Bytes.set_uint16_be b off ((v lsr 16) land 0xFFFF);
+  Bytes.set_uint16_be b (off + 2) (v land 0xFFFF)
 
-let decode_grant b =
-  let r = Wire.Buf.reader_of_bytes b in
-  let router_id = Wire.Buf.get_u32_int r in
-  let port = Wire.Buf.get_u8 r in
-  let max_priority = Wire.Buf.get_u8 r in
-  let reverse_ok = Wire.Buf.get_u8 r = 1 in
-  let _nonce = Wire.Buf.get_u8 r in
-  let account = Wire.Buf.get_u32_int r in
-  let packet_limit = Wire.Buf.get_u32_int r in
-  let expiry_ms = Wire.Buf.get_u32_int r in
-  let check = Wire.Buf.get_u8 r in
-  if check <> magic then None
-  else Some { router_id; port; max_priority; reverse_ok; account; packet_limit; expiry_ms }
+let get32 b off = (Bytes.get_uint16_be b off lsl 16) lor Bytes.get_uint16_be b (off + 2)
 
-let mint key ~nonce grant =
-  let plain = encode_grant ~nonce grant in
-  let cipher = Cipher.encrypt_cbc key ~iv plain in
-  let tag = Cipher.mac key cipher in
-  let out = Bytes.create size in
-  Bytes.blit cipher 0 out 0 payload_size;
-  Bytes.set_int64_be out payload_size tag;
-  out
+(* Writes the grant into [b]'s first 24 bytes, encrypts them in place
+   and appends their MAC: the token is the one buffer it returns. *)
+let mint key ~nonce g =
+  let b = Bytes.create size in
+  put32 b 0 g.router_id;
+  Bytes.set_uint8 b 4 (g.port land 0xff);
+  Bytes.set_uint8 b 5 (g.max_priority land 0xf);
+  Bytes.set_uint8 b 6 (if g.reverse_ok then 1 else 0);
+  Bytes.set_uint8 b 7 (nonce land 0xff);
+  put32 b 8 g.account;
+  put32 b 12 g.packet_limit;
+  put32 b 16 g.expiry_ms;
+  put32 b 20 (magic lsl 24);
+  Cipher.encrypt_cbc_in_place key ~iv b ~len:payload_size;
+  Cipher.mac_into key b ~len:payload_size b ~at:payload_size;
+  b
 
+(* The tag is recomputed beside the token's own, and the payload is
+   decrypted in the same scratch buffer; the token is not written. *)
 let verify key t =
   if Bytes.length t <> size then None
   else begin
-    let cipher = Bytes.sub t 0 payload_size in
-    let tag = Bytes.get_int64_be t payload_size in
-    if not (Int64.equal tag (Cipher.mac key cipher)) then None
-    else decode_grant (Cipher.decrypt_cbc key ~iv cipher)
+    let b = Bytes.create size in
+    Cipher.mac_into key t ~len:payload_size b ~at:payload_size;
+    if
+      get32 b payload_size <> get32 t payload_size
+      || get32 b (payload_size + 4) <> get32 t (payload_size + 4)
+    then None
+    else begin
+      Bytes.blit t 0 b 0 payload_size;
+      Cipher.decrypt_cbc_in_place key ~iv b ~len:payload_size;
+      if Bytes.get_uint8 b 20 <> magic then None
+      else
+        Some
+          {
+            router_id = get32 b 0;
+            port = Bytes.get_uint8 b 4;
+            max_priority = Bytes.get_uint8 b 5;
+            reverse_ok = Bytes.get_uint8 b 6 = 1;
+            account = get32 b 8;
+            packet_limit = get32 b 12;
+            expiry_ms = get32 b 16;
+          }
+    end
   end
 
 let of_bytes b = if Bytes.length b = size then Some b else None

@@ -25,12 +25,15 @@ val size : int
 
 val mint : Cipher.key -> nonce:int -> grant -> t
 (** Encrypt and tag a grant under the router's key. The [nonce]
-    (0-255) diversifies otherwise-identical grants. *)
+    (0-255) diversifies otherwise-identical grants. The grant is written
+    straight into the token, then encrypted and tagged in place: the
+    token's 32 bytes are all a mint allocates. *)
 
 val verify : Cipher.key -> t -> grant option
 (** Full decryption + MAC check — the "difficult to fully decrypt and check
     in real time" operation the token cache exists to avoid. [None] if the
-    MAC fails or the token is malformed. *)
+    MAC fails or the token is malformed. The check and the decryption run
+    in place in one scratch buffer; the token is not modified. *)
 
 val of_bytes : bytes -> t option
 (** Adopt received bytes as a token if the length is right. No

@@ -8,6 +8,8 @@
     relative cost of full verification vs a cache hit. *)
 
 type key
+(** A key carries its 16 round keys and, computed once at creation, the
+    derived round keys its MAC runs under. *)
 
 val key_of_int64 : int64 -> key
 val random_looking_key : int -> key
@@ -18,6 +20,27 @@ val encrypt_block : key -> int64 -> int64
 val decrypt_block : key -> int64 -> int64
 (** [decrypt_block k (encrypt_block k v) = v]. *)
 
+(** {1 In place}
+
+    The codec proper: each call rewrites 8-byte big-endian blocks inside
+    the caller's buffer and allocates nothing. *)
+
+val encrypt_cbc_in_place : key -> iv:int64 -> bytes -> len:int -> unit
+(** CBC-encrypt the buffer's first [len] bytes in place. [len] must be a
+    multiple of 8; raises [Invalid_argument] otherwise. *)
+
+val decrypt_cbc_in_place : key -> iv:int64 -> bytes -> len:int -> unit
+(** The inverse of {!encrypt_cbc_in_place}. *)
+
+val mac_into : key -> bytes -> len:int -> bytes -> at:int -> unit
+(** [mac_into k src ~len dst ~at] writes [mac k (Bytes.sub src 0 len)],
+    big-endian, into [dst]'s 8 bytes from [at]. [src] and [dst] may be
+    the same buffer if the ranges do not overlap. *)
+
+(** {1 Copying}
+
+    The same codec on fresh buffers. *)
+
 val encrypt_cbc : key -> iv:int64 -> bytes -> bytes
 (** CBC over 8-byte blocks. The input length must be a multiple of 8;
     raises [Invalid_argument] otherwise. *)
@@ -25,5 +48,6 @@ val encrypt_cbc : key -> iv:int64 -> bytes -> bytes
 val decrypt_cbc : key -> iv:int64 -> bytes -> bytes
 
 val mac : key -> bytes -> int64
-(** CBC-MAC tag of the input (any length; zero-padded internally), using a
-    derived key so the tag is not forgeable from CBC ciphertext blocks. *)
+(** CBC-MAC tag of the input (any length; zero-padded internally), under
+    the key's derived MAC round keys, so the tag is not forgeable from CBC
+    ciphertext blocks. *)

@@ -202,17 +202,6 @@ let ports g id =
 let degree g id =
   Array.fold_left (fun n l -> if l == no_link then n else n + 1) 0 (get g id).links
 
-(* Dijkstra's relaxation order over [u]'s links: its order table, or
-   its lone link when it has none *)
-let iter_links g u f =
-  let node = get g u in
-  if node.order != no_order then Hashtbl.iter f node.order
-  else
-    let links = node.links in
-    for p = 0 to Array.length links - 1 do
-      if links.(p) != no_link then f p links.(p)
-    done
-
 let links g = List.rev g.all_links
 let iter_nodes g f = for id = 0 to g.n - 1 do f id done
 
@@ -231,124 +220,105 @@ let route_nodes g ~src hops =
   in
   walk src hops
 
-(* Dijkstra's frontier: a heap keyed on float cost. Each domain keeps one
-   and every search reuses its arrays, so a search over a large graph
-   leaves no heap arrays behind as garbage; a search that finds it taken
-   (a [metric] that itself searches) runs on a fresh one. *)
-let new_frontier () = Sim.Heap.create ~dummy:(infinity, -1)
+(* Dijkstra's frontier: a heap of node ids keyed on
+   [(int_of_float (cost *. 1e6), push seq)], with each entry's exact
+   float cost in [costs] at its push seq for the staleness test. Each
+   domain keeps one and every search reuses its arrays, so a search over
+   a large graph leaves no heap arrays behind as garbage; a search that
+   finds it taken (a [metric] that itself searches) runs on a fresh
+   one. *)
+type frontier = { heap : int Sim.Heap.t; mutable costs : float array }
+
+let new_frontier () = { heap = Sim.Heap.create ~dummy:(-1); costs = Array.make 64 0.0 }
 let frontier = Domain.DLS.new_key (fun () -> ref (Some (new_frontier ())))
 
 let with_frontier f =
   let slot = Domain.DLS.get frontier in
   match !slot with
   | None -> f (new_frontier ())
-  | Some heap ->
+  | Some fr ->
     slot := None;
     Fun.protect
       ~finally:(fun () ->
-        Sim.Heap.clear heap;
-        slot := Some heap)
-      (fun () -> f heap)
+        Sim.Heap.clear fr.heap;
+        slot := Some fr)
+      (fun () -> f fr)
 
-let shortest_path_excluding g ~metric ~src ~dst ~banned_links ~banned_nodes =
-  with_frontier @@ fun heap ->
+(* A search's result: [prev.(v)] is [u lsl 8 lor port] for the hop
+   [{at = u; out = port}] that reaches [v] ([port <= max_ports]), or -1
+   for the source and every unreached node. *)
+type spt = { spt_src : node_id; spt_prev : int array; spt_dist : float array }
+
+(* The one Dijkstra behind every search. With [dst >= 0] it stops once
+   [dst] is settled; with [dst = -1] it builds the whole tree. A node
+   with no order table has at most one link, so it is reached only from
+   its one neighbour, at that neighbour's settling: its [prev] is final
+   at that one relaxation and popping it later would relax nothing. Such
+   a node is settled as it is relaxed and never enters the heap, which
+   leaves every other entry's [(key, seq)] order unchanged — results are
+   those of the plain algorithm, ties included. *)
+let search g ~metric ~src ~dst ~banned_links ~banned_nodes =
+  with_frontier @@ fun fr ->
   let n = g.n in
   let dist = Array.make n infinity in
-  let prev = Array.make n None in
-  (* prev.(v) = Some (u, port at u) *)
-  let visited = Array.make n false in
-  let seq = ref 0 in
+  let prev = Array.make n (-1) in
+  let visited = Bytes.make n '\000' in
+  let seq = ref 0 and finished = ref false and u = ref src in
   let push cost v =
-    (* Scale float cost into int key; ns-scale costs fit easily. *)
-    Sim.Heap.push heap ~time:(int_of_float (cost *. 1e6)) ~seq:!seq (cost, v);
-    incr seq
+    let s = !seq in
+    if s = Array.length fr.costs then begin
+      let costs = Array.make (2 * s) 0.0 in
+      Array.blit fr.costs 0 costs 0 s;
+      fr.costs <- costs
+    end;
+    fr.costs.(s) <- cost;
+    Sim.Heap.push fr.heap ~time:(int_of_float (cost *. 1e6)) ~seq:s v;
+    seq := s + 1
+  in
+  (* relax [!u]'s link [l] on port [p] *)
+  let relax p l =
+    if not (List.mem l.link_id banned_links) then begin
+      let u = !u in
+      let v = if l.a = u then l.b else l.a in
+      if (not (List.mem v banned_nodes)) && Bytes.get visited v = '\000' then begin
+        let w = metric l in
+        if w <= 0.0 then invalid_arg "Graph: metric must be positive";
+        let alt = dist.(u) +. w in
+        if alt < dist.(v) then begin
+          dist.(v) <- alt;
+          prev.(v) <- (u lsl 8) lor p;
+          if g.nodes.(v).order == no_order then begin
+            Bytes.set visited v '\001';
+            if v = dst then finished := true
+          end
+          else push alt v
+        end
+      end
+    end
   in
   dist.(src) <- 0.0;
   push 0.0 src;
-  let finished = ref false in
   while not !finished do
-    if Sim.Heap.is_empty heap then finished := true
-    else
-      let cost, u = Sim.Heap.pop_value heap in
-      if (not visited.(u)) && cost <= dist.(u) then begin
-        visited.(u) <- true;
-        if u = dst then finished := true
-        else
-          iter_links g u (fun p l ->
-              if not (List.mem l.link_id banned_links) then begin
-                let v, _ = peer l u in
-                if (not (List.mem v banned_nodes)) && not visited.(v) then begin
-                  let w = metric l in
-                  if w <= 0.0 then invalid_arg "Graph: metric must be positive";
-                  let alt = dist.(u) +. w in
-                  if alt < dist.(v) then begin
-                    dist.(v) <- alt;
-                    prev.(v) <- Some (u, p);
-                    push alt v
-                  end
-                end
-              end)
+    if Sim.Heap.is_empty fr.heap then finished := true
+    else begin
+      let cost = fr.costs.(Sim.Heap.min_seq fr.heap) in
+      let v = Sim.Heap.pop_value fr.heap in
+      if Bytes.get visited v = '\000' && cost <= dist.(v) then begin
+        Bytes.set visited v '\001';
+        if v = dst then finished := true
+        else begin
+          u := v;
+          (* relaxation order: the order table, else the link array *)
+          let node = g.nodes.(v) in
+          if node.order != no_order then Hashtbl.iter relax node.order
+          else
+            let links = node.links in
+            for p = 0 to Array.length links - 1 do
+              if links.(p) != no_link then relax p links.(p)
+            done
+        end
       end
-  done;
-  if dist.(dst) = infinity then None
-  else begin
-    let rec build v acc =
-      match prev.(v) with
-      | None -> acc
-      | Some (u, p) -> build u ({ at = u; out = p } :: acc)
-    in
-    Some (build dst [])
-  end
-
-let shortest_path g ~metric ~src ~dst =
-  if src = dst then Some []
-  else shortest_path_excluding g ~metric ~src ~dst ~banned_links:[] ~banned_nodes:[]
-
-(* Single-source shortest-path tree: the same Dijkstra as
-   [shortest_path_excluding] (same heap keys, same relaxation order over the
-   same order tables) run to completion instead of stopping at one
-   destination, so [spt_path] extracts, for every destination, hop lists
-   bit-identical to what a per-destination [shortest_path] would return.
-   This is what makes directory SPT memoization answer-preserving. *)
-type spt = {
-  spt_src : node_id;
-  spt_prev : (node_id * port) option array;
-  spt_dist : float array;
-}
-
-let shortest_path_tree g ~metric ~src =
-  with_frontier @@ fun heap ->
-  let n = g.n in
-  let dist = Array.make n infinity in
-  let prev = Array.make n None in
-  let visited = Array.make n false in
-  let seq = ref 0 in
-  let push cost v =
-    Sim.Heap.push heap ~time:(int_of_float (cost *. 1e6)) ~seq:!seq (cost, v);
-    incr seq
-  in
-  dist.(src) <- 0.0;
-  push 0.0 src;
-  let finished = ref false in
-  while not !finished do
-    if Sim.Heap.is_empty heap then finished := true
-    else
-      let cost, u = Sim.Heap.pop_value heap in
-      if (not visited.(u)) && cost <= dist.(u) then begin
-        visited.(u) <- true;
-        iter_links g u (fun p l ->
-            let v, _ = peer l u in
-            if not visited.(v) then begin
-              let w = metric l in
-              if w <= 0.0 then invalid_arg "Graph: metric must be positive";
-              let alt = dist.(u) +. w in
-              if alt < dist.(v) then begin
-                dist.(v) <- alt;
-                prev.(v) <- Some (u, p);
-                push alt v
-              end
-            end)
-      end
+    end
   done;
   { spt_src = src; spt_prev = prev; spt_dist = dist }
 
@@ -360,9 +330,8 @@ let spt_path spt ~dst =
   else if spt.spt_dist.(dst) = infinity then None
   else begin
     let rec build v acc =
-      match spt.spt_prev.(v) with
-      | None -> acc
-      | Some (u, p) -> build u ({ at = u; out = p } :: acc)
+      let e = spt.spt_prev.(v) in
+      if e < 0 then acc else build (e lsr 8) ({ at = e lsr 8; out = e land 0xff } :: acc)
     in
     Some (build dst [])
   end
@@ -371,6 +340,16 @@ let spt_dist spt ~dst =
   if dst = spt.spt_src then 0.0
   else if dst < 0 || dst >= Array.length spt.spt_dist then infinity
   else spt.spt_dist.(dst)
+
+let shortest_path_excluding g ~metric ~src ~dst ~banned_links ~banned_nodes =
+  spt_path (search g ~metric ~src ~dst ~banned_links ~banned_nodes) ~dst
+
+let shortest_path g ~metric ~src ~dst =
+  if src = dst then Some []
+  else shortest_path_excluding g ~metric ~src ~dst ~banned_links:[] ~banned_nodes:[]
+
+let shortest_path_tree g ~metric ~src =
+  search g ~metric ~src ~dst:(-1) ~banned_links:[] ~banned_nodes:[]
 
 let path_cost g ~metric hops =
   List.fold_left

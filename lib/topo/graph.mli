@@ -103,7 +103,17 @@ val shortest_path :
     be positive. A node's neighbours are relaxed in the iteration order
     of a hash table of its links filled in port order, not in port order
     itself: equal-cost ties — and so the simulated results that depend
-    on them — follow that order. *)
+    on them — follow that order.
+
+    Every search in this module — this one, {!shortest_path_excluding}
+    and {!shortest_path_tree} — is one kernel, run to [dst] or to
+    exhaustion. The kernel settles a one-port node (a host, or a router
+    at the end of a chain) as soon as it is relaxed, without the heap:
+    only its one neighbour can reach it, so its route is final then, and
+    leaving it out of the heap changes no other entry's order. A search
+    therefore costs O(routers' links · log routers + nodes) rather than
+    O(links · log nodes), with the same result, ties included. [metric]
+    is still called on every relaxed link. *)
 
 val shortest_path_excluding :
   t -> metric:(link -> float) -> src:node_id -> dst:node_id ->
@@ -128,15 +138,19 @@ val path_cost : t -> metric:(link -> float) -> hop list -> float
     One Dijkstra run from a source answers every destination: the
     directory memoizes one tree per (source, selector, epoch) instead of
     re-running Dijkstra per query. The tree is built by the {e same}
-    algorithm as {!shortest_path} (identical heap keys and relaxation
-    order), merely not stopped early, so {!spt_path} is bit-identical to a
-    fresh per-destination [shortest_path] on the same graph. *)
+    kernel as {!shortest_path}, merely not stopped early, so {!spt_path}
+    is bit-identical to a fresh per-destination [shortest_path] on the
+    same graph by construction. *)
 
 type spt
+(** Two node-indexed arrays: each node's distance, and the hop that
+    reaches it packed into one int. *)
 
 val shortest_path_tree : t -> metric:(link -> float) -> src:node_id -> spt
 (** Single-source Dijkstra over the whole reachable component. The metric
-    must be positive. O(links log nodes); answers all destinations. *)
+    must be positive. O(routers' links · log routers + nodes), and about
+    two words per node besides what [metric] allocates; answers all
+    destinations. *)
 
 val spt_src : spt -> node_id
 

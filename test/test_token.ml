@@ -16,6 +16,16 @@ let block_roundtrip () =
         (Token.Cipher.decrypt_block key (Token.Cipher.encrypt_block key v)))
     [ 0L; 1L; -1L; 0x0123456789ABCDEFL; Int64.min_int; Int64.max_int ]
 
+(* Pinned from the 64-bit loop the in-place rounds replaced. *)
+let block_known_answers () =
+  List.iter
+    (fun (v, c) -> Alcotest.(check int64) "known answer" c (Token.Cipher.encrypt_block key v))
+    [
+      (0L, 0xEE92F097AB21078BL);
+      (0x0123456789ABCDEFL, 0xC5B69F37E8698CB6L);
+      (-1L, 0xC4BE127A6A954C97L);
+    ]
+
 let block_changes_value () =
   check_bool "encryption is not identity" true
     (Token.Cipher.encrypt_block key 42L <> 42L)
@@ -277,12 +287,134 @@ let qcheck_capability_roundtrip =
       | Some g' -> g' = g
       | None -> false)
 
+(* --- the in-place codec against the compositions it replaced --- *)
+
+(* The spec: the grant's encoding through a [Wire.Buf] writer, then
+   [encrypt_cbc] and [mac] on fresh buffers, tag appended. *)
+let spec_iv = 0x243F6A8885A308D3L
+
+let spec_encode_grant ~nonce (g : Token.Capability.grant) =
+  let w = Wire.Buf.create_writer 24 in
+  Wire.Buf.put_u32_int w (g.router_id land 0xffffffff);
+  Wire.Buf.put_u8 w (g.port land 0xff);
+  Wire.Buf.put_u8 w (g.max_priority land 0xf);
+  Wire.Buf.put_u8 w (if g.reverse_ok then 1 else 0);
+  Wire.Buf.put_u8 w (nonce land 0xff);
+  Wire.Buf.put_u32_int w (g.account land 0xffffffff);
+  Wire.Buf.put_u32_int w (g.packet_limit land 0xffffffff);
+  Wire.Buf.put_u32_int w (g.expiry_ms land 0xffffffff);
+  Wire.Buf.put_u8 w 0x53;
+  Wire.Buf.put_zeros w 3;
+  Wire.Buf.contents w
+
+let spec_mint key ~nonce g =
+  let cipher = Token.Cipher.encrypt_cbc key ~iv:spec_iv (spec_encode_grant ~nonce g) in
+  let tag = Token.Cipher.mac key cipher in
+  let out = Bytes.create 32 in
+  Bytes.blit cipher 0 out 0 24;
+  Bytes.set_int64_be out 24 tag;
+  out
+
+(* CBC chaining spelled out over the block cipher. *)
+let spec_encrypt_cbc key ~iv plain =
+  let out = Bytes.copy plain and prev = ref iv in
+  for i = 0 to (Bytes.length plain / 8) - 1 do
+    let c = Token.Cipher.encrypt_block key (Int64.logxor (Bytes.get_int64_be plain (8 * i)) !prev) in
+    Bytes.set_int64_be out (8 * i) c;
+    prev := c
+  done;
+  out
+
+(* A random key, grant and nonce from one seed; 32-bit fields span
+   their whole range. *)
+let random_mint seed =
+  let rng = Sim.Rng.create (Int64.of_int seed) in
+  let u32 () = (Sim.Rng.int rng 0x10000 lsl 16) lor Sim.Rng.int rng 0x10000 in
+  let key =
+    if Sim.Rng.int rng 2 = 0 then Token.Cipher.random_looking_key (Sim.Rng.int rng 100_000)
+    else Token.Cipher.key_of_int64 (Int64.of_int (u32 () lsl 20 lxor u32 ()))
+  in
+  let g =
+    {
+      Token.Capability.router_id = u32 ();
+      port = Sim.Rng.int rng 256;
+      max_priority = Sim.Rng.int rng 16;
+      reverse_ok = Sim.Rng.int rng 2 = 0;
+      account = u32 ();
+      packet_limit = u32 ();
+      expiry_ms = u32 ();
+    }
+  in
+  (key, g, Sim.Rng.int rng 256, rng)
+
+let qcheck_mint_matches_spec =
+  QCheck.Test.make ~name:"mint = encode + encrypt_cbc + mac" ~count:2000
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let key, g, nonce, _ = random_mint seed in
+      Bytes.equal (Token.Capability.mint key ~nonce g :> bytes) (spec_mint key ~nonce g))
+
+let qcheck_verify_inverts_and_rejects_flips =
+  QCheck.Test.make ~name:"verify returns the grant, rejects any bit flip" ~count:2000
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let key, g, nonce, rng = random_mint seed in
+      let tok = Token.Capability.mint key ~nonce g in
+      let bit = Sim.Rng.int rng (8 * Token.Capability.size) in
+      let flipped = Token.Capability.to_bytes tok in
+      Bytes.set flipped (bit / 8)
+        (Char.chr (Char.code (Bytes.get flipped (bit / 8)) lxor (1 lsl (bit land 7))));
+      Token.Capability.verify key tok = Some g
+      && (match Token.Capability.of_bytes flipped with
+         | Some t -> Token.Capability.verify key t = None
+         | None -> false))
+
+let qcheck_cbc_matches_spec =
+  QCheck.Test.make ~name:"in-place cbc = chained blocks, and inverts" ~count:500
+    QCheck.(pair (int_bound 1_000_000) (int_bound 6))
+    (fun (seed, blocks) ->
+      let rng = Sim.Rng.create (Int64.of_int seed) in
+      let plain = Bytes.init (8 * blocks) (fun _ -> Char.chr (Sim.Rng.int rng 256)) in
+      let iv = Int64.of_int (Sim.Rng.int rng 0x3FFF_FFFF lsl 30 lxor Sim.Rng.int rng 0x3FFF_FFFF) in
+      let b = Bytes.copy plain in
+      Token.Cipher.encrypt_cbc_in_place key ~iv b ~len:(8 * blocks);
+      let encrypted = Bytes.equal b (spec_encrypt_cbc key ~iv plain) in
+      Token.Cipher.decrypt_cbc_in_place key ~iv b ~len:(8 * blocks);
+      encrypted && Bytes.equal b plain)
+
+(* Tags pinned from the composition the in-place MAC replaced, across
+   the padding's cases: empty, a partial block, exact blocks, seven
+   bytes past a block. *)
+let mac_known_answers () =
+  List.iter
+    (fun (s, tag) ->
+      Alcotest.(check int64) (Printf.sprintf "mac %S" s) tag (Token.Cipher.mac key (Bytes.of_string s)))
+    [
+      ("", 0x517C284D37F72C49L);
+      ("abc", 0x9082618675D20160L);
+      ("0123456789abcdef", 0xCBD3DB013C189776L);
+      ("0123456789abcdefFEDCBA9", 0xEDF6B811DE5CC2A6L);
+    ]
+
+(* The token is the only allocation a mint makes (32 bytes: 5 words). *)
+let mint_allocation () =
+  let g = grant in
+  ignore (Token.Capability.mint key ~nonce:1 g);
+  let mints = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to mints do
+    ignore (Sys.opaque_identity (Token.Capability.mint key ~nonce:i g))
+  done;
+  let per_mint = (Gc.minor_words () -. w0) /. float_of_int mints in
+  if per_mint > 6.0 then Alcotest.failf "%.2f words per mint (> 6)" per_mint
+
 let () =
   Alcotest.run "token"
     [
       ( "cipher",
         [
           Alcotest.test_case "block roundtrip" `Quick block_roundtrip;
+          Alcotest.test_case "known answers" `Quick block_known_answers;
           Alcotest.test_case "not identity" `Quick block_changes_value;
           Alcotest.test_case "keys differ" `Quick keys_differ;
           Alcotest.test_case "cbc roundtrip" `Quick cbc_roundtrip;
@@ -299,6 +431,8 @@ let () =
           Alcotest.test_case "nonce diversifies" `Quick nonce_diversifies;
           Alcotest.test_case "permits rules" `Quick permits_rules;
           Alcotest.test_case "fixed size" `Quick size_is_fixed;
+          Alcotest.test_case "mac known answers" `Quick mac_known_answers;
+          Alcotest.test_case "mint allocation" `Quick mint_allocation;
         ] );
       ( "priority",
         [
@@ -317,5 +451,12 @@ let () =
       ("account", [ Alcotest.test_case "totals" `Quick account_totals ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_block_roundtrip; qcheck_priority_total_order; qcheck_capability_roundtrip ] );
+          [
+            qcheck_block_roundtrip;
+            qcheck_priority_total_order;
+            qcheck_capability_roundtrip;
+            qcheck_mint_matches_spec;
+            qcheck_verify_inverts_and_rejects_flips;
+            qcheck_cbc_matches_spec;
+          ] );
     ]

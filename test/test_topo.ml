@@ -363,6 +363,296 @@ let hierarchical_internet_shape () =
   (* port budget respected even at full fan-out *)
   Array.iter (fun l -> check_bool "leaf ports < 255" true (G.degree g l <= 255)) leaves
 
+(* --- one kernel against the two loops it replaced --- *)
+
+(* The spec: the two Dijkstra loops the kernel replaced, verbatim but
+   for reading the relaxation order off [shadow] below rather than the
+   graph's private tables: the early-exit search (with bans) and the
+   tree, each pushing every relaxed node and settling it when popped. *)
+
+(* A shadow of the graph's per-node order tables, replayed through the
+   same history: [None] until a node's second port is attached, then a
+   table filled in port order, updated by attach and detach, and rebuilt
+   in port order when a link is reconnected. *)
+type shadow = {
+  mutable attached : (G.port * G.link) list;  (** ascending port *)
+  mutable order : (G.port, G.link) Hashtbl.t option;
+}
+
+let rebuild sh =
+  let tbl = Hashtbl.create 4 in
+  List.iter (fun (p, l) -> Hashtbl.replace tbl p l) sh.attached;
+  sh.order <- Some tbl
+
+let shadow_attach sh p l =
+  sh.attached <- List.merge (fun (p, _) (q, _) -> compare p q) sh.attached [ (p, l) ];
+  match sh.order with
+  | Some tbl -> Hashtbl.replace tbl p l
+  | None -> if p > 1 then rebuild sh
+
+let shadow_of g =
+  let sh = Array.init (G.node_count g) (fun _ -> { attached = []; order = None }) in
+  (* builders only connect, so link ids are attach order *)
+  List.iter
+    (fun (l : G.link) ->
+      shadow_attach sh.(l.G.a) l.G.a_port l;
+      shadow_attach sh.(l.G.b) l.G.b_port l)
+    (G.links g);
+  sh
+
+let shadow_disconnect g sh (l : G.link) =
+  G.disconnect g l;
+  List.iter
+    (fun (n, p) ->
+      sh.(n).attached <- List.filter (fun (q, _) -> q <> p) sh.(n).attached;
+      Option.iter (fun tbl -> Hashtbl.remove tbl p) sh.(n).order)
+    [ (l.G.a, l.G.a_port); (l.G.b, l.G.b_port) ]
+
+let shadow_reconnect g sh (l : G.link) =
+  G.reconnect g l;
+  List.iter
+    (fun (n, p) ->
+      sh.(n).attached <- List.merge (fun (p, _) (q, _) -> compare p q) sh.(n).attached [ (p, l) ];
+      if sh.(n).order <> None then rebuild sh.(n))
+    [ (l.G.a, l.G.a_port); (l.G.b, l.G.b_port) ]
+
+let spec_iter_links sh u f =
+  match sh.(u).order with
+  | Some tbl -> Hashtbl.iter f tbl
+  | None -> List.iter (fun (p, l) -> f p l) sh.(u).attached
+
+let spec_excluding g sh ~metric ~src ~dst ~banned_links ~banned_nodes =
+  let heap = Sim.Heap.create ~dummy:(infinity, -1) in
+  let n = G.node_count g in
+  let dist = Array.make n infinity in
+  let prev = Array.make n None in
+  let visited = Array.make n false in
+  let seq = ref 0 in
+  let push cost v =
+    Sim.Heap.push heap ~time:(int_of_float (cost *. 1e6)) ~seq:!seq (cost, v);
+    incr seq
+  in
+  dist.(src) <- 0.0;
+  push 0.0 src;
+  let finished = ref false in
+  while not !finished do
+    if Sim.Heap.is_empty heap then finished := true
+    else
+      let cost, u = Sim.Heap.pop_value heap in
+      if (not visited.(u)) && cost <= dist.(u) then begin
+        visited.(u) <- true;
+        if u = dst then finished := true
+        else
+          spec_iter_links sh u (fun p (l : G.link) ->
+              if not (List.mem l.G.link_id banned_links) then begin
+                let v, _ = G.peer l u in
+                if (not (List.mem v banned_nodes)) && not visited.(v) then begin
+                  let w = metric l in
+                  let alt = dist.(u) +. w in
+                  if alt < dist.(v) then begin
+                    dist.(v) <- alt;
+                    prev.(v) <- Some (u, p);
+                    push alt v
+                  end
+                end
+              end)
+      end
+  done;
+  if dist.(dst) = infinity then None
+  else begin
+    let rec build v acc =
+      match prev.(v) with
+      | None -> acc
+      | Some (u, p) -> build u ({ G.at = u; out = p } :: acc)
+    in
+    Some (build dst [])
+  end
+
+let spec_tree g sh ~metric ~src =
+  let heap = Sim.Heap.create ~dummy:(infinity, -1) in
+  let n = G.node_count g in
+  let dist = Array.make n infinity in
+  let prev = Array.make n None in
+  let visited = Array.make n false in
+  let seq = ref 0 in
+  let push cost v =
+    Sim.Heap.push heap ~time:(int_of_float (cost *. 1e6)) ~seq:!seq (cost, v);
+    incr seq
+  in
+  dist.(src) <- 0.0;
+  push 0.0 src;
+  let finished = ref false in
+  while not !finished do
+    if Sim.Heap.is_empty heap then finished := true
+    else
+      let cost, u = Sim.Heap.pop_value heap in
+      if (not visited.(u)) && cost <= dist.(u) then begin
+        visited.(u) <- true;
+        spec_iter_links sh u (fun p (l : G.link) ->
+            let v, _ = G.peer l u in
+            if not visited.(v) then begin
+              let w = metric l in
+              let alt = dist.(u) +. w in
+              if alt < dist.(v) then begin
+                dist.(v) <- alt;
+                prev.(v) <- Some (u, p);
+                push alt v
+              end
+            end)
+      end
+  done;
+  let path dst =
+    if dst = src then Some []
+    else if dist.(dst) = infinity then None
+    else begin
+      let rec build v acc =
+        match prev.(v) with
+        | None -> acc
+        | Some (u, p) -> build u ({ G.at = u; out = p } :: acc)
+      in
+      Some (build dst [])
+    end
+  in
+  (path, fun dst -> if dst = src then 0.0 else dist.(dst))
+
+(* Metrics that tie everywhere, tie in the heap key only, and rarely tie. *)
+let spec_metrics rng =
+  let jitter = Array.init 4096 (fun _ -> 1.0 +. float_of_int (Sim.Rng.int rng 3)) in
+  [
+    ("hop", fun (_ : G.link) -> 1.0);
+    ("quantized", fun (l : G.link) -> jitter.(l.G.link_id land 4095) *. 1e-7);
+    ( "delay",
+      fun (l : G.link) ->
+        Sim.Time.to_seconds l.G.props.G.propagation
+        +. (4096.0 /. float_of_int l.G.props.G.bandwidth_bps) );
+  ]
+
+(* [g] against the spec: every tree path and distance from [src], and
+   each early-exit search in [searches] (dst, banned links, banned
+   nodes). *)
+let matches_spec g sh ~src ~searches =
+  let rng = Sim.Rng.create (Int64.of_int (src + 1)) in
+  List.for_all
+    (fun (name, metric) ->
+      let spt = G.shortest_path_tree g ~metric ~src in
+      let path, dist = spec_tree g sh ~metric ~src in
+      let tree_ok =
+        List.for_all
+          (fun dst ->
+            let ok =
+              G.spt_path spt ~dst = path dst && Float.equal (G.spt_dist spt ~dst) (dist dst)
+            in
+            if not ok then Printf.printf "tree %s from %d differs at %d\n" name src dst;
+            ok)
+          (List.init (G.node_count g) Fun.id)
+      in
+      tree_ok
+      && List.for_all
+           (fun (dst, banned_links, banned_nodes) ->
+             let ok =
+               G.shortest_path_excluding g ~metric ~src ~dst ~banned_links ~banned_nodes
+               = spec_excluding g sh ~metric ~src ~dst ~banned_links ~banned_nodes
+             in
+             if not ok then Printf.printf "search %s %d -> %d differs\n" name src dst;
+             ok)
+           searches)
+    (spec_metrics rng)
+
+let random_searches rng g ~count =
+  let n = G.node_count g and links = Array.of_list (G.links g) in
+  List.init count (fun _ ->
+      let dst = Sim.Rng.int rng n in
+      let banned_links =
+        if Array.length links = 0 then []
+        else List.init (Sim.Rng.int rng 4) (fun _ -> links.(Sim.Rng.int rng (Array.length links)).G.link_id)
+      in
+      let banned_nodes =
+        List.filter (fun v -> v <> dst) (List.init (Sim.Rng.int rng 3) (fun _ -> Sim.Rng.int rng n))
+      in
+      (dst, banned_links, banned_nodes))
+
+let qcheck_kernel_matches_spec =
+  QCheck.Test.make ~name:"one kernel = the two loops it replaced" ~count:60
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sim.Rng.create (Int64.of_int seed) in
+      let g, _, _ =
+        if Sim.Rng.int rng 2 = 0 then
+          G.hierarchical_internet ~rng ~branching:(2 + Sim.Rng.int rng 3)
+            ~depth:(1 + Sim.Rng.int rng 3) ~hosts:(1 + Sim.Rng.int rng 60) ()
+        else
+          G.campus_internet ~rng ~campuses:(2 + Sim.Rng.int rng 7)
+            ~hosts_per_campus:(Sim.Rng.int rng 6)
+      in
+      let sh = shadow_of g in
+      (* half the graphs lose links, and get some of them back *)
+      if Sim.Rng.int rng 2 = 0 then begin
+        let links = Array.of_list (G.links g) in
+        let cut =
+          List.sort_uniq compare
+            (List.init (1 + Sim.Rng.int rng 6) (fun _ -> Sim.Rng.int rng (Array.length links)))
+        in
+        List.iter (fun i -> shadow_disconnect g sh links.(i)) cut;
+        List.iter
+          (fun i -> if Sim.Rng.int rng 2 = 0 then shadow_reconnect g sh links.(i))
+          (List.rev cut)
+      end;
+      let n = G.node_count g in
+      List.for_all
+        (fun _ ->
+          let src = Sim.Rng.int rng n in
+          matches_spec g sh ~src ~searches:(random_searches rng g ~count:8))
+        (List.init 3 Fun.id))
+
+(* The edges of the one-port rule, each against the spec. *)
+let kernel_edge_cases () =
+  let rng = Sim.Rng.create 0x0E1L in
+  let g, leaves, hosts = G.hierarchical_internet ~rng ~branching:2 ~depth:2 ~hosts:9 () in
+  let lonely = G.add_node g G.Host in
+  let sh = shadow_of g in
+  let h0 = hosts.(0) and h8 = hosts.(8) in
+  let no_bans dst = (dst, [], []) in
+  check_bool "one-port source" true
+    (matches_spec g sh ~src:h0 ~searches:(List.map no_bans [ h8; leaves.(3); lonely ]));
+  check_bool "one-port destination, early exit" true
+    (matches_spec g sh ~src:leaves.(1) ~searches:[ no_bans h8; no_bans h0 ]);
+  check_bool "zero-link source" true
+    (matches_spec g sh ~src:lonely ~searches:[ no_bans h0; no_bans lonely ]);
+  check_bool "zero-link node unreachable" true
+    (G.shortest_path g ~metric:hop_metric ~src:h0 ~dst:lonely = None);
+  check_bool "banned one-port destination" true
+    (matches_spec g sh ~src:h0 ~searches:[ (h8, [], [ h8 ]) ]);
+  check_bool "banned one-port destination unreachable" true
+    (G.shortest_path_excluding g ~metric:hop_metric ~src:h0 ~dst:h8 ~banned_links:[]
+       ~banned_nodes:[ h8 ]
+    = None);
+  let g, ids = G.line 5 in
+  let sh = shadow_of g in
+  check_bool "one-port router at a line's end" true
+    (matches_spec g sh ~src:ids.(2) ~searches:[ no_bans ids.(4); no_bans ids.(0) ]);
+  check_bool "from a line's end" true
+    (matches_spec g sh ~src:ids.(0) ~searches:[ no_bans ids.(4); (ids.(4), [], [ ids.(3) ]) ])
+
+(* A tree over the dir_zipf-shaped graph (156 routers, 20 000 one-port
+   hosts) allocates its two node-indexed arrays, a visited bitmap and a
+   few words per router; the constant metric allocates nothing itself. *)
+let tree_allocation () =
+  let g, _, hosts =
+    G.hierarchical_internet ~rng:(Sim.Rng.create 3L) ~branching:5 ~depth:3 ~hosts:20_000 ()
+  in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  ignore (G.shortest_path_tree g ~metric:hop_metric ~src:hosts.(0));
+  let trees = 10 in
+  let w0 = words () in
+  for i = 1 to trees do
+    ignore (Sys.opaque_identity (G.shortest_path_tree g ~metric:hop_metric ~src:hosts.(i)))
+  done;
+  let per_node = (words () -. w0) /. float_of_int (trees * G.node_count g) in
+  if per_node > 3.0 then Alcotest.failf "%.2f words per node per tree (> 3)" per_node
+
 let () =
   Alcotest.run "topo"
     [
@@ -402,7 +692,10 @@ let () =
           Alcotest.test_case "reconnect restores order" `Quick reconnect_restores_order;
           Alcotest.test_case "hierarchical internet shape" `Quick
             hierarchical_internet_shape;
+          Alcotest.test_case "one-port edge cases" `Quick kernel_edge_cases;
+          Alcotest.test_case "tree allocation" `Quick tree_allocation;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_random_graph_paths ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_random_graph_paths; qcheck_kernel_matches_spec ] );
     ]
