@@ -60,8 +60,8 @@ let run () =
            [
              Printf.sprintf "router %d" hop;
              Util.i (Bytes.length !packet);
-             Util.i (List.length decoded.Pkt.route);
-             Util.i (List.length decoded.Pkt.trailer);
+             Util.i (List.length (Pkt.route decoded));
+             Util.i (List.length (Pkt.trailer decoded));
            ])
          [ (1, 11); (2, 12); (3, 13) ]);
   let final = Pkt.decode !packet in

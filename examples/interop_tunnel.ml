@@ -72,7 +72,7 @@ let () =
       pf "\n[east-host] got %d bytes at %s; trailer has %d return hops\n"
         (Bytes.length packet.Viper.Packet.data)
         (Format.asprintf "%a" Sim.Time.pp (Sim.Engine.now engine))
-        (List.length packet.Viper.Packet.trailer);
+        (List.length (Viper.Packet.trailer packet));
       ignore
         (Sirpent.Host.reply h ~to_packet:packet ~in_port
            ~data:(Bytes.of_string "greetings from the east") ()));

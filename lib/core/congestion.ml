@@ -168,11 +168,9 @@ let reschedule_drain t lim =
 
 let admit t ~out_port ~next_port ~bytes =
   Hashtbl.length t.limiters = 0
+  || next_port < 0
   ||
-  match next_port with
-  | None -> true
-  | Some n -> (
-    match Hashtbl.find t.limiters (out_port, n) with
+  match Hashtbl.find t.limiters (out_port, next_port) with
     | exception Not_found -> true
     | lim ->
       refill t lim;
@@ -181,11 +179,11 @@ let admit t ~out_port ~next_port ~bytes =
         lim.bucket_bits <- lim.bucket_bits -. bits;
         true
       end
-      else false)
+      else false
 
 (* only after [admit] said no, so the limiter is there *)
 let hold t ~out_port ~next_port ~bytes ~send =
-  let lim = Hashtbl.find t.limiters (out_port, Option.get next_port) in
+  let lim = Hashtbl.find t.limiters (out_port, next_port) in
   Queue.push (bytes, send) lim.pending;
   drain t lim
 

@@ -81,22 +81,23 @@ val note_arrival : t -> in_port:Topo.Graph.port -> out_port:Topo.Graph.port -> u
     (feeder bookkeeping for the monitor). *)
 
 val submit :
-  t -> out_port:Topo.Graph.port -> next_port:int option -> bytes:int ->
+  t -> out_port:Topo.Graph.port -> next_port:int -> bytes:int ->
   send:(unit -> unit) -> unit
 (** Pass a departing packet of [bytes] through the limiter for
-    [(out_port, next_port)], if any: [send] runs immediately when
+    [(out_port, next_port)], if any ([next_port] is [-1] when the
+    packet names no next queue): [send] runs immediately when
     unthrottled, or is queued and run when the token bucket permits.
     Exactly [if admit ... then send () else hold ...]. *)
 
 val admit :
-  t -> out_port:Topo.Graph.port -> next_port:int option -> bytes:int -> bool
+  t -> out_port:Topo.Graph.port -> next_port:int -> bytes:int -> bool
 (** The first half of {!submit}, for callers that send without building
     a [send] closure: whether the packet may leave now — no limiter for
     its queue, or one holding nothing with enough tokens, which are then
     spent. Allocates nothing when no limiter is installed. *)
 
 val hold :
-  t -> out_port:Topo.Graph.port -> next_port:int option -> bytes:int ->
+  t -> out_port:Topo.Graph.port -> next_port:int -> bytes:int ->
   send:(unit -> unit) -> unit
 (** The second half of {!submit}, only after {!admit} said [false] at
     the same instant: queue [send] behind the limiter and release what

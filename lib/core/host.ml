@@ -48,24 +48,26 @@ let misdeliver t ~frame ~in_port =
 
 (* Hosts take delivery of the whole packet before acting. *)
 let at_tail t ~tail f =
-  Sim.Engine.schedule_at (W.engine t.world) ~time:(max (W.now t.world) tail) f
+  Sim.Engine.schedule_at (W.engine t.world) ~time:(Int.max (W.now t.world) tail) f
 
-(* One arrival path for both codecs, after full reception. An XSR
-   header is verified by {!Viper.Xsr.step} before it is unfolded into
-   the [Pkt.t] [on_receive] expects, so [reply] rides the recorded
-   reverse route over VIPER. A VIPER packet must have reached its last,
-   local segment. Anything else is not for this host. *)
+(* One arrival path for both codecs, after full reception, checked where
+   the packet lies. An XSR header is verified by {!Viper.Xsr.step}
+   before it is unfolded into the [Pkt.t] [on_receive] expects, so
+   [reply] rides the recorded reverse route over VIPER. A VIPER packet
+   must pass {!Pkt.of_window}, the in-place {!Pkt.parse}, and have
+   reached its last, local segment. Anything else is not for this
+   host. *)
 let arrive t ~frame ~in_port =
-  let payload = frame.Netsim.Frame.payload in
+  let { Netsim.Frame.payload; off; len; _ } = frame in
   if frame.Netsim.Frame.aborted then flight_drop t ~frame ~in_port ~reason:"aborted"
-  else if Viper.Xsr.is_xsr payload then
+  else if Viper.Xsr.is_xsr_in payload ~off ~len then
+    let payload = Netsim.Frame.contents frame in
     match Viper.Xsr.step payload ~in_port with
     | Viper.Xsr.Deliver -> accept t ~frame ~in_port (Pkt.of_xsr payload)
     | Viper.Xsr.Forward _ | Viper.Xsr.Malformed _ -> misdeliver t ~frame ~in_port
   else
-    match Pkt.parse payload with
-    | Ok ({ Pkt.route = [ seg ]; _ } as packet) when seg.Seg.port = Seg.local_port ->
-      accept t ~frame ~in_port packet
+    match Pkt.of_window payload ~off ~len with
+    | Ok packet when Pkt.terminates packet -> accept t ~frame ~in_port packet
     | Ok _ | Error _ -> misdeliver t ~frame ~in_port
 
 let handle t _world ~in_port ~frame ~head:_ ~tail =
@@ -98,35 +100,44 @@ let create ?(congestion = Congestion.default_config) world ~node =
   Congestion.start limiter;
   t
 
-(* Put [payload] on the wire out [port] through the host's limiter. The
-   flight context is allocated where the packet enters the internetwork,
-   before any limiter hold. A packet the limiter admits at once is sent
-   without a closure; a held one is queued in the limiter and reports
-   [Queued], unless the limiter releases it on the spot. *)
-let inject t ~port ~next_port ~priority ~drop_if_blocked payload =
+(* A fresh frame whose window is the first [len] bytes of [payload]. *)
+let frame ~priority ~drop_if_blocked ~flight ~len payload =
+  { Netsim.Frame.payload; off = 0; len; priority; drop_if_blocked; meta = None; flight;
+    aborted = false }
+
+(* Put the first [len] bytes of [payload] on the wire out [port] through
+   the host's limiter; [next_port] is the queue the first router sends
+   it to ([-1] for none). The flight context is allocated where the
+   packet enters the internetwork, before any limiter hold. A packet the
+   limiter admits at once is sent without a closure; a held one is
+   queued in the limiter and reports [Queued], unless the limiter
+   releases it on the spot. *)
+let inject t ~port ~next_port ~priority ~drop_if_blocked ~len payload =
   let flight = Flight.start (W.flight t.world) ~now:(W.now t.world) in
-  let bytes = Bytes.length payload in
-  if Congestion.admit t.limiter ~out_port:port ~next_port ~bytes then
+  if Congestion.admit t.limiter ~out_port:port ~next_port ~bytes:len then
     W.send t.world ~node:t.node ~port
-      (W.fresh_frame t.world ~priority ~drop_if_blocked ?flight payload)
+      (frame ~priority ~drop_if_blocked ~flight ~len payload)
   else begin
     let result = ref W.Queued in
-    Congestion.hold t.limiter ~out_port:port ~next_port ~bytes ~send:(fun () ->
+    Congestion.hold t.limiter ~out_port:port ~next_port ~bytes:len ~send:(fun () ->
         result :=
           W.send t.world ~node:t.node ~port
-            (W.fresh_frame t.world ~priority ~drop_if_blocked ?flight payload));
+            (frame ~priority ~drop_if_blocked ~flight ~len payload));
     !result
   end
 
+(* The packet is built once, in a buffer with room for every return hop
+   its routers will append (see {!Netsim.Frame}): no router copies it. *)
 let send t ~route ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
     ~data () =
   let segments = route.Route.segments in
-  let payload = Pkt.build_stamped ~priority ~dib:drop_if_blocked ~route:segments ~data in
-  let next_port =
-    match segments with seg :: _ -> Some seg.Seg.port | [] -> None
+  let tailroom = Pkt.tailroom segments in
+  let payload =
+    Pkt.build_stamped ~tailroom ~priority ~dib:drop_if_blocked ~route:segments ~data
   in
+  let next_port = match segments with seg :: _ -> seg.Seg.port | [] -> -1 in
   inject t ~port:route.Route.first_port ~next_port ~priority ~drop_if_blocked
-    payload
+    ~len:(Bytes.length payload - tailroom) payload
 
 (* Fold [route] into a constant-size XSR header instead of a VIPER
    segment list: bytes-on-wire stay [Xsr.header_size] + data regardless
@@ -135,20 +146,23 @@ let send t ~route ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
    [reply] over VIPER via the accumulated reverse lanes. *)
 let send_xsr t ~route ?(priority = Token.Priority.normal)
     ?(drop_if_blocked = false) ~data () =
-  let ports = Route.ports route in
-  let payload = Viper.Xsr.encode ~priority ~ports ~data () in
-  let next_port = match ports with p :: _ -> Some p | [] -> None in
+  let segments = route.Route.segments in
+  let payload = Viper.Xsr.encode_segments ~priority ~segments ~data in
+  let next_port = match segments with seg :: _ :: _ -> seg.Seg.port | _ -> -1 in
   inject t ~port:route.Route.first_port ~next_port ~priority ~drop_if_blocked
-    payload
+    ~len:(Bytes.length payload) payload
 
 let reply t ~to_packet ~in_port ?(priority = Token.Priority.normal) ~data () =
   let back = Pkt.return_route to_packet in
   let local = Seg.make ~priority ~port:Seg.local_port () in
   let segments = back @ [ local ] in
-  let payload = Pkt.build ~route:segments ~data in
+  let tailroom = Pkt.tailroom segments in
+  let payload = Pkt.build_with_tailroom ~tailroom ~route:segments ~data in
   let flight = Flight.start (W.flight t.world) ~now:(W.now t.world) in
-  let frame = W.fresh_frame t.world ~priority ?flight payload in
-  W.send t.world ~node:t.node ~port:in_port frame
+  W.send t.world ~node:t.node ~port:in_port
+    (frame ~priority ~drop_if_blocked:false ~flight
+       ~len:(Bytes.length payload - tailroom)
+       payload)
 
 let explode t ~routes ?(priority = Token.Priority.normal) ~data () =
   List.fold_left

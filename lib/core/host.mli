@@ -31,7 +31,9 @@ val set_receive :
 val send :
   t -> route:Route.t -> ?priority:Token.Priority.t -> ?drop_if_blocked:bool ->
   data:bytes -> unit -> Netsim.World.send_result
-(** Build and transmit a packet along [route]. *)
+(** Build and transmit a packet along [route], in one buffer with room
+    for the return hop of every router on the way (see
+    {!Netsim.Frame}): no router copies it. *)
 
 val send_xsr :
   t -> route:Route.t -> ?priority:Token.Priority.t -> ?drop_if_blocked:bool ->

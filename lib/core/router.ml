@@ -201,7 +201,7 @@ let flight_note ~frame check =
    cut-through act time in the past. Work deferred before a crash must not
    run after it — the crash wiped the state it would act on — so each
    scheduled action is bound to the router's current epoch. *)
-let at t ~time f = Sim.Engine.schedule_at (W.engine t.world) ~time:(max time (now t)) f
+let at t ~time f = Sim.Engine.schedule_at (W.engine t.world) ~time:(Int.max time (now t)) f
 
 let schedule t ~time f =
   let epoch = t.epoch in
@@ -213,33 +213,6 @@ let port_mtu t port =
   match G.link_at (W.graph t.world) t.node port with
   | l -> l.G.props.G.mtu
   | exception Not_found -> max_int
-
-(* "It then revises the network-specific portion, if any, so that it
-   constitutes a correct return hop through this router": an Ethernet
-   portInfo gets its addresses swapped; anything else is carried back
-   unchanged. *)
-let revise_info info =
-  if Bytes.length info = Ether.Frame.header_size then
-    try
-      let r = Wire.Buf.reader_of_bytes info in
-      let h = Ether.Frame.read_header r in
-      let w = Wire.Buf.create_writer Ether.Frame.header_size in
-      Ether.Frame.write_header w (Ether.Frame.swap h);
-      Wire.Buf.contents w
-    with Wire.Buf.Underflow -> info
-  else info
-
-(* [reverse_ok] is the verified grant's; an unverified (or absent)
-   token is carried back as-is. *)
-let return_segment ~seg ~in_port ~in_info ~reverse_ok =
-  let token = if reverse_ok then seg.Seg.token else Bytes.empty in
-  (* [in_info]: for out-of-band arrivals (e.g. a tunnel across an IP
-     internetwork, Â§2.3) the return hop's network-specific info is
-     supplied by the injector, not derived from the stripped segment *)
-  let info =
-    match in_info with Some b -> b | None -> revise_info seg.Seg.info
-  in
-  Seg.return_hop seg ~port:in_port ~token ~info
 
 (* The input link's rate when a frame from [in_port] may cut through to
    [out_port] — both links up with equal rates, on a router that does
@@ -270,25 +243,40 @@ let count_send_result t ~frame ~in_port result =
   | W.Dropped_blocked | W.Dropped_overflow | W.Dropped_no_link ->
     drop t ~frame ~in_port Send_drop
 
-(* Hand [payload] to [out_port] now, as a fresh frame. *)
-let transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload =
+(* A new frame for a window the router made, riding [frame]'s flight. *)
+let copy_frame ~frame payload ~len =
+  { frame with Netsim.Frame.payload; off = 0; len; meta = None; aborted = false }
+
+(* The record that carries [out] (the arriving [frame] after an in-place
+   hop, or a copy's own frame) onto the next link. The arriving record
+   itself goes on once the world has released it: at [tail] its
+   transmission is over, so no preemption or purge upstream can mark it
+   aborted any more. Before that (cut-through on a slow link) a fresh
+   record takes the same window, so the upstream's [aborted] flag still
+   reaches only this router. *)
+let out_frame t ~frame ~out ~tail ~priority ~dib =
+  let out =
+    if out == frame && (now t < tail || Option.is_some frame.Netsim.Frame.meta) then
+      { frame with Netsim.Frame.meta = None; aborted = false }
+    else out
+  in
+  out.Netsim.Frame.priority <- priority;
+  out.Netsim.Frame.drop_if_blocked <- dib;
+  out
+
+(* Hand [out] to [out_port] now. *)
+let transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port =
   match t.config.blocked with
   | Buffer ->
-    let out_frame =
-      W.fresh_frame t.world ~priority ~drop_if_blocked:dib
-        ?flight:frame.Netsim.Frame.flight payload
-    in
     count_send_result t ~frame ~in_port
-      (W.send t.world ~node:t.node ~port:out_port out_frame)
+      (W.send t.world ~node:t.node ~port:out_port
+         (out_frame t ~frame ~out ~tail ~priority ~dib))
   | Delay_line { delay; max_circuits } ->
-    (* Â§2.1: a bufferless (Blazenet-style) switch re-circulates a
+    (* §2.1: a bufferless (Blazenet-style) switch re-circulates a
        blocked packet through a delay line instead of queueing it *)
     let rec attempt circuits =
-      let out_frame =
-        W.fresh_frame t.world ~priority ~drop_if_blocked:true
-          ?flight:frame.Netsim.Frame.flight payload
-      in
-      match W.send t.world ~node:t.node ~port:out_port out_frame with
+      let o = out_frame t ~frame ~out ~tail ~priority ~dib:true in
+      match W.send t.world ~node:t.node ~port:out_port o with
       | W.Started | W.Started_preempting _ | W.Queued -> bump t forwarded
       | W.Dropped_blocked ->
         if circuits < max_circuits && not dib then begin
@@ -300,35 +288,34 @@ let transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload =
     in
     attempt 0
 
-(* Transmit [payload] out [out_port] at [when_], honoring any congestion
+(* Transmit [out] out [out_port] at [when_], honoring any congestion
    limiter for its (out_port, next port) queue. The next port — the
    leading VIPER segment's or the next XSR lane's, exactly the queue a
    Rate_ctl limiter is keyed by — is read in place from either header
-   ({!Pkt.peek_next_port}). The act step is one closure, which also
-   carries the crash-epoch guard of {!schedule}; a [send] closure is
-   built only when a limiter holds the packet. *)
-let dispatch t ~priority ~dib ~frame ~in_port ~out_port ~payload ~when_ =
+   ({!Pkt.next_port}). The act step is one closure, which also carries
+   the crash-epoch guard of {!schedule}; a [send] closure is built only
+   when a limiter holds the packet. *)
+let dispatch t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port ~when_ =
   let epoch = t.epoch in
   at t ~time:when_ (fun () ->
       if t.up && t.epoch = epoch then
         if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted
         else
-          let bytes = Bytes.length payload in
           match t.congestion with
-          | None -> transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload
+          | None -> transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port
           | Some c ->
-            let next_port = Pkt.peek_next_port payload in
+            let { Netsim.Frame.payload; off; len = bytes; _ } = out in
+            let next_port = Pkt.next_port payload ~off ~len:bytes in
             if Congestion.admit c ~out_port ~next_port ~bytes then
-              transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload
+              transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port
             else
               Congestion.hold c ~out_port ~next_port ~bytes ~send:(fun () ->
-                  transmit t ~priority ~dib ~frame ~in_port ~out_port ~payload))
+                  transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port))
 
-(* Switch [payload] out [out_port]: decide cut-through or
-   store-and-forward, count it, record the hop, tell the congestion
-   monitor, and schedule the act step. *)
-let switch t ~frame ~in_port ~out_port ~head ~tail ~header_size ~priority ~dib
-    ~payload =
+(* Switch [out] out [out_port]: decide cut-through or store-and-forward,
+   count it, record the hop, tell the congestion monitor, and schedule
+   the act step. *)
+let switch t ~frame ~out ~in_port ~out_port ~head ~tail ~header_size ~priority ~dib =
   let cut_rate = cut_through_rate t ~in_port ~out_port in
   let when_ = act_time t ~cut_rate ~head ~tail ~header_size in
   let handling =
@@ -349,33 +336,74 @@ let switch t ~frame ~in_port ~out_port ~head ~tail ~header_size ~priority ~dib
   (match t.congestion with
   | Some c -> Congestion.note_arrival c ~in_port ~out_port
   | None -> ());
-  dispatch t ~priority ~dib ~frame ~in_port ~out_port ~payload ~when_
+  dispatch t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port ~when_
 
-(* [payload] is the full arriving packet and [pos] the offset where the
-   stripped segment ends: the strip + trailer-append pair is fused into
-   one allocation ({!Viper.Trailer.append_hop_sub}) instead of copying
-   the packet twice per hop. *)
-let forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~tail
-    ~header_size ~reverse_ok =
-  let return_seg = return_segment ~seg ~in_port ~in_info ~reverse_ok in
+(* The hop into a fresh window, with room for the rest of the route. *)
+let hop_copy ~frame buf ~off ~len ~hdr ~in_port ~keep_token ~info ~rlen =
+  let room = Pkt.tailroom_in buf ~off:(off + hdr) ~len:(len - hdr) in
+  let dst = Bytes.create (Int.max 0 (len - hdr + rlen + 3) + room) in
+  copy_frame ~frame dst
+    ~len:
+      (Viper.Trailer.append_return_hop buf ~off ~len ~pos:hdr ~port:in_port ~keep_token
+         ~info dst ~at:0)
+
+(* The header a cut-through switch waits for: the segment's encoded
+   size, which is its [hdr] wire bytes unless a field's length was
+   written extended without need. *)
+let header_size buf ~off ~hdr =
+  if Char.code (Bytes.get buf off) < 255 && Char.code (Bytes.get buf (off + 1)) < 255
+  then hdr
+  else Seg.encoded_size (Seg.decode_sub buf ~off ~len:hdr)
+
+(* The hop of §2 on the window [buf.[off] .. buf.[off + len - 1]], whose
+   leading segment is [hdr] bytes: strip it and append its return hop to
+   the trailer. In place, when [buf] is the frame's own and has the
+   tailroom: the frame's head advances and the return hop is written
+   past its end, so the packet is neither copied nor re-framed. A copy
+   ([copy]: one of several multicast copies), an injected packet (its
+   bytes are the caller's) or a buffer without the room gets a fresh
+   window. *)
+let forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~tail
+    ~reverse_ok ~copy =
+  let keep_token = reverse_ok in
+  let rlen = Seg.return_hop_size buf ~off ~port:in_port ~keep_token ~info:in_info in
+  let priority = Seg.peek_priority buf ~off in
+  let dib = (Seg.peek_flags buf ~off).Seg.dib in
+  let in_place =
+    (not copy) && buf == frame.Netsim.Frame.payload && Option.is_none in_info
+    && off + len + rlen + 3 <= Bytes.length buf
+  in
   (* The loopback append reads the trailer framing; on a frame whose
      trailer was damaged in flight it fails — a counted drop, not an
      exception out of the frame handler. *)
-  match Viper.Trailer.append_hop_sub payload ~pos return_seg with
+  match
+    if in_place then begin
+      let len =
+        Viper.Trailer.append_return_hop buf ~off ~len ~pos:hdr ~port:in_port ~keep_token
+          ~info:in_info buf ~at:(off + hdr)
+      in
+      frame.Netsim.Frame.off <- off + hdr;
+      frame.Netsim.Frame.len <- len;
+      frame
+    end
+    else hop_copy ~frame buf ~off ~len ~hdr ~in_port ~keep_token ~info:in_info ~rlen
+  with
   | exception (Invalid_argument _ | Failure _ | Wire.Buf.Underflow | Wire.Buf.Overflow)
     ->
     drop t ~frame ~in_port Malformed
-  | forwarded ->
-    let forwarded =
-      let mtu = port_mtu t out_port in
-      if Bytes.length forwarded > mtu then begin
+  | out ->
+    let mtu = port_mtu t out_port in
+    let out =
+      if out.Netsim.Frame.len > mtu then begin
         bump t truncated;
-        Pkt.truncate_to forwarded ~max:(mtu - 4)
+        (* the marker and the fresh trailer take 5 bytes *)
+        let cut = Pkt.truncate_to (Netsim.Frame.contents out) ~max:(mtu - 5) in
+        copy_frame ~frame cut ~len:(Bytes.length cut)
       end
-      else forwarded
+      else out
     in
-    switch t ~frame ~in_port ~out_port ~head ~tail ~header_size
-      ~priority:seg.Seg.priority ~dib:seg.Seg.flags.Seg.dib ~payload:forwarded
+    switch t ~frame ~out ~in_port ~out_port ~head ~tail
+      ~header_size:(header_size buf ~off ~hdr) ~priority ~dib
 
 (* The token check's verdicts a frame acts on at once. *)
 type authorization =
@@ -387,7 +415,7 @@ type authorization =
 (* A reverse-path packet (RPF flag) is checked against its arrival port:
    that is the port its token originally named, and reverse_ok in the
    grant decides admission (§2.2's reverse-route authorization). *)
-let auth_port ~seg ~in_port ~out_port = if seg.Seg.flags.Seg.rpf then in_port else out_port
+let auth_port ~rpf ~in_port ~out_port = if rpf then in_port else out_port
 
 let reject t ~frame ~in_port =
   flight_note ~frame Flight.Denied;
@@ -405,8 +433,8 @@ let verify_in_background t ~token =
 (* Token checking, with its side effects (counters, flight notes,
    background verification) done here; no closure is built unless the
    verdict is [Held]. *)
-let authorize t ~seg ~frame ~in_port ~out_port ~packet_bytes =
-  if Bytes.length seg.Seg.token = 0 then begin
+let authorize t ~token ~rpf ~priority ~frame ~in_port ~out_port ~packet_bytes =
+  if Bytes.length token = 0 then begin
     if t.config.require_tokens then begin
       reject t ~frame ~in_port;
       Refused
@@ -418,9 +446,9 @@ let authorize t ~seg ~frame ~in_port ~out_port ~packet_bytes =
   end
   else
     match
-      Token.Cache.check t.cache ~token:seg.Seg.token
-        ~port:(auth_port ~seg ~in_port ~out_port) ~priority:seg.Seg.priority
-        ~now_ms:(now t / 1_000_000) ~packet_bytes ~reverse:seg.Seg.flags.Seg.rpf
+      Token.Cache.check t.cache ~token
+        ~port:(auth_port ~rpf ~in_port ~out_port) ~priority
+        ~now_ms:(now t / 1_000_000) ~packet_bytes ~reverse:rpf
     with
     | Token.Cache.Admit g ->
       flight_note ~frame Flight.Cache_hit;
@@ -430,7 +458,7 @@ let authorize t ~seg ~frame ~in_port ~out_port ~packet_bytes =
       Refused
     | Token.Cache.Miss_admit ->
       (* Optimistic: forward now, decrypt in the background. *)
-      verify_in_background t ~token:seg.Seg.token;
+      verify_in_background t ~token;
       flight_note ~frame Flight.Cache_miss;
       Pass
     | Token.Cache.Defer ->
@@ -440,21 +468,21 @@ let authorize t ~seg ~frame ~in_port ~out_port ~packet_bytes =
       (* dropped, but "in any case, the new token is decrypted, checked and
          cached to prepare for subsequent packets" *)
       reject t ~frame ~in_port;
-      verify_in_background t ~token:seg.Seg.token;
+      verify_in_background t ~token;
       Refused
 
 (* Blocking authentication of a [Held] frame: hold the packet while the
    token is decrypted, then re-check; [proceed ~reverse_ok] switches it. *)
-let verify_then t ~seg ~frame ~in_port ~out_port ~packet_bytes ~proceed =
+let verify_then t ~token ~rpf ~priority ~frame ~in_port ~out_port ~packet_bytes ~proceed =
   schedule t
     ~time:(now t + t.config.verify_time)
     (fun () ->
       let now_ms = now t / 1_000_000 in
-      if Token.Cache.complete_verification t.cache ~token:seg.Seg.token ~now_ms then begin
+      if Token.Cache.complete_verification t.cache ~token ~now_ms then begin
         match
-          Token.Cache.check t.cache ~token:seg.Seg.token
-            ~port:(auth_port ~seg ~in_port ~out_port) ~priority:seg.Seg.priority
-            ~now_ms ~packet_bytes ~reverse:seg.Seg.flags.Seg.rpf
+          Token.Cache.check t.cache ~token
+            ~port:(auth_port ~rpf ~in_port ~out_port) ~priority
+            ~now_ms ~packet_bytes ~reverse:rpf
         with
         | Token.Cache.Admit g ->
           flight_note ~frame Flight.Cache_miss;
@@ -466,24 +494,30 @@ let verify_then t ~seg ~frame ~in_port ~out_port ~packet_bytes ~proceed =
       else reject t ~frame ~in_port)
 
 (* Authorize the leading segment for its own port, then forward out
-   [out_port] (a logical group's chosen member, or the same port). *)
-let authorized_forward t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head
-    ~tail ~header_size =
-  let packet_bytes = Bytes.length payload in
-  let auth_out = seg.Seg.port in
-  match authorize t ~seg ~frame ~in_port ~out_port:auth_out ~packet_bytes with
+   [out_port] (a logical group's chosen member, or the same port). The
+   segment's fields are read where it lies; only a token is copied. *)
+let authorized_forward t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head
+    ~tail =
+  let token = Seg.peek_token buf ~off in
+  let rpf = (Seg.peek_flags buf ~off).Seg.rpf in
+  let priority = Seg.peek_priority buf ~off in
+  let auth_out = Seg.peek_port buf ~off in
+  match
+    authorize t ~token ~rpf ~priority ~frame ~in_port ~out_port:auth_out
+      ~packet_bytes:len
+  with
   | Pass ->
-    forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~tail
-      ~header_size ~reverse_ok:true
+    forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~tail
+      ~reverse_ok:true ~copy:false
   | Granted g ->
-    forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head ~tail
-      ~header_size ~reverse_ok:g.Token.Capability.reverse_ok
+    forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~tail
+      ~reverse_ok:g.Token.Capability.reverse_ok ~copy:false
   | Refused -> ()
   | Held ->
-    verify_then t ~seg ~frame ~in_port ~out_port:auth_out ~packet_bytes
-      ~proceed:(fun ~reverse_ok ->
-        forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head
-          ~tail ~header_size ~reverse_ok)
+    verify_then t ~token ~rpf ~priority ~frame ~in_port ~out_port:auth_out
+      ~packet_bytes:len ~proceed:(fun ~reverse_ok ->
+        forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~tail
+          ~reverse_ok ~copy:false)
 
 let all_ports_except t ~except =
   List.filter_map
@@ -497,76 +531,75 @@ let prepend rest ~write =
   Wire.Buf.put_bytes w rest;
   Wire.Buf.contents w
 
-let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
+(* The stripped remainder, materialized only on the slow paths (splice,
+   tree multicast, custom ports). *)
+let rest buf ~off ~len ~hdr = Bytes.sub buf (off + hdr) (len - hdr)
+
+(* The packet is the window [buf.[off] .. buf.[off + len - 1]]: the
+   frame's own window, or one a slow path made. Its leading segment is
+   read in place, its extent found with exactly a full read's verdict. *)
+let rec process t ~frame ~buf ~off ~len ~in_port ~in_info ~head ~tail ~depth =
   if depth > 4 then drop t ~frame ~in_port Parse_error
   else
-    let r = Wire.Buf.reader_window payload ~off:0 ~len:(Bytes.length payload) in
-    match Seg.read r with
+    match Seg.extent_to buf ~off ~stop:(off + len) with
     | exception (Wire.Buf.Underflow | Wire.Buf.Overflow | Invalid_argument _ | Failure _)
       ->
       (* A frame damaged in flight (or truncated by preemption) must become
          a counted drop, never an exception out of the frame handler. *)
       drop t ~frame ~in_port Malformed
-    | seg ->
-      let pos = Wire.Buf.position r in
-      let header_size = Seg.encoded_size seg in
-      (* The stripped remainder, materialized only on the slow paths
-         (splice, tree multicast, custom ports); plain forwarding works
-         from (payload, pos) without the intermediate copy. *)
-      let rest () = Bytes.sub payload pos (Bytes.length payload - pos) in
-      if seg.Seg.port = Seg.local_port then
-        deliver_local t ~frame ~payload ~in_port ~tail
+    | hdr ->
+      let port = Seg.peek_port buf ~off in
+      if port = Seg.local_port then deliver_local t ~frame ~buf ~off ~len ~in_port ~tail
       else begin
-        match at_port t.port_handlers seg.Seg.port with
+        match at_port t.port_handlers port with
         | Some f ->
           (* custom port (e.g. an interop tunnel): hand over after full
              reception, like any store-and-forward boundary *)
-          let rest = rest () in
+          let seg = Seg.decode_sub buf ~off ~len:hdr in
+          let rest = rest buf ~off ~len ~hdr in
           schedule t
-            ~time:(max (now t) tail + t.config.process_time)
+            ~time:(Int.max (now t) tail + t.config.process_time)
             (fun () -> f ~seg ~rest ~in_port)
         | None ->
-        match Logical.lookup t.logical ~port:seg.Seg.port with
+        match Logical.lookup t.logical ~port with
         | Some (Logical.Group physical) ->
           let best = choose_least_queued t physical in
-          authorized_forward t ~seg ~frame ~payload ~pos ~in_port ~in_info
-            ~out_port:best ~head ~tail ~header_size
+          authorized_forward t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info
+            ~out_port:best ~head ~tail
         | Some (Logical.Splice expansion) ->
           bump t spliced;
           (* the expansion stands in for this segment: VNT on its last
              segment iff this one had it *)
-          let last_vnt = seg.Seg.flags.Seg.vnt in
+          let last_vnt = Seg.peek_vnt buf ~off in
           let payload' =
-            prepend (rest ()) ~write:(fun w -> Seg.write_route w ~last_vnt expansion)
+            prepend (rest buf ~off ~len ~hdr) ~write:(fun w ->
+                Seg.write_route w ~last_vnt expansion)
           in
-          process t ~frame ~payload:payload' ~in_port ~in_info ~head ~tail
-            ~depth:(depth + 1)
+          process t ~frame ~buf:payload' ~off:0 ~len:(Bytes.length payload') ~in_port
+            ~in_info ~head ~tail ~depth:(depth + 1)
         | None ->
-          if seg.Seg.port = Seg.broadcast_port then
-            multicast t ~seg ~frame ~payload ~pos ~in_port ~in_info ~head ~tail
-              ~header_size ~ports:(all_ports_except t ~except:in_port)
-          else if seg.Seg.port = Viper.Multicast.tree_port then
-            tree_multicast t ~seg ~frame ~rest:(rest ()) ~in_port ~in_info ~head
-              ~tail ~depth
-          else if Seg.is_multicast_port seg.Seg.port then begin
-            match at_port t.port_groups seg.Seg.port with
+          if port = Seg.broadcast_port then
+            multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail
+              ~ports:(all_ports_except t ~except:in_port)
+          else if port = Viper.Multicast.tree_port then
+            tree_multicast t ~frame ~info:(Seg.decode_sub buf ~off ~len:hdr).Seg.info
+              ~rest:(rest buf ~off ~len ~hdr) ~in_port ~in_info ~head ~tail ~depth
+          else if Seg.is_multicast_port port then begin
+            match at_port t.port_groups port with
             | Some ports ->
-              multicast t ~seg ~frame ~payload ~pos ~in_port ~in_info ~head ~tail
-                ~header_size ~ports
+              multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail ~ports
             | None -> drop t ~frame ~in_port Parse_error
           end
           else if
-            Bytes.length seg.Seg.branch > 0
-            && G.link_via (W.graph t.world) t.node seg.Seg.port = None
+            Seg.peek_branch buf ~off && G.link_via (W.graph t.world) t.node port = None
           then begin
             (* Slick-Packets failover: the addressed link is down, but the
                segment carries an alternate route from this router onward.
                Substitute it for the rest of the sold route, mark the
                trailer so the receiver knows the path actually taken, and
                re-switch locally — no directory round trip. *)
-            match
-              Pkt.substitute_route_branch payload ~route:seg.Seg.branch
-            with
+            let branch = (Seg.decode_sub buf ~off ~len:hdr).Seg.branch in
+            match Pkt.substitute_route_branch (Bytes.sub buf off len) ~route:branch with
             | exception
                 ( Invalid_argument _ | Failure _ | Wire.Buf.Underflow
                 | Wire.Buf.Overflow ) ->
@@ -574,14 +607,13 @@ let rec process t ~frame ~payload ~in_port ~in_info ~head ~tail ~depth =
             | payload' ->
               bump t inheader_failovers;
               Telemetry.Events.emit (W.events t.world) ~time:(now t)
-                (Telemetry.Events.Inheader_failover
-                   { node = t.node; port = seg.Seg.port });
-              process t ~frame ~payload:payload' ~in_port ~in_info ~head ~tail
-                ~depth:(depth + 1)
+                (Telemetry.Events.Inheader_failover { node = t.node; port });
+              process t ~frame ~buf:payload' ~off:0 ~len:(Bytes.length payload') ~in_port
+                ~in_info ~head ~tail ~depth:(depth + 1)
           end
           else
-            authorized_forward t ~seg ~frame ~payload ~pos ~in_port ~in_info
-              ~out_port:seg.Seg.port ~head ~tail ~header_size
+            authorized_forward t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info
+              ~out_port:port ~head ~tail
       end
 
 and choose_least_queued t ports =
@@ -596,37 +628,36 @@ and choose_least_queued t ports =
       (fun best p -> if load p < load best then p else best)
       first ports
 
-and multicast t ~seg ~frame ~payload ~pos ~in_port ~in_info ~head ~tail
-    ~header_size ~ports =
+and multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail ~ports =
   List.iter
     (fun out_port ->
       bump t multicast_copies;
-      forward_one t ~seg ~frame ~payload ~pos ~in_port ~in_info ~out_port ~head
-        ~tail ~header_size ~reverse_ok:true)
+      forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~tail
+        ~reverse_ok:true ~copy:true)
     ports
 
-and tree_multicast t ~seg ~frame ~rest ~in_port ~in_info ~head ~tail ~depth =
-  match Viper.Multicast.decode_branches seg.Seg.info with
+and tree_multicast t ~frame ~info ~rest ~in_port ~in_info ~head ~tail ~depth =
+  match Viper.Multicast.decode_branches info with
   | exception _ -> drop t ~frame ~in_port Malformed
   | branches ->
     List.iter
       (fun branch ->
         bump t multicast_copies;
         let payload' = prepend rest ~write:(fun w -> List.iter (Seg.write w) branch) in
-        process t ~frame ~payload:payload' ~in_port ~in_info ~head ~tail
-          ~depth:(depth + 1))
+        process t ~frame ~buf:payload' ~off:0 ~len:(Bytes.length payload') ~in_port
+          ~in_info ~head ~tail ~depth:(depth + 1))
       branches
 
 (* Either codec becomes the [Pkt.t] [on_local] consumers expect
-   ({!Pkt.unfold}): a VIPER parse, or the XSR unfold, whose trailer makes
-   [Pkt.return_route] work unchanged. *)
-and deliver_local t ~frame ~payload ~in_port ~tail =
+   ({!Pkt.unfold}): a VIPER window checked in place, or the XSR unfold,
+   whose trailer makes [Pkt.return_route] work unchanged. *)
+and deliver_local t ~frame ~buf ~off ~len ~in_port ~tail =
   schedule t
-    ~time:(max (now t) tail + t.config.process_time)
+    ~time:(Int.max (now t) tail + t.config.process_time)
     (fun () ->
       if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted_delivery
       else
-      match Pkt.unfold payload with
+      match Pkt.unfold buf ~off ~len with
       | Error _ -> drop t ~frame ~in_port Malformed
       | Ok packet -> (
         bump t delivered_local;
@@ -645,21 +676,25 @@ and deliver_local t ~frame ~payload ~in_port ~tail =
    copies, zero allocations per hop) through the same switch and local
    delivery as VIPER. XSR headers carry no tokens, so a router that
    requires them rejects XSR traffic outright. *)
-let process_xsr t ~frame ~payload ~in_port ~head ~tail =
+let process_xsr t ~frame ~in_port ~head ~tail =
   if t.config.require_tokens then reject t ~frame ~in_port
   else
+    let payload = Netsim.Frame.contents frame and len = frame.Netsim.Frame.len in
     match Viper.Xsr.step payload ~in_port with
     | Viper.Xsr.Malformed _ -> drop t ~frame ~in_port Malformed
-    | Viper.Xsr.Deliver -> deliver_local t ~frame ~payload ~in_port ~tail
+    | Viper.Xsr.Deliver -> deliver_local t ~frame ~buf:payload ~off:0 ~len ~in_port ~tail
     | Viper.Xsr.Forward out_port ->
       (* constant-size headers cannot carry a truncation marker, so an
          over-MTU XSR packet is a counted drop, not a graceful cut *)
-      if Bytes.length payload > port_mtu t out_port then
-        drop t ~frame ~in_port Truncated
+      if len > port_mtu t out_port then drop t ~frame ~in_port Truncated
       else
-        switch t ~frame ~in_port ~out_port ~head ~tail
+        let out =
+          if payload == frame.Netsim.Frame.payload then frame
+          else copy_frame ~frame payload ~len
+        in
+        switch t ~frame ~out ~in_port ~out_port ~head ~tail
           ~header_size:Viper.Xsr.header_size
-          ~priority:(Viper.Xsr.priority payload) ~dib:false ~payload
+          ~priority:(Viper.Xsr.priority payload) ~dib:false
 
 let handle t _world ~in_port ~frame ~head ~tail =
   if not t.up then drop t ~frame ~in_port Down
@@ -670,12 +705,9 @@ let handle t _world ~in_port ~frame ~head ~tail =
       | Some c -> Congestion.handle_ctl c ~arrival_port:in_port ~congested_port ~rate_bps
       | None -> ())
     | Some _ | None ->
-      if Viper.Xsr.is_xsr frame.Netsim.Frame.payload then
-        process_xsr t ~frame ~payload:frame.Netsim.Frame.payload ~in_port ~head
-          ~tail
-      else
-        process t ~frame ~payload:frame.Netsim.Frame.payload ~in_port
-          ~in_info:None ~head ~tail ~depth:0
+      let { Netsim.Frame.payload = buf; off; len; _ } = frame in
+      if Viper.Xsr.is_xsr_in buf ~off ~len then process_xsr t ~frame ~in_port ~head ~tail
+      else process t ~frame ~buf ~off ~len ~in_port ~in_info:None ~head ~tail ~depth:0
 
 let create ?(config = default_config) ?key world ~node () =
   let key =
@@ -730,8 +762,8 @@ let inject t ~payload ~in_port ~return_info =
         ~departure:(now t) ~handling:Flight.Injected
     | None -> ());
     let frame = W.fresh_frame t.world ?flight payload in
-    process t ~frame ~payload ~in_port ~in_info:(Some return_info)
-      ~head:(now t) ~tail:(now t) ~depth:0
+    process t ~frame ~buf:payload ~off:0 ~len:(Bytes.length payload) ~in_port
+      ~in_info:(Some return_info) ~head:(now t) ~tail:(now t) ~depth:0
   end
 
 let handle_frame t = handle t

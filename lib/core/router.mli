@@ -105,7 +105,8 @@ val inject :
 (** Feed a Sirpent packet that arrived out-of-band (e.g. decapsulated from
     an IP tunnel) into the forwarding pipeline as if received now on
     [in_port]. [return_info] becomes the appended trailer segment's
-    network-specific portInfo, so replies re-enter the tunnel correctly. *)
+    network-specific portInfo, so replies re-enter the tunnel correctly.
+    [payload] stays the caller's: the router forwards a copy. *)
 
 val handle_frame : t -> Netsim.World.handler
 (** The router's frame handler (for wrappers that dispatch between stacks

@@ -93,7 +93,7 @@ let handle t _world ~in_port ~frame ~head:_ ~tail:_ =
     | None -> ())
   | Some _ -> ()
   | None -> (
-    match Signal.decode_data frame.Netsim.Frame.payload with
+    match Signal.decode_data (Netsim.Frame.contents frame) with
     | exception Wire.Buf.Underflow -> ()
     | vci, data -> (
       match find_by_vci t vci with

@@ -182,7 +182,7 @@ let handle t _world ~in_port ~frame ~head:_ ~tail =
   | Some _ -> ()
   | None ->
     at t.config.data_process_time (fun () ->
-        forward_data t ~in_port ~payload:frame.Netsim.Frame.payload)
+        forward_data t ~in_port ~payload:(Netsim.Frame.contents frame))
 
 let create ?(config = default_config) world ~node () =
   let t =

@@ -15,7 +15,7 @@ let region_span bytes region =
     match Pkt.parse bytes with
     | Error _ -> None
     | Ok t -> (
-      let header = Pkt.total_header_overhead ~route:t.Pkt.route in
+      let header = Pkt.total_header_overhead ~route:(Pkt.route t) in
       let trailer = Tr.size bytes in
       match region with
       | Header -> if header > 0 then Some (0, header) else None

@@ -130,7 +130,7 @@ let handle t world ~in_port ~frame ~head ~tail =
       ~time:(max (W.now t.world) tail)
       (fun () ->
         if not frame.Netsim.Frame.aborted then
-          accept_ip t frame.Netsim.Frame.payload)
+          accept_ip t (Netsim.Frame.contents frame))
   else Sirpent.Router.handle_frame t.router world ~in_port ~frame ~head ~tail
 
 let create ?router_config ?(ttl = 32) world ~node ~cloud_port ~tunnel_port () =

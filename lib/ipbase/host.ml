@@ -49,7 +49,7 @@ let handle t _world ~in_port ~frame ~head:_ ~tail =
   | Some _ -> ()
   | None ->
     Sim.Engine.schedule_at (W.engine t.world) ~time:(max (W.now t.world) tail)
-      (fun () -> accept t frame.Netsim.Frame.payload)
+      (fun () -> accept t (Netsim.Frame.contents frame))
 
 let create ?reassembly_timeout world ~node () =
   let t =

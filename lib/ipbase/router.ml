@@ -121,7 +121,7 @@ let handle t _world ~in_port ~frame ~head:_ ~tail =
   if not consumed then
     Sim.Engine.schedule_at (W.engine t.world)
       ~time:(max (W.now t.world) tail + t.config.process_time)
-      (fun () -> forward t frame.Netsim.Frame.payload)
+      (fun () -> forward t (Netsim.Frame.contents frame))
 
 let create ?(config = default_config) world ~node () =
   let linkstate =

@@ -1,19 +1,22 @@
 type meta = ..
 
 type t = {
-  id : int;
   payload : bytes;
-  priority : Token.Priority.t;
-  drop_if_blocked : bool;
-  born : Sim.Time.t;
+  mutable off : int;
+  mutable len : int;
+  mutable priority : Token.Priority.t;
+  mutable drop_if_blocked : bool;
   meta : meta option;
   flight : Telemetry.Flight.ctx option;
   mutable aborted : bool;
 }
 
-let bits t = 8 * Bytes.length t.payload
+let bits t = 8 * t.len
+
+let contents t =
+  if t.off = 0 && t.len = Bytes.length t.payload then t.payload
+  else Bytes.sub t.payload t.off t.len
 
 let pp fmt t =
-  Format.fprintf fmt "frame#%d(%dB prio%X%s)" t.id (Bytes.length t.payload)
-    t.priority
+  Format.fprintf fmt "frame(%dB prio%X%s)" t.len t.priority
     (if t.drop_if_blocked then " DIB" else "")

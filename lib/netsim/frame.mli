@@ -1,19 +1,31 @@
 (** Frames in flight on simulated links.
 
-    A frame carries real protocol bytes plus simulation bookkeeping (id,
-    birth time) and the fields a link scheduler needs without parsing the
-    payload: priority and the drop-if-blocked disposition. Protocol stacks
-    attach out-of-band metadata through the extensible {!meta} type (used
-    for control messages whose wire format the paper leaves open). *)
+    A frame carries real protocol bytes plus the fields a link scheduler
+    needs without parsing them: priority and the drop-if-blocked
+    disposition. Protocol stacks attach out-of-band metadata through the
+    extensible {!meta} type (used for control messages whose wire format
+    the paper leaves open).
+
+    {b The window.} A frame's bytes on the wire are the window
+    [payload.[off] .. payload.[off + len - 1]]. A VIPER packet keeps one
+    buffer for its whole life: a router strips the leading segment by
+    advancing [off] and writes its return hop into the tailroom past the
+    window's end, growing [len] (§2: the header moves to the trailer "as
+    the bits stream through"). Ownership: the node holding a frame is the
+    buffer's only writer, and it writes only past the window's end. Once a
+    host has accepted a packet nothing writes its buffer again, so a
+    receiver may keep reading it. Anything that hands bytes to another
+    owner (a multicast copy, a gateway crossing into another domain)
+    copies the window first. *)
 
 type meta = ..
 
 type t = {
-  id : int;  (** unique per world *)
-  payload : bytes;
-  priority : Token.Priority.t;
-  drop_if_blocked : bool;
-  born : Sim.Time.t;
+  payload : bytes;  (** the buffer the window lies in *)
+  mutable off : int;  (** where the wire bytes start *)
+  mutable len : int;  (** how many bytes are on the wire *)
+  mutable priority : Token.Priority.t;
+  mutable drop_if_blocked : bool;
   meta : meta option;
   flight : Telemetry.Flight.ctx option;
       (** flight-recorder trace context riding the packet (see
@@ -27,6 +39,10 @@ type t = {
 }
 
 val bits : t -> int
-(** Payload size in bits (what the link serializes). *)
+(** Wire size in bits (what the link serializes): [8 * len]. *)
+
+val contents : t -> bytes
+(** The wire bytes alone: [payload] itself when the window is the whole
+    buffer, else a copy of the window. *)
 
 val pp : Format.formatter -> t -> unit

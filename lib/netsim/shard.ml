@@ -31,9 +31,11 @@ type message = {
   head : Sim.Time.t;
   tail : Sim.Time.t;
   payload : bytes;
+      (** a copy of the frame's window and the tailroom behind it: no
+          buffer is shared across domains *)
+  len : int;  (** the window's length *)
   priority : Token.Priority.t;
   drop_if_blocked : bool;
-  born : Sim.Time.t;
   aborted : bool;
   carried : Telemetry.Flight.carried option;
 }
@@ -118,8 +120,8 @@ let deliverer members ~ngw ~dir ~dst ~node ~in_port =
         in
         let frame =
           World.import_frame sh.world ~priority:msg.priority
-            ~drop_if_blocked:msg.drop_if_blocked ?flight ~born:msg.born
-            ~aborted:msg.aborted msg.payload
+            ~drop_if_blocked:msg.drop_if_blocked ?flight ~aborted:msg.aborted
+            ~len:msg.len msg.payload
         in
         World.deliver_direct sh.world ~node ~in_port ~frame ~head:msg.head
           ~tail:msg.tail)
@@ -243,10 +245,12 @@ let create ?profiles (part : Partition.t) =
                   m_seq = t.m_seq.(dir);
                   head;
                   tail;
-                  payload = frame.Frame.payload;
+                  payload =
+                    Bytes.sub frame.Frame.payload frame.Frame.off
+                      (Bytes.length frame.Frame.payload - frame.Frame.off);
+                  len = frame.Frame.len;
                   priority = frame.Frame.priority;
                   drop_if_blocked = frame.Frame.drop_if_blocked;
-                  born = frame.Frame.born;
                   aborted = frame.Frame.aborted;
                   carried = Option.map Telemetry.Flight.export frame.Frame.flight;
                 }

@@ -95,7 +95,6 @@ and t = {
       (** ports whose live transmission finishes no earlier than its
           delivery, keyed by its completion key, so {!retire_passed}
           finds the ones that are over in key order *)
-  mutable next_frame_id : int;
   metrics : Telemetry.Registry.t;
   events : Telemetry.Events.t;
   flight : Telemetry.Flight.t;
@@ -107,11 +106,11 @@ module C = Telemetry.Registry.Counter
 (* fills the outport queues' vacated slots; never handed out *)
 let idle_frame =
   {
-    Frame.id = -1;
-    payload = Bytes.empty;
+    Frame.payload = Bytes.empty;
+    off = 0;
+    len = 0;
     priority = Token.Priority.normal;
     drop_if_blocked = false;
-    born = 0;
     meta = None;
     flight = None;
     aborted = false;
@@ -170,7 +169,6 @@ let create ?(default_buffer_bytes = 256 * 1024) engine graph =
     handler_errors = Hashtbl.create 8;
     taps = [||];
     retiring = Sim.Heap.create ~dummy:vacant_port;
-    next_frame_id = 0;
     metrics;
     events = Telemetry.Events.create ();
     flight = Telemetry.Flight.create ();
@@ -263,17 +261,14 @@ let set_departure_tap t ~node f =
   t.taps <- room ~empty:None t.taps node;
   t.taps.(node) <- Some f
 
-let fresh_frame t ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
+let fresh_frame _t ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
     ?meta ?flight payload =
-  let id = t.next_frame_id in
-  t.next_frame_id <- id + 1;
-  { Frame.id; payload; priority; drop_if_blocked; born = now t; meta; flight; aborted = false }
+  { Frame.payload; off = 0; len = Bytes.length payload; priority; drop_if_blocked; meta;
+    flight; aborted = false }
 
-let import_frame t ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
-    ?flight ~born ~aborted payload =
-  let id = t.next_frame_id in
-  t.next_frame_id <- id + 1;
-  { Frame.id; payload; priority; drop_if_blocked; born; meta = None; flight; aborted }
+let import_frame _t ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
+    ?flight ~aborted ~len payload =
+  { Frame.payload; off = 0; len; priority; drop_if_blocked; meta = None; flight; aborted }
 
 let set_buffer_bytes t ~node ~port n = (outport t node port).buffer_bytes <- n
 
@@ -302,7 +297,7 @@ let restore_link t link =
 let maybe_corrupt t op link frame =
   let damaged =
     match t.corruptor with
-    | Some f -> f ~link frame.Frame.payload
+    | Some f -> f ~link (Frame.contents frame)
     | None -> (
       match find t.ber link.G.link_id with
       | None -> None
@@ -311,7 +306,7 @@ let maybe_corrupt t op link frame =
         let p_frame = 1.0 -. ((1.0 -. p) ** float_of_int bits) in
         if Sim.Rng.float t.rng 1.0 >= p_frame then None
         else begin
-          let payload = Bytes.copy frame.Frame.payload in
+          let payload = Bytes.sub frame.Frame.payload frame.Frame.off frame.Frame.len in
           let i = Sim.Rng.int t.rng (max 1 (Bytes.length payload)) in
           Bytes.set payload i
             (Char.chr
@@ -324,7 +319,7 @@ let maybe_corrupt t op link frame =
   | Some payload ->
     op.corrupted <- op.corrupted + 1;
     C.incr t.agg.agg_corrupted;
-    { frame with Frame.payload = payload; Frame.aborted = false }
+    { frame with Frame.payload; off = 0; len = Bytes.length payload; aborted = false }
 
 (* A raising node handler must not take the whole simulation down: the
    event loop survives, the fault is charged to the receiving node. *)
@@ -390,9 +385,9 @@ let rec start_transmission t op link frame =
      completion just dequeued) need the completion to start them *)
   if not (Sim.Heap.is_empty op.queue) then schedule_completion t op tx;
   op.sent_frames <- op.sent_frames + 1;
-  op.sent_bytes <- op.sent_bytes + Bytes.length frame.Frame.payload;
+  op.sent_bytes <- op.sent_bytes + frame.Frame.len;
   C.incr t.agg.agg_sent_frames;
-  C.add t.agg.agg_sent_bytes (Bytes.length frame.Frame.payload);
+  C.add t.agg.agg_sent_bytes (frame.Frame.len);
   op.busy_time <- op.busy_time + tx_time
 
 (* Schedule [tx]'s completion at the key it reserved. *)
@@ -405,7 +400,7 @@ and complete t op =
   op.current <- no_tx;
   if not (Sim.Heap.is_empty op.queue) then begin
     let frame = Sim.Heap.pop_value op.queue in
-    op.queued_bytes <- op.queued_bytes - Bytes.length frame.Frame.payload;
+    op.queued_bytes <- op.queued_bytes - frame.Frame.len;
     Sim.Stats.Timeweighted.set op.qtrack ~now:(now t)
       (float_of_int (Sim.Heap.size op.queue));
     match G.link_at t.graph op.op_node op.op_port with
@@ -418,7 +413,7 @@ and complete t op =
 
 (* Queue [frame] behind [tx], the port's busy transmission. *)
 let enqueue t op tx frame =
-  if op.queued_bytes + Bytes.length frame.Frame.payload > op.buffer_bytes then begin
+  if op.queued_bytes + frame.Frame.len > op.buffer_bytes then begin
     op.dropped_overflow <- op.dropped_overflow + 1;
     C.incr t.agg.agg_dropped_overflow;
     Dropped_overflow
@@ -428,7 +423,7 @@ let enqueue t op tx frame =
     let key = 15 - Token.Priority.rank frame.Frame.priority in
     Sim.Heap.push op.queue ~time:key ~seq:op.qseq frame;
     op.qseq <- op.qseq + 1;
-    op.queued_bytes <- op.queued_bytes + Bytes.length frame.Frame.payload;
+    op.queued_bytes <- op.queued_bytes + frame.Frame.len;
     Sim.Stats.Timeweighted.set op.qtrack ~now:(now t)
       (float_of_int (Sim.Heap.size op.queue));
     if not tx.completion_scheduled then schedule_completion t op tx;
@@ -551,7 +546,7 @@ let purge_node t ~node =
         op.current <- no_tx;
         while not (Sim.Heap.is_empty op.queue) do
           let frame = Sim.Heap.pop_value op.queue in
-          op.queued_bytes <- op.queued_bytes - Bytes.length frame.Frame.payload;
+          op.queued_bytes <- op.queued_bytes - frame.Frame.len;
           mark_purged frame;
           incr dropped
         done;

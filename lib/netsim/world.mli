@@ -49,9 +49,10 @@ val set_handler : t -> Topo.Graph.node_id -> handler -> unit
 val fresh_frame :
   t -> ?priority:Token.Priority.t -> ?drop_if_blocked:bool ->
   ?meta:Frame.meta -> ?flight:Telemetry.Flight.ctx -> bytes -> Frame.t
-(** [flight] attaches a flight-recorder trace context to the frame;
-    forwarders that re-frame a payload pass the incoming frame's context
-    along so spans accumulate across the whole route. *)
+(** A frame whose window is the whole of the given bytes. [flight]
+    attaches a flight-recorder trace context to the frame; forwarders
+    that re-frame a payload pass the incoming frame's context along so
+    spans accumulate across the whole route. *)
 
 val send : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> Frame.t -> send_result
 (** Hand a frame to the node's output port for transmission now. *)
@@ -71,11 +72,12 @@ val set_departure_tap : t -> node:Topo.Graph.node_id -> (head:Sim.Time.t -> unit
 
 val import_frame :
   t -> ?priority:Token.Priority.t -> ?drop_if_blocked:bool ->
-  ?flight:Telemetry.Flight.ctx -> born:Sim.Time.t -> aborted:bool -> bytes ->
-  Frame.t
-(** A frame re-entering this world from another region's shard: fresh
-    local id, explicit provenance. [meta] does not cross gateways (it
-    may hold world-local state); the shard layer counts such drops. *)
+  ?flight:Telemetry.Flight.ctx -> aborted:bool -> len:int -> bytes -> Frame.t
+(** A frame re-entering this world from another region's shard, its
+    window the first [len] bytes of a buffer copied for this world (the
+    rest is the packet's remaining tailroom). [meta] does not cross
+    gateways (it may hold world-local state); the shard layer counts such
+    drops. *)
 
 val deliver_direct :
   t -> node:Topo.Graph.node_id -> in_port:Topo.Graph.port -> frame:Frame.t ->

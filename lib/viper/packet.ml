@@ -1,18 +1,7 @@
-type t = {
-  route : Segment.t list;
-  data : bytes;
-  trailer : Trailer.entry list;
-}
+type t = { data : bytes; wire : bytes; off : int; len : int; xsr : bool }
 
-let truncated t =
-  List.exists
-    (function Trailer.Truncated -> true | Trailer.Hop _ | Trailer.Branch -> false)
-    t.trailer
-
-let took_branch t =
-  List.exists
-    (function Trailer.Branch -> true | Trailer.Hop _ | Trailer.Truncated -> false)
-    t.trailer
+let truncated t = (not t.xsr) && Trailer.truncated_in t.wire ~off:t.off ~len:t.len
+let took_branch t = (not t.xsr) && Trailer.branched_in t.wire ~off:t.off ~len:t.len
 
 let max_transmission_unit = 1500
 let max_route_segments = 48
@@ -26,26 +15,56 @@ let check_route ~fn route =
 let total_header_overhead ~route =
   List.fold_left (fun acc s -> acc + Segment.encoded_size s) 0 route
 
-(* One exact-size allocation: the route is written straight into the
-   packet (VNT from position, {!Segment.write_route}), then the data and
-   the empty trailer. The writer never grows and nothing is copied out. *)
-let build_with ~stamp ~dib ~priority ~route ~data =
+(* The bytes a router appends to the trailer when it strips a segment:
+   the return hop (at most the segment, without its branch) and the
+   entry's checksum and length. Local delivery appends nothing. *)
+let rec tailroom = function
+  | [] -> 0
+  | seg :: rest ->
+    let field b = if Bytes.length b < 255 then Bytes.length b else Bytes.length b + 4 in
+    (if seg.Segment.port = Segment.local_port then 0
+     else Segment.fixed_size + field seg.Segment.token + field seg.Segment.info + 3)
+    + tailroom rest
+
+(* The same, read off the VNT chain at [off] in place. *)
+let rec tailroom_from b ~off ~stop =
+  match Segment.extent_to b ~off ~stop with
+  | exception (Wire.Buf.Underflow | Invalid_argument _ | Failure _) -> 0
+  | hdr ->
+    (if Segment.peek_port b ~off = Segment.local_port then 0
+     else Segment.return_hop_size b ~off ~port:0 ~keep_token:true ~info:None + 3)
+    + if Segment.peek_vnt b ~off then tailroom_from b ~off:(off + hdr) ~stop else 0
+
+let tailroom_in b ~off ~len =
+  match tailroom_from b ~off ~stop:(off + len) with
+  | room -> room
+  | exception Invalid_argument _ -> 0
+
+(* One allocation: the route is written straight into the packet (VNT
+   from position, {!Segment.write_route}), then the data and the empty
+   trailer, and [tailroom] bytes are left past them. Nothing is copied
+   out. *)
+let build_with ~stamp ~dib ~priority ~tailroom ~route ~data =
   check_route ~fn:"Packet.build" route;
   let header = total_header_overhead ~route in
   let dlen = Bytes.length data in
   let tlen = Bytes.length Trailer.empty in
-  let out = Bytes.create (header + dlen + tlen) in
-  let w = Wire.Buf.writer_onto out ~off:0 ~len:header in
-  if stamp then Segment.write_route_stamped w ~dib ~priority route
-  else Segment.write_route w ~last_vnt:false route;
+  let out = Bytes.create (header + dlen + tlen + tailroom) in
+  if stamp then Segment.put_route_stamped out ~pos:0 ~dib ~priority route
+  else
+    Segment.write_route (Wire.Buf.writer_onto out ~off:0 ~len:header) ~last_vnt:false
+      route;
   Bytes.blit data 0 out header dlen;
   Bytes.blit Trailer.empty 0 out (header + dlen) tlen;
   out
 
-let build ~route ~data = build_with ~stamp:false ~dib:false ~priority:0 ~route ~data
+let build_with_tailroom ~tailroom ~route ~data =
+  build_with ~stamp:false ~dib:false ~priority:0 ~tailroom ~route ~data
 
-let build_stamped ~priority ~dib ~route ~data =
-  build_with ~stamp:true ~dib ~priority ~route ~data
+let build ~route ~data = build_with_tailroom ~tailroom:0 ~route ~data
+
+let build_stamped ~tailroom ~priority ~dib ~route ~data =
+  build_with ~stamp:true ~dib ~priority ~tailroom ~route ~data
 
 let read_route r =
   let rec go n acc =
@@ -56,21 +75,45 @@ let read_route r =
   in
   go 1 []
 
+(* The oracle: the whole packet decoded into lists, which are then
+   dropped; {!route} and {!trailer} decode them again when asked. *)
 let decode bytes =
   let r = Wire.Buf.reader_of_bytes bytes in
-  let route = read_route r in
+  ignore (read_route r);
   let rest_start = Wire.Buf.position r in
   let trailer_size = Trailer.size bytes in
   let data_len = Bytes.length bytes - rest_start - trailer_size in
   if data_len < 0 then invalid_arg "Packet.decode: overlapping trailer";
   let data = Wire.Buf.get_bytes r data_len in
-  let trailer = Trailer.entries bytes in
-  { route; data; trailer }
+  ignore (Trailer.entries bytes);
+  { data; wire = bytes; off = 0; len = Bytes.length bytes; xsr = false }
+
+(* An XSR packet's route is local delivery; its trailer is the RPF return
+   hops its reverse lanes recorded ({!Xsr.reverse_ports}), oldest first,
+   the order VIPER appends them. *)
+(* The window's bytes as a packet of their own: the buffer itself when
+   the window is all of it, else a copy. *)
+let exact b ~off ~len = if off = 0 && len = Bytes.length b then b else Bytes.sub b off len
+let xsr_wire t = exact t.wire ~off:t.off ~len:t.len
+
+let route t =
+  if t.xsr then
+    [ Segment.make ~priority:(Xsr.priority (xsr_wire t)) ~port:Segment.local_port () ]
+  else read_route (Wire.Buf.reader_window t.wire ~off:t.off ~len:t.len)
+
+let trailer t =
+  if t.xsr then
+    let b = xsr_wire t in
+    let priority = Xsr.priority b in
+    let flags = { Segment.vnt = false; dib = false; rpf = true } in
+    List.rev_map
+      (fun port -> Trailer.Hop (Segment.make ~flags ~priority ~port ()))
+      (Xsr.reverse_ports b)
+  else Trailer.entries_in t.wire ~off:t.off ~len:t.len
 
 let encode t =
-  if t.route = [] then invalid_arg "Packet.encode: empty route";
   let w = Wire.Buf.create_writer 256 in
-  List.iter (Segment.write w) t.route;
+  List.iter (Segment.write w) (route t);
   Wire.Buf.put_bytes w t.data;
   let base = Wire.Buf.contents w in
   let with_trailer =
@@ -81,7 +124,7 @@ let encode t =
         | Trailer.Truncated -> Trailer.append_truncation_marker acc
         | Trailer.Branch -> Trailer.append_branch_marker acc)
       (Bytes.cat base Trailer.empty)
-      t.trailer
+      (trailer t)
   in
   with_trailer
 
@@ -95,6 +138,35 @@ let wrap f x =
   | exception Failure m -> Error (Segment.Malformed m)
 
 let parse bytes = wrap decode bytes
+
+(* [decode]'s checks in place, in its order, bounded by the window: the
+   route's VNT chain, the trailer's size, the data between them, every
+   trailer entry. Only the data is copied. *)
+let rec skip_chain b ~stop pos n =
+  if n > max_route_segments then invalid_arg "Packet: route too long";
+  let e = Segment.extent_to b ~off:pos ~stop in
+  if Segment.peek_vnt b ~off:pos then skip_chain b ~stop (pos + e) (n + 1) else pos + e
+
+let check_window b ~off ~len =
+  let stop = off + len in
+  let data_start = skip_chain b ~stop off 1 in
+  let data_stop = stop - Trailer.size_in b ~off ~len in
+  if data_stop < data_start then invalid_arg "Packet.decode: overlapping trailer";
+  Trailer.verify_in b ~off ~len;
+  let data = Bytes.sub b data_start (data_stop - data_start) in
+  { data; wire = b; off; len; xsr = false }
+
+let of_window b ~off ~len =
+  match check_window b ~off ~len with
+  | t -> Ok t
+  | exception (Wire.Buf.Underflow | Wire.Buf.Overflow) -> Error Segment.Truncated
+  | exception Invalid_argument m -> Error (Segment.Malformed m)
+  | exception Failure m -> Error (Segment.Malformed m)
+
+let terminates t =
+  t.xsr
+  || (not (Segment.peek_vnt t.wire ~off:t.off))
+     && Segment.peek_port t.wire ~off:t.off = Segment.local_port
 
 let strip_leading bytes =
   let r = Wire.Buf.reader_of_bytes bytes in
@@ -157,23 +229,11 @@ let substitute_route_branch bytes ~route =
   let pos = skip_route_chain bytes in
   Trailer.append_branch_marker_sub bytes ~pos ~route
 
-(* The return hops come from the reverse lanes, oldest first — the order
-   VIPER appends them — so [return_route] rides the recorded path back. *)
-let of_xsr b =
-  let priority = Xsr.priority b in
-  let flags = { Segment.vnt = false; dib = false; rpf = true } in
-  let trailer =
-    List.rev_map
-      (fun port -> Trailer.Hop (Segment.make ~flags ~priority ~port ()))
-      (Xsr.reverse_ports b)
-  in
-  {
-    route = [ Segment.make ~priority ~port:Segment.local_port () ];
-    data = Xsr.data b;
-    trailer;
-  }
+let of_xsr b = { data = Xsr.data b; wire = b; off = 0; len = Bytes.length b; xsr = true }
 
-let unfold bytes = if Xsr.is_xsr bytes then Ok (of_xsr bytes) else parse bytes
+let unfold b ~off ~len =
+  if Xsr.is_xsr_in b ~off ~len then Ok (of_xsr (exact b ~off ~len))
+  else of_window b ~off ~len
 
 let truncate_to bytes ~max =
   if max < 0 then invalid_arg "Packet.truncate_to";
@@ -200,7 +260,7 @@ let return_route_hops t =
       (function
         | Trailer.Hop s -> Some s
         | Trailer.Truncated | Trailer.Branch -> None)
-      t.trailer
+      (trailer t)
   in
   let reversed =
     List.rev_map
@@ -221,25 +281,30 @@ let return_route_r t =
 (* Where the segment after the leading one starts when VNT says one
    follows, else -1. Found in place with {!Segment.extent}, which raises
    exactly where a full read of either segment would. *)
-let second_segment bytes =
-  let len1 = Segment.extent bytes ~off:0 in
-  if Segment.peek_vnt bytes ~off:0 then begin
-    ignore (Segment.extent bytes ~off:len1);
-    len1
+let second_segment b ~off ~stop =
+  let len1 = Segment.extent_to b ~off ~stop in
+  if Segment.peek_vnt b ~off then begin
+    ignore (Segment.extent_to b ~off:(off + len1) ~stop);
+    off + len1
   end
   else -1
 
 let peek_ports bytes =
-  let off2 = second_segment bytes in
+  let off2 = second_segment bytes ~off:0 ~stop:(Bytes.length bytes) in
   ( Segment.peek_port bytes ~off:0,
     if off2 < 0 then None else Some (Segment.peek_port bytes ~off:off2) )
 
-let peek_next_port bytes =
-  if Xsr.is_xsr bytes then Xsr.peek_next_port bytes
+let next_port b ~off ~len =
+  if Xsr.is_xsr_in b ~off ~len then Xsr.next_port (exact b ~off ~len)
   else
-    match second_segment bytes with
-    | exception (Wire.Buf.Underflow | Failure _) -> None
-    | _ -> Some (Segment.peek_port bytes ~off:0)
+    match second_segment b ~off ~stop:(off + len) with
+    | exception (Wire.Buf.Underflow | Failure _) -> -1
+    | _ -> Segment.peek_port b ~off
+
+let peek_next_port bytes =
+  match next_port bytes ~off:0 ~len:(Bytes.length bytes) with
+  | -1 -> None
+  | p -> Some p
 
 let header_bytes bytes =
   let r = Wire.Buf.reader_of_bytes bytes in

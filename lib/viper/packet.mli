@@ -9,11 +9,31 @@
     move a revised copy onto the trailer, and forward; the receiver builds
     the return route from the trailer with no routing knowledge. *)
 
-type t = {
-  route : Segment.t list;  (** remaining header segments, first hop first; non-empty *)
-  data : bytes;
-  trailer : Trailer.entry list;  (** appended order: first hop first *)
+type t = private {
+  data : bytes;  (** a copy of the data *)
+  wire : bytes;
+  off : int;
+  len : int;
+      (** the packet as it arrived: the window
+          [wire.[off] .. wire.[off + len - 1]], read in place when the
+          route or trailer is asked for *)
+  xsr : bool;  (** the window holds an XSR packet ({!of_xsr}) *)
 }
+(** An arrived packet: its data, and the bytes it arrived in. Nothing
+    writes a packet's buffer after it has arrived (see {!Netsim.Frame}),
+    so a receiver may keep a [t] and decode its route or trailer
+    later. *)
+
+val route : t -> Segment.t list
+(** The remaining header segments, first hop first; non-empty. *)
+
+val trailer : t -> Trailer.entry list
+(** The trailer entries, in the order appended (first hop first). *)
+
+val terminates : t -> bool
+(** The route is exactly one local-delivery segment (or the packet is an
+    XSR packet {!Xsr.step} delivered): the packet has reached its
+    destination. Read in place. *)
 
 val truncated : t -> bool
 (** The trailer records that a router truncated this packet. *)
@@ -37,14 +57,33 @@ val build : route:Segment.t list -> data:bytes -> bytes
     nothing is copied out. Raises [Invalid_argument] on an empty route or
     more than {!max_route_segments} segments. *)
 
+val tailroom : Segment.t list -> int
+(** The bytes the routers on [route] append to its trailer, at most: a
+    return hop and its entry framing for every segment that does not
+    deliver locally. A buffer with this much room past the packet is
+    never copied on the way (see {!Trailer.append_return_hop}). *)
+
+val tailroom_in : bytes -> off:int -> len:int -> int
+(** {!tailroom} of the route at the head of the window
+    [b.[off] .. b.[off + len - 1]], read off its VNT chain in place: the
+    room a router gives the fresh window it copies a packet into. A chain
+    that stops parsing needs no more room, since it will be dropped. *)
+
+val build_with_tailroom : tailroom:int -> route:Segment.t list -> data:bytes -> bytes
+(** {!build}'s packet followed by [tailroom] spare bytes, in the same
+    single allocation: the wire bytes are all but the last [tailroom]. *)
+
 val build_stamped :
-  priority:Token.Priority.t -> dib:bool -> route:Segment.t list -> data:bytes -> bytes
-(** [build] with every segment's priority and DIB replaced on the wire by
-    [priority] and [dib] — a host's send options — in the same single
-    allocation, without rebuilding the route. *)
+  tailroom:int -> priority:Token.Priority.t -> dib:bool -> route:Segment.t list ->
+  data:bytes -> bytes
+(** [build_with_tailroom] with every segment's priority and DIB replaced
+    on the wire by [priority] and [dib] — a host's send options — without
+    rebuilding the route. *)
 
 val decode : bytes -> t
-(** Raises [Invalid_argument] / [Wire.Buf.Underflow] on malformed bytes. *)
+(** The whole packet decoded into lists and checked, the reference the
+    in-place {!of_window} is tested against. Raises [Invalid_argument] /
+    [Wire.Buf.Underflow] on malformed bytes. *)
 
 (** {1 Non-raising parse}
 
@@ -57,6 +96,11 @@ type nonrec error = Segment.error = Truncated | Malformed of string
 val parse : bytes -> (t, error) result
 (** Like {!decode}, but never raises. Verifies trailer structure and
     per-entry checksums. *)
+
+val of_window : bytes -> off:int -> len:int -> (t, error) result
+(** The arrival check in place: [Ok] exactly when {!parse} of a copy of
+    the window is, with the same route, data and trailer. Every trailer
+    entry's checksum is verified; only the data is copied. *)
 
 val return_route_r : t -> (Segment.t list, error) result
 (** Like {!return_route}, but never raises: a truncated packet yields
@@ -100,24 +144,26 @@ val substitute_route_branch : bytes -> route:bytes -> bytes
     trailer. *)
 
 val of_xsr : bytes -> t
-(** An arrived XSR packet unfolded into a VIPER packet: a local-delivery
-    route, the data, and a trailer of RPF-flagged return hops built from
-    the reverse lanes ({!Xsr.reverse_ports}), oldest first. {!return_route}
-    on the result is the recorded path back, so a receiver replies over
-    VIPER without knowing the packet arrived as XSR. The header is not
-    verified: call it on a packet {!Xsr.step} answered [Deliver] for. *)
+(** An arrived XSR packet as a [t]: its route is local delivery and its
+    trailer the RPF-flagged return hops its reverse lanes recorded
+    ({!Xsr.reverse_ports}), oldest first. {!return_route} on the result
+    is the recorded path back, so a receiver replies over VIPER without
+    knowing the packet arrived as XSR. The header is not verified: call
+    it on a packet {!Xsr.step} answered [Deliver] for. *)
 
-val unfold : bytes -> (t, error) result
-(** An arrived packet in either codec, as a [t]: an XSR packet
-    ({!Xsr.is_xsr}) through {!of_xsr}, which does not verify its header,
-    anything else through {!parse}. The router's local delivery takes
-    both codecs through it. *)
+val unfold : bytes -> off:int -> len:int -> (t, error) result
+(** An arrived window in either codec, as a [t]: an XSR packet
+    ({!Xsr.is_xsr_in}) through {!of_xsr}, which does not verify its
+    header, anything else through {!of_window}. The router's local
+    delivery takes both codecs through it. *)
 
 val truncate_to : bytes -> max:int -> bytes
 (** Model of cut-through truncation at an MTU boundary: keep the first
     [max] bytes (discarding any partial trailer) and append a fresh
     trailer holding only the truncation marker, so the receiver detects
-    the loss "even when it only affects the packet trailer" (§2). *)
+    the loss "even when it only affects the packet trailer" (§2). The
+    result is [max + 5] bytes: a router cutting a packet to fit an MTU
+    keeps [mtu - 5]. *)
 
 val return_route : t -> Segment.t list
 (** The route a reply should carry: trailer hops in reverse order of
@@ -132,14 +178,18 @@ val peek_ports : bytes -> int * int option
     any per-flow state. Read in place: no field is copied. Raises where
     {!Segment.read} of either segment would. *)
 
+val next_port : bytes -> off:int -> len:int -> int
+(** {!peek_next_port} of the window [b.[off] .. b.[off + len - 1]],
+    without the option: [-1] for [None]. Routers key rate-control
+    limiters by it on every act step. *)
+
 val peek_next_port : bytes -> int option
 (** The port the next router will forward on, read in place from either
     header. For an XSR packet ({!Xsr.is_xsr}) it is
     {!Xsr.peek_next_port}. Otherwise it is the leading segment's port,
     read with {!Segment.extent}: [Some p] exactly when {!peek_ports}
-    returns [(p, _)], [None] when it raises. Routers key rate-control
-    limiters by it on every act step, so it copies no field, builds no
-    tuple and catches only the codec's exceptions. *)
+    returns [(p, _)], [None] when it raises. It copies no field, builds
+    no tuple and catches only the codec's exceptions. *)
 
 val header_bytes : bytes -> int
 (** Size of the leading header segment — the bytes a cut-through switch

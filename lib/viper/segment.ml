@@ -68,50 +68,81 @@ let encoded_size t =
 let flags_bits ~vnt ~dib ~rpf =
   (if vnt then 0x8 else 0) lor (if dib then 0x4 else 0) lor if rpf then 0x2 else 0
 
-let length_byte b =
-  let n = Bytes.length b in
-  if n < extended then n else extended
-
-let write_field w b =
-  if Bytes.length b >= extended then Wire.Buf.put_u32_int w (Bytes.length b);
-  Wire.Buf.put_bytes w b
-
 let brf_bit = 0x1
 
-let write_as w ~vnt ~dib ~priority t =
-  let has_branch = Bytes.length t.branch > 0 in
-  let bits =
-    flags_bits ~vnt ~dib ~rpf:t.flags.rpf lor if has_branch then brf_bit else 0
-  in
-  Wire.Buf.put_u8 w (length_byte t.info);
-  Wire.Buf.put_u8 w (length_byte t.token);
-  Wire.Buf.put_u8 w t.port;
-  Wire.Buf.put_u8 w ((bits lsl 4) lor (priority land 0xF));
-  write_field w t.token;
-  write_field w t.info;
-  if has_branch then begin
-    Wire.Buf.put_u16 w (Bytes.length t.branch);
-    Wire.Buf.put_bytes w t.branch
+(* A field's 32-bit length at [pos] when it is extended: the start of
+   its bytes. *)
+let put_field_len dst pos n =
+  if n < extended then pos
+  else begin
+    if n > 0xffffffff then invalid_arg "Buf.put_u32_int";
+    Bytes.set_uint16_be dst pos (n lsr 16);
+    Bytes.set_uint16_be dst (pos + 2) (n land 0xFFFF);
+    pos + 4
   end
 
-let write w t = write_as w ~vnt:t.flags.vnt ~dib:t.flags.dib ~priority:t.priority t
+(* [b] as a field at [pos]; the end. *)
+let put_field dst pos b =
+  let n = Bytes.length b in
+  let pos = put_field_len dst pos n in
+  if n > 0 then Bytes.blit b 0 dst pos n;
+  pos + n
+
+(* The segment's bytes at [dst.[pos]] by direct stores, checked as the
+   [Wire.Buf.put_*] calls that would write them are. Returns the end. *)
+let put_segment dst pos ~vnt ~dib ~priority t =
+  let tn = Bytes.length t.token and inn = Bytes.length t.info in
+  let blen = Bytes.length t.branch in
+  let bits = flags_bits ~vnt ~dib ~rpf:t.flags.rpf lor if blen > 0 then brf_bit else 0 in
+  if pos < 0 || pos + fixed_size > Bytes.length dst then invalid_arg "index out of bounds";
+  Bytes.unsafe_set dst pos (Char.unsafe_chr (if inn < extended then inn else extended));
+  Bytes.unsafe_set dst (pos + 1) (Char.unsafe_chr (if tn < extended then tn else extended));
+  if t.port < 0 || t.port > 0xff then invalid_arg "Buf.put_u8";
+  Bytes.unsafe_set dst (pos + 2) (Char.unsafe_chr t.port);
+  Bytes.unsafe_set dst (pos + 3) (Char.unsafe_chr ((bits lsl 4) lor (priority land 0xF)));
+  let pos = put_field dst (pos + fixed_size) t.token in
+  let pos = put_field dst pos t.info in
+  if blen = 0 then pos
+  else begin
+    if blen > 0xffff then invalid_arg "Buf.put_u16";
+    Bytes.set_uint16_be dst pos blen;
+    Bytes.blit t.branch 0 dst (pos + 2) blen;
+    pos + 2 + blen
+  end
+
+let write w t =
+  let pos = Wire.Buf.claim w (encoded_size t) in
+  ignore
+    (put_segment (Wire.Buf.store w) pos ~vnt:t.flags.vnt ~dib:t.flags.dib
+       ~priority:t.priority t)
 
 (* The one place VNT is set from position: on every segment but the
    last, and on the last iff [last_vnt]. [stamp] replaces every
-   segment's DIB and priority with [dib] and [priority]. *)
-let rec write_chain w ~last_vnt ~stamp ~dib ~priority = function
+   segment's DIB and priority with [dib] and [priority]. The whole chain
+   is claimed at once and written by direct stores. *)
+let rec put_chain dst pos ~last_vnt ~stamp ~dib ~priority = function
   | [] -> ()
   | t :: rest ->
     let vnt = match rest with [] -> last_vnt | _ :: _ -> true in
-    if stamp then write_as w ~vnt ~dib ~priority t
-    else write_as w ~vnt ~dib:t.flags.dib ~priority:t.priority t;
-    write_chain w ~last_vnt ~stamp ~dib ~priority rest
+    let pos =
+      if stamp then put_segment dst pos ~vnt ~dib ~priority t
+      else put_segment dst pos ~vnt ~dib:t.flags.dib ~priority:t.priority t
+    in
+    put_chain dst pos ~last_vnt ~stamp ~dib ~priority rest
+
+let rec chain_size acc = function
+  | [] -> acc
+  | t :: rest -> chain_size (acc + encoded_size t) rest
+
+let write_chain w ~last_vnt ~stamp ~dib ~priority route =
+  let pos = Wire.Buf.claim w (chain_size 0 route) in
+  put_chain (Wire.Buf.store w) pos ~last_vnt ~stamp ~dib ~priority route
 
 let write_route w ~last_vnt route =
   write_chain w ~last_vnt ~stamp:false ~dib:false ~priority:0 route
 
-let write_route_stamped w ~dib ~priority route =
-  write_chain w ~last_vnt:false ~stamp:true ~dib ~priority route
+let put_route_stamped dst ~pos ~dib ~priority route =
+  put_chain dst pos ~last_vnt:false ~stamp:true ~dib ~priority route
 
 let read_field r len_byte =
   if len_byte < extended then Wire.Buf.get_bytes r len_byte
@@ -152,40 +183,51 @@ let decode_sub b ~off ~len =
 
 let decode b = decode_sub b ~off:0 ~len:(Bytes.length b)
 
-(* [read]'s walk over the bytes without copying a field out: each step
-   raises where [read] would, in the same order. *)
-let need b pos n = if n > Bytes.length b - pos then raise Wire.Buf.Underflow
+(* [read]'s walk over [b.[off] .. b.[stop - 1]] without copying a field
+   out: each step raises where [read] would, in the same order. *)
+let need ~stop pos n = if n > stop - pos then raise Wire.Buf.Underflow
 
-let field_end b pos len_byte =
+let field_end b ~stop pos len_byte =
   if len_byte < extended then begin
-    need b pos len_byte;
+    need ~stop pos len_byte;
     pos + len_byte
   end
   else begin
-    need b pos 4;
+    need ~stop pos 4;
     let n = (Bytes.get_uint16_be b pos lsl 16) lor Bytes.get_uint16_be b (pos + 2) in
-    need b (pos + 4) n;
+    need ~stop (pos + 4) n;
     pos + 4 + n
   end
 
-let extent b ~off =
-  if off < 0 || off > Bytes.length b then invalid_arg "Segment.extent";
-  need b off fixed_size;
+let extent_to b ~off ~stop =
+  if off < 0 || off > stop || stop > Bytes.length b then invalid_arg "Segment.extent";
+  need ~stop off fixed_size;
   let info_len = Char.code (Bytes.unsafe_get b off) in
   let token_len = Char.code (Bytes.unsafe_get b (off + 1)) in
-  let pos = field_end b (off + fixed_size) token_len in
-  let pos = field_end b pos info_len in
-  let pos =
-    if (Char.code (Bytes.unsafe_get b (off + 3)) lsr 4) land brf_bit = 0 then pos
-    else begin
-      need b pos 2;
-      let n = Bytes.get_uint16_be b pos in
-      if n = 0 then failwith "Segment.read: empty branch";
-      need b (pos + 2) n;
-      pos + 2 + n
-    end
-  in
-  pos - off
+  let flags = Char.code (Bytes.unsafe_get b (off + 3)) lsr 4 in
+  if info_len < extended && token_len < extended && flags land brf_bit = 0 then begin
+    (* short fields and no branch: the usual shape, in one step *)
+    let n = fixed_size + token_len + info_len in
+    need ~stop off n;
+    n
+  end
+  else begin
+    let pos = field_end b ~stop (off + fixed_size) token_len in
+    let pos = field_end b ~stop pos info_len in
+    let pos =
+      if flags land brf_bit = 0 then pos
+      else begin
+        need ~stop pos 2;
+        let n = Bytes.get_uint16_be b pos in
+        if n = 0 then failwith "Segment.read: empty branch";
+        need ~stop (pos + 2) n;
+        pos + 2 + n
+      end
+    in
+    pos - off
+  end
+
+let extent b ~off = extent_to b ~off ~stop:(Bytes.length b)
 
 type error = Truncated | Malformed of string
 
@@ -204,6 +246,85 @@ let parse b =
 
 let peek_port b ~off = Char.code (Bytes.get b (off + 2))
 let peek_vnt b ~off = Char.code (Bytes.get b (off + 3)) land 0x80 <> 0
+let peek_flags b ~off = flags_of_bits (Char.code (Bytes.get b (off + 3)) lsr 4)
+let peek_priority b ~off = Char.code (Bytes.get b (off + 3)) land 0xF
+let peek_branch b ~off = (Char.code (Bytes.get b (off + 3)) lsr 4) land brf_bit <> 0
+
+(* The fields of a segment at [off] whose {!extent} is known, read in
+   place: a field's length, and where its bytes start. *)
+let field_len b pos len_byte =
+  if len_byte < extended then len_byte
+  else (Bytes.get_uint16_be b pos lsl 16) lor Bytes.get_uint16_be b (pos + 2)
+
+let field_data pos len_byte = if len_byte < extended then pos else pos + 4
+let token_at off = off + fixed_size
+
+let token_len b ~off = field_len b (token_at off) (Char.code (Bytes.get b (off + 1)))
+
+let info_at b ~off =
+  let tlb = Char.code (Bytes.get b (off + 1)) in
+  field_data (token_at off) tlb + token_len b ~off
+
+let info_len b ~off = field_len b (info_at b ~off) (Char.code (Bytes.get b off))
+
+let peek_token b ~off =
+  let n = token_len b ~off in
+  if n = 0 then Bytes.empty
+  else Bytes.sub b (field_data (token_at off) (Char.code (Bytes.get b (off + 1)))) n
+
+let return_hop_size b ~off ~port ~keep_token ~info =
+  let ilb = Char.code (Bytes.get b off) and tlb = Char.code (Bytes.get b (off + 1)) in
+  let token =
+    if not keep_token then 0 else if tlb < extended then tlb else token_len b ~off
+  in
+  let info =
+    match info with
+    | Some i -> Bytes.length i
+    | None -> if ilb < extended && tlb < extended then ilb else info_len b ~off
+  in
+  if port < 0 || port > 255 then invalid_arg "Segment.make: port";
+  if token > max_field then invalid_arg "Segment.make: token too long";
+  if info > max_field then invalid_arg "Segment.make: info too long";
+  fixed_size + (if token < extended then token else token + 4)
+  + if info < extended then info else info + 4
+
+let swap_ether dst pos =
+  for i = pos to pos + 5 do
+    let c = Bytes.get dst i in
+    Bytes.set dst i (Bytes.get dst (i + 6));
+    Bytes.set dst (i + 6) c
+  done
+
+(* Byte for byte what [write] makes of [return_hop]'s record, written
+   straight from the stripped segment's bytes. *)
+let write_return_hop b ~off ~port ~keep_token ~info dst ~at =
+  let ilb = Char.code (Bytes.get b off) and tlb = Char.code (Bytes.get b (off + 1)) in
+  let fp = Char.code (Bytes.get b (off + 3)) in
+  let bits = ((fp lsr 4) land 0x4) lor 0x2 (* DIB kept, RPF set *) in
+  let token =
+    if not keep_token then 0 else if tlb < extended then tlb else token_len b ~off
+  in
+  (* the stripped segment's own portInfo field, found in place *)
+  let ipos = if tlb < extended then token_at off + tlb else info_at b ~off in
+  let ilen =
+    match info with
+    | Some i -> Bytes.length i
+    | None -> if ilb < extended then ilb else field_len b ipos ilb
+  in
+  Bytes.set dst at (Char.unsafe_chr (Int.min ilen extended));
+  Bytes.set dst (at + 1) (Char.unsafe_chr (Int.min token extended));
+  Bytes.set dst (at + 2) (Char.unsafe_chr port);
+  Bytes.set dst (at + 3) (Char.unsafe_chr ((bits lsl 4) lor (fp land 0xF)));
+  let pos = put_field_len dst (at + fixed_size) token in
+  if token > 0 then Bytes.blit b (field_data (token_at off) tlb) dst pos token;
+  let pos = put_field_len dst (pos + token) ilen in
+  match info with
+  | Some i -> if ilen > 0 then Bytes.blit i 0 dst pos ilen
+  | None ->
+    if ilen > 0 then begin
+      Bytes.blit b (field_data ipos ilb) dst pos ilen;
+      if ilen = Ether.Frame.header_size then swap_ether dst pos
+    end
 
 let equal a b =
   a.port = b.port && a.flags = b.flags && a.priority = b.priority

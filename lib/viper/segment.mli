@@ -97,14 +97,20 @@ val write_route : Wire.Buf.writer -> last_vnt:bool -> t list -> unit
     This is the only place VNT is set by position; no caller rebuilds a
     record to set the bit. *)
 
-val write_route_stamped :
-  Wire.Buf.writer -> dib:bool -> priority:Token.Priority.t -> t list -> unit
-(** [write_route ~last_vnt:false] with every segment's DIB and priority
-    replaced by [dib] and [priority] on the wire — a host stamping its
-    send options onto a route it holds. *)
+val put_route_stamped :
+  bytes -> pos:int -> dib:bool -> priority:Token.Priority.t -> t list -> unit
+(** [write_route ~last_vnt:false] straight into [dst] at [pos] (no
+    writer), with every segment's DIB and priority replaced by [dib] and
+    [priority] on the wire — a host stamping its send options onto a
+    route it holds. The caller sizes [dst]. *)
 
 val read : Wire.Buf.reader -> t
 (** Raises [Wire.Buf.Underflow] on truncated input. *)
+
+val extent_to : bytes -> off:int -> stop:int -> int
+(** [extent_to b ~off ~stop] is {!extent} for a segment in the window
+    that ends at [stop]: it raises [Wire.Buf.Underflow] where a read
+    bounded by [stop] would. *)
 
 val extent : bytes -> off:int -> int
 (** [extent b ~off] is the number of bytes {!read} would consume reading
@@ -146,6 +152,42 @@ val peek_port : bytes -> off:int -> int
 val peek_vnt : bytes -> off:int -> bool
 (** The VNT flag of the segment at [off], read in place: whether another
     VIPER segment follows it. *)
+
+(** {1 In place}
+
+    A router reads the leading segment where it lies in the packet and
+    writes its return hop straight into the trailer: no record is built.
+    These readers expect a segment whose {!extent_to} has been found. *)
+
+val peek_flags : bytes -> off:int -> flags
+(** One of the shared flag records. *)
+
+val peek_priority : bytes -> off:int -> Token.Priority.t
+val peek_branch : bytes -> off:int -> bool
+(** Whether a branch route follows the segment's portInfo. *)
+
+val peek_token : bytes -> off:int -> bytes
+(** The port token: [Bytes.empty] when absent, else a copy. *)
+
+val return_hop_size :
+  bytes -> off:int -> port:int -> keep_token:bool -> info:bytes option -> int
+(** The encoded size of the return hop {!write_return_hop} writes for
+    the segment at [off]. Raises [Invalid_argument] where {!return_hop}
+    would. *)
+
+val write_return_hop :
+  bytes -> off:int -> port:int -> keep_token:bool -> info:bytes option ->
+  bytes -> at:int -> unit
+(** [write_return_hop b ~off ~port ~keep_token ~info dst ~at] writes into
+    [dst] at [at] exactly the {!return_hop_size} bytes
+    [write (return_hop seg ~port ~token ~info:info')] would, where [seg]
+    is the segment at [off], [token] is its token when [keep_token] (else
+    none) and [info'] is [info] when given. Otherwise [info'] is the
+    segment's own portInfo revised so that it "constitutes a correct
+    return hop through this router" (§2): an Ethernet portInfo
+    ({!Ether.Frame.header_size} bytes) gets its addresses swapped, any
+    other is carried back unchanged. The destination must not overlap the
+    segment. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -31,50 +31,79 @@ let empty =
   Bytes.set b 0 (Char.chr (check_of_total 0));
   b
 
-let read_u16_at b off =
-  if off < 0 || off + 2 > Bytes.length b then
-    invalid_arg "Trailer: malformed (short)";
+(* The window [b.[lo] .. b.[hi - 1]] holds the packet: every read is
+   bounded by it, so a window reads exactly as a copy of it would. *)
+let read_u16_in b ~lo ~hi off =
+  if off < lo || off + 2 > hi then invalid_arg "Trailer: malformed (short)";
   Bytes.get_uint16_be b off
 
-let total_of b =
-  let n = Bytes.length b in
-  let total = read_u16_at b (n - 2) in
-  if n < 3 || Char.code (Bytes.get b (n - 3)) <> check_of_total total then
+let total_in b ~lo ~hi =
+  let total = read_u16_in b ~lo ~hi (hi - 2) in
+  if hi - lo < 3 || Char.code (Bytes.get b (hi - 3)) <> check_of_total total then
     invalid_arg "Trailer: total checksum";
   total
 
-let size packet =
-  let total = total_of packet in
-  let sz = total + 3 in
-  if sz > Bytes.length packet then invalid_arg "Trailer: total exceeds packet";
+let total_of b = total_in b ~lo:0 ~hi:(Bytes.length b)
+
+let size_in b ~off ~len =
+  let sz = total_in b ~lo:off ~hi:(off + len) + 3 in
+  if sz > len then invalid_arg "Trailer: total exceeds packet";
   sz
 
-let entries packet =
-  let stop = Bytes.length packet - 3 in
-  let start = stop - total_of packet in
-  if start < 0 then invalid_arg "Trailer: total exceeds packet";
-  (* Walk backwards through trailing length fields, accumulating in
-     appended order. Each entry is checked and decoded in place: only
-     the segment handed out is allocated. *)
-  let rec walk pos acc =
-    if pos = start then acc
+let size packet = size_in packet ~off:0 ~len:(Bytes.length packet)
+
+(* Walk the trailer ending the window backwards through its trailing
+   length fields, checking each entry in place and folding [hop] (over a
+   checked segment's bytes) or [mark] over them in appended order. *)
+let rec walk b ~lo ~hi ~start ~hop ~mark pos acc =
+  if pos = start then acc
+  else begin
+    let len = read_u16_in b ~lo ~hi (pos - 2) in
+    if len = marker then walk b ~lo ~hi ~start ~hop ~mark (pos - 2) (mark Truncated acc)
+    else if len = branch_marker then
+      walk b ~lo ~hi ~start ~hop ~mark (pos - 2) (mark Branch acc)
     else begin
-      let len = read_u16_at packet (pos - 2) in
-      if len = marker then walk (pos - 2) (Truncated :: acc)
-      else if len = branch_marker then walk (pos - 2) (Branch :: acc)
-      else begin
-        let seg_start = pos - 3 - len in
-        if seg_start < start then invalid_arg "Trailer: entry exceeds trailer";
-        if len < Segment.fixed_size then invalid_arg "Trailer: entry too small";
-        let check = Char.code (Bytes.get packet (pos - 3)) in
-        if check <> cksum_sub packet ~off:seg_start ~len then
-          invalid_arg "Trailer: entry checksum";
-        let seg = Segment.decode_sub packet ~off:seg_start ~len in
-        walk seg_start (Hop seg :: acc)
-      end
+      let seg_start = pos - 3 - len in
+      if seg_start < start then invalid_arg "Trailer: entry exceeds trailer";
+      if len < Segment.fixed_size then invalid_arg "Trailer: entry too small";
+      let check = Char.code (Bytes.get b (pos - 3)) in
+      if check <> cksum_sub b ~off:seg_start ~len then
+        invalid_arg "Trailer: entry checksum";
+      walk b ~lo ~hi ~start ~hop ~mark seg_start (hop b seg_start len acc)
     end
-  in
-  walk stop []
+  end
+
+let fold_in b ~off ~len ~hop ~mark acc =
+  let hi = off + len in
+  let stop = hi - 3 in
+  let start = stop - total_in b ~lo:off ~hi in
+  if start < off then invalid_arg "Trailer: total exceeds packet";
+  walk b ~lo:off ~hi ~start ~hop ~mark stop acc
+
+let decode_hop b off len acc = Hop (Segment.decode_sub b ~off ~len) :: acc
+let cons_mark entry acc = entry :: acc
+
+(* Each entry is checked and decoded in place: only the segment handed
+   out is allocated. *)
+let entries_in b ~off ~len = fold_in b ~off ~len ~hop:decode_hop ~mark:cons_mark []
+let entries packet = entries_in packet ~off:0 ~len:(Bytes.length packet)
+
+(* [Segment.decode_sub]'s verdict without the record: the entry must be
+   exactly one segment. *)
+let check_hop b off len () =
+  if Segment.extent_to b ~off ~stop:(off + len) <> len then
+    invalid_arg "Segment.decode: trailing bytes"
+
+let skip_mark _ () = ()
+let verify_in b ~off ~len = fold_in b ~off ~len ~hop:check_hop ~mark:skip_mark ()
+
+let skip_hop _ _ _ acc = acc
+let note_truncated e found =
+  found || match e with Truncated -> true | Hop _ | Branch -> false
+
+let note_branch e found = found || match e with Branch -> true | Hop _ | Truncated -> false
+let truncated_in b ~off ~len = fold_in b ~off ~len ~hop:skip_hop ~mark:note_truncated false
+let branched_in b ~off ~len = fold_in b ~off ~len ~hop:skip_hop ~mark:note_branch false
 
 let parse_entries packet =
   match entries packet with
@@ -121,10 +150,7 @@ let append_hop_sub packet ~pos seg =
   if pos < 0 || pos > n then invalid_arg "Trailer: malformed (short)";
   let sub_len = n - pos in
   (* total_of on the suffix, reading in place *)
-  if sub_len < 2 then invalid_arg "Trailer: malformed (short)";
-  let old_total = Bytes.get_uint16_be packet (n - 2) in
-  if sub_len < 3 || Char.code (Bytes.get packet (n - 3)) <> check_of_total old_total
-  then invalid_arg "Trailer: total checksum";
+  let old_total = total_in packet ~lo:pos ~hi:n in
   (* with_appended on the suffix, blitting straight from [packet] *)
   let body = sub_len - 3 in
   let added = len + 3 in
@@ -161,10 +187,7 @@ let append_branch_marker_sub packet ~pos ~route =
   if pos < 0 || pos > n then invalid_arg "Trailer: malformed (short)";
   let rest_len = n - pos in
   let rlen = Bytes.length route in
-  if rest_len < 2 then invalid_arg "Trailer: malformed (short)";
-  let old_total = Bytes.get_uint16_be packet (n - 2) in
-  if rest_len < 3 || Char.code (Bytes.get packet (n - 3)) <> check_of_total old_total
-  then invalid_arg "Trailer: total checksum";
+  let old_total = total_in packet ~lo:pos ~hi:n in
   let new_total = old_total + 2 in
   if new_total > 0xFFFF then invalid_arg "Trailer: overflow";
   let body = rlen + rest_len - 3 in
@@ -175,3 +198,25 @@ let append_branch_marker_sub packet ~pos ~route =
   Bytes.set out (body + 2) (Char.chr (check_of_total new_total));
   Bytes.set_uint16_be out (body + 3) new_total;
   out
+
+(* The hop in one pass over a window: [append_hop_sub]'s checks in its
+   order, then the remainder's body moved to [at] (nothing moves when
+   the hop is in place), the return hop written straight from the
+   stripped segment, and the new terminator. *)
+let append_return_hop src ~off ~len ~pos ~port ~keep_token ~info dst ~at =
+  let seg_len = Segment.return_hop_size src ~off ~port ~keep_token ~info in
+  if seg_len > max_entry then invalid_arg "Trailer.append_hop: segment too large";
+  if pos < 0 || pos > len then invalid_arg "Trailer: malformed (short)";
+  let old_total = total_in src ~lo:(off + pos) ~hi:(off + len) in
+  let body = len - pos - 3 in
+  let added = seg_len + 3 in
+  let new_total = old_total + added in
+  if new_total > 0xFFFF then invalid_arg "Trailer: overflow";
+  if not (dst == src && at = off + pos) then Bytes.blit src (off + pos) dst at body;
+  let e = at + body in
+  Segment.write_return_hop src ~off ~port ~keep_token ~info dst ~at:e;
+  Bytes.set dst (e + seg_len) (Char.unsafe_chr (cksum_sub dst ~off:e ~len:seg_len));
+  Bytes.set_uint16_be dst (e + seg_len + 1) seg_len;
+  Bytes.set dst (e + added) (Char.unsafe_chr (check_of_total new_total));
+  Bytes.set_uint16_be dst (e + added + 1) new_total;
+  body + added + 3

@@ -55,6 +55,43 @@ val entries : bytes -> entry list
 val parse_entries : bytes -> (entry list, Segment.error) result
 (** Like {!entries}, but never raises. *)
 
+(** {1 Windows}
+
+    A packet on the wire is a window [b.[off] .. b.[off + len - 1]] of a
+    larger buffer (see {!Netsim.Frame}): these read and write the trailer
+    ending the window in place, and every read is bounded by the window,
+    so each agrees with its whole-packet counterpart applied to a copy of
+    the window. *)
+
+val size_in : bytes -> off:int -> len:int -> int
+(** {!size} of the window. *)
+
+val entries_in : bytes -> off:int -> len:int -> entry list
+(** {!entries} of the window. *)
+
+val verify_in : bytes -> off:int -> len:int -> unit
+(** Raises exactly when {!entries_in} would, and builds nothing. *)
+
+val truncated_in : bytes -> off:int -> len:int -> bool
+val branched_in : bytes -> off:int -> len:int -> bool
+(** Whether a verified trailer holds a truncation (branch) marker, found
+    without building its entries. *)
+
+val append_return_hop :
+  bytes -> off:int -> len:int -> pos:int -> port:int -> keep_token:bool ->
+  info:bytes option -> bytes -> at:int -> int
+(** [append_return_hop src ~off ~len ~pos ~port ~keep_token ~info dst ~at]
+    is the per-hop operation on a window: strip the [pos]-byte leading
+    segment at [off] and append its return hop
+    ({!Segment.write_return_hop}) to the trailer. The result is written
+    to [dst] at [at] and its length returned. Its bytes equal those of
+    [append_hop_sub (Bytes.sub src off len) ~pos return_seg], with the
+    same checks in the same order. With [dst == src] and
+    [at = off + pos] the hop is in place: the head advances by [pos], and
+    only the return hop and the new terminator are written, over the old
+    terminator and into the (return hop + 3) bytes past the window, which
+    the caller must have reserved. *)
+
 val append_hop : bytes -> Segment.t -> bytes
 (** [append_hop packet seg] is the packet with [seg] moved onto the end of
     the trailer and the total updated — the per-router loopback operation. *)

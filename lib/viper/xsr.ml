@@ -38,10 +38,12 @@ let rpf_bit = 0x1
 let fmask = Array.init width (fun i -> (0x5D * (i + 11)) land 0xFF)
 let rmask = Array.init width (fun i -> ((0x35 * (i + 7)) + 0x6B) land 0xFF)
 
-let is_xsr b =
-  Bytes.length b >= header_size
-  && Char.code (Bytes.get b 0) = magic
-  && Char.code (Bytes.get b 1) = version_byte
+let is_xsr_in b ~off ~len =
+  len >= header_size
+  && Char.code (Bytes.get b off) = magic
+  && Char.code (Bytes.get b (off + 1)) = version_byte
+
+let is_xsr b = is_xsr_in b ~off:0 ~len:(Bytes.length b)
 
 let compute_check b =
   let acc = ref check_seed in
@@ -59,13 +61,9 @@ let hop_count b = Char.code (Bytes.get b 3)
 let hop_idx b = Char.code (Bytes.get b 4)
 let data b = Bytes.sub b header_size (Bytes.length b - header_size)
 
-let encode ?(rpf = false) ?(priority = Token.Priority.normal) ~ports ~data () =
-  let k = List.length ports in
-  if k < 1 || k > width then invalid_arg "Xsr.encode: 1..8 ports";
-  if not (Token.Priority.valid priority) then invalid_arg "Xsr.encode: priority";
-  List.iter
-    (fun p -> if p < 0 || p > 255 then invalid_arg "Xsr.encode: port")
-    ports;
+(* A packet with every header byte but the first [k] forward lanes and
+   the check byte laid out, and the data in place. *)
+let lay_out ~rpf ~priority ~k ~data =
   let n = header_size + Bytes.length data in
   let b = Bytes.create n in
   Bytes.set b 0 (Char.chr magic);
@@ -73,7 +71,6 @@ let encode ?(rpf = false) ?(priority = Token.Priority.normal) ~ports ~data () =
   Bytes.set b 2 (Char.chr (((if rpf then rpf_bit else 0) lsl 4) lor priority));
   Bytes.set b 3 (Char.chr k);
   Bytes.set b 4 '\000';
-  List.iteri (fun i p -> Bytes.set b (6 + i) (Char.chr (p lxor fmask.(i)))) ports;
   for i = k to width - 1 do
     Bytes.set b (6 + i) (Char.chr fmask.(i))
   done;
@@ -81,7 +78,44 @@ let encode ?(rpf = false) ?(priority = Token.Priority.normal) ~ports ~data () =
     Bytes.set b (14 + i) (Char.chr rmask.(i))
   done;
   Bytes.blit data 0 b header_size (Bytes.length data);
-  Bytes.set b 5 (Char.chr (compute_check b));
+  b
+
+let check_shape ~k ~priority =
+  if k < 1 || k > width then invalid_arg "Xsr.encode: 1..8 ports";
+  if not (Token.Priority.valid priority) then invalid_arg "Xsr.encode: priority"
+
+let check_port p = if p < 0 || p > 255 then invalid_arg "Xsr.encode: port"
+let set_lane b i p = Bytes.set b (6 + i) (Char.chr (p lxor fmask.(i)))
+let seal b = Bytes.set b 5 (Char.chr (compute_check b))
+
+let encode ?(rpf = false) ?(priority = Token.Priority.normal) ~ports ~data () =
+  check_shape ~k:(List.length ports) ~priority;
+  List.iter check_port ports;
+  let b = lay_out ~rpf ~priority ~k:(List.length ports) ~data in
+  List.iteri (set_lane b) ports;
+  seal b;
+  b
+
+(* The router segments are every segment but the last, local one. *)
+let rec check_routers = function
+  | [] | [ _ ] -> ()
+  | seg :: rest ->
+    check_port seg.Segment.port;
+    check_routers rest
+
+let rec set_lanes b i = function
+  | [] | [ _ ] -> ()
+  | seg :: rest ->
+    set_lane b i seg.Segment.port;
+    set_lanes b (i + 1) rest
+
+let encode_segments ~priority ~segments ~data =
+  let k = List.length segments - 1 in
+  check_shape ~k ~priority;
+  check_routers segments;
+  let b = lay_out ~rpf:false ~priority ~k ~data in
+  set_lanes b 0 segments;
+  seal b;
   b
 
 type step = Forward of int | Deliver | Malformed of string
@@ -117,10 +151,11 @@ let step b ~in_port =
 
 (* Out-port the NEXT router will extract — the congestion-control queue
    key, visible without per-flow state exactly as VIPER's peek_next_port. *)
-let peek_next_port b =
+let next_port b =
   let idx = hop_idx b in
-  if idx < hop_count b then Some (Char.code (Bytes.get b (6 + idx)) lxor fmask.(idx))
-  else None
+  if idx < hop_count b then Char.code (Bytes.get b (6 + idx)) lxor fmask.(idx) else -1
+
+let peek_next_port b = match next_port b with -1 -> None | p -> Some p
 
 (* In-ports folded so far, most recent hop first — exactly the port
    sequence a reply must ride (the VIPER return route, reversed). *)

@@ -33,12 +33,21 @@ val is_xsr : bytes -> bool
     [token_len = 0xE0|x] would collide; no workload in this repo emits
     such segments, and dual-stack routers sniff XSR first. *)
 
+val is_xsr_in : bytes -> off:int -> len:int -> bool
+(** {!is_xsr} of the window [b.[off] .. b.[off + len - 1]]. *)
+
 val encode :
   ?rpf:bool -> ?priority:Token.Priority.t ->
   ports:int list -> data:bytes -> unit -> bytes
 (** Fold [ports] (the per-router out-ports, 1..{!width} of them, final
     local delivery implicit) and [data] into a fresh XSR packet.
     Raises [Invalid_argument] on an empty or over-long port list. *)
+
+val encode_segments :
+  priority:Token.Priority.t -> segments:Segment.t list -> data:bytes -> bytes
+(** [encode ~priority ~ports ~data ()] where [ports] are the ports of
+    [segments] but the last (the route's local-delivery segment), read
+    off the list without building another. *)
 
 type step =
   | Forward of int  (** send on this out-port; the buffer was advanced in place *)
@@ -56,6 +65,9 @@ val peek_next_port : bytes -> int option
     [None] at the destination — the queue key a congestion limiter
     needs, which {!Packet.peek_next_port} reads through this for an XSR
     packet. *)
+
+val next_port : bytes -> int
+(** {!peek_next_port} without the option: [-1] at the destination. *)
 
 val reverse_ports : bytes -> int list
 (** In-ports recorded so far, most recent hop first — the port sequence

@@ -36,6 +36,15 @@ let ensure w extra =
     w.store <- fresh
   end
 
+let claim w n =
+  if n < 0 then invalid_arg "Buf.claim";
+  ensure w n;
+  let pos = w.len in
+  w.len <- pos + n;
+  pos
+
+let store w = w.store
+
 let put_u8 w v =
   if v < 0 || v > 0xff then invalid_arg "Buf.put_u8";
   ensure w 1;

@@ -35,6 +35,15 @@ val writer_onto : bytes -> off:int -> len:int -> writer
     packet is built this way in one exact-size allocation, with no
     growth and no {!contents} copy. *)
 
+val claim : writer -> int -> int
+(** [claim w n] makes room for [n] more bytes and returns where they
+    start in {!store}, counting them as written: a codec that knows a
+    field's size fills it with direct stores instead of one [put_*] call
+    per byte. Raises {!Overflow} like any [put_*]. *)
+
+val store : writer -> bytes
+(** The writer's backing store, valid until the writer next grows. *)
+
 val put_u8 : writer -> int -> unit
 val put_u16 : writer -> int -> unit
 val put_u32 : writer -> int32 -> unit

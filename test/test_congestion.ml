@@ -26,7 +26,7 @@ let unlimited_passes_through () =
   let _, _, w, _, r1, _ = world () in
   let c = C.create w ~node:r1 config in
   let sent = ref 0 in
-  C.submit c ~out_port:2 ~next_port:(Some 3) ~bytes:1000 ~send:(fun () -> incr sent);
+  C.submit c ~out_port:2 ~next_port:3 ~bytes:1000 ~send:(fun () -> incr sent);
   check_int "immediate" 1 !sent;
   check_int "no backlog" 0 (C.backlog c)
 
@@ -39,7 +39,7 @@ let limiter_paces_to_rate () =
   check_int "limiter installed" 1 (C.limiters c);
   let sent_times = ref [] in
   for _ = 1 to 3 do
-    C.submit c ~out_port:1 ~next_port:(Some 3) ~bytes:1000 ~send:(fun () ->
+    C.submit c ~out_port:1 ~next_port:3 ~bytes:1000 ~send:(fun () ->
         sent_times := Sim.Engine.now engine :: !sent_times)
   done;
   check_bool "some held" true (C.backlog c > 0);
@@ -58,9 +58,9 @@ let limiter_key_is_exact () =
   C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:1.0;
   let sent = ref 0 in
   (* different next_port: unthrottled *)
-  C.submit c ~out_port:1 ~next_port:(Some 4) ~bytes:100_000 ~send:(fun () -> incr sent);
+  C.submit c ~out_port:1 ~next_port:4 ~bytes:100_000 ~send:(fun () -> incr sent);
   (* no next_port (final hop): unthrottled *)
-  C.submit c ~out_port:1 ~next_port:None ~bytes:100_000 ~send:(fun () -> incr sent);
+  C.submit c ~out_port:1 ~next_port:(-1) ~bytes:100_000 ~send:(fun () -> incr sent);
   check_int "both bypass" 2 !sent
 
 let limiter_expires_as_soft_state () =
@@ -82,8 +82,8 @@ let ramp_raises_rate () =
   C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:8_000.0;
   let sent_at = ref 0 in
   (* a second packet behind a first: 2000 B at 8 kb/s would take ~2 s flat *)
-  C.submit c ~out_port:1 ~next_port:(Some 3) ~bytes:1000 ~send:(fun () -> ());
-  C.submit c ~out_port:1 ~next_port:(Some 3) ~bytes:1000 ~send:(fun () ->
+  C.submit c ~out_port:1 ~next_port:3 ~bytes:1000 ~send:(fun () -> ());
+  C.submit c ~out_port:1 ~next_port:3 ~bytes:1000 ~send:(fun () ->
       sent_at := Sim.Engine.now engine);
   Sim.Engine.run ~until:(Sim.Time.s 3) engine;
   check_bool "released" true (!sent_at > 0);
@@ -252,7 +252,7 @@ let refresh_reevaluates_waiting_drain () =
   let c = C.create w ~node:r1 config in
   C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:80.0;
   let sent_at = ref None in
-  C.submit c ~out_port:1 ~next_port:(Some 3) ~bytes:1000 ~send:(fun () ->
+  C.submit c ~out_port:1 ~next_port:3 ~bytes:1000 ~send:(fun () ->
       sent_at := Some (Sim.Engine.now engine));
   Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 1) (fun () ->
       C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:8e6);
@@ -292,7 +292,7 @@ let qcheck_bucket_invariant =
           | Advance ms ->
             Sim.Engine.run ~until:(Sim.Engine.now engine + Sim.Time.ms ms) engine
           | Submit b ->
-            C.submit c ~out_port:1 ~next_port:(Some 3) ~bytes:b ~send:ignore);
+            C.submit c ~out_port:1 ~next_port:3 ~bytes:b ~send:ignore);
           match C.bucket_level c ~out_port:1 ~next_port:3 with
           | None -> true (* expired: nothing left to violate *)
           | Some (bucket, cap) -> bucket <= cap +. 1e-6)

@@ -236,8 +236,8 @@ let crash_wipes_limiter_soft_state () =
   (* a throttled limiter holding two packets that will never fit its rate *)
   C.handle_ctl c ~arrival_port:1 ~congested_port:1 ~rate_bps:8.0;
   let leaked = ref 0 in
-  C.submit c ~out_port:1 ~next_port:(Some 1) ~bytes:1000 ~send:(fun () -> incr leaked);
-  C.submit c ~out_port:1 ~next_port:(Some 1) ~bytes:1000 ~send:(fun () -> incr leaked);
+  C.submit c ~out_port:1 ~next_port:1 ~bytes:1000 ~send:(fun () -> incr leaked);
+  C.submit c ~out_port:1 ~next_port:1 ~bytes:1000 ~send:(fun () -> incr leaked);
   check_int "limiter installed" 1 (C.limiters c);
   check_int "packets held" 2 (C.backlog c);
   let inj = Faults.Injector.create world in

@@ -101,7 +101,7 @@ let sirpent_scales_to_many_hops () =
   let delivered = ref false in
   Sirpent.Host.set_receive s2 (fun _ ~packet ~in_port:_ ->
       delivered := true;
-      check_int "20 trailer hops" 20 (List.length packet.Viper.Packet.trailer));
+      check_int "20 trailer hops" 20 (List.length (Viper.Packet.trailer packet)));
   let metric (_ : G.link) = 1.0 in
   let route =
     Sirpent.Route.of_hops g ~src:h1
@@ -286,7 +286,7 @@ let qcheck_route_hop_count_matches_trailer =
       let s2 = Sirpent.Host.create world ~node:h2 in
       let entries = ref (-1) in
       Sirpent.Host.set_receive s2 (fun _ ~packet ~in_port:_ ->
-          entries := List.length packet.Viper.Packet.trailer);
+          entries := List.length (Viper.Packet.trailer packet));
       let metric (_ : G.link) = 1.0 in
       let route =
         Sirpent.Route.of_hops g ~src:h1

@@ -64,7 +64,7 @@ let crosses_the_cloud () =
   | Some p ->
     Alcotest.(check string) "data" "across the cloud" (Bytes.to_string p.Viper.Packet.data);
     (* trailer: gwA's sirpent-side entry, then gwB's tunnel entry *)
-    check_int "two trailer hops" 2 (List.length p.Viper.Packet.trailer));
+    check_int "two trailer hops" 2 (List.length (Viper.Packet.trailer p)));
   check_int "gwA encapsulated" 1 (Interop.Gateway.stats gwa).Interop.Gateway.encapsulated;
   check_int "gwB decapsulated" 1 (Interop.Gateway.stats gwb).Interop.Gateway.decapsulated
 

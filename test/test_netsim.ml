@@ -68,7 +68,7 @@ let preemption_kills_victim () =
       let urgent = W.fresh_frame world ~priority:7 (Bytes.make 100 'u') in
       match W.send world ~node:a ~port:1 urgent with
       | W.Started_preempting f ->
-        check_bool "preempted the victim" true (f.Netsim.Frame.id = victim.Netsim.Frame.id)
+        check_bool "preempted the victim" true (f == victim)
       | _ -> Alcotest.fail "expected preemption");
   Sim.Engine.run engine;
   (* the victim's delivery was cancelled OR flagged aborted *)

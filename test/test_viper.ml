@@ -119,7 +119,7 @@ let route3 =
 let build_normalizes_vnt () =
   let p = Pkt.build ~route:route3 ~data:(Bytes.of_string "hello") in
   let decoded = Pkt.decode p in
-  match decoded.Pkt.route with
+  match Pkt.route decoded with
   | [ a; b; c ] ->
     check_bool "first VNT" true a.Seg.flags.Seg.vnt;
     check_bool "middle VNT" true b.Seg.flags.Seg.vnt;
@@ -144,8 +144,8 @@ let strip_and_forward () =
   let stripped, forwarded = Pkt.forward p ~return_seg in
   check_int "same stripped" 3 stripped.Seg.port;
   let decoded = Pkt.decode forwarded in
-  check_int "route shortened" 2 (List.length decoded.Pkt.route);
-  (match decoded.Pkt.trailer with
+  check_int "route shortened" 2 (List.length (Pkt.route decoded));
+  (match Pkt.trailer decoded with
   | [ Viper.Trailer.Hop h ] ->
     check_int "return port" 1 h.Seg.port;
     check_bool "rpf" true h.Seg.flags.Seg.rpf
@@ -165,7 +165,7 @@ let full_path_reversal () =
       p := fwd)
     in_ports;
   let final = Pkt.decode !p in
-  check_int "only local segment left" 1 (List.length final.Pkt.route);
+  check_int "only local segment left" 1 (List.length (Pkt.route final));
   let back = Pkt.return_route final in
   (* reverse order: last hop's return port first *)
   (match back with
@@ -402,8 +402,8 @@ let substitute_route_swaps_chain () =
     Pkt.encode_route_segments [ Seg.make ~port:8 (); Seg.make ~port:0 () ]
   in
   let d = Pkt.decode (Pkt.substitute_route p ~route:alt) in
-  check_int "route replaced" 2 (List.length d.Pkt.route);
-  check_int "new first hop" 8 (List.hd d.Pkt.route).Seg.port;
+  check_int "route replaced" 2 (List.length (Pkt.route d));
+  check_int "new first hop" 8 (List.hd (Pkt.route d)).Seg.port;
   check_string "data untouched" "payload" (Bytes.to_string d.Pkt.data)
 
 let tree_segment_port () =
@@ -450,7 +450,7 @@ let qcheck_packet_roundtrip =
             Seg.make ~port:(if i = hops - 1 then 0 else 1 + (i mod 200)) ())
       in
       let p = Pkt.decode (Pkt.build ~route ~data:(Bytes.of_string data)) in
-      Bytes.to_string p.Pkt.data = data && List.length p.Pkt.route = hops)
+      Bytes.to_string p.Pkt.data = data && List.length (Pkt.route p) = hops)
 
 (* the fused failover (one sized allocation) must emit exactly the bytes
    of the two-copy composition it replaces *)
@@ -608,7 +608,7 @@ module Ref = struct
     let data_len = Bytes.length bytes - rest_start - Viper.Trailer.size bytes in
     if data_len < 0 then invalid_arg "Packet.decode: overlapping trailer";
     let data = Wire.Buf.get_bytes r data_len in
-    { Pkt.route; data; trailer = entries bytes }
+    (route, data, entries bytes)
 
   (* both leading segments decoded in full, for one port *)
   let peek_ports bytes =
@@ -643,16 +643,45 @@ let result_equal eq a b =
   | Error x, Error y -> x = y
   | _ -> false
 
-let packet_equal a b =
-  List.equal Seg.equal a.Pkt.route b.Pkt.route
-  && Bytes.equal a.Pkt.data b.Pkt.data
-  && List.equal entry_equal a.Pkt.trailer b.Pkt.trailer
+(* a packet against the reference's decoded lists *)
+let packet_equal a (route, data, trailer) =
+  List.equal Seg.equal (Pkt.route a) route
+  && Bytes.equal a.Pkt.data data
+  && List.equal entry_equal (Pkt.trailer a) trailer
 
 let outcome f x = match f x with v -> Ok v | exception e -> Error (Printexc.to_string e)
 
+(* [b] as the window of a larger buffer, junk on both sides *)
+let embed b =
+  let w = Bytes.make (Bytes.length b + 11) '\xA5' in
+  Bytes.blit b 0 w 5 (Bytes.length b);
+  (w, 5, Bytes.length b)
+
+(* The in-place arrival check and the window readers agree with the
+   copying parse of the window's bytes. *)
+let window_agrees b =
+  let w, off, len = embed b in
+  let same_packet p q =
+    List.equal Seg.equal (Pkt.route p) (Pkt.route q)
+    && Bytes.equal p.Pkt.data q.Pkt.data
+    && List.equal entry_equal (Pkt.trailer p) (Pkt.trailer q)
+    && Pkt.took_branch p = Pkt.took_branch q
+    && Pkt.terminates p
+       = (match Pkt.route q with [ s ] -> s.Seg.port = Seg.local_port | _ -> false)
+    && Pkt.truncated p
+       = List.exists (fun e -> e = Viper.Trailer.Truncated) (Pkt.trailer q)
+  in
+  (match (Pkt.of_window w ~off ~len, Pkt.parse b) with
+  | Ok p, Ok q -> same_packet p q
+  | Error _, Error _ -> true
+  | Ok _, Error _ | Error _, Ok _ -> false)
+  && outcome (fun () -> Viper.Trailer.entries_in w ~off ~len) ()
+     = outcome Viper.Trailer.entries b
+  && Pkt.next_port w ~off ~len = Option.value ~default:(-1) (Pkt.peek_next_port b)
+
 (* Every in-place read of [b] agrees with its reference: the packet
-   parse, the trailer walk, both port peeks, and the segment extent read
-   from every offset. *)
+   parse, the trailer walk, both port peeks, the segment extent read
+   from every offset, and the same reads on [b] as a window. *)
 let reads_agree b =
   let extents_agree = ref true in
   for off = 0 to Bytes.length b do
@@ -665,6 +694,7 @@ let reads_agree b =
        (Ref.wrap Ref.entries b)
   && outcome Pkt.peek_ports b = outcome Ref.peek_ports b
   && Pkt.peek_next_port b = Ref.next_port b
+  && window_agrees b
 
 (* field sizes on both sides of the 255-byte extended length *)
 let field_gen =
@@ -695,7 +725,7 @@ let qcheck_build_byte_identical =
     (QCheck.make build_case_gen) (fun (route, data, priority, dib, last_vnt) ->
       Bytes.equal (Pkt.build ~route ~data) (Ref.build ~route ~data)
       && Bytes.equal
-           (Pkt.build_stamped ~priority ~dib ~route ~data)
+           (Pkt.build_stamped ~tailroom:0 ~priority ~dib ~route ~data)
            (Ref.build ~route:(Ref.stamp ~priority ~dib route) ~data)
       && Bytes.equal (Pkt.encode_route_segments route) (Ref.write_route route)
       && (let w = Wire.Buf.create_writer 64 in
@@ -738,6 +768,232 @@ let qcheck_reads_in_place =
         | _ -> p
       in
       reads_agree p)
+
+(* [p] with one more trailer entry holding [raw] under a valid checksum:
+   bytes no router would write, which must still be a segment. *)
+let append_raw_entry p raw =
+  let n = Bytes.length p and rl = Bytes.length raw in
+  let total = Bytes.get_uint16_be p (n - 2) + rl + 3 in
+  let entry = Bytes.create (rl + 3) in
+  Bytes.blit raw 0 entry 0 rl;
+  Bytes.set entry rl (Char.chr (Ref.cksum raw));
+  Bytes.set_uint16_be entry (rl + 1) rl;
+  let terminator = Bytes.create 3 in
+  Bytes.set terminator 0 (Char.chr (0x5A lxor (total lsr 8) lxor (total land 0xFF)));
+  Bytes.set_uint16_be terminator 1 total;
+  Bytes.concat Bytes.empty [ Bytes.sub p 0 (n - 3); entry; terminator ]
+
+(* Random damage to a travelled packet — a few bit flips anywhere, or a
+   cut — and entries of raw bytes under valid checksums: the in-place
+   arrival check still gives exactly the copying parse's verdict and
+   contents. *)
+let qcheck_arrival_check_agrees =
+  QCheck.Test.make ~name:"in-place arrival check = parse on damaged packets" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          let* route = list_size (int_range 1 5) route_segment_gen in
+          let* hops = int_range 0 (List.length route - 1) in
+          let* returns = list_repeat hops route_segment_gen in
+          let* data = string_size (int_range 0 64) in
+          let* mark = int_range 0 2 in
+          let* flips = list_size (int_range 0 4) (pair nat (int_range 0 7)) in
+          let* cut = oneof [ return None; map Option.some nat ] in
+          let* raw = oneof [ return None; map Option.some (string_size (int_range 0 12)) ] in
+          return (route, returns, Bytes.of_string data, mark, flips, cut, raw)))
+    (fun (route, returns, data, mark, flips, cut, raw) ->
+      let p = travelled ~route ~data ~returns in
+      let p =
+        match mark with
+        | 1 -> Viper.Trailer.append_branch_marker p
+        | 2 -> Viper.Trailer.append_truncation_marker p
+        | _ -> p
+      in
+      let p = match raw with Some r -> append_raw_entry p (Bytes.of_string r) | None -> p in
+      List.iter
+        (fun (i, bit) ->
+          let i = i mod Bytes.length p in
+          Bytes.set p i (Char.chr (Char.code (Bytes.get p i) lxor (1 lsl bit))))
+        flips;
+      let p = match cut with Some n -> Bytes.sub p 0 (n mod (Bytes.length p + 1)) | None -> p in
+      window_agrees p)
+
+(* The hop as it was: read the segment, revise it into a return hop
+   (Ethernet addresses swapped), and strip + append in one copy. *)
+let reference_hop p ~in_port ~keep_token ~info =
+  let pos = Seg.extent p ~off:0 in
+  let seg = Seg.decode_sub p ~off:0 ~len:pos in
+  let revise info =
+    if Bytes.length info = Ether.Frame.header_size then begin
+      let h = Ether.Frame.read_header (Wire.Buf.reader_of_bytes info) in
+      let w = Wire.Buf.create_writer Ether.Frame.header_size in
+      Ether.Frame.write_header w (Ether.Frame.swap h);
+      Wire.Buf.contents w
+    end
+    else info
+  in
+  let token = if keep_token then seg.Seg.token else Bytes.empty in
+  let info = match info with Some i -> i | None -> revise seg.Seg.info in
+  Viper.Trailer.append_hop_sub p ~pos (Seg.return_hop seg ~port:in_port ~token ~info)
+
+(* One hop on a window: in place when [buf] has the room, else into a
+   fresh window with room for the rest, as a router does. Returns the
+   new window. *)
+let window_hop (buf, off, len) ~in_port ~keep_token ~info ~copy =
+  let hdr = Seg.extent_to buf ~off ~stop:(off + len) in
+  let rlen = Seg.return_hop_size buf ~off ~port:in_port ~keep_token ~info in
+  if (not copy) && off + len + rlen + 3 <= Bytes.length buf then
+    let len =
+      Viper.Trailer.append_return_hop buf ~off ~len ~pos:hdr ~port:in_port ~keep_token
+        ~info buf ~at:(off + hdr)
+    in
+    (buf, off + hdr, len)
+  else begin
+    let room = Pkt.tailroom_in buf ~off:(off + hdr) ~len:(len - hdr) in
+    let dst = Bytes.make (len - hdr + rlen + 3 + room) '\xEE' in
+    let len =
+      Viper.Trailer.append_return_hop buf ~off ~len ~pos:hdr ~port:in_port ~keep_token
+        ~info dst ~at:0
+    in
+    (dst, 0, len)
+  end
+
+let window_bytes (buf, off, len) = Bytes.sub buf off len
+
+let hop_field_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        field_gen;
+        map Bytes.of_string (string_size (return Ether.Frame.header_size));
+      ])
+
+(* A router segment: any port but local delivery, tokens and portInfo of
+   every shape (Ethernet-sized included), sometimes a branch. *)
+let hop_segment_gen =
+  QCheck.Gen.(
+    let* port = int_range 1 254 in
+    let* priority = int_range 0 15 in
+    let* dib = bool and* rpf = bool in
+    let* token = hop_field_gen and* info = hop_field_gen in
+    let* branch = oneof [ return ""; string_size (int_range 1 12) ] in
+    return
+      (Seg.make ~flags:{ Seg.vnt = false; dib; rpf } ~priority ~token ~info
+         ~branch:(Bytes.of_string branch) ~port ()))
+
+(* Each hop: in-port, keep the token, an injected portInfo, a multicast
+   copy of this hop, a truncation after it. *)
+let hop_gen =
+  QCheck.Gen.(
+    let* in_port = int_range 1 239 and* keep_token = bool in
+    let* info = oneof [ return None; map Option.some hop_field_gen ] in
+    let* copy = bool and* truncate = int_range 0 9 in
+    return (in_port, keep_token, info, copy, truncate = 0))
+
+(* The window after k hops holds exactly the bytes the copying hop makes,
+   whether each hop runs in place or into a fresh window, with branch and
+   truncation markers in the trailer, a multicast copy taken at any hop
+   (the original window must not move), and truncation on the way. *)
+let qcheck_window_hops =
+  QCheck.Test.make ~name:"window after k hops = append_hop_sub composition" ~count:200
+    QCheck.(
+      make
+        Gen.(
+          let* routers = list_size (int_range 1 6) hop_segment_gen in
+          let* hops = list_repeat (List.length routers) hop_gen in
+          let* data = string_size (int_range 0 80) in
+          let* mark = int_range 0 2 in
+          return (routers, hops, Bytes.of_string data, mark)))
+    (fun (routers, hops, data, mark) ->
+      let route = routers @ [ Seg.make ~port:Seg.local_port () ] in
+      let tailroom = Pkt.tailroom route in
+      let marked p =
+        match mark with
+        | 1 -> Viper.Trailer.append_branch_marker p
+        | 2 -> Viper.Trailer.append_truncation_marker p
+        | _ -> p
+      in
+      let exact = marked (Pkt.build ~route ~data) in
+      if Pkt.tailroom_in exact ~off:0 ~len:(Bytes.length exact) <> tailroom then
+        QCheck.Test.fail_report "tailroom read off the wire differs";
+      (* the marker's two bytes come out of the tailroom *)
+      let buf = Bytes.make (Bytes.length exact + tailroom) '\xEE' in
+      Bytes.blit exact 0 buf 0 (Bytes.length exact);
+      let step (reference, window) (in_port, keep_token, info, copy, truncate) =
+        match reference with
+        | Error _ -> (reference, window)
+        | Ok p -> (
+          let expected = outcome (fun () -> reference_hop p ~in_port ~keep_token ~info) () in
+          let before = window_bytes window in
+          let got =
+            outcome (fun () -> window_hop window ~in_port ~keep_token ~info ~copy) ()
+          in
+          if copy && not (Bytes.equal before (window_bytes window)) then
+            QCheck.Test.fail_report "a copy moved the original window";
+          match (expected, got) with
+          | Ok e, Ok w ->
+            if not (Bytes.equal e (window_bytes w)) then
+              QCheck.Test.fail_report "window bytes differ from the reference";
+            if truncate && Bytes.length e > 8 then
+              let max = Bytes.length e - 8 in
+              let cut = Pkt.truncate_to e ~max in
+              (Ok cut, (Bytes.copy cut, 0, Bytes.length cut))
+            else (Ok e, w)
+          | Error _, Error _ -> (expected, window)
+          | Ok _, Error m | Error m, Ok _ ->
+            QCheck.Test.fail_reportf "only one side failed: %s" m)
+      in
+      let reference, window =
+        List.fold_left step (Ok exact, (buf, 0, Bytes.length exact)) hops
+      in
+      (match reference with
+      | Ok p ->
+        if not (Bytes.equal p (window_bytes window)) then
+          QCheck.Test.fail_report "final window differs";
+        window_agrees p
+      | Error _ -> true))
+
+(* XSR on windows: the unfold, the next port and the route folded
+   straight from the segments read the same through a window embedded in
+   a larger buffer as from the packet's own bytes, after every step. *)
+let qcheck_xsr_windows =
+  QCheck.Test.make ~name:"XSR window reads = exact-buffer reads" ~count:200
+    QCheck.(
+      make
+        Gen.(
+          let* ports = list_size (int_range 1 Viper.Xsr.width) (int_range 1 239) in
+          let* in_ports = list_repeat (List.length ports) (int_range 1 239) in
+          let* priority = int_range 0 15 in
+          let* data = string_size (int_range 0 40) in
+          return (ports, in_ports, priority, Bytes.of_string data)))
+    (fun (ports, in_ports, priority, data) ->
+      let segments =
+        List.map (fun port -> Seg.make ~port ()) ports @ [ Seg.make ~port:Seg.local_port () ]
+      in
+      let b = Viper.Xsr.encode_segments ~priority ~segments ~data in
+      let same () =
+        let w, off, len = embed b in
+        Viper.Xsr.is_xsr_in w ~off ~len
+        && Pkt.next_port w ~off ~len = Option.value ~default:(-1) (Pkt.peek_next_port b)
+        &&
+        match (Pkt.unfold w ~off ~len, Pkt.unfold b ~off:0 ~len:(Bytes.length b)) with
+        | Ok p, Ok q ->
+          let q' = Pkt.of_xsr b in
+          List.equal Seg.equal (Pkt.route p) (Pkt.route q)
+          && List.equal entry_equal (Pkt.trailer p) (Pkt.trailer q')
+          && Bytes.equal p.Pkt.data q.Pkt.data
+          && Pkt.terminates p
+        | _ -> false
+      in
+      Bytes.equal b (Viper.Xsr.encode ~priority ~ports ~data ())
+      && same ()
+      && List.for_all
+           (fun in_port ->
+             (match Viper.Xsr.step b ~in_port with
+             | Viper.Xsr.Forward _ -> ()
+             | Viper.Xsr.Deliver | Viper.Xsr.Malformed _ -> QCheck.Test.fail_report "step");
+             same ())
+           in_ports)
 
 (* Damage: every single-bit flip, and every cut, of a packet three
    routers have appended to. Each read must give the reference's value
@@ -842,5 +1098,8 @@ let () =
             qcheck_reversal_is_reverse;
             qcheck_build_byte_identical;
             qcheck_reads_in_place;
+            qcheck_arrival_check_agrees;
+            qcheck_window_hops;
+            qcheck_xsr_windows;
           ] );
     ]

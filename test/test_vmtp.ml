@@ -316,7 +316,11 @@ let failover_to_alternate_route () =
    holds the response and replays it for the duplicate: it must go back
    over the duplicate's own trailer (route 2), not the first request's
    (route 1, now dead). *)
-let replay_follows_duplicate_route () =
+(* [background] is a list of (delay, via rb, size): packets a third
+   host sends the server through the two routers while the transaction
+   runs, so the held response is replayed over a trailer that later
+   traffic has passed by. *)
+let replay_scenario ~background =
   let g = G.create () in
   let h1 = G.add_node g G.Host and h2 = G.add_node g G.Host in
   let ra = G.add_node g G.Router and rb = G.add_node g G.Router in
@@ -324,12 +328,15 @@ let replay_follows_duplicate_route () =
   ignore (G.connect g h1 rb props);
   ignore (G.connect g ra h2 props);
   ignore (G.connect g rb h2 props);
+  let h3 = G.add_node g G.Host in
+  let h3_ra, _ = G.connect g h3 ra props and h3_rb, _ = G.connect g h3 rb props in
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
   ignore (Sirpent.Router.create world ~node:ra ());
   ignore (Sirpent.Router.create world ~node:rb ());
   let host1 = Sirpent.Host.create world ~node:h1 in
   let host2 = Sirpent.Host.create world ~node:h2 in
+  let host3 = Sirpent.Host.create world ~node:h3 in
   let metric (_ : G.link) = 1.0 in
   let paths = G.k_shortest_paths g ~metric ~src:h1 ~dst:h2 ~k:2 in
   check_int "two disjoint paths" 2 (List.length paths);
@@ -352,6 +359,22 @@ let replay_follows_duplicate_route () =
     ~on_reply:(fun _ ~rtt:_ -> ok := true)
     ~on_fail:(fun r -> Alcotest.fail r)
     ();
+  List.iter
+    (fun (delay, via_rb, size) ->
+      let router, first_port = if via_rb then (rb, h3_rb) else (ra, h3_ra) in
+      let to_h2 =
+        fst (List.find (fun (_, l) -> fst (G.peer l router) = h2) (G.ports g router))
+      in
+      let route =
+        {
+          Sirpent.Route.first_port;
+          segments = [ Viper.Segment.make ~port:to_h2 (); Viper.Segment.make ~port:0 () ];
+        }
+      in
+      ignore
+        (Sim.Engine.schedule engine ~delay (fun () ->
+             ignore (Sirpent.Host.send host3 ~route ~data:(Bytes.make size 'b') ()))))
+    background;
   Sim.Engine.run ~until:(Sim.Time.s 10) engine;
   check_int "handler ran once" 1 !handled;
   check_int "failed over once" 1
@@ -359,6 +382,22 @@ let replay_follows_duplicate_route () =
   check_bool "duplicate replayed" true
     ((Vmtp.Entity.stats server).Vmtp.Entity.duplicate_requests > 0);
   check_bool "completed over route 2" true !ok
+
+let replay_follows_duplicate_route () = replay_scenario ~background:[]
+
+(* The held response survives later traffic: whatever passes through
+   the routers and reaches the server before the duplicate, the replay
+   rides the duplicate's own trailer home. *)
+let qcheck_held_response_survives =
+  QCheck.Test.make ~name:"held response replays after later traffic" ~count:20
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_range 1 60)
+            (triple (int_range 0 (Sim.Time.ms 40)) bool (int_range 0 300))))
+    (fun background ->
+      replay_scenario ~background;
+      true)
 
 let pacing_spreads_packets () =
   (* With pacing at 1 Mb/s, a 4-packet group takes >= 3 * 8ms to emit. *)
@@ -466,5 +505,7 @@ let () =
           Alcotest.test_case "drops late" `Quick playout_drops_late;
           Alcotest.test_case "headroom" `Quick playout_headroom;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ qcheck_wf_roundtrip ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_wf_roundtrip; qcheck_held_response_survives ] );
     ]
