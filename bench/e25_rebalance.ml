@@ -128,7 +128,7 @@ let profiles_of (t : topo) (part : P.t) =
     (fun (gw : P.gateway) ->
       let l = gw.P.gw_link in
       if is_gw l.G.a && is_gw l.G.b then
-        { S.store_and_forward = true; min_frame_bytes = 64; seal = false }
+        { S.store_and_forward = true; min_frame_bytes = 64 }
       else S.default_profile)
     part.P.gateways
 

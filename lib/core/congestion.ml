@@ -71,9 +71,9 @@ type t = {
   node : G.node_id;
   config : config;
   limiters : (int * int, limiter) Hashtbl.t;  (* (out_port, next_port) *)
-  window : (int * int, int) Hashtbl.t;  (* (out_port, in_port) -> packets *)
+  mutable arrivals : bool;  (* a packet arrived since the last monitor pass *)
   feeders : (int * int, Sim.Time.t) Hashtbl.t;
-      (* (out_port, in_port) -> last seen. Unlike [window], which empties
+      (* (out_port, in_port) -> last seen. Unlike [arrivals], which clears
          every interval, this remembers feeders for a full limiter_expiry:
          a throttled feeder trickling less than one packet per interval
          must still be refreshed, or its limiter ramps back up and
@@ -105,7 +105,7 @@ let create world ~node config =
     node;
     config;
     limiters = Hashtbl.create 8;
-    window = Hashtbl.create 16;
+    arrivals = false;
     feeders = Hashtbl.create 16;
     known_out_ports = Hashtbl.create 8;
     congested = Hashtbl.create 4;
@@ -306,13 +306,13 @@ let monitor t =
       t.recent_off []
   in
   List.iter (Hashtbl.remove t.recent_off) stale_off;
-  Hashtbl.reset t.window
+  t.arrivals <- false
 
 (* The monitor goes quiescent when there is nothing to watch, so idle hosts
    and routers do not keep the event queue alive forever; any new arrival or
-   control message re-arms it. The window of recent feeders empties each
-   interval, so [known_out_ports] is cleared once a port has been idle for a
-   full interval. *)
+   control message re-arms it. [arrivals] clears each interval, so
+   [known_out_ports] is cleared once a port has been idle for a full
+   interval. *)
 let rec ensure_tick t =
   if t.started && not t.tick_armed then begin
     t.tick_armed <- true;
@@ -322,7 +322,7 @@ let rec ensure_tick t =
   end
 
 and tick t =
-  let had_traffic = Hashtbl.length t.window > 0 in
+  let had_traffic = t.arrivals in
   monitor t;
   if had_traffic || Hashtbl.length t.limiters > 0 || Hashtbl.length t.congested > 0
   then ensure_tick t
@@ -337,10 +337,8 @@ and tick t =
 
 let note_arrival t ~in_port ~out_port =
   Hashtbl.replace t.known_out_ports out_port ();
-  let key = (out_port, in_port) in
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.window key) in
-  Hashtbl.replace t.window key (n + 1);
-  Hashtbl.replace t.feeders key (W.now t.world);
+  t.arrivals <- true;
+  Hashtbl.replace t.feeders (out_port, in_port) (W.now t.world);
   ensure_tick t
 
 let handle_ctl t ~arrival_port ~congested_port ~rate_bps =
@@ -400,7 +398,7 @@ let reset t =
       t.limiters 0
   in
   Hashtbl.reset t.limiters;
-  Hashtbl.reset t.window;
+  t.arrivals <- false;
   Hashtbl.reset t.feeders;
   Hashtbl.reset t.known_out_ports;
   Hashtbl.reset t.congested;

@@ -39,10 +39,3 @@ let header_overhead t =
 
 let equal a b =
   a.first_port = b.first_port && List.equal Seg.equal a.segments b.segments
-
-let pp fmt t =
-  Format.fprintf fmt "@[route(out %d):" t.first_port;
-  List.iter (fun s -> Format.fprintf fmt "@ %a" Seg.pp s) t.segments;
-  Format.fprintf fmt "@]"
-
-let to_string t = Format.asprintf "%a" pp t

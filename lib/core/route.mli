@@ -37,6 +37,3 @@ val header_overhead : t -> int
 val equal : t -> t -> bool
 (** Structural equality: same first port and segment-for-segment equal
     (ports, flags, priorities, tokens, info, branches). *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -104,7 +104,6 @@ type t = {
   mutable port_groups : G.port list option array;
   mutable port_handlers :
     (seg:Seg.t -> rest:bytes -> in_port:G.port -> unit) option array;
-  mutable on_local : (packet:Pkt.t -> in_port:G.port -> unit) option;
   mutable up : bool;
   mutable epoch : int;  (** bumped on crash: pending deferred work dies with it *)
   counters : C.t array;  (** one per scoreboard row *)
@@ -158,8 +157,6 @@ let set_port_group t ~port ~ports =
   if port < Seg.multicast_port_first || port >= Viper.Multicast.tree_port then
     invalid_arg "Router.set_port_group: port must be 240-253";
   t.port_groups <- with_port t.port_groups port ports
-
-let set_local_delivery t f = t.on_local <- Some f
 
 let now t = W.now t.world
 
@@ -648,9 +645,9 @@ and tree_multicast t ~frame ~info ~rest ~in_port ~in_info ~head ~tail ~depth =
           ~in_info ~head ~tail ~depth:(depth + 1))
       branches
 
-(* Either codec becomes the [Pkt.t] [on_local] consumers expect
-   ({!Pkt.unfold}): a VIPER window checked in place, or the XSR unfold,
-   whose trailer makes [Pkt.return_route] work unchanged. *)
+(* A packet addressed to the router itself must still arrive whole: a
+   VIPER window is checked in place, an XSR header unfolded
+   ({!Pkt.unfold}), and a malformed one is a counted drop. *)
 and deliver_local t ~frame ~buf ~off ~len ~in_port ~tail =
   schedule t
     ~time:(Int.max (now t) tail + t.config.process_time)
@@ -659,16 +656,13 @@ and deliver_local t ~frame ~buf ~off ~len ~in_port ~tail =
       else
       match Pkt.unfold buf ~off ~len with
       | Error _ -> drop t ~frame ~in_port Malformed
-      | Ok packet -> (
+      | Ok _ -> (
         bump t delivered_local;
-        (match frame.Netsim.Frame.flight with
+        match frame.Netsim.Frame.flight with
         | Some ctx ->
           Flight.hop ctx ~node:t.node ~in_port ~out_port:(-1) ~arrival:tail
             ~departure:(now t) ~handling:Flight.Local_delivery;
           Flight.complete ctx ~now:(now t)
-        | None -> ());
-        match t.on_local with
-        | Some f -> f ~packet ~in_port
         | None -> ()))
 
 (* The XSR header's step: one check-byte verify, one XOR, an in-place
@@ -730,7 +724,6 @@ let create ?(config = default_config) ?key world ~node () =
       congestion;
       port_groups = [||];
       port_handlers = [||];
-      on_local = None;
       up = true;
       epoch = 0;
       counters =

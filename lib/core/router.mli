@@ -85,11 +85,6 @@ val set_port_group : t -> port:int -> ports:Topo.Graph.port list -> unit
 (** Configure a multicast group port (240-253). Raises [Invalid_argument]
     outside that range. *)
 
-val set_local_delivery :
-  t -> (packet:Viper.Packet.t -> in_port:Topo.Graph.port -> unit) -> unit
-(** Invoked (after full reception and processing time) for packets whose
-    leading segment names port 0. *)
-
 (** {1 Extension points (interop, Â§2.3)} *)
 
 val set_port_handler :

@@ -35,7 +35,6 @@ type t = {
   mutable releases : int;
 }
 
-let node t = t.node
 
 let stats t =
   {

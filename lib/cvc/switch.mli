@@ -10,8 +10,6 @@ type config = {
   data_process_time : Sim.Time.t;  (** label swap + queue; default 20 us *)
 }
 
-val default_config : config
-
 type stats = {
   setups_handled : int;
   setups_refused : int;  (** admission failures *)
@@ -23,7 +21,6 @@ type stats = {
 type t
 
 val create : ?config:config -> Netsim.World.t -> node:Topo.Graph.node_id -> unit -> t
-val node : t -> Topo.Graph.node_id
 val stats : t -> stats
 
 val circuit_entries : t -> int

@@ -277,7 +277,6 @@ let selector_index = function
   | Secure -> 3
 
 let set_frozen t frozen = t.frozen <- frozen
-let frozen t = t.frozen
 
 let update_entries_gauge t =
   Gauge.set t.cache_entries (float_of_int (Lru.length t.answers + Lru.length t.spts))

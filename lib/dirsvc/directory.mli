@@ -168,7 +168,6 @@ val query_percentile_us : t -> float -> int
     fresh. *)
 
 val set_frozen : t -> bool -> unit
-val frozen : t -> bool
 
 val stale_served : t -> int
 (** Queries answered from the memo while frozen. *)

@@ -21,7 +21,6 @@ type ('k, 'v) t = {
 let create ?(on_evict = fun _ _ -> ()) ~cap () =
   { cap; tbl = Hashtbl.create (max 16 (min cap 4096)); head = None; tail = None; on_evict }
 
-let capacity t = t.cap
 let enabled t = t.cap > 0
 let length t = Hashtbl.length t.tbl
 
@@ -51,9 +50,6 @@ let find t k =
     touch t e;
     Some e.value
 
-let peek t k =
-  match Hashtbl.find_opt t.tbl k with None -> None | Some e -> Some e.value
-
 let evict_tail t =
   match t.tail with
   | None -> ()
@@ -74,17 +70,3 @@ let set t k v =
       push_front t e;
       if Hashtbl.length t.tbl > t.cap then evict_tail t
   end
-
-let remove t k =
-  match Hashtbl.find_opt t.tbl k with
-  | None -> ()
-  | Some e ->
-    unlink t e;
-    Hashtbl.remove t.tbl k
-
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None
-
-let iter t f = Hashtbl.iter (fun k e -> f k e.value) t.tbl

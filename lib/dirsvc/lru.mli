@@ -9,23 +9,15 @@
 type ('k, 'v) t
 
 val create : ?on_evict:('k -> 'v -> unit) -> cap:int -> unit -> ('k, 'v) t
-(** [on_evict] fires for every capacity eviction (not for {!remove} or
-    {!clear}) — hook eviction counters here. *)
+(** [on_evict] fires for every capacity eviction — hook eviction
+    counters here. *)
 
-val capacity : ('k, 'v) t -> int
 val enabled : ('k, 'v) t -> bool
 val length : ('k, 'v) t -> int
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Marks the entry most-recently-used. *)
 
-val peek : ('k, 'v) t -> 'k -> 'v option
-(** Like {!find} without touching recency. *)
-
 val set : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or update (marking most-recently-used); evicts the
     least-recently-used entry when over capacity. *)
-
-val remove : ('k, 'v) t -> 'k -> unit
-val clear : ('k, 'v) t -> unit
-val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit

@@ -34,5 +34,3 @@ let hierarchy_distance a b =
   let ra = region a and rb = region b in
   let shared = common_prefix ra rb in
   depth ra - shared + (depth rb - shared)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -23,5 +23,3 @@ val hierarchy_distance : t -> t -> int
 (** Levels a resolution walks between the two names' regions: up from one
     region to the common ancestor and down to the other. 0 for the same
     region. *)
-
-val pp : Format.formatter -> t -> unit

@@ -25,11 +25,9 @@ let of_string s =
       0L [ a; b; c; d; e; f ]
   | _ -> invalid_arg "Addr.of_string"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 let broadcast = mask
 let is_broadcast t = t = mask
 let is_multicast t = Int64.logand (Int64.shift_right_logical t 40) 1L = 1L
-let compare = Int64.compare
 let equal = Int64.equal
 
 let write w t =

@@ -1,7 +1,7 @@
 (** 48-bit Ethernet (MAC) addresses. *)
 
 type t
-(** Abstract; comparable with [compare] and usable as a map key. *)
+(** Abstract; compare two with {!equal}. *)
 
 val of_int64 : int64 -> t
 (** Low 48 bits are used. *)
@@ -12,7 +12,6 @@ val of_string : string -> t
 (** Parses ["aa:bb:cc:dd:ee:ff"]. Raises [Invalid_argument] otherwise. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val broadcast : t
 (** ff:ff:ff:ff:ff:ff *)
@@ -21,7 +20,6 @@ val is_broadcast : t -> bool
 val is_multicast : t -> bool
 (** Low bit of the first octet set. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val write : Wire.Buf.writer -> t -> unit

@@ -52,7 +52,6 @@ let stats t =
     directory_freezes = C.value t.c.c_directory_freezes;
   }
 
-let world t = t.world
 
 (* Shard-resident injection: one injector per region world, each with a
    stream that is a pure function of (base seed, region) — splitmix64

@@ -31,7 +31,6 @@ type stats = {
 
 val create : ?seed:int64 -> Netsim.World.t -> t
 val stats : t -> stats
-val world : t -> Netsim.World.t
 
 val region_seed : base:int64 -> region:int -> int64
 (** Derive the seed for region [region]'s shard-resident injector from

@@ -38,7 +38,6 @@ type t = {
   ip_dropped : C.t;
 }
 
-let router t = t.router
 let addr t = Ipbase.Header.addr_of_node t.node
 
 let stats t : stats =

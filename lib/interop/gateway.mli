@@ -43,8 +43,4 @@ val create :
     (1-239) is the VIPER port value that enters the tunnel. The node's
     IP address is [Ipbase.Header.addr_of_node node]. *)
 
-val router : t -> Sirpent.Router.t
-(** The embedded Sirpent router (for tokens, logical ports, stats). *)
-
-val addr : t -> int
 val stats : t -> stats

@@ -8,25 +8,16 @@ type t = {
   mutable on_receive : (t -> header:Header.t -> data:bytes -> unit) option;
   mutable next_ident : int;
   mutable received : int;
-  mutable dropped_checksum : int;
-  mutable misdelivered : int;
 }
 
 let node t = t.node
-let addr t = Header.addr_of_node t.node
 let set_receive t f = t.on_receive <- Some f
 let received t = t.received
-let dropped_checksum t = t.dropped_checksum
-let misdelivered t = t.misdelivered
 
 let accept t packet =
-  if not (Header.checksum_ok packet) then
-    t.dropped_checksum <- t.dropped_checksum + 1
-  else begin
+  if Header.checksum_ok packet then begin
     let h = Header.decode packet in
-    if Header.node_of_addr h.Header.dst <> t.node then
-      t.misdelivered <- t.misdelivered + 1
-    else
+    if Header.node_of_addr h.Header.dst = t.node then
       match Frag.Reassembly.offer t.reassembly ~now:(W.now t.world) packet with
       | None -> ()
       | Some whole ->
@@ -60,8 +51,6 @@ let create ?reassembly_timeout world ~node () =
       on_receive = None;
       next_ident = 1;
       received = 0;
-      dropped_checksum = 0;
-      misdelivered = 0;
     }
   in
   W.set_handler world node (handle t);

@@ -9,7 +9,6 @@ val create :
   node:Topo.Graph.node_id -> unit -> t
 
 val node : t -> Topo.Graph.node_id
-val addr : t -> int
 
 val send :
   t -> dst:Topo.Graph.node_id -> ?tos:int -> ?ttl:int -> ?protocol:int ->
@@ -23,6 +22,5 @@ val set_receive : t -> (t -> header:Header.t -> data:bytes -> unit) -> unit
     host. *)
 
 val received : t -> int
-val dropped_checksum : t -> int
-val misdelivered : t -> int
-(** Datagrams that arrived carrying someone else's destination address. *)
+(** Complete datagrams handed up; a bad checksum or someone else's
+    destination address is dropped uncounted. *)

@@ -225,7 +225,6 @@ let start t =
   end
 
 let next_hop t ~dst = Hashtbl.find_opt t.table dst
-let reachable t ~dst = Hashtbl.mem t.table dst
 let lsdb_entries t = Hashtbl.length t.lsdb
 
 let lsdb_bytes t =

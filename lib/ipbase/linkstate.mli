@@ -45,8 +45,6 @@ val next_hop : t -> dst:Topo.Graph.node_id -> Topo.Graph.port option
 (** Current forwarding decision. [None] while unreachable/not yet
     converged. *)
 
-val reachable : t -> dst:Topo.Graph.node_id -> bool
-
 val lsdb_entries : t -> int
 val lsdb_bytes : t -> int
 (** Estimated stored topology bytes — the O(topology) router state. *)

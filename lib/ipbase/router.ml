@@ -22,7 +22,6 @@ type t = {
   config : config;
   static_table : (G.node_id, G.port) Hashtbl.t;
   linkstate : Linkstate.t option;
-  mutable on_local : (header:Header.t -> payload:bytes -> unit) option;
   mutable forwarded : int;
   mutable dropped_ttl : int;
   mutable dropped_checksum : int;
@@ -30,8 +29,6 @@ type t = {
   mutable fragments_created : int;
   mutable delivered_local : int;
 }
-
-let node t = t.node
 
 let stats t =
   {
@@ -44,7 +41,6 @@ let stats t =
   }
 
 let linkstate t = t.linkstate
-let set_local_delivery t f = t.on_local <- Some f
 
 (* static tables from the current global topology: an oracle
    reconvergence *)
@@ -78,14 +74,7 @@ let forward t packet =
     else begin
       let h = Header.decode packet in
       let dst_node = Header.node_of_addr h.Header.dst in
-      if dst_node = t.node then begin
-        t.delivered_local <- t.delivered_local + 1;
-        match t.on_local with
-        | Some f ->
-          f ~header:h
-            ~payload:(Bytes.sub packet Header.size (Bytes.length packet - Header.size))
-        | None -> ()
-      end
+      if dst_node = t.node then t.delivered_local <- t.delivered_local + 1
       else
         match next_hop t ~dst:dst_node with
         | None -> t.dropped_no_route <- t.dropped_no_route + 1
@@ -136,7 +125,6 @@ let create ?(config = default_config) world ~node () =
       config;
       static_table = Hashtbl.create 64;
       linkstate;
-      on_local = None;
       forwarded = 0;
       dropped_ttl = 0;
       dropped_checksum = 0;

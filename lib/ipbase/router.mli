@@ -30,12 +30,9 @@ type stats = {
 type t
 
 val create : ?config:config -> Netsim.World.t -> node:Topo.Graph.node_id -> unit -> t
-val node : t -> Topo.Graph.node_id
 val stats : t -> stats
 
 val linkstate : t -> Linkstate.t option
 
 val table_size : t -> int
 (** Forwarding-table entries — part of the E12 state comparison. *)
-
-val set_local_delivery : t -> (header:Header.t -> payload:bytes -> unit) -> unit

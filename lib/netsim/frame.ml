@@ -16,7 +16,3 @@ let bits t = 8 * t.len
 let contents t =
   if t.off = 0 && t.len = Bytes.length t.payload then t.payload
   else Bytes.sub t.payload t.off t.len
-
-let pp fmt t =
-  Format.fprintf fmt "frame(%dB prio%X%s)" t.len t.priority
-    (if t.drop_if_blocked then " DIB" else "")

@@ -44,5 +44,3 @@ val bits : t -> int
 val contents : t -> bytes
 (** The wire bytes alone: [payload] itself when the window is the whole
     buffer, else a copy of the window. *)
-
-val pp : Format.formatter -> t -> unit

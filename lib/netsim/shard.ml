@@ -50,14 +50,9 @@ type profile = {
           matching transmission time to both dirs' lookaheads when
           [store_and_forward] is set, ignored otherwise (under
           cut-through a head outruns serialization) *)
-  seal : bool;
-      (** declare the trunk sealed — no preemptive priorities and no
-          crash-purged endpoints — enabling the dynamic busy-port floor
-          on both dirs' promises *)
 }
 
-let default_profile =
-  { store_and_forward = false; min_frame_bytes = 0; seal = false }
+let default_profile = { store_and_forward = false; min_frame_bytes = 0 }
 
 type shard = {
   region : int;
@@ -217,17 +212,12 @@ let create ?profiles (part : Partition.t) =
         t.in_dirs.(dst) <- t.in_dirs.(dst) @ [ dir ];
         (* The region-local copy of the gateway link carries this dir's
            traffic (real endpoint -> proxy); give it the profile's wire
-           discipline and, when sealed, let its busy port floor the
-           promise. *)
+           discipline. *)
         (match G.link_via part.Partition.graphs.(src) src_node src_port with
         | Some local ->
           if prof.store_and_forward then
             World.set_store_and_forward producer.world ~link_id:local.G.link_id
         | None -> ());
-        if prof.seal then
-          Sim.Shard_engine.set_edge_floor producer.clock ~edge (fun () ->
-              World.port_busy_until producer.world ~node:src_node
-                ~port:src_port);
         (* The tap fires when a transmission toward the proxy is
            scheduled: its head time joins the edge's pending-outbound
            multiset and caps the promise until the delivery fires (or is
@@ -272,7 +262,6 @@ let regions t = Array.length t.members
 let world t r = t.members.(r).world
 let engine t r = t.members.(r).engine
 let graph t r = t.part.Partition.graphs.(r)
-let partition t = t.part
 let region_of t node = t.part.Partition.region_of.(node)
 
 let run ?(shards = 1) ?epoch ~until t =

@@ -38,16 +38,10 @@ type profile = {
           transmission time joins both dirs' lookaheads when
           [store_and_forward] is set, and is ignored otherwise (under
           cut-through a head outruns serialization) *)
-  seal : bool;
-      (** caller declares the trunk sealed — no preemptive priorities
-          cross it and neither endpoint is ever crash-purged — enabling
-          the dynamic busy-port promise floor
-          ({!World.port_busy_until}); unsound if the declaration is
-          violated *)
 }
 
 val default_profile : profile
-(** Plain cut-through, no floor: exactly PR 4's behavior. *)
+(** Plain cut-through. *)
 
 val create : ?profiles:profile array -> Partition.t -> t
 (** Builds the per-region engines/worlds and wires the gateway proxies.
@@ -64,7 +58,6 @@ val regions : t -> int
 val world : t -> int -> World.t
 val engine : t -> int -> Sim.Engine.t
 val graph : t -> int -> G.t
-val partition : t -> Partition.t
 val region_of : t -> G.node_id -> int
 
 type region_load = {

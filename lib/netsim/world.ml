@@ -475,14 +475,6 @@ let queue_length t ~node ~port = Sim.Heap.size (outport t node port).queue
 let queued_bytes t ~node ~port = (outport t node port).queued_bytes
 let port_busy t ~node ~port = busy t (outport t node port).current
 
-(* Earliest instant a NEW transmission could start on the port. Sound as
-   a shard-promise floor only on sealed edges: preemption aborts the
-   current transmission early, and a crash purge frees the port early —
-   both start a successor before [finish]. *)
-let port_busy_until t ~node ~port =
-  let tx = (outport t node port).current in
-  if busy t tx then tx.finish else now t
-
 type port_stats = {
   sent_frames : int;
   sent_bytes : int;

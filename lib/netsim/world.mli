@@ -130,12 +130,6 @@ val queued_bytes : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> int
 val port_busy : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> bool
 (** Whether the port's transmission has yet to reach its completion key. *)
 
-val port_busy_until : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> Sim.Time.t
-(** Finish time of the transmission in progress, or [now] when idle: the
-    earliest instant a {e new} transmission could start on the port.
-    Sound as a shard-promise floor only for sealed edges — preemption
-    and crash purges both free the port early. *)
-
 type port_stats = {
   sent_frames : int;
   sent_bytes : int;

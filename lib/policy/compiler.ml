@@ -17,8 +17,6 @@ let error_to_string = function
   | Empty_intent -> "intent normalized to nothing"
   | Route_too_long -> "compiled route exceeds the VIPER segment limit"
 
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
-
 type compiled = {
   route : Route.t;
   plain : Route.t;

@@ -22,7 +22,6 @@ type error =
   | Route_too_long
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 type compiled = {
   route : Sirpent.Route.t;

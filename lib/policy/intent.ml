@@ -23,28 +23,6 @@ let load_balance ~at ~port next =
   if port < 1 || port > 253 then invalid_arg "Intent.load_balance: port must be 1-253";
   Load_balance { at; port; next }
 
-let rec pp fmt = function
-  | Direct -> Format.pp_print_string fmt "direct"
-  | Waypoint n -> Format.fprintf fmt "via(%s)" (Name.to_string n)
-  | Seq ts -> pp_list fmt "seq" ts
-  | Alt ts -> pp_list fmt "alt" ts
-  | Protect t -> Format.fprintf fmt "protect(%a)" pp t
-  | Avoid_node (n, t) ->
-    Format.fprintf fmt "avoid-node(%s; %a)" (Name.to_string n) pp t
-  | Avoid_region (r, t) ->
-    Format.fprintf fmt "avoid-region(%s; %a)" (Name.to_string r) pp t
-  | Load_balance { at; port; next } ->
-    Format.fprintf fmt "balance(%s:%d; %a)" (Name.to_string at) port pp next
-
-and pp_list fmt kw ts =
-  Format.fprintf fmt "%s[" kw;
-  List.iteri
-    (fun i t ->
-      if i > 0 then Format.fprintf fmt ";@ ";
-      pp fmt t)
-    ts;
-  Format.fprintf fmt "]"
-
 (* {1 Normal form}
 
    Seq distributes over Alt (cross product, left preference first), so any

@@ -66,8 +66,6 @@ val load_balance : at:Name.t -> port:int -> t -> t
     — a logical port is authorized by router configuration, not by a
     minted link token. Raises if [port] is outside 1-253. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Normal form}
 
     [Seq] distributes over [Alt] (cross product, left-biased), flattening

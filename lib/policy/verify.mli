@@ -8,22 +8,13 @@
     answer (tokens keep their original nonces). Any divergence means the
     compiler computed a route instead of asking. *)
 
-type outcome =
-  | Equal  (** bit-identical routes, or both found no route *)
-  | Route_mismatch  (** a segment differed (port, flags, token, ...) *)
-  | Hops_mismatch  (** same segments but a different hop list *)
-  | Presence_mismatch  (** exactly one side found a route *)
-
-val check :
-  Dirsvc.Directory.t -> client:Topo.Graph.node_id -> target:Dirsvc.Name.t ->
-  ?selector:Dirsvc.Directory.selector -> ?priority:Token.Priority.t ->
-  unit -> outcome
-
 type report = { checked : int; failed : int }
 
 val sweep :
   Dirsvc.Directory.t -> pairs:(Topo.Graph.node_id * Dirsvc.Name.t) list ->
   ?selector:Dirsvc.Directory.selector -> ?priority:Token.Priority.t ->
   unit -> report
-(** [failed] counts non-[Equal] outcomes — the number E23's regression
-    gate requires to be zero. *)
+(** [failed] counts pairs whose compiled and queried answers differ: a
+    segment (port, flags, token, ...), the hop list, or whether a route
+    was found at all — the number E23's regression gate requires to be
+    zero. *)

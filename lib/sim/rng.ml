@@ -42,8 +42,6 @@ let float t x =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int v /. 9007199254740992.0 *. x
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let exponential t ~mean =
   if mean <= 0.0 then invalid_arg "Rng.exponential";
   let u = ref (float t 1.0) in

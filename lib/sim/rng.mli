@@ -31,8 +31,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t x] is uniform in [0, x). *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean (> 0). *)
 

@@ -15,12 +15,6 @@
        (propagation, plus the minimum serialization time when the link
        is operated store-and-forward).
 
-   An edge may additionally carry a dynamic floor: a callback giving a
-   lower bound on the start time of any NEW transmission toward the
-   edge (typically the busy-until of the producing trunk port). The
-   floor never applies to transmissions already noted pending — those
-   are promised exactly.
-
    All bounds only ever move forward, so promises are monotone, and
    because every lookahead is strictly positive the shard holding the
    globally minimal next event always ends up with safe-time strictly
@@ -35,7 +29,6 @@ type edge = {
   counts : (Time.t, int) Hashtbl.t;
   mutable pseq : int;
   mutable promised : Time.t;
-  mutable floor : (unit -> Time.t) option;
 }
 
 type t = {
@@ -53,7 +46,6 @@ let make_edge lookahead =
     counts = Hashtbl.create 32;
     pseq = 0;
     promised = 0;
-    floor = None;
   }
 
 let create_edges ~lookaheads engine =
@@ -61,11 +53,8 @@ let create_edges ~lookaheads engine =
      region) promises nothing *)
   { engine; edges = Array.map make_edge lookaheads; ran_until = -1 }
 
-let engine t = t.engine
 let edge_count t = Array.length t.edges
 let edge_lookahead t ~edge = t.edges.(edge).lookahead
-
-let set_edge_floor t ~edge f = t.edges.(edge).floor <- Some f
 
 let note_outbound t ~edge ~head =
   let e = t.edges.(edge) in
@@ -108,11 +97,8 @@ let earliest_cause t ~safe_in =
   min next_local safe_in
 
 let promise_one t e ~cause =
-  let base =
-    match e.floor with None -> cause | Some f -> max cause (f ())
-  in
   let via_lookahead =
-    if base >= max_int - e.lookahead then max_int else base + e.lookahead
+    if cause >= max_int - e.lookahead then max_int else cause + e.lookahead
   in
   let p = min (min_pending t e) via_lookahead in
   (* monotone by construction; the max is a guard, not a correction *)

@@ -9,22 +9,16 @@
     timestamp of any message this shard could still send over it:
 
     {v promise(e) = min( min pending outbound head toward e,
-                         max( min(next local event, safe_in),
-                              floor(e) ) + lookahead(e) ) v}
+                         min(next local event, safe_in) + lookahead(e) ) v}
 
     [lookahead(e)] is per edge: the gateway link's propagation delay,
     plus — when the link is operated store-and-forward — the minimum
     transmission time over the priorities enabled on that link (a frame
     must be fully serialized before its head leaves, so no event at
     time [s] can make anything arrive before [s + tx_min + prop]).
-    The optional dynamic [floor(e)] is a lower bound on the start time
-    of any {e new} transmission toward the edge — typically the
-    busy-until of the producing trunk port, sound only when the edge
-    carries no preemptive priorities and its producing node is never
-    crash-purged (see {!Netsim.Shard.seal}-style callers).
     Transmissions already in flight are promised exactly via the
     per-edge pending-head multiset ({!note_outbound} /
-    {!outbound_sent}); the floor never applies to them.
+    {!outbound_sent}).
 
     Promises are monotone non-decreasing and, because every lookahead
     is strictly positive, always strictly above the shard's own clock —
@@ -41,17 +35,8 @@ val create_edges : lookaheads:Time.t array -> Engine.t -> t
     lookahead, under which null messages make no progress — the
     partitioner refuses such topologies instead. *)
 
-val engine : t -> Engine.t
-
 val edge_count : t -> int
 val edge_lookahead : t -> edge:int -> Time.t
-
-val set_edge_floor : t -> edge:int -> (unit -> Time.t) -> unit
-(** Install a dynamic lower bound on the start time of any new
-    transmission toward [edge]. Caller contract: the bound must hold
-    against preemption and crash-purges (only seal edges whose enabled
-    priorities are non-preemptive and whose producing port is never
-    purged). *)
 
 val note_outbound : t -> edge:int -> head:Time.t -> unit
 (** A transmission whose delivery arrives at [edge]'s egress proxy at

@@ -40,11 +40,6 @@ let entries t =
       | Some e -> e
       | None -> assert false)
 
-let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
-  t.next <- 0;
-  t.total <- 0
-
 let kind_name = function
   | Router_crashed _ -> "router_crashed"
   | Router_restarted _ -> "router_restarted"

@@ -45,7 +45,6 @@ val total : t -> int
 (** Events ever emitted (including overwritten ones). *)
 
 val size : t -> int
-val clear : t -> unit
 
 val kind_name : event -> string
 val to_string : event -> string

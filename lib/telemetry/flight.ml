@@ -62,7 +62,6 @@ let create ?(policy = default_policy) () =
     drops = 0;
   }
 
-let policy t = t.policy
 let enabled t = t.policy.sample_every > 0
 
 let clear t =
@@ -104,7 +103,6 @@ let start t ~now =
     end
   end
 
-let sampled c = c.is_sampled
 let note_token c check = c.token_note <- check
 
 let commit c ~now ~store =

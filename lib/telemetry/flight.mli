@@ -55,8 +55,6 @@ val create : ?policy:policy -> unit -> t
     capacity = 1024 }]: disabled; enable per experiment with
     {!set_policy}. *)
 
-val policy : t -> policy
-
 val set_policy : t -> policy -> unit
 (** Replaces the policy and clears all recorded state. *)
 
@@ -67,8 +65,6 @@ val enabled : t -> bool
 val start : t -> now:Sim.Time.t -> ctx option
 (** Allocate the trace context at injection. [None] when disabled, or
     when this packet is unsampled and drops are not captured. *)
-
-val sampled : ctx -> bool
 
 val note_token : ctx -> token_check -> unit
 (** Record the token-cache outcome; consumed by the next {!hop}. *)
@@ -123,7 +119,6 @@ val sampled_count : t -> int
 val completed : t -> int
 val dropped : t -> int
 val recorded : t -> int
-val clear : t -> unit
 
 val handling_name : handling -> string
 val token_name : token_check -> string

@@ -12,7 +12,6 @@ module Gauge = struct
 
   let create () = { v = 0.0 }
   let set g v = g.v <- v
-  let add g d = g.v <- g.v +. d
   let value g = g.v
 end
 

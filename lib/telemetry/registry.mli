@@ -22,8 +22,6 @@ module Gauge : sig
   type t
 
   val set : t -> float -> unit
-  val add : t -> float -> unit
-  val value : t -> float
 end
 
 (** Log-linear histogram (HDR-style): 16 linear sub-buckets per power of
@@ -43,17 +41,11 @@ module Hist : sig
   val max : t -> int
   (** 0 when empty. *)
 
-  val mean : t -> float
-  (** 0 when empty. *)
-
   val percentile : t -> float -> int
   (** [percentile t p] for p in [0,1] (clamped): the upper bound of the
       bucket holding the value of rank [max 1 (ceil (p * count))]. Hence
       [percentile t 0.0] is the bucket of the smallest sample and
       [percentile t 1.0] that of the largest; 0 when empty. *)
-
-  val buckets : t -> (int * int) list
-  (** Non-empty buckets as [(upper_bound, count)], ascending. *)
 end
 
 (** {1 Registry} *)

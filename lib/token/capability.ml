@@ -74,7 +74,6 @@ let verify key t =
 
 let of_bytes b = if Bytes.length b = size then Some b else None
 let to_bytes t = Bytes.copy t
-let equal = Bytes.equal
 
 let forged () = Bytes.make size '\xA5'
 

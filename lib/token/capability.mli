@@ -40,7 +40,6 @@ val of_bytes : bytes -> t option
     authenticity implied. *)
 
 val to_bytes : t -> bytes
-val equal : t -> t -> bool
 
 val forged : unit -> t
 (** An arbitrary token that will not verify under any reasonable key —

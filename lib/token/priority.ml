@@ -7,4 +7,3 @@ let valid p = p >= 0 && p <= 0xF
 let rank p = if p land 0x8 = 0 then p + 8 else 0xF - p
 let compare a b = Int.compare (rank a) (rank b)
 let preemptive p = p = 6 || p = 7
-let pp fmt p = Format.fprintf fmt "prio%X(rank %d)" p (rank p)

@@ -27,5 +27,3 @@ val compare : t -> t -> int
 
 val preemptive : t -> bool
 (** True for 6 and 7. *)
-
-val pp : Format.formatter -> t -> unit

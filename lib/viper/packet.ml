@@ -279,7 +279,7 @@ let return_route_r t =
   else Ok (return_route_hops t)
 
 (* Where the segment after the leading one starts when VNT says one
-   follows, else -1. Found in place with {!Segment.extent}, which raises
+   follows, else -1. Found in place with {!Segment.extent_to}, which raises
    exactly where a full read of either segment would. *)
 let second_segment b ~off ~stop =
   let len1 = Segment.extent_to b ~off ~stop in
@@ -289,25 +289,10 @@ let second_segment b ~off ~stop =
   end
   else -1
 
-let peek_ports bytes =
-  let off2 = second_segment bytes ~off:0 ~stop:(Bytes.length bytes) in
-  ( Segment.peek_port bytes ~off:0,
-    if off2 < 0 then None else Some (Segment.peek_port bytes ~off:off2) )
-
 let next_port b ~off ~len =
   if Xsr.is_xsr_in b ~off ~len then Xsr.next_port (exact b ~off ~len)
   else
     match second_segment b ~off ~stop:(off + len) with
     | exception (Wire.Buf.Underflow | Failure _) -> -1
     | _ -> Segment.peek_port b ~off
-
-let peek_next_port bytes =
-  match next_port bytes ~off:0 ~len:(Bytes.length bytes) with
-  | -1 -> None
-  | p -> Some p
-
-let header_bytes bytes =
-  let r = Wire.Buf.reader_of_bytes bytes in
-  let seg = Segment.read r in
-  Segment.encoded_size seg
 

@@ -170,30 +170,17 @@ val return_route : t -> Segment.t list
     traversal, RPF set, VNT normalized. Raises [Failure] if the packet was
     truncated (the return route is incomplete). *)
 
-val peek_ports : bytes -> int * int option
-(** [(p1, p2)]: the leading segment's port and, when another VIPER segment
-    follows, that segment's port. Upstream routers use this to recognize
-    packets "destined for this queue" when applying rate-control feedback
-    (§2.2) — the source route makes the next-hop queue visible without
-    any per-flow state. Read in place: no field is copied. Raises where
-    {!Segment.read} of either segment would. *)
-
 val next_port : bytes -> off:int -> len:int -> int
-(** {!peek_next_port} of the window [b.[off] .. b.[off + len - 1]],
-    without the option: [-1] for [None]. Routers key rate-control
-    limiters by it on every act step. *)
-
-val peek_next_port : bytes -> int option
-(** The port the next router will forward on, read in place from either
-    header. For an XSR packet ({!Xsr.is_xsr}) it is
-    {!Xsr.peek_next_port}. Otherwise it is the leading segment's port,
-    read with {!Segment.extent}: [Some p] exactly when {!peek_ports}
-    returns [(p, _)], [None] when it raises. It copies no field, builds
-    no tuple and catches only the codec's exceptions. *)
-
-val header_bytes : bytes -> int
-(** Size of the leading header segment — the bytes a cut-through switch
-    must receive before forwarding can begin. *)
+(** The port the next router will forward on, read in place from the
+    packet in the window [b.[off] .. b.[off + len - 1]], or [-1]. For an
+    XSR packet ({!Xsr.is_xsr_in}) it is {!Xsr.next_port}. Otherwise it
+    is the leading segment's port when that segment, and the one after
+    it if VNT says one follows, would {!Segment.read} without raising
+    (found with {!Segment.extent_to}); [-1] when either would raise.
+    Upstream routers key rate-control limiters by it on every act step:
+    the source route makes the next-hop queue visible without any
+    per-flow state (§2.2). It copies no field and catches only the
+    codec's exceptions. *)
 
 val total_header_overhead : route:Segment.t list -> int
 (** Sum of encoded segment sizes: the source-routing header cost used by

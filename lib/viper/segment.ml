@@ -200,7 +200,7 @@ let field_end b ~stop pos len_byte =
   end
 
 let extent_to b ~off ~stop =
-  if off < 0 || off > stop || stop > Bytes.length b then invalid_arg "Segment.extent";
+  if off < 0 || off > stop || stop > Bytes.length b then invalid_arg "Segment.extent_to";
   need ~stop off fixed_size;
   let info_len = Char.code (Bytes.unsafe_get b off) in
   let token_len = Char.code (Bytes.unsafe_get b (off + 1)) in
@@ -227,22 +227,7 @@ let extent_to b ~off ~stop =
     pos - off
   end
 
-let extent b ~off = extent_to b ~off ~stop:(Bytes.length b)
-
 type error = Truncated | Malformed of string
-
-let error_to_string = function
-  | Truncated -> "truncated"
-  | Malformed m -> "malformed (" ^ m ^ ")"
-
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
-
-let parse b =
-  match decode b with
-  | t -> Ok t
-  | exception (Wire.Buf.Underflow | Wire.Buf.Overflow) -> Error Truncated
-  | exception Invalid_argument m -> Error (Malformed m)
-  | exception Failure m -> Error (Malformed m)
 
 let peek_port b ~off = Char.code (Bytes.get b (off + 2))
 let peek_vnt b ~off = Char.code (Bytes.get b (off + 3)) land 0x80 <> 0
@@ -250,7 +235,7 @@ let peek_flags b ~off = flags_of_bits (Char.code (Bytes.get b (off + 3)) lsr 4)
 let peek_priority b ~off = Char.code (Bytes.get b (off + 3)) land 0xF
 let peek_branch b ~off = (Char.code (Bytes.get b (off + 3)) lsr 4) land brf_bit <> 0
 
-(* The fields of a segment at [off] whose {!extent} is known, read in
+(* The fields of a segment at [off] whose {!extent_to} is known, read in
    place: a field's length, and where its bytes start. *)
 let field_len b pos len_byte =
   if len_byte < extended then len_byte
@@ -330,13 +315,3 @@ let equal a b =
   a.port = b.port && a.flags = b.flags && a.priority = b.priority
   && Bytes.equal a.token b.token && Bytes.equal a.info b.info
   && Bytes.equal a.branch b.branch
-
-let pp fmt t =
-  Format.fprintf fmt "@[seg{port=%d%s%s%s%s prio=%X tok=%dB info=%dB}@]" t.port
-    (if t.flags.vnt then " VNT" else "")
-    (if t.flags.dib then " DIB" else "")
-    (if t.flags.rpf then " RPF" else "")
-    (if Bytes.length t.branch > 0 then
-       Printf.sprintf " BRF:%dB" (Bytes.length t.branch)
-     else "")
-    t.priority (Bytes.length t.token) (Bytes.length t.info)

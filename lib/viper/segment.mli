@@ -108,14 +108,10 @@ val read : Wire.Buf.reader -> t
 (** Raises [Wire.Buf.Underflow] on truncated input. *)
 
 val extent_to : bytes -> off:int -> stop:int -> int
-(** [extent_to b ~off ~stop] is {!extent} for a segment in the window
-    that ends at [stop]: it raises [Wire.Buf.Underflow] where a read
-    bounded by [stop] would. *)
-
-val extent : bytes -> off:int -> int
-(** [extent b ~off] is the number of bytes {!read} would consume reading
-    the segment at [off] — found from the length fields, no field copied,
-    nothing allocated. It raises wherever {!read} raises
+(** [extent_to b ~off ~stop] is the number of bytes {!read} would
+    consume reading the segment at [off] from a window that ends at
+    [stop] — found from the length fields, no field copied, nothing
+    allocated. It raises wherever such a read raises
     ([Wire.Buf.Underflow] on truncation, [Failure] on an empty branch),
     so a caller can skip or peek past a segment with exactly [read]'s
     verdict. *)
@@ -137,12 +133,6 @@ val decode_sub : bytes -> off:int -> len:int -> t
 type error =
   | Truncated  (** input ended mid-field *)
   | Malformed of string  (** structurally invalid bytes *)
-
-val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
-
-val parse : bytes -> (t, error) result
-(** Like {!decode}, but never raises. *)
 
 val peek_port : bytes -> off:int -> int
 (** The port field without a full parse — the field order exists precisely
@@ -190,4 +180,3 @@ val write_return_hop :
     segment. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

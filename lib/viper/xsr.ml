@@ -43,8 +43,6 @@ let is_xsr_in b ~off ~len =
   && Char.code (Bytes.get b off) = magic
   && Char.code (Bytes.get b (off + 1)) = version_byte
 
-let is_xsr b = is_xsr_in b ~off:0 ~len:(Bytes.length b)
-
 let compute_check b =
   let acc = ref check_seed in
   for i = 0 to 4 do
@@ -150,12 +148,10 @@ let step b ~in_port =
   end
 
 (* Out-port the NEXT router will extract — the congestion-control queue
-   key, visible without per-flow state exactly as VIPER's peek_next_port. *)
+   key, visible without per-flow state exactly as VIPER's next_port. *)
 let next_port b =
   let idx = hop_idx b in
   if idx < hop_count b then Char.code (Bytes.get b (6 + idx)) lxor fmask.(idx) else -1
-
-let peek_next_port b = match next_port b with -1 -> None | p -> Some p
 
 (* In-ports folded so far, most recent hop first — exactly the port
    sequence a reply must ride (the VIPER return route, reversed). *)

@@ -27,14 +27,12 @@ val width : int
 val header_size : int
 (** Constant header size in bytes (22). *)
 
-val is_xsr : bytes -> bool
-(** Cheap wire-format sniff (magic + version byte). A VIPER packet whose
-    first segment happened to declare [info_len = 0xD5] and
-    [token_len = 0xE0|x] would collide; no workload in this repo emits
-    such segments, and dual-stack routers sniff XSR first. *)
-
 val is_xsr_in : bytes -> off:int -> len:int -> bool
-(** {!is_xsr} of the window [b.[off] .. b.[off + len - 1]]. *)
+(** Cheap wire-format sniff (magic + version byte) of the window
+    [b.[off] .. b.[off + len - 1]]. A VIPER packet whose first segment
+    happened to declare [info_len = 0xD5] and [token_len = 0xE0|x] would
+    collide; no workload in this repo emits such segments, and
+    dual-stack routers sniff XSR first. *)
 
 val encode :
   ?rpf:bool -> ?priority:Token.Priority.t ->
@@ -60,14 +58,10 @@ val step : bytes -> in_port:int -> step
     lanes — mutating [b] in place so the caller forwards the very same
     buffer. Verification happens before any mutation. *)
 
-val peek_next_port : bytes -> int option
-(** The out-port the next router will extract (lane [hop_idx]), or
-    [None] at the destination — the queue key a congestion limiter
-    needs, which {!Packet.peek_next_port} reads through this for an XSR
-    packet. *)
-
 val next_port : bytes -> int
-(** {!peek_next_port} without the option: [-1] at the destination. *)
+(** The out-port the next router will extract (lane [hop_idx]), or [-1]
+    at the destination — the queue key a congestion limiter needs, which
+    {!Packet.next_port} reads through this for an XSR packet. *)
 
 val reverse_ports : bytes -> int list
 (** In-ports recorded so far, most recent hop first — the port sequence

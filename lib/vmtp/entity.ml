@@ -104,8 +104,6 @@ type t = {
   calls_failed : C.t;
 }
 
-let id t = t.id
-let host t = t.host
 
 let stats t : stats =
   {

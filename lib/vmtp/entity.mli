@@ -46,8 +46,6 @@ type t
 val create : ?config:config -> Sirpent.Host.t -> id:int64 -> t
 (** Takes over the host's receive callback. *)
 
-val id : t -> int64
-val host : t -> Sirpent.Host.t
 val stats : t -> stats
 
 val rtt_estimate : t -> Sim.Time.t option

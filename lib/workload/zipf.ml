@@ -9,7 +9,6 @@
 
 type t = {
   rng : Sim.Rng.t;
-  s : float;
   cdf : float array;  (* cdf.(i) = P(rank <= i), cdf.(n-1) = 1.0 *)
 }
 
@@ -27,10 +26,7 @@ let create rng ~n ~s =
     cdf.(i) <- cdf.(i) /. z
   done;
   cdf.(n - 1) <- 1.0;
-  { rng; s; cdf }
-
-let n t = Array.length t.cdf
-let exponent t = t.s
+  { rng; cdf }
 
 let draw t =
   let u = Sim.Rng.float t.rng 1.0 in

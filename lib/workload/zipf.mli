@@ -16,9 +16,6 @@ val create : Sim.Rng.t -> n:int -> s:float -> t
 val draw : t -> int
 (** A rank in [0, n); O(log n). *)
 
-val n : t -> int
-val exponent : t -> float
-
 val pmf : t -> int -> float
 (** Probability of a rank. *)
 

@@ -258,13 +258,7 @@ let shard_engine_per_edge_promises () =
   check_int "edge 1 pinned" 120 (SE.promise_edge c ~edge:1 ~safe_in:max_int);
   check_bool "edge 0 unpinned" true
     (SE.promise_edge c ~edge:0 ~safe_in:200 > 120);
-  SE.outbound_sent c ~edge:1 ~head:120;
-  (* a dynamic floor lifts new-transmission causes, not pending heads *)
-  let c = SE.create_edges ~lookaheads:[| 10; 100 |] (Sim.Engine.create ()) in
-  SE.set_edge_floor c ~edge:0 (fun () -> 500);
-  check_int "floored" 510 (SE.promise_edge c ~edge:0 ~safe_in:50);
-  check_int "unfloored edge unaffected" (50 + 100)
-    (SE.promise_edge c ~edge:1 ~safe_in:50)
+  SE.outbound_sent c ~edge:1 ~head:120
 
 (* Regression: PR 4's lazy pruning of cancelled outbound heads, plus the
    multiset behavior when several transmissions share a head time. *)

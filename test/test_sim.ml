@@ -344,37 +344,6 @@ let summary_empty () =
   check_float "mean 0" 0.0 (Sim.Stats.Summary.mean s);
   check_int "count" 0 (Sim.Stats.Summary.count s)
 
-let histogram_percentile () =
-  let h = Sim.Stats.Histogram.create ~bucket_width:1.0 ~buckets:100 in
-  for i = 1 to 100 do
-    Sim.Stats.Histogram.add h (float_of_int i -. 0.5)
-  done;
-  check_float "p50" 50.0 (Sim.Stats.Histogram.percentile h 0.5);
-  check_float "p99" 99.0 (Sim.Stats.Histogram.percentile h 0.99)
-
-(* The documented edge behavior of Histogram.percentile (see stats.mli):
-   empty -> 0 for any p; p=0 -> first bucket's upper edge; p=1 -> last
-   non-empty bucket's upper edge; p>1 -> upper edge of the whole range. *)
-let histogram_percentile_edges () =
-  let empty = Sim.Stats.Histogram.create ~bucket_width:1.0 ~buckets:10 in
-  check_float "empty p0" 0.0 (Sim.Stats.Histogram.percentile empty 0.0);
-  check_float "empty p50" 0.0 (Sim.Stats.Histogram.percentile empty 0.5);
-  check_float "empty p100" 0.0 (Sim.Stats.Histogram.percentile empty 1.0);
-  let h = Sim.Stats.Histogram.create ~bucket_width:1.0 ~buckets:10 in
-  (* one sample, far from the first bucket *)
-  Sim.Stats.Histogram.add h 7.5;
-  check_float "p0 is first bucket edge" 1.0 (Sim.Stats.Histogram.percentile h 0.0);
-  check_float "p100 is last occupied bucket edge" 8.0
-    (Sim.Stats.Histogram.percentile h 1.0);
-  check_float "p>1 is range edge" 10.0 (Sim.Stats.Histogram.percentile h 1.5)
-
-let histogram_clamps () =
-  let h = Sim.Stats.Histogram.create ~bucket_width:1.0 ~buckets:10 in
-  Sim.Stats.Histogram.add h (-5.0);
-  Sim.Stats.Histogram.add h 100.0;
-  check_int "bucket0" 1 (Sim.Stats.Histogram.bucket_count h 0);
-  check_int "bucket9" 1 (Sim.Stats.Histogram.bucket_count h 9)
-
 let timeweighted_mean () =
   let tw = Sim.Stats.Timeweighted.create ~start:0 ~initial:0.0 in
   Sim.Stats.Timeweighted.set tw ~now:10 2.0;
@@ -388,16 +357,6 @@ let timeweighted_rejects_backwards () =
   Alcotest.check_raises "backwards"
     (Invalid_argument "Timeweighted.set: time went backwards") (fun () ->
       Sim.Stats.Timeweighted.set tw ~now:5 2.0)
-
-let rate_window () =
-  let r = Sim.Stats.Rate.create ~window:(Sim.Time.s 1) in
-  (* 10 events of 1.0 in the window *)
-  for i = 1 to 10 do
-    Sim.Stats.Rate.tick r ~now:(i * Sim.Time.ms 50) ~amount:1.0
-  done;
-  check_float "rate" 10.0 (Sim.Stats.Rate.per_second r ~now:(Sim.Time.ms 500));
-  (* far in the future everything expired *)
-  check_float "expired" 0.0 (Sim.Stats.Rate.per_second r ~now:(Sim.Time.s 10))
 
 type cancel_op =
   | Sched of int * int option  (** at time, cancelling key [i] when it runs *)
@@ -546,13 +505,8 @@ let () =
         [
           Alcotest.test_case "summary basics" `Quick summary_basics;
           Alcotest.test_case "summary empty" `Quick summary_empty;
-          Alcotest.test_case "histogram percentile" `Quick histogram_percentile;
-          Alcotest.test_case "histogram percentile edges" `Quick
-            histogram_percentile_edges;
-          Alcotest.test_case "histogram clamps" `Quick histogram_clamps;
           Alcotest.test_case "timeweighted mean" `Quick timeweighted_mean;
           Alcotest.test_case "timeweighted monotone" `Quick timeweighted_rejects_backwards;
-          Alcotest.test_case "rate window" `Quick rate_window;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

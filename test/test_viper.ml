@@ -204,13 +204,14 @@ let encode_decode_identity () =
 
 let peek_ports_pair () =
   let p = Pkt.build ~route:route3 ~data:Bytes.empty in
-  (match Pkt.peek_ports p with
-  | 3, Some 8 -> ()
-  | _ -> Alcotest.fail "expected (3, Some 8)");
+  let len = Bytes.length p in
+  check_int "leading port" 3 (Pkt.next_port p ~off:0 ~len);
+  check_bool "a segment follows" true (Seg.peek_vnt p ~off:0);
+  check_int "second port" 8
+    (Seg.peek_port p ~off:(Seg.extent_to p ~off:0 ~stop:len));
   let single = Pkt.build ~route:[ Seg.make ~port:0 () ] ~data:Bytes.empty in
-  match Pkt.peek_ports single with
-  | 0, None -> ()
-  | _ -> Alcotest.fail "expected (0, None)"
+  check_int "lone port" 0 (Pkt.next_port single ~off:0 ~len:(Bytes.length single));
+  check_bool "nothing follows" false (Seg.peek_vnt single ~off:0)
 
 let header_bytes_measures_first () =
   let p =
@@ -218,7 +219,8 @@ let header_bytes_measures_first () =
       ~route:[ Seg.make ~port:3 ~token:(Bytes.make 32 'k') (); Seg.make ~port:0 () ]
       ~data:Bytes.empty
   in
-  check_int "first segment size" (4 + 32) (Pkt.header_bytes p)
+  check_int "first segment size" (4 + 32)
+    (Seg.extent_to p ~off:0 ~stop:(Bytes.length p))
 
 let overhead_sums () =
   check_int "3 minimal segments" 12 (Pkt.total_header_overhead ~route:route3)
@@ -491,7 +493,7 @@ let qcheck_fused_hop_identical =
       in
       let p = Pkt.build ~route ~data:(Bytes.of_string data) in
       let return_seg = Seg.make ~token:(Bytes.of_string "tk") ~port:9 () in
-      let pos = Seg.extent p ~off:0 in
+      let pos = Seg.extent_to p ~off:0 ~stop:(Bytes.length p) in
       let stripped = Bytes.sub p pos (Bytes.length p - pos) in
       Bytes.equal
         (Viper.Trailer.append_hop stripped return_seg)
@@ -618,10 +620,11 @@ module Ref = struct
     else (s1.Seg.port, None)
 
   (* the router's old [next_port]: the next XSR lane, else the leading
-     VIPER port, where anything raised means [None] *)
+     VIPER port, where anything raised means -1 *)
   let next_port bytes =
-    if Viper.Xsr.is_xsr bytes then Viper.Xsr.peek_next_port bytes
-    else match peek_ports bytes with first, _ -> Some first | exception _ -> None
+    if Viper.Xsr.is_xsr_in bytes ~off:0 ~len:(Bytes.length bytes) then
+      Viper.Xsr.next_port bytes
+    else match peek_ports bytes with first, _ -> first | exception _ -> -1
 
   let consumed b off =
     let r = Wire.Buf.reader_of_bytes ~off b in
@@ -677,23 +680,24 @@ let window_agrees b =
   | Ok _, Error _ | Error _, Ok _ -> false)
   && outcome (fun () -> Viper.Trailer.entries_in w ~off ~len) ()
      = outcome Viper.Trailer.entries b
-  && Pkt.next_port w ~off ~len = Option.value ~default:(-1) (Pkt.peek_next_port b)
+  && Pkt.next_port w ~off ~len = Ref.next_port b
 
 (* Every in-place read of [b] agrees with its reference: the packet
-   parse, the trailer walk, both port peeks, the segment extent read
+   parse, the trailer walk, the next-port peek, the segment extent read
    from every offset, and the same reads on [b] as a window. *)
 let reads_agree b =
   let extents_agree = ref true in
   for off = 0 to Bytes.length b do
-    if outcome (fun off -> Seg.extent b ~off) off <> outcome (Ref.consumed b) off then
+    if outcome (fun off -> Seg.extent_to b ~off ~stop:(Bytes.length b)) off
+       <> outcome (Ref.consumed b) off
+    then
       extents_agree := false
   done;
   !extents_agree
   && result_equal packet_equal (Pkt.parse b) (Ref.wrap Ref.decode b)
   && result_equal (List.equal entry_equal) (Viper.Trailer.parse_entries b)
        (Ref.wrap Ref.entries b)
-  && outcome Pkt.peek_ports b = outcome Ref.peek_ports b
-  && Pkt.peek_next_port b = Ref.next_port b
+  && Pkt.next_port b ~off:0 ~len:(Bytes.length b) = Ref.next_port b
   && window_agrees b
 
 (* field sizes on both sides of the 255-byte extended length *)
@@ -821,7 +825,7 @@ let qcheck_arrival_check_agrees =
 (* The hop as it was: read the segment, revise it into a return hop
    (Ethernet addresses swapped), and strip + append in one copy. *)
 let reference_hop p ~in_port ~keep_token ~info =
-  let pos = Seg.extent p ~off:0 in
+  let pos = Seg.extent_to p ~off:0 ~stop:(Bytes.length p) in
   let seg = Seg.decode_sub p ~off:0 ~len:pos in
   let revise info =
     if Bytes.length info = Ether.Frame.header_size then begin
@@ -974,7 +978,7 @@ let qcheck_xsr_windows =
       let same () =
         let w, off, len = embed b in
         Viper.Xsr.is_xsr_in w ~off ~len
-        && Pkt.next_port w ~off ~len = Option.value ~default:(-1) (Pkt.peek_next_port b)
+        && Pkt.next_port w ~off ~len = Ref.next_port b
         &&
         match (Pkt.unfold w ~off ~len, Pkt.unfold b ~off:0 ~len:(Bytes.length b)) with
         | Ok p, Ok q ->

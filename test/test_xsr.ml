@@ -10,18 +10,19 @@ module Xsr = Viper.Xsr
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
+let sniffs b = Xsr.is_xsr_in b ~off:0 ~len:(Bytes.length b)
 
 (* --- codec --- *)
 
 let encode_shape () =
   let b = Xsr.encode ~ports:[ 3; 7 ] ~data:(Bytes.of_string "xyz") () in
   check_int "constant header" (Xsr.header_size + 3) (Bytes.length b);
-  check_bool "sniffs" true (Xsr.is_xsr b);
+  check_bool "sniffs" true (sniffs b);
   check_int "hop count" 2 (Xsr.hop_count b);
   check_int "hop idx" 0 (Xsr.hop_idx b);
   check_string "data" "xyz" (Bytes.to_string (Xsr.data b));
   check_bool "viper does not sniff" false
-    (Xsr.is_xsr (Viper.Packet.build ~route:[ Seg.make ~port:0 () ] ~data:Bytes.empty))
+    (sniffs (Viper.Packet.build ~route:[ Seg.make ~port:0 () ] ~data:Bytes.empty))
 
 let encode_rejects () =
   Alcotest.check_raises "empty" (Invalid_argument "Xsr.encode: 1..8 ports")
@@ -123,10 +124,10 @@ let reverse_route_rides_back () =
   (match Xsr.step back ~in_port:2 with
   | Xsr.Forward 6 -> ()
   | _ -> Alcotest.fail "second reverse hop");
-  check_int "peek = next lane" 5 (Option.get (Xsr.peek_next_port back));
+  check_int "peek = next lane" 5 (Xsr.next_port back);
   (* the router's codec-agnostic reads see the same header *)
   check_int "packet peek reads the lane" 5
-    (Option.get (Viper.Packet.peek_next_port back));
+    (Viper.Packet.next_port back ~off:0 ~len:(Bytes.length back));
   match Viper.Packet.unfold b ~off:0 ~len:(Bytes.length b) with
   | Ok p ->
     Alcotest.(check (list int)) "unfold = of_xsr" [ 7; 6; 5 ]
