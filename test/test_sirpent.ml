@@ -709,6 +709,65 @@ let misrouted_packet_counted () =
   check_int "not accepted" 0 (Sirpent.Host.received h2);
   check_int "counted misdelivered" 1 (Sirpent.Host.misdelivered h2)
 
+(* A packet whose route ends at a router is delivered there when intact
+   and is a malformed drop when one bit of its trailer is flipped. The
+   VIPER packet already carries a return hop and crosses one router,
+   which moves it on in place without reading that entry, so only the
+   destination's arrival check can catch the damage. The XSR packet has
+   taken its one hop already; its trailer is the reverse lane that hop
+   recorded. *)
+let router_local_delivery () =
+  let run ~xsr ~damaged =
+    let g, engine, world, h1, _h2, routers = chain 2 in
+    let src = Sirpent.Host.node h1 in
+    let dst = routers.(if xsr then 0 else 1) in
+    let route = route_between g ~src ~dst:(Sirpent.Router.node dst) in
+    let data = Bytes.of_string "for the router" in
+    (* the buffer, the packet's length in it, and its trailer's first byte *)
+    let buf, len, trailer_at =
+      if xsr then begin
+        let b = Viper.Xsr.encode ~ports:[ 9 ] ~data () in
+        (match Viper.Xsr.step b ~in_port:4 with
+        | Viper.Xsr.Forward _ -> ()
+        | Viper.Xsr.Deliver | Viper.Xsr.Malformed _ -> Alcotest.fail "xsr step");
+        (b, Bytes.length b, 14)
+      end
+      else begin
+        let segments = route.Sirpent.Route.segments in
+        let p = Viper.Packet.build ~route:(Seg.make ~port:9 () :: segments) ~data in
+        let return_seg = Seg.make ~flags:{ Seg.no_flags with Seg.rpf = true } ~port:4 () in
+        let _, p = Viper.Packet.forward p ~return_seg in
+        let n = Bytes.length p in
+        (* room for the router's hop, so that it runs in place *)
+        ( Bytes.extend p 0 (Viper.Packet.tailroom segments),
+          n,
+          n - Viper.Trailer.size_in p ~off:0 ~len:n )
+      end
+    in
+    if damaged then
+      Bytes.set buf trailer_at (Char.chr (Char.code (Bytes.get buf trailer_at) lxor 0x04));
+    let frame = { (W.fresh_frame world buf) with Netsim.Frame.len } in
+    ignore (W.send world ~node:src ~port:route.Sirpent.Route.first_port frame);
+    Sim.Engine.run engine;
+    check_int "no handler raised" 0 (W.total_handler_errors world);
+    let delivered =
+      Array.fold_left
+        (fun n r -> n + (Sirpent.Router.stats r).Sirpent.Router.delivered_local)
+        0 routers
+    in
+    let at_dst = Sirpent.Router.stats dst in
+    (delivered, at_dst.Sirpent.Router.delivered_local, at_dst.Sirpent.Router.dropped_malformed)
+  in
+  List.iter
+    (fun xsr ->
+      let name = if xsr then "xsr" else "viper" in
+      Alcotest.(check (triple int int int))
+        (name ^ " intact: delivered at its router") (1, 1, 0) (run ~xsr ~damaged:false);
+      Alcotest.(check (triple int int int))
+        (name ^ " trailer bit flipped: malformed drop") (0, 0, 1)
+        (run ~xsr ~damaged:true))
+    [ false; true ]
+
 (* The router's share of one steady-state XSR hop — parse, the switching
    decision, the act step's scheduling — measured around the frame
    handler alone, as the ledger's router span does: the XSR step's
@@ -1008,6 +1067,7 @@ let () =
             store_and_forward_when_rates_differ;
           Alcotest.test_case "mtu truncation detected" `Quick mtu_truncation_detected;
           Alcotest.test_case "misrouted packet counted" `Quick misrouted_packet_counted;
+          Alcotest.test_case "router local delivery" `Quick router_local_delivery;
           Alcotest.test_case "xsr hop allocation" `Quick xsr_hop_allocation;
           Alcotest.test_case "viper hop allocation" `Quick viper_hop_allocation;
           Alcotest.test_case "multi-homed host survives" `Quick
