@@ -39,7 +39,8 @@ let run () =
     ([ "origin"; Util.i (Bytes.length !packet); Util.i 4; Util.i 0 ]
     :: List.map
          (fun (hop, in_port) ->
-           let seg, rest = Pkt.strip_leading !packet in
+           let pos = Seg.extent_to !packet ~off:0 ~stop:(Bytes.length !packet) in
+           let seg = Seg.decode_sub !packet ~off:0 ~len:pos in
            let return_info =
              if Bytes.length seg.Seg.info = Ether.Frame.header_size then begin
                (* the router's field swap *)
@@ -55,8 +56,8 @@ let run () =
                ~flags:{ Seg.no_flags with Seg.rpf = true }
                ~info:return_info ~port:in_port ()
            in
-           packet := Viper.Trailer.append_hop rest return_seg;
-           let decoded = Pkt.decode !packet in
+           packet := Viper.Trailer.append_hop !packet ~pos return_seg;
+           let decoded = Result.get_ok (Pkt.parse !packet) in
            [
              Printf.sprintf "router %d" hop;
              Util.i (Bytes.length !packet);
@@ -64,7 +65,7 @@ let run () =
              Util.i (List.length (Pkt.trailer decoded));
            ])
          [ (1, 11); (2, 12); (3, 13) ]);
-  let final = Pkt.decode !packet in
+  let final = Result.get_ok (Pkt.parse !packet) in
   let back = Pkt.return_route final in
   pf "\nreceiver-side reversal (network-independent):\n";
   Util.table ~header:[ "return hop"; "port"; "RPF"; "portInfo" ]

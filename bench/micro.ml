@@ -40,7 +40,7 @@ let traversed_packet =
     let _, fwd = Pkt.forward !p ~return_seg:(Seg.make ~flags:{ Seg.no_flags with Seg.rpf = true } ~port:(10 + k) ()) in
     p := fwd
   done;
-  Pkt.decode !p
+  Result.get_ok (Pkt.parse !p)
 
 let ip_packet =
   Bytes.cat

@@ -394,7 +394,8 @@ let forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~
       if out.Netsim.Frame.len > mtu then begin
         bump t truncated;
         (* the marker and the fresh trailer take 5 bytes *)
-        let cut = Pkt.truncate_to (Netsim.Frame.contents out) ~max:(mtu - 5) in
+        let { Netsim.Frame.payload; off; len; _ } = out in
+        let cut = Pkt.truncate_to payload ~off ~len ~max:(mtu - 5) in
         copy_frame ~frame cut ~len:(Bytes.length cut)
       end
       else out
@@ -546,7 +547,8 @@ let rec process t ~frame ~buf ~off ~len ~in_port ~in_info ~head ~tail ~depth =
       drop t ~frame ~in_port Malformed
     | hdr ->
       let port = Seg.peek_port buf ~off in
-      if port = Seg.local_port then deliver_local t ~frame ~buf ~off ~len ~in_port ~tail
+      if port = Seg.local_port then
+        deliver_local t ~frame ~buf ~off ~len ~in_port ~tail ~xsr:false
       else begin
         match at_port t.port_handlers port with
         | Some f ->
@@ -596,7 +598,7 @@ let rec process t ~frame ~buf ~off ~len ~in_port ~in_info ~head ~tail ~depth =
                trailer so the receiver knows the path actually taken, and
                re-switch locally — no directory round trip. *)
             let branch = (Seg.decode_sub buf ~off ~len:hdr).Seg.branch in
-            match Pkt.substitute_route_branch (Bytes.sub buf off len) ~route:branch with
+            match Pkt.substitute_route_branch buf ~off ~len ~route:branch with
             | exception
                 ( Invalid_argument _ | Failure _ | Wire.Buf.Underflow
                 | Wire.Buf.Overflow ) ->
@@ -646,24 +648,24 @@ and tree_multicast t ~frame ~info ~rest ~in_port ~in_info ~head ~tail ~depth =
       branches
 
 (* A packet addressed to the router itself must still arrive whole: a
-   VIPER window is checked in place, an XSR header unfolded
-   ({!Pkt.unfold}), and a malformed one is a counted drop. *)
-and deliver_local t ~frame ~buf ~off ~len ~in_port ~tail =
+   VIPER window passes the arrival check in place ({!Pkt.intact}), and a
+   malformed one is a counted drop. An XSR packet ([xsr]) arrives whole
+   once {!Viper.Xsr.step} has answered [Deliver] for it. *)
+and deliver_local t ~frame ~buf ~off ~len ~in_port ~tail ~xsr =
   schedule t
     ~time:(Int.max (now t) tail + t.config.process_time)
     (fun () ->
       if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted_delivery
-      else
-      match Pkt.unfold buf ~off ~len with
-      | Error _ -> drop t ~frame ~in_port Malformed
-      | Ok _ -> (
+      else if not (xsr || Pkt.intact buf ~off ~len) then drop t ~frame ~in_port Malformed
+      else begin
         bump t delivered_local;
         match frame.Netsim.Frame.flight with
         | Some ctx ->
           Flight.hop ctx ~node:t.node ~in_port ~out_port:(-1) ~arrival:tail
             ~departure:(now t) ~handling:Flight.Local_delivery;
           Flight.complete ctx ~now:(now t)
-        | None -> ()))
+        | None -> ()
+      end)
 
 (* The XSR header's step: one check-byte verify, one XOR, an in-place
    header mutation — and the very same buffer goes back out (zero
@@ -676,7 +678,8 @@ let process_xsr t ~frame ~in_port ~head ~tail =
     let payload = Netsim.Frame.contents frame and len = frame.Netsim.Frame.len in
     match Viper.Xsr.step payload ~in_port with
     | Viper.Xsr.Malformed _ -> drop t ~frame ~in_port Malformed
-    | Viper.Xsr.Deliver -> deliver_local t ~frame ~buf:payload ~off:0 ~len ~in_port ~tail
+    | Viper.Xsr.Deliver ->
+      deliver_local t ~frame ~buf:payload ~off:0 ~len ~in_port ~tail ~xsr:true
     | Viper.Xsr.Forward out_port ->
       (* constant-size headers cannot carry a truncation marker, so an
          over-MTU XSR packet is a counted drop, not a graceful cut *)

@@ -16,7 +16,7 @@ let region_span bytes region =
     | Error _ -> None
     | Ok t -> (
       let header = Pkt.total_header_overhead ~route:(Pkt.route t) in
-      let trailer = Tr.size bytes in
+      let trailer = Tr.size_in bytes ~off:0 ~len in
       match region with
       | Header -> if header > 0 then Some (0, header) else None
       | Trailer -> if trailer > 0 then Some (len - trailer, trailer) else None

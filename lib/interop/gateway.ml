@@ -65,7 +65,7 @@ let encapsulate t ~seg ~rest ~in_port =
         ~flags:{ Seg.vnt = false; dib = seg.Seg.flags.Seg.dib; rpf = true }
         ~priority:seg.Seg.priority ~token:seg.Seg.token ~port:in_port ()
     in
-    match Viper.Trailer.append_hop rest return_seg with
+    match Viper.Trailer.append_hop rest ~pos:0 return_seg with
     | exception (Invalid_argument _ | Failure _) ->
       (* trailer damaged in flight: count, don't raise out of the handler *)
       C.incr t.bad_tunnel_info

@@ -40,34 +40,24 @@ type entry =
 val empty : bytes
 (** The 3-byte trailer of a freshly built packet (total = 0). *)
 
-val size : bytes -> int
-(** Total trailer size in bytes (entries + the 3-byte terminator) of the
-    trailer at the end of [packet]. Raises [Invalid_argument] if the bytes
-    do not end in a well-formed trailer. *)
-
-val entries : bytes -> entry list
-(** Entries of the trailer ending [packet], in the order appended
-    (first hop first). Raises on structural damage or a checksum
-    mismatch. Each entry is checked and decoded in place, through a
-    reader window onto [packet]: no entry is copied out first, so the
-    only allocations are the entries returned. *)
-
-val parse_entries : bytes -> (entry list, Segment.error) result
-(** Like {!entries}, but never raises. *)
-
 (** {1 Windows}
 
     A packet on the wire is a window [b.[off] .. b.[off + len - 1]] of a
     larger buffer (see {!Netsim.Frame}): these read and write the trailer
     ending the window in place, and every read is bounded by the window,
-    so each agrees with its whole-packet counterpart applied to a copy of
-    the window. *)
+    so a window reads exactly as a copy of it would. *)
 
 val size_in : bytes -> off:int -> len:int -> int
-(** {!size} of the window. *)
+(** Total trailer size in bytes (entries + the 3-byte terminator) of the
+    trailer ending the window. Raises [Invalid_argument] if the window
+    does not end in a well-formed trailer. *)
 
 val entries_in : bytes -> off:int -> len:int -> entry list
-(** {!entries} of the window. *)
+(** Entries of the trailer ending the window, in the order appended
+    (first hop first). Raises on structural damage or a checksum
+    mismatch. Each entry is checked and decoded in place: no entry is
+    copied out first, so the only allocations are the entries
+    returned. *)
 
 val verify_in : bytes -> off:int -> len:int -> unit
 (** Raises exactly when {!entries_in} would, and builds nothing. *)
@@ -77,6 +67,15 @@ val branched_in : bytes -> off:int -> len:int -> bool
 (** Whether a verified trailer holds a truncation (branch) marker, found
     without building its entries. *)
 
+val append_hop : bytes -> pos:int -> Segment.t -> bytes
+(** [append_hop packet ~pos seg] is the packet without its first [pos]
+    bytes (the stripped leading segment), with [seg] moved onto the end
+    of the trailer and the total updated — the per-router loopback
+    operation on a record. One sized allocation: the remainder is blitted
+    once and [seg] serialized straight after it. Raises
+    [Invalid_argument] on an oversized segment, before any encoding, and
+    on a damaged or overflowing trailer. *)
+
 val append_return_hop :
   bytes -> off:int -> len:int -> pos:int -> port:int -> keep_token:bool ->
   info:bytes option -> bytes -> at:int -> int
@@ -85,39 +84,17 @@ val append_return_hop :
     segment at [off] and append its return hop
     ({!Segment.write_return_hop}) to the trailer. The result is written
     to [dst] at [at] and its length returned. Its bytes equal those of
-    [append_hop_sub (Bytes.sub src off len) ~pos return_seg], with the
-    same checks in the same order. With [dst == src] and
-    [at = off + pos] the hop is in place: the head advances by [pos], and
-    only the return hop and the new terminator are written, over the old
-    terminator and into the (return hop + 3) bytes past the window, which
-    the caller must have reserved. *)
+    [append_hop (Bytes.sub src off len) ~pos return_seg], with the same
+    checks in the same order. With [dst == src] and [at = off + pos] the
+    hop is in place: the head advances by [pos], and only the return hop
+    and the new terminator are written, over the old terminator and into
+    the (return hop + 3) bytes past the window, which the caller must
+    have reserved. *)
 
-val append_hop : bytes -> Segment.t -> bytes
-(** [append_hop packet seg] is the packet with [seg] moved onto the end of
-    the trailer and the total updated — the per-router loopback operation. *)
-
-val append_hop_sub : bytes -> pos:int -> Segment.t -> bytes
-(** [append_hop_sub packet ~pos seg] is byte-identical to
-    [append_hop (Bytes.sub packet pos (Bytes.length packet - pos)) seg],
-    but performs the strip-and-append in a single sized allocation with
-    two blits, serializing the segment straight into the output — the
-    per-hop fast path, which would otherwise copy the packet twice per
-    router. (Error cases match the unfused composition, except that an
-    oversized segment raises [Invalid_argument] before any encoding.) *)
-
-val append_truncation_marker : bytes -> bytes
-
-val append_branch_marker : bytes -> bytes
-(** Record in the trailer that the remainder of the path is an in-header
-    branch route, so the receiver knows the reverse route it rebuilds is
-    the path {e actually taken}, not the one originally sold. *)
-
-val append_branch_marker_sub : bytes -> pos:int -> route:bytes -> bytes
-(** [append_branch_marker_sub packet ~pos ~route] is byte-identical to
-    [append_branch_marker
-       (Bytes.cat route (Bytes.sub packet pos (Bytes.length packet - pos)))]
-    built in one sized allocation with two blits — the fused failover
-    step: splice the pre-encoded branch [route] in place of the packet
-    prefix ending at [pos] and record the switch in the trailer.
-    {!Packet.substitute_route_branch} pairs this with the VNT-chain
-    skip. *)
+val append_marker : bytes -> off:int -> len:int -> entry -> bytes -> at:int -> int
+(** [append_marker src ~off ~len marker dst ~at] writes the window with
+    [marker] ({!Truncated} or {!Branch}) appended to its trailer to [dst]
+    at [at], and returns its length, [len + 2]. With [dst == src] and
+    [at = off] only the marker and the new terminator are written, over
+    the old terminator and into the two bytes past the window. Raises [Invalid_argument]
+    on a {!Hop} and on a damaged or overflowing trailer. *)
