@@ -103,7 +103,7 @@ type t = {
   (* port-indexed, grown on demand; [None] where the port is plain *)
   mutable port_groups : G.port list option array;
   mutable port_handlers :
-    (seg:Seg.t -> rest:bytes -> in_port:G.port -> unit) option array;
+    (buf:bytes -> off:int -> len:int -> hdr:int -> in_port:G.port -> unit) option array;
   mutable up : bool;
   mutable epoch : int;  (** bumped on crash: pending deferred work dies with it *)
   counters : C.t array;  (** one per scoreboard row *)
@@ -522,16 +522,14 @@ let all_ports_except t ~except =
     (fun (p, _) -> if p = except then None else Some p)
     (G.ports (W.graph t.world) t.node)
 
-(* [rest] behind the segments [write] puts first. *)
-let prepend rest ~write =
-  let w = Wire.Buf.create_writer (Bytes.length rest + 64) in
+(* The window's remainder past its [hdr]-byte leading segment, behind
+   the segments [write] puts first: the writer's store is the new
+   window. *)
+let prepend buf ~off ~len ~hdr ~write =
+  let w = Wire.Buf.create_writer (len - hdr + 64) in
   write w;
-  Wire.Buf.put_bytes w rest;
-  Wire.Buf.contents w
-
-(* The stripped remainder, materialized only on the slow paths (splice,
-   tree multicast, custom ports). *)
-let rest buf ~off ~len ~hdr = Bytes.sub buf (off + hdr) (len - hdr)
+  Wire.Buf.put_sub w buf (off + hdr) (len - hdr);
+  w
 
 (* The packet is the window [buf.[off] .. buf.[off + len - 1]]: the
    frame's own window, or one a slow path made. Its leading segment is
@@ -553,12 +551,13 @@ let rec process t ~frame ~buf ~off ~len ~in_port ~in_info ~head ~tail ~depth =
         match at_port t.port_handlers port with
         | Some f ->
           (* custom port (e.g. an interop tunnel): hand over after full
-             reception, like any store-and-forward boundary *)
-          let seg = Seg.decode_sub buf ~off ~len:hdr in
-          let rest = rest buf ~off ~len ~hdr in
+             reception, like any store-and-forward boundary — unless the
+             upstream transmission was preempted and this is a runt *)
           schedule t
             ~time:(Int.max (now t) tail + t.config.process_time)
-            (fun () -> f ~seg ~rest ~in_port)
+            (fun () ->
+              if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted
+              else f ~buf ~off ~len ~hdr ~in_port)
         | None ->
         match Logical.lookup t.logical ~port with
         | Some (Logical.Group physical) ->
@@ -570,19 +569,18 @@ let rec process t ~frame ~buf ~off ~len ~in_port ~in_info ~head ~tail ~depth =
           (* the expansion stands in for this segment: VNT on its last
              segment iff this one had it *)
           let last_vnt = Seg.peek_vnt buf ~off in
-          let payload' =
-            prepend (rest buf ~off ~len ~hdr) ~write:(fun w ->
-                Seg.write_route w ~last_vnt expansion)
+          let w =
+            prepend buf ~off ~len ~hdr ~write:(fun w -> Seg.write_route w ~last_vnt expansion)
           in
-          process t ~frame ~buf:payload' ~off:0 ~len:(Bytes.length payload') ~in_port
-            ~in_info ~head ~tail ~depth:(depth + 1)
+          process t ~frame ~buf:(Wire.Buf.store w) ~off:0 ~len:(Wire.Buf.writer_length w)
+            ~in_port ~in_info ~head ~tail ~depth:(depth + 1)
         | None ->
           if port = Seg.broadcast_port then
             multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail
               ~ports:(all_ports_except t ~except:in_port)
           else if port = Viper.Multicast.tree_port then
-            tree_multicast t ~frame ~info:(Seg.decode_sub buf ~off ~len:hdr).Seg.info
-              ~rest:(rest buf ~off ~len ~hdr) ~in_port ~in_info ~head ~tail ~depth
+            tree_multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail
+              ~depth
           else if Seg.is_multicast_port port then begin
             match at_port t.port_groups port with
             | Some ports ->
@@ -635,16 +633,16 @@ and multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail ~ports 
         ~reverse_ok:true ~copy:true)
     ports
 
-and tree_multicast t ~frame ~info ~rest ~in_port ~in_info ~head ~tail ~depth =
-  match Viper.Multicast.decode_branches info with
+and tree_multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail ~depth =
+  match Viper.Multicast.decode_branches (Seg.decode_sub buf ~off ~len:hdr).Seg.info with
   | exception _ -> drop t ~frame ~in_port Malformed
   | branches ->
     List.iter
       (fun branch ->
         bump t multicast_copies;
-        let payload' = prepend rest ~write:(fun w -> List.iter (Seg.write w) branch) in
-        process t ~frame ~buf:payload' ~off:0 ~len:(Bytes.length payload') ~in_port
-          ~in_info ~head ~tail ~depth:(depth + 1))
+        let w = prepend buf ~off ~len ~hdr ~write:(fun w -> List.iter (Seg.write w) branch) in
+        process t ~frame ~buf:(Wire.Buf.store w) ~off:0 ~len:(Wire.Buf.writer_length w)
+          ~in_port ~in_info ~head ~tail ~depth:(depth + 1))
       branches
 
 (* A packet addressed to the router itself must still arrive whole: a

@@ -89,11 +89,14 @@ val set_port_group : t -> port:int -> ports:Topo.Graph.port list -> unit
 
 val set_port_handler :
   t -> port:int ->
-  (seg:Viper.Segment.t -> rest:bytes -> in_port:Topo.Graph.port -> unit) -> unit
+  (buf:bytes -> off:int -> len:int -> hdr:int -> in_port:Topo.Graph.port -> unit) ->
+  unit
 (** Take over a port value (1-239): packets whose leading segment names it
-    are handed to the callback (stripped segment + remaining bytes) after
-    full reception — how a gateway claims a tunnel port. Raises
-    [Invalid_argument] outside 1-239. *)
+    are handed to the callback after full reception — how a gateway claims
+    a tunnel port. The callback gets the packet as the window
+    [buf.[off] .. buf.[off + len - 1]], whose leading segment (the one
+    naming the port) is [hdr] bytes. A frame preempted upstream before its tail arrived is a
+    counted drop instead. Raises [Invalid_argument] outside 1-239. *)
 
 val inject :
   t -> payload:bytes -> in_port:Topo.Graph.port -> return_info:bytes -> unit

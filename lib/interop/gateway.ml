@@ -53,28 +53,34 @@ let parse_tunnel_info info =
   else Some (Wire.Buf.get_u32_int (Wire.Buf.reader_of_bytes info))
 
 (* Sirpent -> cloud: wrap the remaining VIPER bytes in an IP datagram to the
-   remote gateway, fragmenting to the cloud link's MTU at origin. *)
-let encapsulate t ~seg ~rest ~in_port =
-  match parse_tunnel_info seg.Seg.info with
+   remote gateway, fragmenting to the cloud link's MTU at origin. The
+   packet is the window [buf.[off] .. buf.[off + len - 1]] whose leading
+   [hdr]-byte segment names the tunnel; its remainder and the return
+   entry for this hop are written once, straight behind the IP header. *)
+let encapsulate t ~buf ~off ~len ~hdr ~in_port =
+  match parse_tunnel_info (Seg.decode_sub buf ~off ~len:hdr).Seg.info with
   | None -> C.incr t.bad_tunnel_info
   | Some remote_addr ->
     (* the return entry for this hop: back out the Sirpent-side arrival
-       port (point-to-point; no network-specific info) *)
-    let return_seg =
-      Seg.make
-        ~flags:{ Seg.vnt = false; dib = seg.Seg.flags.Seg.dib; rpf = true }
-        ~priority:seg.Seg.priority ~token:seg.Seg.token ~port:in_port ()
-    in
-    match Viper.Trailer.append_hop rest ~pos:0 return_seg with
-    | exception (Invalid_argument _ | Failure _) ->
+       port (point-to-point; no network-specific info), token kept *)
+    let info = Some Bytes.empty in
+    match
+      let rlen = Seg.return_hop_size buf ~off ~port:in_port ~keep_token:true ~info in
+      let packet = Bytes.create (Ipbase.Header.size + len - hdr + rlen + 3) in
+      ( packet,
+        Viper.Trailer.append_return_hop buf ~off ~len ~pos:hdr ~port:in_port
+          ~keep_token:true ~info packet ~at:Ipbase.Header.size )
+    with
+    | exception (Invalid_argument _ | Failure _ | Wire.Buf.Underflow | Wire.Buf.Overflow)
+      ->
       (* trailer damaged in flight: count, don't raise out of the handler *)
       C.incr t.bad_tunnel_info
-    | viper_bytes ->
+    | packet, viper_len ->
     t.next_ident <- (t.next_ident + 1) land 0xFFFF;
     let header =
       {
         Ipbase.Header.tos = 0;
-        total_length = Ipbase.Header.size + Bytes.length viper_bytes;
+        total_length = Ipbase.Header.size + viper_len;
         ident = t.next_ident;
         dont_fragment = false;
         more_fragments = false;
@@ -85,7 +91,7 @@ let encapsulate t ~seg ~rest ~in_port =
         dst = remote_addr;
       }
     in
-    let packet = Bytes.cat (Ipbase.Header.encode header) viper_bytes in
+    Bytes.blit (Ipbase.Header.encode header) 0 packet 0 Ipbase.Header.size;
     let mtu =
       match G.link_via (W.graph t.world) t.node t.cloud_port with
       | Some l -> l.G.props.G.mtu
@@ -155,8 +161,7 @@ let create ?router_config ?(ttl = 32) world ~node ~cloud_port ~tunnel_port () =
       ip_dropped = cnt "ip_dropped" ~help:"cloud arrivals failing checksum or protocol checks";
     }
   in
-  Sirpent.Router.set_port_handler router ~port:tunnel_port (fun ~seg ~rest ~in_port ->
-      encapsulate t ~seg ~rest ~in_port);
+  Sirpent.Router.set_port_handler router ~port:tunnel_port (encapsulate t);
   (* Take over the node's handler to split cloud vs Sirpent traffic. *)
   W.set_handler world node (handle t);
   t

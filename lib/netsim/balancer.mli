@@ -1,8 +1,8 @@
 (** Profile-guided over-decomposition of a region partition.
 
     The online half of load-adaptive re-balancing lives in
-    {!Parallel.Conservative} (shard->worker ownership re-packing at
-    quiescent points); this is the offline half: given per-region load
+    {!Shard.run} (shard->worker ownership re-packing at quiescent
+    points); this is the offline half: given per-region load
     from a profiling run, split hot regions into more shards so the
     online packer has pieces small enough to balance. Both halves are
     pure functions of simulation-derived telemetry, so the whole

@@ -3,8 +3,9 @@
     One {!Sim.Engine} + {!World} per region of a {!Partition.t}, joined
     only at the gateway links: each direction of each gateway is an
     unbounded SPSC channel carrying timestamped frame crossings plus the
-    packet's flight-recorder context, and the shards advance under the
-    conservative protocol of {!Parallel.Conservative}.
+    packet's flight-recorder context, and the shards advance under
+    conservative (Chandy–Misra–Bryant) null-message synchronization
+    ({!run}).
 
     Lookahead is per directed gateway edge: each egress channel promises
     with its own gateway's propagation delay — plus, when the trunk is
@@ -87,12 +88,23 @@ type stats = {
 val run : ?shards:int -> ?epoch:Sim.Time.t -> until:Sim.Time.t -> t -> stats
 (** Advance every region through [until]. [shards = 1] (the default)
     drives all regions from the calling domain and never spawns; larger
-    values fan regions out over that many domains via {!Parallel.Pool}.
-    [epoch] (simulated time) enables load-adaptive re-balancing: all
-    shards park at each boundary [k * epoch] and ownership is re-packed
-    over the workers from per-epoch executed-event deltas
-    ({!Parallel.Conservative}); simulation output is bit-identical with
-    or without it. *)
+    values fan regions out over [min shards regions] domains via
+    {!Parallel.Pool}. Each sync round services a region in a fixed
+    order: read its safe time (the min over the promises of the channels
+    feeding it), drain its inboxes, advance its engine strictly below
+    that time, publish one promise per egress channel, and retire it
+    once it ran through [until] with nothing left to receive. A worker
+    whose round moved nothing waits for another worker's progress
+    instead of running idle rounds.
+
+    [epoch] (simulated time) enables load-adaptive re-balancing: every
+    region parks at each boundary [k * epoch], a quiescent point where
+    its executed-event count is a pure function of the simulation, and
+    region->worker ownership is re-packed there by a deterministic LPT
+    bin-packing over the per-epoch deltas. Only the servicing domain
+    moves, so simulation output is bit-identical with or without it.
+    Raises [Invalid_argument] on [shards < 1] or a non-positive
+    [epoch]. *)
 
 (** {1 Merged telemetry}
 

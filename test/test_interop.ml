@@ -162,6 +162,104 @@ let sirpent_side_still_routes () =
   Sim.Engine.run engine;
   check_int "routed through the gateway's sirpent side" 1 (Sirpent.Host.received h_b)
 
+(* The router on the far side of [gw]'s cloud link: the first IP hop. *)
+let cloud_entry g gw =
+  List.find_map
+    (fun (_, l) ->
+      let peer, _ = G.peer l gw in
+      if G.kind g peer = G.Router then Some peer else None)
+    (G.ports g gw)
+  |> Option.get
+
+(* Summed over the world's Sirpent routers. *)
+let router_send_drops world =
+  List.fold_left
+    (fun acc (r : Telemetry.Registry.row) ->
+      match r.row_sample with
+      | Counter_sample n when r.row_name = "router_send_drops" -> acc + n
+      | _ -> acc)
+    0
+    (Telemetry.Registry.snapshot (W.metrics world))
+
+(* A priority-7 packet preempts a large tunnel-bound packet on the
+   source host's link after the large one's head has reached gwA. The
+   runt must be dropped at gwA's act time, not encapsulated. *)
+let preempted_frame_not_tunnelled () =
+  let _, engine, world, h_src, h_dst, gwa, gwb, gw_b, b_dst = build () in
+  let route = tunnel_route ~gw_b_node:gw_b ~b_dst in
+  let got = ref [] in
+  Sirpent.Host.set_receive h_dst (fun _ ~packet ~in_port:_ ->
+      got := Bytes.length packet.Viper.Packet.data :: !got);
+  ignore (Sirpent.Host.send h_src ~route ~data:(Bytes.make 1300 'A') ());
+  Sim.Engine.schedule engine ~delay:(Sim.Time.us 400) (fun () ->
+      ignore (Sirpent.Host.send h_src ~route ~priority:7 ~data:(Bytes.make 100 'B') ()));
+  Sim.Engine.run engine;
+  check_int "the large packet was preempted" 1
+    (W.port_stats world ~node:(Sirpent.Host.node h_src) ~port:1).W.preempted;
+  check_int "only the urgent packet encapsulated" 1
+    (Interop.Gateway.stats gwa).Interop.Gateway.encapsulated;
+  check_int "the runt is a counted drop" 1 (router_send_drops world);
+  check_int "one datagram decapsulated" 1
+    (Interop.Gateway.stats gwb).Interop.Gateway.decapsulated;
+  Alcotest.(check (list int)) "only the urgent packet arrives" [ 100 ] !got
+
+(* The datagram gwA sends carries the arriving packet with its tunnel
+   segment moved to the trailer as the return hop back out port 1: the
+   bytes of the record-level loopback operation. *)
+let datagram_carries_the_hop () =
+  let g, engine, world, h_src, _, gwa, _, gw_b, b_dst = build () in
+  let gw_a = Option.get (G.find_by_name g "gwA") in
+  let datagrams = ref [] in
+  W.set_handler world (cloud_entry g gw_a) (fun _ ~in_port:_ ~frame ~head:_ ~tail:_ ->
+      datagrams := Netsim.Frame.contents frame :: !datagrams);
+  let route = tunnel_route ~gw_b_node:gw_b ~b_dst in
+  let data = Bytes.of_string "into the tunnel" in
+  ignore (Sirpent.Host.send h_src ~route ~data ());
+  Sim.Engine.run engine;
+  check_int "encapsulated" 1 (Interop.Gateway.stats gwa).Interop.Gateway.encapsulated;
+  let tunnel_seg = List.hd route.Sirpent.Route.segments in
+  let expected =
+    Viper.Trailer.append_hop
+      (Viper.Packet.build ~route:route.Sirpent.Route.segments ~data)
+      ~pos:(Seg.encoded_size tunnel_seg)
+      (Seg.make
+         ~flags:{ Seg.vnt = false; dib = false; rpf = true }
+         ~priority:tunnel_seg.Seg.priority ~token:tunnel_seg.Seg.token ~port:1 ())
+  in
+  match !datagrams with
+  | [ d ] ->
+    check_bool "IP header valid" true (Ipbase.Header.checksum_ok d);
+    check_int "IP total length" (Bytes.length d)
+      (Ipbase.Header.decode d).Ipbase.Header.total_length;
+    Alcotest.(check string) "VIPER bytes"
+      (Bytes.to_string expected)
+      (Bytes.sub_string d Ipbase.Header.size (Bytes.length d - Ipbase.Header.size))
+  | l -> Alcotest.failf "%d datagrams" (List.length l)
+
+(* Every single-bit flip in a tunnel-bound packet's trailer is a counted
+   bad_tunnel_info at gwA, never an exception out of its handler. *)
+let damaged_trailer_counted () =
+  let _, engine, world, h_src, _, gwa, _, gw_b, b_dst = build () in
+  let route = tunnel_route ~gw_b_node:gw_b ~b_dst in
+  let packet =
+    Viper.Packet.build ~route:route.Sirpent.Route.segments ~data:(Bytes.of_string "flip")
+  in
+  let n = Bytes.length packet in
+  let trailer_bits = 8 * Bytes.length Viper.Trailer.empty in
+  for bit = 0 to trailer_bits - 1 do
+    Sim.Engine.schedule engine ~delay:(Sim.Time.ms (bit + 1)) (fun () ->
+        let b = Bytes.copy packet in
+        let i = n - 1 - (bit / 8) in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+        ignore
+          (W.send world ~node:(Sirpent.Host.node h_src) ~port:1 (W.fresh_frame world b)))
+  done;
+  Sim.Engine.run engine;
+  check_int "every flip counted" trailer_bits
+    (Interop.Gateway.stats gwa).Interop.Gateway.bad_tunnel_info;
+  check_int "none encapsulated" 0 (Interop.Gateway.stats gwa).Interop.Gateway.encapsulated;
+  check_int "no handler errors" 0 (W.total_handler_errors world)
+
 let () =
   Alcotest.run "interop"
     [
@@ -175,5 +273,9 @@ let () =
             vmtp_transaction_through_tunnel;
           Alcotest.test_case "bad tunnel info" `Quick bad_tunnel_info_counted;
           Alcotest.test_case "sirpent side still routes" `Quick sirpent_side_still_routes;
+          Alcotest.test_case "preempted frame not tunnelled" `Quick
+            preempted_frame_not_tunnelled;
+          Alcotest.test_case "datagram carries the hop" `Quick datagram_carries_the_hop;
+          Alcotest.test_case "damaged trailer counted" `Quick damaged_trailer_counted;
         ] );
     ]

@@ -315,6 +315,7 @@ type cluster_run = {
   events : (Sim.Time.t * Telemetry.Events.event) list;
   flights : Telemetry.Flight.flight list;
   received : int;
+  executed : int array;  (** per region: [Sim.Engine.executed] after the run *)
 }
 
 (* Build the [regions]-region ring (default 4), install a Sirpent router
@@ -420,6 +421,7 @@ let run_cluster ?epoch ?(faults = false) ?(regions = 4) ~shards ~until () =
     events = S.merged_events cluster;
     flights = S.merged_flights cluster;
     received = Atomic.get received;
+    executed = Array.init (S.regions cluster) (fun r -> Sim.Engine.executed (S.engine cluster r));
   }
 
 let until = Sim.Time.ms 80
@@ -445,12 +447,12 @@ let cluster_traffic_flows () =
      pings per region also answered: all 160 packets arrive *)
   check_int "every packet delivered" 160 r.received
 
-(* The same cluster at [shards] workers merges to telemetry bit-identical
-   with the never-spawning serial run. *)
+(* The same cluster at [shards] workers (one per region at most) merges
+   to telemetry bit-identical with the never-spawning serial run. *)
 let matches_serial ?regions ~shards () =
   let serial = run_cluster ?regions ~shards:1 ~until () in
   let wide = run_cluster ?regions ~shards ~until () in
-  check_int "workers actually used" shards wide.stats.S.shards;
+  check_int "workers actually used" (min shards wide.stats.S.regions) wide.stats.S.shards;
   check_int "same deliveries" serial.received wide.received;
   check_int "same crossings" serial.stats.S.cross_frames wide.stats.S.cross_frames;
   check_bool "rows bit-identical" true (serial.rows = wide.rows);
@@ -565,6 +567,29 @@ let burst_over_one_gateway () =
   check_bool "rows bit-identical" true (rows1 = rows2);
   check_bool "events bit-identical" true (events1 = events2)
 
+(* ---- the driver's edges ---- *)
+
+let run_rejects_bad_arguments () =
+  let g, _, _ = build ~regions:2 ~hosts_per_region:1 () in
+  let cluster = S.create (split_exn g) in
+  let rejected f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  check_bool "shards 0" true (rejected (fun () -> S.run ~shards:0 ~until cluster));
+  check_bool "epoch 0" true (rejected (fun () -> S.run ~epoch:0 ~until cluster))
+
+(* More workers asked for than the four regions: one worker each. *)
+let wider_than_regions () = matches_serial ~shards:8 ()
+
+(* A region's [events] is its engine's executed count (so they sum to
+   the cluster's), at every width and with re-balancing. *)
+let region_events_are_executed () =
+  List.iter
+    (fun (epoch, shards) ->
+      let r = run_cluster ?epoch ~shards ~until () in
+      Array.iteri
+        (fun i (l : S.region_load) -> check_int "region events" r.executed.(i) l.S.events)
+        r.stats.S.per_region)
+    [ (None, 1); (None, 2); (Some (Sim.Time.ms 10), 3) ]
+
 let () =
   Alcotest.run "intra_world"
     [
@@ -612,5 +637,10 @@ let () =
             cluster_oversubscribed_deterministic;
           Alcotest.test_case "burst over one gateway" `Quick
             burst_over_one_gateway;
+          Alcotest.test_case "bad shards or epoch rejected" `Quick
+            run_rejects_bad_arguments;
+          Alcotest.test_case "wider than the regions" `Quick wider_than_regions;
+          Alcotest.test_case "region events are executed events" `Quick
+            region_events_are_executed;
         ] );
     ]
