@@ -89,8 +89,8 @@ let ip_failover ~hello_interval =
   in
   G.iter_nodes g (fun n ->
       if G.kind g n = G.Router then ignore (Ipbase.Router.create ~config world ~node:n ()));
-  let h_src = Ipbase.Host.create world ~node:src () in
-  let h_dst = Ipbase.Host.create world ~node:dst () in
+  let h_src = Ipbase.Host.create world ~node:src in
+  let h_dst = Ipbase.Host.create world ~node:dst in
   let first_after = ref 0 and delivered = ref 0 in
   Ipbase.Host.set_receive h_dst (fun _ ~header:_ ~data:_ ->
       incr delivered;

@@ -26,7 +26,7 @@ let transaction_cvc () =
   let g, h1, r, h2 = chain_arch () in
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
-  let switches = Array.map (fun n -> Cvc.Switch.create world ~node:n ()) r in
+  let switches = Array.map (fun n -> Cvc.Switch.create world ~node:n) r in
   let e1 = Cvc.Endpoint.create world ~node:h1 in
   let e2 = Cvc.Endpoint.create world ~node:h2 in
   let t_reply = ref 0 in
@@ -61,8 +61,8 @@ let transaction_ip () =
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
   let robjs = Array.map (fun n -> Ipbase.Router.create world ~node:n ()) r in
-  let i1 = Ipbase.Host.create world ~node:h1 () in
-  let i2 = Ipbase.Host.create world ~node:h2 () in
+  let i1 = Ipbase.Host.create world ~node:h1 in
+  let i2 = Ipbase.Host.create world ~node:h2 in
   let t_reply = ref 0 in
   Ipbase.Host.set_receive i2 (fun h ~header:_ ~data ->
       ignore (Ipbase.Host.send h ~dst:h1 ~data ()));

@@ -27,8 +27,8 @@ let tunnel_world ~cloud_routers =
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
   Array.iter (fun n -> ignore (Ipbase.Router.create world ~node:n ())) cloud;
-  ignore (Interop.Gateway.create world ~node:gw_a ~cloud_port:a_cloud ~tunnel_port ());
-  ignore (Interop.Gateway.create world ~node:gw_b ~cloud_port:b_cloud ~tunnel_port ());
+  ignore (Interop.Gateway.create world ~node:gw_a ~cloud_port:a_cloud ~tunnel_port);
+  ignore (Interop.Gateway.create world ~node:gw_b ~cloud_port:b_cloud ~tunnel_port);
   let h_src = Sirpent.Host.create world ~node:src in
   let h_dst = Sirpent.Host.create world ~node:dst in
   let route =

@@ -377,7 +377,7 @@ let clamp_config (c : C.config) =
     C.feeder_share = Float.min 1.0 (Float.max 0.5 c.C.feeder_share);
     C.ramp_factor = Float.min 3.0 (Float.max 1.05 c.C.ramp_factor);
     C.limiter_expiry = max (Sim.Time.ms 25) (min (Sim.Time.s 1) c.C.limiter_expiry);
-    C.ramp_after = max c.C.check_interval (min (Sim.Time.ms 100) c.C.ramp_after);
+    C.ramp_after = max C.check_interval (min (Sim.Time.ms 100) c.C.ramp_after);
   }
 
 let neighbors (c : C.config) =
@@ -474,7 +474,7 @@ let pareto evaluated =
 let config_json (c : C.config) =
   Util.J.Obj
     [
-      ("check_interval_ms", Util.J.Float (Sim.Time.to_ms c.C.check_interval));
+      ("check_interval_ms", Util.J.Float (Sim.Time.to_ms C.check_interval));
       ("queue_threshold", Util.J.Int c.C.queue_threshold);
       ("release_threshold", Util.J.Int c.C.release_threshold);
       ("feeder_share", Util.J.Float c.C.feeder_share);
@@ -484,7 +484,7 @@ let config_json (c : C.config) =
       ( "max_rate_factor",
         if Float.is_finite c.C.max_rate_factor then Util.J.Float c.C.max_rate_factor
         else Util.J.String "inf" );
-      ("min_rate_bps", Util.J.Float c.C.min_rate_bps);
+      ("min_rate_bps", Util.J.Float C.min_rate_bps);
     ]
 
 let cell_json ~scenario ~ratio ~label c =

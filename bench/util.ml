@@ -133,8 +133,8 @@ let one_way_ip ?(process_time = Sim.Time.us 100) ~n_routers ~bytes () =
   let world = W.create engine g in
   let config = { Ipbase.Router.default_config with Ipbase.Router.process_time } in
   Array.iter (fun r -> ignore (Ipbase.Router.create ~config world ~node:r ())) routers;
-  let i1 = Ipbase.Host.create world ~node:h1 () in
-  let i2 = Ipbase.Host.create world ~node:h2 () in
+  let i1 = Ipbase.Host.create world ~node:h1 in
+  let i2 = Ipbase.Host.create world ~node:h2 in
   let arrival = ref 0 in
   Ipbase.Host.set_receive i2 (fun _ ~header:_ ~data:_ -> arrival := Sim.Engine.now engine);
   ignore (Ipbase.Host.send i1 ~dst:h2 ~data:(Bytes.make bytes 'x') ());

@@ -34,10 +34,10 @@ let () =
   let world = Netsim.World.create engine g in
   Array.iter (fun n -> ignore (Ipbase.Router.create world ~node:n ())) cloud;
   let gwa =
-    Interop.Gateway.create world ~node:gw_west ~cloud_port:west_cloud ~tunnel_port ()
+    Interop.Gateway.create world ~node:gw_west ~cloud_port:west_cloud ~tunnel_port
   in
   let gwb =
-    Interop.Gateway.create world ~node:gw_east ~cloud_port:east_cloud ~tunnel_port ()
+    Interop.Gateway.create world ~node:gw_east ~cloud_port:east_cloud ~tunnel_port
   in
   ignore (Sirpent.Router.create world ~node:east_router ());
   let h_west = Sirpent.Host.create world ~node:west_host in

@@ -3,7 +3,6 @@ module W = Netsim.World
 module C = Telemetry.Registry.Counter
 
 type config = {
-  check_interval : Sim.Time.t;
   queue_threshold : int;
   release_threshold : int;
   feeder_share : float;
@@ -11,19 +10,27 @@ type config = {
   ramp_factor : float;
   ramp_after : Sim.Time.t;
   max_rate_factor : float;
-  min_rate_bps : float;
-  burst_window_s : float;
-  min_burst_bits : float;
-  flap_window : Sim.Time.t;
-  ctl_frame_bytes : int;
 }
+
+let check_interval = Sim.Time.ms 5
+let min_rate_bps = 64_000.0
+let burst_window_s = 0.005
+
+(* token-bucket depth floor *)
+let min_burst_bits = 24_000.0
+
+(* a limiter re-installed within this time of its own expiry counts as
+   one backpressure oscillation (congestion_oscillations) *)
+let flap_window = Sim.Time.ms 200
+
+(* simulated size of a rate-control message *)
+let ctl_frame_bytes = 16
 
 (* The seed constants as first documented: no hysteresis (release =
    threshold), 90% feeder share, short expiry, unclamped ramp. E22 measures
    every hostile scenario against these. *)
 let untuned_config =
   {
-    check_interval = Sim.Time.ms 5;
     queue_threshold = 8;
     release_threshold = 8;
     feeder_share = 0.9;
@@ -31,11 +38,6 @@ let untuned_config =
     ramp_factor = 1.25;
     ramp_after = Sim.Time.ms 5;
     max_rate_factor = infinity;
-    min_rate_bps = 64_000.0;
-    burst_window_s = 0.005;
-    min_burst_bits = 24_000.0;
-    flap_window = Sim.Time.ms 200;
-    ctl_frame_bytes = 16;
   }
 
 (* E22's closed-loop winner (bench/e22_adversarial.ml): hysteresis keeps
@@ -122,13 +124,13 @@ let create world ~node config =
 
 (* --- token-bucket limiters --- *)
 
-let burst_bits t lim =
-  Float.max t.config.min_burst_bits (lim.rate_bps *. t.config.burst_window_s)
+let burst_bits lim =
+  Float.max min_burst_bits (lim.rate_bps *. burst_window_s)
 
 let refill t lim =
   let now = W.now t.world in
   let dt = Sim.Time.to_seconds (now - lim.last_refill) in
-  lim.bucket_bits <- Float.min (burst_bits t lim) (lim.bucket_bits +. (lim.rate_bps *. dt));
+  lim.bucket_bits <- Float.min (burst_bits lim) (lim.bucket_bits +. (lim.rate_bps *. dt));
   lim.last_refill <- now
 
 let rec drain t lim =
@@ -226,7 +228,7 @@ let signal_feeders t out_port =
   | _ ->
     let n = List.length feeders in
     let rate =
-      Float.max t.config.min_rate_bps
+      Float.max min_rate_bps
         (capacity_bps t out_port *. t.config.feeder_share /. float_of_int n)
     in
     List.iter
@@ -234,7 +236,7 @@ let signal_feeders t out_port =
         let frame =
           W.fresh_frame t.world ~priority:Token.Priority.highest
             ~meta:(Rate_ctl { congested_port = out_port; rate_bps = rate })
-            (Bytes.create t.config.ctl_frame_bytes)
+            (Bytes.create ctl_frame_bytes)
         in
         C.incr t.ctl_sent;
         ignore (W.send t.world ~node:t.node ~port:in_port frame))
@@ -302,7 +304,7 @@ let monitor t =
   List.iter (Hashtbl.remove t.feeders) stale_feeders;
   let stale_off =
     Hashtbl.fold
-      (fun key off acc -> if now - off > t.config.flap_window then key :: acc else acc)
+      (fun key off acc -> if now - off > flap_window then key :: acc else acc)
       t.recent_off []
   in
   List.iter (Hashtbl.remove t.recent_off) stale_off;
@@ -316,7 +318,7 @@ let monitor t =
 let rec ensure_tick t =
   if t.started && not t.tick_armed then begin
     t.tick_armed <- true;
-    Sim.Engine.schedule (W.engine t.world) ~delay:t.config.check_interval (fun () ->
+    Sim.Engine.schedule (W.engine t.world) ~delay:check_interval (fun () ->
         t.tick_armed <- false;
         tick t)
   end
@@ -352,13 +354,13 @@ let handle_ctl t ~arrival_port ~congested_port ~rate_bps =
     lim.rate_bps <- rate_bps;
     (* a rate cut also shrinks the bucket: the invariant
        bucket_bits <= burst_bits holds at every observation point *)
-    lim.bucket_bits <- Float.min lim.bucket_bits (burst_bits t lim);
+    lim.bucket_bits <- Float.min lim.bucket_bits (burst_bits lim);
     lim.last_signal <- now;
     if rate_bps > old_rate && not (Queue.is_empty lim.pending) then
       reschedule_drain t lim
   | None ->
     (match Hashtbl.find_opt t.recent_off key with
-    | Some off when now - off <= t.config.flap_window ->
+    | Some off when now - off <= flap_window ->
       (* backpressure slammed back on right after expiring: the on/off
          oscillation the hysteresis and expiry tuning are meant to kill *)
       C.incr t.osc;
@@ -416,7 +418,7 @@ let bucket_level t ~out_port ~next_port =
   | None -> None
   | Some lim ->
     refill t lim;
-    Some (lim.bucket_bits, burst_bits t lim)
+    Some (lim.bucket_bits, burst_bits lim)
 
 let ctl_sent t = C.value t.ctl_sent
 let oscillations t = C.value t.osc

@@ -24,7 +24,6 @@
     baseline. *)
 
 type config = {
-  check_interval : Sim.Time.t;  (** monitor / ramp period *)
   queue_threshold : int;  (** queued packets that declare congestion *)
   release_threshold : int;
       (** hysteresis low-water mark: once a port is congested, its feeders
@@ -36,7 +35,7 @@ type config = {
   ramp_factor : float;  (** rate multiplier per quiet interval *)
   ramp_after : Sim.Time.t;
       (** quiet time (since the last refresh) before ramp-up begins. At
-          [check_interval] (the seed behaviour) a limiter starts ramping
+          {!check_interval} (the seed behaviour) a limiter starts ramping
           between the very signals that refresh it, so idle gaps in a
           bursty workload wind it back to line rate and the next burst
           lands unthrottled; a few intervals of patience keeps the
@@ -46,15 +45,17 @@ type config = {
           local out-link capacity, so a long-unrefreshed limiter cannot
           blast arbitrarily past line rate when it finally expires.
           [infinity] disables the clamp (the untuned seed behaviour). *)
-  min_rate_bps : float;  (** floor for advertised rates *)
-  burst_window_s : float;
-      (** token-bucket depth, as seconds of the current rate *)
-  min_burst_bits : float;  (** token-bucket depth floor *)
-  flap_window : Sim.Time.t;
-      (** a limiter re-installed within this time of its own expiry counts
-          as one backpressure oscillation (congestion_oscillations) *)
-  ctl_frame_bytes : int;  (** simulated size of a rate-control message *)
 }
+(** The seven knobs E22's tuner searches. *)
+
+val check_interval : Sim.Time.t
+(** Monitor / ramp period: 5 ms. *)
+
+val min_rate_bps : float
+(** Floor for advertised rates: 64 kb/s. *)
+
+val burst_window_s : float
+(** Token-bucket depth, as seconds of the current rate: 5 ms. *)
 
 val default_config : config
 (** The E22-tuned constants: hysteresis on ([release_threshold] below
@@ -132,6 +133,6 @@ val bucket_level : t -> out_port:int -> next_port:int -> (float * float) option
 val ctl_sent : t -> int
 
 val oscillations : t -> int
-(** Backpressure oscillations: limiters re-installed within
-    [flap_window] of their own expiry ([congestion_oscillations] on the
+(** Backpressure oscillations: limiters re-installed within 200 ms of
+    their own expiry ([congestion_oscillations] on the
     world registry; each also emits {!Telemetry.Events.Backpressure_flap}). *)

@@ -10,24 +10,29 @@ type blocked_handling =
   | Delay_line of { delay : Sim.Time.t; max_circuits : int }
 
 type config = {
-  decision_time : Sim.Time.t;
   store_and_forward : bool;
-  process_time : Sim.Time.t;
   require_tokens : bool;
   token_policy : Token.Cache.miss_policy;
-  verify_time : Sim.Time.t;
   congestion : Congestion.config option;
   blocked : blocked_handling;
 }
 
+(* switch decision and setup: "significantly less than a microsecond"
+   (§6.1) *)
+let decision_time = Sim.Time.ns 500
+
+(* per-packet software processing, applied on the store-and-forward path
+   and to local delivery *)
+let process_time = Sim.Time.us 50
+
+(* token decryption and check latency, paid off the fast path *)
+let verify_time = Sim.Time.us 200
+
 let default_config =
   {
-    decision_time = Sim.Time.ns 500;
     store_and_forward = false;
-    process_time = Sim.Time.us 50;
     require_tokens = false;
     token_policy = Token.Cache.Optimistic;
-    verify_time = Sim.Time.us 200;
     congestion = None;
     blocked = Buffer;
   }
@@ -227,12 +232,12 @@ let cut_through_rate t ~in_port ~out_port =
 (* The instant forwarding may begin: after the header has been received
    plus the switching decision for cut-through, or after the whole
    packet plus software processing otherwise. *)
-let act_time t ~cut_rate ~head ~tail ~header_size =
+let act_time ~cut_rate ~head ~tail ~header_size =
   if cut_rate > 0 then
     head
     + Sim.Time.transmission ~bits:(8 * header_size) ~rate_bps:cut_rate
-    + t.config.decision_time
-  else tail + t.config.process_time
+    + decision_time
+  else tail + process_time
 
 let count_send_result t ~frame ~in_port result =
   match result with
@@ -314,7 +319,7 @@ let dispatch t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port ~when_ =
    the act step. *)
 let switch t ~frame ~out ~in_port ~out_port ~head ~tail ~header_size ~priority ~dib =
   let cut_rate = cut_through_rate t ~in_port ~out_port in
-  let when_ = act_time t ~cut_rate ~head ~tail ~header_size in
+  let when_ = act_time ~cut_rate ~head ~tail ~header_size in
   let handling =
     if cut_rate > 0 then begin
       bump t cut_throughs;
@@ -423,7 +428,7 @@ let reject t ~frame ~in_port =
    cache. *)
 let verify_in_background t ~token =
   schedule t
-    ~time:(now t + t.config.verify_time)
+    ~time:(now t + verify_time)
     (fun () ->
       ignore
         (Token.Cache.complete_verification t.cache ~token ~now_ms:(now t / 1_000_000)))
@@ -473,7 +478,7 @@ let authorize t ~token ~rpf ~priority ~frame ~in_port ~out_port ~packet_bytes =
    token is decrypted, then re-check; [proceed ~reverse_ok] switches it. *)
 let verify_then t ~token ~rpf ~priority ~frame ~in_port ~out_port ~packet_bytes ~proceed =
   schedule t
-    ~time:(now t + t.config.verify_time)
+    ~time:(now t + verify_time)
     (fun () ->
       let now_ms = now t / 1_000_000 in
       if Token.Cache.complete_verification t.cache ~token ~now_ms then begin
@@ -554,7 +559,7 @@ let rec process t ~frame ~buf ~off ~len ~in_port ~in_info ~head ~tail ~depth =
              reception, like any store-and-forward boundary — unless the
              upstream transmission was preempted and this is a runt *)
           schedule t
-            ~time:(Int.max (now t) tail + t.config.process_time)
+            ~time:(Int.max (now t) tail + process_time)
             (fun () ->
               if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted
               else f ~buf ~off ~len ~hdr ~in_port)
@@ -651,7 +656,7 @@ and tree_multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail ~d
    once {!Viper.Xsr.step} has answered [Deliver] for it. *)
 and deliver_local t ~frame ~buf ~off ~len ~in_port ~tail ~xsr =
   schedule t
-    ~time:(Int.max (now t) tail + t.config.process_time)
+    ~time:(Int.max (now t) tail + process_time)
     (fun () ->
       if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted_delivery
       else if not (xsr || Pkt.intact buf ~off ~len) then drop t ~frame ~in_port Malformed
@@ -744,7 +749,7 @@ let set_port_handler t ~port f =
     invalid_arg "Router.set_port_handler: port must be 1-239";
   t.port_handlers <- with_port t.port_handlers port f
 
-let inject t ~payload ~in_port ~return_info =
+let inject t ~buf ~off ~len ~in_port ~return_info =
   (* no frame exists yet, so there is no flight to end *)
   if not t.up then bump t dropped_down
   else begin
@@ -755,9 +760,11 @@ let inject t ~payload ~in_port ~return_info =
       Flight.hop ctx ~node:t.node ~in_port ~out_port:(-1) ~arrival:(now t)
         ~departure:(now t) ~handling:Flight.Injected
     | None -> ());
-    let frame = W.fresh_frame t.world ?flight payload in
-    process t ~frame ~buf:payload ~off:0 ~len:(Bytes.length payload) ~in_port
-      ~in_info:(Some return_info) ~head:(now t) ~tail:(now t) ~depth:0
+    let frame = W.fresh_frame t.world ?flight buf in
+    frame.Netsim.Frame.off <- off;
+    frame.Netsim.Frame.len <- len;
+    process t ~frame ~buf ~off ~len ~in_port ~in_info:(Some return_info) ~head:(now t)
+      ~tail:(now t) ~depth:0
   end
 
 let handle_frame t = handle t

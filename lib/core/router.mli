@@ -10,7 +10,12 @@
 
     Special port values: 0 local delivery, 255 broadcast, 254 tree
     multicast, 240-253 configured port groups. Ports with a {!Logical}
-    mapping are expanded (trunk groups / spliced transit routes). *)
+    mapping are expanded (trunk groups / spliced transit routes).
+
+    The per-hop costs are fixed: a switching decision of 500 ns
+    ("significantly less than a microsecond", §6.1), 50 us of software
+    processing on the store-and-forward path and at local delivery, and
+    200 us to verify a token, paid off the fast path. *)
 
 type blocked_handling =
   | Buffer  (** blocked packets wait in the output queue (default) *)
@@ -21,20 +26,12 @@ type blocked_handling =
           drop-if-blocked are dropped on the first block either way. *)
 
 type config = {
-  decision_time : Sim.Time.t;
-      (** switch decision and setup — "significantly less than a
-          microsecond" (§6.1); default 500 ns *)
   store_and_forward : bool;
       (** disable cut-through entirely (for delay comparisons) *)
-  process_time : Sim.Time.t;
-      (** per-packet software processing applied on the store-and-forward
-          path and to local delivery; default 50 us *)
   require_tokens : bool;
       (** reject packets carrying no port token; default false
           ("the portToken is optional") *)
   token_policy : Token.Cache.miss_policy;
-  verify_time : Sim.Time.t;
-      (** token decryption+check latency, paid off the fast path *)
   congestion : Congestion.config option;  (** [None] disables rate control *)
   blocked : blocked_handling;
 }
@@ -99,12 +96,15 @@ val set_port_handler :
     counted drop instead. Raises [Invalid_argument] outside 1-239. *)
 
 val inject :
-  t -> payload:bytes -> in_port:Topo.Graph.port -> return_info:bytes -> unit
+  t -> buf:bytes -> off:int -> len:int -> in_port:Topo.Graph.port ->
+  return_info:bytes -> unit
 (** Feed a Sirpent packet that arrived out-of-band (e.g. decapsulated from
     an IP tunnel) into the forwarding pipeline as if received now on
-    [in_port]. [return_info] becomes the appended trailer segment's
-    network-specific portInfo, so replies re-enter the tunnel correctly.
-    [payload] stays the caller's: the router forwards a copy. *)
+    [in_port]. The packet is the window [buf.[off] .. buf.[off + len - 1]].
+    [return_info] becomes the appended trailer segment's network-specific
+    portInfo, so replies re-enter the tunnel correctly. The router never
+    writes [buf] (it forwards a copy of the window) but may read it
+    after a delay, so the caller must not reuse it. *)
 
 val handle_frame : t -> Netsim.World.handler
 (** The router's frame handler (for wrappers that dispatch between stacks

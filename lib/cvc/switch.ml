@@ -1,13 +1,11 @@
 module G = Topo.Graph
 module W = Netsim.World
 
-type config = {
-  setup_process_time : Sim.Time.t;
-  data_process_time : Sim.Time.t;
-}
+(* call processing per setup *)
+let setup_process_time = Sim.Time.us 500
 
-let default_config =
-  { setup_process_time = Sim.Time.us 500; data_process_time = Sim.Time.us 20 }
+(* label swap + queue *)
+let data_process_time = Sim.Time.us 20
 
 type stats = {
   setups_handled : int;
@@ -22,7 +20,6 @@ type entry = { out_port : G.port; out_vci : int; call_id : int; reserve_bps : in
 type t = {
   world : W.t;
   node : G.node_id;
-  config : config;
   table : (G.port * int, entry) Hashtbl.t;  (* (in_port, in_vci) -> next hop *)
   calls : (int, (G.port * int) list) Hashtbl.t;  (* call_id -> table keys *)
   reserved : (G.port, int) Hashtbl.t;
@@ -172,23 +169,22 @@ let handle t _world ~in_port ~frame ~head:_ ~tail =
   in
   match frame.Netsim.Frame.meta with
   | Some (Signal.Setup { call_id; dst; reserve_bps; vci }) ->
-    at t.config.setup_process_time (fun () ->
+    at setup_process_time (fun () ->
         handle_setup t ~in_port ~call_id ~dst ~reserve_bps ~vci)
   | Some (Signal.Connect { call_id; vci }) ->
-    at t.config.setup_process_time (fun () -> handle_connect t ~in_port ~call_id ~vci)
+    at setup_process_time (fun () -> handle_connect t ~in_port ~call_id ~vci)
   | Some (Signal.Release { call_id; vci; _ }) ->
-    at t.config.setup_process_time (fun () -> handle_release t ~in_port ~call_id ~vci)
+    at setup_process_time (fun () -> handle_release t ~in_port ~call_id ~vci)
   | Some _ -> ()
   | None ->
-    at t.config.data_process_time (fun () ->
+    at data_process_time (fun () ->
         forward_data t ~in_port ~payload:(Netsim.Frame.contents frame))
 
-let create ?(config = default_config) world ~node () =
+let create world ~node =
   let t =
     {
       world;
       node;
-      config;
       table = Hashtbl.create 64;
       calls = Hashtbl.create 32;
       reserved = Hashtbl.create 8;

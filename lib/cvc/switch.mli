@@ -3,12 +3,9 @@
     Holds per-circuit state — the cost §1 charges to the CVC approach: "a
     significant amount of state in the gateways", bandwidth reservation,
     and call-setup processing on every new connection. Data forwarding is a
-    cheap label swap but still store-and-forward. *)
-
-type config = {
-  setup_process_time : Sim.Time.t;  (** call processing per setup; default 500 us *)
-  data_process_time : Sim.Time.t;  (** label swap + queue; default 20 us *)
-}
+    cheap label swap but still store-and-forward: 500 us of call
+    processing per signalling message, 20 us of label swap and queueing
+    per data frame, each after full reception. *)
 
 type stats = {
   setups_handled : int;
@@ -20,7 +17,7 @@ type stats = {
 
 type t
 
-val create : ?config:config -> Netsim.World.t -> node:Topo.Graph.node_id -> unit -> t
+val create : Netsim.World.t -> node:Topo.Graph.node_id -> t
 val stats : t -> stats
 
 val circuit_entries : t -> int

@@ -32,8 +32,6 @@ type answer_key = int * int * int * int
 
 type t = {
   graph : G.t;
-  per_level_rtt : Sim.Time.t;
-  token_expiry_ms : int;
   names : Name_store.t;
   by_node : (G.node_id, Name.t) Hashtbl.t;
   secure_links : (int, unit) Hashtbl.t;
@@ -67,11 +65,13 @@ type t = {
 (* a placeholder compared by address, never minted with *)
 let no_key = Token.Cipher.key_of_int64 0L
 
+(* the price of each hierarchy level a resolution walks *)
+let per_level_rtt = Sim.Time.ms 2
+
 let default_answer_cache = 4096
 let default_spt_cache = 64
 
-let create ?(per_level_rtt = Sim.Time.ms 2) ?(token_expiry_ms = 0) ?telemetry
-    ?(answer_cache = default_answer_cache) ?(spt_cache = default_spt_cache)
+let create ?telemetry ?(answer_cache = default_answer_cache) ?(spt_cache = default_spt_cache)
     graph =
   (* The directory is not a node in the simulated world, so it has no world
      registry of its own; pass [telemetry] (e.g. [Netsim.World.metrics w])
@@ -88,8 +88,6 @@ let create ?(per_level_rtt = Sim.Time.ms 2) ?(token_expiry_ms = 0) ?telemetry
   let on_evict _ _ = C.incr evictions in
   {
     graph;
-    per_level_rtt;
-    token_expiry_ms;
     names = Name_store.create ();
     by_node = Hashtbl.create 64;
     secure_links = Hashtbl.create 16;
@@ -262,7 +260,7 @@ let mint_tokens t ~client ~priority hops =
             reverse_ok = true;
             account = client;
             packet_limit = 0;
-            expiry_ms = t.token_expiry_ms;
+            expiry_ms = 0;
           }
         in
         (Token.Capability.mint (router_key t at) ~nonce:t.nonce grant :> bytes))
@@ -367,7 +365,7 @@ let query_latency t ~client ~target =
     | Some client_name -> Name.hierarchy_distance client_name target + 1
     | None -> Name.depth (Name.region target) + 1
   in
-  levels * t.per_level_rtt
+  levels * per_level_rtt
 
 let queries_served t = C.value t.queries_served
 let stale_served t = C.value t.stale_served

@@ -55,16 +55,14 @@ type route_info = {
 type t
 
 val create :
-  ?per_level_rtt:Sim.Time.t -> ?token_expiry_ms:int ->
-  ?telemetry:Telemetry.Registry.t ->
-  ?answer_cache:int -> ?spt_cache:int -> Topo.Graph.t -> t
-(** [per_level_rtt] (default 2 ms) prices each hierarchy level a
-    resolution walks. [token_expiry_ms] 0 (default) mints non-expiring
-    tokens. [telemetry] registers the [dirsvc_*] metrics on an existing
-    registry (e.g. {!Netsim.World.metrics}) so one export covers the whole
-    simulation; by default they live on a private registry (note
-    [dirsvc_query_us] records {e host} wall time — keep the default
-    private registry where snapshots must be bit-deterministic).
+  ?telemetry:Telemetry.Registry.t -> ?answer_cache:int -> ?spt_cache:int ->
+  Topo.Graph.t -> t
+(** Minted tokens never expire. [telemetry] registers the [dirsvc_*]
+    metrics on an existing registry (e.g. {!Netsim.World.metrics}) so one
+    export covers the whole simulation; by default they live on a private
+    registry (note [dirsvc_query_us] records {e host} wall time — keep
+    the default private registry where snapshots must be
+    bit-deterministic).
     [answer_cache] (default 4096) and [spt_cache] (default 64) bound the
     two memo LRUs; 0 disables one (a disabled SPT cache also reverts
     [k = 1] queries to the per-query early-exit Dijkstra — the "cold"
@@ -122,8 +120,9 @@ val query :
     fall back to Yen's k-shortest machinery. *)
 
 val query_latency : t -> client:Topo.Graph.node_id -> target:Name.t -> Sim.Time.t
-(** The simulated resolution delay a non-cached query pays (clients add
-    this before using the result; {!Client} automates it). *)
+(** The simulated resolution delay a non-cached query pays: 2 ms for
+    each hierarchy level the resolution walks (clients add this before
+    using the result; {!Client} automates it). *)
 
 val queries_served : t -> int
 

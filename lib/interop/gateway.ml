@@ -6,6 +6,9 @@ module C = Telemetry.Registry.Counter
 (* the IP protocol value reserved for encapsulated Sirpent *)
 let protocol_number = 94
 
+(* the TTL of an encapsulating datagram *)
+let ttl = 32
+
 (* a tunnel segment's portInfo: the remote gateway's IP address,
    big-endian *)
 let tunnel_info ~remote_addr =
@@ -28,7 +31,6 @@ type t = {
   node : G.node_id;
   cloud_port : G.port;
   tunnel_port : int;
-  ttl : int;
   router : Sirpent.Router.t;
   reassembly : Ipbase.Frag.Reassembly.t;
   mutable next_ident : int;
@@ -85,7 +87,7 @@ let encapsulate t ~buf ~off ~len ~hdr ~in_port =
         dont_fragment = false;
         more_fragments = false;
         frag_offset = 0;
-        ttl = t.ttl;
+        ttl;
         protocol = protocol_number;
         src = addr t;
         dst = remote_addr;
@@ -97,15 +99,13 @@ let encapsulate t ~buf ~off ~len ~hdr ~in_port =
       | Some l -> l.G.props.G.mtu
       | None -> Viper.Packet.max_transmission_unit
     in
-    match Ipbase.Frag.fragment packet ~mtu with
-    | exception Failure _ -> C.incr t.bad_tunnel_info
-    | fragments ->
-      C.incr t.encapsulated;
-      List.iter
-        (fun fragment_bytes ->
-          let frame = W.fresh_frame t.world fragment_bytes in
-          ignore (W.send t.world ~node:t.node ~port:t.cloud_port frame))
-        fragments
+    let fragments = Ipbase.Frag.fragment packet ~mtu in
+    C.incr t.encapsulated;
+    List.iter
+      (fun fragment_bytes ->
+        let frame = W.fresh_frame t.world fragment_bytes in
+        ignore (W.send t.world ~node:t.node ~port:t.cloud_port frame))
+      fragments
 
 (* cloud -> Sirpent: verify, reassemble, decapsulate, inject. *)
 let accept_ip t packet =
@@ -119,13 +119,9 @@ let accept_ip t packet =
         C.incr t.ip_dropped
       else begin
         C.incr t.decapsulated;
-        let viper_bytes =
-          Bytes.sub whole Ipbase.Header.size
-            (Bytes.length whole - Ipbase.Header.size)
-        in
         (* Return hop: re-enter the tunnel toward the datagram's source. *)
-        Sirpent.Router.inject t.router ~payload:viper_bytes
-          ~in_port:t.tunnel_port
+        Sirpent.Router.inject t.router ~buf:whole ~off:Ipbase.Header.size
+          ~len:(Bytes.length whole - Ipbase.Header.size) ~in_port:t.tunnel_port
           ~return_info:(tunnel_info ~remote_addr:h.Ipbase.Header.src)
       end
 
@@ -138,8 +134,8 @@ let handle t world ~in_port ~frame ~head ~tail =
           accept_ip t (Netsim.Frame.contents frame))
   else Sirpent.Router.handle_frame t.router world ~in_port ~frame ~head ~tail
 
-let create ?router_config ?(ttl = 32) world ~node ~cloud_port ~tunnel_port () =
-  let router = Sirpent.Router.create ?config:router_config world ~node () in
+let create world ~node ~cloud_port ~tunnel_port =
+  let router = Sirpent.Router.create world ~node () in
   let cnt ?help name =
     Telemetry.Registry.counter (W.metrics world) ?help
       ~labels:[ ("node", string_of_int node) ]
@@ -151,7 +147,6 @@ let create ?router_config ?(ttl = 32) world ~node ~cloud_port ~tunnel_port () =
       node;
       cloud_port;
       tunnel_port;
-      ttl;
       router;
       reassembly = Ipbase.Frag.Reassembly.create ();
       next_ident = 0;

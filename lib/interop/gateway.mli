@@ -35,11 +35,11 @@ type stats = {
 type t
 
 val create :
-  ?router_config:Sirpent.Router.config -> ?ttl:int ->
   Netsim.World.t -> node:Topo.Graph.node_id -> cloud_port:Topo.Graph.port ->
-  tunnel_port:int -> unit -> t
-(** Install a gateway on [node]: a full Sirpent router on every port
-    except [cloud_port], which speaks IP into the cloud. [tunnel_port]
+  tunnel_port:int -> t
+(** Install a gateway on [node]: a full Sirpent router (default
+    configuration) on every port except [cloud_port], which speaks IP
+    into the cloud with a datagram TTL of 32. [tunnel_port]
     (1-239) is the VIPER port value that enters the tunnel. The node's
     IP address is [Ipbase.Header.addr_of_node node]. *)
 

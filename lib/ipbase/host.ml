@@ -42,12 +42,12 @@ let handle t _world ~in_port ~frame ~head:_ ~tail =
     Sim.Engine.schedule_at (W.engine t.world) ~time:(max (W.now t.world) tail)
       (fun () -> accept t (Netsim.Frame.contents frame))
 
-let create ?reassembly_timeout world ~node () =
+let create world ~node =
   let t =
     {
       world;
       node;
-      reassembly = Frag.Reassembly.create ?timeout:reassembly_timeout ();
+      reassembly = Frag.Reassembly.create ();
       on_receive = None;
       next_ident = 1;
       received = 0;
@@ -56,8 +56,7 @@ let create ?reassembly_timeout world ~node () =
   W.set_handler world node (handle t);
   t
 
-let send t ~dst ?(tos = 0) ?(ttl = 32) ?(protocol = 17) ?(dont_fragment = false)
-    ~data () =
+let send t ~dst ?(ttl = 32) ~data () =
   match G.ports (W.graph t.world) t.node with
   | [] -> 0
   | (port, link) :: _ ->
@@ -65,25 +64,23 @@ let send t ~dst ?(tos = 0) ?(ttl = 32) ?(protocol = 17) ?(dont_fragment = false)
     t.next_ident <- (t.next_ident + 1) land 0xFFFF;
     let header =
       {
-        Header.tos;
+        Header.tos = 0;
         total_length = Header.size + Bytes.length data;
         ident;
-        dont_fragment;
+        dont_fragment = false;
         more_fragments = false;
         frag_offset = 0;
         ttl;
-        protocol;
+        protocol = 17;
         src = Header.addr_of_node t.node;
         dst = Header.addr_of_node dst;
       }
     in
     let packet = Bytes.cat (Header.encode header) data in
-    (match Frag.fragment packet ~mtu:link.G.props.G.mtu with
-    | exception Failure _ -> 0
-    | fragments ->
-      List.iter
-        (fun fragment_bytes ->
-          let frame = W.fresh_frame t.world fragment_bytes in
-          ignore (W.send t.world ~node:t.node ~port frame))
-        fragments;
-      List.length fragments)
+    let fragments = Frag.fragment packet ~mtu:link.G.props.G.mtu in
+    List.iter
+      (fun fragment_bytes ->
+        let frame = W.fresh_frame t.world fragment_bytes in
+        ignore (W.send t.world ~node:t.node ~port frame))
+      fragments;
+    List.length fragments

@@ -4,18 +4,16 @@
 
 type t
 
-val create :
-  ?reassembly_timeout:Sim.Time.t -> Netsim.World.t ->
-  node:Topo.Graph.node_id -> unit -> t
+val create : Netsim.World.t -> node:Topo.Graph.node_id -> t
+(** Incomplete reassemblies are discarded after {!Frag.Reassembly}'s
+    30 s. *)
 
 val node : t -> Topo.Graph.node_id
 
-val send :
-  t -> dst:Topo.Graph.node_id -> ?tos:int -> ?ttl:int -> ?protocol:int ->
-  ?dont_fragment:bool -> data:bytes -> unit -> int
-(** Build, fragment to the first link's MTU, and transmit. Returns the
-    number of fragments sent (0 if the host is unconnected or DF forbids
-    the required fragmentation). Default TTL 32, protocol 17. *)
+val send : t -> dst:Topo.Graph.node_id -> ?ttl:int -> data:bytes -> unit -> int
+(** Build a UDP datagram (protocol 17, TOS 0, fragmentation allowed),
+    fragment it to the first link's MTU, and transmit. Returns the number
+    of fragments sent (0 if the host is unconnected). Default TTL 32. *)
 
 val set_receive : t -> (t -> header:Header.t -> data:bytes -> unit) -> unit
 (** Called with each complete (reassembled) datagram addressed to this

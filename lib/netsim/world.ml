@@ -70,7 +70,6 @@ and agg = {
 and t = {
   engine : Sim.Engine.t;
   graph : G.t;
-  default_buffer_bytes : int;
   (* Per-frame lookups go through node-indexed arrays (outports: a
      port-indexed row per node), grown on demand, so a send or a delivery
      finds its port or handler without allocating. *)
@@ -153,13 +152,15 @@ let make_outport ~node ~port ~buffer_bytes ~start =
 (* fills the retire heap's vacated slots; never sends *)
 let vacant_port = make_outport ~node:(-1) ~port:(-1) ~buffer_bytes:0 ~start:0
 
-let create ?(default_buffer_bytes = 256 * 1024) engine graph =
+(* the output-queue bound a port starts with *)
+let default_buffer_bytes = 256 * 1024
+
+let create engine graph =
   let metrics = Telemetry.Registry.create () in
   let cnt ?help name = Telemetry.Registry.counter metrics ?help ("netsim_" ^ name) in
   {
     engine;
     graph;
-    default_buffer_bytes;
     handlers = [||];
     outports = [||];
     ber = [||];
@@ -244,7 +245,7 @@ let outport t node port =
   | Some op -> op
   | None ->
     let op =
-      make_outport ~node ~port ~buffer_bytes:t.default_buffer_bytes
+      make_outport ~node ~port ~buffer_bytes:default_buffer_bytes
         ~start:(now t)
     in
     let row = room ~empty:None row port in

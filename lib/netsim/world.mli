@@ -33,9 +33,9 @@ type handler =
   t -> in_port:Topo.Graph.port -> frame:Frame.t -> head:Sim.Time.t ->
   tail:Sim.Time.t -> unit
 
-val create : ?default_buffer_bytes:int -> Sim.Engine.t -> Topo.Graph.t -> t
-(** [default_buffer_bytes] bounds each output queue (default 256 KiB).
-    Every link delivery is one engine event at the frame's head arrival,
+val create : Sim.Engine.t -> Topo.Graph.t -> t
+(** Each output queue holds 256 KiB until {!set_buffer_bytes} says
+    otherwise. Every link delivery is one engine event at the frame's head arrival,
     and every node-side delay (a router's act step, a host's reception)
     is scheduled by its owner directly on {!engine}. *)
 

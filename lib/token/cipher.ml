@@ -122,18 +122,3 @@ let mac_into k src ~len dst ~at =
   done;
   xor_at dst at !hi !lo;
   encrypt_at k.mac_rounds dst at
-
-let encrypt_cbc k ~iv plain =
-  let b = Bytes.copy plain in
-  encrypt_cbc_in_place k ~iv b ~len:(Bytes.length b);
-  b
-
-let decrypt_cbc k ~iv cipher =
-  let b = Bytes.copy cipher in
-  decrypt_cbc_in_place k ~iv b ~len:(Bytes.length b);
-  b
-
-let mac k data =
-  let tag = Bytes.create 8 in
-  mac_into k data ~len:(Bytes.length data) tag ~at:0;
-  Bytes.get_int64_be tag 0

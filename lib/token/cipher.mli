@@ -33,21 +33,8 @@ val decrypt_cbc_in_place : key -> iv:int64 -> bytes -> len:int -> unit
 (** The inverse of {!encrypt_cbc_in_place}. *)
 
 val mac_into : key -> bytes -> len:int -> bytes -> at:int -> unit
-(** [mac_into k src ~len dst ~at] writes [mac k (Bytes.sub src 0 len)],
-    big-endian, into [dst]'s 8 bytes from [at]. [src] and [dst] may be
-    the same buffer if the ranges do not overlap. *)
-
-(** {1 Copying}
-
-    The same codec on fresh buffers. *)
-
-val encrypt_cbc : key -> iv:int64 -> bytes -> bytes
-(** CBC over 8-byte blocks. The input length must be a multiple of 8;
-    raises [Invalid_argument] otherwise. *)
-
-val decrypt_cbc : key -> iv:int64 -> bytes -> bytes
-
-val mac : key -> bytes -> int64
-(** CBC-MAC tag of the input (any length; zero-padded internally), under
-    the key's derived MAC round keys, so the tag is not forgeable from CBC
-    ciphertext blocks. *)
+(** [mac_into k src ~len dst ~at] writes the CBC-MAC tag of [src]'s first
+    [len] bytes (any length; zero-padded internally), big-endian, into
+    [dst]'s 8 bytes from [at]. The tag runs under the key's derived MAC
+    round keys, so it is not forgeable from CBC ciphertext blocks. [src]
+    and [dst] may be the same buffer if the ranges do not overlap. *)

@@ -2,30 +2,29 @@ module W = Netsim.World
 module Wf = Wire_format
 module C = Telemetry.Registry.Counter
 
-type config = {
-  segment_bytes : int;
-  retransmit_timeout : Sim.Time.t;
-  max_retries : int;
-  gap_timeout : Sim.Time.t;
-  response_hold : Sim.Time.t;
-  mpl_ms : int;
-  skew_allowance_ms : int;
-  clock_skew_ms : int;
-  pace_bps : int;
-}
+type config = { clock_skew_ms : int; pace_bps : int }
 
-let default_config =
-  {
-    segment_bytes = 1024;
-    retransmit_timeout = Sim.Time.ms 100;
-    max_retries = 3;
-    gap_timeout = Sim.Time.ms 20;
-    response_hold = Sim.Time.s 5;
-    mpl_ms = 30_000;
-    skew_allowance_ms = 2_000;
-    clock_skew_ms = 0;
-    pace_bps = 0;
-  }
+let default_config = { clock_skew_ms = 0; pace_bps = 0 }
+
+(* data bytes per packet: §5's "roughly 1 kilobyte transport packet" *)
+let segment_bytes = 1024
+
+(* initial RTO; adapted from measured RTT *)
+let retransmit_timeout = Sim.Time.ms 100
+
+(* retransmission rounds per route before failover *)
+let max_retries = 3
+
+(* receiver-side delay before nacking a gap *)
+let gap_timeout = Sim.Time.ms 20
+
+(* how long a server keeps a response for replay *)
+let response_hold = Sim.Time.s 5
+
+(* the maximum packet lifetime and the clock skew the MPL rule allows
+   (§4.2) *)
+let mpl_ms = 30_000
+let skew_allowance_ms = 2_000
 
 type stats = {
   packets_sent : int;
@@ -140,8 +139,8 @@ let arm t ~time f =
 
 let cancel t ~time ~seq = if seq >= 0 then Sim.Engine.cancel (engine t) ~time ~seq
 
-let segment_data t data =
-  let seg = t.config.segment_bytes in
+let segment_data data =
+  let seg = segment_bytes in
   let len = Bytes.length data in
   let count = max 1 ((len + seg - 1) / seg) in
   if count > Wf.max_group then invalid_arg "Vmtp: message too large for one group";
@@ -234,7 +233,7 @@ let update_rtt t sample =
 
 let rto t =
   match t.srtt with
-  | None -> t.config.retransmit_timeout
+  | None -> retransmit_timeout
   | Some s -> max (Sim.Time.ms 5) (2 * s)
 
 let current_route call = call.routes.(call.route_idx)
@@ -266,7 +265,7 @@ let rec arm_timer t call =
 
 and on_timeout t call =
   call.retries <- call.retries + 1;
-  if call.retries > t.config.max_retries then begin
+  if call.retries > max_retries then begin
     (* Exhausted this route: fail over to the next one (§6.3). *)
     if call.route_idx + 1 < Array.length call.routes then begin
       let failed = current_route call in
@@ -314,7 +313,7 @@ let send_ack t ~dst ~txn ~acks_response ~mask ~group_size ~via =
 (* ---- server side ---- *)
 
 let respond t ~client ~txn ~via data =
-  let chunks = segment_data t data in
+  let chunks = segment_data data in
   let group_size = Array.length chunks in
   let packets =
     Array.mapi
@@ -324,10 +323,10 @@ let respond t ~client ~txn ~via data =
       chunks
   in
   let held =
-    { resp_packets = packets; via; expires = now t + t.config.response_hold }
+    { resp_packets = packets; via; expires = now t + response_hold }
   in
   Hashtbl.replace t.held (client, txn) held;
-  schedule t ~delay:t.config.response_hold (fun () ->
+  schedule t ~delay:response_hold (fun () ->
       match Hashtbl.find_opt t.held (client, txn) with
       | Some h when h.expires <= now t -> Hashtbl.remove t.held (client, txn)
       | Some _ | None -> ());
@@ -339,7 +338,7 @@ let respond t ~client ~txn ~via data =
 
 let arm_gap_timer t partial ~on_gap =
   cancel t ~time:partial.gap_at ~seq:partial.gap_seq;
-  partial.gap_at <- now t + t.config.gap_timeout;
+  partial.gap_at <- now t + gap_timeout;
   partial.gap_seq <-
     arm t ~time:partial.gap_at (fun () ->
         partial.gap_seq <- -1;
@@ -355,7 +354,7 @@ let handle_request t (p : Wf.t) ~sample =
        may carry a damaged token or name a route that has since
        failed. *)
     C.incr t.duplicate_requests;
-    held.expires <- now t + t.config.response_hold;
+    held.expires <- now t + response_hold;
     held.via <- sample;
     Array.iter
       (fun packet ->
@@ -473,7 +472,7 @@ let on_host_receive t _host ~packet ~in_port =
     else if
       not
         (Mpl.acceptable ~now_ms:(now_ms t) ~boot_ms:t.boot_ms
-           ~mpl_ms:t.config.mpl_ms ~skew_allowance_ms:t.config.skew_allowance_ms
+           ~mpl_ms ~skew_allowance_ms
            ~timestamp_ms:p.Wf.timestamp_ms)
     then C.incr t.rejected_old
     else begin
@@ -538,7 +537,7 @@ let call t ~server ~routes ?(priority = Token.Priority.normal) ~data ~on_reply
   | _ ->
     let txn = t.next_txn in
     t.next_txn <- (t.next_txn + 1) land 0xFFFFFFFF;
-    let chunks = segment_data t data in
+    let chunks = segment_data data in
     let group_size = Array.length chunks in
     let request_packets =
       Array.mapi

@@ -9,16 +9,15 @@
     lifetime (§4.2); the 64-bit entity pair defends against misdelivery
     with no network checksum (§4.1). Clients hold multiple routes and fail
     over between them when retransmission on the current route is
-    exhausted — the §6.3 recovery mechanism. *)
+    exhausted — the §6.3 recovery mechanism.
+
+    The protocol constants are fixed: 1024 data bytes per packet (§5's
+    "roughly 1 kilobyte transport packet"), a 100 ms initial RTO adapted
+    from measured RTT, 3 retransmission rounds per route before failover,
+    20 ms before a receiver nacks a gap, responses held 5 s for replay,
+    and a 30 s maximum packet lifetime with 2 s of clock skew allowed. *)
 
 type config = {
-  segment_bytes : int;  (** data bytes per packet; default 1024 (§5's "roughly 1 kilobyte transport packet") *)
-  retransmit_timeout : Sim.Time.t;  (** initial RTO; adapted from measured RTT *)
-  max_retries : int;  (** retransmission rounds per route before failover *)
-  gap_timeout : Sim.Time.t;  (** receiver-side delay before nacking a gap *)
-  response_hold : Sim.Time.t;  (** how long a server keeps a response for replay *)
-  mpl_ms : int;
-  skew_allowance_ms : int;
   clock_skew_ms : int;  (** artificial offset of this entity's clock *)
   pace_bps : int;  (** rate-based pacing of group packets; 0 = back-to-back *)
 }

@@ -70,7 +70,7 @@ let limiter_expires_as_soft_state () =
   C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:1000.0;
   check_int "installed" 1 (C.limiters c);
   (* no refresh: after limiter_expiry (100 ms) + a tick it must vanish *)
-  Sim.Engine.run ~until:(config.C.limiter_expiry + (4 * config.C.check_interval)) engine;
+  Sim.Engine.run ~until:(config.C.limiter_expiry + (4 * C.check_interval)) engine;
   check_int "expired" 0 (C.limiters c)
 
 let ramp_raises_rate () =
@@ -108,7 +108,7 @@ let monitor_signals_feeders () =
     ignore (W.send w ~node:r1 ~port:trunk (W.fresh_frame w (Bytes.make 1000 'q')));
     C.note_arrival c ~in_port:1 ~out_port:trunk
   done;
-  Sim.Engine.run ~until:(2 * config.C.check_interval) engine;
+  Sim.Engine.run ~until:(2 * C.check_interval) engine;
   match !got_rate with
   | None -> Alcotest.fail "feeder never signalled"
   | Some (port, rate) ->
@@ -131,7 +131,7 @@ let monitor_quiet_when_uncongested () =
     ignore (W.send w ~node:r1 ~port:trunk (W.fresh_frame w (Bytes.make 1000 'q')));
     C.note_arrival c ~in_port:1 ~out_port:trunk
   done;
-  Sim.Engine.run ~until:(4 * config.C.check_interval) engine;
+  Sim.Engine.run ~until:(4 * C.check_interval) engine;
   check_bool "no signal below threshold" false !signalled;
   check_int "no ctl sent" 0 (C.ctl_sent c)
 
@@ -184,7 +184,7 @@ let ramp_clamp_caps_at_line_rate () =
   | Some (bucket, cap) ->
     check_bool "bucket <= cap" true (bucket <= cap +. 1e-9);
     check_bool "cap = line rate x burst window" true
-      (abs_float (cap -. (1e7 *. config.C.burst_window_s)) < 1.0)
+      (abs_float (cap -. (1e7 *. C.burst_window_s)) < 1.0)
 
 let unclamped_ramp_blows_past_line_rate () =
   let _, engine, w, _, r1, _ = world () in
@@ -196,7 +196,7 @@ let unclamped_ramp_blows_past_line_rate () =
   | None -> Alcotest.fail "limiter expired early"
   | Some (_, cap) ->
     check_bool "seed behaviour ramps far past line rate" true
-      (cap > 10.0 *. 1e7 *. config.C.burst_window_s)
+      (cap > 10.0 *. 1e7 *. C.burst_window_s)
 
 let refreshes_hold_the_rate () =
   (* a limiter refreshed every 12 ms: with ramp_after = 15 ms the quiet
@@ -222,9 +222,9 @@ let refreshes_hold_the_rate () =
     | Some (_, cap) -> cap
   in
   let patient = run (Sim.Time.ms 15) in
-  let eager = run config.C.check_interval in
+  let eager = run C.check_interval in
   check_bool "patient limiter holds the advertised rate" true
-    (abs_float (patient -. (6e6 *. config.C.burst_window_s)) < 1.0);
+    (abs_float (patient -. (6e6 *. C.burst_window_s)) < 1.0);
   check_bool "seed behaviour ramps between refreshes" true (eager > patient +. 1.0)
 
 let flap_counted_across_quiescence () =
@@ -236,11 +236,11 @@ let flap_counted_across_quiescence () =
   let c = C.create w ~node:r1 config in
   C.start c;
   C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:1e6;
-  let reinstall_at = config.C.limiter_expiry + (4 * config.C.check_interval) in
+  let reinstall_at = config.C.limiter_expiry + (4 * C.check_interval) in
   Sim.Engine.schedule_at engine ~time:reinstall_at (fun () ->
       check_int "expired before reinstall" 0 (C.limiters c);
       C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:1e6);
-  Sim.Engine.run ~until:(reinstall_at + config.C.check_interval) engine;
+  Sim.Engine.run ~until:(reinstall_at + C.check_interval) engine;
   check_int "reinstalled" 1 (C.limiters c);
   check_int "flap counted" 1 (C.oscillations c)
 

@@ -20,7 +20,7 @@ let cvc_world n_switches =
   ignore (G.connect g switches.(n_switches - 1) h2 props);
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
-  let sw = Array.map (fun s -> Cvc.Switch.create world ~node:s ()) switches in
+  let sw = Array.map (fun s -> Cvc.Switch.create world ~node:s) switches in
   let e1 = Cvc.Endpoint.create world ~node:h1 in
   let e2 = Cvc.Endpoint.create world ~node:h2 in
   (g, engine, world, e1, e2, sw)

@@ -47,8 +47,8 @@ let ip_delay () =
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
   Array.iter (fun n -> ignore (Ipbase.Router.create world ~node:n ())) r;
-  let i1 = Ipbase.Host.create world ~node:h1 () in
-  let i2 = Ipbase.Host.create world ~node:h2 () in
+  let i1 = Ipbase.Host.create world ~node:h1 in
+  let i2 = Ipbase.Host.create world ~node:h2 in
   let t = ref 0 in
   Ipbase.Host.set_receive i2 (fun _ ~header:_ ~data:_ -> t := Sim.Engine.now engine);
   ignore (Ipbase.Host.send i1 ~dst:h2 ~data:(Bytes.make 1000 'x') ());
@@ -59,7 +59,7 @@ let cvc_first_data_delay () =
   let g, h1, r, h2 = chain_graph () in
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
-  Array.iter (fun n -> ignore (Cvc.Switch.create world ~node:n ())) r;
+  Array.iter (fun n -> ignore (Cvc.Switch.create world ~node:n)) r;
   let e1 = Cvc.Endpoint.create world ~node:h1 in
   let e2 = Cvc.Endpoint.create world ~node:h2 in
   let t = ref 0 in

@@ -30,10 +30,10 @@ let build ?(cloud_mtu = 1500) () =
   ignore (Ipbase.Router.create world ~node:c1 ());
   ignore (Ipbase.Router.create world ~node:c2 ());
   let gwa =
-    Interop.Gateway.create world ~node:gw_a ~cloud_port:a_cloud ~tunnel_port ()
+    Interop.Gateway.create world ~node:gw_a ~cloud_port:a_cloud ~tunnel_port
   in
   let gwb =
-    Interop.Gateway.create world ~node:gw_b ~cloud_port:b_cloud ~tunnel_port ()
+    Interop.Gateway.create world ~node:gw_b ~cloud_port:b_cloud ~tunnel_port
   in
   let h_src = Sirpent.Host.create world ~node:src in
   let h_dst = Sirpent.Host.create world ~node:dst in
@@ -149,7 +149,7 @@ let sirpent_side_still_routes () =
   let cloud_port = fst (G.connect g gw cloud_stub G.default_props) in
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
-  ignore (Interop.Gateway.create world ~node:gw ~cloud_port ~tunnel_port ());
+  ignore (Interop.Gateway.create world ~node:gw ~cloud_port ~tunnel_port);
   let h_a = Sirpent.Host.create world ~node:a in
   let h_b = Sirpent.Host.create world ~node:b in
   Sirpent.Host.set_receive h_b (fun _ ~packet:_ ~in_port:_ -> ());
@@ -260,6 +260,43 @@ let damaged_trailer_counted () =
   check_int "none encapsulated" 0 (Interop.Gateway.stats gwa).Interop.Gateway.encapsulated;
   check_int "no handler errors" 0 (W.total_handler_errors world)
 
+(* A packet injected as a window inside a larger buffer (a decapsulated
+   datagram, past its IP header) leaves the router with the same bytes
+   as one injected from a buffer of its own, and the buffer around the
+   window is left as it was. *)
+let inject_window_at_offset () =
+  let forwarded ~buf ~off ~len =
+    let g = G.create () in
+    let r = G.add_node g G.Router and sink = G.add_node g G.Host in
+    ignore (G.connect g r sink G.default_props) (* r's port 1 *);
+    let engine = Sim.Engine.create () in
+    let world = W.create engine g in
+    let router = Sirpent.Router.create world ~node:r () in
+    let got = ref [] in
+    W.set_handler world sink (fun _ ~in_port:_ ~frame ~head:_ ~tail:_ ->
+        got := Netsim.Frame.contents frame :: !got);
+    Sirpent.Router.inject router ~buf ~off ~len ~in_port:tunnel_port
+      ~return_info:(Bytes.of_string "\x0a\x00\x00\x07");
+    Sim.Engine.run engine;
+    !got
+  in
+  let packet =
+    Viper.Packet.build
+      ~route:[ Seg.make ~port:1 (); Seg.make ~port:Seg.local_port () ]
+      ~data:(Bytes.of_string "decapsulated")
+  in
+  let len = Bytes.length packet in
+  let dgram =
+    Bytes.concat Bytes.empty [ Bytes.make Ipbase.Header.size 'h'; packet; Bytes.make 16 't' ]
+  in
+  let before = Bytes.copy dgram in
+  let whole = forwarded ~buf:(Bytes.copy packet) ~off:0 ~len in
+  let window = forwarded ~buf:dgram ~off:Ipbase.Header.size ~len in
+  check_int "one frame forwarded" 1 (List.length window);
+  Alcotest.(check (list string)) "same bytes as a buffer of its own"
+    (List.map Bytes.to_string whole) (List.map Bytes.to_string window);
+  check_bool "datagram buffer unchanged" true (Bytes.equal before dgram)
+
 let () =
   Alcotest.run "interop"
     [
@@ -277,5 +314,6 @@ let () =
             preempted_frame_not_tunnelled;
           Alcotest.test_case "datagram carries the hop" `Quick datagram_carries_the_hop;
           Alcotest.test_case "damaged trailer counted" `Quick damaged_trailer_counted;
+          Alcotest.test_case "inject window at offset" `Quick inject_window_at_offset;
         ] );
     ]

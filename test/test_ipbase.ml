@@ -186,8 +186,8 @@ let ip_world n_routers routing =
   let world = W.create engine g in
   let config = { Ipbase.Router.default_config with Ipbase.Router.routing } in
   let robjs = Array.map (fun r -> Ipbase.Router.create ~config world ~node:r ()) routers in
-  let host1 = Ipbase.Host.create world ~node:h1 () in
-  let host2 = Ipbase.Host.create world ~node:h2 () in
+  let host1 = Ipbase.Host.create world ~node:h1 in
+  let host2 = Ipbase.Host.create world ~node:h2 in
   (g, engine, world, host1, host2, robjs)
 
 let static_end_to_end () =
@@ -225,8 +225,8 @@ let router_fragments_mid_path () =
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
   let router = Ipbase.Router.create world ~node:r () in
-  let host1 = Ipbase.Host.create world ~node:h1 () in
-  let host2 = Ipbase.Host.create world ~node:h2 () in
+  let host1 = Ipbase.Host.create world ~node:h1 in
+  let host2 = Ipbase.Host.create world ~node:h2 in
   let got = ref 0 in
   Ipbase.Host.set_receive host2 (fun _ ~header:_ ~data -> got := Bytes.length data);
   ignore (Ipbase.Host.send host1 ~dst:h2 ~data:(Bytes.make 3000 'f') ());
@@ -246,8 +246,8 @@ let corrupted_header_dropped () =
   (* corrupt everything on link 0 *)
   W.set_bit_error_rate world ~link_id:0 1e-3;
   let router = Ipbase.Router.create world ~node:r () in
-  let host1 = Ipbase.Host.create world ~node:h1 () in
-  let host2 = Ipbase.Host.create world ~node:h2 () in
+  let host1 = Ipbase.Host.create world ~node:h1 in
+  let host2 = Ipbase.Host.create world ~node:h2 in
   Ipbase.Host.set_receive host2 (fun _ ~header:_ ~data:_ -> ());
   for _ = 1 to 50 do
     ignore (Ipbase.Host.send host1 ~dst:h2 ~data:(Bytes.make 100 'x') ())
@@ -296,8 +296,8 @@ let linkstate_reconverges_after_failure () =
     }
   in
   Array.iter (fun n -> ignore (Ipbase.Router.create ~config world ~node:n ())) r;
-  let host1 = Ipbase.Host.create world ~node:h1 () in
-  let host2 = Ipbase.Host.create world ~node:h2 () in
+  let host1 = Ipbase.Host.create world ~node:h1 in
+  let host2 = Ipbase.Host.create world ~node:h2 in
   Ipbase.Host.set_receive host2 (fun _ ~header:_ ~data:_ -> ());
   (* steady stream *)
   let rec sender t =

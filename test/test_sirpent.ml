@@ -88,6 +88,83 @@ let cut_through_beats_store_and_forward () =
   (* Store-and-forward pays ~1 packet time (~800us at 10 Mb/s) per hop. *)
   check_bool "cut-through at least 3x faster over 5 hops" true (sf > 3 * cut)
 
+(* The paper's delay decomposition (§6.1), exactly, in integer ns: one
+   packet through an unloaded chain of 1-8 routers whose links share one
+   random rate. A cut-through router starts forwarding once the leading
+   segment has arrived and the 500 ns switching decision is made; one
+   forced to store and forward waits for the whole packet plus 50 us of
+   processing. The receiving host acts on the packet's tail. Each hop's
+   wire length comes from the codec: the leading segment stripped and its
+   return hop appended to the trailer. *)
+let qcheck_delay_decomposition =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 8 and* rate = int_range 1_000_000 1_000_000_000 in
+      let* props = list_repeat (n + 1) (int_range 0 2_000_000) in
+      let* infos = list_repeat n (int_range 0 16) in
+      let* size = int_range 0 1000 and* store_and_forward = bool in
+      return (rate, Array.of_list props, Array.of_list infos, size, store_and_forward))
+  in
+  QCheck.Test.make ~name:"cut-through and store-and-forward delay decomposition" ~count:300
+    (QCheck.make gen) (fun (rate, prop, infos, size, store_and_forward) ->
+      let n = Array.length infos in
+      let g = G.create () in
+      let h1 = G.add_node g G.Host in
+      let routers = Array.init n (fun _ -> G.add_node g G.Router) in
+      let h2 = G.add_node g G.Host in
+      let nodes = Array.concat [ [| h1 |]; routers; [| h2 |] ] in
+      (* link i joins nodes.(i) and nodes.(i + 1) *)
+      let ports =
+        Array.init (n + 1) (fun i ->
+            G.connect g nodes.(i) nodes.(i + 1)
+              { props with G.bandwidth_bps = rate; propagation = prop.(i) })
+      in
+      let engine = Sim.Engine.create () in
+      let world = W.create engine g in
+      let config = { Sirpent.Router.default_config with Sirpent.Router.store_and_forward } in
+      Array.iter
+        (fun node -> ignore (Sirpent.Router.create ~config world ~node ()))
+        routers;
+      let src = Sirpent.Host.create world ~node:h1 in
+      let dst = Sirpent.Host.create world ~node:h2 in
+      let segments =
+        List.init n (fun i ->
+            Seg.make ~info:(Bytes.make infos.(i) 'i') ~port:(fst ports.(i + 1)) ())
+        @ [ Seg.make ~port:Seg.local_port () ]
+      in
+      let data = Bytes.make size 'd' in
+      let arrived = ref None in
+      Sirpent.Host.set_receive dst (fun _ ~packet ~in_port:_ ->
+          arrived := Some (Sim.Engine.now engine, packet.Viper.Packet.len));
+      ignore
+        (Sirpent.Host.send src
+           ~route:{ Sirpent.Route.first_port = fst ports.(0); segments }
+           ~data ());
+      Sim.Engine.run engine;
+      let tx bytes = Sim.Time.transmission ~bits:(8 * bytes) ~rate_bps:rate in
+      (* [start]: when the packet's head leaves on link [i], whose wire
+         bytes are [wire], the rest of the route being [route] *)
+      let rec expect i ~start ~wire ~route =
+        match route with
+        | [ _local ] -> (start + prop.(i) + tx (Bytes.length wire), Bytes.length wire)
+        | seg :: rest ->
+          let hdr = Seg.encoded_size seg in
+          let next =
+            if store_and_forward then
+              start + tx (Bytes.length wire) + prop.(i) + Sim.Time.us 50
+            else start + prop.(i) + tx hdr + Sim.Time.ns 500
+          in
+          let return_hop =
+            Seg.return_hop seg ~port:(snd ports.(i)) ~token:seg.Seg.token ~info:seg.Seg.info
+          in
+          expect (i + 1) ~start:next
+            ~wire:(Viper.Trailer.append_hop wire ~pos:hdr return_hop)
+            ~route:rest
+        | [] -> assert false
+      in
+      !arrived
+      = Some (expect 0 ~start:0 ~wire:(Viper.Packet.build ~route:segments ~data) ~route:segments))
+
 let store_and_forward_when_rates_differ () =
   (* Mixed rates force the fallback. *)
   let g = G.create () in
@@ -1113,4 +1190,9 @@ let () =
           Alcotest.test_case "control messages flow" `Quick congestion_ctl_messages_flow;
         ] );
       ("kept packets", [ QCheck_alcotest.to_alcotest qcheck_kept_packets_survive ]);
+      ( "delay oracle",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 9 |])
+            qcheck_delay_decomposition;
+        ] );
     ]

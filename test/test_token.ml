@@ -34,33 +34,42 @@ let keys_differ () =
   check_bool "different keys, different ciphertext" true
     (Token.Cipher.encrypt_block key 42L <> Token.Cipher.encrypt_block other_key 42L)
 
+(* The CBC-MAC tag of [data], through the in-place writer. *)
+let tag key data =
+  let t = Bytes.create 8 in
+  Token.Cipher.mac_into key data ~len:(Bytes.length data) t ~at:0;
+  Bytes.get_int64_be t 0
+
+(* [plain] CBC-encrypted in place, on a copy. *)
+let cbc_copy key ~iv plain =
+  let b = Bytes.copy plain in
+  Token.Cipher.encrypt_cbc_in_place key ~iv b ~len:(Bytes.length b);
+  b
+
 let cbc_roundtrip () =
   let plain = Bytes.of_string "0123456789abcdefFEDCBA98" in
-  let cipher = Token.Cipher.encrypt_cbc key ~iv:7L plain in
-  check_bool "changed" true (not (Bytes.equal cipher plain));
-  check_bool "roundtrip" true
-    (Bytes.equal (Token.Cipher.decrypt_cbc key ~iv:7L cipher) plain)
+  let b = cbc_copy key ~iv:7L plain in
+  check_bool "changed" true (not (Bytes.equal b plain));
+  Token.Cipher.decrypt_cbc_in_place key ~iv:7L b ~len:(Bytes.length b);
+  check_bool "roundtrip" true (Bytes.equal b plain)
 
 let cbc_rejects_unaligned () =
   Alcotest.check_raises "unaligned"
     (Invalid_argument "Cipher: length not a multiple of 8") (fun () ->
-      ignore (Token.Cipher.encrypt_cbc key ~iv:0L (Bytes.create 7)))
+      Token.Cipher.encrypt_cbc_in_place key ~iv:0L (Bytes.create 7) ~len:7)
 
 let cbc_iv_matters () =
   let plain = Bytes.make 16 'x' in
   check_bool "iv changes ciphertext" true
-    (not
-       (Bytes.equal
-          (Token.Cipher.encrypt_cbc key ~iv:1L plain)
-          (Token.Cipher.encrypt_cbc key ~iv:2L plain)))
+    (not (Bytes.equal (cbc_copy key ~iv:1L plain) (cbc_copy key ~iv:2L plain)))
 
 let mac_detects_tamper () =
   let data = Bytes.of_string "account=42;port=3" in
-  let tag = Token.Cipher.mac key data in
+  let t = tag key data in
   let tampered = Bytes.copy data in
   Bytes.set tampered 8 '9';
-  check_bool "differs" true (tag <> Token.Cipher.mac key tampered);
-  check_bool "key matters" true (tag <> Token.Cipher.mac other_key data)
+  check_bool "differs" true (t <> tag key tampered);
+  check_bool "key matters" true (t <> tag other_key data)
 
 let qcheck_block_roundtrip =
   QCheck.Test.make ~name:"feistel roundtrip any block" ~count:500 QCheck.int64
@@ -289,8 +298,18 @@ let qcheck_capability_roundtrip =
 
 (* --- the in-place codec against the compositions it replaced --- *)
 
+(* CBC chaining spelled out over the block cipher. *)
+let spec_encrypt_cbc key ~iv plain =
+  let out = Bytes.copy plain and prev = ref iv in
+  for i = 0 to (Bytes.length plain / 8) - 1 do
+    let c = Token.Cipher.encrypt_block key (Int64.logxor (Bytes.get_int64_be plain (8 * i)) !prev) in
+    Bytes.set_int64_be out (8 * i) c;
+    prev := c
+  done;
+  out
+
 (* The spec: the grant's encoding through a [Wire.Buf] writer, then
-   [encrypt_cbc] and [mac] on fresh buffers, tag appended. *)
+   chained-block CBC and the MAC tag on fresh buffers, tag appended. *)
 let spec_iv = 0x243F6A8885A308D3L
 
 let spec_encode_grant ~nonce (g : Token.Capability.grant) =
@@ -308,21 +327,10 @@ let spec_encode_grant ~nonce (g : Token.Capability.grant) =
   Wire.Buf.contents w
 
 let spec_mint key ~nonce g =
-  let cipher = Token.Cipher.encrypt_cbc key ~iv:spec_iv (spec_encode_grant ~nonce g) in
-  let tag = Token.Cipher.mac key cipher in
+  let cipher = spec_encrypt_cbc key ~iv:spec_iv (spec_encode_grant ~nonce g) in
   let out = Bytes.create 32 in
   Bytes.blit cipher 0 out 0 24;
-  Bytes.set_int64_be out 24 tag;
-  out
-
-(* CBC chaining spelled out over the block cipher. *)
-let spec_encrypt_cbc key ~iv plain =
-  let out = Bytes.copy plain and prev = ref iv in
-  for i = 0 to (Bytes.length plain / 8) - 1 do
-    let c = Token.Cipher.encrypt_block key (Int64.logxor (Bytes.get_int64_be plain (8 * i)) !prev) in
-    Bytes.set_int64_be out (8 * i) c;
-    prev := c
-  done;
+  Bytes.set_int64_be out 24 (tag key cipher);
   out
 
 (* A random key, grant and nonce from one seed; 32-bit fields span
@@ -387,8 +395,8 @@ let qcheck_cbc_matches_spec =
    bytes past a block. *)
 let mac_known_answers () =
   List.iter
-    (fun (s, tag) ->
-      Alcotest.(check int64) (Printf.sprintf "mac %S" s) tag (Token.Cipher.mac key (Bytes.of_string s)))
+    (fun (s, t) ->
+      Alcotest.(check int64) (Printf.sprintf "mac %S" s) t (tag key (Bytes.of_string s)))
     [
       ("", 0x517C284D37F72C49L);
       ("abc", 0x9082618675D20160L);
