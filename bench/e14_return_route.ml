@@ -66,7 +66,7 @@ let run () =
            ])
          [ (1, 11); (2, 12); (3, 13) ]);
   let final = Result.get_ok (Pkt.parse !packet) in
-  let back = Pkt.return_route final in
+  let back = Result.get_ok (Pkt.return_route_r final) in
   pf "\nreceiver-side reversal (network-independent):\n";
   Util.table ~header:[ "return hop"; "port"; "RPF"; "portInfo" ]
     (List.mapi

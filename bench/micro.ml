@@ -42,6 +42,8 @@ let traversed_packet =
   done;
   Result.get_ok (Pkt.parse !p)
 
+let reply_data = Bytes.make 64 'r'
+
 let ip_packet =
   Bytes.cat
     (Ipbase.Header.encode
@@ -129,7 +131,7 @@ let tests =
         | Some c -> ignore (Token.Capability.verify token_key c)
         | None -> ()));
     Test.make ~name:"return-route reversal (5 hops)" (Staged.stage (fun () ->
-        ignore (Pkt.return_route traversed_packet)));
+        ignore (Pkt.reply traversed_packet ~priority:Token.Priority.normal ~data:reply_data)));
   ]
 
 let run () =

@@ -152,17 +152,17 @@ let send_xsr t ~route ?(priority = Token.Priority.normal)
   inject t ~port:route.Route.first_port ~next_port ~priority ~drop_if_blocked
     ~len:(Bytes.length payload) payload
 
+(* The reply is written from the trailer in place, with room for its
+   routers' return hops; a packet that cannot be answered starts no
+   flight. *)
 let reply t ~to_packet ~in_port ?(priority = Token.Priority.normal) ~data () =
-  let back = Pkt.return_route to_packet in
-  let local = Seg.make ~priority ~port:Seg.local_port () in
-  let segments = back @ [ local ] in
-  let tailroom = Pkt.tailroom segments in
-  let payload = Pkt.build_with_tailroom ~tailroom ~route:segments ~data in
-  let flight = Flight.start (W.flight t.world) ~now:(W.now t.world) in
-  W.send t.world ~node:t.node ~port:in_port
-    (frame ~priority ~drop_if_blocked:false ~flight
-       ~len:(Bytes.length payload - tailroom)
-       payload)
+  match Pkt.reply to_packet ~priority ~data with
+  | Error e -> Error e
+  | Ok (payload, len) ->
+    let flight = Flight.start (W.flight t.world) ~now:(W.now t.world) in
+    Ok
+      (W.send t.world ~node:t.node ~port:in_port
+         (frame ~priority ~drop_if_blocked:false ~flight ~len payload))
 
 let explode t ~routes ?(priority = Token.Priority.normal) ~data () =
   List.fold_left

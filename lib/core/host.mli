@@ -48,11 +48,13 @@ val send_xsr :
 
 val reply :
   t -> to_packet:Viper.Packet.t -> in_port:Topo.Graph.port ->
-  ?priority:Token.Priority.t -> data:bytes -> unit -> Netsim.World.send_result
-(** Send [data] back along the route reconstructed from [to_packet]'s
-    trailer — the receiver-side reversal of §2. [in_port] is where
-    [to_packet] arrived (the reply's first transmission port). Raises
-    [Failure] if the packet was truncated. *)
+  ?priority:Token.Priority.t -> data:bytes -> unit ->
+  (Netsim.World.send_result, Viper.Packet.error) result
+(** Send [data] back along the route written from [to_packet]'s trailer
+    ({!Viper.Packet.reply}) — the receiver-side reversal of §2. [in_port]
+    is where [to_packet] arrived (the reply's first transmission port).
+    [Error], with nothing sent, when the packet was truncated or its
+    return route would exceed {!Viper.Packet.max_route_segments}. *)
 
 val explode :
   t -> routes:Route.t list -> ?priority:Token.Priority.t -> data:bytes -> unit -> int

@@ -1,6 +1,5 @@
 type t = { data : bytes; wire : bytes; off : int; len : int; xsr : bool }
 
-let truncated t = (not t.xsr) && Trailer.truncated_in t.wire ~off:t.off ~len:t.len
 let took_branch t = (not t.xsr) && Trailer.branched_in t.wire ~off:t.off ~len:t.len
 
 let max_transmission_unit = 1500
@@ -26,13 +25,17 @@ let rec tailroom = function
      else Segment.fixed_size + field seg.Segment.token + field seg.Segment.info + 3)
     + tailroom rest
 
+(* One segment's share of it, read in place from the segment at [off]. *)
+let hop_room b ~off =
+  if Segment.peek_port b ~off = Segment.local_port then 0
+  else Segment.return_hop_size b ~off ~port:0 ~keep_token:true ~info:None + 3
+
 (* The same, read off the VNT chain at [off] in place. *)
 let rec tailroom_from b ~off ~stop =
   match Segment.extent_to b ~off ~stop with
   | exception (Wire.Buf.Underflow | Invalid_argument _ | Failure _) -> 0
   | hdr ->
-    (if Segment.peek_port b ~off = Segment.local_port then 0
-     else Segment.return_hop_size b ~off ~port:0 ~keep_token:true ~info:None + 3)
+    hop_room b ~off
     + if Segment.peek_vnt b ~off then tailroom_from b ~off:(off + hdr) ~stop else 0
 
 let tailroom_in b ~off ~len =
@@ -58,10 +61,8 @@ let build_with ~stamp ~dib ~priority ~tailroom ~route ~data =
   Bytes.blit Trailer.empty 0 out (header + dlen) tlen;
   out
 
-let build_with_tailroom ~tailroom ~route ~data =
-  build_with ~stamp:false ~dib:false ~priority:0 ~tailroom ~route ~data
-
-let build ~route ~data = build_with_tailroom ~tailroom:0 ~route ~data
+let build ~route ~data =
+  build_with ~stamp:false ~dib:false ~priority:0 ~tailroom:0 ~route ~data
 
 let build_stamped ~tailroom ~priority ~dib ~route ~data =
   build_with ~stamp:true ~dib ~priority ~tailroom ~route ~data
@@ -80,9 +81,9 @@ let read_route r =
 let exact b ~off ~len = if off = 0 && len = Bytes.length b then b else Bytes.sub b off len
 let xsr_wire t = exact t.wire ~off:t.off ~len:t.len
 
-(* An XSR packet's route is local delivery; its trailer is the RPF return
+(* An XSR packet's route is local delivery; its trailer is the return
    hops its reverse lanes recorded ({!Xsr.reverse_ports}), oldest first,
-   the order VIPER appends them. *)
+   the order VIPER appends them, each made of a flagless segment. *)
 let route t =
   if t.xsr then
     [ Segment.make ~priority:(Xsr.priority (xsr_wire t)) ~port:Segment.local_port () ]
@@ -91,10 +92,11 @@ let route t =
 let trailer t =
   if t.xsr then
     let b = xsr_wire t in
-    let priority = Xsr.priority b in
-    let flags = { Segment.vnt = false; dib = false; rpf = true } in
+    let stripped = Segment.make ~priority:(Xsr.priority b) ~port:Segment.local_port () in
     List.rev_map
-      (fun port -> Trailer.Hop (Segment.make ~flags ~priority ~port ()))
+      (fun port ->
+        Trailer.Hop
+          (Segment.return_hop stripped ~port ~token:Bytes.empty ~info:Bytes.empty))
       (Xsr.reverse_ports b)
   else Trailer.entries_in t.wire ~off:t.off ~len:t.len
 
@@ -191,40 +193,90 @@ let truncate_to b ~off ~len ~max =
     out
   end
 
-(* VNT set on every segment but the last, on the records themselves:
-   the reply route handed to callers. Encoding never needs this — the
-   writer sets VNT from position. *)
-let normalize_vnt route =
-  let n = List.length route in
-  List.mapi
-    (fun i seg ->
-      let vnt = i < n - 1 in
-      { seg with Segment.flags = { seg.Segment.flags with Segment.vnt } })
-    route
+(* The reply's size, read off the trailer in one fold before anything
+   is written: the reversed hops' bytes and count, the room their
+   routers will append, and whether a router truncated the packet. *)
+type sizing = {
+  mutable bytes : int;
+  mutable hops : int;
+  mutable room : int;
+  mutable cut : bool;
+}
 
-let return_route_hops t =
-  let hops =
-    List.filter_map
-      (function
-        | Trailer.Hop s -> Some s
-        | Trailer.Truncated | Trailer.Branch -> None)
-      (trailer t)
-  in
-  let reversed =
-    List.rev_map
-      (fun seg ->
-        { seg with Segment.flags = { seg.Segment.flags with Segment.rpf = true } })
-      hops
-  in
-  normalize_vnt reversed
+let size_hop b off len s =
+  s.bytes <- s.bytes + Segment.reversed_hop_size b ~off ~len;
+  s.hops <- s.hops + 1;
+  s.room <- s.room + hop_room b ~off;
+  s
 
-let return_route t =
-  if truncated t then failwith "Packet.return_route: packet was truncated";
-  return_route_hops t
+let size_mark entry s =
+  s.cut <- s.cut || entry = Trailer.Truncated;
+  s
+
+(* An XSR arrival's hops are return hops of flagless segments
+   ({!trailer}), reversed: minimal segments with these flags. *)
+let xsr_hop_bits = Segment.reversed_hop_bits (Segment.return_hop_bits 0)
+
+let sizing t =
+  let s = { bytes = 0; hops = 0; room = 0; cut = false } in
+  if not t.xsr then
+    Trailer.fold_in t.wire ~off:t.off ~len:t.len ~hop:size_hop ~mark:size_mark s
+  else begin
+    let b = xsr_wire t in
+    s.hops <- Xsr.hop_idx b;
+    s.bytes <- s.hops * Segment.fixed_size;
+    for i = 0 to s.hops - 1 do
+      if Xsr.reverse_port b i <> Segment.local_port then
+        s.room <- s.room + Segment.fixed_size + 3
+    done;
+    s
+  end
+
+let truncated t = (sizing t).cut
+
+(* One allocation: the trailer's hops reversed straight into it, newest
+   first as the trailer walk visits them, markers skipped; then the
+   local segment, the data, the empty trailer and the tailroom. *)
+let reply t ~priority ~data =
+  let s = sizing t in
+  if s.cut then Error (Segment.Malformed "Packet.return_route: truncated")
+  else if s.hops >= max_route_segments then
+    Error (Segment.Malformed "Packet.reply: route too long")
+  else begin
+    if not (Token.Priority.valid priority) then invalid_arg "Packet.reply: priority";
+    let header = s.bytes + Segment.fixed_size and tlen = Bytes.length Trailer.empty in
+    let len = header + Bytes.length data + tlen in
+    let out = Bytes.create (len + s.room) in
+    (if t.xsr then
+       let b = xsr_wire t in
+       for i = 0 to s.hops - 1 do
+         Segment.put_minimal out ~at:(i * Segment.fixed_size) ~bits:xsr_hop_bits
+           ~port:(Xsr.reverse_port b (s.hops - 1 - i)) ~priority:(Xsr.priority b)
+       done
+     else
+       let hop b off len at = Segment.write_reversed_hop b ~off ~len out ~at in
+       let mark _ at = at in
+       ignore (Trailer.fold_in t.wire ~off:t.off ~len:t.len ~hop ~mark 0));
+    Segment.put_minimal out ~at:s.bytes ~port:Segment.local_port ~bits:0 ~priority;
+    Bytes.blit data 0 out header (Bytes.length data);
+    Bytes.blit Trailer.empty 0 out (len - tlen) tlen;
+    Ok (out, len)
+  end
+
+(* The hops of a reply's route: the segments before the local one, VNT
+   cleared on the last. *)
+let rec chain_hops r =
+  let seg = Segment.read r in
+  if not seg.Segment.flags.Segment.vnt then []
+  else
+    match chain_hops r with
+    | [] -> [ { seg with flags = { seg.flags with vnt = false } } ]
+    | rest -> seg :: rest
 
 let return_route_r t =
-  if truncated t then Error (Segment.Malformed "Packet.return_route: truncated")
-  else Ok (return_route_hops t)
+  Result.map
+    (fun (out, len) -> chain_hops (Wire.Buf.reader_window out ~off:0 ~len))
+    (reply t ~priority:Token.Priority.normal ~data:Bytes.empty)
 
 (* Where the segment after the leading one starts when VNT says one
    follows, else -1. Found in place with {!Segment.extent_to}, which raises

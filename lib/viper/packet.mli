@@ -69,16 +69,14 @@ val tailroom_in : bytes -> off:int -> len:int -> int
     room a router gives the fresh window it copies a packet into. A chain
     that stops parsing needs no more room, since it will be dropped. *)
 
-val build_with_tailroom : tailroom:int -> route:Segment.t list -> data:bytes -> bytes
-(** {!build}'s packet followed by [tailroom] spare bytes, in the same
-    single allocation: the wire bytes are all but the last [tailroom]. *)
-
 val build_stamped :
   tailroom:int -> priority:Token.Priority.t -> dib:bool -> route:Segment.t list ->
   data:bytes -> bytes
-(** [build_with_tailroom] with every segment's priority and DIB replaced
-    on the wire by [priority] and [dib] — a host's send options — without
-    rebuilding the route. *)
+(** {!build}'s packet followed by [tailroom] spare bytes, in the same
+    single allocation (the wire bytes are all but the last [tailroom]),
+    with every segment's priority and DIB replaced on the wire by
+    [priority] and [dib] — a host's send options — without rebuilding
+    the route. *)
 
 (** {1 Non-raising parse}
 
@@ -102,9 +100,21 @@ val intact : bytes -> off:int -> len:int -> bool
 (** Whether {!of_window} would be [Ok]: the same checks, and nothing is
     copied or built. *)
 
+val reply :
+  t -> priority:Token.Priority.t -> data:bytes -> (bytes * int, error) result
+(** The packet answering [t] over the route its trailer recorded, and
+    its length; past it, the buffer holds the route's {!tailroom}. The
+    route is the trailer's hops (for XSR, the reverse lanes), newest
+    first, each written from its bytes ({!Segment.write_reversed_hop}),
+    markers skipped, then local delivery at [priority]: the bytes
+    {!build} makes of it. [Error] when a router truncated [t], or when
+    the route would exceed {!max_route_segments}: a damaged trailer
+    never becomes a bogus route. *)
+
 val return_route_r : t -> (Segment.t list, error) result
-(** Like {!return_route}, but never raises: a truncated packet yields
-    [Error] — a damaged trailer must never become a bogus route. *)
+(** The hops of {!reply}'s route, decoded from the bytes it writes:
+    newest first, RPF set, VNT set on every hop but the last. [Error]
+    where {!reply} is. *)
 
 val forward : bytes -> return_seg:Segment.t -> Segment.t * bytes
 (** The complete per-hop operation on a record: strip the leading
@@ -136,9 +146,9 @@ val substitute_route_branch : bytes -> off:int -> len:int -> route:bytes -> byte
 
 val of_xsr : bytes -> t
 (** An arrived XSR packet as a [t]: its route is local delivery and its
-    trailer the RPF-flagged return hops its reverse lanes recorded
-    ({!Xsr.reverse_ports}), oldest first. {!return_route} on the result
-    is the recorded path back, so a receiver replies over VIPER without
+    trailer the return hops its reverse lanes recorded
+    ({!Xsr.reverse_ports}), oldest first. {!reply} on the result rides
+    the recorded path back, so a receiver replies over VIPER without
     knowing the packet arrived as XSR. The header is not verified: call
     it on a packet {!Xsr.step} answered [Deliver] for. *)
 
@@ -151,11 +161,6 @@ val truncate_to : bytes -> off:int -> len:int -> max:int -> bytes
     buffer of [max + 5] bytes: a router cutting a packet to fit an MTU
     keeps [mtu - 5]. A window of at most [max] bytes is returned as its
     own bytes. *)
-
-val return_route : t -> Segment.t list
-(** The route a reply should carry: trailer hops in reverse order of
-    traversal, RPF set, VNT normalized. Raises [Failure] if the packet was
-    truncated (the return route is incomplete). *)
 
 val next_port : bytes -> off:int -> len:int -> int
 (** The port the next router will forward on, read in place from the

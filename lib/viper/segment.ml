@@ -19,11 +19,7 @@ let flags_table =
 
 let flags_of_bits b = Array.unsafe_get flags_table ((b lsr 1) land 0x7)
 
-let flags ~vnt ~dib ~rpf =
-  Array.unsafe_get flags_table
-    ((if vnt then 0x4 else 0) lor (if dib then 0x2 else 0) lor if rpf then 0x1 else 0)
-
-let no_flags = flags ~vnt:false ~dib:false ~rpf:false
+let no_flags = flags_of_bits 0
 
 let local_port = 0
 let broadcast_port = 255
@@ -46,11 +42,6 @@ let make ?(flags = no_flags) ?(priority = Token.Priority.normal) ?(token = Bytes
   check ~priority ~token ~info ~branch ~port;
   { port; flags; priority; token; info; branch }
 
-let return_hop seg ~port ~token ~info =
-  let priority = seg.priority and branch = Bytes.empty in
-  check ~priority ~token ~info ~branch ~port;
-  { port; flags = flags ~vnt:false ~dib:seg.flags.dib ~rpf:true; priority; token; info; branch }
-
 let field_wire_size b =
   let n = Bytes.length b in
   if n < extended then n else n + 4
@@ -69,6 +60,19 @@ let flags_bits ~vnt ~dib ~rpf =
   (if vnt then 0x8 else 0) lor (if dib then 0x4 else 0) lor if rpf then 0x2 else 0
 
 let brf_bit = 0x1
+
+(* The only places a return hop's flags are made. At strip time: DIB
+   kept, RPF set. Reversed into a reply: DIB and BRF kept, RPF set, and
+   VNT set, since at least the local segment follows. *)
+let return_hop_bits bits = (bits land 0x4) lor 0x2
+let reversed_hop_bits bits = (bits land 0x5) lor 0xA
+
+let return_hop seg ~port ~token ~info =
+  let priority = seg.priority and branch = Bytes.empty in
+  check ~priority ~token ~info ~branch ~port;
+  let { vnt; dib; rpf } = seg.flags in
+  let flags = flags_of_bits (return_hop_bits (flags_bits ~vnt ~dib ~rpf)) in
+  { port; flags; priority; token; info; branch }
 
 (* A field's 32-bit length at [pos] when it is extended: the start of
    its bytes. *)
@@ -109,6 +113,10 @@ let put_segment dst pos ~vnt ~dib ~priority t =
     Bytes.blit t.branch 0 dst (pos + 2) blen;
     pos + 2 + blen
   end
+
+let put_minimal dst ~at ~port ~bits ~priority =
+  Bytes.set_uint16_be dst at 0;
+  Bytes.set_uint16_be dst (at + 2) ((port lsl 8) lor (bits lsl 4) lor priority)
 
 let write w t =
   let pos = Wire.Buf.claim w (encoded_size t) in
@@ -285,7 +293,7 @@ let swap_ether dst pos =
 let write_return_hop b ~off ~port ~keep_token ~info dst ~at =
   let ilb = Char.code (Bytes.get b off) and tlb = Char.code (Bytes.get b (off + 1)) in
   let fp = Char.code (Bytes.get b (off + 3)) in
-  let bits = ((fp lsr 4) land 0x4) lor 0x2 (* DIB kept, RPF set *) in
+  let bits = return_hop_bits (fp lsr 4) in
   let token =
     if not keep_token then 0 else if tlb < extended then tlb else token_len b ~off
   in
@@ -310,6 +318,27 @@ let write_return_hop b ~off ~port ~keep_token ~info dst ~at =
       Bytes.blit b (field_data ipos ilb) dst pos ilen;
       if ilen = Ether.Frame.header_size then swap_ether dst pos
     end
+
+(* An entry whose fields are in the short length form is blitted and its
+   flags revised. Any other is decoded and re-encoded, which writes a
+   field of under 255 bytes in the short form, as the reply always has. *)
+let short_lengths b ~off =
+  Char.code (Bytes.get b off) < extended && Char.code (Bytes.get b (off + 1)) < extended
+
+let reversed_hop_size b ~off ~len =
+  if short_lengths b ~off then len else encoded_size (decode_sub b ~off ~len)
+
+let write_reversed_hop b ~off ~len dst ~at =
+  let fp = Char.code (Bytes.get b (off + 3)) in
+  let bits = reversed_hop_bits (fp lsr 4) in
+  if short_lengths b ~off then begin
+    Bytes.blit b off dst at len;
+    Bytes.set dst (at + 3) (Char.unsafe_chr ((bits lsl 4) lor (fp land 0xF)));
+    at + len
+  end
+  else
+    let f = flags_of_bits bits and seg = decode_sub b ~off ~len in
+    put_segment dst at ~vnt:f.vnt ~dib:f.dib ~priority:seg.priority { seg with flags = f }
 
 let equal a b =
   a.port = b.port && a.flags = b.flags && a.priority = b.priority

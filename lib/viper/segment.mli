@@ -62,8 +62,15 @@ val make :
 val return_hop : t -> port:int -> token:bytes -> info:bytes -> t
 (** [return_hop seg ~port ~token ~info] is [seg] revised into the return
     hop a router appends to the trailer: [port] and the given [token]
-    and [info], RPF set, VNT clear, no branch, DIB and priority kept.
+    and [info], no branch, priority kept, flags by {!return_hop_bits}.
     Validates like {!make}; the flags come from the shared table. *)
+
+val return_hop_bits : int -> int
+val reversed_hop_bits : int -> int
+(** A return hop's flags nibble (VNT 0x8, DIB 0x4, RPF 0x2, BRF 0x1)
+    from its segment's; nothing else sets RPF. At strip time: DIB kept,
+    RPF set. Reversed into a reply's route: DIB and BRF kept, RPF and VNT
+    set. *)
 
 val local_port : int
 (** 0 — "reserving 0 as a special port value meaning 'local'" (§5). *)
@@ -89,6 +96,11 @@ val encoded_size : t -> int
 
 val write : Wire.Buf.writer -> t -> unit
 (** Writes the segment's own flags, VNT included. *)
+
+val put_minimal :
+  bytes -> at:int -> port:int -> bits:int -> priority:Token.Priority.t -> unit
+(** Write at [dst.[at]] the 4 bytes of a segment with no token, info or
+    branch: [port], the flags nibble [bits] and [priority]. *)
 
 val write_route : Wire.Buf.writer -> last_vnt:bool -> t list -> unit
 (** Write a segment list with VNT taken from position, not from the
@@ -178,5 +190,12 @@ val write_return_hop :
     ({!Ether.Frame.header_size} bytes) gets its addresses swapped, any
     other is carried back unchanged. The destination must not overlap the
     segment. *)
+
+val reversed_hop_size : bytes -> off:int -> len:int -> int
+val write_reversed_hop : bytes -> off:int -> len:int -> bytes -> at:int -> int
+(** Write the checked [len]-byte trailer entry at [off] as a reply
+    route's hop at [dst.[at]], and return its end: the
+    {!reversed_hop_size} bytes {!write} makes of the decoded segment
+    with flags by {!reversed_hop_bits}. *)
 
 val equal : t -> t -> bool

@@ -55,7 +55,7 @@ let size_in b ~off ~len =
 
 (* Walk the trailer ending the window backwards through its trailing
    length fields, checking each entry in place and folding [hop] (over a
-   checked segment's bytes) or [mark] over them in appended order. *)
+   checked segment's bytes) or [mark] over them, newest entry first. *)
 let rec walk b ~lo ~hi ~start ~hop ~mark pos acc =
   if pos = start then acc
   else begin
@@ -98,11 +98,7 @@ let skip_mark _ () = ()
 let verify_in b ~off ~len = fold_in b ~off ~len ~hop:check_hop ~mark:skip_mark ()
 
 let skip_hop _ _ _ acc = acc
-let note_truncated e found =
-  found || match e with Truncated -> true | Hop _ | Branch -> false
-
 let note_branch e found = found || match e with Branch -> true | Hop _ | Truncated -> false
-let truncated_in b ~off ~len = fold_in b ~off ~len ~hop:skip_hop ~mark:note_truncated false
 let branched_in b ~off ~len = fold_in b ~off ~len ~hop:skip_hop ~mark:note_branch false
 
 (* The total once [added] more entry bytes join the trailer ending at

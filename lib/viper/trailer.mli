@@ -59,13 +59,20 @@ val entries_in : bytes -> off:int -> len:int -> entry list
     copied out first, so the only allocations are the entries
     returned. *)
 
+val fold_in :
+  bytes -> off:int -> len:int -> hop:(bytes -> int -> int -> 'a -> 'a) ->
+  mark:(entry -> 'a -> 'a) -> 'a -> 'a
+(** Fold over the trailer ending the window, newest entry first: [hop]
+    gets each checked hop entry's segment bytes in place (buffer,
+    offset, length), [mark] each marker. Raises where {!entries_in}
+    would. *)
+
 val verify_in : bytes -> off:int -> len:int -> unit
 (** Raises exactly when {!entries_in} would, and builds nothing. *)
 
-val truncated_in : bytes -> off:int -> len:int -> bool
 val branched_in : bytes -> off:int -> len:int -> bool
-(** Whether a verified trailer holds a truncation (branch) marker, found
-    without building its entries. *)
+(** Whether a verified trailer holds a branch marker, found without
+    building its entries. *)
 
 val append_hop : bytes -> pos:int -> Segment.t -> bytes
 (** [append_hop packet ~pos seg] is the packet without its first [pos]

@@ -6,7 +6,7 @@
 
      0        magic 0xD5
      1        0xE0 lor version (= 0xE1)
-     2        flags:4 | priority:4        (flag bit 0 = RPF)
+     2        flags:4 | priority:4        (no flag is defined: 0)
      3        hop_count  (1 .. width)
      4        hop_idx    (0 .. hop_count)
      5        check      (seeded XOR over bytes 0-4 and both lane fields)
@@ -33,7 +33,6 @@ let header_size = 6 + (2 * width)
 let magic = 0xD5
 let version_byte = 0xE1
 let check_seed = 0xB3
-let rpf_bit = 0x1
 
 let fmask = Array.init width (fun i -> (0x5D * (i + 11)) land 0xFF)
 let rmask = Array.init width (fun i -> ((0x35 * (i + 7)) + 0x6B) land 0xFF)
@@ -54,19 +53,18 @@ let compute_check b =
   !acc
 
 let priority b = Char.code (Bytes.get b 2) land 0xF
-let rpf b = (Char.code (Bytes.get b 2) lsr 4) land rpf_bit <> 0
 let hop_count b = Char.code (Bytes.get b 3)
 let hop_idx b = Char.code (Bytes.get b 4)
 let data b = Bytes.sub b header_size (Bytes.length b - header_size)
 
 (* A packet with every header byte but the first [k] forward lanes and
    the check byte laid out, and the data in place. *)
-let lay_out ~rpf ~priority ~k ~data =
+let lay_out ~priority ~k ~data =
   let n = header_size + Bytes.length data in
   let b = Bytes.create n in
   Bytes.set b 0 (Char.chr magic);
   Bytes.set b 1 (Char.chr version_byte);
-  Bytes.set b 2 (Char.chr (((if rpf then rpf_bit else 0) lsl 4) lor priority));
+  Bytes.set b 2 (Char.chr priority);
   Bytes.set b 3 (Char.chr k);
   Bytes.set b 4 '\000';
   for i = k to width - 1 do
@@ -86,10 +84,10 @@ let check_port p = if p < 0 || p > 255 then invalid_arg "Xsr.encode: port"
 let set_lane b i p = Bytes.set b (6 + i) (Char.chr (p lxor fmask.(i)))
 let seal b = Bytes.set b 5 (Char.chr (compute_check b))
 
-let encode ?(rpf = false) ?(priority = Token.Priority.normal) ~ports ~data () =
+let encode ?(priority = Token.Priority.normal) ~ports ~data () =
   check_shape ~k:(List.length ports) ~priority;
   List.iter check_port ports;
-  let b = lay_out ~rpf ~priority ~k:(List.length ports) ~data in
+  let b = lay_out ~priority ~k:(List.length ports) ~data in
   List.iteri (set_lane b) ports;
   seal b;
   b
@@ -111,7 +109,7 @@ let encode_segments ~priority ~segments ~data =
   let k = List.length segments - 1 in
   check_shape ~k ~priority;
   check_routers segments;
-  let b = lay_out ~rpf:false ~priority ~k ~data in
+  let b = lay_out ~priority ~k ~data in
   set_lanes b 0 segments;
   seal b;
   b
@@ -153,17 +151,11 @@ let next_port b =
   let idx = hop_idx b in
   if idx < hop_count b then Char.code (Bytes.get b (6 + idx)) lxor fmask.(idx) else -1
 
+let reverse_port b j = Char.code (Bytes.get b (14 + j)) lxor rmask.(j)
+
 (* In-ports folded so far, most recent hop first — exactly the port
    sequence a reply must ride (the VIPER return route, reversed). *)
 let reverse_ports b =
   let idx = hop_idx b in
-  let rec go j acc =
-    if j >= idx then acc
-    else go (j + 1) ((Char.code (Bytes.get b (14 + j)) lxor rmask.(j)) :: acc)
-  in
+  let rec go j acc = if j >= idx then acc else go (j + 1) (reverse_port b j :: acc) in
   go 0 []
-
-let encode_reverse b ~data =
-  let ports = reverse_ports b in
-  if ports = [] then invalid_arg "Xsr.encode_reverse: no hops recorded";
-  encode ~rpf:true ~priority:(priority b) ~ports ~data ()

@@ -12,7 +12,8 @@
     The reverse route accumulates in a second lane field the same way
     the VIPER trailer accumulates return segments: each router folds its
     in-port into lane [hop_idx], and the destination unfolds the exact
-    reverse port sequence with {!reverse_ports} / {!encode_reverse}.
+    reverse port sequence with {!reverse_ports}: a reply rides it over
+    VIPER ({!Packet.reply}).
 
     The check byte is a seeded XOR over the header and both lane fields,
     so any single-bit flip anywhere in the XSR header is detected at the
@@ -34,9 +35,7 @@ val is_xsr_in : bytes -> off:int -> len:int -> bool
     collide; no workload in this repo emits such segments, and
     dual-stack routers sniff XSR first. *)
 
-val encode :
-  ?rpf:bool -> ?priority:Token.Priority.t ->
-  ports:int list -> data:bytes -> unit -> bytes
+val encode : ?priority:Token.Priority.t -> ports:int list -> data:bytes -> unit -> bytes
 (** Fold [ports] (the per-router out-ports, 1..{!width} of them, final
     local delivery implicit) and [data] into a fresh XSR packet.
     Raises [Invalid_argument] on an empty or over-long port list. *)
@@ -68,15 +67,12 @@ val reverse_ports : bytes -> int list
     a reply must traverse (the XSR analogue of the VIPER return
     route). *)
 
-val encode_reverse : bytes -> data:bytes -> bytes
-(** A fresh XSR packet riding the accumulated reverse route of [b], RPF
-    flagged, priority preserved. Raises [Invalid_argument] when no hops
-    have been recorded. *)
+val reverse_port : bytes -> int -> int
+(** The in-port reverse lane [i] recorded, for [i] below {!hop_idx}. *)
 
 (** {1 Header accessors} *)
 
 val priority : bytes -> Token.Priority.t
-val rpf : bytes -> bool
 val hop_count : bytes -> int
 val hop_idx : bytes -> int
 val data : bytes -> bytes

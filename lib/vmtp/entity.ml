@@ -185,16 +185,13 @@ let send_group t ~route ~priority packets ~indices =
   go 0 indices
 
 (* Send one packet back over the return route of [via]. A damaged sample
-   (truncated trailer, over-long rebuilt route) must read as a loss — the
-   peer retransmits and supplies a fresh return route — not as a raise. *)
+   (truncated trailer, over-long return route) is an [Error] that sends
+   nothing: it reads as a loss, and the peer retransmits and supplies a
+   fresh return route. *)
 let send_via t ~via packet =
   let sample_packet, in_port = via in
   C.incr t.packets_sent;
-  match
-    Sirpent.Host.reply t.host ~to_packet:sample_packet ~in_port ~data:packet ()
-  with
-  | _ -> ()
-  | exception (Failure _ | Invalid_argument _) -> ()
+  ignore (Sirpent.Host.reply t.host ~to_packet:sample_packet ~in_port ~data:packet ())
 
 let fresh_partial () =
   {

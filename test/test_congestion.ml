@@ -330,5 +330,5 @@ let () =
             refresh_reevaluates_waiting_drain;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_bucket_invariant ] );
+        List.map Seeded.to_alcotest [ qcheck_bucket_invariant ] );
     ]

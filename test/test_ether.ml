@@ -123,6 +123,6 @@ let () =
           Alcotest.test_case "ethertypes distinct" `Quick ethertypes_distinct;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Seeded.to_alcotest
           [ qcheck_addr_roundtrip; qcheck_frame_roundtrip ] );
     ]

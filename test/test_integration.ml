@@ -313,7 +313,7 @@ let () =
           Alcotest.test_case "deterministic replay" `Quick deterministic_replay;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Seeded.to_alcotest
           [
             qcheck_multihop_data_integrity;
             qcheck_accounting_conservation;

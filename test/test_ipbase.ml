@@ -353,5 +353,5 @@ let () =
           Alcotest.test_case "linkstate reconverges after failure" `Slow
             linkstate_reconverges_after_failure;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ qcheck_frag_roundtrip ]);
+      ("properties", List.map Seeded.to_alcotest [ qcheck_frag_roundtrip ]);
     ]

@@ -390,5 +390,5 @@ let () =
             vmtp_counters_tell_mechanisms_apart;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_normalize_nonempty_and_capped ] );
+        List.map Seeded.to_alcotest [ qcheck_normalize_nonempty_and_capped ] );
     ]

@@ -70,5 +70,5 @@ let () =
           Alcotest.test_case "domain" `Quick domain_checks;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ monotone_in_rho; md1_below_mm1 ] );
+        List.map Seeded.to_alcotest [ monotone_in_rho; md1_below_mm1 ] );
     ]

@@ -509,6 +509,6 @@ let () =
           Alcotest.test_case "timeweighted monotone" `Quick timeweighted_rejects_backwards;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Seeded.to_alcotest
           [ qcheck_engine_order; qcheck_heap_model; qcheck_engine_cancel ] );
     ]

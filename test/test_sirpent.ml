@@ -67,6 +67,49 @@ let reply_via_trailer () =
     (fun r -> check_int "forwarded both ways" 2 (Sirpent.Router.stats r).Sirpent.Router.forwarded)
     routers
 
+(* A packet that cannot be answered gets an [Error] from [reply]: nothing
+   raises out of the receive callback and no flight starts. One packet
+   a router truncated, and one whose trailer holds 48 hops, so its reply
+   would carry one segment more than a route may. *)
+let reply_refuses_unanswerable () =
+  let g, engine, world, h1, h2, _ = chain 1 in
+  Telemetry.Flight.set_policy (W.flight world)
+    { Telemetry.Flight.sample_every = 1; capture_drops = true; capacity = 16 };
+  let parsed b =
+    match Viper.Packet.parse b with Ok p -> p | Error _ -> Alcotest.fail "must parse"
+  in
+  let p =
+    Viper.Packet.build ~route:[ Seg.make ~port:1 (); Seg.make ~port:0 () ]
+      ~data:(Bytes.make 100 'd')
+  in
+  let truncated = parsed (Viper.Packet.truncate_to p ~off:0 ~len:(Bytes.length p) ~max:50) in
+  let hop = Seg.make ~flags:{ Seg.no_flags with Seg.rpf = true } ~port:1 () in
+  let long =
+    parsed
+      (List.fold_left
+         (fun b _ -> Viper.Trailer.append_hop b ~pos:0 hop)
+         (Viper.Packet.build ~route:[ Seg.make ~port:0 () ] ~data:(Bytes.of_string "far"))
+         (List.init 48 Fun.id))
+  in
+  check_int "48 trailer hops" 48 (List.length (Viper.Packet.trailer long));
+  let results = ref [] in
+  Sirpent.Host.set_receive h2 (fun h ~packet:_ ~in_port ->
+      results :=
+        List.map
+          (fun to_packet ->
+            Sirpent.Host.reply h ~to_packet ~in_port ~data:(Bytes.of_string "no") ())
+          [ truncated; long ]);
+  let replies = ref 0 in
+  Sirpent.Host.set_receive h1 (fun _ ~packet:_ ~in_port:_ -> incr replies);
+  let route = route_between g ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2) in
+  ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.of_string "ask") ());
+  Sim.Engine.run engine;
+  check_int "both replies tried" 2 (List.length !results);
+  check_bool "both are errors" true (List.for_all Result.is_error !results);
+  check_int "no handler raised" 0 (W.total_handler_errors world);
+  check_int "only the request's flight" 1 (Telemetry.Flight.started (W.flight world));
+  check_int "nothing came back" 0 !replies
+
 let cut_through_beats_store_and_forward () =
   (* Same 5-router chain; cut-through vs forced store-and-forward. *)
   let run config =
@@ -1138,6 +1181,8 @@ let () =
         [
           Alcotest.test_case "end-to-end delivery" `Quick delivery_end_to_end;
           Alcotest.test_case "reply via trailer" `Quick reply_via_trailer;
+          Alcotest.test_case "reply refuses unanswerable packets" `Quick
+            reply_refuses_unanswerable;
           Alcotest.test_case "cut-through beats store-and-forward" `Quick
             cut_through_beats_store_and_forward;
           Alcotest.test_case "rate mismatch falls back" `Quick
@@ -1189,10 +1234,6 @@ let () =
             congestion_backpressure_reduces_loss;
           Alcotest.test_case "control messages flow" `Quick congestion_ctl_messages_flow;
         ] );
-      ("kept packets", [ QCheck_alcotest.to_alcotest qcheck_kept_packets_survive ]);
-      ( "delay oracle",
-        [
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 9 |])
-            qcheck_delay_decomposition;
-        ] );
+      ("kept packets", [ Seeded.to_alcotest qcheck_kept_packets_survive ]);
+      ("delay oracle", [ Seeded.to_alcotest qcheck_delay_decomposition ]);
     ]

@@ -458,7 +458,7 @@ let () =
         ] );
       ("account", [ Alcotest.test_case "totals" `Quick account_totals ]);
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Seeded.to_alcotest
           [
             qcheck_block_roundtrip;
             qcheck_priority_total_order;

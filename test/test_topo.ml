@@ -696,6 +696,6 @@ let () =
           Alcotest.test_case "tree allocation" `Quick tree_allocation;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Seeded.to_alcotest
           [ qcheck_random_graph_paths; qcheck_kernel_matches_spec ] );
     ]

@@ -275,6 +275,31 @@ module Ref = struct
     let r = Wire.Buf.reader_of_bytes ~off b in
     ignore (Seg.read r);
     Wire.Buf.position r
+
+  (* The reply as a list composition: the trailer's hops, reversed with
+     RPF set, then the local segment, built. A truncated trailer has no
+     reply. Returns the packet and its route. *)
+  let reply trailer ~priority ~data =
+    if List.exists (fun e -> e = Viper.Trailer.Truncated) trailer then
+      Error (Seg.Malformed "truncated")
+    else
+      let hops =
+        List.filter_map
+          (function
+            | Viper.Trailer.Hop s ->
+              Some { s with Seg.flags = { s.Seg.flags with Seg.rpf = true } }
+            | Viper.Trailer.Truncated | Viper.Trailer.Branch -> None)
+          trailer
+      in
+      let route = List.rev_append hops [ Seg.make ~priority ~port:Seg.local_port () ] in
+      wrap (fun route -> (build ~route ~data, route)) route
+
+  (* the reply's route without its local segment, VNT on all but the
+     last hop *)
+  let return_route trailer =
+    Result.map
+      (fun (_, route) -> normalize_vnt (List.filteri (fun i _ -> i < List.length route - 1) route))
+      (reply trailer ~priority:Token.Priority.normal ~data:Bytes.empty)
 end
 
 (* --- trailer --- *)
@@ -365,7 +390,7 @@ let full_path_reversal () =
     in_ports;
   let final = parsed !p in
   check_int "only local segment left" 1 (List.length (Pkt.route final));
-  let back = Pkt.return_route final in
+  let back = Result.get_ok (Pkt.return_route_r final) in
   (* reverse order: last hop's return port first *)
   (match back with
   | [ a; b ] ->
@@ -382,8 +407,11 @@ let return_route_refuses_truncated () =
   let cut = Pkt.truncate_to p ~off:0 ~len:(Bytes.length p) ~max:50 in
   let decoded = parsed cut in
   check_bool "truncated flag" true (Pkt.truncated decoded);
-  Alcotest.check_raises "refuses" (Failure "Packet.return_route: packet was truncated")
-    (fun () -> ignore (Pkt.return_route decoded))
+  (match Pkt.return_route_r decoded with
+  | Error (Seg.Malformed "Packet.return_route: truncated") -> ()
+  | Error _ | Ok _ -> Alcotest.fail "a truncated trailer must not reverse");
+  check_bool "no reply" true
+    (Result.is_error (Pkt.reply decoded ~priority:0 ~data:Bytes.empty))
 
 let truncate_noop_when_fits () =
   let p = Pkt.build ~route:route3 ~data:(Bytes.of_string "ok") in
@@ -593,7 +621,8 @@ let trailer_branch_marker () =
   check_bool "took_branch" true (Pkt.took_branch d);
   check_bool "not truncated" false (Pkt.truncated d);
   (* the marker annotates the trailer without poisoning the return route *)
-  check_int "return route still one hop" 1 (List.length (Pkt.return_route d));
+  check_int "return route still one hop" 1
+    (List.length (Result.get_ok (Pkt.return_route_r d)));
   match entries p with
   | [ Viper.Trailer.Hop _; Viper.Trailer.Branch ] -> ()
   | _ -> Alcotest.fail "trailer must read [Hop; Branch]"
@@ -724,7 +753,7 @@ let qcheck_reversal_is_reverse =
           in
           p := fwd)
         in_ports;
-      let back = Pkt.return_route (parsed !p) in
+      let back = Result.get_ok (Pkt.return_route_r (parsed !p)) in
       List.map (fun s -> s.Seg.port) back = List.rev in_ports)
 
 let entry_equal a b =
@@ -1098,6 +1127,136 @@ let qcheck_xsr_windows =
              same ())
            in_ports)
 
+(* The reply written from [p]'s trailer in place against the reference's
+   list composition over [trailer], its entries: the same packet bytes,
+   the same tailroom past them, the same return route list, or an error
+   on both sides. *)
+let reply_agrees p trailer ~priority ~data =
+  (match (Pkt.reply p ~priority ~data, Ref.reply trailer ~priority ~data) with
+  | Ok (out, len), Ok (expected, route) ->
+    if not (Bytes.equal (Bytes.sub out 0 len) expected) then
+      QCheck.Test.fail_report "reply bytes differ from the reference";
+    if Bytes.length out - len <> Pkt.tailroom route then
+      QCheck.Test.fail_report "reply tailroom differs from the route's";
+    true
+  | Error _, Error _ -> true
+  | Ok _, Error _ | Error _, Ok _ -> QCheck.Test.fail_report "only one side failed")
+  &&
+  match (Pkt.return_route_r p, Ref.return_route trailer) with
+  | Ok route, Ok expected -> List.equal Seg.equal route expected
+  | Error _, Error _ -> true
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* A segment no router writes: each field in the extended length form
+   whatever its length when [ext_token]/[ext_info] (always when 255
+   bytes or more), any flags, sometimes a branch. *)
+let extended_entry_gen =
+  QCheck.Gen.(
+    let* port = int_range 0 255 and* priority = int_range 0 15 in
+    let* bits = int_range 0 7 in
+    let* token = field_gen and* info = field_gen in
+    let* ext_token = bool and* ext_info = bool in
+    let* branch = oneof [ return ""; string_size (int_range 1 12) ] in
+    let field ext b =
+      let n = Bytes.length b in
+      if ext || n >= 255 then begin
+        let f = Bytes.create (4 + n) in
+        Bytes.set_int32_be f 0 (Int32.of_int n);
+        Bytes.blit b 0 f 4 n;
+        (255, f)
+      end
+      else (n, b)
+    in
+    let tlb, tf = field ext_token token and ilb, inf = field ext_info info in
+    let head = Bytes.create 4 in
+    Bytes.set head 0 (Char.chr ilb);
+    Bytes.set head 1 (Char.chr tlb);
+    Bytes.set head 2 (Char.chr port);
+    let brf = if branch = "" then 0 else 1 in
+    Bytes.set head 3 (Char.chr ((((bits lsl 1) lor brf) lsl 4) lor priority));
+    let tail =
+      if branch = "" then Bytes.empty
+      else begin
+        let t = Bytes.create (2 + String.length branch) in
+        Bytes.set_uint16_be t 0 (String.length branch);
+        Bytes.blit_string branch 0 t 2 (String.length branch);
+        t
+      end
+    in
+    return (Bytes.concat Bytes.empty [ head; tf; inf; tail ]))
+
+(* A router segment for the reply property: tokens of 0-300 bytes,
+   portInfo void, 6 bytes or an Ethernet header, any DIB and priority. *)
+let reply_router_gen =
+  QCheck.Gen.(
+    let* port = int_range 1 254 and* priority = int_range 0 15 and* dib = bool in
+    let* token = map Bytes.of_string (string_size (int_range 0 300)) in
+    let* info =
+      map Bytes.of_string (oneofl [ 0; 6; Ether.Frame.header_size ] >>= fun n -> string_size (return n))
+    in
+    return
+      (Seg.make ~flags:{ Seg.no_flags with Seg.dib } ~priority ~token ~info ~port ()))
+
+(* After each hop: the in-port (local delivery sometimes), whether the
+   token is kept, a branch marker, a truncation marker, a hand-made
+   entry. *)
+let reply_hop_gen =
+  QCheck.Gen.(
+    let* in_port = frequency [ (1, return Seg.local_port); (9, int_range 1 255) ] in
+    let* keep_token = bool in
+    let* branch = frequency [ (4, return false); (1, return true) ] in
+    let* truncate = frequency [ (15, return false); (1, return true) ] in
+    let* entry = frequency [ (3, return None); (1, map Option.some extended_entry_gen) ] in
+    return (in_port, keep_token, branch, truncate, entry))
+
+let qcheck_reply_in_place =
+  QCheck.Test.make ~name:"reply written from the trailer = reference list composition"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          let* routers = list_size (int_range 1 12) reply_router_gen in
+          let* hops = list_repeat (List.length routers) reply_hop_gen in
+          let* data = string_size (int_range 0 80) and* reply = string_size (int_range 0 80) in
+          let* priority = int_range 0 15 in
+          return (routers, hops, Bytes.of_string data, Bytes.of_string reply, priority)))
+    (fun (routers, hops, data, reply, priority) ->
+      let route = routers @ [ Seg.make ~port:Seg.local_port () ] in
+      let arrived =
+        List.fold_left
+          (fun p (in_port, keep_token, branch, truncate, entry) ->
+            let p = window_bytes (window_hop (whole p) ~in_port ~keep_token ~info:None ~copy:true) in
+            let p = if branch then Ref.append_marker p Viper.Trailer.Branch else p in
+            let p = if truncate then Ref.append_marker p Viper.Trailer.Truncated else p in
+            match entry with Some raw -> append_raw_entry p raw | None -> p)
+          (Pkt.build ~route ~data) hops
+      in
+      let w, off, len = embed arrived in
+      match Pkt.of_window w ~off ~len with
+      | Error _ -> QCheck.Test.fail_report "an arrived packet must parse"
+      | Ok p -> reply_agrees p (Ref.entries arrived) ~priority ~data:reply)
+
+(* The same for XSR arrivals: the reply rides the reverse lanes. *)
+let qcheck_xsr_reply_in_place =
+  QCheck.Test.make ~name:"XSR reply written from the lanes = reference list composition"
+    ~count:200
+    QCheck.(
+      make
+        Gen.(
+          let* ports = list_size (int_range 1 Viper.Xsr.width) (int_range 1 239) in
+          let* in_ports = list_repeat (List.length ports) (int_range 0 255) in
+          let* priority = int_range 0 15 and* reply_priority = int_range 0 15 in
+          let* data = string_size (int_range 0 40) and* reply = string_size (int_range 0 40) in
+          return (ports, in_ports, priority, reply_priority, Bytes.of_string data, Bytes.of_string reply)))
+    (fun (ports, in_ports, priority, reply_priority, data, reply) ->
+      let b = Viper.Xsr.encode ~priority ~ports ~data () in
+      List.for_all
+        (fun in_port ->
+          ignore (Viper.Xsr.step b ~in_port);
+          let p = Pkt.of_xsr b in
+          reply_agrees p (Pkt.trailer p) ~priority:reply_priority ~data:reply)
+        in_ports)
+
 (* Damage: every single-bit flip, and every cut, of a packet three
    routers have appended to. Each read must give the reference's value
    or the reference's error. *)
@@ -1191,7 +1350,7 @@ let () =
           Alcotest.test_case "substitute route" `Quick substitute_route_swaps_chain;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Seeded.to_alcotest
           [
             qcheck_segment_roundtrip;
             qcheck_size_matches;
@@ -1204,5 +1363,7 @@ let () =
             qcheck_arrival_check_agrees;
             qcheck_window_hops;
             qcheck_xsr_windows;
+            qcheck_reply_in_place;
+            qcheck_xsr_reply_in_place;
           ] );
     ]

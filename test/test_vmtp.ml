@@ -506,6 +506,6 @@ let () =
           Alcotest.test_case "headroom" `Quick playout_headroom;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Seeded.to_alcotest
           [ qcheck_wf_roundtrip; qcheck_held_response_survives ] );
     ]

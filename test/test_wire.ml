@@ -247,6 +247,6 @@ let () =
           Alcotest.test_case "dump shape" `Quick hex_dump_shape;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Seeded.to_alcotest
           [ qcheck_bytes_roundtrip; qcheck_hex_roundtrip; qcheck_u16_roundtrip ] );
     ]

@@ -113,10 +113,13 @@ let reverse_route_rides_back () =
   check_string "unfolded data" "req" (Bytes.to_string unfolded.Viper.Packet.data);
   Alcotest.(check (list int)) "unfolded route is local" [ Seg.local_port ]
     (ports (Viper.Packet.route unfolded));
-  Alcotest.(check (list int)) "unfolded return route" [ 7; 6; 5 ]
-    (ports (Viper.Packet.return_route unfolded));
-  let back = Xsr.encode_reverse b ~data:(Bytes.of_string "rsp") in
-  check_bool "rpf set" true (Xsr.rpf back);
+  let return_route = Result.get_ok (Viper.Packet.return_route_r unfolded) in
+  Alcotest.(check (list int)) "unfolded return route" [ 7; 6; 5 ] (ports return_route);
+  check_bool "rpf set" true (List.for_all (fun s -> s.Seg.flags.Seg.rpf) return_route);
+  let back =
+    Xsr.encode ~priority:(Xsr.priority b) ~ports:(Xsr.reverse_ports b)
+      ~data:(Bytes.of_string "rsp") ()
+  in
   (* riding the reply: each hop's out-port is the recorded in-port *)
   (match Xsr.step back ~in_port:1 with
   | Xsr.Forward 7 -> ()
@@ -266,6 +269,6 @@ let () =
             xsr_corruption_counted_never_misrouted;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Seeded.to_alcotest
           [ qcheck_step_recovers_ports; qcheck_bit_flip_detected ] );
     ]
