@@ -56,6 +56,7 @@ type cell = {
   corrupted : int;
   malformed_drops : int;  (** summed over routers *)
   stale : int;
+  conservation : int;  (** {!W.conservation} once the engine ran dry *)
 }
 
 (* One simulation: BER on the primary (ra) trunk links, optional flapping
@@ -132,6 +133,7 @@ let run_cell ~rng ~ber ~flap =
       corrupted = (Faults.Injector.stats inj).Faults.Injector.frames_corrupted;
       malformed_drops = malformed;
       stale = Dirsvc.Directory.stale_served dir;
+      conservation = W.conservation world;
     },
     Telemetry.Registry.snapshot (W.metrics world),
     Telemetry.Events.entries (W.events world) )
@@ -190,7 +192,7 @@ let run_region ~rng ~region ~ber =
       Sirpent.Host.misdelivered h_src + Sirpent.Host.misdelivered h_dst,
       cst.Vmtp.Entity.rejected_checksum + sst.Vmtp.Entity.rejected_checksum,
       cst.Vmtp.Entity.retransmits ),
-    Telemetry.Registry.snapshot (W.metrics world) )
+    W.conservation world )
 
 let flap_name = function
   | None -> "none"
@@ -327,6 +329,14 @@ let run () =
   pf "die at the router scoreboard, damaged trailers are refused by the\n";
   pf "receiving host (never a bogus return route), payload damage reaches the\n";
   pf "transport checksum; all of it is repaired by VMTP retransmission.\n";
+  (* every packet of every world ended delivered or with a fate *)
+  let conservation =
+    Array.fold_left (fun acc (_, (c, _, _)) -> acc + abs c.conservation) 0 cells
+    + Array.fold_left (fun acc (_, (_, c)) -> acc + abs c) 0 region_cells
+  in
+  if conservation <> 0 then
+    failwith
+      (Printf.sprintf "e18: %d packets neither delivered nor given a fate" conservation);
   let mc name = Util.J.Int (Telemetry.Merge.counter_value merged_rows name) in
   Util.write_json ~exp:"e18"
     (Util.J.Obj
@@ -337,6 +347,7 @@ let run () =
           ("crash_time_s", Util.J.Float (Sim.Time.to_seconds crash_time));
           ("matrix", Util.J.List (List.rev !json_cells));
           ("regions", Util.J.List (List.rev !json_regions));
+          ("conservation", Util.J.Int conservation);
           (* Matrix-wide telemetry folded from the per-world registries and
              event rings by Telemetry.Merge — identical for every --jobs. *)
           ( "merged",

@@ -159,7 +159,8 @@ let breakdown ~n_routers ~packets =
   List.iter
     (fun fl ->
       match fl.Flight.dropped with
-      | Some reason ->
+      | Some fate ->
+        let reason = Flight.fate_name fate in
         Hashtbl.replace drop_counts reason
           (1 + Option.value ~default:0 (Hashtbl.find_opt drop_counts reason))
       | None -> ())

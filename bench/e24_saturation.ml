@@ -39,6 +39,7 @@ type arm = {
       (** words allocated during the run: minor + major - promoted, since
           a promoted word is counted once in each of the first two *)
   a_wire_bytes : int;
+  a_conservation : int;  (** {!W.conservation} once the engine ran dry *)
 }
 
 let wire_bytes g world =
@@ -118,6 +119,7 @@ let measure_once ~xsr ~ticks =
     a_wall_s = wall;
     a_gc_words = w1 -. w0;
     a_wire_bytes = wire_bytes g world;
+    a_conservation = W.conservation world;
   }
 
 (* One core, shared machine: a single wall-clock sample carries too much
@@ -132,7 +134,8 @@ let measure ~reps ~xsr ~ticks =
   done;
   !best
 
-(* bytes-on-wire over an n-router chain, one packet format at a time *)
+(* bytes-on-wire over an n-router chain, one packet format at a time,
+   and the chain world's conservation *)
 let chain_bytes ~xsr ~n_routers ~packets =
   let g, engine, world, h1, h2, _ = Util.sirpent_chain n_routers in
   let route =
@@ -153,7 +156,7 @@ let chain_bytes ~xsr ~n_routers ~packets =
     failwith
       (Printf.sprintf "e24: chain delivered %d of %d (%s)" !got packets
          (if xsr then "xsr" else "viper"));
-  wire_bytes g world
+  (wire_bytes g world, W.conservation world)
 
 let pps a = if a.a_wall_s > 0.0 then float a.a_delivered /. a.a_wall_s else 0.0
 let gc_words_per_packet a = a.a_gc_words /. float (max 1 a.a_delivered)
@@ -192,8 +195,8 @@ let run () =
 
   Util.subheading "bytes-on-wire: VIPER source route vs XSR constant header";
   let n_routers = 4 in
-  let viper_bytes = chain_bytes ~xsr:false ~n_routers ~packets:chain_packets in
-  let xsr_bytes = chain_bytes ~xsr:true ~n_routers ~packets:chain_packets in
+  let viper_bytes, viper_kept = chain_bytes ~xsr:false ~n_routers ~packets:chain_packets in
+  let xsr_bytes, xsr_kept = chain_bytes ~xsr:true ~n_routers ~packets:chain_packets in
   pf
     "%d-router chain, %d packets of %d B data: VIPER %d B on the wire, XSR %d B\n\
      (VIPER nets +3 B/hop — shrinking route, faster-growing trailer; XSR holds a\n\
@@ -203,6 +206,14 @@ let run () =
     (if xsr_bytes < viper_bytes then "yes" else "NO");
   if xsr_bytes >= viper_bytes then
     failwith "e24: XSR did not beat VIPER bytes-on-wire at 4 hops";
+  (* every packet of every world ended delivered or with a fate *)
+  let conservation =
+    List.fold_left (fun acc a -> acc + abs a.a_conservation) 0 cells
+    + abs viper_kept + abs xsr_kept
+  in
+  if conservation <> 0 then
+    failwith
+      (Printf.sprintf "e24: %d packets neither delivered nor given a fate" conservation);
 
   let json_arm a =
     Util.J.Obj
@@ -230,6 +241,7 @@ let run () =
           ("xsr_wire_bytes", Util.J.Int xsr_bytes);
           ( "xsr_bytes_below_viper",
             Util.J.Bool (xsr_bytes < viper_bytes) );
+          ("conservation", Util.J.Int conservation);
         ]
        @ List.map
            (fun a ->

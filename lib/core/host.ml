@@ -26,25 +26,18 @@ let received t = C.value t.received
 let misdelivered t = C.value t.misdelivered
 let rate_signal t = t.rate_signal
 
-let flight_drop t ~frame ~in_port ~reason =
-  match frame.Netsim.Frame.flight with
-  | Some ctx -> Flight.drop ctx ~node:t.node ~in_port ~now:(W.now t.world) ~reason
-  | None -> ()
-
 (* A packet that terminated here: count it, close its flight and hand it
    to [on_receive]. *)
 let accept t ~frame ~in_port packet =
   C.incr t.received;
-  (match frame.Netsim.Frame.flight with
-  | Some ctx -> Flight.complete ctx ~now:(W.now t.world)
-  | None -> ());
+  W.complete t.world frame;
   match t.on_receive with
   | Some f -> f t ~packet ~in_port
   | None -> ()
 
 let misdeliver t ~frame ~in_port =
   C.incr t.misdelivered;
-  flight_drop t ~frame ~in_port ~reason:"misdelivered"
+  W.lose t.world ~node:t.node ~in_port frame Flight.Misdelivered
 
 (* Hosts take delivery of the whole packet before acting. *)
 let at_tail t ~tail f =
@@ -59,7 +52,8 @@ let at_tail t ~tail f =
    host. *)
 let arrive t ~frame ~in_port =
   let { Netsim.Frame.payload; off; len; _ } = frame in
-  if frame.Netsim.Frame.aborted then flight_drop t ~frame ~in_port ~reason:"aborted"
+  if frame.Netsim.Frame.aborted then
+    W.lose t.world ~node:t.node ~in_port frame Flight.Aborted
   else if Viper.Xsr.is_xsr_in payload ~off ~len then
     let payload = Netsim.Frame.contents frame in
     match Viper.Xsr.step payload ~in_port with
@@ -105,24 +99,31 @@ let frame ~priority ~drop_if_blocked ~flight ~len payload =
   { Netsim.Frame.payload; off = 0; len; priority; drop_if_blocked; meta = None; flight;
     aborted = false }
 
+(* Send a packet this host originated out [port]; a refusal at the port
+   is the packet's end. *)
+let transmit t ~port frame =
+  let result = W.send t.world ~node:t.node ~port frame in
+  (match result with
+  | W.Dropped_blocked | W.Dropped_overflow | W.Dropped_no_link ->
+    W.lose t.world ~node:t.node ~in_port:(-1) frame Flight.Send_drop
+  | W.Started | W.Started_preempting _ | W.Queued -> ());
+  result
+
 (* Put the first [len] bytes of [payload] on the wire out [port] through
    the host's limiter; [next_port] is the queue the first router sends
-   it to ([-1] for none). The flight context is allocated where the
-   packet enters the internetwork, before any limiter hold. A packet the
-   limiter admits at once is sent without a closure; a held one is
-   queued in the limiter and reports [Queued], unless the limiter
-   releases it on the spot. *)
+   it to ([-1] for none). The packet is originated where it enters the
+   internetwork, before any limiter hold. A packet the limiter admits at
+   once is sent without a closure; a held one is queued in the limiter
+   and reports [Queued], unless the limiter releases it on the spot. *)
 let inject t ~port ~next_port ~priority ~drop_if_blocked ~len payload =
-  let flight = Flight.start (W.flight t.world) ~now:(W.now t.world) in
+  let flight = W.originate t.world in
   if Congestion.admit t.limiter ~out_port:port ~next_port ~bytes:len then
-    W.send t.world ~node:t.node ~port
-      (frame ~priority ~drop_if_blocked ~flight ~len payload)
+    transmit t ~port (frame ~priority ~drop_if_blocked ~flight ~len payload)
   else begin
     let result = ref W.Queued in
     Congestion.hold t.limiter ~out_port:port ~next_port ~bytes:len ~send:(fun () ->
         result :=
-          W.send t.world ~node:t.node ~port
-            (frame ~priority ~drop_if_blocked ~flight ~len payload));
+          transmit t ~port (frame ~priority ~drop_if_blocked ~flight ~len payload));
     !result
   end
 
@@ -159,10 +160,9 @@ let reply t ~to_packet ~in_port ?(priority = Token.Priority.normal) ~data () =
   match Pkt.reply to_packet ~priority ~data with
   | Error e -> Error e
   | Ok (payload, len) ->
-    let flight = Flight.start (W.flight t.world) ~now:(W.now t.world) in
-    Ok
-      (W.send t.world ~node:t.node ~port:in_port
-         (frame ~priority ~drop_if_blocked:false ~flight ~len payload))
+    let flight = W.originate t.world in
+    let frame = frame ~priority ~drop_if_blocked:false ~flight ~len payload in
+    Ok (transmit t ~port:in_port frame)
 
 let explode t ~routes ?(priority = Token.Priority.normal) ~data () =
   List.fold_left

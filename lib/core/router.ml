@@ -108,10 +108,12 @@ type t = {
   (* port-indexed, grown on demand; [None] where the port is plain *)
   mutable port_groups : G.port list option array;
   mutable port_handlers :
-    (buf:bytes -> off:int -> len:int -> hdr:int -> in_port:G.port -> unit) option array;
+    (buf:bytes -> off:int -> len:int -> hdr:int -> in_port:G.port -> bool) option array;
   mutable up : bool;
   mutable epoch : int;  (** bumped on crash: pending deferred work dies with it *)
   counters : C.t array;  (** one per scoreboard row *)
+  verify_failures : C.t Lazy.t;
+      (** [router_verify_failures], registered on the first failure *)
 }
 
 let bump t row = C.incr t.counters.(row)
@@ -165,34 +167,18 @@ let set_port_group t ~port ~ports =
 
 let now t = W.now t.world
 
-(* Every way a router loses a frame. A constructor names both the
-   [router_*] counter it bumps and the reason its flight's drop span
-   carries, so the scoreboard and a sampled drop never disagree. *)
-type drop =
-  | Malformed  (** bytes that fail to parse: [dropped_malformed] *)
-  | Down  (** arrived while crashed: [dropped_down] *)
-  | Parse_error  (** splice depth, unknown group: [parse_errors] *)
-  | Unauthorized  (** token denied or required but absent: [unauthorized] *)
-  | Truncated  (** an over-MTU XSR packet, which cannot be cut: [truncated] *)
-  | Send_drop  (** blocked, overflow or no link at the out port: [send_drops] *)
-  | Aborted  (** preempted before its act step: [send_drops] *)
-  | Aborted_delivery  (** preempted before local delivery: no counter *)
-
-let drop t ~frame ~in_port reason =
-  let reason =
-    match reason with
-    | Malformed -> bump t dropped_malformed; "malformed"
-    | Down -> bump t dropped_down; "down"
-    | Parse_error -> bump t parse_errors; "parse_error"
-    | Unauthorized -> bump t unauthorized; "unauthorized"
-    | Truncated -> bump t truncated; "truncated"
-    | Send_drop -> bump t send_drops; "send_drop"
-    | Aborted -> bump t send_drops; "aborted"
-    | Aborted_delivery -> "aborted"
-  in
-  match frame.Netsim.Frame.flight with
-  | Some ctx -> Flight.drop ctx ~node:t.node ~in_port ~now:(now t) ~reason
-  | None -> ()
+(* Every way a router loses a packet: the fate's [router_*] row, if it
+   has one (an aborted act step is a send drop), then the world's count. *)
+let drop t ~frame ~in_port (fate : Flight.fate) =
+  (match fate with
+  | Malformed -> bump t dropped_malformed
+  | Down -> bump t dropped_down
+  | Parse_error -> bump t parse_errors
+  | Unauthorized -> bump t unauthorized
+  | Truncated -> bump t truncated
+  | Send_drop | Aborted -> bump t send_drops
+  | Misdelivered | Purged | Preempted | No_handler | Handler_error -> ());
+  W.lose t.world ~node:t.node ~in_port frame fate
 
 let flight_note ~frame check =
   match frame.Netsim.Frame.flight with
@@ -205,9 +191,13 @@ let flight_note ~frame check =
    scheduled action is bound to the router's current epoch. *)
 let at t ~time f = Sim.Engine.schedule_at (W.engine t.world) ~time:(Int.max time (now t)) f
 
-let schedule t ~time f =
+let live t epoch = t.up && t.epoch = epoch
+
+(* Deferred work on [frame]'s packet: a crash that voids it purges the
+   packet. *)
+let schedule t ~frame ~in_port ~time f =
   let epoch = t.epoch in
-  at t ~time (fun () -> if t.up && t.epoch = epoch then f ())
+  at t ~time (fun () -> if live t epoch then f () else drop t ~frame ~in_port Purged)
 
 (* The MTU of the link on [port]; a port with no link has none to
    exceed. *)
@@ -283,7 +273,8 @@ let transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port =
       | W.Dropped_blocked ->
         if circuits < max_circuits && not dib then begin
           bump t delay_line_circuits;
-          schedule t ~time:(now t + delay) (fun () -> attempt (circuits + 1))
+          schedule t ~frame ~in_port ~time:(now t + delay) (fun () ->
+              attempt (circuits + 1))
         end
         else drop t ~frame ~in_port Send_drop
       | W.Dropped_overflow | W.Dropped_no_link -> drop t ~frame ~in_port Send_drop
@@ -300,19 +291,19 @@ let transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port =
 let dispatch t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port ~when_ =
   let epoch = t.epoch in
   at t ~time:when_ (fun () ->
-      if t.up && t.epoch = epoch then
-        if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted
-        else
-          match t.congestion with
-          | None -> transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port
-          | Some c ->
-            let { Netsim.Frame.payload; off; len = bytes; _ } = out in
-            let next_port = Pkt.next_port payload ~off ~len:bytes in
-            if Congestion.admit c ~out_port ~next_port ~bytes then
-              transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port
-            else
-              Congestion.hold c ~out_port ~next_port ~bytes ~send:(fun () ->
-                  transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port))
+      if not (live t epoch) then drop t ~frame ~in_port Purged
+      else if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted
+      else
+        match t.congestion with
+        | None -> transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port
+        | Some c ->
+          let { Netsim.Frame.payload; off; len = bytes; _ } = out in
+          let next_port = Pkt.next_port payload ~off ~len:bytes in
+          if Congestion.admit c ~out_port ~next_port ~bytes then
+            transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port
+          else
+            Congestion.hold c ~out_port ~next_port ~bytes ~send:(fun () ->
+                transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port))
 
 (* Switch [out] out [out_port]: decide cut-through or store-and-forward,
    count it, record the hop, tell the congestion monitor, and schedule
@@ -425,13 +416,14 @@ let reject t ~frame ~in_port =
   drop t ~frame ~in_port Unauthorized
 
 (* Decrypt [token] in the background so subsequent packets hit the
-   cache. *)
+   cache. The packet that carried it has already gone on (or been
+   dropped), so a forged token is counted here, not as a fate. *)
 let verify_in_background t ~token =
-  schedule t
-    ~time:(now t + verify_time)
-    (fun () ->
-      ignore
-        (Token.Cache.complete_verification t.cache ~token ~now_ms:(now t / 1_000_000)))
+  let epoch = t.epoch in
+  at t ~time:(now t + verify_time) (fun () ->
+      let now_ms = now t / 1_000_000 in
+      if live t epoch && not (Token.Cache.complete_verification t.cache ~token ~now_ms)
+      then C.incr (Lazy.force t.verify_failures))
 
 (* Token checking, with its side effects (counters, flight notes,
    background verification) done here; no closure is built unless the
@@ -477,7 +469,7 @@ let authorize t ~token ~rpf ~priority ~frame ~in_port ~out_port ~packet_bytes =
 (* Blocking authentication of a [Held] frame: hold the packet while the
    token is decrypted, then re-check; [proceed ~reverse_ok] switches it. *)
 let verify_then t ~token ~rpf ~priority ~frame ~in_port ~out_port ~packet_bytes ~proceed =
-  schedule t
+  schedule t ~frame ~in_port
     ~time:(now t + verify_time)
     (fun () ->
       let now_ms = now t / 1_000_000 in
@@ -527,6 +519,12 @@ let all_ports_except t ~except =
     (fun (p, _) -> if p = except then None else Some p)
     (G.ports (W.graph t.world) t.node)
 
+(* A packet copied to [n] ports or branches is [n] packets: [n - 1] more
+   to account for, and with none at all it is lost where it stands. *)
+let copies t ~frame ~in_port n =
+  if n = 0 then drop t ~frame ~in_port Send_drop
+  else W.originate_copies t.world (n - 1)
+
 (* The window's remainder past its [hdr]-byte leading segment, behind
    the segments [write] puts first: the writer's store is the new
    window. *)
@@ -558,11 +556,13 @@ let rec process t ~frame ~buf ~off ~len ~in_port ~in_info ~head ~tail ~depth =
           (* custom port (e.g. an interop tunnel): hand over after full
              reception, like any store-and-forward boundary — unless the
              upstream transmission was preempted and this is a runt *)
-          schedule t
+          schedule t ~frame ~in_port
             ~time:(Int.max (now t) tail + process_time)
             (fun () ->
               if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted
-              else f ~buf ~off ~len ~hdr ~in_port)
+              else if not (f ~buf ~off ~len ~hdr ~in_port) then
+                drop t ~frame ~in_port Malformed
+              else ignore (W.hand_off t.world frame))
         | None ->
         match Logical.lookup t.logical ~port with
         | Some (Logical.Group physical) ->
@@ -631,6 +631,7 @@ and choose_least_queued t ports =
       first ports
 
 and multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail ~ports =
+  copies t ~frame ~in_port (List.length ports);
   List.iter
     (fun out_port ->
       bump t multicast_copies;
@@ -642,6 +643,7 @@ and tree_multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail ~d
   match Viper.Multicast.decode_branches (Seg.decode_sub buf ~off ~len:hdr).Seg.info with
   | exception _ -> drop t ~frame ~in_port Malformed
   | branches ->
+    copies t ~frame ~in_port (List.length branches);
     List.iter
       (fun branch ->
         bump t multicast_copies;
@@ -655,19 +657,21 @@ and tree_multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail ~d
    malformed one is a counted drop. An XSR packet ([xsr]) arrives whole
    once {!Viper.Xsr.step} has answered [Deliver] for it. *)
 and deliver_local t ~frame ~buf ~off ~len ~in_port ~tail ~xsr =
-  schedule t
+  schedule t ~frame ~in_port
     ~time:(Int.max (now t) tail + process_time)
     (fun () ->
-      if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted_delivery
+      (* aborted before delivery: a fate, but not a send drop *)
+      if frame.Netsim.Frame.aborted then
+        W.lose t.world ~node:t.node ~in_port frame Aborted
       else if not (xsr || Pkt.intact buf ~off ~len) then drop t ~frame ~in_port Malformed
       else begin
         bump t delivered_local;
-        match frame.Netsim.Frame.flight with
+        (match frame.Netsim.Frame.flight with
         | Some ctx ->
           Flight.hop ctx ~node:t.node ~in_port ~out_port:(-1) ~arrival:tail
-            ~departure:(now t) ~handling:Flight.Local_delivery;
-          Flight.complete ctx ~now:(now t)
-        | None -> ()
+            ~departure:(now t) ~handling:Flight.Local_delivery
+        | None -> ());
+        W.complete t.world frame
       end)
 
 (* The XSR header's step: one check-byte verify, one XOR, an in-place
@@ -738,6 +742,11 @@ let create ?(config = default_config) ?key world ~node () =
             Telemetry.Registry.counter (W.metrics world) ~help ~labels
               ("router_" ^ name))
           rows;
+      verify_failures =
+        lazy
+          (Telemetry.Registry.counter (W.metrics world)
+             ~help:"background token verifications that failed" ~labels
+             "router_verify_failures");
     }
   in
   W.set_handler world node (handle t);
@@ -750,10 +759,10 @@ let set_port_handler t ~port f =
   t.port_handlers <- with_port t.port_handlers port f
 
 let inject t ~buf ~off ~len ~in_port ~return_info =
-  (* no frame exists yet, so there is no flight to end *)
+  (* the packet has not entered this world yet, so it has no fate here *)
   if not t.up then bump t dropped_down
   else begin
-    let flight = Flight.start (W.flight t.world) ~now:(now t) in
+    let flight = W.originate t.world in
     (match flight with
     | Some ctx ->
       (* out-of-band arrival: the injection itself is the first span *)
@@ -783,6 +792,7 @@ let crash t =
     let held =
       match t.congestion with Some c -> Congestion.reset c | None -> 0
     in
+    W.lose_held t.world held;
     Telemetry.Events.emit (W.events t.world) ~time:(now t)
       (Telemetry.Events.Router_crashed { node = t.node; frames_lost = lost + held });
     Token.Cache.flush t.cache

@@ -15,7 +15,8 @@
     The per-hop costs are fixed: a switching decision of 500 ns
     ("significantly less than a microsecond", §6.1), 50 us of software
     processing on the store-and-forward path and at local delivery, and
-    200 us to verify a token, paid off the fast path. *)
+    200 us to verify a token, paid off the fast path. A background
+    verification that fails is counted on a [router_verify_failures] row. *)
 
 type blocked_handling =
   | Buffer  (** blocked packets wait in the output queue (default) *)
@@ -86,14 +87,17 @@ val set_port_group : t -> port:int -> ports:Topo.Graph.port list -> unit
 
 val set_port_handler :
   t -> port:int ->
-  (buf:bytes -> off:int -> len:int -> hdr:int -> in_port:Topo.Graph.port -> unit) ->
+  (buf:bytes -> off:int -> len:int -> hdr:int -> in_port:Topo.Graph.port -> bool) ->
   unit
 (** Take over a port value (1-239): packets whose leading segment names it
     are handed to the callback after full reception — how a gateway claims
     a tunnel port. The callback gets the packet as the window
     [buf.[off] .. buf.[off + len - 1]], whose leading segment (the one
-    naming the port) is [hdr] bytes. A frame preempted upstream before its tail arrived is a
-    counted drop instead. Raises [Invalid_argument] outside 1-239. *)
+    naming the port) is [hdr] bytes, and answers whether it took the
+    packet: a taken packet is handed off ({!Netsim.World.hand_off}), a
+    refused one is a [Malformed] drop. A frame preempted upstream before
+    its tail arrived is a counted drop instead. Raises [Invalid_argument]
+    outside 1-239. *)
 
 val inject :
   t -> buf:bytes -> off:int -> len:int -> in_port:Topo.Graph.port ->

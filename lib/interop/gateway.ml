@@ -58,10 +58,14 @@ let parse_tunnel_info info =
    remote gateway, fragmenting to the cloud link's MTU at origin. The
    packet is the window [buf.[off] .. buf.[off + len - 1]] whose leading
    [hdr]-byte segment names the tunnel; its remainder and the return
-   entry for this hop are written once, straight behind the IP header. *)
+   entry for this hop are written once, straight behind the IP header.
+   Answers whether the packet was taken; the router drops one that was
+   not. *)
 let encapsulate t ~buf ~off ~len ~hdr ~in_port =
   match parse_tunnel_info (Seg.decode_sub buf ~off ~len:hdr).Seg.info with
-  | None -> C.incr t.bad_tunnel_info
+  | None ->
+    C.incr t.bad_tunnel_info;
+    false
   | Some remote_addr ->
     (* the return entry for this hop: back out the Sirpent-side arrival
        port (point-to-point; no network-specific info), token kept *)
@@ -76,7 +80,8 @@ let encapsulate t ~buf ~off ~len ~hdr ~in_port =
     | exception (Invalid_argument _ | Failure _ | Wire.Buf.Underflow | Wire.Buf.Overflow)
       ->
       (* trailer damaged in flight: count, don't raise out of the handler *)
-      C.incr t.bad_tunnel_info
+      C.incr t.bad_tunnel_info;
+      false
     | packet, viper_len ->
     t.next_ident <- (t.next_ident + 1) land 0xFFFF;
     let header =
@@ -105,7 +110,8 @@ let encapsulate t ~buf ~off ~len ~hdr ~in_port =
       (fun fragment_bytes ->
         let frame = W.fresh_frame t.world fragment_bytes in
         ignore (W.send t.world ~node:t.node ~port:t.cloud_port frame))
-      fragments
+      fragments;
+    true
 
 (* cloud -> Sirpent: verify, reassemble, decapsulate, inject. *)
 let accept_ip t packet =

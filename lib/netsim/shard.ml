@@ -107,15 +107,10 @@ let deliverer members ~ngw ~dir ~dst ~node ~in_port =
     let seq = Sim.Engine.foreign_seq_base + (msg.m_seq * (2 * ngw)) + dir in
     Sim.Engine.schedule_foreign sh.engine ~time:msg.head ~seq (fun () ->
         Telemetry.Registry.Counter.incr sh.ingress;
-        let flight =
-          match msg.carried with
-          | None -> None
-          | Some c -> Telemetry.Flight.import (World.flight sh.world) c
-        in
         let frame =
           World.import_frame sh.world ~priority:msg.priority
-            ~drop_if_blocked:msg.drop_if_blocked ?flight ~aborted:msg.aborted
-            ~len:msg.len msg.payload
+            ~drop_if_blocked:msg.drop_if_blocked ?carried:msg.carried
+            ~aborted:msg.aborted ~len:msg.len msg.payload
         in
         World.deliver_direct sh.world ~node ~in_port ~frame ~head:msg.head
           ~tail:msg.tail)
@@ -240,7 +235,7 @@ let create ?profiles (part : Partition.t) =
                   priority = frame.Frame.priority;
                   drop_if_blocked = frame.Frame.drop_if_blocked;
                   aborted = frame.Frame.aborted;
-                  carried = Option.map Telemetry.Flight.export frame.Frame.flight;
+                  carried = World.hand_off producer.world frame;
                 }
               in
               t.m_seq.(dir) <- t.m_seq.(dir) + 1;

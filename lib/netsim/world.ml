@@ -98,9 +98,15 @@ and t = {
   events : Telemetry.Events.t;
   flight : Telemetry.Flight.t;
   agg : agg;
+  (* packet accounting (see {!conservation}); plain ints, no allocation *)
+  mutable originated : int;
+  mutable delivered : int;
+  mutable handed_off : int;
+  fates : (Telemetry.Flight.fate, int) Hashtbl.t;  (** count of each fate seen *)
 }
 
 module C = Telemetry.Registry.Counter
+module Flight = Telemetry.Flight
 
 (* fills the outport queues' vacated slots; never handed out *)
 let idle_frame =
@@ -172,7 +178,7 @@ let create engine graph =
     retiring = Sim.Heap.create ~dummy:vacant_port;
     metrics;
     events = Telemetry.Events.create ();
-    flight = Telemetry.Flight.create ();
+    flight = Flight.create ();
     agg =
       {
         agg_sent_frames = cnt "sent_frames" ~help:"frames handed to links";
@@ -186,6 +192,10 @@ let create engine graph =
         agg_undelivered = cnt "undelivered" ~help:"frames arriving at nodes with no handler";
         agg_handler_errors = cnt "handler_errors";
       };
+    originated = 0;
+    delivered = 0;
+    handed_off = 0;
+    fates = Hashtbl.create 12;
   }
 
 let engine t = t.engine
@@ -194,6 +204,45 @@ let now t = Sim.Engine.now t.engine
 let metrics t = t.metrics
 let events t = t.events
 let flight t = t.flight
+
+let originate t =
+  t.originated <- t.originated + 1;
+  Flight.start t.flight ~now:(now t)
+
+let originate_copies t n = t.originated <- t.originated + n
+
+let complete t frame =
+  t.delivered <- t.delivered + 1;
+  match frame.Frame.flight with
+  | Some ctx -> Flight.complete ctx ~now:(now t)
+  | None -> ()
+
+let hand_off t frame =
+  t.handed_off <- t.handed_off + 1;
+  Option.map Flight.export frame.Frame.flight
+
+(* no allocation once a fate has been seen: [replace] then updates its
+   binding in place *)
+let fate_count t fate =
+  match Hashtbl.find t.fates fate with n -> n | exception Not_found -> 0
+
+let count_fate t fate n = Hashtbl.replace t.fates fate (fate_count t fate + n)
+
+(* A frame with [meta] is a control message, not a packet anyone
+   originated: losing it is no packet's fate. *)
+let lose t ~node ~in_port frame fate =
+  if Option.is_none frame.Frame.meta then begin
+    count_fate t fate 1;
+    match frame.Frame.flight with
+    | Some ctx -> Flight.drop ctx ~node ~in_port ~now:(now t) fate
+    | None -> ()
+  end
+
+let lose_held t n = count_fate t Purged n
+
+let conservation t =
+  let lost = Hashtbl.fold (fun _ n acc -> acc + n) t.fates 0 in
+  t.originated - t.delivered - t.handed_off - lost
 
 (* [tbl] with room for index [i] (a fresh, larger copy when it is too
    short); new slots hold [empty] *)
@@ -267,8 +316,10 @@ let fresh_frame _t ?(priority = Token.Priority.normal) ?(drop_if_blocked = false
   { Frame.payload; off = 0; len = Bytes.length payload; priority; drop_if_blocked; meta;
     flight; aborted = false }
 
-let import_frame _t ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
-    ?flight ~aborted ~len payload =
+let import_frame t ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
+    ?carried ~aborted ~len payload =
+  t.originated <- t.originated + 1;
+  let flight = match carried with Some c -> Flight.import t.flight c | None -> None in
   { Frame.payload; off = 0; len; priority; drop_if_blocked; meta = None; flight; aborted }
 
 let set_buffer_bytes t ~node ~port n = (outport t node port).buffer_bytes <- n
@@ -331,8 +382,11 @@ let deliver_direct t ~node ~in_port ~frame ~head ~tail =
     with _ ->
       C.incr t.agg.agg_handler_errors;
       let n = Option.value ~default:0 (Hashtbl.find_opt t.handler_errors node) in
-      Hashtbl.replace t.handler_errors node (n + 1))
-  | None -> C.incr t.agg.agg_undelivered
+      Hashtbl.replace t.handler_errors node (n + 1);
+      lose t ~node ~in_port frame Handler_error)
+  | None ->
+    C.incr t.agg.agg_undelivered;
+    lose t ~node ~in_port frame No_handler
 
 (* The far end of [link] from [node], read off the link's fields ([G.peer]
    would box a pair). *)
@@ -345,12 +399,18 @@ let deliver t ~link ~from_node ~frame ~head ~tail =
     deliver_direct t ~node:link.G.a ~in_port:link.G.a_port ~frame ~head ~tail
   else invalid_arg "World.deliver: node is not on the link"
 
-(* Abort [tx]: its delivery never happens, nor its completion if one
-   was scheduled. *)
-let cancel_events t tx =
-  Sim.Engine.cancel t.engine ~time:tx.head ~seq:tx.delivery_seq;
+(* Abort [tx], [op]'s busy transmission, and mark its frame a runt. Its
+   fate is [fate] only if its delivery had not run yet (it is cancelled
+   then); after that the receiver accounts for the packet. *)
+let abort t op tx fate =
+  if not (Sim.Engine.passed t.engine ~time:tx.head ~seq:tx.delivery_seq) then begin
+    Sim.Engine.cancel t.engine ~time:tx.head ~seq:tx.delivery_seq;
+    lose t ~node:op.op_node ~in_port:(-1) tx.tx_frame fate
+  end;
   if tx.completion_scheduled then
-    Sim.Engine.cancel t.engine ~time:tx.finish ~seq:tx.done_seq
+    Sim.Engine.cancel t.engine ~time:tx.finish ~seq:tx.done_seq;
+  tx.tx_frame.Frame.aborted <- true;
+  tx.delivered_frame.Frame.aborted <- true
 
 (* Begin transmitting [frame] on [op], which must be idle, over [link]. *)
 let rec start_transmission t op link frame =
@@ -395,9 +455,9 @@ let rec start_transmission t op link frame =
 and schedule_completion t op tx =
   tx.completion_scheduled <- true;
   Sim.Engine.schedule_keyed t.engine ~time:tx.finish ~seq:tx.done_seq (fun () ->
-      complete t op)
+      complete_tx t op)
 
-and complete t op =
+and complete_tx t op =
   op.current <- no_tx;
   if not (Sim.Heap.is_empty op.queue) then begin
     let frame = Sim.Heap.pop_value op.queue in
@@ -409,7 +469,8 @@ and complete t op =
     | exception Not_found ->
       op.dropped_no_link <- op.dropped_no_link + 1;
       C.incr t.agg.agg_dropped_no_link;
-      complete t op
+      lose t ~node:op.op_node ~in_port:(-1) frame Send_drop;
+      complete_tx t op
   end
 
 (* Queue [frame] behind [tx], the port's busy transmission. *)
@@ -454,11 +515,9 @@ let send t ~node ~port frame =
         (* Abort the transmission in flight: its delivery never happens and
            the port frees immediately. The busy-time already charged is an
            acceptable over-count of a partial transmission. *)
-        (* The victim's head may already be arriving downstream: mark the
-           frame as a runt so receivers that act at tail time discard it. *)
-        cancel_events t tx;
-        tx.tx_frame.Frame.aborted <- true;
-        tx.delivered_frame.Frame.aborted <- true;
+        (* The victim's head may already be arriving downstream: it is
+           marked a runt so receivers that act at tail time discard it. *)
+        abort t op tx Preempted;
         op.preempted <- op.preempted + 1;
         C.incr t.agg.agg_preempted;
         op.current <- no_tx;
@@ -508,47 +567,33 @@ let port_stats t ~node ~port =
 
 (* Crash support: abort the in-flight transmission and drop every queued
    frame on all of [node]'s outports, in port order (the order purged
-   frames' flights are committed in). Returns the number of frames lost. *)
+   frames' flights are committed in). Returns the number of frames lost,
+   aborted transmissions included whether or not their delivery ran. *)
 let purge_node t ~node =
-  let total = ref 0 in
   let row =
     if node >= 0 && node < Array.length t.outports then t.outports.(node) else [||]
   in
-  Array.iter
-    (function
-      | None -> ()
+  Array.fold_left
+    (fun total -> function
+      | None -> total
       | Some op ->
-        let dropped = ref 0 in
-        let mark_purged frame =
-          match frame.Frame.flight with
-          | Some ctx ->
-            Telemetry.Flight.drop ctx ~node ~in_port:(-1) ~now:(now t)
-              ~reason:"purged"
-          | None -> ()
-        in
         let tx = op.current in
         (* a transmission whose completion key has passed is over: its
            frame is on the wire, not in the port *)
-        if busy t tx then begin
-          cancel_events t tx;
-          tx.tx_frame.Frame.aborted <- true;
-          tx.delivered_frame.Frame.aborted <- true;
-          mark_purged tx.tx_frame;
-          incr dropped
-        end;
+        let in_flight = busy t tx in
+        if in_flight then abort t op tx Purged;
         op.current <- no_tx;
+        let dropped = Bool.to_int in_flight + Sim.Heap.size op.queue in
         while not (Sim.Heap.is_empty op.queue) do
           let frame = Sim.Heap.pop_value op.queue in
           op.queued_bytes <- op.queued_bytes - frame.Frame.len;
-          mark_purged frame;
-          incr dropped
+          lose t ~node ~in_port:(-1) frame Purged
         done;
         Sim.Stats.Timeweighted.set op.qtrack ~now:(now t) 0.0;
-        op.purged <- op.purged + !dropped;
-        C.add t.agg.agg_purged !dropped;
-        total := !total + !dropped)
-    row;
-  !total
+        op.purged <- op.purged + dropped;
+        C.add t.agg.agg_purged dropped;
+        total + dropped)
+    0 row
 
 let handler_errors t ~node =
   Option.value ~default:0 (Hashtbl.find_opt t.handler_errors node)

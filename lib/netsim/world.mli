@@ -16,7 +16,8 @@
     scheduled only when a frame waits behind the port; with nothing
     queued there is nothing for it to do. A preemptive-priority frame (§5: priorities 6-7) aborts a lower
     priority, non-preemptive transmission in progress; the aborted frame is
-    lost in flight. Frames flagged drop-if-blocked are discarded rather
+    lost in flight (fate [Preempted] unless its head already reached the
+    receiver). Frames flagged drop-if-blocked are discarded rather
     than queued. *)
 
 type t
@@ -44,7 +45,8 @@ val graph : t -> Topo.Graph.t
 val now : t -> Sim.Time.t
 
 val set_handler : t -> Topo.Graph.node_id -> handler -> unit
-(** Frames delivered to a node without a handler are counted and dropped. *)
+(** Frames delivered to a node without a handler are counted and dropped
+    (a data frame's fate is [No_handler]). *)
 
 val fresh_frame :
   t -> ?priority:Token.Priority.t -> ?drop_if_blocked:bool ->
@@ -55,7 +57,44 @@ val fresh_frame :
     spans accumulate across the whole route. *)
 
 val send : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> Frame.t -> send_result
-(** Hand a frame to the node's output port for transmission now. *)
+(** Hand a frame to the node's output port for transmission now. A
+    refusal records no fate: the caller decides (a delay line retries). *)
+
+(** {1 A packet's life}
+
+    Every packet the world originates (or imports from another region)
+    ends exactly once: delivered ({!complete}), handed off to another
+    world ({!hand_off}) or lost with a fate ({!lose}). Each call counts
+    the packet and ends its flight, so counts and spans agree. A purged
+    or preempted transmission whose delivery already ran is the
+    receiver's to account for. A control frame ([meta <> None]) is not a
+    packet: losing one records nothing. *)
+
+val originate : t -> Telemetry.Flight.ctx option
+(** Count a packet entering here; its flight, if the recorder is on (no
+    allocation otherwise). *)
+
+val originate_copies : t -> int -> unit
+(** [n] more packets copied from one in hand; they share its flight. *)
+
+val complete : t -> Frame.t -> unit
+
+val hand_off : t -> Frame.t -> Telemetry.Flight.carried option
+(** A tunnel encapsulation or a region export; the flight goes along. *)
+
+val lose :
+  t -> node:Topo.Graph.node_id -> in_port:Topo.Graph.port -> Frame.t ->
+  Telemetry.Flight.fate -> unit
+
+val lose_held : t -> int -> unit
+(** [n] limiter-held packets purged by a crash, without drop spans: a
+    limiter holds send closures, not frames. *)
+
+val fate_count : t -> Telemetry.Flight.fate -> int
+
+val conservation : t -> int
+(** Originated − delivered − handed off − Σ fates: packets still queued,
+    in flight or held; 0 once the engine has run dry. *)
 
 (** {1 Region sharding hooks}
 
@@ -72,12 +111,12 @@ val set_departure_tap : t -> node:Topo.Graph.node_id -> (head:Sim.Time.t -> unit
 
 val import_frame :
   t -> ?priority:Token.Priority.t -> ?drop_if_blocked:bool ->
-  ?flight:Telemetry.Flight.ctx -> aborted:bool -> len:int -> bytes -> Frame.t
-(** A frame re-entering this world from another region's shard, its
+  ?carried:Telemetry.Flight.carried -> aborted:bool -> len:int -> bytes -> Frame.t
+(** A packet re-entering this world from another region's shard, its
     window the first [len] bytes of a buffer copied for this world (the
-    rest is the packet's remaining tailroom). [meta] does not cross
-    gateways (it may hold world-local state); the shard layer counts such
-    drops. *)
+    rest is the packet's remaining tailroom). It is originated here, with
+    its [carried] flight. [meta] does not cross gateways (it may hold
+    world-local state); the shard layer counts such drops. *)
 
 val deliver_direct :
   t -> node:Topo.Graph.node_id -> in_port:Topo.Graph.port -> frame:Frame.t ->

@@ -138,7 +138,7 @@ let span_json (s : Flight.span) =
   in
   match s.Flight.drop with
   | None -> Obj base
-  | Some reason -> Obj (base @ [ ("drop", String reason) ])
+  | Some fate -> Obj (base @ [ ("drop", String (Flight.fate_name fate)) ])
 
 let flight_json (f : Flight.flight) =
   let open Json in
@@ -148,7 +148,9 @@ let flight_json (f : Flight.flight) =
       ("injected_at", Int f.Flight.injected_at);
       ("completed_at", Int f.Flight.completed_at);
       ( "dropped",
-        match f.Flight.dropped with None -> Null | Some r -> String r );
+        match f.Flight.dropped with
+        | None -> Null
+        | Some fate -> String (Flight.fate_name fate) );
       ("spans", List (List.map span_json f.Flight.spans));
     ]
 

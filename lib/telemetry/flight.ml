@@ -2,6 +2,20 @@ type handling = Cut_through | Store_forward | Local_delivery | Injected
 
 type token_check = No_token | Cache_hit | Cache_miss | Denied
 
+type fate =
+  | Malformed
+  | Down
+  | Parse_error
+  | Unauthorized
+  | Truncated
+  | Send_drop
+  | Aborted
+  | Misdelivered
+  | Purged
+  | Preempted
+  | No_handler
+  | Handler_error
+
 type span = {
   node : int;
   in_port : int;
@@ -11,7 +25,7 @@ type span = {
   queue_wait : Sim.Time.t;
   handling : handling;
   token : token_check;
-  drop : string option;
+  drop : fate option;
 }
 
 type flight = {
@@ -19,7 +33,7 @@ type flight = {
   injected_at : Sim.Time.t;
   completed_at : Sim.Time.t;
   spans : span list;
-  dropped : string option;
+  dropped : fate option;
 }
 
 type policy = { sample_every : int; capture_drops : bool; capacity : int }
@@ -45,7 +59,7 @@ type ctx = {
   is_sampled : bool;
   mutable rev_spans : span list;
   mutable token_note : token_check;
-  mutable drop_reason : string option;
+  mutable drop_fate : fate option;
   mutable finished : bool;
 }
 
@@ -97,7 +111,7 @@ let start t ~now =
           is_sampled;
           rev_spans = [];
           token_note = No_token;
-          drop_reason = None;
+          drop_fate = None;
           finished = false;
         }
     end
@@ -117,7 +131,7 @@ let commit c ~now ~store =
             injected_at = c.injected_at;
             completed_at = now;
             spans = List.rev c.rev_spans;
-            dropped = c.drop_reason;
+            dropped = c.drop_fate;
           };
       t.next <- (t.next + 1) mod Array.length t.ring;
       t.stored <- t.stored + 1
@@ -143,7 +157,7 @@ let hop c ~node ~in_port ~out_port ~arrival ~departure ~handling =
       :: c.rev_spans
   end
 
-let drop c ~node ~in_port ~now ~reason =
+let drop c ~node ~in_port ~now fate =
   if not c.finished then begin
     c.recorder.drops <- c.recorder.drops + 1;
     (* The drop span is recorded even on an unsampled context: a flight
@@ -158,10 +172,10 @@ let drop c ~node ~in_port ~now ~reason =
         queue_wait = 0;
         handling = Injected;
         token = c.token_note;
-        drop = Some reason;
+        drop = Some fate;
       }
       :: c.rev_spans;
-    c.drop_reason <- Some reason;
+    c.drop_fate <- Some fate;
     commit c ~now ~store:(c.is_sampled || c.recorder.policy.capture_drops)
   end
 
@@ -207,7 +221,7 @@ let import t carried =
         is_sampled = carried.carried_sampled;
         rev_spans = carried.carried_rev_spans;
         token_note = carried.carried_token;
-        drop_reason = None;
+        drop_fate = None;
         finished = false;
       }
   end
@@ -238,3 +252,17 @@ let token_name = function
   | Cache_hit -> "hit"
   | Cache_miss -> "miss"
   | Denied -> "denied"
+
+let fate_name = function
+  | Malformed -> "malformed"
+  | Down -> "down"
+  | Parse_error -> "parse_error"
+  | Unauthorized -> "unauthorized"
+  | Truncated -> "truncated"
+  | Send_drop -> "send_drop"
+  | Aborted -> "aborted"
+  | Misdelivered -> "misdelivered"
+  | Purged -> "purged"
+  | Preempted -> "preempted"
+  | No_handler -> "no_handler"
+  | Handler_error -> "handler_error"

@@ -6,8 +6,7 @@
     time, switching mode, token-cache outcome, departure time — mirroring
     how the VIPER trailer accumulates one reversed segment per hop. The
     context is completed at final delivery, or terminated with a drop span
-    carrying the same reason the dropping component counted on its drop
-    scoreboard.
+    carrying the packet's {!fate}, the one the world counted.
 
     Sampling keeps heavy runs cheap: with [sample_every = n] only every
     n-th packet records spans, but a context is still allocated for the
@@ -21,6 +20,22 @@ type handling = Cut_through | Store_forward | Local_delivery | Injected
 
 type token_check = No_token | Cache_hit | Cache_miss | Denied
 
+(** How a packet that was not delivered ended: the simulator's one loss
+    vocabulary, counted by the world and carried by the drop span. *)
+type fate =
+  | Malformed  (** bytes that fail to parse: damage in flight *)
+  | Down  (** arrived at a crashed router *)
+  | Parse_error  (** splice depth, unknown port group *)
+  | Unauthorized  (** token denied, or required but absent *)
+  | Truncated  (** an over-MTU packet that cannot be cut *)
+  | Send_drop  (** blocked, overflow, no link, or no port to copy to *)
+  | Aborted  (** its transmission was cut short before the receiver acted *)
+  | Misdelivered  (** reached a host its route does not end at *)
+  | Purged  (** queued, in flight or held by a node that crashed *)
+  | Preempted  (** its delivery cancelled by a preemptive frame *)
+  | No_handler  (** arrived at a node with no frame handler *)
+  | Handler_error  (** the receiving handler raised *)
+
 type span = {
   node : int;
   in_port : int;
@@ -30,7 +45,7 @@ type span = {
   queue_wait : Sim.Time.t;  (** departure - arrival *)
   handling : handling;
   token : token_check;
-  drop : string option;  (** drop spans only: the scoreboard reason *)
+  drop : fate option;  (** drop spans only: how the packet ended *)
 }
 
 type flight = {
@@ -38,7 +53,7 @@ type flight = {
   injected_at : Sim.Time.t;
   completed_at : Sim.Time.t;
   spans : span list;  (** route order *)
-  dropped : string option;  (** [None] = delivered *)
+  dropped : fate option;  (** [None] = delivered *)
 }
 
 type policy = {
@@ -74,10 +89,10 @@ val hop :
   departure:Sim.Time.t -> handling:handling -> unit
 (** Append this node's hop span (no-op on unsampled contexts). *)
 
-val drop : ctx -> node:int -> in_port:int -> now:Sim.Time.t -> reason:string -> unit
+val drop : ctx -> node:int -> in_port:int -> now:Sim.Time.t -> fate -> unit
 (** Terminate the flight with a drop span; recorded even when unsampled
     (if [capture_drops]), so drops are never invisible. Idempotent once
-    the flight finished. *)
+    the flight finished. Called by the world's loss call alone. *)
 
 val complete : ctx -> now:Sim.Time.t -> unit
 (** Final delivery. Commits the flight to the ring when sampled. *)
@@ -122,3 +137,6 @@ val recorded : t -> int
 
 val handling_name : handling -> string
 val token_name : token_check -> string
+
+val fate_name : fate -> string
+(** The snake-case name exports and drop tables show: ["send_drop"]. *)

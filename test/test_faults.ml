@@ -5,6 +5,7 @@
 module G = Topo.Graph
 module W = Netsim.World
 module Router = Sirpent.Router
+module Flight = Telemetry.Flight
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -81,6 +82,165 @@ let purge_drops_in_flight_and_queued () =
   Sim.Engine.run engine;
   check_int "nothing was delivered" 0 !received;
   check_int "purge counted" 5 (W.port_stats world ~node:a ~port:1).W.purged
+
+(* --- exactly one end per packet --- *)
+
+let record_flights world =
+  Flight.set_policy (W.flight world)
+    { Flight.sample_every = 1; capture_drops = true; capacity = 256 }
+
+(* A host purged 1 ms into a 1400 B cut-through transmission at 1 Mb/s:
+   the router switched the packet on long before, so the receiver gets
+   it and the purge is not its fate. The port still counts the aborted
+   transmission. *)
+let purge_after_delivery_counts_once () =
+  let slow = { props with G.bandwidth_bps = 1_000_000 } in
+  let g = G.create () in
+  let h1 = G.add_node g G.Host and h2 = G.add_node g G.Host in
+  let r = G.add_node g G.Router in
+  ignore (G.connect g h1 r slow);
+  ignore (G.connect g r h2 slow);
+  let engine = Sim.Engine.create () in
+  let world = W.create engine g in
+  record_flights world;
+  ignore (Router.create world ~node:r ());
+  let s1 = Sirpent.Host.create world ~node:h1 in
+  let s2 = Sirpent.Host.create world ~node:h2 in
+  ignore
+    (Sirpent.Host.send s1 ~route:(route_to g ~src:h1 ~dst:h2) ~data:(Bytes.make 1400 'p')
+       ());
+  Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 1) (fun () ->
+      check_int "one transmission aborted" 1 (W.purge_node world ~node:h1));
+  Sim.Engine.run engine;
+  check_int "port counts the purge" 1 (W.port_stats world ~node:h1 ~port:1).W.purged;
+  check_int "receiver got the packet" 1 (Sirpent.Host.received s2);
+  check_int "no purged fate" 0 (W.fate_count world Flight.Purged);
+  let fl = W.flight world in
+  check_int "its flight completed" 1 (Flight.completed fl);
+  check_int "and did not drop" 0 (Flight.dropped fl);
+  check_int "every packet delivered or given a fate" 0 (W.conservation world)
+
+(* A rate-control frame reaching a crashed router is counted as dropped
+   down, but it is a control message, not a packet: it has no fate. *)
+let control_frame_has_no_fate () =
+  let g = G.create () in
+  let h1 = G.add_node g G.Host and r = G.add_node g G.Router in
+  ignore (G.connect g h1 r props);
+  let engine = Sim.Engine.create () in
+  let world = W.create engine g in
+  let router = Router.create world ~node:r () in
+  Router.crash router;
+  let ctl = Sirpent.Congestion.Rate_ctl { congested_port = 2; rate_bps = 1e6 } in
+  ignore (W.send world ~node:h1 ~port:1 (W.fresh_frame world ~meta:ctl (Bytes.make 16 'c')));
+  Sim.Engine.run engine;
+  check_int "counted as dropped down" 1 (Router.stats router).Router.dropped_down;
+  check_int "no fate" 0 (W.fate_count world Flight.Down);
+  check_int "every packet delivered or given a fate" 0 (W.conservation world)
+
+(* A chain h1 - r1 - r2 - r3 - h2 with h3 on r1 and h4 on r3 for cross
+   traffic, under random faults: each router may crash and restart, may
+   store and forward or re-circulate through a delay line, and may run
+   rate control (whose control frames are not packets); one link may
+   flap, one may flip bits, h1 may be purged, and the four hosts send
+   VIPER and XSR packets of random size and priority (6 and 7 preempt).
+   Once the engine has run dry, every packet originated was delivered
+   or given a fate, and every flight ended exactly once — unless a crash
+   dropped packets a limiter held, which have no spans. *)
+let qcheck_conservation_under_faults =
+  let gen =
+    QCheck.Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* routers =
+        list_repeat 3
+          (quad
+             (opt (pair (int_range 0 20_000) (int_range 100 5_000)))
+             bool (int_bound 3) bool)
+      in
+      let* flap = opt (int_bound 5) and* ber = oneofl [ 0.0; 1e-5; 1e-4 ] in
+      let* ber_link = int_bound 5 and* purge = opt (int_range 0 20_000) in
+      let* sends =
+        list_size (int_range 10 60)
+          (let* src = int_bound 3 and* size = int_range 16 1400 in
+           let* priority = oneofl [ 0; 0; 0; 3; 6; 7 ] and* xsr = bool in
+           let* gap = int_range 0 800 in
+           return (src, size, priority, xsr, gap))
+      in
+      return (seed, routers, flap, ber, ber_link, purge, sends))
+  in
+  QCheck.Test.make ~name:"every packet ends once under random faults" ~count:40
+    (QCheck.make gen)
+    (fun (seed, routers, flap, ber, ber_link, purge, sends) ->
+      let g = G.create () in
+      let hosts = Array.init 4 (fun _ -> G.add_node g G.Host) in
+      let rs = Array.init 3 (fun _ -> G.add_node g G.Router) in
+      ignore (G.connect g hosts.(0) rs.(0) props);
+      ignore (G.connect g rs.(0) rs.(1) props);
+      ignore (G.connect g rs.(1) rs.(2) props);
+      ignore (G.connect g rs.(2) hosts.(1) props);
+      ignore (G.connect g hosts.(2) rs.(0) props);
+      ignore (G.connect g rs.(2) hosts.(3) props);
+      let links = Array.of_list (G.links g) in
+      let routes =
+        Array.init 4 (fun i -> route_to g ~src:hosts.(i) ~dst:hosts.(i lxor 1))
+      in
+      let engine = Sim.Engine.create () in
+      let world = W.create engine g in
+      record_flights world;
+      let inj = Faults.Injector.create ~seed:(Int64.of_int seed) world in
+      List.iteri
+        (fun i (crash, store_and_forward, blocked, rate_control) ->
+          let config =
+            {
+              Router.default_config with
+              Router.store_and_forward;
+              congestion =
+                (if rate_control then Some Sirpent.Congestion.default_config else None);
+              blocked =
+                (if blocked = 0 then
+                   Router.Delay_line { delay = Sim.Time.us 20; max_circuits = 3 }
+                 else Router.Buffer);
+            }
+          in
+          let r = Router.create ~config world ~node:rs.(i) () in
+          Option.iter
+            (fun (at, down_for) ->
+              Faults.Injector.crash_router_at inj ~at:(Sim.Time.us at)
+                ~down_for:(Sim.Time.us down_for) r)
+            crash)
+        routers;
+      let shosts = Array.map (fun h -> Sirpent.Host.create world ~node:h) hosts in
+      Option.iter
+        (fun l ->
+          Faults.Injector.flap_link inj ~until:(Sim.Time.ms 30) ~mean_up:(Sim.Time.ms 3)
+            ~mean_down:(Sim.Time.ms 1) links.(l))
+        flap;
+      if ber > 0.0 then
+        Faults.Injector.set_link_corruption inj ~link:links.(ber_link)
+          { Faults.Corrupt.ber; region = Faults.Corrupt.Any };
+      Option.iter
+        (fun at ->
+          Sim.Engine.schedule_at engine ~time:(Sim.Time.us at) (fun () ->
+              ignore (W.purge_node world ~node:hosts.(0))))
+        purge;
+      ignore
+        (List.fold_left
+           (fun time (src, size, priority, xsr, gap) ->
+             let time = time + Sim.Time.us gap in
+             Sim.Engine.schedule_at engine ~time (fun () ->
+                 let send = if xsr then Sirpent.Host.send_xsr else Sirpent.Host.send in
+                 ignore
+                   (send shosts.(src) ~route:routes.(src) ~priority
+                      ~data:(Bytes.make size 'f') ()));
+             time)
+           0 sends);
+      Sim.Engine.run engine;
+      let fl = W.flight world in
+      let unspanned = W.fate_count world Flight.Purged
+        - List.length
+            (List.filter (fun f -> f.Flight.dropped = Some Flight.Purged) (Flight.flights fl))
+      in
+      W.conservation world = 0
+      && Flight.started fl = Flight.completed fl + Flight.dropped fl + unspanned)
 
 (* --- region-aimed corruption through a router --- *)
 
@@ -253,7 +413,8 @@ let crash_wipes_limiter_soft_state () =
       check_int "fresh limiter installs" 1 (C.limiters c));
   Sim.Engine.run ~until:(Sim.Time.ms 50) engine;
   check_bool "router back up" true (Router.up router);
-  check_int "held packets never leaked out" 0 !leaked
+  check_int "held packets never leaked out" 0 !leaked;
+  check_int "held packets are purged fates" 2 (W.fate_count world Flight.Purged)
 
 (* --- flapping links --- *)
 
@@ -404,7 +565,8 @@ let fault_matrix () =
       let st = Router.stats r in
       check_bool "counters non-negative" true
         (st.Router.dropped_malformed >= 0 && st.Router.dropped_down >= 0))
-    routers
+    routers;
+  check_int "every packet delivered or given a fate" 0 (W.conservation world)
 
 let () =
   Alcotest.run "faults"
@@ -441,4 +603,11 @@ let () =
             frozen_directory_serves_dead_routes;
         ] );
       ("fault matrix", [ Alcotest.test_case "all faults at once" `Quick fault_matrix ]);
+      ( "packet fates",
+        [
+          Alcotest.test_case "purge after delivery counts once" `Quick
+            purge_after_delivery_counts_once;
+          Alcotest.test_case "control frame has no fate" `Quick control_frame_has_no_fate;
+          Seeded.to_alcotest qcheck_conservation_under_faults;
+        ] );
     ]

@@ -53,7 +53,7 @@ let tunnel_route ~gw_b_node ~b_dst =
   }
 
 let crosses_the_cloud () =
-  let _, engine, _, h_src, h_dst, gwa, gwb, gw_b, b_dst = build () in
+  let _, engine, world, h_src, h_dst, gwa, gwb, gw_b, b_dst = build () in
   let got = ref None in
   Sirpent.Host.set_receive h_dst (fun _ ~packet ~in_port:_ -> got := Some packet);
   let route = tunnel_route ~gw_b_node:gw_b ~b_dst in
@@ -66,7 +66,9 @@ let crosses_the_cloud () =
     (* trailer: gwA's sirpent-side entry, then gwB's tunnel entry *)
     check_int "two trailer hops" 2 (List.length (Viper.Packet.trailer p)));
   check_int "gwA encapsulated" 1 (Interop.Gateway.stats gwa).Interop.Gateway.encapsulated;
-  check_int "gwB decapsulated" 1 (Interop.Gateway.stats gwb).Interop.Gateway.decapsulated
+  check_int "gwB decapsulated" 1 (Interop.Gateway.stats gwb).Interop.Gateway.decapsulated;
+  (* handed off into the cloud at gwA, originated again at gwB *)
+  check_int "every packet delivered or handed off" 0 (W.conservation world)
 
 let reply_re_enters_tunnel () =
   let _, engine, _, h_src, h_dst, gwa, gwb, gw_b, b_dst = build () in
@@ -119,7 +121,7 @@ let vmtp_transaction_through_tunnel () =
   check_bool "transaction over the tunnel" true !ok
 
 let bad_tunnel_info_counted () =
-  let _, engine, _, h_src, h_dst, gwa, _, _, b_dst = build () in
+  let _, engine, world, h_src, h_dst, gwa, _, _, b_dst = build () in
   Sirpent.Host.set_receive h_dst (fun _ ~packet:_ ~in_port:_ -> ());
   (* tunnel segment with garbage info (wrong length) *)
   let route =
@@ -136,7 +138,10 @@ let bad_tunnel_info_counted () =
   ignore (Sirpent.Host.send h_src ~route ~data:(Bytes.of_string "lost") ());
   Sim.Engine.run engine;
   check_int "not delivered" 0 (Sirpent.Host.received h_dst);
-  check_int "counted" 1 (Interop.Gateway.stats gwa).Interop.Gateway.bad_tunnel_info
+  check_int "counted" 1 (Interop.Gateway.stats gwa).Interop.Gateway.bad_tunnel_info;
+  (* the tunnel refused it, so the router dropped it as malformed *)
+  check_int "a malformed fate" 1 (W.fate_count world Telemetry.Flight.Malformed);
+  check_int "every packet delivered or given a fate" 0 (W.conservation world)
 
 let sirpent_side_still_routes () =
   (* the gateway node is a full Sirpent router for non-tunnel traffic *)

@@ -410,7 +410,10 @@ let run_cluster ?epoch ?(faults = false) ?(regions = 4) ~shards ~until () =
   (* a handler exception is swallowed and counted by the world: every
      cluster run must end with none *)
   for r = 0 to S.regions cluster - 1 do
-    check_int "no handler raised" 0 (W.total_handler_errors (S.world cluster r))
+    check_int "no handler raised" 0 (W.total_handler_errors (S.world cluster r));
+    (* traffic ends by ~22 ms: every packet of every region world was
+       delivered, handed to the next region or given a fate *)
+    check_int "every packet accounted" 0 (W.conservation (S.world cluster r))
   done;
   {
     stats;

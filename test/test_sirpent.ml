@@ -31,6 +31,12 @@ let chain ?config n_routers =
   let host2 = Sirpent.Host.create world ~node:h2 in
   (g, engine, world, host1, host2, router_objs)
 
+(* Run the engine dry; then every packet the world originated has been
+   delivered or given a fate. *)
+let run_dry engine w =
+  Sim.Engine.run engine;
+  check_int "every packet delivered or given a fate" 0 (W.conservation w)
+
 let metric (_ : G.link) = 1.0
 
 let route_between g ~src ~dst =
@@ -39,12 +45,12 @@ let route_between g ~src ~dst =
   | None -> Alcotest.fail "no path"
 
 let delivery_end_to_end () =
-  let g, engine, _w, h1, h2, _ = chain 3 in
+  let g, engine, w, h1, h2, _ = chain 3 in
   let route = route_between g ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2) in
   let got = ref None in
   Sirpent.Host.set_receive h2 (fun _ ~packet ~in_port:_ -> got := Some packet);
   ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.of_string "hello sirpent") ());
-  Sim.Engine.run engine;
+  run_dry engine w;
   match !got with
   | None -> Alcotest.fail "not delivered"
   | Some p ->
@@ -52,7 +58,7 @@ let delivery_end_to_end () =
     check_int "trailer hops = routers" 3 (List.length (Viper.Packet.trailer p))
 
 let reply_via_trailer () =
-  let g, engine, _w, h1, h2, routers = chain 4 in
+  let g, engine, w, h1, h2, routers = chain 4 in
   let route = route_between g ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2) in
   let reply_data = ref None in
   Sirpent.Host.set_receive h2 (fun h ~packet ~in_port ->
@@ -60,7 +66,7 @@ let reply_via_trailer () =
   Sirpent.Host.set_receive h1 (fun _ ~packet ~in_port:_ ->
       reply_data := Some (Bytes.to_string packet.Viper.Packet.data));
   ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.of_string "ping") ());
-  Sim.Engine.run engine;
+  run_dry engine w;
   Alcotest.(check (option string)) "pong" (Some "pong") !reply_data;
   (* each router forwarded twice: once per direction *)
   Array.iter
@@ -103,7 +109,7 @@ let reply_refuses_unanswerable () =
   Sirpent.Host.set_receive h1 (fun _ ~packet:_ ~in_port:_ -> incr replies);
   let route = route_between g ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2) in
   ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.of_string "ask") ());
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "both replies tried" 2 (List.length !results);
   check_bool "both are errors" true (List.for_all Result.is_error !results);
   check_int "no handler raised" 0 (W.total_handler_errors world);
@@ -113,12 +119,12 @@ let reply_refuses_unanswerable () =
 let cut_through_beats_store_and_forward () =
   (* Same 5-router chain; cut-through vs forced store-and-forward. *)
   let run config =
-    let g, engine, _w, h1, h2, _ = chain ?config 5 in
+    let g, engine, w, h1, h2, _ = chain ?config 5 in
     let route = route_between g ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2) in
     let arrival = ref 0 in
     Sirpent.Host.set_receive h2 (fun _ ~packet:_ ~in_port:_ -> arrival := Sim.Engine.now engine);
     ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 1000 'x') ());
-    Sim.Engine.run engine;
+    run_dry engine w;
     !arrival
   in
   let cut = run None in
@@ -231,11 +237,11 @@ let token_required_rejects_bare () =
   let config =
     { Sirpent.Router.default_config with Sirpent.Router.require_tokens = true }
   in
-  let g, engine, _w, h1, h2, routers = chain ~config 1 in
+  let g, engine, w, h1, h2, routers = chain ~config 1 in
   let route = route_between g ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2) in
   Sirpent.Host.set_receive h2 (fun _ ~packet:_ ~in_port:_ -> ());
   ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.of_string "no token") ());
-  Sim.Engine.run engine;
+  run_dry engine w;
   check_int "nothing delivered" 0 (Sirpent.Host.received h2);
   check_int "counted unauthorized" 1
     (Sirpent.Router.stats routers.(0)).Sirpent.Router.unauthorized
@@ -244,7 +250,7 @@ let token_valid_admits_and_accounts () =
   let config =
     { Sirpent.Router.default_config with Sirpent.Router.require_tokens = true }
   in
-  let g, engine, _w, h1, h2, routers = chain ~config 1 in
+  let g, engine, w, h1, h2, routers = chain ~config 1 in
   let rnode = Sirpent.Router.node routers.(0) in
   let hops = Option.get (G.shortest_path g ~metric ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2)) in
   let out_port = (List.nth hops 1).G.out in
@@ -267,7 +273,7 @@ let token_valid_admits_and_accounts () =
   ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 100 'a') ());
   Sim.Engine.schedule engine ~delay:(Sim.Time.ms 10) (fun () ->
       ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 100 'b') ()));
-  Sim.Engine.run engine;
+  run_dry engine w;
   check_int "both delivered" 2 (Sirpent.Host.received h2);
   let ledger = Sirpent.Router.ledger routers.(0) in
   let usage = Token.Account.usage ledger ~account:777 in
@@ -277,7 +283,7 @@ let forged_token_blocked_after_verification () =
   let config =
     { Sirpent.Router.default_config with Sirpent.Router.require_tokens = true }
   in
-  let g, engine, _w, h1, h2, routers = chain ~config 1 in
+  let g, engine, w, h1, h2, routers = chain ~config 1 in
   let hops = Option.get (G.shortest_path g ~metric ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2)) in
   let bad = Token.Capability.to_bytes (Token.Capability.forged ()) in
   let route = Sirpent.Route.of_hops ~tokens:[ bad ] g ~src:(Sirpent.Host.node h1) hops in
@@ -288,10 +294,30 @@ let forged_token_blocked_after_verification () =
     Sim.Engine.schedule engine ~delay:(i * Sim.Time.ms 5) (fun () ->
         ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 10 'x') ()))
   done;
-  Sim.Engine.run engine;
+  run_dry engine w;
   check_int "only the optimistic packet leaked" 1 (Sirpent.Host.received h2);
   check_bool "rest unauthorized" true
     ((Sirpent.Router.stats routers.(0)).Sirpent.Router.unauthorized >= 4)
+
+(* Optimistic admission forwards a forged token's packet at once; the
+   background verification then fails. That is counted on its own row,
+   not as a fate: the packet was delivered. *)
+let forged_token_failed_verification_counted () =
+  let g, engine, w, h1, h2, routers = chain 1 in
+  let src = Sirpent.Host.node h1 in
+  let hops = Option.get (G.shortest_path g ~metric ~src ~dst:(Sirpent.Host.node h2)) in
+  let bad = Token.Capability.to_bytes (Token.Capability.forged ()) in
+  let route = Sirpent.Route.of_hops ~tokens:[ bad ] g ~src hops in
+  ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 10 'x') ());
+  run_dry engine w;
+  let st = Sirpent.Router.stats routers.(0) in
+  check_int "forwarded once" 1 st.Sirpent.Router.forwarded;
+  check_int "delivered" 1 (Sirpent.Host.received h2);
+  check_int "failed verification counted once" 1
+    (Telemetry.Merge.counter_value
+       ~labels:[ ("node", string_of_int (Sirpent.Router.node routers.(0))) ]
+       (Telemetry.Registry.snapshot (W.metrics w))
+       "router_verify_failures")
 
 let block_policy_defers () =
   let config =
@@ -301,7 +327,7 @@ let block_policy_defers () =
       token_policy = Token.Cache.Block;
     }
   in
-  let g, engine, _w, h1, h2, routers = chain ~config 1 in
+  let g, engine, w, h1, h2, routers = chain ~config 1 in
   let rnode = Sirpent.Router.node routers.(0) in
   let hops = Option.get (G.shortest_path g ~metric ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2)) in
   let out_port = (List.nth hops 1).G.out in
@@ -321,7 +347,7 @@ let block_policy_defers () =
   let route = Sirpent.Route.of_hops ~tokens:[ tok ] g ~src:(Sirpent.Host.node h1) hops in
   Sirpent.Host.set_receive h2 (fun _ ~packet:_ ~in_port:_ -> ());
   ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 10 'x') ());
-  Sim.Engine.run engine;
+  run_dry engine w;
   check_int "delivered after deferral" 1 (Sirpent.Host.received h2);
   check_int "was deferred" 1 (Sirpent.Router.stats routers.(0)).Sirpent.Router.deferred
 
@@ -349,7 +375,7 @@ let dib_dropped_when_blocked () =
       ignore
         (Sirpent.Host.send host_b ~route:route_b ~drop_if_blocked:true
            ~data:(Bytes.make 1400 'B') ()));
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "only A delivered" 1 (Sirpent.Host.received host_c)
 
 let preemption_by_priority_7 () =
@@ -379,7 +405,7 @@ let preemption_by_priority_7 () =
       ignore
         (Sirpent.Host.send host_b ~route:route_b ~priority:7
            ~data:(Bytes.make 100 'B') ()));
-  Sim.Engine.run engine;
+  run_dry engine world;
   Alcotest.(check string) "urgent first" "B" !received_first;
   (* A's packet was killed in flight: only B arrives. *)
   check_int "one delivery" 1 (Sirpent.Host.received host_c)
@@ -412,7 +438,7 @@ let upstream_preemption_marks_only_its_link () =
       ignore
         (Sirpent.Host.send host_a ~route:(route_between g ~src:ha ~dst:hd) ~priority:7
            ~data:(Bytes.make 100 'B') ()));
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "A was preempted on the host's link" 1
     (W.port_stats world ~node:ha ~port:1).W.preempted;
   check_int "B delivered" 1 (Sirpent.Host.received host_d);
@@ -442,7 +468,7 @@ let broadcast_port_copies () =
     }
   in
   ignore (Sirpent.Host.send shosts.(0) ~route ~data:(Bytes.of_string "bcast") ());
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "other two got it" 1 (Sirpent.Host.received shosts.(1));
   check_int "other two got it (2)" 1 (Sirpent.Host.received shosts.(2));
   check_int "sender did not" 0 (Sirpent.Host.received shosts.(0))
@@ -466,7 +492,7 @@ let group_port_copies () =
     }
   in
   ignore (Sirpent.Host.send shosts.(0) ~route ~data:(Bytes.of_string "grp") ());
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "host1" 1 (Sirpent.Host.received shosts.(1));
   check_int "host2" 1 (Sirpent.Host.received shosts.(2));
   check_int "host3 not in group" 0 (Sirpent.Host.received shosts.(3))
@@ -492,7 +518,7 @@ let tree_multicast_splits () =
   let tree = Viper.Multicast.tree_segment ~branches:[ branch p1; branch p2 ] () in
   let route = { Sirpent.Route.first_port = 1; segments = [ tree ] } in
   ignore (Sirpent.Host.send s0 ~route ~data:(Bytes.of_string "tree") ());
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "branch 1" 1 (Sirpent.Host.received s1);
   check_int "branch 2" 1 (Sirpent.Host.received s2)
 
@@ -530,7 +556,7 @@ let logical_group_balances () =
   for _ = 1 to 6 do
     ignore (Sirpent.Host.send s1 ~route ~data:(Bytes.make 1200 'z') ())
   done;
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "all delivered" 6 (Sirpent.Host.received s2);
   let sent p = (W.port_stats world ~node:r1 ~port:p).W.sent_frames in
   check_bool "both trunks used" true (sent t1 > 0 && sent t2 > 0)
@@ -556,7 +582,7 @@ let logical_splice_expands () =
     }
   in
   ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.of_string "spliced") ());
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "delivered through expansion" 1 (Sirpent.Host.received h2);
   check_int "splice counted" 1 (Sirpent.Router.stats r1).Sirpent.Router.spliced
 
@@ -696,7 +722,7 @@ let delay_line_recirculates () =
   ignore (Sirpent.Host.send host_a ~route:route_a ~data:(Bytes.make 1400 'A') ());
   Sim.Engine.schedule engine ~delay:(Sim.Time.us 300) (fun () ->
       ignore (Sirpent.Host.send host_b ~route:route_b ~data:(Bytes.make 200 'B') ()));
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "both delivered" 2 (Sirpent.Host.received host_c);
   check_bool "packet circulated" true
     ((Sirpent.Router.stats router).Sirpent.Router.delay_line_circuits > 0);
@@ -731,7 +757,7 @@ let delay_line_drops_after_max_circuits () =
       ignore
         (Sirpent.Host.send host_b ~route:(route_between g ~src:hb ~dst:hc)
            ~data:(Bytes.make 200 'B') ()));
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "only A delivered" 1 (Sirpent.Host.received host_c);
   check_int "3 circuits" 3 (Sirpent.Router.stats router).Sirpent.Router.delay_line_circuits;
   check_bool "then dropped" true ((Sirpent.Router.stats router).Sirpent.Router.send_drops > 0)
@@ -769,7 +795,7 @@ let multicast_agent_explodes () =
     (Sirpent.Host.send h_src
        ~route:(route_between g ~src ~dst:agent)
        ~data:(Bytes.of_string "to the group") ());
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "member 1" 1 (Sirpent.Host.received h_m1);
   check_int "member 2" 1 (Sirpent.Host.received h_m2)
 
@@ -810,7 +836,7 @@ let multihomed_host_survives_interface_failure () =
 
 let misrouted_packet_counted () =
   (* Deliver a packet whose final segment is not local: host counts it. *)
-  let g, engine, _w, h1, h2, _ = chain 1 in
+  let g, engine, w, h1, h2, _ = chain 1 in
   let hops = Option.get (G.shortest_path g ~metric ~src:(Sirpent.Host.node h1) ~dst:(Sirpent.Host.node h2)) in
   (* Build a route whose last segment names port 5 instead of local. *)
   let segments =
@@ -825,7 +851,7 @@ let misrouted_packet_counted () =
   in
   Sirpent.Host.set_receive h2 (fun _ ~packet:_ ~in_port:_ -> ());
   ignore (Sirpent.Host.send h1 ~route:segments ~data:(Bytes.of_string "stray") ());
-  Sim.Engine.run engine;
+  run_dry engine w;
   check_int "not accepted" 0 (Sirpent.Host.received h2);
   check_int "counted misdelivered" 1 (Sirpent.Host.misdelivered h2)
 
@@ -866,9 +892,10 @@ let router_local_delivery () =
     in
     if damaged then
       Bytes.set buf trailer_at (Char.chr (Char.code (Bytes.get buf trailer_at) lxor 0x04));
-    let frame = { (W.fresh_frame world buf) with Netsim.Frame.len } in
+    let flight = W.originate world in
+    let frame = { (W.fresh_frame world ?flight buf) with Netsim.Frame.len } in
     ignore (W.send world ~node:src ~port:route.Sirpent.Route.first_port frame);
-    Sim.Engine.run engine;
+    run_dry engine world;
     check_int "no handler raised" 0 (W.total_handler_errors world);
     let delivered =
       Array.fold_left
@@ -920,7 +947,7 @@ let xsr_hop_allocation () =
     end
   in
   tick ();
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "every packet delivered" (warmup + measured) !received;
   let per_frame = float_of_int !words /. float_of_int measured in
   if per_frame > 15.4 then
@@ -962,7 +989,7 @@ let viper_hop_allocation () =
     end
   in
   tick ();
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "every packet delivered" (warmup + measured) !received;
   let per_frame = float_of_int !words /. float_of_int measured in
   let per_send = float_of_int !send_words /. float_of_int measured in
@@ -974,10 +1001,12 @@ let viper_hop_allocation () =
 
 (* ---- drop reasons ---- *)
 
-(* Every router drop reason, one case each: the router's counter moves by
-   one, both in [stats] and in its [router_*] row of the world's registry,
-   and the dropped packet's flight ends in a drop span at the router
-   carrying the same reason. Hosts a and b feed router r, whose port 3
+(* Every fate, one case each: the world's count of that fate moves by
+   one; where the fate has a router row, the router's counter moves by
+   one, both in [stats] and in its [router_*] row of the world's
+   registry; exactly one flight ends, in a drop span carrying the fate at
+   the node that lost the packet; and every packet originated is
+   delivered or given a fate. Hosts a and b feed router r, whose port 3
    leads to host c. *)
 let drop_reasons_match_scoreboard () =
   let module R = Sirpent.Router in
@@ -990,7 +1019,7 @@ let drop_reasons_match_scoreboard () =
   in
   let to_c = route [ 3 ] in
   let raw w h payload =
-    let flight = Flight.start (W.flight w) ~now:(W.now w) in
+    let flight = W.originate w in
     ignore (W.send w ~node:(Sirpent.Host.node h) ~port:1 (W.fresh_frame w ?flight payload))
   in
   let damaged_xsr () =
@@ -998,43 +1027,84 @@ let drop_reasons_match_scoreboard () =
     Bytes.set b 6 (Char.chr (Char.code (Bytes.get b 6) lxor 1));
     b
   in
-  let send h ?drop_if_blocked ~route n =
-    ignore (Sirpent.Host.send h ~route ?drop_if_blocked ~data:(Bytes.make n 'd') ())
+  let send h ?priority ?drop_if_blocked ~route n =
+    let data = Bytes.make n 'd' in
+    ignore (Sirpent.Host.send h ~route ?priority ?drop_if_blocked ~data ())
   in
   let send_xsr h n =
     ignore (Sirpent.Host.send_xsr h ~route:to_c ~data:(Bytes.make n 'x') ())
   in
+  let later engine us f = Sim.Engine.schedule engine ~delay:(Sim.Time.us us) f in
   let require_tokens = { R.default_config with R.require_tokens = true } in
+  let store_and_forward = { R.default_config with R.store_and_forward = true } in
+  let malformed = Some ("dropped_malformed", fun s -> s.R.dropped_malformed) in
+  let send_drops = Some ("send_drops", fun s -> s.R.send_drops) in
+  (* where the packet is lost: the router, host a or host c *)
+  let at_r (_, r, _) = r and at_a (a, _, _) = a and at_c (_, _, c) = c in
   let cases =
     [
-      ( "viper malformed", R.default_config, "malformed",
-        "dropped_malformed", (fun s -> s.R.dropped_malformed),
+      ( "viper malformed", R.default_config, Flight.Malformed, malformed, at_r,
         fun w _ _ a _ -> raw w a (Bytes.of_string "\005") );
-      ( "xsr malformed", R.default_config, "malformed",
-        "dropped_malformed", (fun s -> s.R.dropped_malformed),
+      ( "xsr malformed", R.default_config, Flight.Malformed, malformed, at_r,
         fun w _ _ a _ -> raw w a (damaged_xsr ()) );
-      ( "xsr over mtu", R.default_config, "truncated",
-        "truncated", (fun s -> s.R.truncated),
+      ( "xsr over mtu", R.default_config, Flight.Truncated,
+        Some ("truncated", fun s -> s.R.truncated), at_r,
         fun _ _ _ a _ -> send_xsr a 1600 );
-      ( "xsr without token", require_tokens, "unauthorized",
-        "unauthorized", (fun s -> s.R.unauthorized),
+      ( "xsr without token", require_tokens, Flight.Unauthorized,
+        Some ("unauthorized", fun s -> s.R.unauthorized), at_r,
         fun _ _ _ a _ -> send_xsr a 64 );
-      ( "router down", R.default_config, "down",
-        "dropped_down", (fun s -> s.R.dropped_down),
+      ( "router down", R.default_config, Flight.Down,
+        Some ("dropped_down", fun s -> s.R.dropped_down), at_r,
         fun _ _ r a _ -> R.crash r; send a ~route:to_c 64 );
-      ( "unknown group", R.default_config, "parse_error",
-        "parse_errors", (fun s -> s.R.parse_errors),
+      ( "unknown group", R.default_config, Flight.Parse_error,
+        Some ("parse_errors", fun s -> s.R.parse_errors), at_r,
         fun _ _ _ a _ -> send a ~route:(route [ 241 ]) 64 );
-      ( "blocked", R.default_config, "send_drop",
-        "send_drops", (fun s -> s.R.send_drops),
+      ( "blocked", R.default_config, Flight.Send_drop, send_drops, at_r,
         fun _ engine _ a b ->
           send b ~route:to_c 1400;
-          Sim.Engine.schedule engine ~delay:(Sim.Time.us 300) (fun () ->
-              send a ~drop_if_blocked:true ~route:to_c 1400) );
+          later engine 300 (fun () -> send a ~drop_if_blocked:true ~route:to_c 1400) );
+      (* a's packet is switched on to c at once; b's priority-7 packet
+         preempts it on r's port 3 after its head reached c, so c finds
+         a runt at the tail *)
+      ( "host aborted", R.default_config, Flight.Aborted, None, at_c,
+        fun _ engine _ a b ->
+          send a ~route:to_c 1400;
+          later engine 300 (fun () -> send b ~priority:7 ~route:to_c 64) );
+      ( "misdelivered", R.default_config, Flight.Misdelivered, None, at_c,
+        fun _ _ _ a _ -> send a ~route:(route [ 3; 7 ]) 64 );
+      ( "host send refused", R.default_config, Flight.Send_drop, None, at_a,
+        fun _ _ _ a _ ->
+          send a ~route:to_c 1400;
+          send a ~drop_if_blocked:true ~route:to_c 64 );
+      (* a's own priority-7 packet preempts its first one 1 us in, before
+         that one's head crosses the 5 us link *)
+      ( "preempted before head", R.default_config, Flight.Preempted, None, at_a,
+        fun _ engine _ a _ ->
+          send a ~route:to_c 1400;
+          later engine 1 (fun () -> send a ~priority:7 ~route:to_c 64) );
+      ( "purged", R.default_config, Flight.Purged, None, at_a,
+        fun w engine _ a _ ->
+          send a ~route:to_c 1400;
+          later engine 1 (fun () ->
+              ignore (W.purge_node w ~node:(Sirpent.Host.node a))) );
+      (* the packet's tail reaches r at ~97 us and r would act 50 us
+         later; r crashes in between *)
+      ( "crash-voided", store_and_forward, Flight.Purged, None, at_r,
+        fun _ engine r a _ ->
+          send a ~route:to_c 100;
+          later engine 120 (fun () -> R.crash r) );
+      (* r's port 1 leads to a; with its other links down, a broadcast
+         from a has no port to go to *)
+      ( "zero-port broadcast", R.default_config, Flight.Send_drop, send_drops, at_r,
+        fun w _ r a _ ->
+          List.iter
+            (fun (port, l) -> if port <> 1 then W.fail_link w l)
+            (G.ports (W.graph w) (R.node r));
+          send a ~route:(route [ Seg.broadcast_port ]) 64 );
     ]
   in
   List.iter
-    (fun (name, config, reason, row, counter, act) ->
+    (fun (name, config, fate, row, where, act) ->
       let g = G.create () in
       let ha = G.add_node g G.Host and hb = G.add_node g G.Host in
       let r = G.add_node g G.Router in
@@ -1049,25 +1119,36 @@ let drop_reasons_match_scoreboard () =
       let router = R.create ~config w ~node:r () in
       let a = Sirpent.Host.create w ~node:ha and b = Sirpent.Host.create w ~node:hb in
       ignore (Sirpent.Host.create w ~node:hc);
-      let cell () =
+      let cell row =
         Telemetry.Merge.counter_value ~labels:[ ("node", string_of_int r) ]
           (Telemetry.Registry.snapshot (W.metrics w))
           ("router_" ^ row)
       in
-      let before = counter (R.stats router) and cell_before = cell () in
+      let rows_before =
+        Option.map (fun (row, counter) -> (counter (R.stats router), cell row)) row
+      in
+      let fates_before = W.fate_count w fate in
       act w engine router a b;
       Sim.Engine.run engine;
-      check_int (name ^ ": counter +1") (before + 1) (counter (R.stats router));
-      check_int (name ^ ": registry row +1") (cell_before + 1) (cell ());
+      check_int (name ^ ": fate count +1") (fates_before + 1) (W.fate_count w fate);
+      (match (row, rows_before) with
+      | Some (row, counter), Some (before, cell_before) ->
+        check_int (name ^ ": counter +1") (before + 1) (counter (R.stats router));
+        check_int (name ^ ": registry row +1") (cell_before + 1) (cell row)
+      | _ -> ());
+      check_int (name ^ ": every packet accounted") 0 (W.conservation w);
+      let name_of = Option.map Flight.fate_name in
+      let expected = Some (Flight.fate_name fate) in
       match List.filter (fun f -> f.Flight.dropped <> None) (Flight.flights (W.flight w)) with
       | [ f ] -> (
-        Alcotest.(check (option string)) (name ^ ": flight reason") (Some reason)
-          f.Flight.dropped;
+        Alcotest.(check (option string)) (name ^ ": flight fate") expected
+          (name_of f.Flight.dropped);
         match List.rev f.Flight.spans with
         | last :: _ ->
-          Alcotest.(check (option string)) (name ^ ": drop span") (Some reason)
-            last.Flight.drop;
-          check_int (name ^ ": dropped at the router") r last.Flight.node
+          Alcotest.(check (option string)) (name ^ ": drop span") expected
+            (name_of last.Flight.drop);
+          check_int (name ^ ": dropped where it was lost") (where (ha, r, hc))
+            last.Flight.node
         | [] -> Alcotest.failf "%s: no spans" name)
       | fs -> Alcotest.failf "%s: %d dropped flights" name (List.length fs))
     cases
@@ -1205,6 +1286,8 @@ let () =
           Alcotest.test_case "forged blocked after verification" `Quick
             forged_token_blocked_after_verification;
           Alcotest.test_case "block policy defers" `Quick block_policy_defers;
+          Alcotest.test_case "failed verification counted" `Quick
+            forged_token_failed_verification_counted;
         ] );
       ( "type of service",
         [

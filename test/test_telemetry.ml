@@ -173,11 +173,12 @@ let flight_drop_reason_matches_scoreboard () =
   | [ f ] -> (
     Alcotest.(check (option string))
       "flight carries the scoreboard reason" (Some "unauthorized")
-      f.Flight.dropped;
+      (Option.map Flight.fate_name f.Flight.dropped);
     match List.rev f.Flight.spans with
     | last :: _ ->
       Alcotest.(check (option string))
-        "drop span reason" (Some "unauthorized") last.Flight.drop;
+        "drop span reason" (Some "unauthorized")
+        (Option.map Flight.fate_name last.Flight.drop);
       check_int "dropped at the rejecting router"
         (Sirpent.Router.node routers.(0))
         last.Flight.node;

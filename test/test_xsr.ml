@@ -155,6 +155,12 @@ let chain n_routers =
   let host2 = Sirpent.Host.create world ~node:h2 in
   (g, engine, world, host1, host2, router_objs)
 
+(* Run the engine dry; then every packet the world originated has been
+   delivered or given a fate. *)
+let run_dry engine w =
+  Sim.Engine.run engine;
+  check_int "every packet delivered or given a fate" 0 (W.conservation w)
+
 let metric (_ : G.link) = 1.0
 
 let route_between g ~src ~dst =
@@ -170,7 +176,7 @@ let xsr_end_to_end () =
   let got = ref None in
   Sirpent.Host.set_receive h2 (fun _ ~packet ~in_port:_ -> got := Some packet);
   ignore (Sirpent.Host.send_xsr h1 ~route ~data:(Bytes.of_string "over xsr") ());
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "no handler raised" 0 (W.total_handler_errors world);
   match !got with
   | None -> Alcotest.fail "not delivered"
@@ -197,7 +203,7 @@ let xsr_reply_over_viper () =
   Sirpent.Host.set_receive h1 (fun _ ~packet ~in_port:_ ->
       reply_data := Some (Bytes.to_string packet.Viper.Packet.data));
   ignore (Sirpent.Host.send_xsr h1 ~route ~data:(Bytes.of_string "ping") ());
-  Sim.Engine.run engine;
+  run_dry engine world;
   check_int "no handler raised" 0 (W.total_handler_errors world);
   Alcotest.(check (option string)) "pong over viper" (Some "pong") !reply_data
 
@@ -211,11 +217,11 @@ let xsr_corruption_counted_never_misrouted () =
   in
   (* flip one bit in a forwarding lane before it leaves the host *)
   Bytes.set payload 6 (Char.chr (Char.code (Bytes.get payload 6) lxor 0x10));
-  let frame = W.fresh_frame world payload in
+  let frame = W.fresh_frame world ?flight:(W.originate world) payload in
   ignore
     (W.send world ~node:(Sirpent.Host.node h1) ~port:route.Sirpent.Route.first_port
        frame);
-  Sim.Engine.run engine;
+  run_dry engine world;
   let s = Sirpent.Router.stats routers.(0) in
   check_int "counted dropped_malformed" 1 s.Sirpent.Router.dropped_malformed;
   check_int "never forwarded" 0 s.Sirpent.Router.forwarded;
