@@ -30,8 +30,7 @@ let run_case ~n_trunks ~use_logical =
   ignore (Sirpent.Router.create world ~node:_r2 ());
   let logical_port = 100 in
   if use_logical then
-    Sirpent.Logical.set (Sirpent.Router.logical router1) ~port:logical_port
-      (Sirpent.Logical.Group trunks);
+    Sirpent.Router.set_port router1 ~port:logical_port (Group trunks);
   let h_src = Sirpent.Host.create world ~node:src in
   let h_dst = Sirpent.Host.create world ~node:dst in
   let finish = ref 0 in

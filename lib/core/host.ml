@@ -1,6 +1,5 @@
 module G = Topo.Graph
 module W = Netsim.World
-module Seg = Viper.Segment
 module Pkt = Viper.Packet
 module C = Telemetry.Registry.Counter
 module Flight = Telemetry.Flight
@@ -110,13 +109,15 @@ let transmit t ~port frame =
   result
 
 (* Put the first [len] bytes of [payload] on the wire out [port] through
-   the host's limiter; [next_port] is the queue the first router sends
-   it to ([-1] for none). The packet is originated where it enters the
-   internetwork, before any limiter hold. A packet the limiter admits at
-   once is sent without a closure; a held one is queued in the limiter
-   and reports [Queued], unless the limiter releases it on the spot. *)
-let inject t ~port ~next_port ~priority ~drop_if_blocked ~len payload =
+   the host's limiter, keyed by the queue the first router sends it to:
+   {!Pkt.next_port} of the bytes sent, the rule routers key theirs by.
+   The packet is originated where it enters the internetwork, before any
+   limiter hold. A packet the limiter admits at once is sent without a
+   closure; a held one is queued in the limiter and reports [Queued],
+   unless the limiter releases it on the spot. *)
+let inject t ~port ~priority ~drop_if_blocked ~len payload =
   let flight = W.originate t.world in
+  let next_port = Pkt.next_port payload ~off:0 ~len in
   if Congestion.admit t.limiter ~out_port:port ~next_port ~bytes:len then
     transmit t ~port (frame ~priority ~drop_if_blocked ~flight ~len payload)
   else begin
@@ -136,8 +137,7 @@ let send t ~route ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
   let payload =
     Pkt.build_stamped ~tailroom ~priority ~dib:drop_if_blocked ~route:segments ~data
   in
-  let next_port = match segments with seg :: _ -> seg.Seg.port | [] -> -1 in
-  inject t ~port:route.Route.first_port ~next_port ~priority ~drop_if_blocked
+  inject t ~port:route.Route.first_port ~priority ~drop_if_blocked
     ~len:(Bytes.length payload - tailroom) payload
 
 (* Fold [route] into a constant-size XSR header instead of a VIPER
@@ -147,10 +147,10 @@ let send t ~route ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
    [reply] over VIPER via the accumulated reverse lanes. *)
 let send_xsr t ~route ?(priority = Token.Priority.normal)
     ?(drop_if_blocked = false) ~data () =
-  let segments = route.Route.segments in
-  let payload = Viper.Xsr.encode_segments ~priority ~segments ~data in
-  let next_port = match segments with seg :: _ :: _ -> seg.Seg.port | _ -> -1 in
-  inject t ~port:route.Route.first_port ~next_port ~priority ~drop_if_blocked
+  let payload =
+    Viper.Xsr.encode_segments ~priority ~segments:route.Route.segments ~data
+  in
+  inject t ~port:route.Route.first_port ~priority ~drop_if_blocked
     ~len:(Bytes.length payload) payload
 
 (* The reply is written from the trailer in place, with room for its

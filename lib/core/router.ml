@@ -97,18 +97,22 @@ let rows =
     ("forwarded", "packets handed to an output port");
   |]
 
+type role =
+  | Group of G.port list
+  | Splice of Seg.t list
+  | Members of G.port list
+  | Handler of (buf:bytes -> off:int -> len:int -> hdr:int -> in_port:G.port -> bool)
+
 type t = {
   world : W.t;
   node : G.node_id;
   config : config;
   cache : Token.Cache.t;
   ledger : Token.Account.t;
-  logical : Logical.t;
   congestion : Congestion.t option;
-  (* port-indexed, grown on demand; [None] where the port is plain *)
-  mutable port_groups : G.port list option array;
-  mutable port_handlers :
-    (buf:bytes -> off:int -> len:int -> hdr:int -> in_port:G.port -> bool) option array;
+  (* port-indexed, one cell per port value once a role is set; [None]
+     where the port is plain *)
+  mutable roles : role option array;
   mutable up : bool;
   mutable epoch : int;  (** bumped on crash: pending deferred work dies with it *)
   counters : C.t array;  (** one per scoreboard row *)
@@ -120,7 +124,6 @@ let bump t row = C.incr t.counters.(row)
 let node t = t.node
 let cache t = t.cache
 let ledger t = t.ledger
-let logical t = t.logical
 let congestion t = t.congestion
 
 let stats t : stats =
@@ -144,26 +147,20 @@ let stats t : stats =
     inheader_failovers = v inheader_failovers;
   }
 
-let at_port tbl port = if port >= 0 && port < Array.length tbl then tbl.(port) else None
+let role_at t port = if port < Array.length t.roles then t.roles.(port) else None
 
-(* [tbl] with [Some v] at [port], grown when too short *)
-let with_port tbl port v =
-  let n = Array.length tbl in
-  let tbl =
-    if port < n then tbl
-    else begin
-      let fresh = Array.make (port + 1) None in
-      Array.blit tbl 0 fresh 0 n;
-      fresh
-    end
-  in
-  tbl.(port) <- Some v;
-  tbl
-
-let set_port_group t ~port ~ports =
-  if port < Seg.multicast_port_first || port >= Viper.Multicast.tree_port then
-    invalid_arg "Router.set_port_group: port must be 240-253";
-  t.port_groups <- with_port t.port_groups port ports
+let set_port t ~port role =
+  (match role with
+  | Handler _ when port < 1 || port >= Seg.multicast_port_first ->
+    invalid_arg "Router.set_port: a handler's port must be 1-239"
+  | Members _ when port < Seg.multicast_port_first || port >= Viper.Multicast.tree_port ->
+    invalid_arg "Router.set_port: a multicast group's port must be 240-253"
+  | Group [] | Splice [] -> invalid_arg "Router.set_port: empty group or splice"
+  | (Group _ | Splice _) when port < 1 || port > Seg.broadcast_port ->
+    invalid_arg "Router.set_port: a logical port must be 1-255"
+  | Group _ | Splice _ | Members _ | Handler _ -> ());
+  if Array.length t.roles = 0 then t.roles <- Array.make (Seg.broadcast_port + 1) None;
+  t.roles.(port) <- Some role
 
 let now t = W.now t.world
 
@@ -269,15 +266,10 @@ let transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port =
     let rec attempt circuits =
       let o = out_frame t ~frame ~out ~tail ~priority ~dib:true in
       match W.send t.world ~node:t.node ~port:out_port o with
-      | W.Started | W.Started_preempting _ | W.Queued -> bump t forwarded
-      | W.Dropped_blocked ->
-        if circuits < max_circuits && not dib then begin
-          bump t delay_line_circuits;
-          schedule t ~frame ~in_port ~time:(now t + delay) (fun () ->
-              attempt (circuits + 1))
-        end
-        else drop t ~frame ~in_port Send_drop
-      | W.Dropped_overflow | W.Dropped_no_link -> drop t ~frame ~in_port Send_drop
+      | W.Dropped_blocked when circuits < max_circuits && not dib ->
+        bump t delay_line_circuits;
+        schedule t ~frame ~in_port ~time:(now t + delay) (fun () -> attempt (circuits + 1))
+      | result -> count_send_result t ~frame ~in_port result
     in
     attempt 0
 
@@ -399,13 +391,6 @@ let forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~
     switch t ~frame ~out ~in_port ~out_port ~head ~tail
       ~header_size:(header_size buf ~off ~hdr) ~priority ~dib
 
-(* The token check's verdicts a frame acts on at once. *)
-type authorization =
-  | Pass  (** no token, or an optimistic miss: switch now, token carried back *)
-  | Granted of Token.Capability.grant  (** cache hit: switch now *)
-  | Refused  (** counted and dropped *)
-  | Held  (** blocking verification: {!verify_then} decides later *)
-
 (* A reverse-path packet (RPF flag) is checked against its arrival port:
    that is the port its token originally named, and reverse_ok in the
    grant decides admission (§2.2's reverse-route authorization). *)
@@ -425,48 +410,7 @@ let verify_in_background t ~token =
       if live t epoch && not (Token.Cache.complete_verification t.cache ~token ~now_ms)
       then C.incr (Lazy.force t.verify_failures))
 
-(* Token checking, with its side effects (counters, flight notes,
-   background verification) done here; no closure is built unless the
-   verdict is [Held]. *)
-let authorize t ~token ~rpf ~priority ~frame ~in_port ~out_port ~packet_bytes =
-  if Bytes.length token = 0 then begin
-    if t.config.require_tokens then begin
-      reject t ~frame ~in_port;
-      Refused
-    end
-    else begin
-      flight_note ~frame Flight.No_token;
-      Pass
-    end
-  end
-  else
-    match
-      Token.Cache.check t.cache ~token
-        ~port:(auth_port ~rpf ~in_port ~out_port) ~priority
-        ~now_ms:(now t / 1_000_000) ~packet_bytes ~reverse:rpf
-    with
-    | Token.Cache.Admit g ->
-      flight_note ~frame Flight.Cache_hit;
-      Granted g
-    | Token.Cache.Deny ->
-      reject t ~frame ~in_port;
-      Refused
-    | Token.Cache.Miss_admit ->
-      (* Optimistic: forward now, decrypt in the background. *)
-      verify_in_background t ~token;
-      flight_note ~frame Flight.Cache_miss;
-      Pass
-    | Token.Cache.Defer ->
-      bump t deferred;
-      Held
-    | Token.Cache.Miss_drop ->
-      (* dropped, but "in any case, the new token is decrypted, checked and
-         cached to prepare for subsequent packets" *)
-      reject t ~frame ~in_port;
-      verify_in_background t ~token;
-      Refused
-
-(* Blocking authentication of a [Held] frame: hold the packet while the
+(* Blocking authentication of a deferred frame: hold the packet while the
    token is decrypted, then re-check; [proceed ~reverse_ok] switches it. *)
 let verify_then t ~token ~rpf ~priority ~frame ~in_port ~out_port ~packet_bytes ~proceed =
   schedule t ~frame ~in_port
@@ -490,29 +434,53 @@ let verify_then t ~token ~rpf ~priority ~frame ~in_port ~out_port ~packet_bytes 
 
 (* Authorize the leading segment for its own port, then forward out
    [out_port] (a logical group's chosen member, or the same port). The
-   segment's fields are read where it lies; only a token is copied. *)
+   segment's fields are read where it lies; only a token is copied. Each
+   verdict does its side effects (flight note, counters, background
+   verification) and forwards or rejects. Each arm calls [forward_one]
+   itself: a local forwarding helper would allocate a closure per frame,
+   so one is built only for [Defer]. *)
 let authorized_forward t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head
     ~tail =
   let token = Seg.peek_token buf ~off in
-  let rpf = (Seg.peek_flags buf ~off).Seg.rpf in
-  let priority = Seg.peek_priority buf ~off in
-  let auth_out = Seg.peek_port buf ~off in
-  match
-    authorize t ~token ~rpf ~priority ~frame ~in_port ~out_port:auth_out
-      ~packet_bytes:len
-  with
-  | Pass ->
-    forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~tail
-      ~reverse_ok:true ~copy:false
-  | Granted g ->
-    forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~tail
-      ~reverse_ok:g.Token.Capability.reverse_ok ~copy:false
-  | Refused -> ()
-  | Held ->
-    verify_then t ~token ~rpf ~priority ~frame ~in_port ~out_port:auth_out
-      ~packet_bytes:len ~proceed:(fun ~reverse_ok ->
-        forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~tail
-          ~reverse_ok ~copy:false)
+  if Bytes.length token = 0 then begin
+    if t.config.require_tokens then reject t ~frame ~in_port
+    else begin
+      flight_note ~frame Flight.No_token;
+      forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~tail
+        ~reverse_ok:true ~copy:false
+    end
+  end
+  else
+    let rpf = (Seg.peek_flags buf ~off).Seg.rpf in
+    let priority = Seg.peek_priority buf ~off in
+    let auth_out = Seg.peek_port buf ~off in
+    match
+      Token.Cache.check t.cache ~token
+        ~port:(auth_port ~rpf ~in_port ~out_port:auth_out) ~priority
+        ~now_ms:(now t / 1_000_000) ~packet_bytes:len ~reverse:rpf
+    with
+    | Token.Cache.Admit g ->
+      flight_note ~frame Flight.Cache_hit;
+      forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~tail
+        ~reverse_ok:g.Token.Capability.reverse_ok ~copy:false
+    | Token.Cache.Deny -> reject t ~frame ~in_port
+    | Token.Cache.Miss_admit ->
+      (* Optimistic: forward now, decrypt in the background. *)
+      verify_in_background t ~token;
+      flight_note ~frame Flight.Cache_miss;
+      forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~tail
+        ~reverse_ok:true ~copy:false
+    | Token.Cache.Defer ->
+      bump t deferred;
+      verify_then t ~token ~rpf ~priority ~frame ~in_port ~out_port:auth_out
+        ~packet_bytes:len ~proceed:(fun ~reverse_ok ->
+          forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head
+            ~tail ~reverse_ok ~copy:false)
+    | Token.Cache.Miss_drop ->
+      (* dropped, but "in any case, the new token is decrypted, checked and
+         cached to prepare for subsequent packets" *)
+      reject t ~frame ~in_port;
+      verify_in_background t ~token
 
 let all_ports_except t ~except =
   List.filter_map
@@ -551,8 +519,8 @@ let rec process t ~frame ~buf ~off ~len ~in_port ~in_info ~head ~tail ~depth =
       if port = Seg.local_port then
         deliver_local t ~frame ~buf ~off ~len ~in_port ~tail ~xsr:false
       else begin
-        match at_port t.port_handlers port with
-        | Some f ->
+        match role_at t port with
+        | Some (Handler f) ->
           (* custom port (e.g. an interop tunnel): hand over after full
              reception, like any store-and-forward boundary — unless the
              upstream transmission was preempted and this is a runt *)
@@ -563,13 +531,11 @@ let rec process t ~frame ~buf ~off ~len ~in_port ~in_info ~head ~tail ~depth =
               else if not (f ~buf ~off ~len ~hdr ~in_port) then
                 drop t ~frame ~in_port Malformed
               else ignore (W.hand_off t.world frame))
-        | None ->
-        match Logical.lookup t.logical ~port with
-        | Some (Logical.Group physical) ->
+        | Some (Group physical) ->
           let best = choose_least_queued t physical in
           authorized_forward t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info
             ~out_port:best ~head ~tail
-        | Some (Logical.Splice expansion) ->
+        | Some (Splice expansion) ->
           bump t spliced;
           (* the expansion stands in for this segment: VNT on its last
              segment iff this one had it *)
@@ -579,6 +545,8 @@ let rec process t ~frame ~buf ~off ~len ~in_port ~in_info ~head ~tail ~depth =
           in
           process t ~frame ~buf:(Wire.Buf.store w) ~off:0 ~len:(Wire.Buf.writer_length w)
             ~in_port ~in_info ~head ~tail ~depth:(depth + 1)
+        | Some (Members ports) ->
+          multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail ~ports
         | None ->
           if port = Seg.broadcast_port then
             multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail
@@ -586,12 +554,8 @@ let rec process t ~frame ~buf ~off ~len ~in_port ~in_info ~head ~tail ~depth =
           else if port = Viper.Multicast.tree_port then
             tree_multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail
               ~depth
-          else if Seg.is_multicast_port port then begin
-            match at_port t.port_groups port with
-            | Some ports ->
-              multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail ~ports
-            | None -> drop t ~frame ~in_port Parse_error
-          end
+          (* a multicast group port with no members configured *)
+          else if Seg.is_multicast_port port then drop t ~frame ~in_port Parse_error
           else if
             Seg.peek_branch buf ~off && G.link_via (W.graph t.world) t.node port = None
           then begin
@@ -730,10 +694,8 @@ let create ?(config = default_config) ?key world ~node () =
       cache =
         Token.Cache.create ~key ~router_id:node ~policy:config.token_policy ~ledger;
       ledger;
-      logical = Logical.create ();
       congestion;
-      port_groups = [||];
-      port_handlers = [||];
+      roles = [||];
       up = true;
       epoch = 0;
       counters =
@@ -752,11 +714,6 @@ let create ?(config = default_config) ?key world ~node () =
   W.set_handler world node (handle t);
   Option.iter Congestion.start congestion;
   t
-
-let set_port_handler t ~port f =
-  if port <= 0 || port >= Seg.multicast_port_first then
-    invalid_arg "Router.set_port_handler: port must be 1-239";
-  t.port_handlers <- with_port t.port_handlers port f
 
 let inject t ~buf ~off ~len ~in_port ~return_info =
   (* the packet has not entered this world yet, so it has no fate here *)

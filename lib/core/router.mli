@@ -9,8 +9,9 @@
     match, falling back to store-and-forward otherwise.
 
     Special port values: 0 local delivery, 255 broadcast, 254 tree
-    multicast, 240-253 configured port groups. Ports with a {!Logical}
-    mapping are expanded (trunk groups / spliced transit routes).
+    multicast, 240-253 configured multicast groups. A port can be given
+    one {!role} ({!set_port}): a trunk group, a spliced transit route, a
+    multicast group's members or a custom handler.
 
     The per-hop costs are fixed: a switching decision of 500 ns
     ("significantly less than a microsecond", §6.1), 50 us of software
@@ -76,28 +77,46 @@ val node : t -> Topo.Graph.node_id
 val stats : t -> stats
 val cache : t -> Token.Cache.t
 val ledger : t -> Token.Account.t
-val logical : t -> Logical.t
 val congestion : t -> Congestion.t option
 
-val set_port_group : t -> port:int -> ports:Topo.Graph.port list -> unit
-(** Configure a multicast group port (240-253). Raises [Invalid_argument]
-    outside that range. *)
+(** {1 Port roles (§2.2, §2.3)}
 
-(** {1 Extension points (interop, Â§2.3)} *)
+    A port identifier can designate "a group of links that are all
+    equivalent from the standpoint of the Sirpent source" — either a
+    replicated trunk (the router picks a physical link by local load) or a
+    multi-hop transit path (the router splices a stored expansion route in
+    place of the logical segment, "at the cost of the packet delay of
+    adding this routing information"). It can also name a multicast
+    group, or hand the packet to a callback: how a gateway claims a
+    tunnel port. *)
 
-val set_port_handler :
-  t -> port:int ->
-  (buf:bytes -> off:int -> len:int -> hdr:int -> in_port:Topo.Graph.port -> bool) ->
-  unit
-(** Take over a port value (1-239): packets whose leading segment names it
-    are handed to the callback after full reception — how a gateway claims
-    a tunnel port. The callback gets the packet as the window
-    [buf.[off] .. buf.[off + len - 1]], whose leading segment (the one
-    naming the port) is [hdr] bytes, and answers whether it took the
-    packet: a taken packet is handed off ({!Netsim.World.hand_off}), a
-    refused one is a [Malformed] drop. A frame preempted upstream before
-    its tail arrived is a counted drop instead. Raises [Invalid_argument]
-    outside 1-239. *)
+type role =
+  | Group of Topo.Graph.port list
+      (** replicated trunk: equivalent physical ports; each packet goes
+          out the least-queued one, authorized for the logical port *)
+  | Splice of Viper.Segment.t list
+      (** logical hop: segments substituted for the logical segment *)
+  | Members of Topo.Graph.port list
+      (** multicast group (ports 240-253): one copy out each member *)
+  | Handler of
+      (buf:bytes -> off:int -> len:int -> hdr:int -> in_port:Topo.Graph.port -> bool)
+      (** custom port (1-239): packets whose leading segment names it are
+          handed to the callback after full reception. The callback gets
+          the packet as the window [buf.[off] .. buf.[off + len - 1]],
+          whose leading segment (the one naming the port) is [hdr] bytes,
+          and answers whether it took the packet: a taken packet is handed
+          off ({!Netsim.World.hand_off}), a refused one is a [Malformed]
+          drop. A frame preempted upstream before its tail arrived is a
+          counted drop instead. *)
+
+val set_port : t -> port:int -> role -> unit
+(** Give [port] a role, replacing any it had. Local delivery (0) is
+    switched before any role; a role on 254 or 255 takes the place of
+    tree multicast or broadcast. Raises [Invalid_argument] for a
+    [Handler] outside 1-239, [Members] outside 240-253, an empty [Group]
+    or [Splice], or a [Group] or [Splice] outside 1-255. *)
+
+(** {1 Out-of-band arrivals (interop, §2.3)} *)
 
 val inject :
   t -> buf:bytes -> off:int -> len:int -> in_port:Topo.Graph.port ->

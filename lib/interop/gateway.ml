@@ -162,7 +162,7 @@ let create world ~node ~cloud_port ~tunnel_port =
       ip_dropped = cnt "ip_dropped" ~help:"cloud arrivals failing checksum or protocol checks";
     }
   in
-  Sirpent.Router.set_port_handler router ~port:tunnel_port (encapsulate t);
+  Sirpent.Router.set_port router ~port:tunnel_port (Handler (encapsulate t));
   (* Take over the node's handler to split cloud vs Sirpent traffic. *)
   W.set_handler world node (handle t);
   t

@@ -61,8 +61,8 @@ val avoid_region : Name.t -> t -> t
 
 val load_balance : at:Name.t -> port:int -> t -> t
 (** At the named router, address logical [port] (1-253) instead of the
-    concrete output port, so the router spreads the flow over the group
-    configured there ({!Sirpent.Logical}). The segment's token is dropped
+    concrete output port, so the router spreads the flow over the
+    [Group] {!Sirpent.Router.role} set there. The segment's token is dropped
     — a logical port is authorized by router configuration, not by a
     minted link token. Raises if [port] is outside 1-253. *)
 

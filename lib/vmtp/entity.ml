@@ -327,11 +327,7 @@ let respond t ~client ~txn ~via data =
       match Hashtbl.find_opt t.held (client, txn) with
       | Some h when h.expires <= now t -> Hashtbl.remove t.held (client, txn)
       | Some _ | None -> ());
-  Array.iter
-    (fun packet ->
-      C.incr t.packets_sent;
-      send_via t ~via packet)
-    packets
+  Array.iter (send_via t ~via) packets
 
 let arm_gap_timer t partial ~on_gap =
   cancel t ~time:partial.gap_at ~seq:partial.gap_seq;
@@ -353,11 +349,7 @@ let handle_request t (p : Wf.t) ~sample =
     C.incr t.duplicate_requests;
     held.expires <- now t + response_hold;
     held.via <- sample;
-    Array.iter
-      (fun packet ->
-        C.incr t.packets_sent;
-        send_via t ~via:held.via packet)
-      held.resp_packets
+    Array.iter (send_via t ~via:held.via) held.resp_packets
   | None ->
     let partial =
       match Hashtbl.find_opt t.partials key with
@@ -430,11 +422,7 @@ let handle_ack t (p : Wf.t) =
       else begin
         let missing = Wf.mask_missing p.Wf.delivery_mask group in
         C.add t.retransmits (List.length missing);
-        List.iter
-          (fun i ->
-            C.incr t.packets_sent;
-            send_via t ~via:held.via held.resp_packets.(i))
-          missing
+        List.iter (fun i -> send_via t ~via:held.via held.resp_packets.(i)) missing
       end
   end
   else begin

@@ -351,6 +351,126 @@ let block_policy_defers () =
   check_int "delivered after deferral" 1 (Sirpent.Host.received h2);
   check_int "was deferred" 1 (Sirpent.Router.stats routers.(0)).Sirpent.Router.deferred
 
+(* The router's token verdicts as one matrix: each miss policy against
+   each token case. A case sends its frames over a one-router chain, each
+   after the last has run dry, and judges the last one: its delivery, the
+   router counters it moved, the background verifications that failed,
+   the token note on its span at the router, and its fate. *)
+let token_verdict_matrix () =
+  let module R = Sirpent.Router in
+  let module Flight = Telemetry.Flight in
+  (* the chain's router reaches h1 on port 1 and h2 on port 2 *)
+  let in_port = 1 and out_port = 2 in
+  let mint rnode ~port =
+    Token.Capability.to_bytes
+      (Token.Capability.mint (Token.Cipher.random_looking_key rnode) ~nonce:1
+         {
+           Token.Capability.router_id = rnode;
+           port;
+           max_priority = 7;
+           reverse_ok = true;
+           account = 1;
+           packet_limit = 0;
+           expiry_ms = 0;
+         })
+  in
+  let bare _ = Seg.make ~port:out_port () in
+  let valid rnode = Seg.make ~token:(mint rnode ~port:out_port) ~port:out_port () in
+  let forged _ =
+    Seg.make ~token:(Token.Capability.to_bytes (Token.Capability.forged ())) ~port:out_port ()
+  in
+  (* a reply's hop (RPF): its token names the port it arrives on *)
+  let reverse rnode =
+    Seg.make
+      ~flags:{ Seg.no_flags with Seg.rpf = true }
+      ~token:(mint rnode ~port:in_port) ~port:out_port ()
+  in
+  let unauthorized = Some Flight.Unauthorized in
+  (* name, require_tokens, segment, frames sent,
+     (delivered, forwarded, unauthorized, deferred, verify failures,
+      token note, fate) of the last frame, per policy *)
+  let cases =
+    let passes note = (1, 1, 0, 0, 0, note, None) in
+    let denied = (0, 0, 1, 0, 0, Flight.Denied, unauthorized) in
+    [
+      ( "bare, tokens optional", false, bare, 1,
+        fun (_ : Token.Cache.miss_policy) -> passes Flight.No_token );
+      ("bare, tokens required", true, bare, 1, fun _ -> denied);
+      ( "valid, cold", false, valid, 1,
+        function
+        | Token.Cache.Optimistic -> passes Flight.Cache_miss
+        | Block -> (1, 1, 0, 1, 0, Flight.Cache_miss, None)
+        | Drop -> denied );
+      ("valid, warm", false, valid, 2, fun _ -> passes Flight.Cache_hit);
+      ( "forged", true, forged, 1,
+        function
+        | Token.Cache.Optimistic -> (1, 1, 0, 0, 1, Flight.Cache_miss, None)
+        | Block -> (0, 0, 1, 1, 0, Flight.Denied, unauthorized)
+        | Drop -> (0, 0, 1, 0, 1, Flight.Denied, unauthorized) );
+      ( "reverse, cold", false, reverse, 1,
+        function
+        | Token.Cache.Optimistic -> passes Flight.Cache_miss
+        | Block -> (1, 1, 0, 1, 0, Flight.Cache_miss, None)
+        | Drop -> denied );
+      ("reverse, warm", false, reverse, 2, fun _ -> passes Flight.Cache_hit);
+    ]
+  in
+  let judge (policy, policy_name) (name, require_tokens, seg, frames, expect) =
+    let delivered, forwarded, unauth, deferred, failures, note, fate = expect policy in
+    let config = { R.default_config with R.require_tokens; token_policy = policy } in
+    let _, engine, w, h1, h2, routers = chain ~config 1 in
+    let r = routers.(0) in
+    let rnode = R.node r in
+    Flight.set_policy (W.flight w)
+      { Flight.sample_every = 1; capture_drops = true; capacity = 16 };
+    let route =
+      {
+        Sirpent.Route.first_port = 1;
+        segments = [ seg rnode; Seg.make ~port:Seg.local_port () ];
+      }
+    in
+    let send () =
+      ignore (Sirpent.Host.send h1 ~route ~data:(Bytes.make 32 'v') ());
+      run_dry engine w
+    in
+    let verify_failures () =
+      Telemetry.Merge.counter_value
+        ~labels:[ ("node", string_of_int rnode) ]
+        (Telemetry.Registry.snapshot (W.metrics w))
+        "router_verify_failures"
+    in
+    for _ = 2 to frames do
+      send ()
+    done;
+    let before = R.stats r
+    and received = Sirpent.Host.received h2
+    and failed = verify_failures () in
+    send ();
+    let after = R.stats r in
+    let cell what = Printf.sprintf "%s, %s: %s" policy_name name what in
+    let moved f = f after - f before in
+    check_int (cell "delivered") delivered (Sirpent.Host.received h2 - received);
+    check_int (cell "forwarded") forwarded (moved (fun s -> s.R.forwarded));
+    check_int (cell "unauthorized") unauth (moved (fun s -> s.R.unauthorized));
+    check_int (cell "deferred") deferred (moved (fun s -> s.R.deferred));
+    check_int (cell "verify failures") failures (verify_failures () - failed);
+    let last = List.nth (Flight.flights (W.flight w)) (frames - 1) in
+    let at_router = List.find (fun s -> s.Flight.node = rnode) last.Flight.spans in
+    Alcotest.(check string)
+      (cell "token note") (Flight.token_name note)
+      (Flight.token_name at_router.Flight.token);
+    Alcotest.(check (option string))
+      (cell "fate")
+      (Option.map Flight.fate_name fate)
+      (Option.map Flight.fate_name last.Flight.dropped)
+  in
+  List.iter
+    (fun policy -> List.iter (judge policy) cases)
+    [
+      (Token.Cache.Optimistic, "optimistic"); (Token.Cache.Block, "block");
+      (Token.Cache.Drop, "drop");
+    ]
+
 let dib_dropped_when_blocked () =
   (* Two senders into one output port; second frame arrives while busy. *)
   let g = G.create () in
@@ -482,7 +602,7 @@ let group_port_copies () =
   let world = W.create engine g in
   let router = Sirpent.Router.create world ~node:r () in
   (* group port 240 -> hosts 1 and 2 only *)
-  Sirpent.Router.set_port_group router ~port:240 ~ports:[ ports.(1); ports.(2) ];
+  Sirpent.Router.set_port router ~port:240 (Members [ ports.(1); ports.(2) ]);
   let shosts = Array.map (fun h -> Sirpent.Host.create world ~node:h) hosts in
   Array.iter (fun h -> Sirpent.Host.set_receive h (fun _ ~packet:_ ~in_port:_ -> ())) shosts;
   let route =
@@ -536,8 +656,7 @@ let logical_group_balances () =
   let router1 = Sirpent.Router.create world ~node:r1 () in
   ignore (Sirpent.Router.create world ~node:r2 ());
   let logical_port = 100 in
-  Sirpent.Logical.set (Sirpent.Router.logical router1) ~port:logical_port
-    (Sirpent.Logical.Group [ t1; t2 ]);
+  Sirpent.Router.set_port router1 ~port:logical_port (Group [ t1; t2 ]);
   let s1 = Sirpent.Host.create world ~node:h1 in
   let s2 = Sirpent.Host.create world ~node:h2 in
   Sirpent.Host.set_receive s2 (fun _ ~packet:_ ~in_port:_ -> ());
@@ -572,8 +691,7 @@ let logical_splice_expands () =
          ~dst:(Sirpent.Host.node h2))
   in
   let expansion = List.map (fun h -> Seg.make ~port:h.G.out ()) hops in
-  Sirpent.Logical.set (Sirpent.Router.logical r1) ~port:100
-    (Sirpent.Logical.Splice expansion);
+  Sirpent.Router.set_port r1 ~port:100 (Splice expansion);
   Sirpent.Host.set_receive h2 (fun _ ~packet:_ ~in_port:_ -> ());
   let route =
     {
@@ -585,6 +703,77 @@ let logical_splice_expands () =
   run_dry engine world;
   check_int "delivered through expansion" 1 (Sirpent.Host.received h2);
   check_int "splice counted" 1 (Sirpent.Router.stats r1).Sirpent.Router.spliced
+
+(* All four port roles on one router, one packet to each: a trunk
+   group, a splice, a multicast group and a custom handler. Two ports
+   are set twice, and the later role is the one used. *)
+let port_roles_on_one_router () =
+  let module R = Sirpent.Router in
+  let g = G.create () in
+  let h0 = G.add_node g G.Host and r1 = G.add_node g G.Router in
+  let r2 = G.add_node g G.Router in
+  let hs = Array.init 4 (fun _ -> G.add_node g G.Host) in
+  ignore (G.connect g h0 r1 props);
+  let to_h = Array.map (fun h -> fst (G.connect g r1 h props)) (Array.sub hs 0 3) in
+  let t1 = fst (G.connect g r1 r2 props) in
+  let t2 = fst (G.connect g r1 r2 props) in
+  let r2_out = fst (G.connect g r2 hs.(3) props) in
+  let engine = Sim.Engine.create () in
+  let w = W.create engine g in
+  let router = R.create w ~node:r1 () in
+  ignore (R.create w ~node:r2 ());
+  let src = Sirpent.Host.create w ~node:h0 in
+  let dsts = Array.map (fun h -> Sirpent.Host.create w ~node:h) hs in
+  Array.iter (fun h -> Sirpent.Host.set_receive h (fun _ ~packet:_ ~in_port:_ -> ())) dsts;
+  let handled = ref 0 in
+  let rejects what port role =
+    match R.set_port router ~port role with
+    | () -> Alcotest.failf "accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  let handler = R.Handler (fun ~buf:_ ~off:_ ~len:_ ~hdr:_ ~in_port:_ -> incr handled; true) in
+  rejects "a handler on port 0" 0 handler;
+  rejects "a handler on a group port" Seg.multicast_port_first handler;
+  rejects "members on an ordinary port" 239 (R.Members [ to_h.(1) ]);
+  rejects "members on the tree port" Viper.Multicast.tree_port (R.Members [ to_h.(1) ]);
+  rejects "an empty group" 100 (R.Group []);
+  rejects "an empty splice" 101 (R.Splice []);
+  rejects "a group on port 0" 0 (R.Group [ t1 ]);
+  rejects "a splice past 255" 256 (R.Splice [ Seg.make ~port:to_h.(0) () ]);
+  (* the first role set on 101 and 240 is replaced before any packet *)
+  R.set_port router ~port:101 (R.Group [ t1; t2 ]);
+  R.set_port router ~port:240 (R.Members [ to_h.(0) ]);
+  R.set_port router ~port:100 (R.Group [ t1; t2 ]);
+  R.set_port router ~port:101 (R.Splice [ Seg.make ~port:to_h.(0) () ]);
+  R.set_port router ~port:240 (R.Members [ to_h.(1); to_h.(2) ]);
+  R.set_port router ~port:102 handler;
+  let send ports =
+    let route =
+      {
+        Sirpent.Route.first_port = 1;
+        segments = List.map (fun port -> Seg.make ~port ()) (ports @ [ Seg.local_port ]);
+      }
+    in
+    ignore (Sirpent.Host.send src ~route ~data:(Bytes.of_string "role") ())
+  in
+  send [ 100; r2_out ];
+  send [ 101 ];
+  send [ 240 ];
+  send [ 102 ];
+  run_dry engine w;
+  let received i = Sirpent.Host.received dsts.(i) in
+  let st = R.stats router in
+  check_int "splice delivered" 1 (received 0);
+  check_int "splice counted" 1 st.R.spliced;
+  check_int "group members got one each" 2 (received 1 + received 2);
+  check_int "multicast copies" 2 st.R.multicast_copies;
+  check_int "trunk group delivered" 1 (received 3);
+  let sent p = (W.port_stats w ~node:r1 ~port:p).W.sent_frames in
+  check_int "one trunk used once" 1 (sent t1 + sent t2);
+  check_int "handler took its packet" 1 !handled;
+  check_int "handler's packet handed off, not dropped" 0
+    (W.fate_count w Telemetry.Flight.Malformed);
+  check_int "forwarded: trunk, splice, two copies" 4 st.R.forwarded
 
 let mtu_truncation_detected () =
   (* Second link has a small MTU; the packet is truncated and marked. *)
@@ -1191,7 +1380,7 @@ let qcheck_kept_packets_survive =
       let world = W.create engine g in
       ignore (Sirpent.Router.create world ~node:r1 ());
       let router2 = Sirpent.Router.create world ~node:r2 () in
-      Sirpent.Router.set_port_group router2 ~port:240 ~ports:(Array.to_list r2_out);
+      Sirpent.Router.set_port router2 ~port:240 (Members (Array.to_list r2_out));
       let hosts = Array.map (fun node -> Sirpent.Host.create world ~node) feeders in
       let kept = ref [] in
       Array.iter
@@ -1286,6 +1475,7 @@ let () =
           Alcotest.test_case "forged blocked after verification" `Quick
             forged_token_blocked_after_verification;
           Alcotest.test_case "block policy defers" `Quick block_policy_defers;
+          Alcotest.test_case "verdict matrix" `Quick token_verdict_matrix;
           Alcotest.test_case "failed verification counted" `Quick
             forged_token_failed_verification_counted;
         ] );
@@ -1310,6 +1500,7 @@ let () =
         [
           Alcotest.test_case "group balances" `Quick logical_group_balances;
           Alcotest.test_case "splice expands" `Quick logical_splice_expands;
+          Alcotest.test_case "four roles on one router" `Quick port_roles_on_one_router;
         ] );
       ( "congestion",
         [

@@ -265,6 +265,72 @@ let duplicate_request_replays_response () =
   check_int "no spurious duplicates" 0
     (Vmtp.Entity.stats server).Vmtp.Entity.duplicate_requests
 
+(* Every packet an entity counts as sent is one frame on its host's
+   port: after a call whose response is a packet group, and again after
+   each way a server sends a response packet twice. Damaging one
+   response packet in flight makes the client ask again: a client that
+   has measured a short RTT times out and repeats its request, so the
+   server replays the held response; a fresh client, on the initial RTO,
+   nacks the gap first, so the server retransmits just that packet. *)
+let packets_sent_match_frames () =
+  let _, engine, world, host1, host2, route = stack () in
+  (* damage the next [!damage] frames that carry a run of response
+     bytes, inside the run *)
+  let damage = ref 0 in
+  W.set_corruptor world (fun ~link:_ b ->
+      let rec run_end i run =
+        if i >= Bytes.length b then None
+        else
+          let run = if Bytes.get b i = 'R' then run + 1 else 0 in
+          if run = 64 then Some i else run_end (i + 1) run
+      in
+      match run_end 0 0 with
+      | Some i when !damage > 0 ->
+        decr damage;
+        let b = Bytes.copy b in
+        Bytes.set b i 'x';
+        Some b
+      | Some _ | None -> None);
+  let server = Vmtp.Entity.create host2 ~id:2L in
+  Vmtp.Entity.set_request_handler server (fun _ ~data:_ ~reply ->
+      reply (Bytes.make 3000 'R'));
+  let replies = ref 0 in
+  let call client ~damaged =
+    damage := damaged;
+    Vmtp.Entity.call client ~server:2L ~routes:[ route ] ~data:(Bytes.of_string "q")
+      ~on_reply:(fun data ~rtt:_ ->
+        incr replies;
+        check_int "whole response" 3000 (Bytes.length data))
+      ~on_fail:(fun r -> Alcotest.fail r)
+      ();
+    Sim.Engine.run ~until:(Sim.Engine.now engine + Sim.Time.s 1) engine;
+    check_int "damage spent" 0 !damage
+  in
+  let check_counts stage clients =
+    let frames host =
+      (W.port_stats world ~node:(Sirpent.Host.node host) ~port:1).W.sent_frames
+    in
+    let sent e = (Vmtp.Entity.stats e).Vmtp.Entity.packets_sent in
+    check_int (stage ^ ": clients") (frames host1)
+      (List.fold_left (fun n c -> n + sent c) 0 clients);
+    check_int (stage ^ ": server") (frames host2) (sent server)
+  in
+  let server_stat f = f (Vmtp.Entity.stats server) in
+  let measured = Vmtp.Entity.create host1 ~id:1L in
+  call measured ~damaged:0;
+  check_int "answered" 1 !replies;
+  check_counts "multi-packet response" [ measured ];
+  call measured ~damaged:1;
+  check_int "answered after a loss" 2 !replies;
+  check_int "held response replayed" 1 (server_stat (fun s -> s.Vmtp.Entity.duplicate_requests));
+  check_counts "replayed response" [ measured ];
+  (* a second entity takes over the client host's deliveries *)
+  let fresh = Vmtp.Entity.create host1 ~id:3L in
+  call fresh ~damaged:1;
+  check_int "answered after a nack" 3 !replies;
+  check_int "one packet retransmitted" 1 (server_stat (fun s -> s.Vmtp.Entity.retransmits));
+  check_counts "retransmitted packet" [ measured; fresh ]
+
 let failover_to_alternate_route () =
   (* Diamond: two disjoint paths. Fail the primary mid-call; transport
      switches to the alternate and completes. *)
@@ -496,6 +562,7 @@ let () =
           Alcotest.test_case "duplicates handled" `Quick duplicate_request_replays_response;
           Alcotest.test_case "failover to alternate" `Quick failover_to_alternate_route;
           Alcotest.test_case "pacing spreads packets" `Quick pacing_spreads_packets;
+          Alcotest.test_case "packets sent match frames" `Quick packets_sent_match_frames;
           Alcotest.test_case "replay follows duplicate's route" `Quick
             replay_follows_duplicate_route;
         ] );
