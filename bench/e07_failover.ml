@@ -83,9 +83,9 @@ let ip_failover ~hello_interval =
   let g, src, dst, doomed = build () in
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
-  let ls_config = { Ipbase.Linkstate.default_config with Ipbase.Linkstate.hello_interval } in
+  let ls_config = { Ipbase.Linkstate.hello_interval } in
   let config =
-    { Ipbase.Router.default_config with Ipbase.Router.routing = Ipbase.Router.Linkstate ls_config }
+    { Ipbase.Router.routing = Ipbase.Router.Linkstate ls_config }
   in
   G.iter_nodes g (fun n ->
       if G.kind g n = G.Router then ignore (Ipbase.Router.create ~config world ~node:n ()));
@@ -123,6 +123,6 @@ let run () =
   pf "\npaper check: the end-to-end client reacts within a few retransmission\n";
   pf "timeouts (tens of ms) because it measures its own round trips; distributed\n";
   pf "routing must first miss %d hellos, then flood and recompute. The multiple\n"
-    Ipbase.Linkstate.default_config.Ipbase.Linkstate.dead_factor;
+    Ipbase.Linkstate.dead_factor;
   pf "directory routes also cover failures routing cannot see (e.g. a failed\n";
   pf "host interface, \xc2\xa72.2's IP/UDP criticism).\n"

@@ -16,10 +16,7 @@ let measure ~rng campuses =
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
   let config =
-    {
-      Ipbase.Router.default_config with
-      Ipbase.Router.routing = Ipbase.Router.Linkstate Ipbase.Linkstate.default_config;
-    }
+    { Ipbase.Router.routing = Ipbase.Router.Linkstate Ipbase.Linkstate.default_config }
   in
   let ip_routers = Array.map (fun n -> Ipbase.Router.create ~config world ~node:n ()) routers in
   Sim.Engine.run ~until:(Sim.Time.s 3) engine;

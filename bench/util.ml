@@ -119,7 +119,7 @@ let one_way_sirpent ?config ~n_routers ~bytes () =
   Sim.Engine.run engine;
   !arrival
 
-let one_way_ip ?(process_time = Sim.Time.us 100) ~n_routers ~bytes () =
+let one_way_ip ~n_routers ~bytes () =
   let g = G.create () in
   let h1 = G.add_node g G.Host in
   let routers = Array.init n_routers (fun _ -> G.add_node g G.Router) in
@@ -131,8 +131,7 @@ let one_way_ip ?(process_time = Sim.Time.us 100) ~n_routers ~bytes () =
   ignore (G.connect g routers.(n_routers - 1) h2 G.default_props);
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
-  let config = { Ipbase.Router.default_config with Ipbase.Router.process_time } in
-  Array.iter (fun r -> ignore (Ipbase.Router.create ~config world ~node:r ())) routers;
+  Array.iter (fun r -> ignore (Ipbase.Router.create world ~node:r ())) routers;
   let i1 = Ipbase.Host.create world ~node:h1 in
   let i2 = Ipbase.Host.create world ~node:h2 in
   let arrival = ref 0 in

@@ -63,7 +63,7 @@ type limiter = {
   mutable bucket_bits : float;
   mutable last_refill : Sim.Time.t;
   mutable last_signal : Sim.Time.t;
-  pending : (int * (unit -> unit)) Queue.t;  (* (bytes, send) *)
+  pending : (Netsim.Frame.t * (unit -> unit)) Queue.t;  (* (frame, send) *)
   mutable drain_at : Sim.Time.t;
   mutable drain_seq : int;  (* with [drain_at], the pending drain's key; -1 if none *)
 }
@@ -137,8 +137,8 @@ let rec drain t lim =
   refill t lim;
   match Queue.peek_opt lim.pending with
   | None -> ()
-  | Some (bytes, send) ->
-    let bits = float_of_int (8 * bytes) in
+  | Some (frame, send) ->
+    let bits = float_of_int (Netsim.Frame.bits frame) in
     if lim.bucket_bits >= bits then begin
       ignore (Queue.pop lim.pending);
       lim.bucket_bits <- lim.bucket_bits -. bits;
@@ -168,15 +168,21 @@ let reschedule_drain t lim =
   cancel_drain t lim;
   drain t lim
 
-let admit t ~out_port ~next_port ~bytes =
+(* The second half of a frame's limiter key: the port the next router
+   forwards it on, read in place from either codec's header. *)
+let next_port { Netsim.Frame.payload; off; len; _ } = Viper.Packet.next_port payload ~off ~len
+
+let admit t ~out_port frame =
   Hashtbl.length t.limiters = 0
-  || next_port < 0
+  ||
+  let next_port = next_port frame in
+  next_port < 0
   ||
   match Hashtbl.find t.limiters (out_port, next_port) with
     | exception Not_found -> true
     | lim ->
       refill t lim;
-      let bits = float_of_int (8 * bytes) in
+      let bits = float_of_int (Netsim.Frame.bits frame) in
       if Queue.is_empty lim.pending && lim.bucket_bits >= bits then begin
         lim.bucket_bits <- lim.bucket_bits -. bits;
         true
@@ -184,14 +190,10 @@ let admit t ~out_port ~next_port ~bytes =
       else false
 
 (* only after [admit] said no, so the limiter is there *)
-let hold t ~out_port ~next_port ~bytes ~send =
-  let lim = Hashtbl.find t.limiters (out_port, next_port) in
-  Queue.push (bytes, send) lim.pending;
+let hold t ~out_port frame ~send =
+  let lim = Hashtbl.find t.limiters (out_port, next_port frame) in
+  Queue.push (frame, send) lim.pending;
   drain t lim
-
-let submit t ~out_port ~next_port ~bytes ~send =
-  if admit t ~out_port ~next_port ~bytes then send ()
-  else hold t ~out_port ~next_port ~bytes ~send
 
 (* --- the periodic monitor --- *)
 
@@ -390,14 +392,14 @@ let start t =
 (* Crash support: every structure here is soft state the paper says a
    router may lose and rebuild on use — limiters (held packets are lost
    with the crash), feeder windows, monitored/congested ports, flap
-   history. Returns the number of held packets dropped. *)
+   history. Returns the held frames. *)
 let reset t =
-  let dropped =
+  let held =
     Hashtbl.fold
       (fun _ lim acc ->
         cancel_drain t lim;
-        acc + Queue.length lim.pending)
-      t.limiters 0
+        Queue.fold (fun acc (frame, _) -> frame :: acc) acc lim.pending)
+      t.limiters []
   in
   Hashtbl.reset t.limiters;
   t.arrivals <- false;
@@ -405,8 +407,8 @@ let reset t =
   Hashtbl.reset t.known_out_ports;
   Hashtbl.reset t.congested;
   Hashtbl.reset t.recent_off;
-  if dropped > 0 then C.add t.crash_drops dropped;
-  dropped
+  C.add t.crash_drops (List.length held);
+  held
 
 let backlog t =
   Hashtbl.fold (fun _ lim acc -> acc + Queue.length lim.pending) t.limiters 0

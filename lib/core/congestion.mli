@@ -14,7 +14,8 @@
     the authorized rate up, similar to Jacobson's slow start") and expires
     as soft state. Held packets queue in the limiter; when that backlog
     itself exceeds the threshold the feeder's own monitor propagates the
-    signal further upstream.
+    signal further upstream. A limiter holds the packets themselves, so a
+    crash that wipes it hands them back to be ended as lost.
 
     The paper leaves the constants open ("part of on-going research");
     {!default_config} records this repo's choices, tuned by the E22
@@ -81,28 +82,21 @@ val note_arrival : t -> in_port:Topo.Graph.port -> out_port:Topo.Graph.port -> u
 (** Record that a packet arriving on [in_port] was routed to [out_port]
     (feeder bookkeeping for the monitor). *)
 
-val submit :
-  t -> out_port:Topo.Graph.port -> next_port:int -> bytes:int ->
-  send:(unit -> unit) -> unit
-(** Pass a departing packet of [bytes] through the limiter for
-    [(out_port, next_port)], if any ([next_port] is [-1] when the
-    packet names no next queue): [send] runs immediately when
-    unthrottled, or is queued and run when the token bucket permits.
-    Exactly [if admit ... then send () else hold ...]. *)
-
-val admit :
-  t -> out_port:Topo.Graph.port -> next_port:int -> bytes:int -> bool
-(** The first half of {!submit}, for callers that send without building
-    a [send] closure: whether the packet may leave now — no limiter for
-    its queue, or one holding nothing with enough tokens, which are then
-    spent. Allocates nothing when no limiter is installed. *)
+val admit : t -> out_port:Topo.Graph.port -> Netsim.Frame.t -> bool
+(** Whether [frame] may leave on [out_port] now: no limiter for its
+    queue, or one holding nothing with enough tokens for
+    {!Netsim.Frame.bits}, which are then spent. The queue is
+    [(out_port, next_port)], where [next_port] is
+    {!Viper.Packet.next_port} of the frame's window — the port the next
+    router forwards it on, read from either codec's header; a frame
+    with none ([-1]) is never limited. The key is read only when some
+    limiter is installed, and nothing is allocated when none is. *)
 
 val hold :
-  t -> out_port:Topo.Graph.port -> next_port:int -> bytes:int ->
-  send:(unit -> unit) -> unit
-(** The second half of {!submit}, only after {!admit} said [false] at
-    the same instant: queue [send] behind the limiter and release what
-    the bucket permits — possibly [send] itself, at once. *)
+  t -> out_port:Topo.Graph.port -> Netsim.Frame.t -> send:(unit -> unit) -> unit
+(** Only after {!admit} said [false] at the same instant: queue the
+    frame, with the [send] that transmits it, behind its limiter and
+    release what the bucket permits — possibly this frame, at once. *)
 
 val handle_ctl :
   t -> arrival_port:Topo.Graph.port -> congested_port:int -> rate_bps:float -> unit
@@ -114,11 +108,11 @@ val handle_ctl :
 val start : t -> unit
 (** Begin the periodic monitor (idempotent). *)
 
-val reset : t -> int
+val reset : t -> Netsim.Frame.t list
 (** Crash support: wipe all soft state (limiters, feeder windows,
-    monitored and congested ports, flap history). Packets held in
-    limiters are lost; returns how many (also counted in
-    [congestion_crash_drops]). The state rebuilds from subsequent
+    monitored and congested ports, flap history). Returns the frames
+    limiters held, unsent, for the caller to end as lost (also counted
+    in [congestion_crash_drops]). The state rebuilds from subsequent
     traffic, as soft state must. *)
 
 val backlog : t -> int

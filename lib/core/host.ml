@@ -14,7 +14,6 @@ type t = {
   mutable on_receive : (t -> packet:Pkt.t -> in_port:G.port -> unit) option;
   received : C.t;
   misdelivered : C.t;
-  mutable rate_signal : (Sim.Time.t * float) option;
 }
 
 let node t = t.node
@@ -23,7 +22,6 @@ let limiter t = t.limiter
 let set_receive t f = t.on_receive <- Some f
 let received t = C.value t.received
 let misdelivered t = C.value t.misdelivered
-let rate_signal t = t.rate_signal
 
 (* A packet that terminated here: count it, close its flight and hand it
    to [on_receive]. *)
@@ -66,7 +64,6 @@ let arrive t ~frame ~in_port =
 let handle t _world ~in_port ~frame ~head:_ ~tail =
   match frame.Netsim.Frame.meta with
   | Some (Congestion.Rate_ctl { congested_port; rate_bps }) ->
-    t.rate_signal <- Some (W.now t.world, rate_bps /. 8.0);
     Congestion.handle_ctl t.limiter ~arrival_port:in_port ~congested_port ~rate_bps
   | Some _ -> ()
   | None -> at_tail t ~tail (fun () -> arrive t ~frame ~in_port)
@@ -86,7 +83,6 @@ let create ?(congestion = Congestion.default_config) world ~node =
       on_receive = None;
       received = cnt "received" ~help:"packets delivered to this host";
       misdelivered = cnt "misdelivered" ~help:"arrivals whose route did not terminate here";
-      rate_signal = None;
     }
   in
   W.set_handler world node (handle t);
@@ -109,22 +105,20 @@ let transmit t ~port frame =
   result
 
 (* Put the first [len] bytes of [payload] on the wire out [port] through
-   the host's limiter, keyed by the queue the first router sends it to:
-   {!Pkt.next_port} of the bytes sent, the rule routers key theirs by.
-   The packet is originated where it enters the internetwork, before any
-   limiter hold. A packet the limiter admits at once is sent without a
-   closure; a held one is queued in the limiter and reports [Queued],
-   unless the limiter releases it on the spot. *)
+   the host's limiter, which keys it by the queue the first router sends
+   it to, as routers key theirs. The packet is originated where it
+   enters the internetwork, before any limiter hold. A packet the
+   limiter admits at once is sent without a closure; a held one is
+   queued in the limiter and reports [Queued], unless the limiter
+   releases it on the spot. *)
 let inject t ~port ~priority ~drop_if_blocked ~len payload =
   let flight = W.originate t.world in
-  let next_port = Pkt.next_port payload ~off:0 ~len in
-  if Congestion.admit t.limiter ~out_port:port ~next_port ~bytes:len then
-    transmit t ~port (frame ~priority ~drop_if_blocked ~flight ~len payload)
+  let frame = frame ~priority ~drop_if_blocked ~flight ~len payload in
+  if Congestion.admit t.limiter ~out_port:port frame then transmit t ~port frame
   else begin
     let result = ref W.Queued in
-    Congestion.hold t.limiter ~out_port:port ~next_port ~bytes:len ~send:(fun () ->
-        result :=
-          transmit t ~port (frame ~priority ~drop_if_blocked ~flight ~len payload));
+    Congestion.hold t.limiter ~out_port:port frame ~send:(fun () ->
+        result := transmit t ~port frame);
     !result
   end
 

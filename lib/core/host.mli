@@ -68,5 +68,3 @@ val misdelivered : t -> int
     e.g. after header corruption. The transport layer must also defend
     itself (§4.1); the host counts what it can see. *)
 
-val rate_signal : t -> (Sim.Time.t * float) option
-(** Most recent congestion feedback: (when, advised bytes/s). *)

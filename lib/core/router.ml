@@ -273,13 +273,11 @@ let transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port =
     in
     attempt 0
 
-(* Transmit [out] out [out_port] at [when_], honoring any congestion
-   limiter for its (out_port, next port) queue. The next port — the
-   leading VIPER segment's or the next XSR lane's, exactly the queue a
-   Rate_ctl limiter is keyed by — is read in place from either header
-   ({!Pkt.next_port}). The act step is one closure, which also carries
-   the crash-epoch guard of {!schedule}; a [send] closure is built only
-   when a limiter holds the packet. *)
+(* Transmit [out] out [out_port] at [when_], through any congestion
+   limiter for its queue (the limiter reads its own key). The act step
+   is one closure, which also carries the crash-epoch guard of
+   {!schedule}; a [send] closure is built only when a limiter holds the
+   packet. *)
 let dispatch t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port ~when_ =
   let epoch = t.epoch in
   at t ~time:when_ (fun () ->
@@ -287,15 +285,10 @@ let dispatch t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port ~when_ =
       else if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted
       else
         match t.congestion with
-        | None -> transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port
-        | Some c ->
-          let { Netsim.Frame.payload; off; len = bytes; _ } = out in
-          let next_port = Pkt.next_port payload ~off ~len:bytes in
-          if Congestion.admit c ~out_port ~next_port ~bytes then
-            transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port
-          else
-            Congestion.hold c ~out_port ~next_port ~bytes ~send:(fun () ->
-                transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port))
+        | Some c when not (Congestion.admit c ~out_port out) ->
+          Congestion.hold c ~out_port out ~send:(fun () ->
+              transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port)
+        | Some _ | None -> transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port)
 
 (* Switch [out] out [out_port]: decide cut-through or store-and-forward,
    count it, record the hop, tell the congestion monitor, and schedule
@@ -747,11 +740,12 @@ let crash t =
        marks are soft state too: they die with the crash, and packets held
        in limiters are as lost as queued frames *)
     let held =
-      match t.congestion with Some c -> Congestion.reset c | None -> 0
+      match t.congestion with Some c -> Congestion.reset c | None -> []
     in
-    W.lose_held t.world held;
+    List.iter (fun frame -> drop t ~frame ~in_port:(-1) Purged) held;
     Telemetry.Events.emit (W.events t.world) ~time:(now t)
-      (Telemetry.Events.Router_crashed { node = t.node; frames_lost = lost + held });
+      (Telemetry.Events.Router_crashed
+         { node = t.node; frames_lost = lost + List.length held });
     Token.Cache.flush t.cache
   end
 

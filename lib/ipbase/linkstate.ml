@@ -1,24 +1,18 @@
 module G = Topo.Graph
 module W = Netsim.World
 
-type config = {
-  hello_interval : Sim.Time.t;
-  dead_factor : int;
-  spf_delay : Sim.Time.t;
-  lsa_base_bytes : int;
-  lsa_per_neighbor_bytes : int;
-  hello_bytes : int;
-}
+type config = { hello_interval : Sim.Time.t }
 
-let default_config =
-  {
-    hello_interval = Sim.Time.s 1;
-    dead_factor = 3;
-    spf_delay = Sim.Time.ms 10;
-    lsa_base_bytes = 24;
-    lsa_per_neighbor_bytes = 12;
-    hello_bytes = 20;
-  }
+let default_config = { hello_interval = Sim.Time.s 1 }
+let dead_factor = 3
+
+(* settle time between an LSDB change and the recompute *)
+let spf_delay = Sim.Time.ms 10
+
+(* simulated sizes: an LSA is a base plus one entry per neighbor *)
+let lsa_base_bytes = 24
+let lsa_per_neighbor_bytes = 12
+let hello_bytes = 20
 
 type lsa = { origin : G.node_id; seq : int; neighbors : (G.node_id * float) list }
 
@@ -70,8 +64,8 @@ let current_neighbors t =
       | Some _ | None -> None)
     (G.ports (W.graph t.world) t.node)
 
-let lsa_bytes t (lsa : lsa) =
-  t.config.lsa_base_bytes + (t.config.lsa_per_neighbor_bytes * List.length lsa.neighbors)
+let lsa_bytes (lsa : lsa) =
+  lsa_base_bytes + (lsa_per_neighbor_bytes * List.length lsa.neighbors)
 
 let flood t ?(except = -1) lsa =
   List.iter
@@ -81,7 +75,7 @@ let flood t ?(except = -1) lsa =
         let frame =
           W.fresh_frame t.world ~priority:Token.Priority.highest
             ~meta:(Lsa_flood lsa)
-            (Bytes.create (lsa_bytes t lsa))
+            (Bytes.create (lsa_bytes lsa))
         in
         ignore (W.send t.world ~node:t.node ~port frame)
       end)
@@ -90,7 +84,7 @@ let flood t ?(except = -1) lsa =
 let rec schedule_spf t =
   if not t.spf_pending then begin
     t.spf_pending <- true;
-    Sim.Engine.schedule (W.engine t.world) ~delay:t.config.spf_delay (fun () ->
+    Sim.Engine.schedule (W.engine t.world) ~delay:spf_delay (fun () ->
         t.spf_pending <- false;
         run_spf t)
   end
@@ -189,13 +183,13 @@ let send_hellos t =
       let frame =
         W.fresh_frame t.world ~priority:Token.Priority.highest
           ~meta:(Hello t.node)
-          (Bytes.create t.config.hello_bytes)
+          (Bytes.create hello_bytes)
       in
       ignore (W.send t.world ~node:t.node ~port frame))
     (G.ports (W.graph t.world) t.node)
 
 let check_liveness t =
-  let deadline = t.config.hello_interval * t.config.dead_factor in
+  let deadline = t.config.hello_interval * dead_factor in
   let changed = ref false in
   Hashtbl.iter
     (fun _port st ->
@@ -228,4 +222,4 @@ let next_hop t ~dst = Hashtbl.find_opt t.table dst
 let lsdb_entries t = Hashtbl.length t.lsdb
 
 let lsdb_bytes t =
-  Hashtbl.fold (fun _ lsa acc -> acc + lsa_bytes t lsa) t.lsdb 0
+  Hashtbl.fold (fun _ lsa acc -> acc + lsa_bytes lsa) t.lsdb 0

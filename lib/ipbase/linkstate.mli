@@ -8,17 +8,15 @@
     router carries is proportional to the whole internetwork — the scaling
     contrast with a Sirpent router measured by experiment E12. *)
 
-type config = {
-  hello_interval : Sim.Time.t;
-  dead_factor : int;  (** missed hellos before a neighbor is declared down *)
-  spf_delay : Sim.Time.t;  (** settle time between LSDB change and recompute *)
-  lsa_base_bytes : int;  (** simulated LSA size: base + per-neighbor *)
-  lsa_per_neighbor_bytes : int;
-  hello_bytes : int;
-}
+type config = { hello_interval : Sim.Time.t }
 
 val default_config : config
-(** 1 s hellos, dead after 3 missed, 10 ms SPF delay, 24+12 B LSAs. *)
+(** 1 s hellos. A neighbor is dead after {!dead_factor} missed hellos,
+    the SPF recompute waits 10 ms after an LSDB change, and an LSA is
+    24 B plus 12 B per neighbor (hellos are 20 B). *)
+
+val dead_factor : int
+(** Missed hellos before a neighbor is declared down: 3. *)
 
 type lsa = {
   origin : Topo.Graph.node_id;

@@ -3,9 +3,10 @@ module W = Netsim.World
 
 type routing = Static | Linkstate of Linkstate.config
 
-type config = { process_time : Sim.Time.t; routing : routing }
+type config = { routing : routing }
 
-let default_config = { process_time = Sim.Time.us 100; routing = Static }
+let default_config = { routing = Static }
+let process_time = Sim.Time.us 100
 
 type stats = {
   forwarded : int;
@@ -109,7 +110,7 @@ let handle t _world ~in_port ~frame ~head:_ ~tail =
   in
   if not consumed then
     Sim.Engine.schedule_at (W.engine t.world)
-      ~time:(max (W.now t.world) tail + t.config.process_time)
+      ~time:(max (W.now t.world) tail + process_time)
       (fun () -> forward t (Netsim.Frame.contents frame))
 
 let create ?(config = default_config) world ~node () =

@@ -4,19 +4,13 @@
     and store the whole packet, verify the header checksum, decrement the
     TTL and update the checksum, look up the next hop from the destination
     address, fragment if the next link's MTU requires it, and queue for
-    transmission. All of it costs [process_time] after full reception. *)
+    transmission. All of it costs 100 us after full reception. *)
 
 type routing =
   | Static  (** tables computed from global topology (re-run on demand) *)
   | Linkstate of Linkstate.config  (** the distributed protocol *)
 
-type config = {
-  process_time : Sim.Time.t;  (** default 100 us *)
-  routing : routing;
-}
-
-val default_config : config
-(** Static routing, 100 us processing. *)
+type config = { routing : routing }
 
 type stats = {
   forwarded : int;
@@ -30,6 +24,8 @@ type stats = {
 type t
 
 val create : ?config:config -> Netsim.World.t -> node:Topo.Graph.node_id -> unit -> t
+(** [config] defaults to [Static] routing. *)
+
 val stats : t -> stats
 
 val linkstate : t -> Linkstate.t option

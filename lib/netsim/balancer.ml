@@ -33,7 +33,7 @@ let apportion ~loads ~target =
   done;
   ways
 
-let plan ?weight (part : Partition.t) ~load ~target =
+let plan (part : Partition.t) ~load ~target =
   if target < 1 then invalid_arg "Balancer.plan: target < 1";
   let r0 = part.Partition.regions in
   let loads = Array.init r0 (fun r -> max 0 (load r)) in
@@ -43,7 +43,7 @@ let plan ?weight (part : Partition.t) ~load ~target =
   let refusals = ref 0 in
   for region = 0 to r0 - 1 do
     if ways.(region) > 1 then begin
-      match Partition.refine ?weight !cur ~region ~ways:ways.(region) with
+      match Partition.refine !cur ~region ~ways:ways.(region) with
       | Ok p ->
         cur := p;
         splits := (region, ways.(region)) :: !splits

@@ -18,15 +18,9 @@ type outcome = {
           {!Partition.Unsplittable} — counted, never raised *)
 }
 
-val plan :
-  ?weight:(Topo.Graph.node_id -> int) ->
-  Partition.t ->
-  load:(int -> int) ->
-  target:int ->
-  outcome
+val plan : Partition.t -> load:(int -> int) -> target:int -> outcome
 (** Apportion [target] shards over the regions proportionally to
     [load] (events executed per original region; highest-averages
     apportionment, deterministic tie-breaks) and refine each region
-    granted more than one shard. [weight] biases the atom packing
-    inside a split region (default: node count). Raises
-    [Invalid_argument] on [target < 1]. *)
+    granted more than one shard, packing its atoms by node count.
+    Raises [Invalid_argument] on [target < 1]. *)

@@ -117,13 +117,13 @@ let split full ~region =
    Any internal link that ends up crossing sub-regions becomes a gateway
    and must have positive propagation, so nodes joined by zero-latency
    links are first contracted into atoms (union-find); atoms are then
-   LPT-packed into the sub-regions by total node weight (sort by weight
+   LPT-packed into the sub-regions by node count (sort by count
    descending, representative id ascending; place on the lightest bin,
    lowest bin first) — deterministic, so a profile-guided refinement
    replays identically on every run. A region that contracts to a single
    atom cannot be split: [Unsplittable], which callers count and degrade
    from rather than raise. *)
-let refine ?(weight = fun (_ : G.node_id) -> 1) t ~region:target ~ways =
+let refine t ~region:target ~ways =
   if target < 0 || target >= t.regions then
     invalid_arg "Partition.refine: no such region";
   if ways <= 1 then Ok t
@@ -150,7 +150,7 @@ let refine ?(weight = fun (_ : G.node_id) -> 1) t ~region:target ~ways =
       if t.region_of.(id) = target then begin
         let root = find id in
         let w = Option.value ~default:0 (Hashtbl.find_opt atom_weight root) in
-        Hashtbl.replace atom_weight root (w + max 1 (weight id))
+        Hashtbl.replace atom_weight root (w + 1)
       end
     done;
     let atoms =

@@ -44,15 +44,14 @@ val split : G.t -> region:(G.node_id -> int) -> (t, error) result
 (** Regions must be numbered densely enough from 0 ([regions] is
     [1 + max region]); a negative region is {!Bad_region}. *)
 
-val refine :
-  ?weight:(G.node_id -> int) -> t -> region:int -> ways:int -> (t, error) result
+val refine : t -> region:int -> ways:int -> (t, error) result
 (** Over-decomposition: split [region] into up to [ways] sub-regions; the
     first keeps the old region number and the rest are appended after the
     current regions, so every other region's index — and any profile table
     keyed on it — is untouched. Nodes joined by zero-latency links are
     contracted into atoms first (a new gateway link needs positive
     propagation for its lookahead); atoms are LPT-packed into sub-regions
-    by [weight] (default: node count), deterministically. [ways <= 1] is a
+    by node count, deterministically. [ways <= 1] is a
     no-op; a single-atom region is {!Unsplittable} — callers count the
     refusal and keep the coarser partition rather than fail. *)
 

@@ -226,19 +226,17 @@ let hand_off t frame =
 let fate_count t fate =
   match Hashtbl.find t.fates fate with n -> n | exception Not_found -> 0
 
-let count_fate t fate n = Hashtbl.replace t.fates fate (fate_count t fate + n)
+let count_fate t fate = Hashtbl.replace t.fates fate (fate_count t fate + 1)
 
 (* A frame with [meta] is a control message, not a packet anyone
    originated: losing it is no packet's fate. *)
 let lose t ~node ~in_port frame fate =
   if Option.is_none frame.Frame.meta then begin
-    count_fate t fate 1;
+    count_fate t fate;
     match frame.Frame.flight with
     | Some ctx -> Flight.drop ctx ~node ~in_port ~now:(now t) fate
     | None -> ()
   end
-
-let lose_held t n = count_fate t Purged n
 
 let conservation t =
   let lost = Hashtbl.fold (fun _ n acc -> acc + n) t.fates 0 in

@@ -64,11 +64,12 @@ val send : t -> node:Topo.Graph.node_id -> port:Topo.Graph.port -> Frame.t -> se
 
     Every packet the world originates (or imports from another region)
     ends exactly once: delivered ({!complete}), handed off to another
-    world ({!hand_off}) or lost with a fate ({!lose}). Each call counts
-    the packet and ends its flight, so counts and spans agree. A purged
-    or preempted transmission whose delivery already ran is the
-    receiver's to account for. A control frame ([meta <> None]) is not a
-    packet: losing one records nothing. *)
+    world ({!hand_off}) or lost with a fate ({!lose}, also for what a
+    crashed router's limiter held). Each call counts the packet and ends
+    its flight, so counts and spans agree. A purged or preempted
+    transmission whose delivery already ran is the receiver's to account
+    for. A control frame ([meta <> None]) is not a packet: losing one
+    records nothing. *)
 
 val originate : t -> Telemetry.Flight.ctx option
 (** Count a packet entering here; its flight, if the recorder is on (no
@@ -85,10 +86,6 @@ val hand_off : t -> Frame.t -> Telemetry.Flight.carried option
 val lose :
   t -> node:Topo.Graph.node_id -> in_port:Topo.Graph.port -> Frame.t ->
   Telemetry.Flight.fate -> unit
-
-val lose_held : t -> int -> unit
-(** [n] limiter-held packets purged by a crash, without drop spans: a
-    limiter holds send closures, not frames. *)
 
 val fate_count : t -> Telemetry.Flight.fate -> int
 

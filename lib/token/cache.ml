@@ -10,7 +10,6 @@ type verdict =
 type entry = {
   grant : Capability.grant option; (* None = known bad *)
   mutable packets : int;
-  mutable bytes : int;
 }
 
 type t = {
@@ -51,7 +50,6 @@ let check t ~token ~port ~priority ~now_ms ~packet_bytes ~reverse =
         && Capability.permits g ~port ~priority ~now_ms ~reverse
       then begin
         entry.packets <- entry.packets + 1;
-        entry.bytes <- entry.bytes + packet_bytes;
         Account.charge t.ledger ~account:g.Capability.account ~packets:1
           ~bytes:packet_bytes;
         Admit g
@@ -72,17 +70,17 @@ let complete_verification t ~token ~now_ms =
   | None -> (
     match Capability.of_bytes token with
     | None ->
-      Hashtbl.replace t.table k { grant = None; packets = 0; bytes = 0 };
+      Hashtbl.replace t.table k { grant = None; packets = 0 };
       false
     | Some cap -> (
       match Capability.verify t.key cap with
       | Some g
         when g.Capability.router_id = t.router_id
              && (g.Capability.expiry_ms = 0 || now_ms <= g.Capability.expiry_ms) ->
-        Hashtbl.replace t.table k { grant = Some g; packets = 0; bytes = 0 };
+        Hashtbl.replace t.table k { grant = Some g; packets = 0 };
         true
       | Some _ | None ->
-        Hashtbl.replace t.table k { grant = None; packets = 0; bytes = 0 };
+        Hashtbl.replace t.table k { grant = None; packets = 0 };
         false))
 
 let entries t = Hashtbl.length t.table

@@ -120,6 +120,7 @@ let stats t : stats =
   }
 
 let rtt_estimate t = t.srtt
+let held_responses t = Hashtbl.length t.held
 let set_request_handler t f = t.handler <- Some f
 let set_route_switch_hook t f = t.on_route_switch <- Some f
 
@@ -323,10 +324,15 @@ let respond t ~client ~txn ~via data =
     { resp_packets = packets; via; expires = now t + response_hold }
   in
   Hashtbl.replace t.held (client, txn) held;
-  schedule t ~delay:response_hold (fun () ->
-      match Hashtbl.find_opt t.held (client, txn) with
-      | Some h when h.expires <= now t -> Hashtbl.remove t.held (client, txn)
-      | Some _ | None -> ());
+  (* a duplicate request pushes [expires] later: the expiry then re-arms
+     at the new deadline *)
+  let rec expire () =
+    match Hashtbl.find_opt t.held (client, txn) with
+    | Some h when h.expires > now t -> schedule t ~delay:(h.expires - now t) expire
+    | Some _ -> Hashtbl.remove t.held (client, txn)
+    | None -> ()
+  in
+  schedule t ~delay:response_hold expire;
   Array.iter (send_via t ~via) packets
 
 let arm_gap_timer t partial ~on_gap =

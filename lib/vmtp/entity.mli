@@ -50,6 +50,10 @@ val stats : t -> stats
 val rtt_estimate : t -> Sim.Time.t option
 (** Smoothed RTT over completed transactions. *)
 
+val held_responses : t -> int
+(** Responses this server holds for replay: each until its completion
+    ack arrives, or 5 s after the last request for it. *)
+
 val set_request_handler : t -> (t -> data:bytes -> reply:(bytes -> unit) -> unit) -> unit
 (** Server side: called once per complete request; [reply] may be invoked
     (once) now or later. *)

@@ -21,19 +21,19 @@ let to_bytes s =
   Bytes.init (n / 2) (fun i ->
       Char.chr ((value_of_char s.[2 * i] lsl 4) lor value_of_char s.[(2 * i) + 1]))
 
-let dump ?(width = 16) b =
+let dump b =
   let buf = Buffer.create 256 in
   let n = Bytes.length b in
   let rec line off =
     if off < n then begin
       Buffer.add_string buf (Printf.sprintf "%04x  " off);
-      let stop = min n (off + width) in
+      let stop = min n (off + 16) in
       for i = off to stop - 1 do
         Buffer.add_string buf
           (Printf.sprintf "%02x " (Char.code (Bytes.get b i)))
       done;
       Buffer.add_char buf '\n';
-      line (off + width)
+      line (off + 16)
     end
   in
   line 0;

@@ -10,5 +10,5 @@ val to_bytes : string -> bytes
 (** Inverse of {!of_bytes}. Raises [Invalid_argument] on odd length or
     non-hex characters. *)
 
-val dump : ?width:int -> bytes -> string
-(** Classic offset-prefixed hexdump, [width] bytes per line (default 16). *)
+val dump : bytes -> string
+(** Classic offset-prefixed hexdump, 16 bytes per line. *)

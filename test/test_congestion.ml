@@ -22,11 +22,25 @@ let world () =
 
 let config = C.default_config
 
+(* A frame of [bytes] bytes (at least a segment's 4) bound for
+   [next_port] at the next router: a lone VIPER segment naming it, then
+   padding. *)
+let frame w ~next_port bytes =
+  let seg = Viper.Segment.encode (Viper.Segment.make ~port:next_port ()) in
+  let b = Bytes.make (max bytes (Bytes.length seg)) '\000' in
+  Bytes.blit seg 0 b 0 (Bytes.length seg);
+  W.fresh_frame w b
+
+(* A departing frame through the limiter: sent now if admitted, else
+   held until the bucket allows it. *)
+let submit c ~out_port frame ~send =
+  if C.admit c ~out_port frame then send () else C.hold c ~out_port frame ~send
+
 let unlimited_passes_through () =
   let _, _, w, _, r1, _ = world () in
   let c = C.create w ~node:r1 config in
   let sent = ref 0 in
-  C.submit c ~out_port:2 ~next_port:3 ~bytes:1000 ~send:(fun () -> incr sent);
+  submit c ~out_port:2 (frame w ~next_port:3 1000) ~send:(fun () -> incr sent);
   check_int "immediate" 1 !sent;
   check_int "no backlog" 0 (C.backlog c)
 
@@ -39,7 +53,7 @@ let limiter_paces_to_rate () =
   check_int "limiter installed" 1 (C.limiters c);
   let sent_times = ref [] in
   for _ = 1 to 3 do
-    C.submit c ~out_port:1 ~next_port:3 ~bytes:1000 ~send:(fun () ->
+    submit c ~out_port:1 (frame w ~next_port:3 1000) ~send:(fun () ->
         sent_times := Sim.Engine.now engine :: !sent_times)
   done;
   check_bool "some held" true (C.backlog c > 0);
@@ -52,16 +66,37 @@ let limiter_paces_to_rate () =
   | _ -> Alcotest.fail "expected releases");
   check_int "drained" 0 (C.backlog c)
 
+(* The limiter reads its key from either codec's header: a VIPER
+   packet's leading port, an XSR packet's next lane. *)
 let limiter_key_is_exact () =
   let _, _, w, _, r1, _ = world () in
   let c = C.create w ~node:r1 config in
   C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:1.0;
+  (* a limiter on key -1 too: bytes no router can read still pass *)
+  C.handle_ctl c ~arrival_port:1 ~congested_port:(-1) ~rate_bps:1.0;
+  let data = Bytes.make 100 'd' in
+  let viper port =
+    W.fresh_frame w
+      (Viper.Packet.build
+         ~route:[ Viper.Segment.make ~port (); Viper.Segment.make ~port:0 () ]
+         ~data)
+  in
+  let xsr port = W.fresh_frame w (Viper.Xsr.encode ~ports:[ port; 2 ] ~data ()) in
   let sent = ref 0 in
-  (* different next_port: unthrottled *)
-  C.submit c ~out_port:1 ~next_port:4 ~bytes:100_000 ~send:(fun () -> incr sent);
-  (* no next_port (final hop): unthrottled *)
-  C.submit c ~out_port:1 ~next_port:(-1) ~bytes:100_000 ~send:(fun () -> incr sent);
-  check_int "both bypass" 2 !sent
+  let send () = incr sent in
+  submit c ~out_port:1 (viper 3) ~send;
+  check_int "VIPER leading port 3 held" 1 (C.backlog c);
+  submit c ~out_port:1 (xsr 3) ~send;
+  check_int "XSR next lane 3 held" 2 (C.backlog c);
+  (* bound for another next port or out port: unthrottled *)
+  submit c ~out_port:1 (frame w ~next_port:4 100_000) ~send;
+  submit c ~out_port:1 (viper 4) ~send;
+  submit c ~out_port:1 (xsr 4) ~send;
+  submit c ~out_port:2 (viper 3) ~send;
+  (* no readable next port: unthrottled *)
+  submit c ~out_port:1 (W.fresh_frame w (Bytes.make 1 '\003')) ~send;
+  check_int "all five bypass" 5 !sent;
+  check_int "still two held" 2 (C.backlog c)
 
 let limiter_expires_as_soft_state () =
   let _, engine, w, _, r1, _ = world () in
@@ -82,8 +117,8 @@ let ramp_raises_rate () =
   C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:8_000.0;
   let sent_at = ref 0 in
   (* a second packet behind a first: 2000 B at 8 kb/s would take ~2 s flat *)
-  C.submit c ~out_port:1 ~next_port:3 ~bytes:1000 ~send:(fun () -> ());
-  C.submit c ~out_port:1 ~next_port:3 ~bytes:1000 ~send:(fun () ->
+  submit c ~out_port:1 (frame w ~next_port:3 1000) ~send:(fun () -> ());
+  submit c ~out_port:1 (frame w ~next_port:3 1000) ~send:(fun () ->
       sent_at := Sim.Engine.now engine);
   Sim.Engine.run ~until:(Sim.Time.s 3) engine;
   check_bool "released" true (!sent_at > 0);
@@ -252,7 +287,7 @@ let refresh_reevaluates_waiting_drain () =
   let c = C.create w ~node:r1 config in
   C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:80.0;
   let sent_at = ref None in
-  C.submit c ~out_port:1 ~next_port:3 ~bytes:1000 ~send:(fun () ->
+  submit c ~out_port:1 (frame w ~next_port:3 1000) ~send:(fun () ->
       sent_at := Some (Sim.Engine.now engine));
   Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 1) (fun () ->
       C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:8e6);
@@ -292,7 +327,7 @@ let qcheck_bucket_invariant =
           | Advance ms ->
             Sim.Engine.run ~until:(Sim.Engine.now engine + Sim.Time.ms ms) engine
           | Submit b ->
-            C.submit c ~out_port:1 ~next_port:3 ~bytes:b ~send:ignore);
+            submit c ~out_port:1 (frame w ~next_port:3 b) ~send:ignore);
           match C.bucket_level c ~out_port:1 ~next_port:3 with
           | None -> true (* expired: nothing left to violate *)
           | Some (bucket, cap) -> bucket <= cap +. 1e-6)

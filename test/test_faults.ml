@@ -235,12 +235,7 @@ let qcheck_conservation_under_faults =
            0 sends);
       Sim.Engine.run engine;
       let fl = W.flight world in
-      let unspanned = W.fate_count world Flight.Purged
-        - List.length
-            (List.filter (fun f -> f.Flight.dropped = Some Flight.Purged) (Flight.flights fl))
-      in
-      W.conservation world = 0
-      && Flight.started fl = Flight.completed fl + Flight.dropped fl + unspanned)
+      W.conservation world = 0 && Flight.started fl = Flight.completed fl + Flight.dropped fl)
 
 (* --- region-aimed corruption through a router --- *)
 
@@ -393,11 +388,19 @@ let crash_wipes_limiter_soft_state () =
   ignore (Sirpent.Host.create world ~node:h2);
   let c = Option.get (Router.congestion router) in
   let module C = Sirpent.Congestion in
-  (* a throttled limiter holding two packets that will never fit its rate *)
+  (* a throttled limiter holding two packets that will never fit its rate:
+     1000-byte frames whose lone segment names port 1 at the next router *)
   C.handle_ctl c ~arrival_port:1 ~congested_port:1 ~rate_bps:8.0;
   let leaked = ref 0 in
-  C.submit c ~out_port:1 ~next_port:1 ~bytes:1000 ~send:(fun () -> incr leaked);
-  C.submit c ~out_port:1 ~next_port:1 ~bytes:1000 ~send:(fun () -> incr leaked);
+  let hold () =
+    let b = Bytes.make 1000 '\000' in
+    Bytes.blit (Viper.Segment.encode (Viper.Segment.make ~port:1 ())) 0 b 0 4;
+    let frame = W.fresh_frame world b in
+    let send () = incr leaked in
+    if C.admit c ~out_port:1 frame then send () else C.hold c ~out_port:1 frame ~send
+  in
+  hold ();
+  hold ();
   check_int "limiter installed" 1 (C.limiters c);
   check_int "packets held" 2 (C.backlog c);
   let inj = Faults.Injector.create world in
@@ -415,6 +418,51 @@ let crash_wipes_limiter_soft_state () =
   check_bool "router back up" true (Router.up router);
   check_int "held packets never leaked out" 0 !leaked;
   check_int "held packets are purged fates" 2 (W.fate_count world Flight.Purged)
+
+(* Packets hosts sent that a router's limiter holds when it crashes
+   end like any other lost packet: a [Purged] fate with a drop span. *)
+let crash_ends_held_flights () =
+  let g, h1, r, h2 = two_hop () in
+  let engine = Sim.Engine.create () in
+  let world = W.create engine g in
+  record_flights world;
+  let router =
+    Router.create world ~node:r
+      ~config:
+        {
+          Router.default_config with
+          Router.congestion = Some Sirpent.Congestion.default_config;
+        }
+      ()
+  in
+  let s1 = Sirpent.Host.create world ~node:h1 in
+  ignore (Sirpent.Host.create world ~node:h2);
+  let c = Option.get (Router.congestion router) in
+  (* throttle r's port 2 (toward h2) for packets whose next segment is
+     h2's local delivery: nothing fits 8 b/s before the crash *)
+  Sirpent.Congestion.handle_ctl c ~arrival_port:2
+    ~congested_port:Viper.Segment.local_port ~rate_bps:8.0;
+  let route = route_to g ~src:h1 ~dst:h2 in
+  for _ = 1 to 3 do
+    ignore (Sirpent.Host.send s1 ~route ~data:(Bytes.make 200 'h') ())
+  done;
+  Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 10) (fun () ->
+      check_int "held before the crash" 3 (Sirpent.Congestion.backlog c);
+      Router.crash router);
+  Sim.Engine.run engine;
+  let fl = W.flight world in
+  let flights = Flight.flights fl in
+  check_int "three flights ended" 3 (List.length flights);
+  List.iter
+    (fun f ->
+      check_bool "purged" true (f.Flight.dropped = Some Flight.Purged);
+      match List.rev f.Flight.spans with
+      | last :: _ -> check_bool "drop span" true (last.Flight.drop = Some Flight.Purged)
+      | [] -> Alcotest.fail "no spans")
+    flights;
+  check_int "started = completed + dropped" (Flight.started fl)
+    (Flight.completed fl + Flight.dropped fl);
+  check_int "conservation" 0 (W.conservation world)
 
 (* --- flapping links --- *)
 
@@ -599,6 +647,7 @@ let () =
             crash_wipes_soft_state_and_recovers;
           Alcotest.test_case "crash wipes limiter soft state" `Quick
             crash_wipes_limiter_soft_state;
+          Alcotest.test_case "crash ends held flights" `Quick crash_ends_held_flights;
           Alcotest.test_case "frozen directory serves dead routes" `Quick
             frozen_directory_serves_dead_routes;
         ] );

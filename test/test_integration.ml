@@ -120,10 +120,7 @@ let state_scaling_contrast () =
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
   let config =
-    {
-      Ipbase.Router.default_config with
-      Ipbase.Router.routing = Ipbase.Router.Linkstate Ipbase.Linkstate.default_config;
-    }
+    { Ipbase.Router.routing = Ipbase.Router.Linkstate Ipbase.Linkstate.default_config }
   in
   let ip_routers =
     Array.map (fun n -> Ipbase.Router.create ~config world ~node:n ()) routers

@@ -184,7 +184,7 @@ let ip_world n_routers routing =
   ignore (G.connect g routers.(n_routers - 1) h2 G.default_props);
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
-  let config = { Ipbase.Router.default_config with Ipbase.Router.routing } in
+  let config = { Ipbase.Router.routing } in
   let robjs = Array.map (fun r -> Ipbase.Router.create ~config world ~node:r ()) routers in
   let host1 = Ipbase.Host.create world ~node:h1 in
   let host2 = Ipbase.Host.create world ~node:h2 in
@@ -290,10 +290,7 @@ let linkstate_reconverges_after_failure () =
   let engine = Sim.Engine.create () in
   let world = W.create engine g in
   let config =
-    {
-      Ipbase.Router.default_config with
-      Ipbase.Router.routing = Ipbase.Router.Linkstate Ipbase.Linkstate.default_config;
-    }
+    { Ipbase.Router.routing = Ipbase.Router.Linkstate Ipbase.Linkstate.default_config }
   in
   Array.iter (fun n -> ignore (Ipbase.Router.create ~config world ~node:n ())) r;
   let host1 = Ipbase.Host.create world ~node:h1 in

@@ -877,7 +877,8 @@ let congestion_ctl_messages_flow () =
     check_bool "router under congestion signals upstream" true
       (Sirpent.Congestion.ctl_sent c > 0);
     (* host saw the signal *)
-    check_bool "host received rate signal" true (Sirpent.Host.rate_signal sa <> None)
+    check_bool "host received rate signal" true
+      (Sirpent.Congestion.limiters (Sirpent.Host.limiter sa) > 0)
 
 let delay_line_recirculates () =
   (* Bufferless switch: a blocked packet circulates the delay line and is

@@ -265,6 +265,38 @@ let duplicate_request_replays_response () =
   check_int "no spurious duplicates" 0
     (Vmtp.Entity.stats server).Vmtp.Entity.duplicate_requests
 
+(* A duplicate request extends the server's hold on its response; with
+   the completion ack lost, the response still goes 5 s after the
+   duplicate. The first response dies on the client's failed access
+   link, the client's retransmission (at its 100 ms RTO, the link back
+   up) is the duplicate, and the server's access link fails while the
+   completion ack is on its way. *)
+let held_response_expires_after_extension () =
+  let g, engine, world, host1, host2, route = stack () in
+  let link_of node = snd (List.hd (G.ports g node)) in
+  let client_link = link_of (Sirpent.Host.node host1)
+  and server_link = link_of (Sirpent.Host.node host2) in
+  let client = Vmtp.Entity.create host1 ~id:1L in
+  let server = Vmtp.Entity.create host2 ~id:2L in
+  Vmtp.Entity.set_request_handler server (fun _ ~data:_ ~reply ->
+      reply (Bytes.of_string "resp");
+      W.fail_link world client_link);
+  Sim.Engine.schedule_at engine ~time:(Sim.Time.ms 50) (fun () ->
+      W.restore_link world client_link);
+  let replied = ref false in
+  Vmtp.Entity.call client ~server:2L ~routes:[ route ] ~data:(Bytes.of_string "q")
+    ~on_reply:(fun _ ~rtt:_ ->
+      replied := true;
+      W.fail_link world server_link)
+    ~on_fail:(fun r -> Alcotest.fail r)
+    ();
+  Sim.Engine.run ~until:(Sim.Time.ms 5050) engine;
+  check_bool "replayed response reached the client" true !replied;
+  check_int "one duplicate" 1 (Vmtp.Entity.stats server).Vmtp.Entity.duplicate_requests;
+  check_int "held past the first deadline" 1 (Vmtp.Entity.held_responses server);
+  Sim.Engine.run ~until:(Sim.Time.s 6) engine;
+  check_int "released 5 s after the duplicate" 0 (Vmtp.Entity.held_responses server)
+
 (* Every packet an entity counts as sent is one frame on its host's
    port: after a call whose response is a packet group, and again after
    each way a server sends a response packet twice. Damaging one
@@ -560,6 +592,8 @@ let () =
           Alcotest.test_case "misdelivery rejected" `Quick misdelivery_rejected_by_entity_id;
           Alcotest.test_case "MPL rejects stale" `Quick stale_packets_rejected_by_mpl;
           Alcotest.test_case "duplicates handled" `Quick duplicate_request_replays_response;
+          Alcotest.test_case "held response expires after extension" `Quick
+            held_response_expires_after_extension;
           Alcotest.test_case "failover to alternate" `Quick failover_to_alternate_route;
           Alcotest.test_case "pacing spreads packets" `Quick pacing_spreads_packets;
           Alcotest.test_case "packets sent match frames" `Quick packets_sent_match_frames;
