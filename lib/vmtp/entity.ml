@@ -40,10 +40,13 @@ type stats = {
   calls_failed : int;
 }
 
-(* Reassembly of one incoming packet group. *)
+(* Reassembly of one incoming packet group from [peer]. *)
 type partial = {
-  mutable chunks : bytes option array;
-  mutable mask : int32;
+  peer : int64;
+  mutable chunks : bytes array;
+      (** the group's packets by index, each the arrived transport packet
+          whose data window is the chunk; [absent] where none has come *)
+  mutable mask : int;
   mutable group_size : int;
   mutable sample : (Viper.Packet.t * Topo.Graph.port) option;
       (** a received packet + arrival port: source of the return route *)
@@ -58,7 +61,7 @@ type call = {
   mutable route_idx : int;
   priority : Token.Priority.t;
   request_packets : bytes array;  (** encoded transport packets, stable *)
-  mutable request_acked : int32;
+  mutable request_acked : int;
   mutable retries : int;
   mutable timer_at : Sim.Time.t;
   mutable timer_seq : int;  (* with [timer_at], the retransmit timer's key; -1 if none *)
@@ -70,6 +73,7 @@ type call = {
 }
 
 type held_response = {
+  client : int64;
   resp_packets : bytes array;
   mutable via : Viper.Packet.t * Topo.Graph.port;
   mutable expires : Sim.Time.t;
@@ -82,8 +86,8 @@ type t = {
   boot_ms : int;
   mutable next_txn : int;
   calls : (int, call) Hashtbl.t;  (* txn -> call *)
-  partials : (int64 * int, partial) Hashtbl.t;  (* (client, txn) -> request *)
-  held : (int64 * int, held_response) Hashtbl.t;
+  partials : (int, partial) Hashtbl.t;  (* txn_key -> request *)
+  held : (int, held_response) Hashtbl.t;  (* txn_key -> response *)
   mutable handler : (t -> data:bytes -> reply:(bytes -> unit) -> unit) option;
   mutable on_route_switch :
     (failed:Sirpent.Route.t -> route_index:int -> unit) option;
@@ -140,50 +144,80 @@ let arm t ~time f =
 
 let cancel t ~time ~seq = if seq >= 0 then Sim.Engine.cancel (engine t) ~time ~seq
 
-let segment_data data =
+(* [partials] and [held] are keyed by one int: the low 31 bits of the
+   client's id above the 32-bit transaction. Clients whose ids agree in
+   those bits share a key, so an entry keeps the full id and a lookup
+   takes the binding whose id is the client's. *)
+let txn_key ~client ~txn = ((Int64.to_int client land 0x7FFFFFFF) lsl 32) lor txn
+
+let find_entry tbl ~client_of ~key client =
+  match Hashtbl.find tbl key with
+  | e when Int64.equal (client_of e) client -> Some e
+  | _ -> List.find_opt (fun e -> Int64.equal (client_of e) client) (Hashtbl.find_all tbl key)
+  | exception Not_found -> None
+
+(* Remove [e], a binding of [key], leaving any other client's. *)
+let remove_entry tbl ~key e =
+  if Hashtbl.find tbl key == e then Hashtbl.remove tbl key
+  else begin
+    let others = List.filter (( != ) e) (Hashtbl.find_all tbl key) in
+    List.iter (fun _ -> Hashtbl.remove tbl key) (e :: others);
+    List.iter (Hashtbl.add tbl key) (List.rev others)
+  end
+
+let partial_peer p = p.peer
+let held_client h = h.client
+
+(* A nonzero creation timestamp: 0 means "invalid" on the wire (§4.2). *)
+let stamp t = match now_ms t with 0 -> 1 | ms -> ms
+
+(* The packets of a message, each written once from its window of
+   [data]. They are built now and never written again, so they stay
+   stable for retransmission whatever the caller later does with
+   [data]. *)
+let encode_group t ~dst ~txn ~kind data =
   let seg = segment_bytes in
   let len = Bytes.length data in
-  let count = max 1 ((len + seg - 1) / seg) in
-  if count > Wf.max_group then invalid_arg "Vmtp: message too large for one group";
-  Array.init count (fun i ->
-      let off = i * seg in
-      Bytes.sub data off (min seg (len - off)))
+  let group_size = max 1 ((len + seg - 1) / seg) in
+  if group_size > Wf.max_group then invalid_arg "Vmtp: message too large for one group";
+  let timestamp_ms = stamp t in
+  Array.init group_size (fun index ->
+      let off = index * seg in
+      Wf.encode ~src:t.id ~dst ~txn ~kind ~index ~group_size ~acks_response:false ~mask:0
+        ~timestamp_ms data ~off ~len:(min seg (len - off)))
 
+(* The message of a complete group: each chunk blitted once, in index
+   order, from its packet's data window. *)
 let assemble partial =
-  let parts = Array.to_list partial.chunks in
-  Bytes.concat Bytes.empty (List.map Option.get parts)
+  let chunks = partial.chunks in
+  let message = Bytes.create (Array.fold_left (fun n p -> n + Wf.data_len p) 0 chunks) in
+  let at = ref 0 in
+  for i = 0 to Array.length chunks - 1 do
+    let len = Wf.data_len chunks.(i) in
+    Bytes.blit chunks.(i) Wf.header_size message !at len;
+    at := !at + len
+  done;
+  message
 
-let encode_packet t ~dst ~txn ~kind ~index ~group_size ~acks_response ~mask ~data =
-  Wf.encode
-    {
-      Wf.src_entity = t.id;
-      dst_entity = dst;
-      transaction = txn;
-      kind;
-      index;
-      group_size;
-      acks_response;
-      delivery_mask = mask;
-      timestamp_ms = (let ms = now_ms t in if ms = 0 then 1 else ms);
-      data;
-    }
-
-(* Send a group of encoded packets along a source route, paced. *)
-let send_group t ~route ~priority packets ~indices =
+(* Send the packets of a group whose bits [skip] lacks, in index order,
+   paced along a source route; the count sent. *)
+let send_group t ~route ~priority packets ~skip =
   let gap_for bytes =
     if t.config.pace_bps <= 0 then Sim.Time.ns 1
     else Sim.Time.transmission ~bits:(8 * bytes) ~rate_bps:t.config.pace_bps
   in
-  let rec go delay = function
-    | [] -> ()
-    | idx :: rest ->
-      let packet = packets.(idx) in
-      schedule t ~delay (fun () ->
-          C.incr t.packets_sent;
-          ignore (Sirpent.Host.send t.host ~route ~priority ~data:packet ()));
-      go (delay + gap_for (Bytes.length packet)) rest
-  in
-  go 0 indices
+  let delay = ref 0 and sent = ref 0 in
+  Array.iteri
+    (fun i packet ->
+      if not (Wf.mask_has skip i) then begin
+        schedule t ~delay:!delay (fun () ->
+            C.incr t.packets_sent;
+            ignore (Sirpent.Host.send t.host ~route ~priority ~data:packet ()));
+        delay := !delay + gap_for (Bytes.length packet);
+        incr sent
+      end)
+    packets;
+  !sent
 
 (* Send one packet back over the return route of [via]. A damaged sample
    (truncated trailer, over-long return route) is an [Error] that sends
@@ -194,24 +228,30 @@ let send_via t ~via packet =
   C.incr t.packets_sent;
   ignore (Sirpent.Host.reply t.host ~to_packet:sample_packet ~in_port ~data:packet ())
 
-let fresh_partial () =
+(* A group's missing packets: a packet buffer is never empty. *)
+let absent = Bytes.empty
+
+let fresh_partial ~peer =
   {
-    chunks = Array.make 1 None;
-    mask = 0l;
+    peer;
+    chunks = Array.make 1 absent;
+    mask = 0;
     group_size = 1;
     sample = None;
     gap_at = 0;
     gap_seq = -1;
   }
 
-let partial_add partial ~index ~group_size ~data ~sample =
+(* Keep the arrived packet [p] (not a copy of its data) in its place. *)
+let partial_add partial p ~sample =
+  let index = Wf.index p and group_size = Wf.group_size p in
   if Array.length partial.chunks < group_size then begin
-    let fresh = Array.make group_size None in
+    let fresh = Array.make group_size absent in
     Array.blit partial.chunks 0 fresh 0 (Array.length partial.chunks);
     partial.chunks <- fresh
   end;
   partial.group_size <- max partial.group_size group_size;
-  if index < Array.length partial.chunks then partial.chunks.(index) <- Some data;
+  if index < Array.length partial.chunks then partial.chunks.(index) <- p;
   partial.mask <- Wf.mask_with partial.mask index;
   partial.sample <- Some sample
 
@@ -220,7 +260,7 @@ let partial_complete partial =
   && Array.length partial.chunks >= partial.group_size
   && (let complete = ref true in
       for i = 0 to partial.group_size - 1 do
-        if partial.chunks.(i) = None then complete := false
+        if partial.chunks.(i) == absent then complete := false
       done;
       !complete)
 
@@ -286,50 +326,41 @@ and on_timeout t call =
     arm_timer t call
   end
 
+(* Resend what the server has not acknowledged: the whole group when
+   [all], or when it has acknowledged every packet. *)
 and retransmit_request t call ~all =
-  let missing =
-    if all then List.init (Array.length call.request_packets) (fun i -> i)
-    else
-      Wf.mask_missing call.request_acked (Array.length call.request_packets)
-  in
-  let missing =
-    if missing = [] then List.init (Array.length call.request_packets) (fun i -> i)
-    else missing
-  in
-  C.add t.retransmits (List.length missing);
-  send_group t ~route:(current_route call) ~priority:call.priority
-    call.request_packets ~indices:missing
+  let full = Wf.mask_full (Array.length call.request_packets) in
+  let acked = call.request_acked land full in
+  let skip = if all || acked = full then 0 else acked in
+  C.add t.retransmits
+    (send_group t ~route:(current_route call) ~priority:call.priority
+       call.request_packets ~skip)
 
 let send_ack t ~dst ~txn ~acks_response ~mask ~group_size ~via =
   C.incr t.acks_sent;
   let packet =
-    encode_packet t ~dst ~txn ~kind:Wf.Ack ~index:0 ~group_size ~acks_response
-      ~mask ~data:Bytes.empty
+    Wf.encode ~src:t.id ~dst ~txn ~kind:Wf.Ack ~index:0 ~group_size ~acks_response ~mask
+      ~timestamp_ms:(stamp t) Bytes.empty ~off:0 ~len:0
   in
   send_via t ~via packet
 
 (* ---- server side ---- *)
 
 let respond t ~client ~txn ~via data =
-  let chunks = segment_data data in
-  let group_size = Array.length chunks in
-  let packets =
-    Array.mapi
-      (fun i chunk ->
-        encode_packet t ~dst:client ~txn ~kind:Wf.Response ~index:i ~group_size
-          ~acks_response:false ~mask:0l ~data:chunk)
-      chunks
-  in
+  let packets = encode_group t ~dst:client ~txn ~kind:Wf.Response data in
   let held =
-    { resp_packets = packets; via; expires = now t + response_hold }
+    { client; resp_packets = packets; via; expires = now t + response_hold }
   in
-  Hashtbl.replace t.held (client, txn) held;
+  let key = txn_key ~client ~txn in
+  let find () = find_entry t.held ~client_of:held_client ~key client in
+  Option.iter (remove_entry t.held ~key) (find ());
+  Hashtbl.add t.held key held;
   (* a duplicate request pushes [expires] later: the expiry then re-arms
      at the new deadline *)
   let rec expire () =
-    match Hashtbl.find_opt t.held (client, txn) with
+    match find () with
     | Some h when h.expires > now t -> schedule t ~delay:(h.expires - now t) expire
-    | Some _ -> Hashtbl.remove t.held (client, txn)
+    | Some h -> remove_entry t.held ~key h
     | None -> ()
   in
   schedule t ~delay:response_hold expire;
@@ -343,9 +374,10 @@ let arm_gap_timer t partial ~on_gap =
         partial.gap_seq <- -1;
         on_gap ())
 
-let handle_request t (p : Wf.t) ~sample =
-  let key = (p.Wf.src_entity, p.Wf.transaction) in
-  match Hashtbl.find_opt t.held key with
+let handle_request t p ~sample =
+  let client = Wf.src_entity p and txn = Wf.transaction p in
+  let key = txn_key ~client ~txn in
+  match find_entry t.held ~client_of:held_client ~key client with
   | Some held ->
     (* Duplicate of a completed transaction: replay the response over
        the duplicate's own return route (paper §4: the way back is the
@@ -358,26 +390,24 @@ let handle_request t (p : Wf.t) ~sample =
     Array.iter (send_via t ~via:held.via) held.resp_packets
   | None ->
     let partial =
-      match Hashtbl.find_opt t.partials key with
+      match find_entry t.partials ~client_of:partial_peer ~key client with
       | Some partial -> partial
       | None ->
-        let partial = fresh_partial () in
-        Hashtbl.replace t.partials key partial;
+        let partial = fresh_partial ~peer:client in
+        Hashtbl.add t.partials key partial;
         partial
     in
-    partial_add partial ~index:p.Wf.index ~group_size:p.Wf.group_size
-      ~data:p.Wf.data ~sample;
+    partial_add partial p ~sample;
     if partial_complete partial then begin
       cancel t ~time:partial.gap_at ~seq:partial.gap_seq;
-      Hashtbl.remove t.partials key;
+      remove_entry t.partials ~key partial;
       let data = assemble partial in
       let via = Option.get partial.sample in
       let replied = ref false in
       let reply response_data =
         if not !replied then begin
           replied := true;
-          respond t ~client:p.Wf.src_entity ~txn:p.Wf.transaction ~via
-            response_data
+          respond t ~client ~txn ~via response_data
         end
       in
       match t.handler with
@@ -388,20 +418,18 @@ let handle_request t (p : Wf.t) ~sample =
       arm_gap_timer t partial ~on_gap:(fun () ->
           match partial.sample with
           | Some via ->
-            send_ack t ~dst:p.Wf.src_entity ~txn:p.Wf.transaction
-              ~acks_response:false ~mask:partial.mask
+            send_ack t ~dst:client ~txn ~acks_response:false ~mask:partial.mask
               ~group_size:partial.group_size ~via
           | None -> ())
 
 (* ---- client side ---- *)
 
-let handle_response t (p : Wf.t) ~sample =
-  match Hashtbl.find_opt t.calls p.Wf.transaction with
+let handle_response t p ~sample =
+  match Hashtbl.find_opt t.calls (Wf.transaction p) with
   | None -> ()
   | Some call ->
     let partial = call.response in
-    partial_add partial ~index:p.Wf.index ~group_size:p.Wf.group_size
-      ~data:p.Wf.data ~sample;
+    partial_add partial p ~sample;
     if partial_complete partial then begin
       (* Completion ack lets the server drop its held response. *)
       send_ack t ~dst:call.server ~txn:call.txn ~acks_response:true
@@ -415,74 +443,68 @@ let handle_response t (p : Wf.t) ~sample =
             send_ack t ~dst:call.server ~txn:call.txn ~acks_response:true
               ~mask:partial.mask ~group_size:partial.group_size ~via:sample)
 
-let handle_ack t (p : Wf.t) =
-  if p.Wf.acks_response then begin
+let handle_ack t p =
+  let mask = Wf.delivery_mask p in
+  if Wf.acks_response p then begin
     (* Report on a response group we hold as server. *)
-    let key = (p.Wf.src_entity, p.Wf.transaction) in
-    match Hashtbl.find_opt t.held key with
+    let client = Wf.src_entity p in
+    let key = txn_key ~client ~txn:(Wf.transaction p) in
+    match find_entry t.held ~client_of:held_client ~key client with
     | None -> ()
     | Some held ->
-      let group = Array.length held.resp_packets in
-      if p.Wf.delivery_mask = Wf.mask_full group then
-        Hashtbl.remove t.held key
-      else begin
-        let missing = Wf.mask_missing p.Wf.delivery_mask group in
-        C.add t.retransmits (List.length missing);
-        List.iter (fun i -> send_via t ~via:held.via held.resp_packets.(i)) missing
-      end
+      if mask = Wf.mask_full (Array.length held.resp_packets) then
+        remove_entry t.held ~key held
+      else
+        Array.iteri
+          (fun i packet ->
+            if not (Wf.mask_has mask i) then begin
+              C.incr t.retransmits;
+              send_via t ~via:held.via packet
+            end)
+          held.resp_packets
   end
   else begin
     (* Report on our request group: selective retransmission. *)
-    match Hashtbl.find_opt t.calls p.Wf.transaction with
+    match Hashtbl.find_opt t.calls (Wf.transaction p) with
     | None -> ()
     | Some call ->
-      call.request_acked <- Int32.logor call.request_acked p.Wf.delivery_mask;
-      let missing =
-        Wf.mask_missing call.request_acked (Array.length call.request_packets)
-      in
-      if missing <> [] then begin
-        C.add t.retransmits (List.length missing);
-        send_group t ~route:(current_route call) ~priority:call.priority
-          call.request_packets ~indices:missing;
+      call.request_acked <- call.request_acked lor mask;
+      let full = Wf.mask_full (Array.length call.request_packets) in
+      if call.request_acked land full <> full then begin
+        C.add t.retransmits
+          (send_group t ~route:(current_route call) ~priority:call.priority
+             call.request_packets ~skip:call.request_acked);
         arm_timer t call
       end
   end
 
 let on_host_receive t _host ~packet ~in_port =
-  let payload = packet.Viper.Packet.data in
+  let p = packet.Viper.Packet.data in
   (* Any undecodable transport payload is a corruption loss: count it and
      let the retransmit → route-failover ladder recover. *)
-  match Wf.decode payload with
-  | exception (Invalid_argument _ | Wire.Buf.Underflow) ->
-    C.incr t.rejected_checksum
-  | p ->
-    if not (Wf.checksum_ok payload) then
-      C.incr t.rejected_checksum
-    else if not (Int64.equal p.Wf.dst_entity t.id) then
-      C.incr t.rejected_entity
-    else if
-      not
-        (Mpl.acceptable ~now_ms:(now_ms t) ~boot_ms:t.boot_ms
-           ~mpl_ms ~skew_allowance_ms
-           ~timestamp_ms:p.Wf.timestamp_ms)
-    then C.incr t.rejected_old
-    else begin
-      (* The trailer tells us which recovery mechanism ran: a branch
-         marker means a router failed over in-header, the counterpart of
-         the client-side Route_failover re-query ladder. *)
-      if Viper.Packet.took_branch packet then begin
-        C.incr t.branch_arrivals;
-        Telemetry.Events.emit
-          (W.events (world t))
-          ~time:(now t)
-          (Telemetry.Events.Branch_arrival { entity = t.id })
-      end;
-      let sample = (packet, in_port) in
-      match p.Wf.kind with
-      | Wf.Request -> handle_request t p ~sample
-      | Wf.Response -> handle_response t p ~sample
-      | Wf.Ack -> handle_ack t p
-    end
+  if not (Wf.valid p) then C.incr t.rejected_checksum
+  else if not (Int64.equal (Wf.dst_entity p) t.id) then C.incr t.rejected_entity
+  else if
+    not
+      (Mpl.acceptable ~now_ms:(now_ms t) ~boot_ms:t.boot_ms ~mpl_ms ~skew_allowance_ms
+         ~timestamp_ms:(Wf.timestamp_ms p))
+  then C.incr t.rejected_old
+  else begin
+    (* The trailer tells us which recovery mechanism ran: a branch
+       marker means a router failed over in-header, the counterpart of
+       the client-side Route_failover re-query ladder. *)
+    if Viper.Packet.took_branch packet then begin
+      C.incr t.branch_arrivals;
+      Telemetry.Events.emit
+        (W.events (world t))
+        ~time:(now t)
+        (Telemetry.Events.Branch_arrival { entity = t.id })
+    end;
+    match Wf.kind p with
+    | Wf.Request -> handle_request t p ~sample:(packet, in_port)
+    | Wf.Response -> handle_response t p ~sample:(packet, in_port)
+    | Wf.Ack -> handle_ack t p
+  end
 
 let create ?(config = default_config) host ~id =
   let cnt ?help name =
@@ -528,15 +550,7 @@ let call t ~server ~routes ?(priority = Token.Priority.normal) ~data ~on_reply
   | _ ->
     let txn = t.next_txn in
     t.next_txn <- (t.next_txn + 1) land 0xFFFFFFFF;
-    let chunks = segment_data data in
-    let group_size = Array.length chunks in
-    let request_packets =
-      Array.mapi
-        (fun i chunk ->
-          encode_packet t ~dst:server ~txn ~kind:Wf.Request ~index:i ~group_size
-            ~acks_response:false ~mask:0l ~data:chunk)
-        chunks
-    in
+    let request_packets = encode_group t ~dst:server ~txn ~kind:Wf.Request data in
     let call =
       {
         txn;
@@ -545,11 +559,11 @@ let call t ~server ~routes ?(priority = Token.Priority.normal) ~data ~on_reply
         route_idx = 0;
         priority;
         request_packets;
-        request_acked = 0l;
+        request_acked = 0;
         retries = 0;
         timer_at = 0;
         timer_seq = -1;
-        response = fresh_partial ();
+        response = fresh_partial ~peer:server;
         started = now t;
         on_reply;
         on_fail;
@@ -557,8 +571,7 @@ let call t ~server ~routes ?(priority = Token.Priority.normal) ~data ~on_reply
       }
     in
     Hashtbl.replace t.calls txn call;
-    send_group t ~route:(current_route call) ~priority call.request_packets
-      ~indices:(List.init group_size (fun i -> i));
+    ignore (send_group t ~route:(current_route call) ~priority call.request_packets ~skip:0);
     arm_timer t call
 
 (* Policy-route mode: the compiled primary (which may carry in-header

@@ -1,18 +1,5 @@
 type kind = Request | Response | Ack
 
-type t = {
-  src_entity : int64;
-  dst_entity : int64;
-  transaction : int;
-  kind : kind;
-  index : int;
-  group_size : int;
-  acks_response : bool;
-  delivery_mask : int32;
-  timestamp_ms : int;
-  data : bytes;
-}
-
 let header_size = 28
 let trailer_size = 8
 let max_group = 32
@@ -27,72 +14,86 @@ let kind_of_int = function
 
 let flag_acks_response = 0x1
 
-let encode t =
-  if t.index < 0 || t.index >= max_group then invalid_arg "Wire_format: index";
-  if t.group_size < 1 || t.group_size > max_group then
+(* header offsets *)
+let src_at = 0
+let dst_at = 8
+let txn_at = 16
+let kind_at = 20
+let index_at = 21
+let group_at = 22
+let flags_at = 23
+let mask_at = 24
+
+(* trailer offsets, from the packet's end *)
+let timestamp_back = 8
+let checksum_back = 4
+
+(* What byte [p] of [b] adds to a ones-complement sum: the high byte of
+   a word at an even offset, the low byte at an odd one. *)
+let weight b p = Bytes.get_uint8 b p lsl (if p land 1 = 0 then 8 else 0)
+
+(* The ones-complement sum of [b] with its checksum field read as zero,
+   carries folded: the plain sum of the big-endian 16-bit words (an odd
+   last byte padded with zero), less what the field's two bytes added.
+   The field sits at an odd offset when the data length is odd, so each
+   byte is taken back at its own weight. *)
+let sum_without_field b =
+  let n = Bytes.length b in
+  let sum = ref 0 and i = ref 0 in
+  while !i + 1 < n do
+    sum := !sum + Bytes.get_uint16_be b !i;
+    i := !i + 2
+  done;
+  if !i < n then sum := !sum + (Bytes.get_uint8 b !i lsl 8);
+  let field = n - checksum_back in
+  let sum = ref (!sum - weight b field - weight b (field + 1)) in
+  while !sum > 0xFFFF do
+    sum := (!sum land 0xFFFF) + (!sum lsr 16)
+  done;
+  !sum
+
+let checksum b = lnot (sum_without_field b) land 0xFFFF
+
+let encode ~src ~dst ~txn ~kind ~index ~group_size ~acks_response ~mask ~timestamp_ms
+    data ~off ~len =
+  if index < 0 || index >= max_group then invalid_arg "Wire_format: index";
+  if group_size < 1 || group_size > max_group then
     invalid_arg "Wire_format: group size";
-  let w =
-    Wire.Buf.create_writer (header_size + Bytes.length t.data + trailer_size)
-  in
-  Wire.Buf.put_u64 w t.src_entity;
-  Wire.Buf.put_u64 w t.dst_entity;
-  Wire.Buf.put_u32_int w (t.transaction land 0xFFFFFFFF);
-  Wire.Buf.put_u8 w (kind_to_int t.kind);
-  Wire.Buf.put_u8 w t.index;
-  Wire.Buf.put_u8 w t.group_size;
-  Wire.Buf.put_u8 w (if t.acks_response then flag_acks_response else 0);
-  Wire.Buf.put_u32 w t.delivery_mask;
-  Wire.Buf.put_bytes w t.data;
-  Wire.Buf.put_u32_int w (t.timestamp_ms land 0xFFFFFFFF);
-  Wire.Buf.put_u16 w 0 (* checksum placeholder *);
-  Wire.Buf.put_u16 w 0 (* pad *);
-  let b = Wire.Buf.contents w in
-  let sum = Ipbase.Checksum.compute b in
-  Bytes.set_uint16_be b (Bytes.length b - 4) sum;
+  let n = header_size + len + trailer_size in
+  let b = Bytes.create n in
+  Bytes.set_int64_be b src_at src;
+  Bytes.set_int64_be b dst_at dst;
+  Bytes.set_int32_be b txn_at (Int32.of_int txn);
+  Bytes.set_uint8 b kind_at (kind_to_int kind);
+  Bytes.set_uint8 b index_at index;
+  Bytes.set_uint8 b group_at group_size;
+  Bytes.set_uint8 b flags_at (if acks_response then flag_acks_response else 0);
+  Bytes.set_int32_be b mask_at (Int32.of_int mask);
+  Bytes.blit data off b header_size len;
+  Bytes.set_int32_be b (n - timestamp_back) (Int32.of_int timestamp_ms);
+  Bytes.set_uint16_be b (n - 2) 0 (* pad *);
+  Bytes.set_uint16_be b (n - checksum_back) (checksum b);
   b
 
-let decode b =
-  if Bytes.length b < header_size + trailer_size then
-    invalid_arg "Wire_format: short packet";
-  let r = Wire.Buf.reader_of_bytes b in
-  let src_entity = Wire.Buf.get_u64 r in
-  let dst_entity = Wire.Buf.get_u64 r in
-  let transaction = Wire.Buf.get_u32_int r in
-  let kind = kind_of_int (Wire.Buf.get_u8 r) in
-  let index = Wire.Buf.get_u8 r in
-  let group_size = Wire.Buf.get_u8 r in
-  let flags = Wire.Buf.get_u8 r in
-  let delivery_mask = Wire.Buf.get_u32 r in
-  let data_len = Bytes.length b - header_size - trailer_size in
-  let data = Wire.Buf.get_bytes r data_len in
-  let timestamp_ms = Wire.Buf.get_u32_int r in
-  {
-    src_entity;
-    dst_entity;
-    transaction;
-    kind;
-    index;
-    group_size;
-    acks_response = flags land flag_acks_response <> 0;
-    delivery_mask;
-    timestamp_ms;
-    data;
-  }
+let u32 b at = Int32.to_int (Bytes.get_int32_be b at) land 0xFFFFFFFF
+
+let src_entity b = Bytes.get_int64_be b src_at
+let dst_entity b = Bytes.get_int64_be b dst_at
+let transaction b = u32 b txn_at
+let kind b = kind_of_int (Bytes.get_uint8 b kind_at)
+let index b = Bytes.get_uint8 b index_at
+let group_size b = Bytes.get_uint8 b group_at
+let acks_response b = Bytes.get_uint8 b flags_at land flag_acks_response <> 0
+let delivery_mask b = u32 b mask_at
+let timestamp_ms b = u32 b (Bytes.length b - timestamp_back)
+let data_len b = Bytes.length b - header_size - trailer_size
 
 let checksum_ok b =
-  if Bytes.length b < header_size + trailer_size then false
-  else begin
-    let copy = Bytes.copy b in
-    let sum_field = Bytes.get_uint16_be copy (Bytes.length copy - 4) in
-    Bytes.set_uint16_be copy (Bytes.length copy - 4) 0;
-    Ipbase.Checksum.compute copy = sum_field
-  end
+  Bytes.length b >= header_size + trailer_size
+  && checksum b = Bytes.get_uint16_be b (Bytes.length b - checksum_back)
 
-let mask_with m i = Int32.logor m (Int32.shift_left 1l i)
-let mask_has m i = Int32.logand m (Int32.shift_left 1l i) <> 0l
+let valid b = checksum_ok b && Bytes.get_uint8 b kind_at <= kind_to_int Ack
 
-let mask_full n =
-  if n >= 32 then -1l else Int32.sub (Int32.shift_left 1l n) 1l
-
-let mask_missing m group_size =
-  List.filter (fun i -> not (mask_has m i)) (List.init group_size (fun i -> i))
+let mask_with m i = (m lor (1 lsl i)) land 0xFFFFFFFF
+let mask_has m i = m land (1 lsl i) <> 0
+let mask_full n = if n >= 32 then 0xFFFFFFFF else (1 lsl n) - 1

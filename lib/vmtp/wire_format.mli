@@ -18,45 +18,65 @@
 
     The checksum is the Internet ones-complement sum over the whole packet
     with the checksum field zeroed. Timestamp 0 means "invalid, ignore"
-    (§4.2: for booting machines). *)
+    (§4.2: for booting machines).
+
+    A packet is written once, from a window of the sender's message, into
+    a buffer of exactly its size ({!encode}). It is read where it lies:
+    each header field is read in place, the checksum is verified without
+    copying or writing the buffer, and the data is the window from
+    {!header_size} to [length - ]{!trailer_size} ({!data_len} bytes). *)
 
 type kind =
   | Request
   | Response
   | Ack  (** delivery-mask report (a gap nack or completion ack) *)
 
-type t = {
-  src_entity : int64;
-  dst_entity : int64;
-  transaction : int;  (** 32-bit *)
-  kind : kind;
-  index : int;  (** packet index within its group, 0-31 *)
-  group_size : int;  (** packets in the group, 1-32 *)
-  acks_response : bool;
-      (** for [Ack]: the mask reports on a Response group (else Request) *)
-  delivery_mask : int32;
-  timestamp_ms : int;  (** 32-bit ms since epoch, 0 = invalid *)
-  data : bytes;
-}
-
 val header_size : int
 val trailer_size : int
 val max_group : int
 (** 32 — one bit per packet in the delivery mask. *)
 
-val encode : t -> bytes
-(** With a correct trailer checksum. *)
+val encode :
+  src:int64 -> dst:int64 -> txn:int -> kind:kind -> index:int -> group_size:int ->
+  acks_response:bool -> mask:int -> timestamp_ms:int -> bytes -> off:int -> len:int ->
+  bytes
+(** [encode ... data ~off ~len] is one packet carrying [len] bytes of
+    [data] from [off], with a correct trailer checksum. [index] is the
+    packet's place in its group (0-31) and [group_size] the group's
+    packet count (1-32); [txn], [mask] (the delivery mask) and
+    [timestamp_ms] are written as their low 32 bits. [acks_response]
+    marks an [Ack] reporting on a Response group (else a Request
+    group). Raises [Invalid_argument] on an index or group size out of
+    range. The packet shares no bytes with [data]. *)
 
-val decode : bytes -> t
-(** Raises [Invalid_argument] on malformed input. Does not verify the
-    checksum. *)
+val valid : bytes -> bool
+(** Long enough for a header and trailer, of a known kind, and with a
+    correct checksum: what an arrival must be before any field is
+    read. *)
 
 val checksum_ok : bytes -> bool
+(** The checksum field matches the packet, the field read as zero.
+    False on a packet too short for a header and trailer. *)
 
-val mask_with : int32 -> int -> int32
-val mask_has : int32 -> int -> bool
-val mask_full : int -> int32
+(** {2 Fields, read in place from a {!valid} packet} *)
+
+val src_entity : bytes -> int64
+val dst_entity : bytes -> int64
+val transaction : bytes -> int
+val kind : bytes -> kind
+val index : bytes -> int
+val group_size : bytes -> int
+val acks_response : bytes -> bool
+val delivery_mask : bytes -> int
+val timestamp_ms : bytes -> int
+
+val data_len : bytes -> int
+(** The data's length; it starts at {!header_size}. *)
+
+(** {2 Delivery masks} A mask is an [int] holding 32 bits, bit [i] for
+    packet [i] of a group. *)
+
+val mask_with : int -> int -> int
+val mask_has : int -> int -> bool
+val mask_full : int -> int
 (** All of the first [n] bits set. *)
-
-val mask_missing : int32 -> int -> int list
-(** Indexes below [group_size] absent from the mask. *)

@@ -10,9 +10,86 @@ let check_bool = Alcotest.(check bool)
 
 (* Wire format *)
 
+(* The codec as it was before packets were written from a window: a
+   record with its own copy of the data, a Wire.Buf writer whose
+   contents are copied out, and a checksum check that zeroes the field
+   in a copy. {!Wf} must give the same bytes and the same verdicts. *)
+module Ref = struct
+  type t = {
+    src_entity : int64;
+    dst_entity : int64;
+    transaction : int;
+    kind : Wf.kind;
+    index : int;
+    group_size : int;
+    acks_response : bool;
+    delivery_mask : int32;
+    timestamp_ms : int;
+    data : bytes;
+  }
+
+  let kind_to_int = function Wf.Request -> 0 | Wf.Response -> 1 | Wf.Ack -> 2
+
+  let encode t =
+    let w =
+      Wire.Buf.create_writer (Wf.header_size + Bytes.length t.data + Wf.trailer_size)
+    in
+    Wire.Buf.put_u64 w t.src_entity;
+    Wire.Buf.put_u64 w t.dst_entity;
+    Wire.Buf.put_u32_int w (t.transaction land 0xFFFFFFFF);
+    Wire.Buf.put_u8 w (kind_to_int t.kind);
+    Wire.Buf.put_u8 w t.index;
+    Wire.Buf.put_u8 w t.group_size;
+    Wire.Buf.put_u8 w (if t.acks_response then 1 else 0);
+    Wire.Buf.put_u32 w t.delivery_mask;
+    Wire.Buf.put_bytes w t.data;
+    Wire.Buf.put_u32_int w (t.timestamp_ms land 0xFFFFFFFF);
+    Wire.Buf.put_u16 w 0;
+    Wire.Buf.put_u16 w 0;
+    let b = Wire.Buf.contents w in
+    Bytes.set_uint16_be b (Bytes.length b - 4) (Ipbase.Checksum.compute b);
+    b
+
+  let checksum_ok b =
+    if Bytes.length b < Wf.header_size + Wf.trailer_size then false
+    else begin
+      let copy = Bytes.copy b in
+      let sum_field = Bytes.get_uint16_be copy (Bytes.length copy - 4) in
+      Bytes.set_uint16_be copy (Bytes.length copy - 4) 0;
+      Ipbase.Checksum.compute copy = sum_field
+    end
+end
+
+(* [f] written by the one-pass encoder, its data taken as a window
+   [pre] bytes into a larger buffer. *)
+let encode ?(pre = 0) (f : Ref.t) =
+  let len = Bytes.length f.Ref.data in
+  let message = Bytes.make (pre + len + 3) '#' in
+  Bytes.blit f.Ref.data 0 message pre len;
+  Wf.encode ~src:f.Ref.src_entity ~dst:f.Ref.dst_entity ~txn:f.Ref.transaction
+    ~kind:f.Ref.kind ~index:f.Ref.index ~group_size:f.Ref.group_size
+    ~acks_response:f.Ref.acks_response
+    ~mask:(Int32.to_int f.Ref.delivery_mask land 0xFFFFFFFF)
+    ~timestamp_ms:f.Ref.timestamp_ms message ~off:pre ~len
+
+(* The fields read in place, the data copied out of its window. *)
+let read b =
+  {
+    Ref.src_entity = Wf.src_entity b;
+    dst_entity = Wf.dst_entity b;
+    transaction = Wf.transaction b;
+    kind = Wf.kind b;
+    index = Wf.index b;
+    group_size = Wf.group_size b;
+    acks_response = Wf.acks_response b;
+    delivery_mask = Int32.of_int (Wf.delivery_mask b);
+    timestamp_ms = Wf.timestamp_ms b;
+    data = Bytes.sub b Wf.header_size (Wf.data_len b);
+  }
+
 let sample =
   {
-    Wf.src_entity = 0x1111222233334444L;
+    Ref.src_entity = 0x1111222233334444L;
     dst_entity = 0x5555666677778888L;
     transaction = 42;
     kind = Wf.Request;
@@ -25,55 +102,133 @@ let sample =
   }
 
 let wf_roundtrip () =
-  let b = Wf.encode sample in
+  let b = encode ~pre:5 sample in
   check_int "size" (Wf.header_size + 14 + Wf.trailer_size) (Bytes.length b);
   check_bool "checksum ok" true (Wf.checksum_ok b);
-  let p = Wf.decode b in
-  check_bool "fields" true (p = sample)
+  check_bool "valid" true (Wf.valid b);
+  check_bool "fields" true (read b = sample)
 
 let wf_detects_corruption () =
-  let b = Wf.encode sample in
+  let b = encode sample in
   Bytes.set b 30 (Char.chr (Char.code (Bytes.get b 30) lxor 1));
-  check_bool "bad checksum" false (Wf.checksum_ok b)
+  check_bool "bad checksum" false (Wf.checksum_ok b);
+  check_bool "invalid" false (Wf.valid b)
 
 let wf_kinds_roundtrip () =
   List.iter
     (fun kind ->
-      let p = Wf.decode (Wf.encode { sample with Wf.kind }) in
-      check_bool "kind" true (p.Wf.kind = kind))
-    [ Wf.Request; Wf.Response; Wf.Ack ]
+      let b = encode { sample with Ref.kind } in
+      check_bool "kind" true (Wf.kind b = kind))
+    [ Wf.Request; Wf.Response; Wf.Ack ];
+  (* an unknown kind with a correct checksum is not a valid packet *)
+  let b = encode sample in
+  Bytes.set_uint8 b 20 3;
+  Bytes.set_uint16_be b (Bytes.length b - 4) 0;
+  Bytes.set_uint16_be b (Bytes.length b - 4) (Ipbase.Checksum.compute b);
+  check_bool "checksum of unknown kind" true (Wf.checksum_ok b);
+  check_bool "unknown kind invalid" false (Wf.valid b)
 
 let wf_rejects_bad_sizes () =
   Alcotest.check_raises "index range" (Invalid_argument "Wire_format: index")
-    (fun () -> ignore (Wf.encode { sample with Wf.index = 32 }));
+    (fun () -> ignore (encode { sample with Ref.index = 32 }));
   Alcotest.check_raises "group range" (Invalid_argument "Wire_format: group size")
-    (fun () -> ignore (Wf.encode { sample with Wf.group_size = 33 }))
+    (fun () -> ignore (encode { sample with Ref.group_size = 33 }));
+  check_bool "short packet" false (Wf.valid (Bytes.make 35 '\000'))
 
 let mask_operations () =
-  let m = Wf.mask_with (Wf.mask_with 0l 0) 2 in
+  let m = Wf.mask_with (Wf.mask_with 0 0) 2 in
   check_bool "has 0" true (Wf.mask_has m 0);
   check_bool "not 1" false (Wf.mask_has m 1);
-  Alcotest.(check (list int)) "missing" [ 1; 3 ] (Wf.mask_missing m 4);
-  check_bool "full 32" true (Wf.mask_full 32 = -1l);
-  Alcotest.(check int32) "full 4" 0xFl (Wf.mask_full 4);
-  Alcotest.(check (list int)) "none missing" [] (Wf.mask_missing (Wf.mask_full 4) 4)
+  check_bool "not 3" false (Wf.mask_has m 3);
+  check_int "bit 31" 0x80000005 (Wf.mask_with m 31);
+  check_int "full 32" 0xFFFFFFFF (Wf.mask_full 32);
+  check_int "full 4" 0xF (Wf.mask_full 4);
+  check_bool "full has 3" true (Wf.mask_has (Wf.mask_full 4) 3);
+  check_bool "full lacks 4" false (Wf.mask_has (Wf.mask_full 4) 4)
+
+let gen_fields =
+  QCheck.Gen.(
+    let* index = int_range 0 31 in
+    let* group_size = int_range (index + 1) 32 in
+    let* src_entity = ui64 and* dst_entity = ui64 in
+    let* transaction = int_range 0 0xFFFFFFFF in
+    let* kind = oneofl [ Wf.Request; Wf.Response; Wf.Ack ] in
+    let* acks_response = bool in
+    let* delivery_mask = ui32 in
+    let* timestamp_ms = int_range 0 0xFFFFFFFF in
+    let* data = bytes_size (int_range 0 1100) in
+    return
+      {
+        Ref.src_entity;
+        dst_entity;
+        transaction;
+        kind;
+        index;
+        group_size;
+        acks_response;
+        delivery_mask;
+        timestamp_ms;
+        data;
+      })
 
 let qcheck_wf_roundtrip =
   QCheck.Test.make ~name:"wire format roundtrip" ~count:200
-    QCheck.(
-      pair (pair (int_range 0 31) (int_range 1 32)) (string_of_size Gen.(0 -- 1024)))
-    (fun ((index, group_size), data) ->
-      QCheck.assume (index < group_size);
-      let p =
-        {
-          sample with
-          Wf.index;
-          group_size;
-          data = Bytes.of_string data;
-          timestamp_ms = 999;
-        }
+    (QCheck.make QCheck.Gen.(pair gen_fields (int_range 0 64)))
+    (fun (f, pre) ->
+      let b = encode ~pre f in
+      Wf.valid b && read b = f)
+
+(* A packet whose correct checksum is 0x0000: its pad (a word at an odd
+   offset when the length is odd, so written byte-swapped) is set so
+   that the packet with its checksum field zeroed sums to 0xFFFF. *)
+let with_zero_checksum b =
+  let b = Bytes.copy b in
+  let n = Bytes.length b in
+  Bytes.set_uint16_be b (n - 4) 0;
+  Bytes.set_uint16_be b (n - 2) 0;
+  let pad = Ipbase.Checksum.compute b in
+  if n land 1 = 0 then Bytes.set_uint16_be b (n - 2) pad
+  else Bytes.set_uint16_le b (n - 2) pad;
+  Bytes.set_uint16_be b (n - 4) (Ipbase.Checksum.compute b);
+  b
+
+(* The one-pass encoder writes the reference's bytes, and the in-place
+   check agrees with the copying one on every packet: as sent, damaged
+   in one byte (the checksum field's included), with the field set to
+   0x0000 or 0xFFFF, on packets whose correct checksum is 0x0000, on all
+   zeros and on short buffers. Data lengths of both parities put the
+   field at even and odd offsets. *)
+let qcheck_checksum_references =
+  QCheck.Test.make ~name:"checksum and encoder match references" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         quad gen_fields (int_range 0 64) (pair nat (int_range 1 255))
+           (int_range 0 40)))
+    (fun (f, pre, (at, flip), zeros) ->
+      let b = encode ~pre f in
+      let agree b = Wf.checksum_ok b = Ref.checksum_ok b in
+      let damaged = Bytes.copy b in
+      let at = at mod Bytes.length b in
+      Bytes.set_uint8 damaged at (Bytes.get_uint8 damaged at lxor flip);
+      let field v =
+        let b = Bytes.copy b in
+        Bytes.set_uint16_be b (Bytes.length b - 4) v;
+        b
       in
-      Wf.decode (Wf.encode p) = p)
+      let zero = with_zero_checksum b in
+      let zero_as_ffff = Bytes.copy zero in
+      Bytes.set_uint16_be zero_as_ffff (Bytes.length zero - 4) 0xFFFF;
+      let blank v =
+        let b = Bytes.make (zeros + 1) '\000' in
+        if Bytes.length b >= 4 then Bytes.set_uint16_be b (Bytes.length b - 4) v;
+        b
+      in
+      Bytes.equal b (Ref.encode f)
+      && Wf.checksum_ok b
+      && Wf.checksum_ok zero
+      && Bytes.get_uint16_be zero (Bytes.length zero - 4) = 0
+      && List.for_all agree
+           [ b; damaged; field 0; field 0xFFFF; zero; zero_as_ffff; blank 0; blank 0xFFFF ])
 
 (* MPL rule *)
 
@@ -497,6 +652,124 @@ let qcheck_held_response_survives =
       replay_scenario ~background;
       true)
 
+(* Two clients whose ids agree in the low 31 bits share the server's
+   table key for their first transaction. Their requests reassemble side
+   by side, their responses are held side by side, and each completion
+   ack releases its own. The first client starts first and sends the
+   shorter request, so its request leaves the reassembly table while the
+   second's, added later, is still there; the server answers the second
+   first, so that response is released while the first's, held later,
+   is still there. A table that dropped the wrong entry would lose a
+   request packet (resent) or keep a response (still held). *)
+let clients_sharing_a_key () =
+  let g = G.create () in
+  let h1 = G.add_node g G.Host and h3 = G.add_node g G.Host and h2 = G.add_node g G.Host in
+  let r = G.add_node g G.Router in
+  ignore (G.connect g h1 r props);
+  ignore (G.connect g h3 r props);
+  ignore (G.connect g r h2 props);
+  let engine = Sim.Engine.create () in
+  let world = W.create engine g in
+  ignore (Sirpent.Router.create world ~node:r ());
+  let host1 = Sirpent.Host.create world ~node:h1 in
+  let host3 = Sirpent.Host.create world ~node:h3 in
+  let host2 = Sirpent.Host.create world ~node:h2 in
+  let metric (_ : G.link) = 1.0 in
+  let route src =
+    Sirpent.Route.of_hops g ~src (Option.get (G.shortest_path g ~metric ~src ~dst:h2))
+  in
+  let server = Vmtp.Entity.create host2 ~id:2L in
+  let handled = ref [] and first = ref None in
+  Vmtp.Entity.set_request_handler server (fun _ ~data ~reply ->
+      handled := Bytes.get data 0 :: !handled;
+      let answer () = reply (Bytes.map Char.uppercase_ascii data) in
+      match !first with
+      | None -> first := Some answer
+      | Some answer_first ->
+        answer ();
+        answer_first ());
+  let replies = ref [] in
+  let clients =
+    List.map
+      (fun (host, id, c, size, start) ->
+        let client = Vmtp.Entity.create host ~id in
+        Sim.Engine.schedule_at engine ~time:start (fun () ->
+          Vmtp.Entity.call client ~server:2L
+            ~routes:[ route (Sirpent.Host.node host) ]
+            ~data:(Bytes.make size c)
+            ~on_reply:(fun data ~rtt:_ -> replies := (c, Bytes.to_string data) :: !replies)
+            ~on_fail:(fun r -> Alcotest.fail r)
+            ());
+        client)
+      [ (host1, 1L, 'a', 2000, 0); (host3, 0x7_8000_0001L, 'b', 5000, Sim.Time.us 100) ]
+  in
+  Sim.Engine.run ~until:(Sim.Time.s 2) engine;
+  let retransmits e = (Vmtp.Entity.stats e).Vmtp.Entity.retransmits in
+  check_int "nothing resent" 0 (List.fold_left (fun n e -> n + retransmits e) 0 (server :: clients));
+  Alcotest.(check (list char)) "each request handled once, shorter first" [ 'a'; 'b' ]
+    (List.rev !handled);
+  Alcotest.(check (list (pair char string)))
+    "each client its own reply"
+    [ ('a', String.make 2000 'A'); ('b', String.make 5000 'B') ]
+    (List.sort compare !replies);
+  check_int "both held responses released" 0 (Vmtp.Entity.held_responses server)
+
+(* Reassembly keeps byte order: random request and response contents,
+   each of a size that fills no packet, part of one, exactly one, one
+   and a byte, part of four, or a whole group. One packet of each
+   multi-packet group is lost once on its way, so selective
+   retransmission fills the gap. *)
+let message_sizes = [ 0; 1; 1023; 1024; 1025; (3 * 1024) + 7; 32 * 1024 ]
+
+let qcheck_reassembly_order =
+  QCheck.Test.make ~name:"reassembly keeps byte order" ~count:40
+    (QCheck.make
+       QCheck.Gen.(
+         let* request = bytes_size (oneofl message_sizes)
+         and* response = bytes_size (oneofl message_sizes) in
+         let* lose = pair nat nat in
+         return (request, response, lose)))
+    (fun (request, response, (lose_request, lose_response)) ->
+      let _, engine, world, host1, host2, route = stack () in
+      let group n = max 1 ((n + 1023) / 1024) in
+      let to_lose =
+        ref
+          (List.filter_map
+             (fun (kind, message, pick) ->
+               let n = group (Bytes.length message) in
+               if n > 1 then Some (kind, pick mod n) else None)
+             [ (Wf.Request, request, lose_request); (Wf.Response, response, lose_response) ])
+      in
+      let losses = List.length !to_lose in
+      (* a frame cut to one byte is a malformed drop at the next node *)
+      W.set_corruptor world (fun ~link:_ b ->
+          match Viper.Packet.parse b with
+          | Ok packet when Wf.valid packet.Viper.Packet.data ->
+            let p = packet.Viper.Packet.data in
+            let target = (Wf.kind p, Wf.index p) in
+            if List.mem target !to_lose then begin
+              to_lose := List.filter (( <> ) target) !to_lose;
+              Some (Bytes.sub b 0 1)
+            end
+            else None
+          | Ok _ | Error _ -> None);
+      let client = Vmtp.Entity.create host1 ~id:1L in
+      let server = Vmtp.Entity.create host2 ~id:2L in
+      let seen_request = ref [] and seen_response = ref [] in
+      Vmtp.Entity.set_request_handler server (fun _ ~data ~reply ->
+          seen_request := Bytes.copy data :: !seen_request;
+          reply response);
+      Vmtp.Entity.call client ~server:2L ~routes:[ route ] ~data:request
+        ~on_reply:(fun data ~rtt:_ -> seen_response := data :: !seen_response)
+        ~on_fail:(fun r -> Alcotest.fail r)
+        ();
+      Sim.Engine.run ~until:(Sim.Time.s 5) engine;
+      let retransmits e = (Vmtp.Entity.stats e).Vmtp.Entity.retransmits in
+      !to_lose = []
+      && retransmits client + retransmits server >= losses
+      && !seen_request = [ request ]
+      && !seen_response = [ response ])
+
 let pacing_spreads_packets () =
   (* With pacing at 1 Mb/s, a 4-packet group takes >= 3 * 8ms to emit. *)
   let _, engine, _, host1, host2, route = stack () in
@@ -599,6 +872,7 @@ let () =
           Alcotest.test_case "packets sent match frames" `Quick packets_sent_match_frames;
           Alcotest.test_case "replay follows duplicate's route" `Quick
             replay_follows_duplicate_route;
+          Alcotest.test_case "clients sharing a table key" `Quick clients_sharing_a_key;
         ] );
       ( "playout",
         [
@@ -608,5 +882,10 @@ let () =
         ] );
       ( "properties",
         List.map Seeded.to_alcotest
-          [ qcheck_wf_roundtrip; qcheck_held_response_survives ] );
+          [
+            qcheck_wf_roundtrip;
+            qcheck_checksum_references;
+            qcheck_reassembly_order;
+            qcheck_held_response_survives;
+          ] );
     ]
