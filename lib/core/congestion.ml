@@ -58,9 +58,12 @@ let default_config =
 type Netsim.Frame.meta +=
   | Rate_ctl of { congested_port : int; rate_bps : float }
 
+(* A limiter's rate and token count. A record of floats only is stored
+   flat, so updating it per frame boxes nothing. *)
+type bucket = { mutable rate_bps : float; mutable bits : float }
+
 type limiter = {
-  mutable rate_bps : float;
-  mutable bucket_bits : float;
+  bucket : bucket;
   mutable last_refill : Sim.Time.t;
   mutable last_signal : Sim.Time.t;
   pending : (Netsim.Frame.t * (unit -> unit)) Queue.t;  (* (frame, send) *)
@@ -68,14 +71,26 @@ type limiter = {
   mutable drain_seq : int;  (* with [drain_at], the pending drain's key; -1 if none *)
 }
 
+(* The tables below are keyed by a pair of ports packed into one int,
+   so a lookup builds no tuple. Each side is offset by one into 9 bits,
+   which packs ports -1..255 on either side one to one; -1 is in range
+   because a rate-control message may name it as its congested port. *)
+let key a b =
+  if a < -1 || a > 255 || b < -1 || b > 255 then
+    invalid_arg "Congestion: port outside -1..255";
+  ((a + 1) lsl 9) lor (b + 1)
+
+let key_fst k = (k lsr 9) - 1
+let key_snd k = (k land 0x1FF) - 1
+
 type t = {
   world : W.t;
   node : G.node_id;
   config : config;
-  limiters : (int * int, limiter) Hashtbl.t;  (* (out_port, next_port) *)
+  limiters : (int, limiter) Hashtbl.t;  (* key out_port next_port *)
   mutable arrivals : bool;  (* a packet arrived since the last monitor pass *)
-  feeders : (int * int, Sim.Time.t) Hashtbl.t;
-      (* (out_port, in_port) -> last seen. Unlike [arrivals], which clears
+  feeders : (int, Sim.Time.t) Hashtbl.t;
+      (* key out_port in_port -> last seen. Unlike [arrivals], which clears
          every interval, this remembers feeders for a full limiter_expiry:
          a throttled feeder trickling less than one packet per interval
          must still be refreshed, or its limiter ramps back up and
@@ -84,7 +99,7 @@ type t = {
   congested : (int, unit) Hashtbl.t;
       (* out ports inside the hysteresis band: signalled, not yet drained
          to release_threshold *)
-  recent_off : (int * int, Sim.Time.t) Hashtbl.t;
+  recent_off : (int, Sim.Time.t) Hashtbl.t;
       (* limiter key -> expiry time, for oscillation detection *)
   mutable started : bool;
   mutable tick_armed : bool;
@@ -124,13 +139,16 @@ let create world ~node config =
 
 (* --- token-bucket limiters --- *)
 
-let burst_bits lim =
-  Float.max min_burst_bits (lim.rate_bps *. burst_window_s)
+(* inlined, so the per-frame [refill] boxes no float *)
+let[@inline] burst_bits lim =
+  Float.max min_burst_bits (lim.bucket.rate_bps *. burst_window_s)
 
 let refill t lim =
   let now = W.now t.world in
-  let dt = Sim.Time.to_seconds (now - lim.last_refill) in
-  lim.bucket_bits <- Float.min (burst_bits lim) (lim.bucket_bits +. (lim.rate_bps *. dt));
+  (* [Sim.Time.to_seconds], written out for the same reason *)
+  let dt = float_of_int (now - lim.last_refill) /. 1e9 in
+  let b = lim.bucket in
+  b.bits <- Float.min (burst_bits lim) (b.bits +. (b.rate_bps *. dt));
   lim.last_refill <- now
 
 let rec drain t lim =
@@ -139,14 +157,14 @@ let rec drain t lim =
   | None -> ()
   | Some (frame, send) ->
     let bits = float_of_int (Netsim.Frame.bits frame) in
-    if lim.bucket_bits >= bits then begin
+    if lim.bucket.bits >= bits then begin
       ignore (Queue.pop lim.pending);
-      lim.bucket_bits <- lim.bucket_bits -. bits;
+      lim.bucket.bits <- lim.bucket.bits -. bits;
       send ();
       drain t lim
     end
     else if lim.drain_seq < 0 then begin
-      let wait_s = (bits -. lim.bucket_bits) /. Float.max 1.0 lim.rate_bps in
+      let wait_s = (bits -. lim.bucket.bits) /. Float.max 1.0 lim.bucket.rate_bps in
       let engine = W.engine t.world in
       lim.drain_at <- W.now t.world + max 1 (Sim.Time.of_seconds wait_s);
       lim.drain_seq <- Sim.Engine.alloc_seq engine;
@@ -178,20 +196,20 @@ let admit t ~out_port frame =
   let next_port = next_port frame in
   next_port < 0
   ||
-  match Hashtbl.find t.limiters (out_port, next_port) with
+  match Hashtbl.find t.limiters (key out_port next_port) with
     | exception Not_found -> true
     | lim ->
       refill t lim;
       let bits = float_of_int (Netsim.Frame.bits frame) in
-      if Queue.is_empty lim.pending && lim.bucket_bits >= bits then begin
-        lim.bucket_bits <- lim.bucket_bits -. bits;
+      if Queue.is_empty lim.pending && lim.bucket.bits >= bits then begin
+        lim.bucket.bits <- lim.bucket.bits -. bits;
         true
       end
       else false
 
 (* only after [admit] said no, so the limiter is there *)
 let hold t ~out_port frame ~send =
-  let lim = Hashtbl.find t.limiters (out_port, next_port frame) in
+  let lim = Hashtbl.find t.limiters (key out_port (next_port frame)) in
   Queue.push (frame, send) lim.pending;
   drain t lim
 
@@ -199,7 +217,8 @@ let hold t ~out_port frame ~send =
 
 let limiter_backlog_for t out_port =
   Hashtbl.fold
-    (fun (p, _) lim acc -> if p = out_port then acc + Queue.length lim.pending else acc)
+    (fun k lim acc ->
+      if key_fst k = out_port then acc + Queue.length lim.pending else acc)
     t.limiters 0
 
 let capacity_bps t port =
@@ -218,9 +237,9 @@ let signal_feeders t out_port =
   let now = W.now t.world in
   let feeders =
     Hashtbl.fold
-      (fun (op, in_port) seen acc ->
-        if op = out_port && now - seen <= t.config.limiter_expiry then
-          in_port :: acc
+      (fun k seen acc ->
+        if key_fst k = out_port && now - seen <= t.config.limiter_expiry then
+          key_snd k :: acc
         else acc)
       t.feeders []
     |> List.sort_uniq compare
@@ -248,19 +267,20 @@ let ramp_and_expire t =
   let now = W.now t.world in
   let stale =
     Hashtbl.fold
-      (fun ((out_port, _) as key) lim acc ->
+      (fun k lim acc ->
         if
           now - lim.last_signal > t.config.limiter_expiry
           && Queue.is_empty lim.pending
-        then key :: acc
+        then k :: acc
         else begin
           (* ramp only after a genuinely quiet spell: while the congested
              router keeps refreshing (every check_interval), the rate must
              hold, or idle gaps between bursts wind the limiter back to
              line rate and the next burst lands unthrottled *)
           if now - lim.last_signal > t.config.ramp_after then begin
-            lim.rate_bps <-
-              Float.min (rate_ceiling t out_port) (lim.rate_bps *. t.config.ramp_factor);
+            lim.bucket.rate_bps <-
+              Float.min (rate_ceiling t (key_fst k))
+                (lim.bucket.rate_bps *. t.config.ramp_factor);
             if not (Queue.is_empty lim.pending) then reschedule_drain t lim
           end;
           acc
@@ -268,12 +288,12 @@ let ramp_and_expire t =
       t.limiters []
   in
   List.iter
-    (fun ((in_port, congested_port) as key) ->
+    (fun k ->
       Telemetry.Events.emit (W.events t.world) ~time:now
         (Telemetry.Events.Backpressure_off
-           { node = t.node; in_port; congested_port });
-      Hashtbl.replace t.recent_off key now;
-      Hashtbl.remove t.limiters key)
+           { node = t.node; in_port = key_fst k; congested_port = key_snd k });
+      Hashtbl.replace t.recent_off k now;
+      Hashtbl.remove t.limiters k)
     stale
 
 let monitor t =
@@ -299,14 +319,14 @@ let monitor t =
   let now = W.now t.world in
   let stale_feeders =
     Hashtbl.fold
-      (fun key seen acc ->
-        if now - seen > t.config.limiter_expiry then key :: acc else acc)
+      (fun k seen acc ->
+        if now - seen > t.config.limiter_expiry then k :: acc else acc)
       t.feeders []
   in
   List.iter (Hashtbl.remove t.feeders) stale_feeders;
   let stale_off =
     Hashtbl.fold
-      (fun key off acc -> if now - off > flap_window then key :: acc else acc)
+      (fun k off acc -> if now - off > flap_window then k :: acc else acc)
       t.recent_off []
   in
   List.iter (Hashtbl.remove t.recent_off) stale_off;
@@ -342,26 +362,26 @@ and tick t =
 let note_arrival t ~in_port ~out_port =
   Hashtbl.replace t.known_out_ports out_port ();
   t.arrivals <- true;
-  Hashtbl.replace t.feeders (out_port, in_port) (W.now t.world);
+  Hashtbl.replace t.feeders (key out_port in_port) (W.now t.world);
   ensure_tick t
 
 let handle_ctl t ~arrival_port ~congested_port ~rate_bps =
   C.incr t.ctl_received;
-  let key = (arrival_port, congested_port) in
+  let k = key arrival_port congested_port in
   let now = W.now t.world in
-  (match Hashtbl.find_opt t.limiters key with
+  (match Hashtbl.find_opt t.limiters k with
   | Some lim ->
     refill t lim;
-    let old_rate = lim.rate_bps in
-    lim.rate_bps <- rate_bps;
+    let old_rate = lim.bucket.rate_bps in
+    lim.bucket.rate_bps <- rate_bps;
     (* a rate cut also shrinks the bucket: the invariant
-       bucket_bits <= burst_bits holds at every observation point *)
-    lim.bucket_bits <- Float.min lim.bucket_bits (burst_bits lim);
+       bucket.bits <= burst_bits holds at every observation point *)
+    lim.bucket.bits <- Float.min lim.bucket.bits (burst_bits lim);
     lim.last_signal <- now;
     if rate_bps > old_rate && not (Queue.is_empty lim.pending) then
       reschedule_drain t lim
   | None ->
-    (match Hashtbl.find_opt t.recent_off key with
+    (match Hashtbl.find_opt t.recent_off k with
     | Some off when now - off <= flap_window ->
       (* backpressure slammed back on right after expiring: the on/off
          oscillation the hysteresis and expiry tuning are meant to kill *)
@@ -370,14 +390,13 @@ let handle_ctl t ~arrival_port ~congested_port ~rate_bps =
         (Telemetry.Events.Backpressure_flap
            { node = t.node; in_port = arrival_port; congested_port })
     | Some _ | None -> ());
-    Hashtbl.remove t.recent_off key;
+    Hashtbl.remove t.recent_off k;
     Telemetry.Events.emit (W.events t.world) ~time:now
       (Telemetry.Events.Backpressure_on
          { node = t.node; in_port = arrival_port; congested_port; rate_bps });
-    Hashtbl.replace t.limiters key
+    Hashtbl.replace t.limiters k
       {
-        rate_bps;
-        bucket_bits = 0.0;
+        bucket = { rate_bps; bits = 0.0 };
         last_refill = now;
         last_signal = now;
         pending = Queue.create ();
@@ -416,11 +435,11 @@ let backlog t =
 let limiters t = Hashtbl.length t.limiters
 
 let bucket_level t ~out_port ~next_port =
-  match Hashtbl.find_opt t.limiters (out_port, next_port) with
+  match Hashtbl.find_opt t.limiters (key out_port next_port) with
   | None -> None
   | Some lim ->
     refill t lim;
-    Some (lim.bucket_bits, burst_bits lim)
+    Some (lim.bucket.bits, burst_bits lim)
 
 let ctl_sent t = C.value t.ctl_sent
 let oscillations t = C.value t.osc

@@ -427,15 +427,16 @@ let verify_then t ~token ~rpf ~priority ~frame ~in_port ~out_port ~packet_bytes 
 
 (* Authorize the leading segment for its own port, then forward out
    [out_port] (a logical group's chosen member, or the same port). The
-   segment's fields are read where it lies; only a token is copied. Each
-   verdict does its side effects (flight note, counters, background
+   segment's fields, its token included, are read where they lie; the
+   token is copied only on a miss, for the verification that keeps it.
+   Each verdict does its side effects (flight note, counters, background
    verification) and forwards or rejects. Each arm calls [forward_one]
    itself: a local forwarding helper would allocate a closure per frame,
    so one is built only for [Defer]. *)
 let authorized_forward t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head
     ~tail =
-  let token = Seg.peek_token buf ~off in
-  if Bytes.length token = 0 then begin
+  let token_len = Seg.token_len buf ~off in
+  if token_len = 0 then begin
     if t.config.require_tokens then reject t ~frame ~in_port
     else begin
       flight_note ~frame Flight.No_token;
@@ -447,8 +448,9 @@ let authorized_forward t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port 
     let rpf = (Seg.peek_flags buf ~off).Seg.rpf in
     let priority = Seg.peek_priority buf ~off in
     let auth_out = Seg.peek_port buf ~off in
+    let token_off = Seg.token_off buf ~off in
     match
-      Token.Cache.check t.cache ~token
+      Token.Cache.check_window t.cache buf ~off:token_off ~len:token_len
         ~port:(auth_port ~rpf ~in_port ~out_port:auth_out) ~priority
         ~now_ms:(now t / 1_000_000) ~packet_bytes:len ~reverse:rpf
     with
@@ -459,21 +461,21 @@ let authorized_forward t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port 
     | Token.Cache.Deny -> reject t ~frame ~in_port
     | Token.Cache.Miss_admit ->
       (* Optimistic: forward now, decrypt in the background. *)
-      verify_in_background t ~token;
+      verify_in_background t ~token:(Bytes.sub buf token_off token_len);
       flight_note ~frame Flight.Cache_miss;
       forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head ~tail
         ~reverse_ok:true ~copy:false
     | Token.Cache.Defer ->
       bump t deferred;
-      verify_then t ~token ~rpf ~priority ~frame ~in_port ~out_port:auth_out
-        ~packet_bytes:len ~proceed:(fun ~reverse_ok ->
+      verify_then t ~token:(Bytes.sub buf token_off token_len) ~rpf ~priority ~frame
+        ~in_port ~out_port:auth_out ~packet_bytes:len ~proceed:(fun ~reverse_ok ->
           forward_one t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~out_port ~head
             ~tail ~reverse_ok ~copy:false)
     | Token.Cache.Miss_drop ->
       (* dropped, but "in any case, the new token is decrypted, checked and
          cached to prepare for subsequent packets" *)
       reject t ~frame ~in_port;
-      verify_in_background t ~token
+      verify_in_background t ~token:(Bytes.sub buf token_off token_len)
 
 let all_ports_except t ~except =
   List.filter_map

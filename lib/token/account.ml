@@ -7,11 +7,11 @@ type t = (int, cell) Hashtbl.t
 let create () : t = Hashtbl.create 16
 
 let charge t ~account ~packets ~bytes =
-  match Hashtbl.find_opt t account with
-  | Some c ->
+  match Hashtbl.find t account with
+  | c ->
     c.packets <- c.packets + packets;
     c.bytes <- c.bytes + bytes
-  | None -> Hashtbl.replace t account { packets; bytes }
+  | exception Not_found -> Hashtbl.replace t account { packets; bytes }
 
 let usage t ~account : usage =
   match Hashtbl.find_opt t account with

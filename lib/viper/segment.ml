@@ -260,10 +260,7 @@ let info_at b ~off =
 
 let info_len b ~off = field_len b (info_at b ~off) (Char.code (Bytes.get b off))
 
-let peek_token b ~off =
-  let n = token_len b ~off in
-  if n = 0 then Bytes.empty
-  else Bytes.sub b (field_data (token_at off) (Char.code (Bytes.get b (off + 1)))) n
+let token_off b ~off = field_data (token_at off) (Char.code (Bytes.get b (off + 1)))
 
 let return_hop_size b ~off ~port ~keep_token ~info =
   let ilb = Char.code (Bytes.get b off) and tlb = Char.code (Bytes.get b (off + 1)) in

@@ -168,8 +168,12 @@ val peek_priority : bytes -> off:int -> Token.Priority.t
 val peek_branch : bytes -> off:int -> bool
 (** Whether a branch route follows the segment's portInfo. *)
 
-val peek_token : bytes -> off:int -> bytes
-(** The port token: [Bytes.empty] when absent, else a copy. *)
+val token_len : bytes -> off:int -> int
+(** The port token's length: 0 when absent. *)
+
+val token_off : bytes -> off:int -> int
+(** Where the port token's bytes start in the buffer, so that it can be
+    read where it lies. *)
 
 val return_hop_size :
   bytes -> off:int -> port:int -> keep_token:bool -> info:bytes option -> int

@@ -98,6 +98,52 @@ let limiter_key_is_exact () =
   check_int "all five bypass" 5 !sent;
   check_int "still two held" 2 (C.backlog c)
 
+(* The limiter keys at the edges of their range are six distinct
+   limiters: -1 on the next-port side, 255 and 0 on either side, and a
+   pair in both orders. Each holds its own frame, and a crash returns
+   each held frame once. *)
+let limiter_keys_at_the_edges () =
+  let _, _, w, _, r1, _ = world () in
+  let c = C.create w ~node:r1 config in
+  let keys = [ (1, -1); (2, -1); (0, 255); (255, 0); (1, 2); (2, 1) ] in
+  List.iter
+    (fun (arrival_port, congested_port) ->
+      C.handle_ctl c ~arrival_port ~congested_port ~rate_bps:1.0)
+    keys;
+  check_int "six limiters" 6 (C.limiters c);
+  List.iter
+    (fun (out_port, next_port) ->
+      check_bool
+        (Printf.sprintf "bucket (%d, %d)" out_port next_port)
+        true
+        (C.bucket_level c ~out_port ~next_port <> None))
+    keys;
+  check_bool "no bucket (2, 2)" true (C.bucket_level c ~out_port:2 ~next_port:2 = None);
+  let held =
+    List.map
+      (fun (out_port, next_port) ->
+        let f =
+          if next_port < 0 then W.fresh_frame w (Bytes.make 1 '\003')
+          else frame w ~next_port 100
+        in
+        C.hold c ~out_port f ~send:(fun () -> Alcotest.fail "sent at 1 b/s");
+        f)
+      keys
+  in
+  check_int "six held" 6 (C.backlog c);
+  let returned = C.reset c in
+  check_int "six returned" 6 (List.length returned);
+  List.iter
+    (fun f ->
+      check_int "returned once" 1 (List.length (List.filter (fun g -> g == f) returned)))
+    held;
+  List.iter
+    (fun (arrival_port, congested_port) ->
+      match C.handle_ctl c ~arrival_port ~congested_port ~rate_bps:1.0 with
+      | () -> Alcotest.failf "key (%d, %d) accepted" arrival_port congested_port
+      | exception Invalid_argument _ -> ())
+    [ (-2, 1); (1, -2); (256, 1); (1, 256) ]
+
 let limiter_expires_as_soft_state () =
   let _, engine, w, _, r1, _ = world () in
   let c = C.create w ~node:r1 config in
@@ -298,6 +344,33 @@ let refresh_reevaluates_waiting_drain () =
     check_bool "released at the refreshed rate, not the stale wait" true
       (t < Sim.Time.ms 10)
 
+(* Words per call over [n] calls of [f], after one to warm it up. *)
+let words_per_call n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* The per-frame calls allocate nothing: the tables are keyed by one
+   int and a limiter's float state is updated in place. *)
+let per_frame_calls_allocate_nothing () =
+  let _, engine, w, _, r1, _ = world () in
+  let c = C.create w ~node:r1 config in
+  C.start c;
+  let arrival = words_per_call 10_000 (fun () -> C.note_arrival c ~in_port:1 ~out_port:2) in
+  if arrival > 0.01 then Alcotest.failf "note_arrival: %.3f words per call" arrival;
+  C.handle_ctl c ~arrival_port:1 ~congested_port:3 ~rate_bps:1e9;
+  Sim.Engine.run ~until:(Sim.Time.ms 10) engine;
+  let f = frame w ~next_port:3 4 in
+  let admitted = ref 0 in
+  let admit =
+    words_per_call 10_000 (fun () -> if C.admit c ~out_port:1 f then incr admitted)
+  in
+  check_int "all admitted" 10_001 !admitted;
+  if admit > 0.01 then Alcotest.failf "admit: %.3f words per call" admit
+
 (* property: bucket_bits <= burst cap at every observation point, under
    arbitrary interleavings of rate raises/cuts, submits, quiet time and
    the monitor's own ramping *)
@@ -341,8 +414,11 @@ let () =
           Alcotest.test_case "unlimited passes" `Quick unlimited_passes_through;
           Alcotest.test_case "paces to rate" `Quick limiter_paces_to_rate;
           Alcotest.test_case "exact key" `Quick limiter_key_is_exact;
+          Alcotest.test_case "keys at the edges" `Quick limiter_keys_at_the_edges;
           Alcotest.test_case "soft-state expiry" `Quick limiter_expires_as_soft_state;
           Alcotest.test_case "ramp raises rate" `Quick ramp_raises_rate;
+          Alcotest.test_case "per-frame calls allocate nothing" `Quick
+            per_frame_calls_allocate_nothing;
         ] );
       ( "monitor",
         [

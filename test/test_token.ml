@@ -259,6 +259,31 @@ let cache_counts_and_flush () =
   Token.Cache.flush c;
   check_int "flushed" 0 (Token.Cache.entries c)
 
+(* Warm hits through the window form, at an odd offset inside a larger
+   buffer, allocate nothing: no copy, no key, no option, no verdict. *)
+let cache_hit_allocation () =
+  let c, ledger = mk_cache Token.Cache.Optimistic in
+  ignore (Token.Cache.complete_verification c ~token:token_bytes ~now_ms:0);
+  let off = 5 and len = Bytes.length token_bytes in
+  let buf = Bytes.make (off + len + 3) 'x' in
+  Bytes.blit token_bytes 0 buf off len;
+  let hit () =
+    Token.Cache.check_window c buf ~off ~len ~port:3 ~priority:0 ~now_ms:0
+      ~packet_bytes:100 ~reverse:false
+  in
+  (match hit () with
+  | Token.Cache.Admit _ -> ()
+  | _ -> Alcotest.fail "expected Admit");
+  let hits = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to hits do
+    ignore (Sys.opaque_identity (hit ()))
+  done;
+  let per_hit = (Gc.minor_words () -. w0) /. float_of_int hits in
+  check_int "all hits" (hits + 1) (Token.Cache.hits c);
+  check_int "all charged" (hits + 1) (Token.Account.usage ledger ~account:4242).packets;
+  if per_hit > 0.01 then Alcotest.failf "%.3f words per hit (> 0.01)" per_hit
+
 (* Account *)
 
 let account_totals () =
@@ -416,6 +441,196 @@ let mint_allocation () =
   let per_mint = (Gc.minor_words () -. w0) /. float_of_int mints in
   if per_mint > 6.0 then Alcotest.failf "%.2f words per mint (> 6)" per_mint
 
+(* --- the cache against the string-keyed cache it replaced --- *)
+
+(* The cache as it was keyed by a string copy of the token: the
+   reference the window-keyed cache must agree with. *)
+module Model = struct
+  type entry = { grant : Token.Capability.grant option; mutable packets : int }
+
+  type t = {
+    policy : Token.Cache.miss_policy;
+    ledger : Token.Account.t;
+    table : (string, entry) Hashtbl.t;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create policy =
+    { policy; ledger = Token.Account.create (); table = Hashtbl.create 8; hits = 0; misses = 0 }
+
+  let check m ~token ~port ~priority ~now_ms ~packet_bytes ~reverse =
+    match Hashtbl.find_opt m.table (Bytes.to_string token) with
+    | Some entry -> (
+      m.hits <- m.hits + 1;
+      match entry.grant with
+      | None -> Token.Cache.Deny
+      | Some g ->
+        if
+          (g.Token.Capability.packet_limit = 0
+          || entry.packets < g.Token.Capability.packet_limit)
+          && Token.Capability.permits g ~port ~priority ~now_ms ~reverse
+        then begin
+          entry.packets <- entry.packets + 1;
+          Token.Account.charge m.ledger ~account:g.Token.Capability.account ~packets:1
+            ~bytes:packet_bytes;
+          Token.Cache.Admit g
+        end
+        else Token.Cache.Deny)
+    | None -> (
+      m.misses <- m.misses + 1;
+      match m.policy with
+      | Token.Cache.Optimistic -> Token.Cache.Miss_admit
+      | Token.Cache.Block -> Token.Cache.Defer
+      | Token.Cache.Drop -> Token.Cache.Miss_drop)
+
+  let complete_verification m ~token ~now_ms =
+    let k = Bytes.to_string token in
+    match Hashtbl.find_opt m.table k with
+    | Some { grant; _ } -> grant <> None
+    | None ->
+      let grant =
+        match Token.Capability.of_bytes token with
+        | None -> None
+        | Some cap -> (
+          match Token.Capability.verify key cap with
+          | Some g
+            when g.Token.Capability.router_id = 17
+                 && (g.Token.Capability.expiry_ms = 0
+                    || now_ms <= g.Token.Capability.expiry_ms) ->
+            Some g
+          | Some _ | None -> None)
+      in
+      Hashtbl.replace m.table k { grant; packets = 0 };
+      grant <> None
+end
+
+(* [tok] with byte [i] flipped: for a capability with [i] < 24, the same
+   CBC-MAC tag, so the same hash, on a token that must not verify. *)
+let flip tok i =
+  let b = Bytes.copy tok in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+  b
+
+let mint g ~nonce = Token.Capability.to_bytes (Token.Capability.mint key ~nonce g)
+
+let tok_limited =
+  mint { grant with Token.Capability.packet_limit = 2; account = 7 } ~nonce:3
+
+let tok_expiring =
+  mint
+    { grant with Token.Capability.port = 5; reverse_ok = false; account = 8; expiry_ms = 50 }
+    ~nonce:5
+
+(* Minted, forged and wrong-router tokens; tokens that share a valid
+   token's last 8 bytes but differ earlier; lengths 1-7, 32 and 40. *)
+let model_tokens =
+  [|
+    token_bytes;
+    tok_limited;
+    tok_expiring;
+    mint { grant with Token.Capability.router_id = 99 } ~nonce:4;
+    Token.Capability.to_bytes (Token.Capability.forged ());
+    flip token_bytes 0;
+    flip token_bytes 23;
+    flip tok_limited 10;
+    Bytes.cat (Bytes.make 8 '\x11') token_bytes;
+    Bytes.cat (Bytes.make 8 '\x22') token_bytes;
+    Bytes.of_string "\x01";
+    Bytes.of_string "\x00\x01";
+    Bytes.of_string "\x01\x00";
+    Bytes.of_string "abc";
+    Bytes.of_string "abcd";
+    Bytes.of_string "\x00\x00\x00\x00\x00";
+    Bytes.of_string "tagless";
+    Bytes.sub token_bytes 25 7;
+  |]
+
+type cache_op =
+  | Check of {
+      tok : int;
+      off : int;
+      port : int;
+      priority : int;
+      now_ms : int;
+      reverse : bool;
+      bytes : int;
+    }
+  | Verify of { tok : int; now_ms : int }
+  | Flush
+
+let print_cache_op = function
+  | Check { tok; off; port; priority; now_ms; reverse; bytes } ->
+    Printf.sprintf "check %d @%d port %d prio %d t %d rev %b %dB" tok off port priority
+      now_ms reverse bytes
+  | Verify { tok; now_ms } -> Printf.sprintf "verify %d t %d" tok now_ms
+  | Flush -> "flush"
+
+let cache_op_gen =
+  let open QCheck.Gen in
+  let tok = int_bound (Array.length model_tokens - 1) in
+  let now_ms = oneofl [ 0; 40; 60 ] in
+  frequency
+    [
+      ( 6,
+        map
+          (fun ((tok, off, port, priority), (now_ms, reverse, bytes)) ->
+            Check { tok; off; port; priority; now_ms; reverse; bytes })
+          (pair
+             (quad tok (oneofl [ 0; 1; 3; 7; 13 ]) (oneofl [ 3; 4; 5 ]) (oneofl [ 0; 7; 8; 0xF ]))
+             (triple now_ms bool (int_range 1 1500))) );
+      (3, map2 (fun tok now_ms -> Verify { tok; now_ms }) tok now_ms);
+      (1, return Flush);
+    ]
+
+(* The token [tok] as the window [buf.[off] .. buf.[off + len - 1]] of a
+   buffer with other bytes on both sides. *)
+let window tok ~off =
+  let len = Bytes.length tok in
+  let buf = Bytes.init (off + len + 5) (fun i -> Char.chr ((i * 37) land 0xFF)) in
+  Bytes.blit tok 0 buf off len;
+  buf
+
+let qcheck_cache_matches_model =
+  QCheck.Test.make ~name:"window-keyed cache = string-keyed cache" ~count:300
+    (QCheck.make
+       ~print:(fun (policy, ops) ->
+         Printf.sprintf "policy %d: %s" policy (String.concat "; " (List.map print_cache_op ops)))
+       QCheck.Gen.(pair (int_bound 2) (list_size (int_range 1 60) cache_op_gen)))
+    (fun (policy, ops) ->
+      let policy = [| Token.Cache.Optimistic; Token.Cache.Block; Token.Cache.Drop |].(policy) in
+      let ledger = Token.Account.create () in
+      let c = Token.Cache.create ~key ~router_id:17 ~policy ~ledger in
+      let m = Model.create policy in
+      List.for_all
+        (fun op ->
+          let same_result =
+            match op with
+            | Check { tok; off; port; priority; now_ms; reverse; bytes } ->
+              let token = model_tokens.(tok) in
+              Token.Cache.check_window c (window token ~off) ~off ~len:(Bytes.length token)
+                ~port ~priority ~now_ms ~packet_bytes:bytes ~reverse
+              = Model.check m ~token ~port ~priority ~now_ms ~packet_bytes:bytes ~reverse
+            | Verify { tok; now_ms } ->
+              let token = model_tokens.(tok) in
+              Token.Cache.complete_verification c ~token ~now_ms
+              = Model.complete_verification m ~token ~now_ms
+            | Flush ->
+              Token.Cache.flush c;
+              Hashtbl.reset m.Model.table;
+              true
+          in
+          same_result
+          && Token.Cache.hits c = m.Model.hits
+          && Token.Cache.misses c = m.Model.misses
+          && Token.Cache.entries c = Hashtbl.length m.Model.table
+          && List.for_all
+               (fun account ->
+                 Token.Account.usage ledger ~account
+                 = Token.Account.usage m.Model.ledger ~account)
+               [ 4242; 7; 8 ])
+        ops)
+
 let () =
   Alcotest.run "token"
     [
@@ -455,6 +670,7 @@ let () =
           Alcotest.test_case "packet limit" `Quick cache_enforces_packet_limit;
           Alcotest.test_case "wrong router" `Quick cache_wrong_router_rejected;
           Alcotest.test_case "counters and flush" `Quick cache_counts_and_flush;
+          Alcotest.test_case "hit allocation" `Quick cache_hit_allocation;
         ] );
       ("account", [ Alcotest.test_case "totals" `Quick account_totals ]);
       ( "properties",
@@ -466,5 +682,6 @@ let () =
             qcheck_mint_matches_spec;
             qcheck_verify_inverts_and_rejects_flips;
             qcheck_cbc_matches_spec;
+            qcheck_cache_matches_model;
           ] );
     ]
