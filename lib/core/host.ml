@@ -89,9 +89,9 @@ let create ?(congestion = Congestion.default_config) world ~node =
   Congestion.start limiter;
   t
 
-(* A fresh frame whose window is the first [len] bytes of [payload]. *)
-let frame ~priority ~drop_if_blocked ~flight ~len payload =
-  { Netsim.Frame.payload; off = 0; len; priority; drop_if_blocked; meta = None; flight;
+(* A frame over [payload] whose window is [len] bytes from [off]. *)
+let frame ~priority ~drop_if_blocked ~flight ~off ~len payload =
+  { Netsim.Frame.payload; off; len; priority; drop_if_blocked; meta = None; flight;
     aborted = false }
 
 (* Send a packet this host originated out [port]; a refusal at the port
@@ -104,16 +104,13 @@ let transmit t ~port frame =
   | W.Started | W.Started_preempting _ | W.Queued -> ());
   result
 
-(* Put the first [len] bytes of [payload] on the wire out [port] through
-   the host's limiter, which keys it by the queue the first router sends
-   it to, as routers key theirs. The packet is originated where it
-   enters the internetwork, before any limiter hold. A packet the
-   limiter admits at once is sent without a closure; a held one is
-   queued in the limiter and reports [Queued], unless the limiter
-   releases it on the spot. *)
-let inject t ~port ~priority ~drop_if_blocked ~len payload =
-  let flight = W.originate t.world in
-  let frame = frame ~priority ~drop_if_blocked ~flight ~len payload in
+(* Put [frame] on the wire out [port] through the host's limiter, which
+   keys it by the queue the first router sends it to, as routers key
+   theirs. The packet has been originated where it enters the
+   internetwork, before any limiter hold. A packet the limiter admits at
+   once is sent without a closure; a held one is queued in the limiter
+   and reports [Queued], unless the limiter releases it on the spot. *)
+let inject t ~port frame =
   if Congestion.admit t.limiter ~out_port:port frame then transmit t ~port frame
   else begin
     let result = ref W.Queued in
@@ -122,17 +119,52 @@ let inject t ~port ~priority ~drop_if_blocked ~len payload =
     !result
   end
 
-(* The packet is built once, in a buffer with room for every return hop
-   its routers will append (see {!Netsim.Frame}): no router copies it. *)
-let send t ~route ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
-    ~data () =
+let trailer_bytes = Bytes.length Viper.Trailer.empty
+
+(* The buffer is built once, with room for every return hop its routers
+   will append (see {!Netsim.Frame}): no router copies it. The data's
+   room ends where the empty trailer starts, [tailroom + 3] bytes before
+   the buffer's end ({!Pkt.reserve_stamped}). *)
+let reserve ~route ~priority ~drop_if_blocked ~len =
   let segments = route.Route.segments in
   let tailroom = Pkt.tailroom segments in
   let payload =
-    Pkt.build_stamped ~tailroom ~priority ~dib:drop_if_blocked ~route:segments ~data
+    Pkt.reserve_stamped ~tailroom ~priority ~dib:drop_if_blocked ~route:segments ~len
   in
-  inject t ~port:route.Route.first_port ~priority ~drop_if_blocked
-    ~len:(Bytes.length payload - tailroom) payload
+  frame ~priority ~drop_if_blocked ~flight:None
+    ~off:(Bytes.length payload - tailroom - trailer_bytes - len)
+    ~len payload
+
+let reserve_reply ~to_packet ~priority ~len =
+  match Pkt.reserve_reply to_packet ~priority ~len with
+  | Error e -> Error e
+  | Ok (payload, off) ->
+    Ok (frame ~priority ~drop_if_blocked:false ~flight:None ~off ~len payload)
+
+(* A reserved frame's window becomes the whole packet, from the
+   buffer's start (the route) through the empty trailer after the data,
+   and the packet is originated. *)
+let seal t frame =
+  frame.Netsim.Frame.len <- frame.Netsim.Frame.off + frame.len + trailer_bytes;
+  frame.off <- 0;
+  frame.flight <- W.originate t.world
+
+let commit t ~route frame =
+  seal t frame;
+  inject t ~port:route.Route.first_port frame
+
+(* A reply is not paced by the limiter; a packet that cannot be answered
+   has no frame, so starts no flight. *)
+let commit_reply t ~in_port frame =
+  seal t frame;
+  transmit t ~port:in_port frame
+
+let send t ~route ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
+    ~data () =
+  let len = Bytes.length data in
+  let frame = reserve ~route ~priority ~drop_if_blocked ~len in
+  Bytes.blit data 0 frame.Netsim.Frame.payload frame.off len;
+  commit t ~route frame
 
 (* Fold [route] into a constant-size XSR header instead of a VIPER
    segment list: bytes-on-wire stay [Xsr.header_size] + data regardless
@@ -144,19 +176,17 @@ let send_xsr t ~route ?(priority = Token.Priority.normal)
   let payload =
     Viper.Xsr.encode_segments ~priority ~segments:route.Route.segments ~data
   in
-  inject t ~port:route.Route.first_port ~priority ~drop_if_blocked
-    ~len:(Bytes.length payload) payload
+  let flight = W.originate t.world in
+  inject t ~port:route.Route.first_port
+    (frame ~priority ~drop_if_blocked ~flight ~off:0 ~len:(Bytes.length payload) payload)
 
-(* The reply is written from the trailer in place, with room for its
-   routers' return hops; a packet that cannot be answered starts no
-   flight. *)
 let reply t ~to_packet ~in_port ?(priority = Token.Priority.normal) ~data () =
-  match Pkt.reply to_packet ~priority ~data with
+  let len = Bytes.length data in
+  match reserve_reply ~to_packet ~priority ~len with
   | Error e -> Error e
-  | Ok (payload, len) ->
-    let flight = W.originate t.world in
-    let frame = frame ~priority ~drop_if_blocked:false ~flight ~len payload in
-    Ok (transmit t ~port:in_port frame)
+  | Ok frame ->
+    Bytes.blit data 0 frame.Netsim.Frame.payload frame.off len;
+    Ok (commit_reply t ~in_port frame)
 
 let explode t ~routes ?(priority = Token.Priority.normal) ~data () =
   List.fold_left

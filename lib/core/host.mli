@@ -33,7 +33,8 @@ val send :
   data:bytes -> unit -> Netsim.World.send_result
 (** Build and transmit a packet along [route], in one buffer with room
     for the return hop of every router on the way (see
-    {!Netsim.Frame}): no router copies it. *)
+    {!Netsim.Frame}): no router copies it. {!reserve}, a blit of [data]
+    into the frame's window, and {!commit}. *)
 
 val send_xsr :
   t -> route:Route.t -> ?priority:Token.Priority.t -> ?drop_if_blocked:bool ->
@@ -51,10 +52,51 @@ val reply :
   ?priority:Token.Priority.t -> data:bytes -> unit ->
   (Netsim.World.send_result, Viper.Packet.error) result
 (** Send [data] back along the route written from [to_packet]'s trailer
-    ({!Viper.Packet.reply}) — the receiver-side reversal of §2. [in_port]
-    is where [to_packet] arrived (the reply's first transmission port).
-    [Error], with nothing sent, when the packet was truncated or its
-    return route would exceed {!Viper.Packet.max_route_segments}. *)
+    ({!Viper.Packet.reserve_reply}) — the receiver-side reversal of §2.
+    [in_port] is where [to_packet] arrived (the reply's first
+    transmission port). [Error], with nothing sent, when the packet was
+    truncated or its return route would exceed
+    {!Viper.Packet.max_route_segments}. {!reserve_reply}, a blit of
+    [data] into the frame's window, and {!commit_reply}. *)
+
+(** {2 Writing a packet in its wire buffer}
+
+    A transport with its own encoder writes its packet straight into the
+    buffer that goes on the wire, so the packet is never copied. A
+    reserve step allocates the buffer, writes the route (or the reversed
+    trailer) and the empty trailer, and returns the frame that will
+    carry it, not yet on the wire: its window
+    [payload.[off] .. payload.[off + len - 1]] is the [len] bytes left
+    for the data, which the caller must fill. Until the commit step the
+    caller owns the buffer; the commit step widens the window to the
+    whole packet, originates it ({!Netsim.World.originate}) and
+    transmits it, and from then on the buffer belongs to the network
+    (see {!Netsim.Frame}): the caller must not write it again. Commit a
+    frame once, with the host and route (or arrival port) it was
+    reserved for. Neither step allocates a closure or a tuple. *)
+
+val reserve :
+  route:Route.t -> priority:Token.Priority.t -> drop_if_blocked:bool -> len:int ->
+  Netsim.Frame.t
+(** The frame of a packet along [route] with [len] data bytes, with
+    [priority] and [drop_if_blocked] on every segment and on the frame.
+    Raises like {!Viper.Packet.build} on an empty or over-long route. *)
+
+val commit : t -> route:Route.t -> Netsim.Frame.t -> Netsim.World.send_result
+(** Transmit a frame {!reserve} made for [route], through the host's
+    limiter, out [route]'s first port. *)
+
+val reserve_reply :
+  to_packet:Viper.Packet.t -> priority:Token.Priority.t -> len:int ->
+  (Netsim.Frame.t, Viper.Packet.error) result
+(** The frame of the packet answering [to_packet] with [len] data bytes,
+    at [priority], over the return route its trailer recorded. [Error]
+    where {!reply}'s. *)
+
+val commit_reply :
+  t -> in_port:Topo.Graph.port -> Netsim.Frame.t -> Netsim.World.send_result
+(** Transmit a frame {!reserve_reply} made out [in_port], where the
+    packet it answers arrived. A reply is not paced by the limiter. *)
 
 val explode :
   t -> routes:Route.t list -> ?priority:Token.Priority.t -> data:bytes -> unit -> int

@@ -7,7 +7,7 @@ type t = {
   mutable priority : Token.Priority.t;
   mutable drop_if_blocked : bool;
   meta : meta option;
-  flight : Telemetry.Flight.ctx option;
+  mutable flight : Telemetry.Flight.ctx option;
   mutable aborted : bool;
 }
 

@@ -27,10 +27,13 @@ type t = {
   mutable priority : Token.Priority.t;
   mutable drop_if_blocked : bool;
   meta : meta option;
-  flight : Telemetry.Flight.ctx option;
+  mutable flight : Telemetry.Flight.ctx option;
       (** flight-recorder trace context riding the packet (see
           {!Telemetry.Flight}); forwarders re-framing the payload carry
-          it over so the recorded spans cover the whole route *)
+          it over so the recorded spans cover the whole route. Set once,
+          when the packet is originated: a host reserves a frame before
+          it has written the packet, and originates it when it commits
+          the frame to the wire ({!Sirpent.Host.commit}) *)
   mutable aborted : bool;
       (** set when the transmission carrying this frame was preempted
           mid-wire (§5: priorities 6-7 "preempt the transmission of lower

@@ -44,28 +44,40 @@ let tailroom_in b ~off ~len =
   | exception Invalid_argument _ -> 0
 
 (* One allocation: the route is written straight into the packet (VNT
-   from position, {!Segment.write_route}), then the data and the empty
-   trailer, and [tailroom] bytes are left past them. Nothing is copied
-   out. *)
-let build_with ~stamp ~dib ~priority ~tailroom ~route ~data =
+   from position, {!Segment.write_route}), then room for [len] data
+   bytes and the empty trailer, and [tailroom] bytes are left past
+   them. Nothing is copied out. *)
+let reserve_with ~stamp ~dib ~priority ~tailroom ~route ~len =
   check_route ~fn:"Packet.build" route;
   let header = total_header_overhead ~route in
-  let dlen = Bytes.length data in
   let tlen = Bytes.length Trailer.empty in
-  let out = Bytes.create (header + dlen + tlen + tailroom) in
+  let out = Bytes.create (header + len + tlen + tailroom) in
   if stamp then Segment.put_route_stamped out ~pos:0 ~dib ~priority route
   else
     Segment.write_route (Wire.Buf.writer_onto out ~off:0 ~len:header) ~last_vnt:false
       route;
-  Bytes.blit data 0 out header dlen;
-  Bytes.blit Trailer.empty 0 out (header + dlen) tlen;
+  Bytes.blit Trailer.empty 0 out (header + len) tlen;
+  out
+
+(* [data] into the room a reserve left for it, which ends where the
+   empty trailer starts. *)
+let put_data ~tailroom data out =
+  let dlen = Bytes.length data in
+  let at = Bytes.length out - tailroom - Bytes.length Trailer.empty - dlen in
+  Bytes.blit data 0 out at dlen;
   out
 
 let build ~route ~data =
-  build_with ~stamp:false ~dib:false ~priority:0 ~tailroom:0 ~route ~data
+  put_data ~tailroom:0 data
+    (reserve_with ~stamp:false ~dib:false ~priority:0 ~tailroom:0 ~route
+       ~len:(Bytes.length data))
+
+let reserve_stamped ~tailroom ~priority ~dib ~route ~len =
+  reserve_with ~stamp:true ~dib ~priority ~tailroom ~route ~len
 
 let build_stamped ~tailroom ~priority ~dib ~route ~data =
-  build_with ~stamp:true ~dib ~priority ~tailroom ~route ~data
+  put_data ~tailroom data
+    (reserve_stamped ~tailroom ~priority ~dib ~route ~len:(Bytes.length data))
 
 let read_route r =
   let rec go n acc =
@@ -194,74 +206,85 @@ let truncate_to b ~off ~len ~max =
   end
 
 (* The reply's size, read off the trailer in one fold before anything
-   is written: the reversed hops' bytes and count, the room their
-   routers will append, and whether a router truncated the packet. *)
-type sizing = {
-  mutable bytes : int;
-  mutable hops : int;
-  mutable room : int;
-  mutable cut : bool;
-}
+   is written, packed into one int so that the fold allocates nothing:
+   the reversed hops' bytes (the low 20 bits), the room their routers
+   will append (the next 20) and the hop count (above them); -1 once a
+   router's truncation marker is seen. A trailer's total is a 16-bit
+   field, so the first two stay well inside their 20 bits. *)
+let field_bits = 20
+let field_mask = (1 lsl field_bits) - 1
+let one_hop = 1 lsl (2 * field_bits)
+let cut = -1
+let size_bytes s = s land field_mask
+let size_room s = (s lsr field_bits) land field_mask
+let size_hops s = s lsr (2 * field_bits)
 
-let size_hop b off len s =
-  s.bytes <- s.bytes + Segment.reversed_hop_size b ~off ~len;
-  s.hops <- s.hops + 1;
-  s.room <- s.room + hop_room b ~off;
-  s
+let size_hop () b off len s =
+  if s = cut then cut
+  else
+    s + Segment.reversed_hop_size b ~off ~len + (hop_room b ~off lsl field_bits) + one_hop
 
-let size_mark entry s =
-  s.cut <- s.cut || entry = Trailer.Truncated;
-  s
+let size_mark () entry s =
+  match entry with Trailer.Truncated -> cut | Trailer.Branch | Trailer.Hop _ -> s
 
 (* An XSR arrival's hops are return hops of flagless segments
    ({!trailer}), reversed: minimal segments with these flags. *)
 let xsr_hop_bits = Segment.reversed_hop_bits (Segment.return_hop_bits 0)
 
 let sizing t =
-  let s = { bytes = 0; hops = 0; room = 0; cut = false } in
   if not t.xsr then
-    Trailer.fold_in t.wire ~off:t.off ~len:t.len ~hop:size_hop ~mark:size_mark s
+    Trailer.fold_in t.wire ~off:t.off ~len:t.len ~hop:size_hop ~mark:size_mark () 0
   else begin
     let b = xsr_wire t in
-    s.hops <- Xsr.hop_idx b;
-    s.bytes <- s.hops * Segment.fixed_size;
-    for i = 0 to s.hops - 1 do
+    let hops = Xsr.hop_idx b in
+    let room = ref 0 in
+    for i = 0 to hops - 1 do
       if Xsr.reverse_port b i <> Segment.local_port then
-        s.room <- s.room + Segment.fixed_size + 3
+        room := !room + Segment.fixed_size + 3
     done;
-    s
+    (hops * Segment.fixed_size) + (!room lsl field_bits) + (hops * one_hop)
   end
 
-let truncated t = (sizing t).cut
+let truncated t = sizing t = cut
+
+let write_hop out b off len at = Segment.write_reversed_hop b ~off ~len out ~at
+let keep_at _ _ at = at
 
 (* One allocation: the trailer's hops reversed straight into it, newest
    first as the trailer walk visits them, markers skipped; then the
-   local segment, the data, the empty trailer and the tailroom. *)
-let reply t ~priority ~data =
+   local segment, room for [len] data bytes, the empty trailer and the
+   tailroom. *)
+let reserve_reply t ~priority ~len =
   let s = sizing t in
-  if s.cut then Error (Segment.Malformed "Packet.return_route: truncated")
-  else if s.hops >= max_route_segments then
+  if s = cut then Error (Segment.Malformed "Packet.return_route: truncated")
+  else if size_hops s >= max_route_segments then
     Error (Segment.Malformed "Packet.reply: route too long")
   else begin
     if not (Token.Priority.valid priority) then invalid_arg "Packet.reply: priority";
-    let header = s.bytes + Segment.fixed_size and tlen = Bytes.length Trailer.empty in
-    let len = header + Bytes.length data + tlen in
-    let out = Bytes.create (len + s.room) in
+    let hops = size_hops s and header = size_bytes s + Segment.fixed_size in
+    let tlen = Bytes.length Trailer.empty in
+    let out = Bytes.create (header + len + tlen + size_room s) in
     (if t.xsr then
        let b = xsr_wire t in
-       for i = 0 to s.hops - 1 do
+       for i = 0 to hops - 1 do
          Segment.put_minimal out ~at:(i * Segment.fixed_size) ~bits:xsr_hop_bits
-           ~port:(Xsr.reverse_port b (s.hops - 1 - i)) ~priority:(Xsr.priority b)
+           ~port:(Xsr.reverse_port b (hops - 1 - i)) ~priority:(Xsr.priority b)
        done
      else
-       let hop b off len at = Segment.write_reversed_hop b ~off ~len out ~at in
-       let mark _ at = at in
-       ignore (Trailer.fold_in t.wire ~off:t.off ~len:t.len ~hop ~mark 0));
-    Segment.put_minimal out ~at:s.bytes ~port:Segment.local_port ~bits:0 ~priority;
-    Bytes.blit data 0 out header (Bytes.length data);
-    Bytes.blit Trailer.empty 0 out (len - tlen) tlen;
-    Ok (out, len)
+       ignore
+         (Trailer.fold_in t.wire ~off:t.off ~len:t.len ~hop:write_hop ~mark:keep_at out 0));
+    Segment.put_minimal out ~at:(size_bytes s) ~port:Segment.local_port ~bits:0 ~priority;
+    Bytes.blit Trailer.empty 0 out (header + len) tlen;
+    Ok (out, header)
   end
+
+let reply t ~priority ~data =
+  let len = Bytes.length data in
+  match reserve_reply t ~priority ~len with
+  | Error e -> Error e
+  | Ok (out, at) ->
+    Bytes.blit data 0 out at len;
+    Ok (out, at + len + Bytes.length Trailer.empty)
 
 (* The hops of a reply's route: the segments before the local one, VNT
    cleared on the last. *)
@@ -275,8 +298,8 @@ let rec chain_hops r =
 
 let return_route_r t =
   Result.map
-    (fun (out, len) -> chain_hops (Wire.Buf.reader_window out ~off:0 ~len))
-    (reply t ~priority:Token.Priority.normal ~data:Bytes.empty)
+    (fun (out, at) -> chain_hops (Wire.Buf.reader_window out ~off:0 ~len:at))
+    (reserve_reply t ~priority:Token.Priority.normal ~len:0)
 
 (* Where the segment after the leading one starts when VNT says one
    follows, else -1. Found in place with {!Segment.extent_to}, which raises

@@ -69,14 +69,22 @@ val tailroom_in : bytes -> off:int -> len:int -> int
     room a router gives the fresh window it copies a packet into. A chain
     that stops parsing needs no more room, since it will be dropped. *)
 
+val reserve_stamped :
+  tailroom:int -> priority:Token.Priority.t -> dib:bool -> route:Segment.t list ->
+  len:int -> bytes
+(** The buffer a host sends a packet of [len] data bytes in, before the
+    data is written: the route written as {!build} writes it, with every
+    segment's priority and DIB replaced on the wire by [priority] and
+    [dib] (a host's send options), then [len] bytes left for the data,
+    then the empty trailer, then [tailroom] spare bytes, in one
+    allocation. The data goes in the [len] bytes that end where the
+    trailer starts, [tailroom + 3] bytes before the buffer's end; the
+    wire bytes are all but the last [tailroom]. Raises like {!build}. *)
+
 val build_stamped :
   tailroom:int -> priority:Token.Priority.t -> dib:bool -> route:Segment.t list ->
   data:bytes -> bytes
-(** {!build}'s packet followed by [tailroom] spare bytes, in the same
-    single allocation (the wire bytes are all but the last [tailroom]),
-    with every segment's priority and DIB replaced on the wire by
-    [priority] and [dib] — a host's send options — without rebuilding
-    the route. *)
+(** {!reserve_stamped} with [data] blitted into its room. *)
 
 (** {1 Non-raising parse}
 
@@ -100,19 +108,29 @@ val intact : bytes -> off:int -> len:int -> bool
 (** Whether {!of_window} would be [Ok]: the same checks, and nothing is
     copied or built. *)
 
+val reserve_reply :
+  t -> priority:Token.Priority.t -> len:int -> (bytes * int, error) result
+(** The buffer of the packet answering [t] over the route its trailer
+    recorded, with room for [len] data bytes, and where that room
+    starts. The route is the trailer's hops (for XSR, the reverse
+    lanes), newest first, each written from its bytes
+    ({!Segment.write_reversed_hop}), markers skipped, then local
+    delivery at [priority]: the bytes {!build} makes of it. The [len]
+    bytes from the returned offset are left for the data, the empty
+    trailer follows them, and past it the buffer holds the route's
+    {!tailroom}. The trailer is folded twice in place, once to size the
+    buffer and once to write it; the buffer and the returned pair are
+    all it allocates. [Error] when a router truncated [t], or when the
+    route would exceed {!max_route_segments}: a damaged trailer never
+    becomes a bogus route. *)
+
 val reply :
   t -> priority:Token.Priority.t -> data:bytes -> (bytes * int, error) result
-(** The packet answering [t] over the route its trailer recorded, and
-    its length; past it, the buffer holds the route's {!tailroom}. The
-    route is the trailer's hops (for XSR, the reverse lanes), newest
-    first, each written from its bytes ({!Segment.write_reversed_hop}),
-    markers skipped, then local delivery at [priority]: the bytes
-    {!build} makes of it. [Error] when a router truncated [t], or when
-    the route would exceed {!max_route_segments}: a damaged trailer
-    never becomes a bogus route. *)
+(** {!reserve_reply} with [data] blitted into its room: the packet and
+    its length. *)
 
 val return_route_r : t -> (Segment.t list, error) result
-(** The hops of {!reply}'s route, decoded from the bytes it writes:
+(** The hops of {!reserve_reply}'s route, decoded from the bytes it writes:
     newest first, RPF set, VNT set on every hop but the last. [Error]
     where {!reply} is. *)
 

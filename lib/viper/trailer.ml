@@ -55,14 +55,16 @@ let size_in b ~off ~len =
 
 (* Walk the trailer ending the window backwards through its trailing
    length fields, checking each entry in place and folding [hop] (over a
-   checked segment's bytes) or [mark] over them, newest entry first. *)
-let rec walk b ~lo ~hi ~start ~hop ~mark pos acc =
+   checked segment's bytes) or [mark] over them, newest entry first;
+   both get [env] first. *)
+let rec walk b ~lo ~hi ~start ~hop ~mark env pos acc =
   if pos = start then acc
   else begin
     let len = read_u16_in b ~lo ~hi (pos - 2) in
-    if len = marker then walk b ~lo ~hi ~start ~hop ~mark (pos - 2) (mark Truncated acc)
+    if len = marker then
+      walk b ~lo ~hi ~start ~hop ~mark env (pos - 2) (mark env Truncated acc)
     else if len = branch_marker then
-      walk b ~lo ~hi ~start ~hop ~mark (pos - 2) (mark Branch acc)
+      walk b ~lo ~hi ~start ~hop ~mark env (pos - 2) (mark env Branch acc)
     else begin
       let seg_start = pos - 3 - len in
       if seg_start < start then invalid_arg "Trailer: entry exceeds trailer";
@@ -70,36 +72,36 @@ let rec walk b ~lo ~hi ~start ~hop ~mark pos acc =
       let check = Char.code (Bytes.get b (pos - 3)) in
       if check <> cksum_sub b ~off:seg_start ~len then
         invalid_arg "Trailer: entry checksum";
-      walk b ~lo ~hi ~start ~hop ~mark seg_start (hop b seg_start len acc)
+      walk b ~lo ~hi ~start ~hop ~mark env seg_start (hop env b seg_start len acc)
     end
   end
 
-let fold_in b ~off ~len ~hop ~mark acc =
+let fold_in b ~off ~len ~hop ~mark env acc =
   let hi = off + len in
   let stop = hi - 3 in
   let start = stop - total_in b ~lo:off ~hi in
   if start < off then invalid_arg "Trailer: total exceeds packet";
-  walk b ~lo:off ~hi ~start ~hop ~mark stop acc
+  walk b ~lo:off ~hi ~start ~hop ~mark env stop acc
 
-let decode_hop b off len acc = Hop (Segment.decode_sub b ~off ~len) :: acc
-let cons_mark entry acc = entry :: acc
+let decode_hop () b off len acc = Hop (Segment.decode_sub b ~off ~len) :: acc
+let cons_mark () entry acc = entry :: acc
 
 (* Each entry is checked and decoded in place: only the segment handed
    out is allocated. *)
-let entries_in b ~off ~len = fold_in b ~off ~len ~hop:decode_hop ~mark:cons_mark []
+let entries_in b ~off ~len = fold_in b ~off ~len ~hop:decode_hop ~mark:cons_mark () []
 
 (* [Segment.decode_sub]'s verdict without the record: the entry must be
    exactly one segment. *)
-let check_hop b off len () =
+let check_hop () b off len () =
   if Segment.extent_to b ~off ~stop:(off + len) <> len then
     invalid_arg "Segment.decode: trailing bytes"
 
-let skip_mark _ () = ()
-let verify_in b ~off ~len = fold_in b ~off ~len ~hop:check_hop ~mark:skip_mark ()
+let skip_mark () _ () = ()
+let verify_in b ~off ~len = fold_in b ~off ~len ~hop:check_hop ~mark:skip_mark () ()
 
-let skip_hop _ _ _ acc = acc
-let note_branch e found = found || match e with Branch -> true | Hop _ | Truncated -> false
-let branched_in b ~off ~len = fold_in b ~off ~len ~hop:skip_hop ~mark:note_branch false
+let skip_hop () _ _ _ acc = acc
+let note_branch () e found = found || match e with Branch -> true | Hop _ | Truncated -> false
+let branched_in b ~off ~len = fold_in b ~off ~len ~hop:skip_hop ~mark:note_branch () false
 
 (* The total once [added] more entry bytes join the trailer ending at
    [hi]. *)

@@ -60,12 +60,14 @@ val entries_in : bytes -> off:int -> len:int -> entry list
     returned. *)
 
 val fold_in :
-  bytes -> off:int -> len:int -> hop:(bytes -> int -> int -> 'a -> 'a) ->
-  mark:(entry -> 'a -> 'a) -> 'a -> 'a
-(** Fold over the trailer ending the window, newest entry first: [hop]
-    gets each checked hop entry's segment bytes in place (buffer,
-    offset, length), [mark] each marker. Raises where {!entries_in}
-    would. *)
+  bytes -> off:int -> len:int -> hop:('e -> bytes -> int -> int -> 'a -> 'a) ->
+  mark:('e -> entry -> 'a -> 'a) -> 'e -> 'a -> 'a
+(** [fold_in b ~off ~len ~hop ~mark env acc] folds over the trailer
+    ending the window, newest entry first: [hop] gets each checked hop
+    entry's segment bytes in place (buffer, offset, length), [mark] each
+    marker, and both get [env] first, so a fold with top-level [hop] and
+    [mark] and an unboxed accumulator builds no closure. Raises where
+    {!entries_in} would. *)
 
 val verify_in : bytes -> off:int -> len:int -> unit
 (** Raises exactly when {!entries_in} would, and builds nothing. *)

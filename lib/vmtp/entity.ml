@@ -48,19 +48,24 @@ type partial = {
           whose data window is the chunk; [absent] where none has come *)
   mutable mask : int;
   mutable group_size : int;
-  mutable sample : (Viper.Packet.t * Topo.Graph.port) option;
-      (** a received packet + arrival port: source of the return route *)
   mutable gap_at : Sim.Time.t;
   mutable gap_seq : int;  (* with [gap_at], the gap timer's key; -1 if none *)
+  mutable answered : bool;  (** a complete request: the handler has replied *)
 }
 
+(* A message this entity sends is kept as one private copy of the
+   caller's bytes and the group's single timestamp; packet [i] is
+   written from them into the wire buffer of each of its transmissions,
+   so every transmission of it is byte-identical. *)
 type call = {
   txn : int;
   server : int64;
   routes : Sirpent.Route.t array;
   mutable route_idx : int;
   priority : Token.Priority.t;
-  request_packets : bytes array;  (** encoded transport packets, stable *)
+  request : bytes;  (** the request message, private *)
+  request_group : int;
+  request_stamp : int;
   mutable request_acked : int;
   mutable retries : int;
   mutable timer_at : Sim.Time.t;
@@ -74,8 +79,12 @@ type call = {
 
 type held_response = {
   client : int64;
-  resp_packets : bytes array;
-  mutable via : Viper.Packet.t * Topo.Graph.port;
+  held_txn : int;
+  message : bytes;  (** the response message, private *)
+  group : int;
+  stamp : int;
+  mutable via : Viper.Packet.t;  (** the request whose trailer is the way back *)
+  mutable via_port : Topo.Graph.port;  (** where [via] arrived *)
   mutable expires : Sim.Time.t;
 }
 
@@ -151,10 +160,9 @@ let cancel t ~time ~seq = if seq >= 0 then Sim.Engine.cancel (engine t) ~time ~s
 let txn_key ~client ~txn = ((Int64.to_int client land 0x7FFFFFFF) lsl 32) lor txn
 
 let find_entry tbl ~client_of ~key client =
-  match Hashtbl.find tbl key with
-  | e when Int64.equal (client_of e) client -> Some e
-  | _ -> List.find_opt (fun e -> Int64.equal (client_of e) client) (Hashtbl.find_all tbl key)
-  | exception Not_found -> None
+  let e = Hashtbl.find tbl key in
+  if Int64.equal (client_of e) client then e
+  else List.find (fun e -> Int64.equal (client_of e) client) (Hashtbl.find_all tbl key)
 
 (* Remove [e], a binding of [key], leaving any other client's. *)
 let remove_entry tbl ~key e =
@@ -171,20 +179,23 @@ let held_client h = h.client
 (* A nonzero creation timestamp: 0 means "invalid" on the wire (§4.2). *)
 let stamp t = match now_ms t with 0 -> 1 | ms -> ms
 
-(* The packets of a message, each written once from its window of
-   [data]. They are built now and never written again, so they stay
-   stable for retransmission whatever the caller later does with
-   [data]. *)
-let encode_group t ~dst ~txn ~kind data =
-  let seg = segment_bytes in
-  let len = Bytes.length data in
-  let group_size = max 1 ((len + seg - 1) / seg) in
+(* The packet count of [message]'s group: one packet per
+   [segment_bytes], and one for an empty message. *)
+let group_of message =
+  let group_size = max 1 ((Bytes.length message + segment_bytes - 1) / segment_bytes) in
   if group_size > Wf.max_group then invalid_arg "Vmtp: message too large for one group";
-  let timestamp_ms = stamp t in
-  Array.init group_size (fun index ->
-      let off = index * seg in
-      Wf.encode ~src:t.id ~dst ~txn ~kind ~index ~group_size ~acks_response:false ~mask:0
-        ~timestamp_ms data ~off ~len:(min seg (len - off)))
+  group_size
+
+let chunk_len message index =
+  min segment_bytes (Bytes.length message - (index * segment_bytes))
+let packet_len message index = Wf.header_size + chunk_len message index + Wf.trailer_size
+
+(* Packet [index] of [message]'s group, written into the window of a
+   reserved [frame]. *)
+let write_packet t frame ~dst ~txn ~kind ~group_size ~stamp message index =
+  Wf.encode_into frame.Netsim.Frame.payload ~at:frame.off ~src:t.id ~dst ~txn ~kind ~index
+    ~group_size ~acks_response:false ~mask:0 ~timestamp_ms:stamp message
+    ~off:(index * segment_bytes) ~len:(chunk_len message index)
 
 (* The message of a complete group: each chunk blitted once, in index
    order, from its packet's data window. *)
@@ -199,34 +210,63 @@ let assemble partial =
   done;
   message
 
-(* Send the packets of a group whose bits [skip] lacks, in index order,
-   paced along a source route; the count sent. *)
-let send_group t ~route ~priority packets ~skip =
-  let gap_for bytes =
-    if t.config.pace_bps <= 0 then Sim.Time.ns 1
-    else Sim.Time.transmission ~bits:(8 * bytes) ~rate_bps:t.config.pace_bps
+(* Packet [index] of [call]'s request along [route]. *)
+let send_request_packet t call ~route index =
+  C.incr t.packets_sent;
+  let frame =
+    Sirpent.Host.reserve ~route ~priority:call.priority ~drop_if_blocked:false
+      ~len:(packet_len call.request index)
   in
+  write_packet t frame ~dst:call.server ~txn:call.txn ~kind:Wf.Request
+    ~group_size:call.request_group ~stamp:call.request_stamp call.request index;
+  ignore (Sirpent.Host.commit t.host ~route frame)
+
+(* The pause after sending a packet of [bytes] before the group's
+   next. *)
+let gap_for t bytes =
+  if t.config.pace_bps <= 0 then Sim.Time.ns 1
+  else Sim.Time.transmission ~bits:(8 * bytes) ~rate_bps:t.config.pace_bps
+
+let current_route call = call.routes.(call.route_idx)
+
+(* Send the packets of the request group whose bits [skip] lacks, in
+   index order, paced along the call's current route; the count
+   sent. *)
+let send_request_group t call ~skip =
+  let route = current_route call in
   let delay = ref 0 and sent = ref 0 in
-  Array.iteri
-    (fun i packet ->
-      if not (Wf.mask_has skip i) then begin
-        schedule t ~delay:!delay (fun () ->
-            C.incr t.packets_sent;
-            ignore (Sirpent.Host.send t.host ~route ~priority ~data:packet ()));
-        delay := !delay + gap_for (Bytes.length packet);
-        incr sent
-      end)
-    packets;
+  for index = 0 to call.request_group - 1 do
+    if not (Wf.mask_has skip index) then begin
+      schedule t ~delay:!delay (fun () -> send_request_packet t call ~route index);
+      delay := !delay + gap_for t (packet_len call.request index);
+      incr sent
+    end
+  done;
   !sent
 
-(* Send one packet back over the return route of [via]. A damaged sample
-   (truncated trailer, over-long return route) is an [Error] that sends
-   nothing: it reads as a loss, and the peer retransmits and supplies a
-   fresh return route. *)
-let send_via t ~via packet =
-  let sample_packet, in_port = via in
+(* Count a packet sent back over the return route of [via] and reserve
+   its frame, for [len] transport bytes. A damaged sample (truncated
+   trailer, over-long return route) has no reply, so nothing is sent:
+   it reads as a loss, and the peer retransmits and supplies a fresh
+   return route. *)
+let reply_via t ~via ~len =
   C.incr t.packets_sent;
-  ignore (Sirpent.Host.reply t.host ~to_packet:sample_packet ~in_port ~data:packet ())
+  Sirpent.Host.reserve_reply ~to_packet:via ~priority:Token.Priority.normal ~len
+
+(* Packet [index] of [held]'s response, back over the return route of
+   the request it answers. *)
+let send_response_packet t held index =
+  match reply_via t ~via:held.via ~len:(packet_len held.message index) with
+  | Error _ -> ()
+  | Ok frame ->
+    write_packet t frame ~dst:held.client ~txn:held.held_txn ~kind:Wf.Response
+      ~group_size:held.group ~stamp:held.stamp held.message index;
+    ignore (Sirpent.Host.commit_reply t.host ~in_port:held.via_port frame)
+
+let send_response t held =
+  for index = 0 to held.group - 1 do
+    send_response_packet t held index
+  done
 
 (* A group's missing packets: a packet buffer is never empty. *)
 let absent = Bytes.empty
@@ -237,13 +277,13 @@ let fresh_partial ~peer =
     chunks = Array.make 1 absent;
     mask = 0;
     group_size = 1;
-    sample = None;
     gap_at = 0;
     gap_seq = -1;
+    answered = false;
   }
 
 (* Keep the arrived packet [p] (not a copy of its data) in its place. *)
-let partial_add partial p ~sample =
+let partial_add partial p =
   let index = Wf.index p and group_size = Wf.group_size p in
   if Array.length partial.chunks < group_size then begin
     let fresh = Array.make group_size absent in
@@ -252,8 +292,7 @@ let partial_add partial p ~sample =
   end;
   partial.group_size <- max partial.group_size group_size;
   if index < Array.length partial.chunks then partial.chunks.(index) <- p;
-  partial.mask <- Wf.mask_with partial.mask index;
-  partial.sample <- Some sample
+  partial.mask <- Wf.mask_with partial.mask index
 
 let partial_complete partial =
   partial.group_size > 0
@@ -274,23 +313,30 @@ let rto t =
   | None -> retransmit_timeout
   | Some s -> max (Sim.Time.ms 5) (2 * s)
 
-let current_route call = call.routes.(call.route_idx)
-
-let finish_call t call outcome =
-  if not call.finished then begin
+(* Take an open call off the books; [false] if it had already
+   finished. *)
+let close_call t call =
+  if call.finished then false
+  else begin
     call.finished <- true;
     cancel t ~time:call.timer_at ~seq:call.timer_seq;
     cancel t ~time:call.response.gap_at ~seq:call.response.gap_seq;
     Hashtbl.remove t.calls call.txn;
-    match outcome with
-    | `Reply data ->
-      C.incr t.calls_completed;
-      let rtt = now t - call.started in
-      update_rtt t rtt;
-      call.on_reply data ~rtt
-    | `Fail reason ->
-      C.incr t.calls_failed;
-      call.on_fail reason
+    true
+  end
+
+let complete_call t call data =
+  if close_call t call then begin
+    C.incr t.calls_completed;
+    let rtt = now t - call.started in
+    update_rtt t rtt;
+    call.on_reply data ~rtt
+  end
+
+let fail_call t call reason =
+  if close_call t call then begin
+    C.incr t.calls_failed;
+    call.on_fail reason
   end
 
 let rec arm_timer t call =
@@ -319,7 +365,7 @@ and on_timeout t call =
       retransmit_request t call ~all:true;
       arm_timer t call
     end
-    else finish_call t call (`Fail "all routes exhausted")
+    else fail_call t call "all routes exhausted"
   end
   else begin
     retransmit_request t call ~all:false;
@@ -329,56 +375,83 @@ and on_timeout t call =
 (* Resend what the server has not acknowledged: the whole group when
    [all], or when it has acknowledged every packet. *)
 and retransmit_request t call ~all =
-  let full = Wf.mask_full (Array.length call.request_packets) in
+  let full = Wf.mask_full call.request_group in
   let acked = call.request_acked land full in
   let skip = if all || acked = full then 0 else acked in
-  C.add t.retransmits
-    (send_group t ~route:(current_route call) ~priority:call.priority
-       call.request_packets ~skip)
+  C.add t.retransmits (send_request_group t call ~skip)
 
-let send_ack t ~dst ~txn ~acks_response ~mask ~group_size ~via =
+(* An ack is written straight into the buffer of the reply to [via]. *)
+let send_ack t ~dst ~txn ~acks_response ~mask ~group_size ~via ~in_port =
   C.incr t.acks_sent;
-  let packet =
-    Wf.encode ~src:t.id ~dst ~txn ~kind:Wf.Ack ~index:0 ~group_size ~acks_response ~mask
-      ~timestamp_ms:(stamp t) Bytes.empty ~off:0 ~len:0
-  in
-  send_via t ~via packet
+  match reply_via t ~via ~len:(Wf.header_size + Wf.trailer_size) with
+  | Error _ -> ()
+  | Ok frame ->
+    Wf.encode_into frame.Netsim.Frame.payload ~at:frame.off ~src:t.id ~dst ~txn
+      ~kind:Wf.Ack ~index:0 ~group_size ~acks_response ~mask ~timestamp_ms:(stamp t)
+      Bytes.empty ~off:0 ~len:0;
+    ignore (Sirpent.Host.commit_reply t.host ~in_port frame)
+
+(* [partial]'s gap timer, re-armed to run [f] [gap_timeout] from now;
+   [f] clears [partial.gap_seq] when it runs. *)
+let arm_gap_timer t partial f =
+  cancel t ~time:partial.gap_at ~seq:partial.gap_seq;
+  partial.gap_at <- now t + gap_timeout;
+  partial.gap_seq <- arm t ~time:partial.gap_at f
 
 (* ---- server side ---- *)
 
-let respond t ~client ~txn ~via data =
-  let packets = encode_group t ~dst:client ~txn ~kind:Wf.Response data in
+(* Drop the held response of [client]'s transaction at [key] once its
+   deadline has passed; a duplicate request pushes the deadline later,
+   and the expiry then re-arms at the new one. *)
+let rec expire t ~key ~client () =
+  match find_entry t.held ~client_of:held_client ~key client with
+  | h when h.expires > now t -> schedule t ~delay:(h.expires - now t) (expire t ~key ~client)
+  | h -> remove_entry t.held ~key h
+  | exception Not_found -> ()
+
+let respond t ~client ~txn ~via ~in_port data =
+  let group = group_of data in
   let held =
-    { client; resp_packets = packets; via; expires = now t + response_hold }
+    {
+      client;
+      held_txn = txn;
+      message = Bytes.copy data;
+      group;
+      stamp = stamp t;
+      via;
+      via_port = in_port;
+      expires = now t + response_hold;
+    }
   in
   let key = txn_key ~client ~txn in
-  let find () = find_entry t.held ~client_of:held_client ~key client in
-  Option.iter (remove_entry t.held ~key) (find ());
+  (match find_entry t.held ~client_of:held_client ~key client with
+  | old -> remove_entry t.held ~key old
+  | exception Not_found -> ());
   Hashtbl.add t.held key held;
-  (* a duplicate request pushes [expires] later: the expiry then re-arms
-     at the new deadline *)
-  let rec expire () =
-    match find () with
-    | Some h when h.expires > now t -> schedule t ~delay:(h.expires - now t) expire
-    | Some h -> remove_entry t.held ~key h
-    | None -> ()
-  in
-  schedule t ~delay:response_hold expire;
-  Array.iter (send_via t ~via) packets
+  schedule t ~delay:response_hold (expire t ~key ~client);
+  send_response t held
 
-let arm_gap_timer t partial ~on_gap =
-  cancel t ~time:partial.gap_at ~seq:partial.gap_seq;
-  partial.gap_at <- now t + gap_timeout;
-  partial.gap_seq <-
-    arm t ~time:partial.gap_at (fun () ->
-        partial.gap_seq <- -1;
-        on_gap ())
+(* Ask [partial.peer] for the request packets [partial] still lacks,
+   over the return route of [via], the arrival that armed the timer:
+   every later arrival re-arms it. *)
+let nack_request t partial ~txn ~via ~in_port () =
+  partial.gap_seq <- -1;
+  send_ack t ~dst:partial.peer ~txn ~acks_response:false ~mask:partial.mask
+    ~group_size:partial.group_size ~via ~in_port
 
-let handle_request t p ~sample =
+(* The handler's [reply]: answer the complete request [partial] once,
+   over the return route of [via], its last packet. *)
+let reply_once t partial ~txn ~via ~in_port response =
+  if not partial.answered then begin
+    partial.answered <- true;
+    respond t ~client:partial.peer ~txn ~via ~in_port response
+  end
+
+let handle_request t p ~via ~in_port =
   let client = Wf.src_entity p and txn = Wf.transaction p in
   let key = txn_key ~client ~txn in
   match find_entry t.held ~client_of:held_client ~key client with
-  | Some held ->
+  | held ->
     (* Duplicate of a completed transaction: replay the response over
        the duplicate's own return route (paper §4: the way back is the
        trailer of the packet that arrived). The first request's trailer
@@ -386,62 +459,54 @@ let handle_request t p ~sample =
        failed. *)
     C.incr t.duplicate_requests;
     held.expires <- now t + response_hold;
-    held.via <- sample;
-    Array.iter (send_via t ~via:held.via) held.resp_packets
-  | None ->
+    held.via <- via;
+    held.via_port <- in_port;
+    send_response t held
+  | exception Not_found ->
     let partial =
       match find_entry t.partials ~client_of:partial_peer ~key client with
-      | Some partial -> partial
-      | None ->
+      | partial -> partial
+      | exception Not_found ->
         let partial = fresh_partial ~peer:client in
         Hashtbl.add t.partials key partial;
         partial
     in
-    partial_add partial p ~sample;
+    partial_add partial p;
     if partial_complete partial then begin
       cancel t ~time:partial.gap_at ~seq:partial.gap_seq;
       remove_entry t.partials ~key partial;
       let data = assemble partial in
-      let via = Option.get partial.sample in
-      let replied = ref false in
-      let reply response_data =
-        if not !replied then begin
-          replied := true;
-          respond t ~client ~txn ~via response_data
-        end
-      in
       match t.handler with
-      | Some f -> f t ~data ~reply
+      | Some f -> f t ~data ~reply:(reply_once t partial ~txn ~via ~in_port)
       | None -> ()
     end
-    else
-      arm_gap_timer t partial ~on_gap:(fun () ->
-          match partial.sample with
-          | Some via ->
-            send_ack t ~dst:client ~txn ~acks_response:false ~mask:partial.mask
-              ~group_size:partial.group_size ~via
-          | None -> ())
+    else arm_gap_timer t partial (nack_request t partial ~txn ~via ~in_port)
 
 (* ---- client side ---- *)
 
-let handle_response t p ~sample =
-  match Hashtbl.find_opt t.calls (Wf.transaction p) with
-  | None -> ()
-  | Some call ->
+(* Ask the server for the response packets the call still lacks, over
+   the return route of [via], the arrival that armed the timer. *)
+let nack_response t call ~via ~in_port () =
+  let partial = call.response in
+  partial.gap_seq <- -1;
+  if not call.finished then
+    send_ack t ~dst:call.server ~txn:call.txn ~acks_response:true ~mask:partial.mask
+      ~group_size:partial.group_size ~via ~in_port
+
+let handle_response t p ~via ~in_port =
+  match Hashtbl.find t.calls (Wf.transaction p) with
+  | exception Not_found -> ()
+  | call ->
     let partial = call.response in
-    partial_add partial p ~sample;
+    partial_add partial p;
     if partial_complete partial then begin
       (* Completion ack lets the server drop its held response. *)
       send_ack t ~dst:call.server ~txn:call.txn ~acks_response:true
-        ~mask:(Wf.mask_full partial.group_size) ~group_size:partial.group_size
-        ~via:sample;
-      finish_call t call (`Reply (assemble partial))
+        ~mask:(Wf.mask_full partial.group_size) ~group_size:partial.group_size ~via
+        ~in_port;
+      complete_call t call (assemble partial)
     end
-    else
-      arm_gap_timer t partial ~on_gap:(fun () ->
-          if not call.finished then
-            send_ack t ~dst:call.server ~txn:call.txn ~acks_response:true
-              ~mask:partial.mask ~group_size:partial.group_size ~via:sample)
+    else arm_gap_timer t partial (nack_response t call ~via ~in_port)
 
 let handle_ack t p =
   let mask = Wf.delivery_mask p in
@@ -450,30 +515,26 @@ let handle_ack t p =
     let client = Wf.src_entity p in
     let key = txn_key ~client ~txn:(Wf.transaction p) in
     match find_entry t.held ~client_of:held_client ~key client with
-    | None -> ()
-    | Some held ->
-      if mask = Wf.mask_full (Array.length held.resp_packets) then
-        remove_entry t.held ~key held
+    | exception Not_found -> ()
+    | held ->
+      if mask = Wf.mask_full held.group then remove_entry t.held ~key held
       else
-        Array.iteri
-          (fun i packet ->
-            if not (Wf.mask_has mask i) then begin
-              C.incr t.retransmits;
-              send_via t ~via:held.via packet
-            end)
-          held.resp_packets
+        for index = 0 to held.group - 1 do
+          if not (Wf.mask_has mask index) then begin
+            C.incr t.retransmits;
+            send_response_packet t held index
+          end
+        done
   end
   else begin
     (* Report on our request group: selective retransmission. *)
-    match Hashtbl.find_opt t.calls (Wf.transaction p) with
-    | None -> ()
-    | Some call ->
+    match Hashtbl.find t.calls (Wf.transaction p) with
+    | exception Not_found -> ()
+    | call ->
       call.request_acked <- call.request_acked lor mask;
-      let full = Wf.mask_full (Array.length call.request_packets) in
+      let full = Wf.mask_full call.request_group in
       if call.request_acked land full <> full then begin
-        C.add t.retransmits
-          (send_group t ~route:(current_route call) ~priority:call.priority
-             call.request_packets ~skip:call.request_acked);
+        C.add t.retransmits (send_request_group t call ~skip:call.request_acked);
         arm_timer t call
       end
   end
@@ -501,8 +562,8 @@ let on_host_receive t _host ~packet ~in_port =
         (Telemetry.Events.Branch_arrival { entity = t.id })
     end;
     match Wf.kind p with
-    | Wf.Request -> handle_request t p ~sample:(packet, in_port)
-    | Wf.Response -> handle_response t p ~sample:(packet, in_port)
+    | Wf.Request -> handle_request t p ~via:packet ~in_port
+    | Wf.Response -> handle_response t p ~via:packet ~in_port
     | Wf.Ack -> handle_ack t p
   end
 
@@ -550,7 +611,7 @@ let call t ~server ~routes ?(priority = Token.Priority.normal) ~data ~on_reply
   | _ ->
     let txn = t.next_txn in
     t.next_txn <- (t.next_txn + 1) land 0xFFFFFFFF;
-    let request_packets = encode_group t ~dst:server ~txn ~kind:Wf.Request data in
+    let request_group = group_of data in
     let call =
       {
         txn;
@@ -558,7 +619,9 @@ let call t ~server ~routes ?(priority = Token.Priority.normal) ~data ~on_reply
         routes = Array.of_list routes;
         route_idx = 0;
         priority;
-        request_packets;
+        request = Bytes.copy data;
+        request_group;
+        request_stamp = stamp t;
         request_acked = 0;
         retries = 0;
         timer_at = 0;
@@ -571,7 +634,7 @@ let call t ~server ~routes ?(priority = Token.Priority.normal) ~data ~on_reply
       }
     in
     Hashtbl.replace t.calls txn call;
-    ignore (send_group t ~route:(current_route call) ~priority call.request_packets ~skip:0);
+    ignore (send_request_group t call ~skip:0);
     arm_timer t call
 
 (* Policy-route mode: the compiled primary (which may carry in-header

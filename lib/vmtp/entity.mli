@@ -15,7 +15,25 @@
     "roughly 1 kilobyte transport packet"), a 100 ms initial RTO adapted
     from measured RTT, 3 retransmission rounds per route before failover,
     20 ms before a receiver nacks a gap, responses held 5 s for replay,
-    and a 30 s maximum packet lifetime with 2 s of clock skew allowed. *)
+    and a 30 s maximum packet lifetime with 2 s of clock skew allowed.
+
+    {b Who owns which bytes.} A message handed to the entity ([call]'s
+    [data], a handler's [reply] argument) is copied once before the call
+    returns, and the caller may reuse its buffer at once. The entity
+    keeps that private copy, with the group's single creation timestamp,
+    for as long as it may resend: a request until its call finishes, a
+    response while it is held for replay. Each transmission of a
+    packet, first send, retransmission or replay alike, is written
+    from it straight into the wire buffer its host reserved
+    ({!Sirpent.Host.reserve}, {!Sirpent.Host.reserve_reply}), so a
+    resent packet is byte-identical to the first. Acks are written
+    straight into their reply's buffer. An arrived packet is kept, not
+    copied, until its group is complete; the message a handler or
+    [on_reply] receives is a fresh buffer, the receiver's to keep. So
+    each data byte is copied twice on the way out (into the private
+    copy, then into each transmission's buffer) and twice on the way in
+    (out of the arrival window by {!Viper.Packet.of_window}, then into
+    the reassembled message). *)
 
 type config = {
   clock_skew_ms : int;  (** artificial offset of this entity's clock *)
@@ -56,7 +74,8 @@ val held_responses : t -> int
 
 val set_request_handler : t -> (t -> data:bytes -> reply:(bytes -> unit) -> unit) -> unit
 (** Server side: called once per complete request; [reply] may be invoked
-    (once) now or later. *)
+    (once) now or later. [data] is the handler's to keep; [reply] copies
+    the response before it returns. *)
 
 val set_route_switch_hook :
   t -> (failed:Sirpent.Route.t -> route_index:int -> unit) -> unit
@@ -70,8 +89,9 @@ val call :
   on_reply:(bytes -> rtt:Sim.Time.t -> unit) -> on_fail:(string -> unit) ->
   unit -> unit
 (** Run a message transaction. [routes] are tried in order; exactly one of
-    the callbacks eventually fires. Raises [Invalid_argument] if [data]
-    needs more than 32 packets. *)
+    the callbacks eventually fires. [data] is copied before [call]
+    returns; [on_reply]'s bytes are the caller's to keep. Raises
+    [Invalid_argument] if [data] needs more than 32 packets. *)
 
 val call_compiled :
   t -> server:int64 -> compiled:Policy.Compiler.compiled ->

@@ -28,51 +28,60 @@ let mask_at = 24
 let timestamp_back = 8
 let checksum_back = 4
 
-(* What byte [p] of [b] adds to a ones-complement sum: the high byte of
-   a word at an even offset, the low byte at an odd one. *)
-let weight b p = Bytes.get_uint8 b p lsl (if p land 1 = 0 then 8 else 0)
+(* What byte [p] of a packet starting at [at] adds to a ones-complement
+   sum: the high byte of a word at an even offset from the packet's
+   start, the low byte at an odd one. *)
+let weight b ~at p = Bytes.get_uint8 b p lsl (if (p - at) land 1 = 0 then 8 else 0)
 
-(* The ones-complement sum of [b] with its checksum field read as zero,
-   carries folded: the plain sum of the big-endian 16-bit words (an odd
-   last byte padded with zero), less what the field's two bytes added.
-   The field sits at an odd offset when the data length is odd, so each
+(* The ones-complement sum of the [n]-byte packet at [b.[at]] with its
+   checksum field read as zero, carries folded: the plain sum of the
+   big-endian 16-bit words counted from the packet's start (an odd last
+   byte padded with zero), less what the field's two bytes added. The
+   field sits at an odd offset when the data length is odd, so each
    byte is taken back at its own weight. *)
-let sum_without_field b =
-  let n = Bytes.length b in
-  let sum = ref 0 and i = ref 0 in
-  while !i + 1 < n do
+let sum_without_field b ~at ~n =
+  let stop = at + n in
+  let sum = ref 0 and i = ref at in
+  while !i + 1 < stop do
     sum := !sum + Bytes.get_uint16_be b !i;
     i := !i + 2
   done;
-  if !i < n then sum := !sum + (Bytes.get_uint8 b !i lsl 8);
-  let field = n - checksum_back in
-  let sum = ref (!sum - weight b field - weight b (field + 1)) in
+  if !i < stop then sum := !sum + (Bytes.get_uint8 b !i lsl 8);
+  let field = stop - checksum_back in
+  let sum = ref (!sum - weight b ~at field - weight b ~at (field + 1)) in
   while !sum > 0xFFFF do
     sum := (!sum land 0xFFFF) + (!sum lsr 16)
   done;
   !sum
 
-let checksum b = lnot (sum_without_field b) land 0xFFFF
+let checksum b ~at ~n = lnot (sum_without_field b ~at ~n) land 0xFFFF
 
-let encode ~src ~dst ~txn ~kind ~index ~group_size ~acks_response ~mask ~timestamp_ms
-    data ~off ~len =
+let encode_into b ~at ~src ~dst ~txn ~kind ~index ~group_size ~acks_response ~mask
+    ~timestamp_ms data ~off ~len =
   if index < 0 || index >= max_group then invalid_arg "Wire_format: index";
   if group_size < 1 || group_size > max_group then
     invalid_arg "Wire_format: group size";
   let n = header_size + len + trailer_size in
-  let b = Bytes.create n in
-  Bytes.set_int64_be b src_at src;
-  Bytes.set_int64_be b dst_at dst;
-  Bytes.set_int32_be b txn_at (Int32.of_int txn);
-  Bytes.set_uint8 b kind_at (kind_to_int kind);
-  Bytes.set_uint8 b index_at index;
-  Bytes.set_uint8 b group_at group_size;
-  Bytes.set_uint8 b flags_at (if acks_response then flag_acks_response else 0);
-  Bytes.set_int32_be b mask_at (Int32.of_int mask);
-  Bytes.blit data off b header_size len;
-  Bytes.set_int32_be b (n - timestamp_back) (Int32.of_int timestamp_ms);
-  Bytes.set_uint16_be b (n - 2) 0 (* pad *);
-  Bytes.set_uint16_be b (n - checksum_back) (checksum b);
+  if at < 0 || at > Bytes.length b - n then invalid_arg "Wire_format: buffer";
+  Bytes.set_int64_be b (at + src_at) src;
+  Bytes.set_int64_be b (at + dst_at) dst;
+  Bytes.set_int32_be b (at + txn_at) (Int32.of_int txn);
+  Bytes.set_uint8 b (at + kind_at) (kind_to_int kind);
+  Bytes.set_uint8 b (at + index_at) index;
+  Bytes.set_uint8 b (at + group_at) group_size;
+  Bytes.set_uint8 b (at + flags_at) (if acks_response then flag_acks_response else 0);
+  Bytes.set_int32_be b (at + mask_at) (Int32.of_int mask);
+  Bytes.blit data off b (at + header_size) len;
+  let stop = at + n in
+  Bytes.set_int32_be b (stop - timestamp_back) (Int32.of_int timestamp_ms);
+  Bytes.set_uint16_be b (stop - 2) 0 (* pad *);
+  Bytes.set_uint16_be b (stop - checksum_back) (checksum b ~at ~n)
+
+let encode ~src ~dst ~txn ~kind ~index ~group_size ~acks_response ~mask ~timestamp_ms
+    data ~off ~len =
+  let b = Bytes.create (header_size + len + trailer_size) in
+  encode_into b ~at:0 ~src ~dst ~txn ~kind ~index ~group_size ~acks_response ~mask
+    ~timestamp_ms data ~off ~len;
   b
 
 let u32 b at = Int32.to_int (Bytes.get_int32_be b at) land 0xFFFFFFFF
@@ -90,7 +99,8 @@ let data_len b = Bytes.length b - header_size - trailer_size
 
 let checksum_ok b =
   Bytes.length b >= header_size + trailer_size
-  && checksum b = Bytes.get_uint16_be b (Bytes.length b - checksum_back)
+  && checksum b ~at:0 ~n:(Bytes.length b)
+     = Bytes.get_uint16_be b (Bytes.length b - checksum_back)
 
 let valid b = checksum_ok b && Bytes.get_uint8 b kind_at <= kind_to_int Ack
 

@@ -20,11 +20,22 @@
     with the checksum field zeroed. Timestamp 0 means "invalid, ignore"
     (§4.2: for booting machines).
 
-    A packet is written once, from a window of the sender's message, into
-    a buffer of exactly its size ({!encode}). It is read where it lies:
-    each header field is read in place, the checksum is verified without
-    copying or writing the buffer, and the data is the window from
-    {!header_size} to [length - ]{!trailer_size} ({!data_len} bytes). *)
+    A packet is written from a window of the sender's message straight
+    into the buffer that carries it ({!encode_into}): for
+    {!Vmtp.Entity}, on each transmission, the data area of the wire
+    buffer its host reserved ({!Sirpent.Host.reserve}). It is read where
+    it lies: each header
+    field is read in place, the checksum is verified without copying or
+    writing the buffer, and the data is the window from {!header_size}
+    to [length - ]{!trailer_size} ({!data_len} bytes).
+
+    {b Ownership.} The encoders only read the message window
+    [data.[off] .. data.[off + len - 1]], and only while they run: the
+    packet shares no bytes with it, so the sender may reuse its buffer
+    as soon as the call returns. The packet's bytes belong to the
+    buffer's owner. The readers below take a packet that is a whole
+    buffer of its own (an arrival's {!Viper.Packet.data}), read it only
+    while they run, and keep nothing. *)
 
 type kind =
   | Request
@@ -36,18 +47,27 @@ val trailer_size : int
 val max_group : int
 (** 32 — one bit per packet in the delivery mask. *)
 
+val encode_into :
+  bytes -> at:int -> src:int64 -> dst:int64 -> txn:int -> kind:kind -> index:int ->
+  group_size:int -> acks_response:bool -> mask:int -> timestamp_ms:int -> bytes ->
+  off:int -> len:int -> unit
+(** [encode_into b ~at ... data ~off ~len] writes one packet carrying
+    [len] bytes of [data] from [off] at [b.[at]]: the
+    [header_size + len + trailer_size] bytes from [at], with a correct
+    trailer checksum, whose byte weights count from the packet's start
+    (so [at] may be odd). No byte of [b] outside the packet is written.
+    [index] is the packet's place in its group (0-31) and [group_size]
+    the group's packet count (1-32); [txn], [mask] (the delivery mask)
+    and [timestamp_ms] are written as their low 32 bits. [acks_response]
+    marks an [Ack] reporting on a Response group (else a Request group).
+    Raises [Invalid_argument] on an index or group size out of range, or
+    a packet that does not fit [b] at [at]. *)
+
 val encode :
   src:int64 -> dst:int64 -> txn:int -> kind:kind -> index:int -> group_size:int ->
   acks_response:bool -> mask:int -> timestamp_ms:int -> bytes -> off:int -> len:int ->
   bytes
-(** [encode ... data ~off ~len] is one packet carrying [len] bytes of
-    [data] from [off], with a correct trailer checksum. [index] is the
-    packet's place in its group (0-31) and [group_size] the group's
-    packet count (1-32); [txn], [mask] (the delivery mask) and
-    [timestamp_ms] are written as their low 32 bits. [acks_response]
-    marks an [Ack] reporting on a Response group (else a Request
-    group). Raises [Invalid_argument] on an index or group size out of
-    range. The packet shares no bytes with [data]. *)
+(** {!encode_into} a fresh buffer of exactly the packet's size. *)
 
 val valid : bytes -> bool
 (** Long enough for a header and trailer, of a known kind, and with a

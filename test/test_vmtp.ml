@@ -230,6 +230,41 @@ let qcheck_checksum_references =
       && List.for_all agree
            [ b; damaged; field 0; field 0xFFFF; zero; zero_as_ffff; blank 0; blank 0xFFFF ])
 
+(* Written at [at] inside a larger buffer, a packet is the reference's
+   bytes and nothing else of the buffer changes. The buffer is filled
+   with a pattern first, so the checksum field holds stale nonzero bytes
+   before it is written; offsets 0-7 put the packet's start, and with
+   data of either parity its checksum field, at both parities of the
+   buffer. Data is empty, a full 1024-byte chunk, or 1-1100 bytes. *)
+let qcheck_encode_into_offsets =
+  QCheck.Test.make ~name:"encode_into at an offset writes the reference's bytes" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         let* f = gen_fields in
+         let* data =
+           frequency
+             [
+               (1, return Bytes.empty);
+               (1, bytes_size (return 1024));
+               (3, bytes_size (int_range 1 1100));
+             ]
+         in
+         let* at = int_range 0 7 and* slack = int_range 0 9 and* salt = int_range 1 255 in
+         return ({ f with Ref.data }, at, slack, salt)))
+    (fun (f, at, slack, salt) ->
+      let len = Bytes.length f.Ref.data in
+      let size = at + Wf.header_size + len + Wf.trailer_size + slack in
+      let b = Bytes.init size (fun i -> Char.chr (((i * 131) + salt) land 0xFF)) in
+      let expected = Bytes.copy b in
+      let reference = Ref.encode f in
+      Bytes.blit reference 0 expected at (Bytes.length reference);
+      Wf.encode_into b ~at ~src:f.Ref.src_entity ~dst:f.Ref.dst_entity ~txn:f.Ref.transaction
+        ~kind:f.Ref.kind ~index:f.Ref.index ~group_size:f.Ref.group_size
+        ~acks_response:f.Ref.acks_response
+        ~mask:(Int32.to_int f.Ref.delivery_mask land 0xFFFFFFFF)
+        ~timestamp_ms:f.Ref.timestamp_ms f.Ref.data ~off:0 ~len;
+      Bytes.equal b expected)
+
 (* MPL rule *)
 
 let mpl_accepts_fresh () =
@@ -517,6 +552,79 @@ let packets_sent_match_frames () =
   check_int "answered after a nack" 3 !replies;
   check_int "one packet retransmitted" 1 (server_stat (fun s -> s.Vmtp.Entity.retransmits));
   check_counts "retransmitted packet" [ measured; fresh ]
+
+(* A message is the sender's to reuse as soon as [call] or [reply]
+   returns: the client overwrites its request bytes right after [call],
+   the handler its response bytes right after [reply]. One call on a
+   fresh client measures the RTT; on the next, one request packet and
+   one response packet are cut on their way, so the client's short RTO
+   resends the request group and the server replays the held response.
+   Every transport packet seen on a link (acks aside) is byte-identical
+   to its first transmission, and the handler and [on_reply] see the
+   bytes as they were sent. *)
+let resent_packets_are_identical () =
+  let g, engine, world, host1, host2, route = stack () in
+  let access host = snd (List.hd (G.ports g (Sirpent.Host.node host))) in
+  let sender_link = function
+    | Wf.Request -> access host1
+    | Wf.Response | Wf.Ack -> access host2
+  in
+  let pattern n salt = Bytes.init n (fun i -> Char.chr (((i * 7) + salt) land 0xFF)) in
+  let request_of n = pattern n 1 and response_of n = pattern n 3 in
+  let first = Hashtbl.create 64 in
+  let resent = ref 0 and changed = ref 0 in
+  let cut = ref [] in
+  W.set_corruptor world (fun ~link b ->
+      match Viper.Packet.parse b with
+      | Ok packet when Wf.valid packet.Viper.Packet.data ->
+        let p = packet.Viper.Packet.data in
+        let kind = Wf.kind p in
+        if kind = Wf.Ack then None
+        else if List.mem (kind, Wf.index p) !cut then begin
+          cut := List.filter (( <> ) (kind, Wf.index p)) !cut;
+          Some (Bytes.sub b 0 1)
+        end
+        else begin
+          let key = (kind, Wf.transaction p, Wf.index p) in
+          (match Hashtbl.find_opt first key with
+          | None -> Hashtbl.add first key (Bytes.copy p)
+          | Some sent ->
+            if link = sender_link kind then incr resent;
+            if not (Bytes.equal sent p) then incr changed);
+          None
+        end
+      | Ok _ | Error _ -> None);
+  let client = Vmtp.Entity.create host1 ~id:1L in
+  let server = Vmtp.Entity.create host2 ~id:2L in
+  let handled = ref [] in
+  Vmtp.Entity.set_request_handler server (fun _ ~data ~reply ->
+      handled := Bytes.copy data :: !handled;
+      let response = response_of (Bytes.length data) in
+      reply response;
+      Bytes.fill response 0 (Bytes.length response) 'X');
+  let call ~cuts n =
+    cut := cuts;
+    handled := [];
+    let request = request_of n and replies = ref [] in
+    Vmtp.Entity.call client ~server:2L ~routes:[ route ] ~data:request
+      ~on_reply:(fun data ~rtt:_ -> replies := Bytes.copy data :: !replies)
+      ~on_fail:(fun r -> Alcotest.fail r)
+      ();
+    Bytes.fill request 0 n 'X';
+    Sim.Engine.run ~until:(Sim.Engine.now engine + Sim.Time.s 1) engine;
+    check_int "cuts spent" 0 (List.length !cut);
+    check_bool "handler saw the request as sent" true
+      (List.for_all (Bytes.equal (request_of n)) !handled && !handled <> []);
+    check_bool "on_reply saw the response as sent" true (!replies = [ response_of n ])
+  in
+  call ~cuts:[] 3000;
+  call ~cuts:[ (Wf.Request, 1); (Wf.Response, 2) ] 3000;
+  check_bool "the client resent" true
+    ((Vmtp.Entity.stats client).Vmtp.Entity.retransmits > 0);
+  check_bool "the server replayed" true
+    ((Vmtp.Entity.stats server).Vmtp.Entity.duplicate_requests > 0);
+  check_bool "packets resent" true (!resent > 0);
+  check_int "resent packets changed" 0 !changed
 
 let failover_to_alternate_route () =
   (* Diamond: two disjoint paths. Fail the primary mid-call; transport
@@ -870,6 +978,8 @@ let () =
           Alcotest.test_case "failover to alternate" `Quick failover_to_alternate_route;
           Alcotest.test_case "pacing spreads packets" `Quick pacing_spreads_packets;
           Alcotest.test_case "packets sent match frames" `Quick packets_sent_match_frames;
+          Alcotest.test_case "resent packets are identical" `Quick
+            resent_packets_are_identical;
           Alcotest.test_case "replay follows duplicate's route" `Quick
             replay_follows_duplicate_route;
           Alcotest.test_case "clients sharing a table key" `Quick clients_sharing_a_key;
@@ -885,6 +995,7 @@ let () =
           [
             qcheck_wf_roundtrip;
             qcheck_checksum_references;
+            qcheck_encode_into_offsets;
             qcheck_reassembly_order;
             qcheck_held_response_survives;
           ] );
