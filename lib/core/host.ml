@@ -14,10 +14,17 @@ type t = {
   mutable on_receive : (t -> packet:Pkt.t -> in_port:G.port -> unit) option;
   received : C.t;
   misdelivered : C.t;
+  (* the frames waiting for their tail, one slot each: the payload of an
+     arrival event *)
+  arrivals : Sim.Slab.t;
+  mutable arriving : Netsim.Frame.t array;
+  mutable arriving_port : G.port array;
+  mutable arrival : Sim.Engine.kind;
 }
 
 let node t = t.node
 let world t = t.world
+let arrival_kind t = t.arrival
 let limiter t = t.limiter
 let set_receive t f = t.on_receive <- Some f
 let received t = C.value t.received
@@ -35,10 +42,6 @@ let accept t ~frame ~in_port packet =
 let misdeliver t ~frame ~in_port =
   C.incr t.misdelivered;
   W.lose t.world ~node:t.node ~in_port frame Flight.Misdelivered
-
-(* Hosts take delivery of the whole packet before acting. *)
-let at_tail t ~tail f =
-  Sim.Engine.schedule_at (W.engine t.world) ~time:(Int.max (W.now t.world) tail) f
 
 (* One arrival path for both codecs, after full reception, checked where
    the packet lies. An XSR header is verified by {!Viper.Xsr.step}
@@ -61,12 +64,32 @@ let arrive t ~frame ~in_port =
     | Ok packet when Pkt.terminates packet -> accept t ~frame ~in_port packet
     | Ok _ | Error _ -> misdeliver t ~frame ~in_port
 
+(* The arrival event in [slot]: the frame leaves the slab, then
+   arrives. *)
+let arrive_slot t slot =
+  let frame = t.arriving.(slot) and in_port = t.arriving_port.(slot) in
+  t.arriving.(slot) <- Netsim.Frame.vacant;
+  Sim.Slab.release t.arrivals slot;
+  arrive t ~frame ~in_port
+
+(* Hosts take delivery of the whole packet before acting. *)
+let at_tail t ~tail ~frame ~in_port =
+  let slot = Sim.Slab.take t.arrivals in
+  if Array.length t.arriving < Sim.Slab.capacity t.arrivals then begin
+    t.arriving <- Sim.Slab.fit t.arrivals t.arriving Netsim.Frame.vacant;
+    t.arriving_port <- Sim.Slab.fit t.arrivals t.arriving_port 0
+  end;
+  t.arriving.(slot) <- frame;
+  t.arriving_port.(slot) <- in_port;
+  Sim.Engine.post_at (W.engine t.world) ~time:(Int.max (W.now t.world) tail)
+    ~kind:t.arrival slot
+
 let handle t _world ~in_port ~frame ~head:_ ~tail =
   match frame.Netsim.Frame.meta with
   | Some (Congestion.Rate_ctl { congested_port; rate_bps }) ->
     Congestion.handle_ctl t.limiter ~arrival_port:in_port ~congested_port ~rate_bps
   | Some _ -> ()
-  | None -> at_tail t ~tail (fun () -> arrive t ~frame ~in_port)
+  | None -> at_tail t ~tail ~frame ~in_port
 
 let create ?(congestion = Congestion.default_config) world ~node =
   let limiter = Congestion.create world ~node congestion in
@@ -83,8 +106,13 @@ let create ?(congestion = Congestion.default_config) world ~node =
       on_receive = None;
       received = cnt "received" ~help:"packets delivered to this host";
       misdelivered = cnt "misdelivered" ~help:"arrivals whose route did not terminate here";
+      arrivals = Sim.Slab.create ();
+      arriving = [||];
+      arriving_port = [||];
+      arrival = Sim.Engine.closure_kind;
     }
   in
+  t.arrival <- Sim.Engine.register (W.engine world) (arrive_slot t);
   W.set_handler world node (handle t);
   Congestion.start limiter;
   t

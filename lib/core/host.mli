@@ -20,6 +20,11 @@ val create :
 val node : t -> Topo.Graph.node_id
 val world : t -> Netsim.World.t
 
+val arrival_kind : t -> Sim.Engine.kind
+(** The kind of the host's arrivals: one event per data frame that
+    reaches it, at its tail, when the host acts on the whole packet.
+    Each host registers its own. *)
+
 val limiter : t -> Congestion.t
 (** The host's own injection limiter — exposed so benches and tests can
     inspect backlog and token-bucket state at the edge. *)

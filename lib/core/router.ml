@@ -103,6 +103,27 @@ type role =
   | Members of G.port list
   | Handler of (buf:bytes -> off:int -> len:int -> hdr:int -> in_port:G.port -> bool)
 
+(* The act steps a router has posted and not yet run, one slot each,
+   kept as data in two arrays: slot [s]'s frames at [2s] (the arriving
+   frame) and [2s + 1] (what goes out, when that is not the arriving
+   frame itself) of [frames], its ints at [act_ints * s] of [ints]. A
+   slot's cells are written when its act step is posted, and its frames
+   cleared when it runs, so a free slot's frame cells are vacant. *)
+type acts = {
+  slab : Sim.Slab.t;
+  mutable frames : Netsim.Frame.t array;
+  mutable ints : int array;
+}
+
+(* a slot's ints, by offset *)
+let act_tail = 0
+let act_in_port = 1
+let act_out_port = 2
+let act_priority = 3
+let act_dib = 4
+let act_epoch = 5  (* the router's epoch when it was posted *)
+let act_ints = 6
+
 type t = {
   world : W.t;
   node : G.node_id;
@@ -118,6 +139,8 @@ type t = {
   counters : C.t array;  (** one per scoreboard row *)
   verify_failures : C.t Lazy.t;
       (** [router_verify_failures], registered on the first failure *)
+  acts : acts;
+  mutable act_kind : Sim.Engine.kind;
 }
 
 let bump t row = C.incr t.counters.(row)
@@ -183,18 +206,23 @@ let flight_note ~frame check =
   | None -> ()
 
 (* Clamp to the present: deferred work (e.g. token verification) can leave a
-   cut-through act time in the past. Work deferred before a crash must not
-   run after it — the crash wiped the state it would act on — so each
-   scheduled action is bound to the router's current epoch. *)
-let at t ~time f = Sim.Engine.schedule_at (W.engine t.world) ~time:(Int.max time (now t)) f
+   cut-through act time in the past. *)
+let clamp t time = Int.max time (now t)
+
+(* The router's one closure event, for its cold paths: delay-line
+   retries, token verification, local delivery and handler ports. The
+   per-hop act step is an event of the router's own kind ({!dispatch}). *)
+let schedule t ~time f = Sim.Engine.schedule_at (W.engine t.world) ~time:(clamp t time) f
 
 let live t epoch = t.up && t.epoch = epoch
 
-(* Deferred work on [frame]'s packet: a crash that voids it purges the
-   packet. *)
-let schedule t ~frame ~in_port ~time f =
+(* Deferred work on [frame]'s packet. Work deferred before a crash must
+   not run after it — the crash wiped the state it would act on — so it
+   is bound to the router's current epoch, and a crash that voids it
+   purges the packet. *)
+let defer t ~frame ~in_port ~time f =
   let epoch = t.epoch in
-  at t ~time (fun () -> if live t epoch then f () else drop t ~frame ~in_port Purged)
+  schedule t ~time (fun () -> if live t epoch then f () else drop t ~frame ~in_port Purged)
 
 (* The MTU of the link on [port]; a port with no link has none to
    exceed. *)
@@ -268,27 +296,55 @@ let transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port =
       match W.send t.world ~node:t.node ~port:out_port o with
       | W.Dropped_blocked when circuits < max_circuits && not dib ->
         bump t delay_line_circuits;
-        schedule t ~frame ~in_port ~time:(now t + delay) (fun () -> attempt (circuits + 1))
+        defer t ~frame ~in_port ~time:(now t + delay) (fun () -> attempt (circuits + 1))
       | result -> count_send_result t ~frame ~in_port result
     in
     attempt 0
 
 (* Transmit [out] out [out_port] at [when_], through any congestion
    limiter for its queue (the limiter reads its own key). The act step
-   is one closure, which also carries the crash-epoch guard of
-   {!schedule}; a [send] closure is built only when a limiter holds the
-   packet. *)
+   is an event of the router's kind whose payload is a slot in
+   [t.acts]; it carries the crash-epoch guard of {!defer}. A [send]
+   closure is built only when a limiter holds the packet. *)
 let dispatch t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port ~when_ =
-  let epoch = t.epoch in
-  at t ~time:when_ (fun () ->
-      if not (live t epoch) then drop t ~frame ~in_port Purged
-      else if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted
-      else
-        match t.congestion with
-        | Some c when not (Congestion.admit c ~out_port out) ->
-          Congestion.hold c ~out_port out ~send:(fun () ->
-              transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port)
-        | Some _ | None -> transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port)
+  let a = t.acts in
+  let s = Sim.Slab.take a.slab in
+  if Array.length a.ints < act_ints * Sim.Slab.capacity a.slab then begin
+    a.frames <- Sim.Slab.fit a.slab ~per_slot:2 a.frames Netsim.Frame.vacant;
+    a.ints <- Sim.Slab.fit a.slab ~per_slot:act_ints a.ints 0
+  end;
+  a.frames.(2 * s) <- frame;
+  if out != frame then a.frames.((2 * s) + 1) <- out;
+  let i = act_ints * s in
+  a.ints.(i + act_tail) <- tail;
+  a.ints.(i + act_in_port) <- in_port;
+  a.ints.(i + act_out_port) <- out_port;
+  a.ints.(i + act_priority) <- priority;
+  a.ints.(i + act_dib) <- Bool.to_int dib;
+  a.ints.(i + act_epoch) <- t.epoch;
+  Sim.Engine.post_at (W.engine t.world) ~time:(clamp t when_) ~kind:t.act_kind s
+
+(* The act step in slot [s]: its frames leave the slab before anything
+   else, so no frame stays alive past its hop. *)
+let act t s =
+  let a = t.acts in
+  let frame = a.frames.(2 * s) and copy = a.frames.((2 * s) + 1) in
+  let out = if copy == Netsim.Frame.vacant then frame else copy in
+  let i = act_ints * s in
+  let tail = a.ints.(i + act_tail) and in_port = a.ints.(i + act_in_port) in
+  let out_port = a.ints.(i + act_out_port) and priority = a.ints.(i + act_priority) in
+  let dib = a.ints.(i + act_dib) = 1 and epoch = a.ints.(i + act_epoch) in
+  a.frames.(2 * s) <- Netsim.Frame.vacant;
+  if copy != Netsim.Frame.vacant then a.frames.((2 * s) + 1) <- Netsim.Frame.vacant;
+  Sim.Slab.release a.slab s;
+  if not (live t epoch) then drop t ~frame ~in_port Purged
+  else if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted
+  else
+    match t.congestion with
+    | Some c when not (Congestion.admit c ~out_port out) ->
+      Congestion.hold c ~out_port out ~send:(fun () ->
+          transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port)
+    | Some _ | None -> transmit t ~priority ~dib ~frame ~out ~tail ~in_port ~out_port
 
 (* Switch [out] out [out_port]: decide cut-through or store-and-forward,
    count it, record the hop, tell the congestion monitor, and schedule
@@ -398,7 +454,7 @@ let reject t ~frame ~in_port =
    dropped), so a forged token is counted here, not as a fate. *)
 let verify_in_background t ~token =
   let epoch = t.epoch in
-  at t ~time:(now t + verify_time) (fun () ->
+  schedule t ~time:(now t + verify_time) (fun () ->
       let now_ms = now t / 1_000_000 in
       if live t epoch && not (Token.Cache.complete_verification t.cache ~token ~now_ms)
       then C.incr (Lazy.force t.verify_failures))
@@ -406,7 +462,7 @@ let verify_in_background t ~token =
 (* Blocking authentication of a deferred frame: hold the packet while the
    token is decrypted, then re-check; [proceed ~reverse_ok] switches it. *)
 let verify_then t ~token ~rpf ~priority ~frame ~in_port ~out_port ~packet_bytes ~proceed =
-  schedule t ~frame ~in_port
+  defer t ~frame ~in_port
     ~time:(now t + verify_time)
     (fun () ->
       let now_ms = now t / 1_000_000 in
@@ -519,7 +575,7 @@ let rec process t ~frame ~buf ~off ~len ~in_port ~in_info ~head ~tail ~depth =
           (* custom port (e.g. an interop tunnel): hand over after full
              reception, like any store-and-forward boundary — unless the
              upstream transmission was preempted and this is a runt *)
-          schedule t ~frame ~in_port
+          defer t ~frame ~in_port
             ~time:(Int.max (now t) tail + process_time)
             (fun () ->
               if frame.Netsim.Frame.aborted then drop t ~frame ~in_port Aborted
@@ -616,7 +672,7 @@ and tree_multicast t ~frame ~buf ~off ~len ~hdr ~in_port ~in_info ~head ~tail ~d
    malformed one is a counted drop. An XSR packet ([xsr]) arrives whole
    once {!Viper.Xsr.step} has answered [Deliver] for it. *)
 and deliver_local t ~frame ~buf ~off ~len ~in_port ~tail ~xsr =
-  schedule t ~frame ~in_port
+  defer t ~frame ~in_port
     ~time:(Int.max (now t) tail + process_time)
     (fun () ->
       (* aborted before delivery: a fate, but not a send drop *)
@@ -704,8 +760,11 @@ let create ?(config = default_config) ?key world ~node () =
           (Telemetry.Registry.counter (W.metrics world)
              ~help:"background token verifications that failed" ~labels
              "router_verify_failures");
+      acts = { slab = Sim.Slab.create (); frames = [||]; ints = [||] };
+      act_kind = Sim.Engine.closure_kind;
     }
   in
+  t.act_kind <- Sim.Engine.register (W.engine world) (act t);
   W.set_handler world node (handle t);
   Option.iter Congestion.start congestion;
   t
@@ -729,6 +788,7 @@ let inject t ~buf ~off ~len ~in_port ~return_info =
   end
 
 let handle_frame t = handle t
+let act_kind t = t.act_kind
 
 (* §6.3: routers hold only soft state, so a crash loses queued frames and
    caches but nothing a restart cannot rebuild from subsequent traffic. *)

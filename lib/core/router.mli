@@ -133,6 +133,11 @@ val handle_frame : t -> Netsim.World.handler
 (** The router's frame handler (for wrappers that dispatch between stacks
     on one node). *)
 
+val act_kind : t -> Sim.Engine.kind
+(** The kind of the router's act steps: one event per switched frame, at
+    the instant it goes out (after its header, or its whole frame, has
+    arrived). Each router registers its own. *)
+
 (** {1 Crash and restart (§6.3)}
 
     "Routers hold only soft state": a crash drops everything queued at the

@@ -47,3 +47,8 @@ val bits : t -> int
 val contents : t -> bytes
 (** The wire bytes alone: [payload] itself when the window is the whole
     buffer, else a copy of the window. *)
+
+val vacant : t
+(** An empty frame that fills the vacant cells of queues and slabs, so a
+    cell that holds no frame keeps none alive. Never sent, never
+    written. *)

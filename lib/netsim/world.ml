@@ -18,8 +18,10 @@ type handler =
    with nothing queued all a completion does is free the port. The port
    is busy for exactly as long as that key has not passed the key now
    executing ({!busy}), so every reader sees what it would have seen had
-   the completion run. The delivery is scheduled at once, at the key
-   [(head, delivery_seq)], which a preemption or a purge cancels by. *)
+   the completion run. The delivery is posted at once, at the key
+   [(head, delivery_seq)], which a preemption or a purge cancels by. Both
+   events' payload is the port's [op_id]. The record is all a delivery
+   needs, so it is the only thing a frame allocates on the wire. *)
 and transmission = {
   tx_frame : Frame.t;
   delivered_frame : Frame.t;  (* may be a corrupted copy of tx_frame *)
@@ -28,12 +30,20 @@ and transmission = {
   head : Sim.Time.t;
   delivery_seq : int;
   mutable completion_scheduled : bool;  (* false until a frame queues *)
+  tx_link : G.link;  (* the tail arrives [propagation] after [finish] *)
 }
 
 and outport = {
+  op_id : int;  (* its index in [t.ports] *)
   op_node : G.node_id;
   op_port : G.port;
   mutable current : transmission;  (** [no_tx] once it is known to be over *)
+  (* The transmissions whose delivery is queued, in the order they
+     started: a ring of [wire_len] from [wire_first], its capacity a
+     power of two, vacant cells [no_tx]. *)
+  mutable wire : transmission array;
+  mutable wire_first : int;
+  mutable wire_len : int;
   queue : Frame.t Sim.Heap.t;  (** keyed by inverted priority rank, FIFO seq *)
   mutable qseq : int;
   mutable queued_bytes : int;
@@ -70,6 +80,10 @@ and agg = {
 and t = {
   engine : Sim.Engine.t;
   graph : G.t;
+  mutable delivery : Sim.Engine.kind;
+  mutable completion : Sim.Engine.kind;
+  mutable ports : outport array;  (* by [op_id]; [vacant_port] past [nports] *)
+  mutable nports : int;
   (* Per-frame lookups go through node-indexed arrays (outports: a
      port-indexed row per node), grown on demand, so a send or a delivery
      finds its port or handler without allocating. *)
@@ -108,38 +122,31 @@ and t = {
 module C = Telemetry.Registry.Counter
 module Flight = Telemetry.Flight
 
-(* fills the outport queues' vacated slots; never handed out *)
-let idle_frame =
-  {
-    Frame.payload = Bytes.empty;
-    off = 0;
-    len = 0;
-    priority = Token.Priority.normal;
-    drop_if_blocked = false;
-    meta = None;
-    flight = None;
-    aborted = false;
-  }
-
 (* the [current] of a port that is not transmitting: its key has always
    passed *)
 let no_tx =
   {
-    tx_frame = idle_frame;
-    delivered_frame = idle_frame;
+    tx_frame = Frame.vacant;
+    delivered_frame = Frame.vacant;
     finish = min_int;
     done_seq = 0;
     head = min_int;
     delivery_seq = 0;
     completion_scheduled = false;
+    tx_link =
+      { G.link_id = -1; a = -1; a_port = -1; b = -1; b_port = -1; props = G.default_props };
   }
 
-let make_outport ~node ~port ~buffer_bytes ~start =
+let make_outport ~id ~node ~port ~buffer_bytes ~start =
   {
+    op_id = id;
     op_node = node;
     op_port = port;
     current = no_tx;
-    queue = Sim.Heap.create ~dummy:idle_frame;
+    wire = [||];
+    wire_first = 0;
+    wire_len = 0;
+    queue = Sim.Heap.create ~dummy:Frame.vacant;
     qseq = 0;
     queued_bytes = 0;
     buffer_bytes;
@@ -156,17 +163,21 @@ let make_outport ~node ~port ~buffer_bytes ~start =
   }
 
 (* fills the retire heap's vacated slots; never sends *)
-let vacant_port = make_outport ~node:(-1) ~port:(-1) ~buffer_bytes:0 ~start:0
+let vacant_port = make_outport ~id:(-1) ~node:(-1) ~port:(-1) ~buffer_bytes:0 ~start:0
 
 (* the output-queue bound a port starts with *)
 let default_buffer_bytes = 256 * 1024
 
-let create engine graph =
+let create_world engine graph =
   let metrics = Telemetry.Registry.create () in
   let cnt ?help name = Telemetry.Registry.counter metrics ?help ("netsim_" ^ name) in
   {
     engine;
     graph;
+    delivery = Sim.Engine.closure_kind;
+    completion = Sim.Engine.closure_kind;
+    ports = [||];
+    nports = 0;
     handlers = [||];
     outports = [||];
     ber = [||];
@@ -292,9 +303,12 @@ let outport t node port =
   | Some op -> op
   | None ->
     let op =
-      make_outport ~node ~port ~buffer_bytes:default_buffer_bytes
+      make_outport ~id:t.nports ~node ~port ~buffer_bytes:default_buffer_bytes
         ~start:(now t)
     in
+    t.ports <- room ~empty:vacant_port t.ports t.nports;
+    t.ports.(t.nports) <- op;
+    t.nports <- t.nports + 1;
     let row = room ~empty:None row port in
     row.(port) <- Some op;
     t.outports <- room ~empty:[||] t.outports node;
@@ -397,12 +411,65 @@ let deliver t ~link ~from_node ~frame ~head ~tail =
     deliver_direct t ~node:link.G.a ~in_port:link.G.a_port ~frame ~head ~tail
   else invalid_arg "World.deliver: node is not on the link"
 
+let wire_push op tx =
+  let cap = Array.length op.wire in
+  if op.wire_len = cap then begin
+    let fresh = Array.make (max 4 (2 * cap)) no_tx in
+    for i = 0 to op.wire_len - 1 do
+      fresh.(i) <- op.wire.((op.wire_first + i) land (cap - 1))
+    done;
+    op.wire <- fresh;
+    op.wire_first <- 0
+  end;
+  op.wire.((op.wire_first + op.wire_len) land (Array.length op.wire - 1)) <- tx;
+  op.wire_len <- op.wire_len + 1
+
+(* Take the transmission whose delivery seq is [seq] off [op]'s wire: its
+   delivery runs now, or never. It is the oldest unless deliveries come
+   out of start order (a preemption's victim, or a port whose link was
+   replaced mid-flight), and the cells on its shorter side close the
+   gap. *)
+let wire_take op ~seq =
+  let w = op.wire and first = op.wire_first and n = op.wire_len in
+  let mask = Array.length w - 1 in
+  let k = ref 0 in
+  while w.((first + !k) land mask).delivery_seq <> seq do
+    incr k
+  done;
+  let tx = w.((first + !k) land mask) in
+  if 2 * !k < n then begin
+    for i = !k downto 1 do
+      w.((first + i) land mask) <- w.((first + i - 1) land mask)
+    done;
+    w.(first) <- no_tx;
+    op.wire_first <- (first + 1) land mask
+  end
+  else begin
+    for i = !k to n - 2 do
+      w.((first + i) land mask) <- w.((first + i + 1) land mask)
+    done;
+    w.((first + n - 1) land mask) <- no_tx
+  end;
+  op.wire_len <- n - 1;
+  tx
+
+(* The delivery event: hand the transmission now due on port [id]'s wire
+   to the far end. *)
+let deliver_next t id =
+  let op = t.ports.(id) in
+  let tx = wire_take op ~seq:(Sim.Engine.executing_seq t.engine) in
+  retire t op;
+  let link = tx.tx_link in
+  deliver t ~link ~from_node:op.op_node ~frame:tx.delivered_frame ~head:tx.head
+    ~tail:(tx.finish + link.G.props.G.propagation)
+
 (* Abort [tx], [op]'s busy transmission, and mark its frame a runt. Its
    fate is [fate] only if its delivery had not run yet (it is cancelled
    then); after that the receiver accounts for the packet. *)
 let abort t op tx fate =
   if not (Sim.Engine.passed t.engine ~time:tx.head ~seq:tx.delivery_seq) then begin
     Sim.Engine.cancel t.engine ~time:tx.head ~seq:tx.delivery_seq;
+    ignore (wire_take op ~seq:tx.delivery_seq : transmission);
     lose t ~node:op.op_node ~in_port:(-1) tx.tx_frame fate
   end;
   if tx.completion_scheduled then
@@ -428,14 +495,13 @@ let rec start_transmission t op link frame =
   let peer = peer_node link op.op_node in
   (match find t.taps peer with Some f -> f ~head | None -> ());
   let delivery_seq = Sim.Engine.alloc_seq t.engine in
-  Sim.Engine.schedule_keyed t.engine ~time:head ~seq:delivery_seq (fun () ->
-      retire t op;
-      deliver t ~link ~from_node:op.op_node ~frame:delivered ~head ~tail);
   let done_seq = Sim.Engine.alloc_seq t.engine in
   let tx =
     { tx_frame = frame; delivered_frame = delivered; finish; done_seq; head;
-      delivery_seq; completion_scheduled = false }
+      delivery_seq; completion_scheduled = false; tx_link = link }
   in
+  wire_push op tx;
+  Sim.Engine.post_keyed t.engine ~time:head ~seq:delivery_seq ~kind:t.delivery op.op_id;
   retire_passed t;
   op.current <- tx;
   (* a delivery at or before the completion key cannot retire it *)
@@ -452,8 +518,8 @@ let rec start_transmission t op link frame =
 (* Schedule [tx]'s completion at the key it reserved. *)
 and schedule_completion t op tx =
   tx.completion_scheduled <- true;
-  Sim.Engine.schedule_keyed t.engine ~time:tx.finish ~seq:tx.done_seq (fun () ->
-      complete_tx t op)
+  Sim.Engine.post_keyed t.engine ~time:tx.finish ~seq:tx.done_seq ~kind:t.completion
+    op.op_id
 
 and complete_tx t op =
   op.current <- no_tx;
@@ -528,6 +594,15 @@ let send t ~node ~port frame =
         Dropped_blocked
       end
       else enqueue t op tx frame
+
+let create engine graph =
+  let t = create_world engine graph in
+  t.delivery <- Sim.Engine.register engine (deliver_next t);
+  t.completion <- Sim.Engine.register engine (fun id -> complete_tx t t.ports.(id));
+  t
+
+let delivery_kind t = t.delivery
+let completion_kind t = t.completion
 
 let queue_length t ~node ~port = Sim.Heap.size (outport t node port).queue
 let queued_bytes t ~node ~port = (outport t node port).queued_bytes

@@ -36,9 +36,19 @@ type handler =
 
 val create : Sim.Engine.t -> Topo.Graph.t -> t
 (** Each output queue holds 256 KiB until {!set_buffer_bytes} says
-    otherwise. Every link delivery is one engine event at the frame's head arrival,
-    and every node-side delay (a router's act step, a host's reception)
-    is scheduled by its owner directly on {!engine}. *)
+    otherwise. Every link delivery is one engine event at the frame's
+    head arrival, and every node-side delay (a router's act step, a
+    host's reception) is posted by its owner directly on {!engine}. The
+    world registers two event kinds on the engine, so neither a delivery
+    nor a completion builds a closure. *)
+
+val delivery_kind : t -> Sim.Engine.kind
+(** The kind of this world's link deliveries: one event per frame put on
+    a wire, at its head's arrival. *)
+
+val completion_kind : t -> Sim.Engine.kind
+(** The kind of this world's transmission completions, which run only
+    when a frame waits behind a port. *)
 
 val engine : t -> Sim.Engine.t
 val graph : t -> Topo.Graph.t

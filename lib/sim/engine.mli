@@ -1,15 +1,47 @@
 (** Discrete-event simulation engine.
 
-    A single-threaded event loop over a {!Heap}. Callbacks scheduled at the
-    same instant run in the order they were scheduled. The queue holds
-    the callbacks themselves, with no per-event record: scheduling
-    returns nothing, and an event that may need cancelling is scheduled
-    at a key its owner reserved with {!alloc_seq} and cancelled by that
-    key ({!cancel}). *)
+    A single-threaded event loop over a {!Heap}. Events scheduled at the
+    same instant run in the order they were scheduled. An event is data:
+    its key [(time, seq)], a {!kind} and an int payload, all unboxed
+    ints in the heap, with no per-event record. A component registers one handler
+    per kind when it is created ({!register}) and posts events of that
+    kind ({!post_at}, {!post_keyed}); the run loop calls
+    [handler payload]. What the payload names — a port, a slot in the
+    component's own slab ({!Slab}) — is the component's business.
+    Closures remain for cold paths: {!schedule} and its variants queue a
+    [unit -> unit] as an event of the built-in {!closure_kind}, whose
+    payload is the closure's slot in the engine's closure slab.
+    Scheduling returns nothing; an event that may need cancelling is
+    scheduled at a key its owner reserved with {!alloc_seq} and cancelled
+    by that key ({!cancel}). *)
 
 type t
 
+type kind
+(** An event kind: a handler registered with {!register}. *)
+
 val create : unit -> t
+
+val register : t -> (int -> unit) -> kind
+(** [register t handler] makes a new kind of event whose events run
+    [handler payload]. Registering is for set-up: it copies the engine's
+    handler table. *)
+
+val closure_kind : kind
+(** The kind of every event queued with a closure ({!schedule},
+    {!schedule_at}, {!schedule_keyed}, {!schedule_foreign}). *)
+
+val post_at : t -> time:Time.t -> kind:kind -> int -> unit
+(** [post_at t ~time ~kind payload] queues an event of [kind] at [time]
+    with the next sequence number, exactly where {!schedule_at} would
+    have queued a closure. Allocates nothing (unless the heap grows).
+    The time must not be in the past; [kind] must be registered on [t]. *)
+
+val post_keyed : t -> time:Time.t -> seq:int -> kind:kind -> int -> unit
+(** {!post_at} at a key reserved with {!alloc_seq}, exactly where
+    {!schedule_keyed} would have queued a closure. An event of a
+    registered kind that is cancelled never reaches its handler: its
+    owner releases whatever the payload names when it cancels. *)
 
 val now : t -> Time.t
 (** Current simulated time. [Time.zero] before the first event runs. *)
@@ -86,8 +118,11 @@ val run : ?until:Time.t -> ?max_events:int -> t -> unit
     clock at the last event it executed — which is never a reserved key
     that was left unscheduled (a lazy port completion), so a drained run
     can end before the last transmission finishes. [max_events] guards
-    against runaway simulations. The loop allocates nothing: the only
-    per-event allocation is the caller's closure. *)
+    against runaway simulations: a run it stops with events still due by
+    [until] leaves the clock at the last event it ran, so those events
+    still run at their own time. The loop allocates nothing: an event of
+    a registered kind costs no words from post to run, and a closure
+    event costs only the closure its caller built. *)
 
 val pending : t -> int
 (** Events still queued (including cancelled ones not yet skipped). *)
@@ -99,3 +134,8 @@ val executed : t -> int
     shard re-balancer packs workers by. Reserved keys that are never
     scheduled (a port completion with nothing queued behind it) run no
     callback and are not counted. *)
+
+val executed_kind : t -> kind -> int
+(** Cumulative count of events of one kind actually run, as {!executed}
+    counts them all: a plain int array the run loop bumps, so keeping it
+    costs nothing per event. *)

@@ -257,6 +257,26 @@ let engine_rejects_past () =
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time in the past")
     (fun () -> Sim.Engine.schedule_at e ~time:5 (fun () -> ()))
 
+(* A run that [max_events] stops with events still due before [until]
+   leaves the clock at the last event it ran: the events left run later
+   at their own times, never in the past. *)
+let engine_until_with_max_events () =
+  let e = Sim.Engine.create () in
+  let seen = ref [] in
+  List.iter
+    (fun time -> Sim.Engine.schedule_at e ~time (fun () -> seen := Sim.Engine.now e :: !seen))
+    [ 10; 20 ];
+  Sim.Engine.run ~until:100 ~max_events:1 e;
+  check_int "clock at the event that ran" 10 (Sim.Engine.now e);
+  Sim.Engine.run ~until:100 e;
+  Alcotest.(check (list int)) "each event at its own time" [ 10; 20 ] (List.rev !seen);
+  check_int "a drained run reaches until" 100 (Sim.Engine.now e);
+  (* the cap can stop a run whose remaining events all lie past [until] *)
+  Sim.Engine.schedule_at e ~time:110 ignore;
+  Sim.Engine.schedule_at e ~time:200 ignore;
+  Sim.Engine.run ~until:150 ~max_events:1 e;
+  check_int "nothing else due: clock at until" 150 (Sim.Engine.now e)
+
 let engine_max_events () =
   let e = Sim.Engine.create () in
   let count = ref 0 in
@@ -271,7 +291,9 @@ let engine_max_events () =
 (* With 96 events standing in the queue (the depth the fan-in workloads
    run at), a self-rescheduling event whose closure is built once costs
    the engine nothing per schedule+dispatch: no event record, no key
-   tuples, no options, no boxed entries. *)
+   tuples, no options, no boxed entries. An event of a registered kind
+   costs nothing either, its post included: 50 000 of them, re-posting
+   themselves, allocate no word. *)
 let engine_run_allocation () =
   let e = Sim.Engine.create () in
   for _ = 1 to 96 do
@@ -293,7 +315,24 @@ let engine_run_allocation () =
   check_int "every tick ran" 0 !left;
   (* a few words of slack for the measurement's own boxed floats *)
   if words > 16.0 then
-    Alcotest.failf "Engine.run allocated %.0f words over %d events" words events
+    Alcotest.failf "Engine.run allocated %.0f words over %d events" words events;
+  let kind = ref Sim.Engine.closure_kind in
+  let step payload =
+    if !left > 0 then begin
+      decr left;
+      Sim.Engine.post_at e ~time:(Sim.Engine.now e + 1) ~kind:!kind (payload + 1)
+    end
+  in
+  kind := Sim.Engine.register e step;
+  left := events;
+  Sim.Engine.post_at e ~time:(Sim.Engine.now e + 1) ~kind:!kind 0;
+  let w0 = Gc.minor_words () in
+  Sim.Engine.run ~until:(Sim.Time.s 2) e;
+  let words = Gc.minor_words () -. w0 in
+  check_int "every kinded event ran" 0 !left;
+  check_int "counted by kind" (events + 1) (Sim.Engine.executed_kind e !kind);
+  if words > 16.0 then
+    Alcotest.failf "Engine.run allocated %.0f words over %d kinded events" words events
 
 (* The executing key: an event runs at [(now, executing_seq)]; a key
    reserved while it runs sorts after it, even inside a foreign event,
@@ -358,36 +397,60 @@ let timeweighted_rejects_backwards () =
     (Invalid_argument "Timeweighted.set: time went backwards") (fun () ->
       Sim.Stats.Timeweighted.set tw ~now:5 2.0)
 
+(* How an event is queued: as a closure, or as data (a payload of a
+   registered kind). *)
+type how = Closure | Kinded
+
 type cancel_op =
-  | Sched of int * int option  (** at time, cancelling key [i] when it runs *)
+  | Sched of how * int * int option
+      (** at time, at its reserved key, cancelling key [i] when it runs *)
+  | Post of how * int * int option
+      (** at time, at the next seq when the events are queued *)
+  | Foreign of how * int * int option  (** at time, at a foreign key *)
   | Reserve  (** a key reserved and never scheduled *)
   | Cancel of int  (** cancel key [i] before the run *)
 
 (* Keyed cancellation against a model: every key is reserved up front
-   with [alloc_seq]; cancels come before the run and from inside running
-   events, and hit keys that ran already, keys cancelled twice, the
-   running event's own key and keys never scheduled. Exactly the events
-   whose key was not cancelled before it came up run, in key order, and
-   [executed] counts them. *)
+   with [alloc_seq]; events are closures or kinded, queued at their
+   reserved key ([schedule_keyed]/[post_keyed]), at the next seq
+   ([schedule_at]/[post_at]) or at a foreign key ([schedule_foreign], or
+   [post_keyed] at a foreign seq). Cancels come before the run and from
+   inside running events, and hit keys that ran already, keys cancelled
+   twice, the running event's own key and keys never scheduled. Exactly
+   the events whose key was not cancelled before it came up run, in key
+   order, and [executed] counts them, closures and kinds apart in
+   [executed_kind]. *)
 let qcheck_engine_cancel =
   QCheck.Test.make ~name:"keyed cancellation runs exactly the uncancelled events"
     ~count:300
     QCheck.(
       make
         ~print:(fun ops ->
+          let ev tag how t c =
+            Printf.sprintf "%s%s%d%s" tag
+              (match how with Closure -> "" | Kinded -> "k")
+              t
+              (match c with None -> "" | Some i -> Printf.sprintf "/c%d" i)
+          in
           String.concat " "
             (List.map
                (function
-                 | Sched (t, None) -> Printf.sprintf "s%d" t
-                 | Sched (t, Some i) -> Printf.sprintf "s%d/c%d" t i
+                 | Sched (how, t, c) -> ev "s" how t c
+                 | Post (how, t, c) -> ev "p" how t c
+                 | Foreign (how, t, c) -> ev "f" how t c
                  | Reserve -> "r"
                  | Cancel i -> Printf.sprintf "c%d" i)
                ops))
         Gen.(
+          let event make =
+            map3 make (oneofl [ Closure; Kinded ]) (0 -- 4) (opt (0 -- 63))
+          in
           list_size (0 -- 60)
             (frequency
                [
-                 (6, map2 (fun t c -> Sched (t, c)) (0 -- 4) (opt (0 -- 63)));
+                 (6, event (fun how t c -> Sched (how, t, c)));
+                 (2, event (fun how t c -> Post (how, t, c)));
+                 (2, event (fun how t c -> Foreign (how, t, c)));
                  (1, return Reserve);
                  (2, map (fun i -> Cancel i) (0 -- 63));
                ])))
@@ -396,20 +459,40 @@ let qcheck_engine_cancel =
       let keys = Array.of_list (List.map (fun _ -> (0, Sim.Engine.alloc_seq e)) ops) in
       let n = Array.length keys in
       let key i = keys.(i mod n) in
+      let targets = Array.make n None in
       let ran = ref [] in
+      (* event [i]: note its key, then cancel its target *)
+      let fire i =
+        ran := keys.(i) :: !ran;
+        Option.iter
+          (fun j ->
+            let time, seq = key j in
+            Sim.Engine.cancel e ~time ~seq)
+          targets.(i)
+      in
+      let kind = Sim.Engine.register e fire in
+      let next = ref n in
       List.iteri
         (fun i op ->
           match op with
-          | Sched (time, target) ->
-            let seq = snd keys.(i) in
+          | Sched (how, time, target) | Post (how, time, target) | Foreign (how, time, target)
+            -> (
+            let seq =
+              match op with
+              | Post _ ->
+                incr next;
+                !next - 1
+              | Foreign _ -> Sim.Engine.foreign_seq_base + i
+              | _ -> snd keys.(i)
+            in
             keys.(i) <- (time, seq);
-            Sim.Engine.schedule_keyed e ~time ~seq (fun () ->
-                ran := (time, seq) :: !ran;
-                Option.iter
-                  (fun j ->
-                    let time, seq = key j in
-                    Sim.Engine.cancel e ~time ~seq)
-                  target)
+            targets.(i) <- target;
+            match (op, how) with
+            | Post _, Closure -> Sim.Engine.schedule_at e ~time (fun () -> fire i)
+            | Post _, Kinded -> Sim.Engine.post_at e ~time ~kind i
+            | Foreign _, Closure -> Sim.Engine.schedule_foreign e ~time ~seq (fun () -> fire i)
+            | _, Closure -> Sim.Engine.schedule_keyed e ~time ~seq (fun () -> fire i)
+            | _, Kinded -> Sim.Engine.post_keyed e ~time ~seq ~kind i)
           | Reserve | Cancel _ -> ())
         ops;
       List.iter
@@ -417,7 +500,7 @@ let qcheck_engine_cancel =
           | Cancel j ->
             let time, seq = key j in
             Sim.Engine.cancel e ~time ~seq
-          | Sched _ | Reserve -> ())
+          | Sched _ | Post _ | Foreign _ | Reserve -> ())
         ops;
       Sim.Engine.run e;
       (* the model: walk the scheduled keys in order *)
@@ -427,41 +510,64 @@ let qcheck_engine_cancel =
         List.concat
           (List.mapi
              (fun i op ->
-               match op with Sched (_, c) -> [ (keys.(i), c) ] | Reserve | Cancel _ -> [])
+               match op with
+               | Sched (how, _, c) | Post (how, _, c) | Foreign (how, _, c) ->
+                 [ (keys.(i), c, how) ]
+               | Reserve | Cancel _ -> [])
              ops)
         |> List.sort compare
       in
       let expected =
         List.filter_map
-          (fun (k, target) ->
+          (fun (k, target, how) ->
             if Hashtbl.mem cancelled k then None
             else begin
               Option.iter
                 (fun j -> if compare (key j) k > 0 then Hashtbl.replace cancelled (key j) ())
                 target;
-              Some k
+              Some (k, how)
             end)
           scheduled
       in
-      List.rev !ran = expected
+      let count how = List.length (List.filter (fun (_, h) -> h = how) expected) in
+      List.rev !ran = List.map fst expected
       && Sim.Engine.executed e = List.length expected
+      && Sim.Engine.executed_kind e kind = count Kinded
+      && Sim.Engine.executed_kind e Sim.Engine.closure_kind = count Closure
       && Sim.Engine.pending e = 0)
 
+(* Closures and kinded events, queued in one stream from inside running
+   events too, run in the reference model's order: by time, and in
+   queueing order at equal times, whichever way each was queued. *)
 let qcheck_engine_order =
   QCheck.Test.make ~name:"events always run in nondecreasing time order" ~count:50
-    QCheck.(list_of_size Gen.(1 -- 100) (int_range 0 1000))
-    (fun delays ->
+    QCheck.(list_of_size Gen.(1 -- 100) (pair (int_range 0 1000) bool))
+    (fun events ->
       let e = Sim.Engine.create () in
-      let ok = ref true in
-      let last = ref 0 in
-      List.iter
-        (fun d ->
-          Sim.Engine.schedule e ~delay:d (fun () ->
-              if Sim.Engine.now e < !last then ok := false;
-              last := Sim.Engine.now e))
-        delays;
+      let events = Array.of_list events in
+      let n = Array.length events in
+      let ran = ref [] and queued = ref [] in
+      let kind = ref Sim.Engine.closure_kind in
+      let rec queue i =
+        let delay, kinded = events.(i) in
+        let time = Sim.Engine.now e + delay in
+        queued := (time, List.length !queued, i) :: !queued;
+        if kinded then Sim.Engine.post_at e ~time ~kind:!kind i
+        else Sim.Engine.schedule e ~delay (fun () -> fire i)
+      (* event [i] queues event [i + n/2]: half the stream is queued
+         while the run is under way *)
+      and fire i =
+        ran := i :: !ran;
+        if i < n / 2 then queue (i + (n / 2))
+      in
+      kind := Sim.Engine.register e fire;
+      for i = 0 to (n / 2) - 1 do
+        queue i
+      done;
+      if n mod 2 = 1 then queue (n - 1);
       Sim.Engine.run e;
-      !ok)
+      let expected = List.map (fun (_, _, i) -> i) (List.sort compare !queued) in
+      List.rev !ran = expected)
 
 let () =
   Alcotest.run "sim"
@@ -498,6 +604,8 @@ let () =
           Alcotest.test_case "until stops clock" `Quick engine_until_stops_clock;
           Alcotest.test_case "rejects the past" `Quick engine_rejects_past;
           Alcotest.test_case "max_events bounds" `Quick engine_max_events;
+          Alcotest.test_case "until keeps the clock when max_events stops" `Quick
+            engine_until_with_max_events;
           Alcotest.test_case "run allocates nothing" `Quick engine_run_allocation;
           Alcotest.test_case "executing key" `Quick engine_executing_key;
         ] );
