@@ -9,16 +9,14 @@ let of_hops ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
   | [] -> invalid_arg "Route.of_hops: empty path"
   | first :: router_hops ->
     if first.G.at <> src then invalid_arg "Route.of_hops: path does not start at src";
-    let flags = { Seg.no_flags with Seg.dib = drop_if_blocked } in
-    let local = Seg.make ~flags ~priority ~port:Seg.local_port () in
+    let segment token port = Seg.route_hop ~dib:drop_if_blocked ~priority ~token ~port in
+    let local = segment Bytes.empty Seg.local_port in
     (* tokens pair with hops in order; hops past the last token get none *)
     let rec segments hops tokens =
       match (hops, tokens) with
       | [], _ -> [ local ]
-      | hop :: hops, token :: tokens ->
-        Seg.make ~flags ~priority ~token ~port:hop.G.out () :: segments hops tokens
-      | hop :: hops, [] ->
-        Seg.make ~flags ~priority ~token:Bytes.empty ~port:hop.G.out () :: segments hops []
+      | hop :: hops, token :: tokens -> segment token hop.G.out :: segments hops tokens
+      | hop :: hops, [] -> segment Bytes.empty hop.G.out :: segments hops []
     in
     { first_port = first.G.out; segments = segments router_hops tokens }
 

@@ -48,12 +48,11 @@ let reserved_bps t ~port = Option.value ~default:0 (Hashtbl.find_opt t.reserved 
 let recompute_routes t =
   Hashtbl.reset t.route_table;
   let g = W.graph t.world in
-  let metric (l : G.link) = 1.0 +. (1e8 /. float_of_int l.G.props.G.bandwidth_bps) in
+  let spt = G.shortest_path_tree g ~metric:G.bandwidth_metric ~src:t.node in
   G.iter_nodes g (fun dst ->
-      if dst <> t.node then
-        match G.shortest_path g ~metric ~src:t.node ~dst with
-        | Some ({ G.out; _ } :: _) -> Hashtbl.replace t.route_table dst out
-        | Some [] | None -> ())
+      match G.spt_path spt ~dst with
+      | Some ({ G.out; _ } :: _) -> Hashtbl.replace t.route_table dst out
+      | Some [] | None -> ())
 
 let capacity t port =
   match G.link_via (W.graph t.world) t.node port with

@@ -22,13 +22,13 @@ type route_info = {
 
 (* Cached values carry the epoch they were computed under; an entry whose
    epoch no longer matches is a miss (except while frozen, when staleness
-   is the point). *)
+   is the point). A stale tree is rebuilt in its own arrays. *)
 type answer_entry = { a_epoch : int; a_answer : route_info list }
-type spt_entry = { s_epoch : int; s_spt : G.spt }
+type spt_entry = { mutable s_epoch : int; s_spt : G.spt }
 
-(* answers key: (client, target id, selector index, k) — all ints, no
-   string formatting on the query path *)
-type answer_key = int * int * int * int
+(* what the LRUs return on a miss *)
+let no_answer = { a_epoch = -1; a_answer = [] }
+let no_spt = { s_epoch = -1; s_spt = G.spt_create () }
 
 type t = {
   graph : G.t;
@@ -37,12 +37,16 @@ type t = {
   secure_links : (int, unit) Hashtbl.t;
   link_costs : (int, float) Hashtbl.t;
   load : (int, float) Hashtbl.t;
-  answers : (answer_key, answer_entry) Lru.t;
-      (** memo of the last answer per query key: the zipf fast path, and
-          what frozen-directory staleness replays *)
-  spts : (int * int, spt_entry) Lru.t;
+  answers : answer_entry Lru.t;
+      (** memo of the last answer per {!answer_key}: the zipf fast path,
+          and what frozen-directory staleness replays *)
+  spts : spt_entry Lru.t;
       (** one shortest-path tree per (src, selector): N queries from one
           busy client cost 1 Dijkstra, not N *)
+  weights : float array array;
+      (** per selector, each link's weight at [weights_epoch]: what the
+          trees and Yen's searches read *)
+  weights_epoch : int array;
   mutable dirty : int;
       (** local epoch half: load / cost / security changes. The effective
           epoch adds the graph's topology version. *)
@@ -93,8 +97,10 @@ let create ?telemetry ?(answer_cache = default_answer_cache) ?(spt_cache = defau
     secure_links = Hashtbl.create 16;
     link_costs = Hashtbl.create 16;
     load = Hashtbl.create 16;
-    answers = Lru.create ~on_evict ~cap:answer_cache ();
-    spts = Lru.create ~on_evict ~cap:spt_cache ();
+    answers = Lru.create ~on_evict ~cap:answer_cache ~absent:no_answer ();
+    spts = Lru.create ~on_evict ~cap:spt_cache ~absent:no_spt ();
+    weights = Array.make 4 [||];
+    weights_epoch = Array.make 4 (-1);
     dirty = 0;
     frozen = false;
     nonce = 0;
@@ -133,7 +139,7 @@ let register t ~name ~node =
 
 let intern_name t name = Name_store.intern t.names name
 let registered_names t = Name_store.size t.names
-let lookup_name t name = Name_store.find_node t.names name
+let lookup_name t name = Name_store.node_of_id t.names (Name_store.find t.names name)
 let name_of_node t node = Hashtbl.find_opt t.by_node node
 
 let enumerate_region t prefix =
@@ -152,10 +158,11 @@ let set_link_secure t ~link_id secure =
     invalidate_routes t
   end
 
-let load_of t link_id = Option.value ~default:0.0 (Hashtbl.find_opt t.load link_id)
+(* read per link as a weight table fills: neither allocates *)
+let load_of t link_id = match Hashtbl.find t.load link_id with u -> u | exception Not_found -> 0.0
 
 let admin_cost t link_id =
-  Option.value ~default:1.0 (Hashtbl.find_opt t.link_costs link_id)
+  match Hashtbl.find t.link_costs link_id with c -> c | exception Not_found -> 1.0
 
 let set_link_cost t ~link_id c =
   if admin_cost t link_id <> c then begin
@@ -175,14 +182,16 @@ let is_secure t link_id = Hashtbl.mem t.secure_links link_id
 
 let insecure_penalty = 1e7
 
-let delay_metric t (l : G.link) =
+(* Inlined, as is [route_metric], and calling no function that returns
+   a float, so a weight lands in its table unboxed in any build. *)
+let[@inline] delay_metric t (l : G.link) =
   (* One-way latency for a representative 512-byte packet, loaded links
      penalized so advisories steer around congestion. *)
   let tx = Sim.Time.transmission ~bits:4096 ~rate_bps:l.G.props.G.bandwidth_bps in
-  let base = Sim.Time.to_seconds (l.G.props.G.propagation + tx) in
+  let base = float_of_int (l.G.props.G.propagation + tx) /. 1e9 in
   base *. (1.0 +. (4.0 *. load_of t l.G.link_id)) +. 1e-9
 
-let metric_for t selector (l : G.link) =
+let[@inline] route_metric t selector (l : G.link) =
   match selector with
   | Lowest_delay -> delay_metric t l
   | Highest_bandwidth ->
@@ -194,38 +203,50 @@ let metric_for t selector (l : G.link) =
     if is_secure t l.G.link_id then delay_metric t l
     else insecure_penalty +. delay_metric t l
 
-let route_metric t selector l = metric_for t selector l
+let selector_index = function
+  | Lowest_delay -> 0
+  | Highest_bandwidth -> 1
+  | Lowest_cost -> 2
+  | Secure -> 3
 
-(* Resolve a candidate path's links once; a vanished link drops the
-   candidate (counted) instead of raising into the client callback. *)
-let resolve_links t hops =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
+(* The selector's weight table at [epoch]: refilled in place, link by
+   link, the first time it is asked for at a new epoch. *)
+let weights_for t selector ~epoch =
+  let i = selector_index selector in
+  if t.weights_epoch.(i) <> epoch then begin
+    G.iter_links t.graph (fun l ->
+        let id = l.G.link_id in
+        (* the first link is the newest, so this grows the table at most once *)
+        if id >= Array.length t.weights.(i) then t.weights.(i) <- Array.make (id + 1) 0.0;
+        t.weights.(i).(id) <- route_metric t selector l);
+    t.weights_epoch.(i) <- epoch
+  end;
+  t.weights.(i)
+
+(* One pass over a candidate's hops: the route's attributes, or [None]
+   when a link has vanished (counted: the candidate is dropped rather
+   than raising into the client callback) or, for [Secure], is not
+   secure. [cost] sums the links' weights in hop order. *)
+let attributes t selector weights hops =
+  let rec go hops mtu bandwidth_bps propagation links cost secure =
+    match hops with
+    | [] ->
+      let hop_count = max 0 (links - 1) in
+      let tx_full = Sim.Time.transmission ~bits:(8 * mtu) ~rate_bps:bandwidth_bps in
+      let rtt_estimate = 2 * (propagation + tx_full + (hop_count * Sim.Time.us 1)) in
+      if secure then Some { mtu; bandwidth_bps; propagation; hop_count; rtt_estimate; cost }
+      else None
     | { G.at; out } :: rest -> (
-      match G.link_via t.graph at out with
-      | Some l -> go (l :: acc) rest
-      | None ->
+      match G.link_at t.graph at out with
+      | exception Not_found ->
         C.incr t.dropped_candidates;
-        None)
+        None
+      | { G.link_id; props = p; _ } ->
+        go rest (Int.min mtu p.G.mtu) (Int.min bandwidth_bps p.G.bandwidth_bps)
+          (propagation + p.G.propagation) (links + 1) (cost +. weights.(link_id))
+          (secure && (selector <> Secure || is_secure t link_id)))
   in
-  go [] hops
-
-let attributes_of_links t selector links =
-  let mtu = List.fold_left (fun acc l -> min acc l.G.props.G.mtu) max_int links in
-  let bandwidth_bps =
-    List.fold_left (fun acc l -> min acc l.G.props.G.bandwidth_bps) max_int links
-  in
-  let propagation =
-    List.fold_left (fun acc l -> acc + l.G.props.G.propagation) 0 links
-  in
-  let hop_count = max 0 (List.length links - 1) in
-  let tx_full = Sim.Time.transmission ~bits:(8 * mtu) ~rate_bps:bandwidth_bps in
-  let per_hop = Sim.Time.us 1 in
-  let rtt_estimate = 2 * (propagation + tx_full + (hop_count * per_hop)) in
-  let cost =
-    List.fold_left (fun acc l -> acc +. metric_for t selector l) 0.0 links
-  in
-  { mtu; bandwidth_bps; propagation; hop_count; rtt_estimate; cost }
+  go hops max_int max_int 0 0 0.0 true
 
 (* Router [at]'s token key, derived on its first token only. *)
 let router_key t at =
@@ -252,98 +273,86 @@ let mint_tokens t ~client ~priority hops =
       (fun { G.at; out } ->
         t.nonce <- (t.nonce + 1) land 0xFF;
         C.incr t.tokens_minted;
-        let grant =
-          {
-            Token.Capability.router_id = at;
-            port = out;
-            max_priority = priority;
-            reverse_ok = true;
-            account = client;
-            packet_limit = 0;
-            expiry_ms = 0;
-          }
-        in
-        (Token.Capability.mint (router_key t at) ~nonce:t.nonce grant :> bytes))
+        (Token.Capability.mint_fields (router_key t at) ~nonce:t.nonce ~router_id:at ~port:out
+           ~max_priority:priority ~reverse_ok:true ~account:client ~packet_limit:0 ~expiry_ms:0
+          :> bytes))
       router_hops
-
-let all_secure t links = List.for_all (fun l -> is_secure t l.G.link_id) links
-
-let selector_index = function
-  | Lowest_delay -> 0
-  | Highest_bandwidth -> 1
-  | Lowest_cost -> 2
-  | Secure -> 3
 
 let set_frozen t frozen = t.frozen <- frozen
 
-let update_entries_gauge t =
-  Gauge.set t.cache_entries (float_of_int (Lru.length t.answers + Lru.length t.spts))
+(* Answer keys pack (client, target, selector, k) into one int, high to
+   low: 26 bits each of client and target, 2 of selector, 8 of k — 62
+   bits in all, so every key is a distinct non-negative int. *)
+let id_bits = 26
+let k_bits = 8
+
+let answer_key ~client ~target ~selector ~k =
+  if (client lor target) lsr id_bits <> 0 || k lsr k_bits <> 0 then
+    invalid_arg "Directory.answer_key: out of range";
+  (((((client lsl id_bits) lor target) lsl 2) lor selector_index selector) lsl k_bits) lor k
 
 (* The memoized shortest-path tree for (src, selector) at the current
-   epoch, building (and counting) one if absent or stale. *)
-let spt_for t ~src ~selector ~epoch =
-  let key = (src, selector_index selector) in
-  match Lru.find t.spts key with
-  | Some e when e.s_epoch = epoch -> e.s_spt
-  | _ ->
+   epoch: a stale one is rebuilt in its own arrays, a missing one made
+   (each counted as a build). *)
+let spt_for t ~src ~selector ~weights ~epoch =
+  let key = (src lsl 2) lor selector_index selector in
+  let e =
+    match Lru.find t.spts key with
+    | e when e != no_spt -> e
+    | _ ->
+      let e = { s_epoch = -1; s_spt = G.spt_create () } in
+      Lru.set t.spts key e;
+      e
+  in
+  if e.s_epoch <> epoch then begin
     C.incr t.spt_builds;
-    let spt = G.shortest_path_tree t.graph ~metric:(metric_for t selector) ~src in
-    Lru.set t.spts key { s_epoch = epoch; s_spt = spt };
-    spt
+    G.spt_rebuild t.graph ~weights e.s_spt ~src;
+    e.s_epoch <- epoch
+  end;
+  e.s_spt
 
 (* Candidate hop lists, best first. k = 1 answers from the memoized SPT
    (bit-identical to a fresh Dijkstra — see Topo.Graph.spt_path); the
    k-alternates keep Yen's machinery and are only paid on a memo miss.
    With the SPT cache disabled, k = 1 takes the per-query Dijkstra path —
    the "cold" reference configuration. *)
-let candidate_paths t ~client ~dst ~selector ~k ~epoch =
-  if k = 1 && Lru.enabled t.spts then
-    match G.spt_path (spt_for t ~src:client ~selector ~epoch) ~dst with
-    | None | Some [] -> []
-    | Some hops -> [ hops ]
-  else
-    G.k_shortest_paths t.graph ~metric:(metric_for t selector) ~src:client ~dst ~k
-
 let compute_answer t ~client ~dst ~selector ~k ~priority ~epoch =
-  let paths = candidate_paths t ~client ~dst ~selector ~k ~epoch in
+  let weights = weights_for t selector ~epoch in
+  let paths =
+    if k = 1 && Lru.enabled t.spts then
+      Option.to_list (G.spt_path (spt_for t ~src:client ~selector ~weights ~epoch) ~dst)
+    else G.k_shortest_paths_weighted t.graph ~weights ~src:client ~dst ~k
+  in
   List.filter_map
     (fun hops ->
-      match hops with
-      | [] -> None
-      | _ -> (
-        match resolve_links t hops with
-        | None -> None
-        | Some links ->
-          if selector = Secure && not (all_secure t links) then None
-          else begin
-            let tokens = mint_tokens t ~client ~priority hops in
-            let route =
-              Sirpent.Route.of_hops ~priority ~tokens t.graph ~src:client hops
-            in
-            Some { hops; route; attrs = attributes_of_links t selector links }
-          end))
+      match attributes t selector weights hops with
+      | Some attrs when hops <> [] ->
+        let tokens = mint_tokens t ~client ~priority hops in
+        let route = Sirpent.Route.of_hops ~priority ~tokens t.graph ~src:client hops in
+        Some { hops; route; attrs }
+      | _ -> None)
     paths
+
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let query t ~client ~target ?(selector = Lowest_delay) ?(k = 2)
     ?(priority = Token.Priority.highest) () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_ns () in
   C.incr t.queries_served;
   let epoch = epoch t in
+  let target_id = Name_store.find t.names target in
   let answer =
-    match Name_store.find t.names target with
-    | None -> []
-    | Some target_id -> (
-      let key = (client, target_id, selector_index selector, k) in
-      match Lru.find t.answers key with
-      | Some entry when t.frozen ->
-        (* a frozen directory replays its memo even over dead links:
-           clients must discover route death on use (§3 fault model) *)
-        C.incr t.stale_served;
+    if target_id < 0 then []
+    else begin
+      let key = answer_key ~client ~target:target_id ~selector ~k in
+      let entry = Lru.find t.answers key in
+      (* a frozen directory replays its memo even over dead links:
+         clients must discover route death on use (§3 fault model) *)
+      if entry != no_answer && (t.frozen || entry.a_epoch = epoch) then begin
+        C.incr (if t.frozen then t.stale_served else t.cache_hits);
         entry.a_answer
-      | Some entry when entry.a_epoch = epoch ->
-        C.incr t.cache_hits;
-        entry.a_answer
-      | Some _ | None -> (
+      end
+      else
         match Name_store.node_of_id t.names target_id with
         | None -> []
         | Some dst ->
@@ -352,11 +361,12 @@ let query t ~client ~target ?(selector = Lowest_delay) ?(k = 2)
             C.incr t.cache_misses;
             let answer = compute_answer t ~client ~dst ~selector ~k ~priority ~epoch in
             Lru.set t.answers key { a_epoch = epoch; a_answer = answer };
-            update_entries_gauge t;
+            Gauge.set t.cache_entries (float_of_int (Lru.length t.answers + Lru.length t.spts));
             answer
-          end))
+          end
+    end
   in
-  H.observe t.query_us (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
+  H.observe t.query_us ((now_ns () - t0) / 1000);
   answer
 
 let query_latency t ~client ~target =

@@ -119,6 +119,12 @@ val query :
     misses are answered from the memoized shortest-path tree; deeper [k]
     fall back to Yen's k-shortest machinery. *)
 
+val answer_key : client:Topo.Graph.node_id -> target:int -> selector:selector -> k:int -> int
+(** The answer memo's key: [client], the target's interned id, the
+    selector and [k] packed into one distinct int. Raises
+    [Invalid_argument] (and so does {!query}) unless [client] and
+    [target] lie in [0, 2{^26}) and [k] in [0, 255]. *)
+
 val query_latency : t -> client:Topo.Graph.node_id -> target:Name.t -> Sim.Time.t
 (** The simulated resolution delay a non-cached query pays: 2 ms for
     each hierarchy level the resolution walks (clients add this before

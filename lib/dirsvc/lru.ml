@@ -1,72 +1,69 @@
-(* Bounded LRU map: hashtable over an intrusive doubly-linked recency
-   list. Every operation is O(1); capacity <= 0 disables the cache (finds
-   miss, sets are dropped), which gives benchmarks a zero-cost "cold"
-   configuration with the same code path. *)
+(* Bounded LRU map from ints: a hashtable over an intrusive doubly-linked
+   recency ring closed by a sentinel entry, so no link is an option and a
+   hit allocates nothing. Every operation is O(1); capacity <= 0 disables
+   the cache (finds miss, sets are dropped), which gives benchmarks a
+   zero-cost "cold" configuration with the same code path. *)
 
-type ('k, 'v) entry = {
-  key : 'k;
+module Tbl = Hashtbl.Make (Int)
+
+type 'v entry = {
+  key : int;
   mutable value : 'v;
-  mutable newer : ('k, 'v) entry option;
-  mutable older : ('k, 'v) entry option;
+  mutable newer : 'v entry;
+  mutable older : 'v entry;
 }
 
-type ('k, 'v) t = {
+type 'v t = {
   cap : int;
-  tbl : ('k, ('k, 'v) entry) Hashtbl.t;
-  mutable head : ('k, 'v) entry option;  (* most recently used *)
-  mutable tail : ('k, 'v) entry option;  (* least recently used *)
-  on_evict : 'k -> 'v -> unit;
+  tbl : 'v entry Tbl.t;
+  ring : 'v entry;  (* sentinel: [ring.older] is the most recently used *)
+  on_evict : int -> 'v -> unit;
 }
 
-let create ?(on_evict = fun _ _ -> ()) ~cap () =
-  { cap; tbl = Hashtbl.create (max 16 (min cap 4096)); head = None; tail = None; on_evict }
+let create ?(on_evict = fun _ _ -> ()) ~cap ~absent () =
+  let rec ring = { key = -1; value = absent; newer = ring; older = ring } in
+  { cap; tbl = Tbl.create (max 16 (min cap 4096)); ring; on_evict }
 
 let enabled t = t.cap > 0
-let length t = Hashtbl.length t.tbl
+let length t = Tbl.length t.tbl
 
-let unlink t e =
-  (match e.newer with Some n -> n.older <- e.older | None -> t.head <- e.older);
-  (match e.older with Some o -> o.newer <- e.newer | None -> t.tail <- e.newer);
-  e.newer <- None;
-  e.older <- None
+let unlink e =
+  e.newer.older <- e.older;
+  e.older.newer <- e.newer
 
 let push_front t e =
-  e.older <- t.head;
-  e.newer <- None;
-  (match t.head with Some h -> h.newer <- Some e | None -> t.tail <- Some e);
-  t.head <- Some e
-
-let touch t e =
-  match t.head with
-  | Some h when h == e -> ()
-  | _ ->
-    unlink t e;
-    push_front t e
+  e.newer <- t.ring;
+  e.older <- t.ring.older;
+  t.ring.older.newer <- e;
+  t.ring.older <- e
 
 let find t k =
-  match Hashtbl.find_opt t.tbl k with
-  | None -> None
-  | Some e ->
-    touch t e;
-    Some e.value
-
-let evict_tail t =
-  match t.tail with
-  | None -> ()
-  | Some e ->
-    unlink t e;
-    Hashtbl.remove t.tbl e.key;
-    t.on_evict e.key e.value
+  match Tbl.find t.tbl k with
+  | e ->
+    unlink e;
+    push_front t e;
+    e.value
+  | exception Not_found -> t.ring.value
 
 let set t k v =
   if t.cap > 0 then begin
-    match Hashtbl.find_opt t.tbl k with
-    | Some e ->
+    match Tbl.find t.tbl k with
+    | e ->
       e.value <- v;
-      touch t e
-    | None ->
-      let e = { key = k; value = v; newer = None; older = None } in
-      Hashtbl.replace t.tbl k e;
+      unlink e;
+      push_front t e
+    | exception Not_found ->
+      let e = { key = k; value = v; newer = t.ring; older = t.ring } in
+      Tbl.replace t.tbl k e;
       push_front t e;
-      if Hashtbl.length t.tbl > t.cap then evict_tail t
+      if Tbl.length t.tbl > t.cap then begin
+        let lru = t.ring.newer in
+        unlink lru;
+        Tbl.remove t.tbl lru.key;
+        t.on_evict lru.key lru.value
+      end
   end
+
+let to_list t =
+  let rec walk e acc = if e == t.ring then acc else walk e.newer ((e.key, e.value) :: acc) in
+  walk t.ring.newer []

@@ -63,11 +63,11 @@ let intern t (name : Name.t) =
 
 let find t (name : Name.t) =
   let rec walk trie = function
-    | [] -> if trie.id >= 0 then Some trie.id else None
+    | [] -> trie.id
     | c :: rest -> (
-      match Hashtbl.find_opt trie.children c with
-      | Some child -> walk child rest
-      | None -> None)
+      match Hashtbl.find trie.children c with
+      | child -> walk child rest
+      | exception Not_found -> -1)
   in
   walk t.root name
 
@@ -81,9 +81,6 @@ let bind t id node =
 
 let node_of_id t id =
   if id < 0 || id >= t.count || t.nodes.(id) < 0 then None else Some t.nodes.(id)
-
-let find_node t name =
-  match find t name with None -> None | Some id -> node_of_id t id
 
 let iter_subtree t (prefix : Name.t) ~f =
   let rec visit trie =

@@ -16,8 +16,9 @@ val size : t -> int
 val intern : t -> Name.t -> int
 (** The name's id, assigning the next dense id on first sight. *)
 
-val find : t -> Name.t -> int option
-(** Id of an already-interned name; walks the trie without allocating. *)
+val find : t -> Name.t -> int
+(** Id of an already-interned name, -1 if it is not; walks the trie
+    without allocating. *)
 
 val name_of_id : t -> int -> Name.t
 (** Raises [Invalid_argument] on an unknown id. *)
@@ -27,9 +28,6 @@ val bind : t -> int -> int -> unit
 
 val node_of_id : t -> int -> int option
 (** The bound node, if any. *)
-
-val find_node : t -> Name.t -> int option
-(** [find] composed with [node_of_id]. *)
 
 val subtree : t -> Name.t -> int list
 (** Ids of every interned name at or below the prefix, sorted by name. *)

@@ -49,8 +49,6 @@ let create world ~node config =
     started = false;
   }
 
-let link_cost (l : G.link) = 1.0 +. (1e8 /. float_of_int l.G.props.G.bandwidth_bps)
-
 let now t = W.now t.world
 
 (* All adjacencies — router and host alike — are kept alive by hellos
@@ -60,7 +58,7 @@ let current_neighbors t =
     (fun (port, link) ->
       let peer, _ = G.peer link t.node in
       match Hashtbl.find_opt t.neighbors port with
-      | Some st when st.up -> Some (peer, link_cost link)
+      | Some st when st.up -> Some (peer, G.bandwidth_metric link)
       | Some _ | None -> None)
     (G.ports (W.graph t.world) t.node)
 

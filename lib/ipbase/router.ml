@@ -48,12 +48,11 @@ let linkstate t = t.linkstate
 let recompute_static t =
   Hashtbl.reset t.static_table;
   let g = W.graph t.world in
-  let metric (l : G.link) = 1.0 +. (1e8 /. float_of_int l.G.props.G.bandwidth_bps) in
+  let spt = G.shortest_path_tree g ~metric:G.bandwidth_metric ~src:t.node in
   G.iter_nodes g (fun dst ->
-      if dst <> t.node then
-        match G.shortest_path g ~metric ~src:t.node ~dst with
-        | Some ({ G.at = _; out } :: _) -> Hashtbl.replace t.static_table dst out
-        | Some [] | None -> ())
+      match G.spt_path spt ~dst with
+      | Some ({ G.out; _ } :: _) -> Hashtbl.replace t.static_table dst out
+      | Some [] | None -> ())
 
 let next_hop t ~dst =
   match t.linkstate with

@@ -28,20 +28,26 @@ let get32 b off = (Bytes.get_uint16_be b off lsl 16) lor Bytes.get_uint16_be b (
 
 (* Writes the grant into [b]'s first 24 bytes, encrypts them in place
    and appends their MAC: the token is the one buffer it returns. *)
-let mint key ~nonce g =
+let mint_fields key ~nonce ~router_id ~port ~max_priority ~reverse_ok ~account
+    ~packet_limit ~expiry_ms =
   let b = Bytes.create size in
-  put32 b 0 g.router_id;
-  Bytes.set_uint8 b 4 (g.port land 0xff);
-  Bytes.set_uint8 b 5 (g.max_priority land 0xf);
-  Bytes.set_uint8 b 6 (if g.reverse_ok then 1 else 0);
+  put32 b 0 router_id;
+  Bytes.set_uint8 b 4 (port land 0xff);
+  Bytes.set_uint8 b 5 (max_priority land 0xf);
+  Bytes.set_uint8 b 6 (if reverse_ok then 1 else 0);
   Bytes.set_uint8 b 7 (nonce land 0xff);
-  put32 b 8 g.account;
-  put32 b 12 g.packet_limit;
-  put32 b 16 g.expiry_ms;
+  put32 b 8 account;
+  put32 b 12 packet_limit;
+  put32 b 16 expiry_ms;
   put32 b 20 (magic lsl 24);
   Cipher.encrypt_cbc_in_place key ~iv b ~len:payload_size;
   Cipher.mac_into key b ~len:payload_size b ~at:payload_size;
   b
+
+let mint key ~nonce g =
+  let { router_id; port; max_priority; reverse_ok; account; packet_limit; expiry_ms } = g in
+  mint_fields key ~nonce ~router_id ~port ~max_priority ~reverse_ok ~account ~packet_limit
+    ~expiry_ms
 
 (* The tag is recomputed beside the token's own, and the payload is
    decrypted in the same scratch buffer; the token is not written. *)

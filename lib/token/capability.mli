@@ -29,6 +29,11 @@ val mint : Cipher.key -> nonce:int -> grant -> t
     straight into the token, then encrypted and tagged in place: the
     token's 32 bytes are all a mint allocates. *)
 
+val mint_fields :
+  Cipher.key -> nonce:int -> router_id:int -> port:int -> max_priority:int ->
+  reverse_ok:bool -> account:int -> packet_limit:int -> expiry_ms:int -> t
+(** {!mint} of the grant with these fields, without building the record. *)
+
 val verify : Cipher.key -> t -> grant option
 (** Full decryption + MAC check — the "difficult to fully decrypt and check
     in real time" operation the token cache exists to avoid. [None] if the

@@ -23,18 +23,23 @@ type link = {
    them in — simulated results depend on it — built as the links were
    attached, in port order. A node with one port has no order to keep:
    its table is [no_order] until a second port is attached, which saves
-   the table on every one-port host. *)
+   the table on every one-port host. [relax] is [order]'s links in its
+   iteration order for searches to walk, [stale] until the first search
+   after a change. *)
 type node = {
   kind : node_kind;
   name : string;
   mutable links : link array;
   mutable order : (port, link) Hashtbl.t;
+  mutable relax : link array;
   mutable next_port : port;
 }
 
 let no_link =
   let props = { bandwidth_bps = 0; propagation = 0; mtu = 0 } in
   { link_id = -1; a = -1; a_port = -1; b = -1; b_port = -1; props }
+
+let stale = [| no_link |]
 
 (* shared by every node without a table; never written *)
 let no_order : (port, link) Hashtbl.t = Hashtbl.create 1
@@ -79,6 +84,7 @@ let add_node g ?name kind =
          and [Array.make] is a C call a large build pays per node *)
       links = [| no_link; no_link |];
       order = no_order;
+      relax = stale;
       next_port = 1;
     }
   in
@@ -123,12 +129,14 @@ let set_link node p link =
    one (ports are allocated in attach order) and never lost one. *)
 let rebuild_order node =
   node.order <- Hashtbl.create 4;
+  node.relax <- stale;
   Array.iteri (fun p l -> if l != no_link then Hashtbl.replace node.order p l) node.links
 
 let attach node p link =
   set_link node p link;
   if node.order != no_order then Hashtbl.replace node.order p link
-  else if p > 1 then rebuild_order node
+  else if p > 1 then rebuild_order node;
+  node.relax <- stale
 
 let connect g a b props =
   let na = get g a and nb = get g b in
@@ -156,7 +164,8 @@ let link_alive g link = (attached (get g link.a) link.a_port).link_id = link.lin
 
 let detach node p =
   set_link node p no_link;
-  if node.order != no_order then Hashtbl.remove node.order p
+  if node.order != no_order then Hashtbl.remove node.order p;
+  node.relax <- stale
 
 let disconnect g link =
   detach (get g link.a) link.a_port;
@@ -203,6 +212,7 @@ let degree g id =
   Array.fold_left (fun n l -> if l == no_link then n else n + 1) 0 (get g id).links
 
 let links g = List.rev g.all_links
+let iter_links g f = List.iter f g.all_links
 let iter_nodes g f = for id = 0 to g.n - 1 do f id done
 
 type hop = { at : node_id; out : port }
@@ -220,114 +230,128 @@ let route_nodes g ~src hops =
   in
   walk src hops
 
-(* Dijkstra's frontier: a heap of node ids keyed on
-   [(int_of_float (cost *. 1e6), push seq)], with each entry's exact
-   float cost in [costs] at its push seq for the staleness test. Each
-   domain keeps one and every search reuses its arrays, so a search over
-   a large graph leaves no heap arrays behind as garbage; a search that
-   finds it taken (a [metric] that itself searches) runs on a fresh
-   one. *)
-type frontier = { heap : int Sim.Heap.t; mutable costs : float array }
-
-let new_frontier () = { heap = Sim.Heap.create ~dummy:(-1); costs = Array.make 64 0.0 }
-let frontier = Domain.DLS.new_key (fun () -> ref (Some (new_frontier ())))
-
-let with_frontier f =
-  let slot = Domain.DLS.get frontier in
-  match !slot with
-  | None -> f (new_frontier ())
-  | Some fr ->
-    slot := None;
-    Fun.protect
-      ~finally:(fun () ->
-        Sim.Heap.clear fr.heap;
-        slot := Some fr)
-      (fun () -> f fr)
-
 (* A search's result: [prev.(v)] is [u lsl 8 lor port] for the hop
    [{at = u; out = port}] that reaches [v] ([port <= max_ports]), or -1
-   for the source and every unreached node. *)
-type spt = { spt_src : node_id; spt_prev : int array; spt_dist : float array }
+   for the source and every unreached node. A rebuild reuses the arrays. *)
+type spt = {
+  mutable spt_src : node_id;
+  mutable spt_prev : int array;
+  mutable spt_dist : float array;
+}
 
-(* The one Dijkstra behind every search. With [dst >= 0] it stops once
-   [dst] is settled; with [dst = -1] it builds the whole tree. A node
-   with no order table has at most one link, so it is reached only from
-   its one neighbour, at that neighbour's settling: its [prev] is final
-   at that one relaxation and popping it later would relax nothing. Such
-   a node is settled as it is relaxed and never enters the heap, which
-   leaves every other entry's [(key, seq)] order unchanged — results are
-   those of the plain algorithm, ties included. *)
-let search g ~metric ~src ~dst ~banned_links ~banned_nodes =
-  with_frontier @@ fun fr ->
-  let n = g.n in
-  let dist = Array.make n infinity in
-  let prev = Array.make n (-1) in
-  let visited = Bytes.make n '\000' in
-  let seq = ref 0 and finished = ref false and u = ref src in
-  let push cost v =
-    let s = !seq in
-    if s = Array.length fr.costs then begin
-      let costs = Array.make (2 * s) 0.0 in
-      Array.blit fr.costs 0 costs 0 s;
-      fr.costs <- costs
-    end;
-    fr.costs.(s) <- cost;
-    Sim.Heap.push fr.heap ~time:(int_of_float (cost *. 1e6)) ~seq:s v;
-    seq := s + 1
-  in
-  (* relax [!u]'s link [l] on port [p] *)
-  let relax p l =
-    if not (List.mem l.link_id banned_links) then begin
-      let u = !u in
-      let v = if l.a = u then l.b else l.a in
-      if (not (List.mem v banned_nodes)) && Bytes.get visited v = '\000' then begin
-        let w = metric l in
-        if w <= 0.0 then invalid_arg "Graph: metric must be positive";
-        let alt = dist.(u) +. w in
-        if alt < dist.(v) then begin
-          dist.(v) <- alt;
-          prev.(v) <- (u lsl 8) lor p;
-          if g.nodes.(v).order == no_order then begin
-            Bytes.set visited v '\001';
-            if v = dst then finished := true
-          end
-          else push alt v
-        end
-      end
-    end
-  in
+let spt_create () = { spt_src = -1; spt_prev = [||]; spt_dist = [||] }
+
+(* Dijkstra's frontier: a heap of node ids keyed on
+   [(int_of_float (cost *. 1e6), push seq)], each entry's exact float
+   cost in [costs] at its push seq for the staleness test, and the
+   settled nodes' bytes. Each domain keeps one for every search to reuse
+   (a search calls out to nothing, so none runs inside another), with
+   the tree of a search to one destination and a [~metric] call's table. *)
+type frontier = {
+  heap : int Sim.Heap.t;
+  mutable costs : float array;
+  mutable visited : Bytes.t;
+  scratch : spt;
+  mutable weights : float array;
+}
+
+let frontier =
+  Domain.DLS.new_key (fun () ->
+      let heap = Sim.Heap.create ~dummy:(-1) in
+      let costs = Array.make 64 0.0 in
+      { heap; costs; visited = Bytes.empty; scratch = spt_create (); weights = [||] })
+
+(* The weight table of a [~metric] call. The domain's table is taken
+   while [metric] fills it, so a metric that itself searches fills a
+   fresh one. *)
+let weigh g metric =
+  let fr = Domain.DLS.get frontier in
+  let w = fr.weights in
+  let w = if Array.length w < g.next_link then Array.make g.next_link 0.0 else w in
+  fr.weights <- [||];
+  List.iter (fun l -> w.(l.link_id) <- metric l) g.all_links;
+  fr.weights <- w;
+  w
+
+(* Queue [v] as push [s]; inlined, so [cost] is never boxed. *)
+let[@inline] push fr s cost v =
+  if s = Array.length fr.costs then begin
+    let costs = Array.make (2 * s) 0.0 in
+    Array.blit fr.costs 0 costs 0 s;
+    fr.costs <- costs
+  end;
+  fr.costs.(s) <- cost;
+  Sim.Heap.push fr.heap ~time:(int_of_float (cost *. 1e6)) ~seq:s v;
+  s + 1
+
+(* The one Dijkstra behind every search, written into [tree]. With
+   [dst >= 0] it stops once [dst] is settled; with [dst = -1] it builds
+   the whole tree. A node with no order table has at most one link, so
+   it is reached only from its one neighbour, at that neighbour's
+   settling: its [prev] is final at that one relaxation and popping it
+   later would relax nothing. Such a node is settled as it is relaxed
+   and never enters the heap, which leaves every other entry's
+   [(key, seq)] order unchanged — results are those of the plain
+   algorithm, ties included. *)
+let search g ~weights ~src ~dst ~banned_links ~banned_nodes tree =
+  let fr = Domain.DLS.get frontier and n = g.n in
+  if Bytes.length fr.visited < n then fr.visited <- Bytes.create n;
+  if Array.length tree.spt_dist < n then begin
+    tree.spt_dist <- Array.make n 0.0;
+    tree.spt_prev <- Array.make n 0
+  end;
+  tree.spt_src <- src;
+  let visited = fr.visited and dist = tree.spt_dist and prev = tree.spt_prev in
+  Array.fill dist 0 (Array.length dist) infinity;
+  Array.fill prev 0 (Array.length prev) (-1);
+  Bytes.fill visited 0 n '\000';
+  Sim.Heap.clear fr.heap;
   dist.(src) <- 0.0;
-  push 0.0 src;
+  let seq = ref (push fr 0 0.0 src) and finished = ref false in
   while not !finished do
     if Sim.Heap.is_empty fr.heap then finished := true
     else begin
       let cost = fr.costs.(Sim.Heap.min_seq fr.heap) in
-      let v = Sim.Heap.pop_value fr.heap in
-      if Bytes.get visited v = '\000' && cost <= dist.(v) then begin
-        Bytes.set visited v '\001';
-        if v = dst then finished := true
+      let u = Sim.Heap.pop_value fr.heap in
+      if Bytes.get visited u = '\000' && cost <= dist.(u) then begin
+        Bytes.set visited u '\001';
+        if u = dst then finished := true
         else begin
-          u := v;
-          (* relaxation order: the order table, else the link array *)
-          let node = g.nodes.(v) in
-          if node.order != no_order then Hashtbl.iter relax node.order
-          else
-            let links = node.links in
-            for p = 0 to Array.length links - 1 do
-              if links.(p) != no_link then relax p links.(p)
-            done
+          (* relaxation order: the order table's, else the port array's *)
+          let node = g.nodes.(u) in
+          if node.relax == stale && node.order != no_order then
+            node.relax <- Array.of_seq (Hashtbl.to_seq_values node.order);
+          let links = if node.order == no_order then node.links else node.relax in
+          for i = 0 to Array.length links - 1 do
+            let l = links.(i) in
+            if l != no_link && not (List.mem l.link_id banned_links) then begin
+              let v = if l.a = u then l.b else l.a in
+              if (not (List.mem v banned_nodes)) && Bytes.get visited v = '\000' then begin
+                let w = weights.(l.link_id) in
+                if w <= 0.0 then invalid_arg "Graph: metric must be positive";
+                let alt = dist.(u) +. w in
+                if alt < dist.(v) then begin
+                  dist.(v) <- alt;
+                  prev.(v) <- (u lsl 8) lor if l.a = u then l.a_port else l.b_port;
+                  if g.nodes.(v).order == no_order then begin
+                    Bytes.set visited v '\001';
+                    if v = dst then finished := true
+                  end
+                  else seq := push fr !seq alt v
+                end
+              end
+            end
+          done
         end
       end
     end
-  done;
-  { spt_src = src; spt_prev = prev; spt_dist = dist }
+  done
 
 let spt_src spt = spt.spt_src
 
 let spt_path spt ~dst =
   if dst = spt.spt_src then Some []
-  else if dst < 0 || dst >= Array.length spt.spt_dist then None
-  else if spt.spt_dist.(dst) = infinity then None
+  else if dst < 0 || dst >= Array.length spt.spt_prev || spt.spt_prev.(dst) < 0 then None
   else begin
     let rec build v acc =
       let e = spt.spt_prev.(v) in
@@ -341,15 +365,25 @@ let spt_dist spt ~dst =
   else if dst < 0 || dst >= Array.length spt.spt_dist then infinity
   else spt.spt_dist.(dst)
 
-let shortest_path_excluding g ~metric ~src ~dst ~banned_links ~banned_nodes =
-  spt_path (search g ~metric ~src ~dst ~banned_links ~banned_nodes) ~dst
-
-let shortest_path g ~metric ~src ~dst =
-  if src = dst then Some []
-  else shortest_path_excluding g ~metric ~src ~dst ~banned_links:[] ~banned_nodes:[]
+let spt_rebuild g ~weights spt ~src =
+  search g ~weights ~src ~dst:(-1) ~banned_links:[] ~banned_nodes:[] spt
 
 let shortest_path_tree g ~metric ~src =
-  search g ~metric ~src ~dst:(-1) ~banned_links:[] ~banned_nodes:[]
+  let spt = spt_create () in
+  spt_rebuild g ~weights:(weigh g metric) spt ~src;
+  spt
+
+(* A search to [dst] in the domain's scratch tree, read out at once. *)
+let path_over g ~weights ~src ~dst ~banned_links ~banned_nodes =
+  let scratch = (Domain.DLS.get frontier).scratch in
+  search g ~weights ~src ~dst ~banned_links ~banned_nodes scratch;
+  spt_path scratch ~dst
+
+let shortest_path_excluding g ~metric ~src ~dst ~banned_links ~banned_nodes =
+  path_over g ~weights:(weigh g metric) ~src ~dst ~banned_links ~banned_nodes
+
+let shortest_path g ~metric ~src ~dst =
+  shortest_path_excluding g ~metric ~src ~dst ~banned_links:[] ~banned_nodes:[]
 
 let path_cost g ~metric hops =
   List.fold_left
@@ -359,58 +393,48 @@ let path_cost g ~metric hops =
       | Some l -> acc +. metric l)
     0.0 hops
 
+let bandwidth_metric l = 1.0 +. (1e8 /. float_of_int l.props.bandwidth_bps)
+
 (* Yen's k-shortest loop-free paths. *)
-let k_shortest_paths g ~metric ~src ~dst ~k =
+let k_shortest_paths_weighted g ~weights ~src ~dst ~k =
   if k <= 0 then []
   else
-    match shortest_path g ~metric ~src ~dst with
+    match path_over g ~weights ~src ~dst ~banned_links:[] ~banned_nodes:[] with
     | None -> []
     | Some first ->
       let accepted = ref [ first ] in
       let candidates = ref [] in
-      let path_eq p q =
-        List.length p = List.length q
-        && List.for_all2 (fun h1 h2 -> h1.at = h2.at && h1.out = h2.out) p q
-      in
-      let rec take_prefix n l =
-        if n = 0 then []
-        else match l with [] -> [] | x :: rest -> x :: take_prefix (n - 1) rest
-      in
+      let prefix i p = List.filteri (fun j _ -> j < i) p in
       let round () =
         let last = List.hd !accepted in
         List.iteri
           (fun i spur_hop ->
-            let root = take_prefix i last in
+            let root = prefix i last in
             let spur_node = spur_hop.at in
             (* Ban links used by accepted paths sharing this root, and the
                nodes of the root (except the spur node) to keep loop-free. *)
             let banned_links =
               List.filter_map
                 (fun p ->
-                  if path_eq (take_prefix i p) root then
-                    match List.nth_opt p i with
-                    | Some h -> (
-                      match link_via g h.at h.out with
-                      | Some l -> Some l.link_id
-                      | None -> None)
-                    | None -> None
-                  else None)
+                  match List.nth_opt p i with
+                  | Some h when prefix i p = root ->
+                    Option.map (fun l -> l.link_id) (link_via g h.at h.out)
+                  | _ -> None)
                 (!accepted @ List.map snd !candidates)
             in
             let banned_nodes =
               List.filter (fun n -> n <> spur_node) (route_nodes g ~src root)
             in
             match
-              shortest_path_excluding g ~metric ~src:spur_node ~dst ~banned_links
-                ~banned_nodes
+              path_over g ~weights ~src:spur_node ~dst ~banned_links ~banned_nodes
             with
             | None -> ()
             | Some spur ->
               let candidate = root @ spur in
-              let cost = path_cost g ~metric candidate in
+              let cost = path_cost g ~metric:(fun l -> weights.(l.link_id)) candidate in
               let dominated =
-                List.exists (fun (_, p) -> path_eq p candidate) !candidates
-                || List.exists (fun p -> path_eq p candidate) !accepted
+                List.exists (fun (_, p) -> p = candidate) !candidates
+                || List.mem candidate !accepted
               in
               if not dominated then candidates := (cost, candidate) :: !candidates)
           last
@@ -425,6 +449,9 @@ let k_shortest_paths g ~metric ~src ~dst ~k =
           candidates := rest
       done;
       List.rev !accepted
+
+let k_shortest_paths g ~metric ~src ~dst ~k =
+  k_shortest_paths_weighted g ~weights:(weigh g metric) ~src ~dst ~k
 
 (* Builders *)
 

@@ -77,6 +77,10 @@ val ports : t -> node_id -> (port * link) list
 
 val degree : t -> node_id -> int
 val links : t -> link list
+
+val iter_links : t -> (link -> unit) -> unit
+(** Every attached link, newest (highest id) first. *)
+
 val iter_nodes : t -> (node_id -> unit) -> unit
 
 val version : t -> int
@@ -105,15 +109,17 @@ val shortest_path :
     itself: equal-cost ties — and so the simulated results that depend
     on them — follow that order.
 
-    Every search in this module — this one, {!shortest_path_excluding}
-    and {!shortest_path_tree} — is one kernel, run to [dst] or to
-    exhaustion. The kernel settles a one-port node (a host, or a router
-    at the end of a chain) as soon as it is relaxed, without the heap:
-    only its one neighbour can reach it, so its route is final then, and
-    leaving it out of the heap changes no other entry's order. A search
-    therefore costs O(routers' links · log routers + nodes) rather than
-    O(links · log nodes), with the same result, ties included. [metric]
-    is still called on every relaxed link. *)
+    Every search in this module is one kernel, run to [dst] or to
+    exhaustion. It reads link weights from a {e weight table}, a float
+    array indexed by [link_id]: a [~metric] call fills one (calling
+    [metric] on every attached link) for all its searches to share. The
+    kernel settles a one-port node (a host, or a router at the end of a
+    chain) as soon as it is relaxed, without the heap: only its one
+    neighbour can reach it, so its route is final then, and leaving it
+    out of the heap changes no other entry's order. A search therefore
+    costs O(routers' links · log routers + nodes) rather than
+    O(links · log nodes), with the same result, ties included; it
+    allocates only the path it returns. *)
 
 val shortest_path_excluding :
   t -> metric:(link -> float) -> src:node_id -> dst:node_id ->
@@ -131,16 +137,22 @@ val k_shortest_paths :
 (** Yen's algorithm: up to [k] loop-free paths in nondecreasing metric
     order. *)
 
+val k_shortest_paths_weighted :
+  t -> weights:float array -> src:node_id -> dst:node_id -> k:int -> hop list list
+
 val path_cost : t -> metric:(link -> float) -> hop list -> float
+
+val bandwidth_metric : link -> float
+(** [1 + 1e8 / bandwidth_bps]: the IP and circuit baselines' metric. *)
 
 (** {1 Shortest-path trees}
 
     One Dijkstra run from a source answers every destination: the
-    directory memoizes one tree per (source, selector, epoch) instead of
-    re-running Dijkstra per query. The tree is built by the {e same}
-    kernel as {!shortest_path}, merely not stopped early, so {!spt_path}
-    is bit-identical to a fresh per-destination [shortest_path] on the
-    same graph by construction. *)
+    directory memoizes one tree per (source, selector), rebuilt in place
+    at each new epoch, instead of re-running Dijkstra per query. The
+    tree is built by the {e same} kernel as {!shortest_path}, merely not
+    stopped early, so {!spt_path} is bit-identical to a fresh
+    per-destination [shortest_path] on the same graph by construction. *)
 
 type spt
 (** Two node-indexed arrays: each node's distance, and the hop that
@@ -148,9 +160,14 @@ type spt
 
 val shortest_path_tree : t -> metric:(link -> float) -> src:node_id -> spt
 (** Single-source Dijkstra over the whole reachable component. The metric
-    must be positive. O(routers' links · log routers + nodes), and about
-    two words per node besides what [metric] allocates; answers all
-    destinations. *)
+    must be positive. O(routers' links · log routers + nodes), and two
+    words per node besides what [metric] allocates. *)
+
+val spt_create : unit -> spt
+
+val spt_rebuild : t -> weights:float array -> spt -> src:node_id -> unit
+(** Rebuild the tree from [src] in its own arrays, allocating nothing
+    unless the graph has outgrown them. *)
 
 val spt_src : spt -> node_id
 

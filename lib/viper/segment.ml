@@ -42,6 +42,11 @@ let make ?(flags = no_flags) ?(priority = Token.Priority.normal) ?(token = Bytes
   check ~priority ~token ~info ~branch ~port;
   { port; flags; priority; token; info; branch }
 
+let route_hop ~dib ~priority ~token ~port =
+  let info = Bytes.empty and branch = Bytes.empty in
+  check ~priority ~token ~info ~branch ~port;
+  { port; flags = flags_of_bits (if dib then 0x4 else 0); priority; token; info; branch }
+
 let field_wire_size b =
   let n = Bytes.length b in
   if n < extended then n else n + 4

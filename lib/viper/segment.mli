@@ -59,6 +59,9 @@ val make :
 (** Raises [Invalid_argument] for a port outside 0-255, an invalid
     priority, or a field longer than {!max_field}. *)
 
+val route_hop : dib:bool -> priority:Token.Priority.t -> token:bytes -> port:int -> t
+(** {!make} with only DIB possibly set, and no optional argument to box. *)
+
 val return_hop : t -> port:int -> token:bytes -> info:bytes -> t
 (** [return_hop seg ~port ~token ~info] is [seg] revised into the return
     hop a router appends to the trailer: [port] and the given [token]

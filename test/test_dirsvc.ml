@@ -265,52 +265,238 @@ let region_enumeration_is_subtree () =
 
 (* --- memoization correctness --- *)
 
-(* A directory with both memo LRUs disabled computes every query from
-   scratch through the seed per-query path: the reference for equality. *)
-let build_pair () =
-  let rng = Sim.Rng.create 99L in
-  let g, _routers, hosts = G.campus_internet ~rng ~campuses:4 ~hosts_per_campus:2 in
-  let dir_memo = D.create g in
-  let dir_cold = D.create ~answer_cache:0 ~spt_cache:0 g in
-  Array.iteri
-    (fun i h ->
-      let name = n (Printf.sprintf "edu.campus%d.host%d" (i mod 4) i) in
-      D.register dir_memo ~name ~node:h;
-      D.register dir_cold ~name ~node:h)
-    hosts;
-  (g, hosts, dir_memo, dir_cold)
-
 let strip (infos : D.route_info list) =
   (* tokens keep their original nonces under memoization; compare the
      routing substance: hops and attributes *)
   List.map (fun (r : D.route_info) -> (r.D.hops, r.D.attrs)) infos
 
-let memoized_equals_cold () =
-  let _, hosts, dir_memo, dir_cold = build_pair () in
-  let rng = Sim.Rng.create 0x21E9L in
-  let selectors = [| D.Lowest_delay; D.Highest_bandwidth; D.Lowest_cost |] in
-  for _ = 1 to 200 do
-    let client = hosts.(Sim.Rng.int rng (Array.length hosts)) in
-    let ti = Sim.Rng.int rng (Array.length hosts) in
-    let target = n (Printf.sprintf "edu.campus%d.host%d" (ti mod 4) ti) in
-    let selector = selectors.(Sim.Rng.int rng (Array.length selectors)) in
-    let k = 1 + Sim.Rng.int rng 2 in
-    let memo = D.query dir_memo ~client ~target ~selector ~k () in
-    let cold = D.query dir_cold ~client ~target ~selector ~k () in
-    check_bool "memoized answer = cold answer" true (strip memo = strip cold);
-    (* mix in load reports so epochs advance mid-stream *)
-    if Sim.Rng.int rng 10 = 0 then begin
-      let link = Sim.Rng.int rng 8 in
-      let u = float_of_int (Sim.Rng.int rng 100) /. 100.0 in
-      D.report_load dir_memo ~link_id:link ~utilization:u;
-      D.report_load dir_cold ~link_id:link ~utilization:u
-    end
+let selectors = [| D.Lowest_delay; D.Highest_bandwidth; D.Lowest_cost; D.Secure |]
+
+(* A directory with both memo LRUs disabled computes every query from
+   scratch through the per-query path: the reference for equality. The
+   memoized one has caches of 1-4 entries, so answers and trees are
+   evicted and stale trees rebuilt in place, while the stream changes
+   the epoch every way it can: load, cost and security reports, and
+   links cut and repaired (the graph's version). *)
+let qcheck_memoized_equals_cold =
+  QCheck.Test.make ~name:"memoized = cold" ~count:40 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sim.Rng.create (Int64.of_int seed) in
+      let pick a = a.(Sim.Rng.int rng (Array.length a)) in
+      let g, _, hosts =
+        G.campus_internet ~rng ~campuses:(3 + Sim.Rng.int rng 4) ~hosts_per_campus:2
+      in
+      let dir_memo =
+        D.create ~answer_cache:(1 + Sim.Rng.int rng 4) ~spt_cache:(1 + Sim.Rng.int rng 4) g
+      in
+      let dir_cold = D.create ~answer_cache:0 ~spt_cache:0 g in
+      let both f =
+        f dir_memo;
+        f dir_cold
+      in
+      let names =
+        Array.mapi
+          (fun i node ->
+            let name = n (Printf.sprintf "edu.campus%d.host%d" (i mod 4) i) in
+            both (fun d -> D.register d ~name ~node);
+            name)
+          hosts
+      in
+      let links = Array.of_list (G.links g) in
+      (* half the links start secure, so Secure queries find routes *)
+      Array.iter
+        (fun l ->
+          if Sim.Rng.int rng 2 = 0 then
+            both (fun d -> D.set_link_secure d ~link_id:l.G.link_id true))
+        links;
+      let link_id () = (pick links).G.link_id in
+      let cut = ref [] in
+      let last = ref (hosts.(0), names.(1), D.Lowest_delay, 1) in
+      let agree = ref true in
+      for _ = 1 to 150 do
+        (match Sim.Rng.int rng 16 with
+        | 0 ->
+          let link_id = link_id () and utilization = float_of_int (Sim.Rng.int rng 4) /. 4.0 in
+          both (fun d -> D.report_load d ~link_id ~utilization)
+        | 1 ->
+          let link_id = link_id () and cost = float_of_int (1 + Sim.Rng.int rng 3) in
+          both (fun d -> D.set_link_cost d ~link_id cost)
+        | 2 ->
+          let link_id = link_id () and secure = Sim.Rng.int rng 2 = 0 in
+          both (fun d -> D.set_link_secure d ~link_id secure)
+        | 3 -> (
+          match !cut with
+          | l :: rest when Sim.Rng.int rng 2 = 0 ->
+            G.reconnect g l;
+            cut := rest
+          | _ ->
+            let l = pick links in
+            if G.link_alive g l then begin
+              G.disconnect g l;
+              cut := l :: !cut
+            end)
+        | _ -> ());
+        (* half the queries repeat the last one, so the memos get hits *)
+        if Sim.Rng.int rng 2 = 0 then
+          last := (pick hosts, pick names, pick selectors, 1 + Sim.Rng.int rng 3);
+        let client, target, selector, k = !last in
+        let memo = D.query dir_memo ~client ~target ~selector ~k () in
+        let cold = D.query dir_cold ~client ~target ~selector ~k () in
+        if strip memo <> strip cold then agree := false
+      done;
+      !agree
+      (* every candidate's links are attached: a tree never answers
+         with a path over a cut link *)
+      && D.dropped_candidates dir_memo = 0
+      && D.cache_hits dir_memo > 0
+      && D.cache_hits dir_cold = 0
+      (* an SPT build can only happen inside a miss computation *)
+      && D.spt_builds dir_memo <= D.cache_misses dir_memo)
+
+(* The LRU against a list model, most recent first: every find's value,
+   the length, the recency order and each eviction, at capacities that
+   disable it, hold one entry, and hold a few. *)
+let qcheck_lru_model =
+  QCheck.Test.make ~name:"LRU = list model" ~count:200 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sim.Rng.create (Int64.of_int seed) in
+      List.for_all
+        (fun cap ->
+          let evicted = ref [] and model_evicted = ref [] in
+          let lru =
+            Dirsvc.Lru.create
+              ~on_evict:(fun k v -> evicted := (k, v) :: !evicted)
+              ~cap ~absent:(-1) ()
+          in
+          let model = ref [] in
+          let to_front k v = model := (k, v) :: List.remove_assoc k !model in
+          let agree = ref true in
+          for step = 1 to 60 do
+            let k = Sim.Rng.int rng 6 in
+            (if Sim.Rng.int rng 2 = 0 then begin
+               let want =
+                 match List.assoc_opt k !model with
+                 | Some v ->
+                   to_front k v;
+                   v
+                 | None -> -1
+               in
+               if Dirsvc.Lru.find lru k <> want then agree := false
+             end
+             else begin
+               Dirsvc.Lru.set lru k step;
+               if List.mem_assoc k !model then to_front k step
+               else if cap > 0 then begin
+                 if List.length !model = cap then begin
+                   model_evicted := List.nth !model (cap - 1) :: !model_evicted;
+                   model := List.filteri (fun i _ -> i < cap - 1) !model
+                 end;
+                 to_front k step
+               end
+             end);
+            if
+              Dirsvc.Lru.length lru <> List.length !model
+              || Dirsvc.Lru.to_list lru <> !model
+              || !evicted <> !model_evicted
+            then agree := false
+          done;
+          !agree && Dirsvc.Lru.enabled lru = (cap > 0))
+        [ 0; 1; 3 ])
+
+(* Answer keys at the edges of the packing: the largest node and name
+   ids, every selector and the k range each get their own key, and a
+   value outside the range raises rather than alias another key. *)
+let answer_keys_at_the_edges () =
+  let top = (1 lsl 26) - 1 in
+  let ids = [ 0; 1; top - 1; top ] and ks = [ 0; 1; 2; 3; 254; 255 ] in
+  let seen = Hashtbl.create 512 in
+  List.iter
+    (fun client ->
+      List.iter
+        (fun target ->
+          Array.iter
+            (fun selector ->
+              List.iter
+                (fun k ->
+                  let key = D.answer_key ~client ~target ~selector ~k in
+                  check_bool "non-negative" true (key >= 0);
+                  if Hashtbl.mem seen key then
+                    Alcotest.failf "(%d, %d, _, %d) aliases another key" client target k;
+                  Hashtbl.add seen key ())
+                ks)
+            selectors)
+        ids)
+    ids;
+  check_int "one key per tuple" (4 * 4 * 4 * 6) (Hashtbl.length seen);
+  let out_of_range what f =
+    Alcotest.check_raises what (Invalid_argument "Directory.answer_key: out of range")
+      (fun () -> ignore (f ()))
+  in
+  let key ?(client = 0) ?(target = 0) ?(k = 1) () =
+    D.answer_key ~client ~target ~selector:D.Secure ~k
+  in
+  List.iter
+    (fun bad ->
+      out_of_range "client" (key ~client:bad);
+      out_of_range "target" (key ~target:bad))
+    [ -1; top + 1; max_int; min_int ];
+  List.iter (fun k -> out_of_range "k" (key ~k)) [ -1; 256; max_int; min_int ];
+  let _, _, hosts, dir = build () in
+  out_of_range "query k" (fun () ->
+      D.query dir ~client:hosts.(0) ~target:(n "edu.campus1.host5") ~k:256 ())
+
+(* Words allocated so far, each counted once. The minor collection comes
+   first because [Gc.counters] reports the minor heap's current contents
+   at an eighth of their size (OCaml 5.1.1). *)
+let words () =
+  Gc.minor ();
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+(* A warm memo hit allocates nothing: the name walk, the packed key, the
+   LRU probe, the counters and the clock. The optional arguments are
+   passed pre-boxed, so the caller's [Some] is not counted. *)
+let memo_hit_allocation () =
+  let _, _, hosts, dir = build () in
+  let target = n "edu.campus1.host5" and selector = Some D.Lowest_delay and k = Some 1 in
+  let query () = D.query dir ~client:hosts.(0) ~target ?selector ?k () in
+  ignore (query ());
+  let hits = 10_000 in
+  let w0 = words () in
+  for _ = 1 to hits do
+    ignore (Sys.opaque_identity (query ()))
   done;
-  check_bool "memo hits happened" true (D.cache_hits dir_memo > 0);
-  check_bool "cold path never cached" true (D.cache_hits dir_cold = 0);
-  (* an SPT build can only happen inside a miss computation *)
-  check_bool "spt builds bounded by misses" true
-    (D.spt_builds dir_memo <= D.cache_misses dir_memo)
+  let per_hit = (words () -. w0) /. float_of_int hits in
+  check_int "all hits" hits (D.cache_hits dir);
+  if per_hit > 0.01 then Alcotest.failf "%.3f words per hit (> 0.01)" per_hit
+
+(* After one load report, a client's stale tree is rebuilt in its own
+   arrays over the refilled weight table. Two stale answers on the
+   dir_zipf-shaped graph (156 routers, 20 000 hosts) are recomputed, to
+   two hosts on the client's own leaf router: the first rebuilds the
+   tree, the second reuses it, and the difference is the rebuild. *)
+let stale_tree_rebuild_allocation () =
+  let g, _, hosts =
+    G.hierarchical_internet ~rng:(Sim.Rng.create 3L) ~branching:5 ~depth:3 ~hosts:20_000 ()
+  in
+  let dir = D.create g in
+  (* hosts are dealt round-robin over the 125 leaf regions *)
+  let client = hosts.(0) and near = [| hosts.(125); hosts.(250) |] in
+  let names = Array.map (fun h -> n (G.name g h)) near in
+  Array.iteri (fun i h -> D.register dir ~name:names.(i) ~node:h) near;
+  let query i = ignore (Sys.opaque_identity (D.query dir ~client ~target:names.(i) ~k:1 ())) in
+  query 0;
+  query 1;
+  D.report_load dir ~link_id:0 ~utilization:0.5;
+  let builds = D.spt_builds dir in
+  let w0 = words () in
+  query 0;
+  let w1 = words () in
+  query 1;
+  let w2 = words () in
+  check_int "one rebuild" (builds + 1) (D.spt_builds dir);
+  let per_node = (w1 -. w0 -. (w2 -. w1)) /. float_of_int (G.node_count g) in
+  if per_node > 0.01 then Alcotest.failf "%.4f words per node (> 0.01)" per_node
 
 let epoch_bump_changes_answers () =
   let g = G.create () in
@@ -470,7 +656,12 @@ let () =
         [
           Alcotest.test_case "interning is stable" `Quick interning_is_stable;
           Alcotest.test_case "region enumeration" `Quick region_enumeration_is_subtree;
-          Alcotest.test_case "memoized = cold" `Quick memoized_equals_cold;
+          Seeded.to_alcotest qcheck_memoized_equals_cold;
+          Seeded.to_alcotest qcheck_lru_model;
+          Alcotest.test_case "answer keys at the edges" `Quick answer_keys_at_the_edges;
+          Alcotest.test_case "memo hit allocation" `Quick memo_hit_allocation;
+          Alcotest.test_case "stale tree rebuild allocation" `Quick
+            stale_tree_rebuild_allocation;
           Alcotest.test_case "epoch bump changes answers" `Quick
             epoch_bump_changes_answers;
           Alcotest.test_case "LRU never serves stale epoch" `Quick

@@ -641,6 +641,9 @@ let tree_allocation () =
     G.hierarchical_internet ~rng:(Sim.Rng.create 3L) ~branching:5 ~depth:3 ~hosts:20_000 ()
   in
   let words () =
+    (* [Gc.counters] reads the minor heap's current contents at an
+       eighth of their size (OCaml 5.1.1), so collect it first *)
+    Gc.minor ();
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
