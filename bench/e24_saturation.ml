@@ -103,7 +103,10 @@ let measure_once ~xsr ~ticks =
         Array.iter (fun send -> send ()) sends)
   done;
   Gc.full_major ();
+  (* The minor collection first settles the counters: without it
+     [minor_words] leaves out what is still in the minor heap. *)
   let allocated () =
+    Gc.minor ();
     let s = Gc.quick_stat () in
     s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
   in

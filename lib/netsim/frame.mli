@@ -9,14 +9,14 @@
     {b The window.} A frame's bytes on the wire are the window
     [payload.[off] .. payload.[off + len - 1]]. A VIPER packet keeps one
     buffer for its whole life: a router strips the leading segment by
-    advancing [off] and writes its return hop into the tailroom past the
-    window's end, growing [len] (§2: the header moves to the trailer "as
-    the bits stream through"). Ownership: the node holding a frame is the
-    buffer's only writer, and it writes only past the window's end. Once a
-    host has accepted a packet nothing writes its buffer again, so a
-    receiver may keep reading it. Anything that hands bytes to another
-    owner (a multicast copy, a gateway crossing into another domain)
-    copies the window first. *)
+    advancing [off] and writes its return hop over the trailer's
+    terminator and into the tailroom past the window's end, growing [len]
+    (§2: the header moves to the trailer "as the bits stream through").
+    Ownership: the node holding a frame is the buffer's only writer. Once
+    a host has accepted a packet nothing writes its buffer again, so a
+    receiver may keep reading it. A multicast copy gets a window of its
+    own; a gateway crossing into another domain hands the buffer over
+    with the frame, and the producing region never touches it again. *)
 
 type meta = ..
 

@@ -26,19 +26,32 @@
 
 module G = Topo.Graph
 
+(* A frame crossing a gateway, with its buffer: the consumer's frame is
+   a fresh [Frame.t] over the producer's window. The ownership rule
+   ({!Frame}) makes sharing the buffer across domains safe. The egress
+   proxy is where the packet leaves the producer's world
+   ({!World.hand_off}): once it has pushed the message, nothing in the
+   producer's region reads the buffer or writes it again (no buffer is
+   recycled), and the push publishes the producer's writes. From then
+   on the consumer's nodes are its only writers. *)
 type message = {
-  m_seq : int;  (** per-directed-channel counter, producer-assigned *)
+  seq : int;  (** the import's engine key (see above), producer-assigned *)
   head : Sim.Time.t;
   tail : Sim.Time.t;
-  payload : bytes;
-      (** a copy of the frame's window and the tailroom behind it: no
-          buffer is shared across domains *)
+  payload : bytes;  (** the producer's buffer, window and tailroom *)
+  off : int;  (** where the window starts *)
   len : int;  (** the window's length *)
   priority : Token.Priority.t;
   drop_if_blocked : bool;
   aborted : bool;
   carried : Telemetry.Flight.carried option;
 }
+
+(* Fills an inbox's free slots, so they keep no buffer alive. *)
+let no_message =
+  { seq = 0; head = 0; tail = 0; payload = Bytes.empty; off = 0; len = 0;
+    priority = Token.Priority.normal; drop_if_blocked = false; aborted = false;
+    carried = None }
 
 type profile = {
   store_and_forward : bool;
@@ -61,6 +74,11 @@ type shard = {
   egress : Telemetry.Registry.Counter.t;
   ingress : Telemetry.Registry.Counter.t;
   meta_dropped : Telemetry.Registry.Counter.t;
+  (* the crossings posted to this engine, one slot each: the payload of
+     an import event *)
+  imports : Sim.Slab.t;
+  mutable inbox : message array;
+  mutable import : Sim.Engine.kind;
 }
 
 type t = {
@@ -69,7 +87,7 @@ type t = {
   channels : message Parallel.Spsc.t array;
       (** index = channel dir; messages in simulation order *)
   m_seq : int array;  (** per dir; producer-owned, read after the run *)
-  in_dirs : int list array;  (** per region: dirs delivering into it *)
+  in_dirs : int array array;  (** per region: dirs delivering into it *)
   out_dirs : int array array;
       (** per region: egress dirs in gateway order; the shard clock's
           edge [e] is dir [out_dirs.(r).(e)] *)
@@ -96,29 +114,52 @@ type stats = {
   per_region : region_load array;
 }
 
-(* Consumer-side half of channel [dir]: schedule the crossing into the
-   destination engine at the frame's head-arrival time. The stamp can
-   never be in the past: the producer pushed it before publishing a
-   promise at or below [head], and the consumer's clock stays strictly
-   below the minimum in-promise it last read. *)
-let deliverer members ~ngw ~dir ~dst ~node ~in_port =
-  fun (msg : message) ->
-    let sh = members.(dst) in
-    let seq = Sim.Engine.foreign_seq_base + (msg.m_seq * (2 * ngw)) + dir in
-    Sim.Engine.schedule_foreign sh.engine ~time:msg.head ~seq (fun () ->
-        Telemetry.Registry.Counter.incr sh.ingress;
-        let frame =
-          World.import_frame sh.world ~priority:msg.priority
-            ~drop_if_blocked:msg.drop_if_blocked ?carried:msg.carried
-            ~aborted:msg.aborted ~len:msg.len msg.payload
-        in
-        World.deliver_direct sh.world ~node ~in_port ~frame ~head:msg.head
-          ~tail:msg.tail)
+(* Consumer-side half of a channel: post the crossing into the
+   destination engine as an import event at the frame's head-arrival
+   time. The stamp can never be in the past: the producer pushed it
+   before publishing a promise at or below [head], and the consumer's
+   clock stays strictly below the minimum in-promise it last read. *)
+let post_import sh (msg : message) =
+  let slot = Sim.Slab.take sh.imports in
+  if Array.length sh.inbox < Sim.Slab.capacity sh.imports then
+    sh.inbox <- Sim.Slab.fit sh.imports sh.inbox no_message;
+  sh.inbox.(slot) <- msg;
+  Sim.Engine.post_keyed sh.engine ~time:msg.head ~seq:msg.seq ~kind:sh.import slot
 
-let drain_region t r =
-  List.iter
-    (fun dir -> Parallel.Spsc.drain t.channels.(dir) t.deliver.(dir))
-    t.in_dirs.(r)
+(* The import event in [slot]: the crossing leaves the inbox, and its
+   frame arrives at the real endpoint's original port (dir 2i runs from
+   the gateway link's a end to its b end, dir 2i+1 back). *)
+let import t sh slot =
+  let msg = sh.inbox.(slot) in
+  let ngw = Array.length t.part.Partition.gateways in
+  let dir = (msg.seq - Sim.Engine.foreign_seq_base) mod (2 * ngw) in
+  sh.inbox.(slot) <- no_message;
+  Sim.Slab.release sh.imports slot;
+  Telemetry.Registry.Counter.incr sh.ingress;
+  let frame =
+    World.import_frame sh.world ~priority:msg.priority
+      ~drop_if_blocked:msg.drop_if_blocked ~carried:msg.carried ~aborted:msg.aborted
+      ~off:msg.off ~len:msg.len msg.payload
+  in
+  let l = t.part.Partition.gateways.(dir / 2).Partition.gw_link and b = dir land 1 = 0 in
+  World.deliver_direct sh.world ~node:(if b then l.G.b else l.G.a)
+    ~in_port:(if b then l.G.b_port else l.G.a_port) ~frame ~head:msg.head ~tail:msg.tail
+
+(* Whether the channels of [dirs] are all empty. *)
+let drained t dirs =
+  let i = ref 0 in
+  while !i < Array.length dirs && Parallel.Spsc.is_empty t.channels.(dirs.(!i)) do
+    incr i
+  done;
+  !i = Array.length dirs
+
+(* The min over the promises of [dirs]: a region's safe_in. *)
+let min_promise promises dirs =
+  let m = ref max_int in
+  for i = 0 to Array.length dirs - 1 do
+    m := Int.min !m (Atomic.get promises.(dirs.(i)))
+  done;
+  !m
 
 let create ?profiles (part : Partition.t) =
   let regions = part.Partition.regions in
@@ -184,13 +225,17 @@ let create ?profiles (part : Partition.t) =
             Telemetry.Registry.counter m
               ~help:"frames whose world-local metadata cannot cross a gateway"
               "netsim_shard_meta_dropped";
+          imports = Sim.Slab.create ();
+          inbox = [||];
+          import = Sim.Engine.closure_kind;
         })
   in
   let channels = Array.init (2 * ngw) (fun _ -> Parallel.Spsc.create ()) in
   let m_seq = Array.make (2 * ngw) 0 in
-  let in_dirs = Array.make regions [] in
+  let in_dirs = Array.make regions [||] in
   let deliver = Array.make (2 * ngw) (fun (_ : message) -> ()) in
   let t = { part; members; channels; m_seq; in_dirs; out_dirs; deliver } in
+  Array.iter (fun sh -> sh.import <- Sim.Engine.register sh.engine (import t sh)) members;
   (* Wire both directions of every gateway: the egress proxy in the
      producing region forwards deliveries into the channel; the consumer
      side re-injects them at the real endpoint's original port. *)
@@ -198,11 +243,11 @@ let create ?profiles (part : Partition.t) =
     (fun i (gw : Partition.gateway) ->
       let l = gw.Partition.gw_link in
       let prof = profiles.(i) in
-      let wire ~dir ~src ~src_node ~src_port ~proxy ~dst ~node ~in_port =
+      let wire ~dir ~src ~src_node ~src_port ~proxy ~dst =
         let producer = t.members.(src) in
         let edge = edge_of_dir.(dir) in
-        t.deliver.(dir) <- deliverer members ~ngw ~dir ~dst ~node ~in_port;
-        t.in_dirs.(dst) <- t.in_dirs.(dst) @ [ dir ];
+        t.deliver.(dir) <- post_import t.members.(dst);
+        t.in_dirs.(dst) <- Array.append t.in_dirs.(dst) [| dir |];
         (* The region-local copy of the gateway link carries this dir's
            traffic (real endpoint -> proxy); give it the profile's wire
            discipline. *)
@@ -225,12 +270,11 @@ let create ?profiles (part : Partition.t) =
             | None ->
               let msg =
                 {
-                  m_seq = t.m_seq.(dir);
+                  seq = Sim.Engine.foreign_seq_base + (t.m_seq.(dir) * (2 * ngw)) + dir;
                   head;
                   tail;
-                  payload =
-                    Bytes.sub frame.Frame.payload frame.Frame.off
-                      (Bytes.length frame.Frame.payload - frame.Frame.off);
+                  payload = frame.Frame.payload;
+                  off = frame.Frame.off;
                   len = frame.Frame.len;
                   priority = frame.Frame.priority;
                   drop_if_blocked = frame.Frame.drop_if_blocked;
@@ -243,11 +287,9 @@ let create ?profiles (part : Partition.t) =
               Parallel.Spsc.push t.channels.(dir) msg)
       in
       wire ~dir:(2 * i) ~src:gw.Partition.a_region ~src_node:l.G.a
-        ~src_port:l.G.a_port ~proxy:gw.Partition.a_proxy
-        ~dst:gw.Partition.b_region ~node:l.G.b ~in_port:l.G.b_port;
+        ~src_port:l.G.a_port ~proxy:gw.Partition.a_proxy ~dst:gw.Partition.b_region;
       wire ~dir:((2 * i) + 1) ~src:gw.Partition.b_region ~src_node:l.G.b
-        ~src_port:l.G.b_port ~proxy:gw.Partition.b_proxy
-        ~dst:gw.Partition.a_region ~node:l.G.a ~in_port:l.G.a_port)
+        ~src_port:l.G.b_port ~proxy:gw.Partition.b_proxy ~dst:gw.Partition.a_region)
     part.Partition.gateways;
   t
 
@@ -427,41 +469,39 @@ let run ?(shards = 1) ?epoch ~until t =
       order
   in
   (* One round of service for region [r] (steps 1-5 above), then the
-     boundary check; whether anything moved. *)
+     boundary check; whether anything moved. Plain loops over the dirs:
+     a round allocates nothing. *)
   let service ~final ~cap counted r =
     let sh = t.members.(r) in
+    let ins = t.in_dirs.(r) and outs = t.out_dirs.(r) in
     let progressed = ref false in
     if not retired.(r) then begin
-      let safe_in =
-        List.fold_left (fun acc d -> min acc (Atomic.get promises.(d))) max_int t.in_dirs.(r)
-      in
-      drain_region t r;
+      let safe_in = min_promise promises ins in
+      for i = 0 to Array.length ins - 1 do
+        Parallel.Spsc.drain t.channels.(ins.(i)) t.deliver.(ins.(i))
+      done;
       rounds.(r) <- rounds.(r) + 1;
       if Sim.Shard_engine.advance sh.clock ~safe_in ~cap then begin
         advances.(r) <- advances.(r) + 1;
         progressed := true
       end;
       let moved = ref 0 in
-      Array.iteri
-        (fun e d ->
-          let p = Sim.Shard_engine.promise_edge sh.clock ~edge:e ~safe_in in
-          if p > Atomic.get promises.(d) then begin
-            Atomic.set promises.(d) p;
-            incr moved
-          end)
-        t.out_dirs.(r);
+      for e = 0 to Array.length outs - 1 do
+        let p = Sim.Shard_engine.promise_edge sh.clock ~edge:e ~safe_in in
+        if p > Atomic.get promises.(outs.(e)) then begin
+          Atomic.set promises.(outs.(e)) p;
+          incr moved
+        end
+      done;
       if !moved > 0 then begin
         nulls.(r) <- nulls.(r) + !moved;
         progressed := true;
         bump h
       end;
-      if
-        final
-        && Sim.Shard_engine.finished sh.clock ~safe_in ~until
-        && List.for_all (fun d -> Parallel.Spsc.is_empty t.channels.(d)) t.in_dirs.(r)
+      if final && Sim.Shard_engine.finished sh.clock ~safe_in ~until && drained t ins
       then begin
         retired.(r) <- true;
-        Array.iter (fun d -> Atomic.set promises.(d) max_int) t.out_dirs.(r);
+        Array.iter (fun d -> Atomic.set promises.(d) max_int) outs;
         Atomic.decr remaining;
         progressed := true;
         bump h
@@ -481,7 +521,7 @@ let run ?(shards = 1) ?epoch ~until t =
     let my_phase = ref 0 in
     let running = ref true in
     while !running do
-      let mine = List.filter (fun r -> owner.(r) = g) (List.init n Fun.id) in
+      let mine = Array.of_list (List.filter (fun r -> owner.(r) = g) (List.init n Fun.id)) in
       let boundary = match epoch with Some e -> (!my_phase + 1) * e | None -> until in
       let final = boundary >= until in
       let cap = if final then until else boundary in
@@ -491,21 +531,22 @@ let run ?(shards = 1) ?epoch ~until t =
       while !in_a do
         incr my_rounds;
         let seen = Atomic.get h.gen in
-        let progressed =
-          List.fold_left (fun p r -> service ~final ~cap counted r || p) false mine
-        in
+        let progressed = ref false in
+        for i = 0 to Array.length mine - 1 do
+          if service ~final ~cap counted mine.(i) then progressed := true
+        done;
         if final && Atomic.get remaining = 0 then begin
           in_a := false;
           running := false
         end
         else if (not final) && Atomic.get parked = n then in_a := false
-        else if not progressed then
+        else if not !progressed then
           (* starved: our regions wait on promises owned by other domains *)
           wait h seen
       done;
       (* Phase B: every region is parked at [cap]. *)
       if !running then begin
-        List.iter (fun r -> work.(r) <- Sim.Engine.executed t.members.(r).engine) mine;
+        Array.iter (fun r -> work.(r) <- Sim.Engine.executed t.members.(r).engine) mine;
         if 1 + Atomic.fetch_and_add arrived 1 = groups then begin
           repack ();
           Atomic.set arrived 0;

@@ -328,11 +328,10 @@ let fresh_frame _t ?(priority = Token.Priority.normal) ?(drop_if_blocked = false
   { Frame.payload; off = 0; len = Bytes.length payload; priority; drop_if_blocked; meta;
     flight; aborted = false }
 
-let import_frame t ?(priority = Token.Priority.normal) ?(drop_if_blocked = false)
-    ?carried ~aborted ~len payload =
+let import_frame t ~priority ~drop_if_blocked ~carried ~aborted ~off ~len payload =
   t.originated <- t.originated + 1;
   let flight = match carried with Some c -> Flight.import t.flight c | None -> None in
-  { Frame.payload; off = 0; len; priority; drop_if_blocked; meta = None; flight; aborted }
+  { Frame.payload; off; len; priority; drop_if_blocked; meta = None; flight; aborted }
 
 let set_buffer_bytes t ~node ~port n = (outport t node port).buffer_bytes <- n
 

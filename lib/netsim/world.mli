@@ -117,13 +117,15 @@ val set_departure_tap : t -> node:Topo.Graph.node_id -> (head:Sim.Time.t -> unit
     the clock as dead (see {!Sim.Shard_engine.outbound_sent}). *)
 
 val import_frame :
-  t -> ?priority:Token.Priority.t -> ?drop_if_blocked:bool ->
-  ?carried:Telemetry.Flight.carried -> aborted:bool -> len:int -> bytes -> Frame.t
-(** A packet re-entering this world from another region's shard, its
-    window the first [len] bytes of a buffer copied for this world (the
-    rest is the packet's remaining tailroom). It is originated here, with
-    its [carried] flight. [meta] does not cross gateways (it may hold
-    world-local state); the shard layer counts such drops. *)
+  t -> priority:Token.Priority.t -> drop_if_blocked:bool ->
+  carried:Telemetry.Flight.carried option -> aborted:bool -> off:int -> len:int ->
+  bytes -> Frame.t
+(** A packet re-entering this world from another region's shard: a fresh
+    frame over the window of [len] bytes from [off] in the buffer it
+    crossed in, which is not copied (see {!Shard}'s message). It is
+    originated here, with its [carried] flight. [meta] does not cross
+    gateways (it may hold world-local state); the shard layer counts
+    such drops. *)
 
 val deliver_direct :
   t -> node:Topo.Graph.node_id -> in_port:Topo.Graph.port -> frame:Frame.t ->

@@ -110,16 +110,11 @@ let schedule_keyed t ~time ~seq f =
   Heap.push_ints t.queue ~time ~seq ~kind:closure_kind ~payload:(stash t f)
 
 (* Locally scheduled events take sequence numbers 0, 1, 2, ...; events
-   merged in from another shard carry keys at or above this base, so at
-   equal time every local event of a tick sorts before foreign arrivals
-   and foreign arrivals sort by their own deterministic keys. *)
+   merged in from another shard are posted with [post_keyed] at keys at
+   or above this base, so at equal time every local event of a tick
+   sorts before foreign arrivals and foreign arrivals sort by their own
+   deterministic keys. *)
 let foreign_seq_base = 1 lsl 60
-
-let schedule_foreign t ~time ~seq f =
-  if time < t.clock then invalid_arg "Engine.schedule_foreign: time in the past";
-  if seq < foreign_seq_base then
-    invalid_arg "Engine.schedule_foreign: seq below foreign_seq_base";
-  Heap.push_ints t.queue ~time ~seq ~kind:closure_kind ~payload:(stash t f)
 
 (* A key that has passed ran already (or was never scheduled): nothing
    to skip, and recording it would only leave garbage in [cancelled]. *)
@@ -144,16 +139,16 @@ let rec is_cancelled c ~time ~seq =
   end
   else false
 
-(* The loop allocates nothing per event: the heap hands back the key, the
-   kind and the payload unboxed, the kind picks the handler, and an
-   absent [until] is a horizon no event reaches. A cancelled closure
+(* The loop allocates nothing: the heap hands back the key, the kind
+   and the payload unboxed, the kind picks the handler, and a run with
+   no [until] is one to a horizon no event reaches that leaves the clock
+   where the last event left it ([settle] false). A cancelled closure
    event frees its slab slot; the owner of any other kind released what
    its payload names when it cancelled.
    A foreign event publishes [next_seq] as its seq: every local key
    reserved before it sorts before it, and none reserved while it runs
    does, exactly as if those had been pushed and popped after it. *)
-let run ?until ?(max_events = max_int) t =
-  let horizon = match until with Some u -> u | None -> max_int in
+let run_to t ~horizon ~max_events ~settle =
   let q = t.queue in
   let executed = ref 0 in
   while
@@ -173,14 +168,21 @@ let run ?until ?(max_events = max_int) t =
       t.kind_counts.(kind) <- t.kind_counts.(kind) + 1
     end
   done;
-  (* Nothing is due by [until] any more: every key reserved so far has
-     run, and the clock may move up to [until]. A run that [max_events]
+  (* Nothing is due by the horizon any more: every key reserved so far
+     has run, and the clock may move up to it. A run that [max_events]
      stopped with events still due keeps the last event's key and time,
      so those events still run at their own. *)
   if Heap.is_empty q || Heap.min_time q > horizon then begin
     t.executing_seq <- t.next_seq;
-    match until with Some u when t.clock < u -> t.clock <- u | Some _ | None -> ()
+    if settle && t.clock < horizon then t.clock <- horizon
   end
 
+let run_until t until = run_to t ~horizon:until ~max_events:max_int ~settle:true
+
+let run ?until ?(max_events = max_int) t =
+  match until with
+  | Some u -> run_to t ~horizon:u ~max_events ~settle:true
+  | None -> run_to t ~horizon:max_int ~max_events ~settle:false
+
 let pending t = Heap.size t.queue
-let next_time t = if Heap.is_empty t.queue then None else Some (Heap.min_time t.queue)
+let next_time t = if Heap.is_empty t.queue then max_int else Heap.min_time t.queue

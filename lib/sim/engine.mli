@@ -29,7 +29,7 @@ val register : t -> (int -> unit) -> kind
 
 val closure_kind : kind
 (** The kind of every event queued with a closure ({!schedule},
-    {!schedule_at}, {!schedule_keyed}, {!schedule_foreign}). *)
+    {!schedule_at}, {!schedule_keyed}). *)
 
 val post_at : t -> time:Time.t -> kind:kind -> int -> unit
 (** [post_at t ~time ~kind payload] queues an event of [kind] at [time]
@@ -66,7 +66,7 @@ val executing_seq : t -> int
 (** The seq half of the key [(now t, executing_seq t)] of the event now
     running. Every key that sorts strictly before it has run (or would
     have, had it been scheduled); none at or after it has. A foreign
-    event (see {!schedule_foreign}) publishes the next seq {!alloc_seq}
+    event (see {!foreign_seq_base}) publishes the next seq {!alloc_seq}
     would hand out, so the local keys reserved before it sort before it
     and those reserved while it runs sort after. Between {!run} calls it
     is the next seq as the last run left it: every key reserved until
@@ -96,21 +96,17 @@ val cancel : t -> time:Time.t -> seq:int -> unit
 
 val foreign_seq_base : int
 (** Local events take sequence numbers counting up from 0; keys at or
-    above this base are reserved for {!schedule_foreign}. *)
+    above this base are foreign. The shard-merge entry point is
+    {!post_keyed} at such a key: events arriving from another shard
+    carry a key that is a deterministic function of their origin, so
+    the heap order (hence the execution) is independent of the domain
+    schedule that delivered them, and at equal times they sort after
+    every local event. *)
 
-val schedule_foreign : t -> time:Time.t -> seq:int -> (unit -> unit) -> unit
-(** Schedule with an explicit sequence key instead of the engine's own
-    counter — the shard-merge entry point: events arriving from another
-    shard carry a key that is a deterministic function of their origin,
-    so the heap order (hence the execution) is independent of the domain
-    schedule that delivered them. [seq] must be at least
-    {!foreign_seq_base} (so foreign arrivals never interleave local
-    events of the same instant) and [time] must not be in the past. *)
-
-val next_time : t -> Time.t option
+val next_time : t -> Time.t
 (** Time of the earliest queued event (cancelled ones included), or
-    [None] when the queue is empty — the engine-side input to a
-    conservative shard's time promise. *)
+    [max_int] when the queue is empty — the engine-side input to a
+    conservative shard's time promise. Allocates nothing. *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Drain the event queue. [until] stops the clock at that time (events
@@ -123,6 +119,11 @@ val run : ?until:Time.t -> ?max_events:int -> t -> unit
     still run at their own time. The loop allocates nothing: an event of
     a registered kind costs no words from post to run, and a closure
     event costs only the closure its caller built. *)
+
+val run_until : t -> Time.t -> unit
+(** [run_until t u] is [run ~until:u t] without the optional argument's
+    box: the same loop, for a caller that runs to a fresh horizon many
+    times (a shard's sync round). *)
 
 val pending : t -> int
 (** Events still queued (including cancelled ones not yet skipped). *)

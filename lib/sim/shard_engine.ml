@@ -23,11 +23,11 @@
 type edge = {
   lookahead : Time.t;
   (* multiset of delivery heads of in-flight transmissions toward this
-     edge's egress proxy: a heap of heads plus live-counts for lazy
-     deletion *)
-  pending : unit Heap.t;
-  counts : (Time.t, int) Hashtbl.t;
-  mutable pseq : int;
+     edge's egress proxy, in ascending order: [count] heads from
+     [first] in a ring whose length is a power of two *)
+  mutable heads : Time.t array;
+  mutable first : int;
+  mutable count : int;
   mutable promised : Time.t;
 }
 
@@ -40,13 +40,7 @@ type t = {
 let make_edge lookahead =
   if lookahead <= 0 then
     invalid_arg "Shard_engine: lookahead must be positive";
-  {
-    lookahead;
-    pending = Heap.create ~dummy:();
-    counts = Hashtbl.create 32;
-    pseq = 0;
-    promised = 0;
-  }
+  { lookahead; heads = Array.make 16 0; first = 0; count = 0; promised = 0 }
 
 let create_edges ~lookaheads engine =
   (* an empty array is legal: a shard with no egress edges (a sink
@@ -56,45 +50,56 @@ let create_edges ~lookaheads engine =
 let edge_count t = Array.length t.edges
 let edge_lookahead t ~edge = t.edges.(edge).lookahead
 
+let[@inline] nth e i = e.heads.((e.first + i) land (Array.length e.heads - 1))
+
+let drop_first e =
+  e.first <- (e.first + 1) land (Array.length e.heads - 1);
+  e.count <- e.count - 1
+
+(* Heads toward one proxy leave through one port, so they are noted in
+   non-decreasing order and the insertion below stops at once; only a
+   preemption on a store-and-forward link (a short frame finishing
+   before the long one it cut off) inserts behind the last head. *)
 let note_outbound t ~edge ~head =
   let e = t.edges.(edge) in
-  let n = Option.value ~default:0 (Hashtbl.find_opt e.counts head) in
-  Hashtbl.replace e.counts head (n + 1);
-  if n = 0 then begin
-    Heap.push e.pending ~time:head ~seq:e.pseq ();
-    e.pseq <- e.pseq + 1
-  end
+  let cap = Array.length e.heads in
+  if e.count = cap then begin
+    e.heads <- Array.init (2 * cap) (fun i -> if i < cap then nth e i else 0);
+    e.first <- 0
+  end;
+  let mask = Array.length e.heads - 1 in
+  let i = ref e.count in
+  while !i > 0 && nth e (!i - 1) > head do
+    e.heads.((e.first + !i) land mask) <- nth e (!i - 1);
+    decr i
+  done;
+  e.heads.((e.first + !i) land mask) <- head;
+  e.count <- e.count + 1
 
+(* The delivery at [head] runs at [head]: a head below it whose delivery
+   had been due ran already, so one still noted belongs to a cancelled
+   transmission and goes. *)
 let outbound_sent t ~edge ~head =
   let e = t.edges.(edge) in
-  match Hashtbl.find_opt e.counts head with
-  | Some n when n > 1 -> Hashtbl.replace e.counts head (n - 1)
-  | Some _ -> Hashtbl.remove e.counts head
-  | None -> invalid_arg "Shard_engine.outbound_sent: head was never noted"
+  while e.count > 0 && nth e 0 < head do
+    drop_first e
+  done;
+  if e.count = 0 || nth e 0 <> head then
+    invalid_arg "Shard_engine.outbound_sent: head was never noted";
+  drop_first e
 
-(* Minimum still-live pending head of one edge. Entries whose count
-   dropped to zero are lazily discarded, as are heads at or below the
-   engine clock whose delivery never fired — those belong to
-   transmissions cancelled by preemption or a node crash, and must not
-   pin the promise in the past. *)
-let rec min_pending t e =
-  if Heap.is_empty e.pending then max_int
-  else begin
-    let head = Heap.min_time e.pending in
-    let live = Hashtbl.mem e.counts head in
-    if live && head > Engine.now t.engine then head
-    else begin
-      Heap.pop_value e.pending;
-      if live then Hashtbl.remove e.counts head;
-      min_pending t e
-    end
-  end
+(* Minimum still-pending head of one edge. Heads at or below the engine
+   clock whose delivery never fired belong to transmissions cancelled
+   by preemption or a node crash, and must not pin the promise in the
+   past: they are discarded here. *)
+let min_pending t e =
+  let now = Engine.now t.engine in
+  while e.count > 0 && nth e 0 <= now do
+    drop_first e
+  done;
+  if e.count = 0 then max_int else nth e 0
 
-let earliest_cause t ~safe_in =
-  let next_local =
-    match Engine.next_time t.engine with Some time -> time | None -> max_int
-  in
-  min next_local safe_in
+let earliest_cause t ~safe_in = min (Engine.next_time t.engine) safe_in
 
 let promise_one t e ~cause =
   let via_lookahead =
@@ -112,7 +117,7 @@ let advance t ~safe_in ~cap =
   let target = min (safe_in - 1) cap in
   if target <= t.ran_until then false
   else begin
-    Engine.run ~until:target t.engine;
+    Engine.run_until t.engine target;
     t.ran_until <- target;
     true
   end

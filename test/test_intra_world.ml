@@ -570,6 +570,115 @@ let burst_over_one_gateway () =
   check_bool "rows bit-identical" true (rows1 = rows2);
   check_bool "events bit-identical" true (events1 = events2)
 
+(* ---- what a crossing costs ---- *)
+
+(* [n] packets from region 0's host to region 1's, one crossing each,
+   over the 2-region ring: partitioned and run at [shards] when [shards]
+   is given, else in one world over the whole graph (the same hops, no
+   gateway). The first packet is written into a frame reserved here, so
+   its buffer can be followed. Returns the words [run] allocated, the
+   crossings, the reserved buffer, its committed window's bytes and what
+   the far host's packets were parsed from. *)
+let cross_run ?shards n =
+  let g, gws, hosts = build ~regions:2 ~hosts_per_region:1 () in
+  let src_node = hosts.(0).(0) and dst_node = hosts.(1).(0) in
+  let cluster = Option.map (fun _ -> S.create (split_exn g)) shards in
+  let whole = lazy (W.create (Sim.Engine.create ()) g) in
+  let world r =
+    match cluster with Some c -> S.world c r | None -> Lazy.force whole
+  in
+  Array.iteri (fun r gw -> ignore (Sirpent.Router.create (world r) ~node:gw ())) gws;
+  let src = Sirpent.Host.create (world 0) ~node:src_node in
+  let dst = Sirpent.Host.create (world 1) ~node:dst_node in
+  let wires = ref [] in
+  Sirpent.Host.set_receive dst (fun _ ~packet ~in_port:_ ->
+      wires := packet.Viper.Packet.wire :: !wires);
+  let metric (_ : G.link) = 1.0 in
+  let route =
+    Sirpent.Route.of_hops g ~src:src_node
+      (Option.get (G.shortest_path g ~metric ~src:src_node ~dst:dst_node))
+  in
+  let first =
+    Sirpent.Host.reserve ~route ~priority:Token.Priority.normal ~drop_if_blocked:false
+      ~len:64
+  in
+  Bytes.fill first.Netsim.Frame.payload first.Netsim.Frame.off 64 'x';
+  let sent = ref Bytes.empty in
+  let data = Bytes.make 64 'y' in
+  let e = W.engine (world 0) in
+  Sim.Engine.schedule_at e ~time:(Sim.Time.ms 1) (fun () ->
+      ignore (Sirpent.Host.commit src ~route first);
+      sent := Bytes.sub first.Netsim.Frame.payload first.off first.len);
+  for k = 1 to n - 1 do
+    Sim.Engine.schedule_at e
+      ~time:(Sim.Time.ms 1 + (k * Sim.Time.us 200))
+      (fun () -> ignore (Sirpent.Host.send src ~route ~data ()))
+  done;
+  let until = Sim.Time.ms 1 + (n * Sim.Time.us 200) + Sim.Time.ms 5 in
+  let w0 = Gc.minor_words () in
+  let crossings =
+    match (cluster, shards) with
+    | Some c, Some shards -> (S.run ~shards ~until c).S.cross_frames
+    | _ ->
+      Sim.Engine.run ~until e;
+      n
+  in
+  let words = Gc.minor_words () -. w0 in
+  check_int "every packet arrived" n (List.length !wires);
+  (words, crossings, first.Netsim.Frame.payload, !sent, List.rev !wires)
+
+(* A crossing hands the consumer the producer's buffer: the far host
+   parses its packet out of the very bytes the sender reserved. Each hop
+   writes only its trailer's terminator (the window's last 3 bytes,
+   which its return hop replaces) and past it, so the sender's window up
+   to that terminator is unchanged, and the buffer ends exactly as it
+   does when the same hops run in one world: the far side's hops wrote
+   into it, and nothing else did. *)
+let crossing_moves_the_buffer () =
+  let _, _, one_world, _, _ = cross_run 4 in
+  List.iter
+    (fun shards ->
+      let _, crossings, reserved, sent, wires = cross_run ~shards 4 in
+      check_int "one crossing per packet" 4 crossings;
+      check_bool "the far host reads the reserved buffer" true (List.hd wires == reserved);
+      let kept = Bytes.length sent - 3 in
+      check_bool "the sender's window is unchanged" true
+        (Bytes.sub reserved 0 kept = Bytes.sub sent 0 kept);
+      check_bool "the buffer ends as in one world" true (Bytes.equal reserved one_world))
+    [ 1; 2 ]
+
+(* Words per crossing at shards 1: the partitioned run less the same
+   traffic in one world. It read 21.2 when this ceiling was set (OCaml
+   5.1.1): the message record (11 words), the consumer's fresh frame
+   over the window (9), a share of a 256-slot channel segment (~1), and
+   Shard.run's per-run arrays spread over the 2000 packets (~0.2); the
+   import is an event of the region's kind, in a slab slot, and a sync
+   round allocates nothing. A copy of the window and its tailroom reads
+   34.3, a closure-built promise loop 25.3. *)
+let crossing_allocation () =
+  let n = 2000 in
+  let sharded, crossings, _, _, _ = cross_run ~shards:1 n in
+  let whole, _, _, _, _ = cross_run n in
+  check_int "one crossing per packet" n crossings;
+  let per = (sharded -. whole) /. float_of_int crossings in
+  if per > 24.0 then Alcotest.failf "%.2f words per crossing (ceiling 24)" per
+
+(* An idle 4-region cluster at shards 1: two runs of different lengths
+   allocate the same words, so the extra rounds allocate none. *)
+let round_allocation () =
+  let idle until =
+    let g, _, _ = build ~regions:4 ~hosts_per_region:1 () in
+    let cluster = S.create (split_exn g) in
+    let w0 = Gc.minor_words () in
+    let stats = S.run ~shards:1 ~until cluster in
+    (Gc.minor_words () -. w0, stats.S.rounds)
+  in
+  let w1, r1 = idle (Sim.Time.s 1) in
+  let w2, r2 = idle (Sim.Time.s 4) in
+  check_bool "many more rounds" true (r2 - r1 > 1000);
+  let per = (w2 -. w1) /. float_of_int (r2 - r1) in
+  if per <> 0.0 then Alcotest.failf "%.3f words per round over %d rounds" per (r2 - r1)
+
 (* ---- the driver's edges ---- *)
 
 let run_rejects_bad_arguments () =
@@ -640,6 +749,10 @@ let () =
             cluster_oversubscribed_deterministic;
           Alcotest.test_case "burst over one gateway" `Quick
             burst_over_one_gateway;
+          Alcotest.test_case "a crossing moves the buffer" `Quick
+            crossing_moves_the_buffer;
+          Alcotest.test_case "crossing allocation" `Quick crossing_allocation;
+          Alcotest.test_case "a sync round allocates nothing" `Quick round_allocation;
           Alcotest.test_case "bad shards or epoch rejected" `Quick
             run_rejects_bad_arguments;
           Alcotest.test_case "wider than the regions" `Quick wider_than_regions;

@@ -354,11 +354,14 @@ let engine_executing_key () =
       note "local, reserving" ();
       check_bool "an earlier key has passed" true (E.passed e ~time:5 ~seq:0);
       reserve_now "local");
-  E.schedule_foreign e ~time:5 ~seq:E.foreign_seq_base (fun () ->
-      note "foreign" ();
-      check_bool "a local key reserved before it has passed" true
-        (E.passed e ~time:5 ~seq:2);
-      reserve_now "foreign");
+  let foreign =
+    E.register e (fun _ ->
+        note "foreign" ();
+        check_bool "a local key reserved before it has passed" true
+          (E.passed e ~time:5 ~seq:2);
+        reserve_now "foreign")
+  in
+  E.post_keyed e ~time:5 ~seq:E.foreign_seq_base ~kind:foreign 0;
   E.run e;
   Alcotest.(check (list (pair string int)))
     "published seqs"
@@ -413,7 +416,7 @@ type cancel_op =
 (* Keyed cancellation against a model: every key is reserved up front
    with [alloc_seq]; events are closures or kinded, queued at their
    reserved key ([schedule_keyed]/[post_keyed]), at the next seq
-   ([schedule_at]/[post_at]) or at a foreign key ([schedule_foreign], or
+   ([schedule_at]/[post_at]) or at a foreign key ([schedule_keyed]/
    [post_keyed] at a foreign seq). Cancels come before the run and from
    inside running events, and hit keys that ran already, keys cancelled
    twice, the running event's own key and keys never scheduled. Exactly
@@ -490,7 +493,6 @@ let qcheck_engine_cancel =
             match (op, how) with
             | Post _, Closure -> Sim.Engine.schedule_at e ~time (fun () -> fire i)
             | Post _, Kinded -> Sim.Engine.post_at e ~time ~kind i
-            | Foreign _, Closure -> Sim.Engine.schedule_foreign e ~time ~seq (fun () -> fire i)
             | _, Closure -> Sim.Engine.schedule_keyed e ~time ~seq (fun () -> fire i)
             | _, Kinded -> Sim.Engine.post_keyed e ~time ~seq ~kind i)
           | Reserve | Cancel _ -> ())
